@@ -96,9 +96,9 @@ func BenchmarkTPCH(b *testing.B) {
 }
 
 // BenchmarkTPCHPerQuery runs each query as its own benchmark target on the
-// VectorH engine only, reporting allocations — the per-query numbers that
-// `vectorh-bench -exp tpchbench` records into BENCH_tpch.json (see the
-// Performance sections of README.md and EXPERIMENTS.md).
+// VectorH engine only, reporting allocations — for measuring while you work;
+// the recorded per-query trajectory is bench/history.jsonl (see
+// bench/README.md).
 func BenchmarkTPCHPerQuery(b *testing.B) {
 	d := tpch.Generate(benchSF, 9)
 	eng, err := experiments.NewEngine(3, 2, 6)

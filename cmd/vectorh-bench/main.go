@@ -15,10 +15,9 @@
 //	vectorh-bench -exp profile  # Appendix: Q1 per-operator profile
 //	vectorh-bench -exp all
 //
-// Engine performance tracking (not part of -exp all; writes BENCH_tpch.json):
-//
-//	vectorh-bench -exp tpchbench -set baseline  # record pre-change column
-//	vectorh-bench -exp tpchbench                # record/refresh current column
+// refresh, concurrency, selectivity, joinorder and compression also record
+// their numbers in a block of BENCH_tpch.json (-json). The per-query latency
+// trajectory lives in bench/history.jsonl (see bench/README.md).
 package main
 
 import (
@@ -26,19 +25,16 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"vectorh/internal/baseline"
 	"vectorh/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig1|fig2|fig5|load|tpch|updates|refresh|concurrency|selectivity|joinorder|compression|profile|tpchbench|all")
+	exp := flag.String("exp", "all", "experiment: fig1|fig2|fig5|load|tpch|updates|refresh|concurrency|selectivity|joinorder|compression|profile|all")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor")
 	nodes := flag.Int("nodes", 3, "simulated worker nodes")
-	jsonPath := flag.String("json", "BENCH_tpch.json", "tpchbench: output file")
-	set := flag.String("set", "current", "tpchbench: column to fill (baseline|current)")
-	perQuery := flag.Duration("benchtime", 200*time.Millisecond, "tpchbench: measurement budget per query")
+	jsonPath := flag.String("json", "BENCH_tpch.json", "file the refresh/concurrency/selectivity/joinorder/compression blocks are recorded in")
 	flag.Parse()
 
 	runs := map[string]func() error{
@@ -115,9 +111,6 @@ func main() {
 		},
 		"compression": func() error {
 			return runCompression(*sf, *nodes, *jsonPath)
-		},
-		"tpchbench": func() error {
-			return runTPCHBench(*sf, *nodes, *jsonPath, *set, *perQuery)
 		},
 		"profile": func() error {
 			rep, err := experiments.ProfileQ1(*sf, *nodes)

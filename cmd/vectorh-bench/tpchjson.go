@@ -1,37 +1,16 @@
-// Per-query TPC-H micro-benchmarks emitting a machine-readable
-// BENCH_tpch.json, so the performance trajectory of the execution engine is
-// tracked in-repo rather than in log archaeology:
-//
-//	vectorh-bench -exp tpchbench -set baseline   # record the "before" column
-//	vectorh-bench -exp tpchbench                 # record/refresh "current"
-//
-// The file keeps two columns per query — baseline (recorded before a
-// refactor) and current — with ns/op, allocs/op and bytes/op, measured with
-// runtime.MemStats around a calibrated repetition loop (the same shape as
-// testing.B, but under our own control so a full 22-query sweep stays under
-// a minute).
+// The experiment blocks of BENCH_tpch.json: refresh, concurrency,
+// selectivity, joinorder and compression each record their latest run in a
+// block of their own. The per-query latency trajectory is not kept here — it
+// lives in bench/history.jsonl, keyed by commit (see bench/README.md).
 package main
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
-	"vectorh/internal/core"
 	"vectorh/internal/experiments"
-	"vectorh/internal/tpch"
 )
-
-// queryBench is one query's measurement.
-type queryBench struct {
-	Query       string `json:"query"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-	Rows        int    `json:"rows"`
-}
 
 // refreshBench records the RF1/RF2-as-SQL refresh experiment: stream
 // timings plus the post-refresh validation verdict (see `-exp refresh`).
@@ -150,8 +129,6 @@ type benchFile struct {
 	SF          float64           `json:"sf"`
 	Nodes       int               `json:"nodes"`
 	Threads     int               `json:"threads"`
-	Baseline    []queryBench      `json:"baseline,omitempty"`
-	Current     []queryBench      `json:"current,omitempty"`
 	Refresh     *refreshBench     `json:"refresh,omitempty"`
 	Concurrency *concurrencyBench `json:"concurrency,omitempty"`
 	Selectivity *selectivityBench `json:"selectivity,omitempty"`
@@ -159,52 +136,23 @@ type benchFile struct {
 	Compression *compressionBench `json:"compression,omitempty"`
 }
 
-// runTPCHBench measures every TPC-H query and writes the JSON file, filling
-// the column named by set ("baseline" or "current") and preserving the other.
-func runTPCHBench(sf float64, nodes int, path, set string, perQuery time.Duration) error {
-	if set != "baseline" && set != "current" {
-		return fmt.Errorf("-set must be baseline or current, got %q", set)
-	}
-	const threads, partitions = 2, 6
-	eng, err := experiments.NewEngine(nodes, threads, partitions)
-	if err != nil {
-		return err
-	}
-	d := tpch.Generate(sf, 9)
-	if err := tpch.LoadIntoEngine(eng, d, partitions); err != nil {
-		return err
-	}
-
-	results := make([]queryBench, 0, tpch.NumQueries)
-	for q := 1; q <= tpch.NumQueries; q++ {
-		qb, err := benchOneQuery(eng, q, perQuery)
-		if err != nil {
-			return fmt.Errorf("Q%02d: %w", q, err)
-		}
-		fmt.Printf("  %-4s %12d ns/op %10d allocs/op %12d B/op %6d rows\n",
-			qb.Query, qb.NsPerOp, qb.AllocsPerOp, qb.BytesPerOp, qb.Rows)
-		results = append(results, qb)
-	}
-
+// updateBenchFile loads path if it exists, stamps this run's configuration,
+// lets set fill one block (the others are preserved) and writes it back.
+func updateBenchFile(path string, sf float64, nodes int, block string, set func(*benchFile)) error {
+	const threads = 2 // every experiment's engine configuration
 	file := benchFile{SF: sf, Nodes: nodes, Threads: threads}
 	if old, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(old, &file); err != nil {
-			// Refuse to overwrite: the baseline column cannot be
-			// regenerated once the change it predates has landed.
 			return fmt.Errorf("%s exists but is not valid JSON (%w); fix or remove it first", path, err)
 		}
 		if file.SF != sf || file.Nodes != nodes {
 			fmt.Fprintf(os.Stderr,
-				"warning: %s was recorded at sf=%v nodes=%d, this run is sf=%v nodes=%d — the retained column is not comparable\n",
+				"warning: %s was recorded at sf=%v nodes=%d, this run is sf=%v nodes=%d — the retained blocks are not comparable\n",
 				path, file.SF, file.Nodes, sf, nodes)
 		}
 		file.SF, file.Nodes, file.Threads = sf, nodes, threads
 	}
-	if set == "baseline" {
-		file.Baseline = results
-	} else {
-		file.Current = results
-	}
+	set(&file)
 	out, err := json.MarshalIndent(&file, "", "  ")
 	if err != nil {
 		return err
@@ -212,16 +160,13 @@ func runTPCHBench(sf float64, nodes int, path, set string, perQuery time.Duratio
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s column of %s\n", set, path)
-	if file.Baseline != nil && file.Current != nil {
-		printDelta(file)
-	}
+	fmt.Printf("wrote %s block of %s\n", block, path)
 	return nil
 }
 
 // runRefresh runs the RF1/RF2-as-SQL refresh experiment, prints its report
-// and records the numbers in the refresh block of BENCH_tpch.json (the
-// baseline/current query columns are preserved).
+// and records the numbers in the refresh block of BENCH_tpch.json (other blocks
+// are preserved).
 func runRefresh(sf float64, nodes int, path string) error {
 	res, err := experiments.Refresh(sf, nodes)
 	if err != nil {
@@ -231,22 +176,9 @@ func runRefresh(sf float64, nodes int, path string) error {
 	if !res.AllMatch() {
 		return fmt.Errorf("post-refresh validation failed: a query diverged from the recomputed expected result")
 	}
-	const threads = 2 // experiments.Refresh's engine configuration
-	file := benchFile{SF: sf, Nodes: nodes, Threads: threads}
-	if old, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(old, &file); err != nil {
-			return fmt.Errorf("%s exists but is not valid JSON (%w); fix or remove it first", path, err)
-		}
-		if file.SF != sf || file.Nodes != nodes {
-			fmt.Fprintf(os.Stderr,
-				"warning: %s was recorded at sf=%v nodes=%d, this run is sf=%v nodes=%d — the retained columns are not comparable\n",
-				path, file.SF, file.Nodes, sf, nodes)
-		}
-		file.SF, file.Nodes, file.Threads = sf, nodes, threads
-	}
 	rf1Rows := res.RF1Orders + res.RF1Items
 	rf2Rows := res.RF2Orders + res.RF2Items
-	file.Refresh = &refreshBench{
+	rb := &refreshBench{
 		RF1Rows:          rf1Rows,
 		RF1NsPerRow:      res.RF1Time.Nanoseconds() / max(rf1Rows, 1),
 		RF2Rows:          rf2Rows,
@@ -255,15 +187,7 @@ func runRefresh(sf float64, nodes int, path string) error {
 		QueriesValidated: len(res.Queries),
 		AllMatch:         true,
 	}
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote refresh block of %s\n", path)
-	return nil
+	return updateBenchFile(path, sf, nodes, "refresh", func(f *benchFile) { f.Refresh = rb })
 }
 
 // runConcurrency runs the serving-layer concurrency experiment, prints its
@@ -282,33 +206,11 @@ func runConcurrency(sf float64, nodes int, path string) error {
 		return fmt.Errorf("plan cache hit rate %.1f%% is below the 90%% gate for a repeated-query workload",
 			100*res.PlanCacheHitRate)
 	}
-	const threads = 2
-	file := benchFile{SF: sf, Nodes: nodes, Threads: threads}
-	if old, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(old, &file); err != nil {
-			return fmt.Errorf("%s exists but is not valid JSON (%w); fix or remove it first", path, err)
-		}
-		if file.SF != sf || file.Nodes != nodes {
-			fmt.Fprintf(os.Stderr,
-				"warning: %s was recorded at sf=%v nodes=%d, this run is sf=%v nodes=%d — the retained columns are not comparable\n",
-				path, file.SF, file.Nodes, sf, nodes)
-		}
-		file.SF, file.Nodes, file.Threads = sf, nodes, threads
-	}
 	cb := &concurrencyBench{
 		MaxConcurrent:    res.MaxConcurrent,
 		Validated:        res.Validated,
 		AllMatch:         res.AllMatch,
 		PlanCacheHitRate: res.PlanCacheHitRate,
-	}
-	// Preserve the previously recorded curve as the "before" column (once:
-	// the first refresh after a curve was recorded moves it there).
-	if prev := file.Concurrency; prev != nil {
-		if len(prev.Before) > 0 {
-			cb.Before = prev.Before
-		} else {
-			cb.Before = prev.Points
-		}
 	}
 	for _, p := range res.Points {
 		cb.Points = append(cb.Points, concurrencyBenchPoint{
@@ -319,16 +221,18 @@ func runConcurrency(sf float64, nodes int, path string) error {
 			P99Ms: float64(p.P99.Microseconds()) / 1000,
 		})
 	}
-	file.Concurrency = cb
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote concurrency block of %s\n", path)
-	return nil
+	return updateBenchFile(path, sf, nodes, "concurrency", func(f *benchFile) {
+		// Preserve the previously recorded curve as the "before" column
+		// (once: the first refresh after a curve was recorded moves it there).
+		if prev := f.Concurrency; prev != nil {
+			if len(prev.Before) > 0 {
+				cb.Before = prev.Before
+			} else {
+				cb.Before = prev.Points
+			}
+		}
+		f.Concurrency = cb
+	})
 }
 
 // runSelectivity runs the scan-selectivity sweep, prints its report and
@@ -343,19 +247,6 @@ func runSelectivity(sf float64, nodes int, path string) error {
 	if !res.AllMatch() {
 		return fmt.Errorf("selectivity validation failed: the pushdown pipeline diverged from the Select-above-scan pipeline")
 	}
-	const threads = 2 // experiments.Selectivity's engine configuration
-	file := benchFile{SF: sf, Nodes: nodes, Threads: threads}
-	if old, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(old, &file); err != nil {
-			return fmt.Errorf("%s exists but is not valid JSON (%w); fix or remove it first", path, err)
-		}
-		if file.SF != sf || file.Nodes != nodes {
-			fmt.Fprintf(os.Stderr,
-				"warning: %s was recorded at sf=%v nodes=%d, this run is sf=%v nodes=%d — the retained columns are not comparable\n",
-				path, file.SF, file.Nodes, sf, nodes)
-		}
-		file.SF, file.Nodes, file.Threads = sf, nodes, threads
-	}
 	sb := &selectivityBench{LineitemRows: res.Rows, AllMatch: res.AllMatch()}
 	for _, p := range res.Points {
 		sb.Points = append(sb.Points, selectivityBenchPoint{
@@ -365,16 +256,7 @@ func runSelectivity(sf float64, nodes int, path string) error {
 			OffNsPerOp: p.OffNsPerOp, OffBlocksRead: p.OffBlocksRead, OffBytesDecoded: p.OffBytesDecoded,
 		})
 	}
-	file.Selectivity = sb
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote selectivity block of %s\n", path)
-	return nil
+	return updateBenchFile(path, sf, nodes, "selectivity", func(f *benchFile) { f.Selectivity = sb })
 }
 
 // runCompression runs the execute-on-compressed-data experiment, prints its
@@ -388,19 +270,6 @@ func runCompression(sf float64, nodes int, path string) error {
 	fmt.Print(res.Report())
 	if !res.AllMatch() {
 		return fmt.Errorf("compression validation failed: the code-space pipeline diverged from the value-space pipeline")
-	}
-	const threads = 2 // experiments.Compression's engine configuration
-	file := benchFile{SF: sf, Nodes: nodes, Threads: threads}
-	if old, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(old, &file); err != nil {
-			return fmt.Errorf("%s exists but is not valid JSON (%w); fix or remove it first", path, err)
-		}
-		if file.SF != sf || file.Nodes != nodes {
-			fmt.Fprintf(os.Stderr,
-				"warning: %s was recorded at sf=%v nodes=%d, this run is sf=%v nodes=%d — the retained columns are not comparable\n",
-				path, file.SF, file.Nodes, sf, nodes)
-		}
-		file.SF, file.Nodes, file.Threads = sf, nodes, threads
 	}
 	cb := &compressionBench{AllMatch: res.AllMatch()}
 	for _, t := range res.Storage {
@@ -419,16 +288,7 @@ func runCompression(sf float64, nodes int, path string) error {
 			OffBytesSkipped:      p.OffBytesSkipped, OffSpansPruned: p.OffSpansPruned,
 		})
 	}
-	file.Compression = cb
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote compression block of %s\n", path)
-	return nil
+	return updateBenchFile(path, sf, nodes, "compression", func(f *benchFile) { f.Compression = cb })
 }
 
 // runJoinOrder runs the join-order experiment, prints its report and
@@ -443,19 +303,6 @@ func runJoinOrder(sf float64, nodes int, path string) error {
 	if !res.AllMatch() {
 		return fmt.Errorf("join-order validation failed: an optimizer-ordered plan diverged from its hand-built counterpart")
 	}
-	const threads = 2 // experiments.JoinOrder's engine configuration
-	file := benchFile{SF: sf, Nodes: nodes, Threads: threads}
-	if old, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(old, &file); err != nil {
-			return fmt.Errorf("%s exists but is not valid JSON (%w); fix or remove it first", path, err)
-		}
-		if file.SF != sf || file.Nodes != nodes {
-			fmt.Fprintf(os.Stderr,
-				"warning: %s was recorded at sf=%v nodes=%d, this run is sf=%v nodes=%d — the retained columns are not comparable\n",
-				path, file.SF, file.Nodes, sf, nodes)
-		}
-		file.SF, file.Nodes, file.Threads = sf, nodes, threads
-	}
 	jb := &joinOrderBench{AllMatch: res.AllMatch()}
 	for _, p := range res.Points {
 		jb.Points = append(jb.Points, joinOrderBenchPoint{
@@ -463,80 +310,5 @@ func runJoinOrder(sf float64, nodes int, path string) error {
 			Ratio: p.Ratio(), Rows: p.Rows, RowsMatch: p.Match,
 		})
 	}
-	file.JoinOrder = jb
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote joinorder block of %s\n", path)
-	return nil
-}
-
-// benchOneQuery runs one query repeatedly (plan build + execution per op,
-// matching BenchmarkTPCHPerQuery) and reports per-op time and allocations.
-func benchOneQuery(eng *core.Engine, q int, budget time.Duration) (queryBench, error) {
-	run := func() (int, error) {
-		p, err := tpch.BuildQuery(q, eng)
-		if err != nil {
-			return 0, err
-		}
-		rows, err := eng.Query(p)
-		return len(rows), err
-	}
-	// Warm-up run: loads column caches and calibrates the repetition count.
-	t0 := time.Now()
-	nrows, err := run()
-	if err != nil {
-		return queryBench{}, err
-	}
-	warm := time.Since(t0)
-	n := 1
-	if warm > 0 {
-		n = int(budget / warm)
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > 1000 {
-		n = 1000
-	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 = time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := run(); err != nil {
-			return queryBench{}, err
-		}
-	}
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	return queryBench{
-		Query:       fmt.Sprintf("Q%02d", q),
-		NsPerOp:     elapsed.Nanoseconds() / int64(n),
-		AllocsPerOp: int64(m1.Mallocs-m0.Mallocs) / int64(n),
-		BytesPerOp:  int64(m1.TotalAlloc-m0.TotalAlloc) / int64(n),
-		Rows:        nrows,
-	}, nil
-}
-
-// printDelta renders the baseline→current movement per query.
-func printDelta(f benchFile) {
-	base := make(map[string]queryBench, len(f.Baseline))
-	for _, qb := range f.Baseline {
-		base[qb.Query] = qb
-	}
-	fmt.Println("baseline -> current:")
-	for _, cur := range f.Current {
-		b, ok := base[cur.Query]
-		if !ok || b.NsPerOp == 0 || b.AllocsPerOp == 0 {
-			continue
-		}
-		fmt.Printf("  %-4s time %+6.1f%%  allocs %+6.1f%%\n", cur.Query,
-			100*(float64(cur.NsPerOp)/float64(b.NsPerOp)-1),
-			100*(float64(cur.AllocsPerOp)/float64(b.AllocsPerOp)-1))
-	}
+	return updateBenchFile(path, sf, nodes, "joinorder", func(f *benchFile) { f.JoinOrder = jb })
 }

@@ -4,12 +4,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 
 	"vectorh"
 	"vectorh/internal/core"
+	"vectorh/internal/obs"
 	"vectorh/internal/plan"
 	"vectorh/internal/tpch"
 )
@@ -28,25 +30,26 @@ func main() {
 	}
 	fmt.Printf("loaded TPC-H SF=%.3f on %v\n\n", *sf, db.Nodes())
 
+	ctx := context.Background()
 	q5, err := tpch.BuildQuery(5, db)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.QueryOpts(q5, core.QueryOptions{Profile: true})
+	res, err := db.Run(ctx, q5, core.QueryOptions{Profile: true}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("TPC-H Q5 distributed plan:")
 	fmt.Println(res.Explain)
 	fmt.Printf("Q5 in %v, %d result rows; hottest operators:\n", res.Elapsed, len(res.Rows))
-	fmt.Println(core.FormatProfile(res.Profile, 8))
+	fmt.Println(obs.FormatOps(res.Operators, 8))
 
 	// Trickle updates through PDTs.
 	ob, lb := tpch.RF1(d, 50, 7)
-	if err := db.InsertRows("orders", ob); err != nil {
+	if err := db.InsertRows(ctx, "orders", ob); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.InsertRows("lineitem", lb); err != nil {
+	if err := db.InsertRows(ctx, "lineitem", lb); err != nil {
 		log.Fatal(err)
 	}
 	n, _ := db.TableRows("lineitem")

@@ -103,7 +103,7 @@ func main() {
 		})
 		metricsSrv = &http.Server{Handler: mux}
 		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
-		go metricsSrv.Serve(ln) //lint:ctx metrics sidecar; lifetime is the process
+		go metricsSrv.Serve(ln) // metrics sidecar; lifetime is the process
 	}
 
 	sig := make(chan os.Signal, 1)

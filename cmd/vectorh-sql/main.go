@@ -40,6 +40,7 @@ import (
 
 	"vectorh"
 	"vectorh/internal/colstore"
+	"vectorh/internal/core"
 	"vectorh/internal/server"
 	"vectorh/internal/sql"
 	"vectorh/internal/tpch"
@@ -382,12 +383,7 @@ func (sh *shell) executeStmt(name string, params []any) {
 		sh.execDML(bound)
 		return
 	}
-	schema, err := sh.db.SchemaSQL(bound)
-	if err != nil {
-		sh.fail(err)
-		return
-	}
-	rows, err := sh.db.QuerySQLContext(ctx, bound)
+	schema, rows, err := sh.localQuery(ctx, bound)
 	if err != nil {
 		sh.fail(err)
 		return
@@ -466,6 +462,20 @@ func (sh *shell) runOne(stmt string) {
 	sh.runQuery(stmt)
 }
 
+// localQuery compiles a SELECT through the embedded DB's plan cache and runs
+// it under ctx, returning the output schema with all rows.
+func (sh *shell) localQuery(ctx context.Context, stmt string) (vectorh.Schema, [][]any, error) {
+	n, schema, err := sh.db.CompileSQL(stmt, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sh.db.Run(ctx, n, core.QueryOptions{}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return schema, res.Rows, nil
+}
+
 func (sh *shell) runQuery(stmt string) {
 	ctx, cancel := sh.stmtCtx()
 	defer cancel()
@@ -483,11 +493,7 @@ func (sh *shell) runQuery(stmt string) {
 			queue, exec = res.Queue, res.Exec
 		}
 	} else {
-		// Both calls go through the DB's plan cache: one compile, one hit.
-		schema, err = sh.db.SchemaSQL(stmt)
-		if err == nil {
-			rows, err = sh.db.QuerySQLContext(ctx, stmt)
-		}
+		schema, rows, err = sh.localQuery(ctx, stmt)
 	}
 	if err != nil {
 		sh.fail(err)
@@ -518,7 +524,7 @@ func (sh *shell) execDML(stmt string) {
 	if sh.remote != nil {
 		n, err = sh.remote.Exec(ctx, stmt)
 	} else {
-		n, err = sh.db.ExecSQLContext(ctx, stmt)
+		n, err = sh.db.ExecSQL(ctx, stmt)
 	}
 	if err != nil {
 		sh.fail(err)

@@ -4,12 +4,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"vectorh"
 	"vectorh/internal/core"
 	"vectorh/internal/plan"
+	"vectorh/internal/rewriter"
 	"vectorh/internal/tpch"
 )
 
@@ -44,14 +46,14 @@ func main() {
 	fmt.Println(explain)
 
 	for _, cfg := range []struct {
-		name string
-		opts core.QueryOptions
+		name    string
+		disable rewriter.Rules
 	}{
-		{"all rules", core.QueryOptions{}},
-		{"no local join", func() core.QueryOptions { off := false; return core.QueryOptions{LocalJoin: &off} }()},
+		{"all rules", 0},
+		{"no local join", rewriter.LocalJoin},
 	} {
 		db.Net().Reset()
-		res, err := db.QueryOpts(q, cfg.opts)
+		res, err := db.Run(context.Background(), q, core.QueryOptions{Disable: cfg.disable}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,6 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	count := func(label string) {
 		rows, err := db.Query(plan.Aggregate(plan.Scan("events", "k"), nil, plan.AStar("n")))
 		if err != nil {
@@ -49,19 +51,19 @@ func main() {
 	for i := 0; i < 500; i++ {
 		nb.AppendRow(int64(100000+i), vector.MustDate("1998-01-01"), float64(-1))
 	}
-	if err := db.InsertRows("events", nb); err != nil {
+	if err := db.InsertRows(ctx, "events", nb); err != nil {
 		log.Fatal(err)
 	}
 	count("after 500 trickle inserts")
 
-	n, err := db.DeleteWhere("events", plan.LT(plan.Col("k"), plan.Int(1000)))
+	n, err := db.DeleteWhere(ctx, "events", plan.LT(plan.Col("k"), plan.Int(1000)))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("deleted %d rows\n", n)
 	count("after delete k<1000")
 
-	n, err = db.UpdateWhere("events",
+	n, err = db.UpdateWhere(ctx, "events",
 		plan.GE(plan.Col("k"), plan.Int(100000)),
 		[]string{"v"}, []plan.Expr{plan.Float(42)})
 	if err != nil {
@@ -72,7 +74,7 @@ func main() {
 	// Flush PDTs into the column store (tail inserts append blocks,
 	// deletes/updates rewrite the partition generation).
 	for p := 0; p < 4; p++ {
-		if err := db.PropagatePartition("events", p); err != nil {
+		if err := db.PropagatePartition(ctx, "events", p); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,12 +15,11 @@ import (
 // and asserts the row sets are identical; it returns the rows.
 func runCodeBoth(t *testing.T, e *Engine, q plan.Node) [][]any {
 	t.Helper()
-	on, off := true, false
-	rOn, err := e.QueryOpts(q, QueryOptions{CompressedExec: &on})
+	rOn, err := e.Run(context.Background(), q, QueryOptions{}, nil)
 	if err != nil {
 		t.Fatalf("compressed exec on: %v", err)
 	}
-	rOff, err := e.QueryOpts(q, QueryOptions{CompressedExec: &off})
+	rOff, err := e.Run(context.Background(), q, QueryOptions{Disable: rewriter.CompressedExec}, nil)
 	if err != nil {
 		t.Fatalf("compressed exec off: %v", err)
 	}
@@ -85,14 +85,13 @@ func TestCodeSpaceDictVerdictPrunesDecode(t *testing.T) {
 	f.Push(&plan.ScanPredSet{Preds: []plan.ColPred{plan.StrEq("status", "banana")}}, nil)
 	q := plan.Node(f)
 
-	on, off := true, false
 	s0 := e.ScanStats()
-	rOn, err := e.QueryOpts(q, QueryOptions{CompressedExec: &on})
+	rOn, err := e.Run(context.Background(), q, QueryOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1 := e.ScanStats()
-	rOff, err := e.QueryOpts(q, QueryOptions{CompressedExec: &off})
+	rOff, err := e.Run(context.Background(), q, QueryOptions{Disable: rewriter.CompressedExec}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +150,12 @@ func TestCodeSpaceParityAcrossDeltas(t *testing.T) {
 
 	// Flip qualification via modifies: key 1 was "paid" (1%3==1), key 3
 	// was "open"; swap their states so one row leaves and one enters.
-	if _, err := e.UpdateWhere("corders",
+	if _, err := e.UpdateWhere(context.Background(), "corders",
 		plan.EQ(plan.Col("key"), plan.Int(1)),
 		[]string{"status"}, []plan.Expr{plan.Str("void")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.UpdateWhere("corders",
+	if _, err := e.UpdateWhere(context.Background(), "corders",
 		plan.EQ(plan.Col("key"), plan.Int(3)),
 		[]string{"status"}, []plan.Expr{plan.Str("paid")}); err != nil {
 		t.Fatal(err)
@@ -170,7 +169,7 @@ func TestCodeSpaceParityAcrossDeltas(t *testing.T) {
 	ins := vector.NewBatchForSchema(schema, 2)
 	ins.AppendRow(int64(9001), "paid")
 	ins.AppendRow(int64(9002), "void")
-	if err := e.InsertRows("corders", ins); err != nil {
+	if err := e.InsertRows(context.Background(), "corders", ins); err != nil {
 		t.Fatal(err)
 	}
 	afterIns := runCodeBoth(t, e, q)
@@ -179,7 +178,7 @@ func TestCodeSpaceParityAcrossDeltas(t *testing.T) {
 	}
 
 	// Deletes shift positions under the scan.
-	if _, err := e.DeleteWhere("corders",
+	if _, err := e.DeleteWhere(context.Background(), "corders",
 		plan.LT(plan.Col("key"), plan.Int(50))); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func TestCodeSpaceParityAcrossDeltas(t *testing.T) {
 	// Propagate every partition so deltas become freshly encoded blocks
 	// (new dictionaries), then re-verify.
 	for p := 0; p < 4; p++ {
-		if err := e.PropagatePartition("corders", p); err != nil {
+		if err := e.PropagatePartition(context.Background(), "corders", p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -89,15 +89,15 @@ func TestConcurrentReadersWithDMLWriter(t *testing.T) {
 		defer close(writerDone)
 		for round := int64(0); round < 4; round++ {
 			ob, lb := tpch.RF1(d, 10, 100+round)
-			if err := e.InsertRows("orders", ob); err != nil {
+			if err := e.InsertRows(context.Background(), "orders", ob); err != nil {
 				errs <- fmt.Errorf("rf1 orders: %w", err)
 				return
 			}
-			if err := e.InsertRows("lineitem", lb); err != nil {
+			if err := e.InsertRows(context.Background(), "lineitem", lb); err != nil {
 				errs <- fmt.Errorf("rf1 lineitem: %w", err)
 				return
 			}
-			if _, err := e.UpdateWhere("orders",
+			if _, err := e.UpdateWhere(context.Background(), "orders",
 				plan.LT(plan.Col("o_orderkey"), plan.Int(100)),
 				[]string{"o_orderpriority"}, []plan.Expr{plan.Str("1-URGENT")}); err != nil {
 				errs <- fmt.Errorf("update: %w", err)
@@ -109,14 +109,14 @@ func TestConcurrentReadersWithDMLWriter(t *testing.T) {
 				if table == "orders" {
 					col = "o_orderkey"
 				}
-				if _, err := e.DeleteWhere(table, plan.InInt(plan.Col(col), keys...)); err != nil {
+				if _, err := e.DeleteWhere(context.Background(), table, plan.InInt(plan.Col(col), keys...)); err != nil {
 					errs <- fmt.Errorf("rf2 %s: %w", table, err)
 					return
 				}
 			}
 			// Force a full-rewrite propagation on a partition while
 			// readers are live (deletes make the PDT non-tail-only).
-			if err := e.PropagatePartition("orders", int(round)%6); err != nil {
+			if err := e.PropagatePartition(context.Background(), "orders", int(round)%6); err != nil {
 				errs <- fmt.Errorf("propagate: %w", err)
 				return
 			}
@@ -173,7 +173,7 @@ func TestQueryContextCancelStopsWorkers(t *testing.T) {
 			time.Sleep(time.Duration(1+i%5) * time.Millisecond)
 			cancel()
 		}()
-		_, err := e.QueryContext(ctx, p)
+		_, err := e.Run(ctx, p, core.QueryOptions{}, nil)
 		cancel()
 		if err != nil {
 			if !errors.Is(err, context.Canceled) && !strings.Contains(err.Error(), "cancel") {
@@ -185,19 +185,86 @@ func TestQueryContextCancelStopsWorkers(t *testing.T) {
 	if !sawCancel {
 		t.Skip("query always completed before cancellation on this machine")
 	}
+	waitGoroutines(t, baseline)
+	// And the engine still answers correctly.
+	if _, err := e.Query(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back to
+// baseline: an aborted query must close its root, which tears down every
+// exchange producer and DXchg sender underneath it.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline+2 {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak after cancel: %d vs baseline %d\n%s",
+			t.Fatalf("goroutine leak: %d vs baseline %d\n%s",
 				runtime.NumGoroutine(), baseline, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// And the engine still answers correctly.
-	if _, err := e.Query(p); err != nil {
+}
+
+// TestRunContract pins Engine.Run, the one query path: a nil yield collects
+// into Rows; a non-nil yield receives every row and leaves Rows nil; a yield
+// error and a cancelled context both surface as the returned error, with the
+// root closed (no exchange goroutine outlives the call).
+func TestRunContract(t *testing.T) {
+	e, _ := stressEngine(t)
+	// A multi-batch result gathered through a DXchgUnion: aborting after
+	// the first batch leaves senders in flight that Close must stop.
+	p := plan.Scan("lineitem", "l_orderkey")
+	want, err := e.Query(p)
+	if err != nil {
 		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	baseline := runtime.NumGoroutine()
+
+	errConsumer := errors.New("consumer gone")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	streamed := 0
+	cases := []struct {
+		name     string
+		ctx      context.Context
+		yield    func(rows [][]any) error
+		wantErr  error
+		wantRows int // len(res.Rows)
+		wantSeen int // rows delivered to yield
+	}{
+		{"nil yield collects", context.Background(), nil, nil, len(want), 0},
+		{"yield streams and Rows stays nil", context.Background(),
+			func(rows [][]any) error { streamed += len(rows); return nil }, nil, 0, len(want)},
+		{"yield error surfaces", context.Background(),
+			func([][]any) error { return errConsumer }, errConsumer, 0, 0},
+		{"cancelled context surfaces", cancelled, nil, context.Canceled, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			streamed = 0
+			res, err := e.Run(tc.ctx, p, core.QueryOptions{}, tc.yield)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if tc.wantErr != nil {
+				if res != nil {
+					t.Errorf("failed run returned a result: %+v", res)
+				}
+				waitGoroutines(t, baseline)
+				return
+			}
+			if len(res.Rows) != tc.wantRows || (tc.yield != nil && res.Rows != nil) {
+				t.Errorf("len(Rows) = %d (nil=%v), want %d", len(res.Rows), res.Rows == nil, tc.wantRows)
+			}
+			if streamed != tc.wantSeen {
+				t.Errorf("yield saw %d rows, want %d", streamed, tc.wantSeen)
+			}
+		})
 	}
 }
 
@@ -211,7 +278,7 @@ func TestQueryDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := e.QueryContext(ctx, p); err == nil {
+	if _, err := e.Run(ctx, p, core.QueryOptions{}, nil); err == nil {
 		t.Fatal("expired deadline did not fail the query")
 	}
 }

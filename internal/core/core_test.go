@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"vectorh/internal/colstore"
+	"vectorh/internal/obs"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
@@ -172,7 +174,7 @@ func TestFigure5StyleQuery(t *testing.T) {
 			[]string{"s_suppkey", "s_name"},
 			plan.AStar("l_count")),
 		5, plan.Desc(plan.Col("l_count")), plan.Asc(plan.Col("s_suppkey")))
-	res, err := e.QueryOpts(q, QueryOptions{})
+	res, err := e.Run(context.Background(), q, QueryOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +237,7 @@ func TestTrickleInsertVisibleAndPersisted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		nb.AppendRow(int64(100000+i), vector.MustDate("1998-01-01"), float64(9999))
 	}
-	if err := e.InsertRows("orders", nb); err != nil {
+	if err := e.InsertRows(context.Background(), "orders", nb); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := e.Query(plan.Filter(plan.Scan("orders"), plan.GE(plan.Col("o_orderkey"), plan.Int(100000))))
@@ -253,7 +255,7 @@ func TestTrickleInsertVisibleAndPersisted(t *testing.T) {
 func TestTrickleDeleteAndUpdate(t *testing.T) {
 	e := testEngine(t, 3)
 	setupTables(t, e, 200)
-	n, err := e.DeleteWhere("orders", plan.LT(plan.Col("o_orderkey"), plan.Int(50)))
+	n, err := e.DeleteWhere(context.Background(), "orders", plan.LT(plan.Col("o_orderkey"), plan.Int(50)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestTrickleDeleteAndUpdate(t *testing.T) {
 		}
 	}
 	// Update: double o_total of keys in [50, 60).
-	n, err = e.UpdateWhere("orders",
+	n, err = e.UpdateWhere(context.Background(), "orders",
 		plan.And(plan.GE(plan.Col("o_orderkey"), plan.Int(50)), plan.LT(plan.Col("o_orderkey"), plan.Int(60))),
 		[]string{"o_total"}, []plan.Expr{plan.Mul(plan.Col("o_total"), plan.Float(2))})
 	if err != nil {
@@ -298,11 +300,11 @@ func TestUpdatePropagationTailInserts(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		nb.AppendRow(int64(200000+i), vector.MustDate("1998-06-01"), float64(i))
 	}
-	if err := e.InsertRows("orders", nb); err != nil {
+	if err := e.InsertRows(context.Background(), "orders", nb); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
-		if err := e.PropagatePartition("orders", p); err != nil {
+		if err := e.PropagatePartition(context.Background(), "orders", p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +331,7 @@ func TestUpdatePropagationTailInserts(t *testing.T) {
 func TestUpdatePropagationRewrite(t *testing.T) {
 	e := testEngine(t, 3)
 	setupTables(t, e, 400)
-	if _, err := e.DeleteWhere("orders", plan.LT(plan.Col("o_orderkey"), plan.Int(100))); err != nil {
+	if _, err := e.DeleteWhere(context.Background(), "orders", plan.LT(plan.Col("o_orderkey"), plan.Int(100))); err != nil {
 		t.Fatal(err)
 	}
 	gensBefore := map[int]int{}
@@ -337,7 +339,7 @@ func TestUpdatePropagationRewrite(t *testing.T) {
 		gensBefore[p] = part.CurrentMeta().Gen
 	}
 	for p := 0; p < 4; p++ {
-		if err := e.PropagatePartition("orders", p); err != nil {
+		if err := e.PropagatePartition(context.Background(), "orders", p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +368,7 @@ func TestLogShippingForReplicatedTables(t *testing.T) {
 	setupTables(t, e, 50)
 	nb := vector.NewBatchForSchema(suppSchema, 1)
 	nb.AppendRow(int64(99), "new-supp")
-	if err := e.InsertRows("supplier", nb); err != nil {
+	if err := e.InsertRows(context.Background(), "supplier", nb); err != nil {
 		t.Fatal(err)
 	}
 	if e.ShippedEntries == 0 {
@@ -421,15 +423,15 @@ func TestNodeFailureRecovery(t *testing.T) {
 func TestQueryProfile(t *testing.T) {
 	e := testEngine(t, 2)
 	setupTables(t, e, 300)
-	res, err := e.QueryOpts(plan.Aggregate(plan.Scan("items", "i_qty"), nil,
-		plan.A("s", plan.Sum, plan.Col("i_qty"))), QueryOptions{Profile: true})
+	res, err := e.Run(context.Background(), plan.Aggregate(plan.Scan("items", "i_qty"), nil,
+		plan.A("s", plan.Sum, plan.Col("i_qty"))), QueryOptions{Profile: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Profile) == 0 {
+	if len(res.Operators) == 0 {
 		t.Fatal("no profile entries")
 	}
-	out := FormatProfile(res.Profile, len(res.Profile))
+	out := obs.FormatOps(res.Operators, len(res.Operators))
 	if !strings.Contains(out, "MScan") {
 		t.Fatalf("profile missing scans:\n%s", out)
 	}
@@ -472,10 +474,10 @@ func TestQueryAfterInsertKeepsPerformance(t *testing.T) {
 	ob.AppendRow(int64(7777777), vector.MustDate("1997-01-01"), 1.0)
 	ib := vector.NewBatchForSchema(itemsSchema, 1)
 	ib.AppendRow(int64(7777777), int64(3), 100.0)
-	if err := e.InsertRows("orders", ob); err != nil {
+	if err := e.InsertRows(context.Background(), "orders", ob); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.InsertRows("items", ib); err != nil {
+	if err := e.InsertRows(context.Background(), "items", ib); err != nil {
 		t.Fatal(err)
 	}
 	after, err := e.Query(q)
@@ -493,26 +495,30 @@ func TestMalformedScanRequests(t *testing.T) {
 	e := testEngine(t, 3)
 	setupTables(t, e, 100)
 
-	if _, err := e.PartitionScan("orders", -1, []string{"o_orderkey"}, nil, 0); err == nil {
+	ctx := context.Background()
+	spec := func(table string, pred *rewriter.ScanPredSet, cols ...string) rewriter.ScanSpec {
+		return rewriter.ScanSpec{Table: table, Cols: cols, Pred: pred, Codes: true}
+	}
+	if _, err := e.PartitionScan(ctx, spec("orders", nil, "o_orderkey"), -1, 0); err == nil {
 		t.Fatal("PartitionScan(-1) did not error")
 	}
-	if _, err := e.PartitionScan("orders", 99, []string{"o_orderkey"}, nil, 0); err == nil {
+	if _, err := e.PartitionScan(ctx, spec("orders", nil, "o_orderkey"), 99, 0); err == nil {
 		t.Fatal("PartitionScan(99) did not error")
 	}
-	if _, err := e.PartitionScan("nosuch", 0, []string{"x"}, nil, 0); err == nil {
+	if _, err := e.PartitionScan(ctx, spec("nosuch", nil, "x"), 0, 0); err == nil {
 		t.Fatal("PartitionScan on unknown table did not error")
 	}
-	if _, err := e.ReplicatedScan("nosuch", []string{"x"}, nil, 0); err == nil {
+	if _, err := e.ReplicatedScan(ctx, spec("nosuch", nil, "x"), 0); err == nil {
 		t.Fatal("ReplicatedScan on unknown table did not error")
 	}
-	if err := e.PropagatePartition("orders", 99); err == nil {
+	if err := e.PropagatePartition(context.Background(), "orders", 99); err == nil {
 		t.Fatal("PropagatePartition(99) did not error")
 	}
 
 	// A predicate naming a column the partition does not store is a
 	// malformed plan and must surface at Open, not scan everything.
-	scan, err := e.PartitionScan("orders", 0, []string{"o_orderkey"},
-		&rewriter.ScanPredSet{Preds: []plan.ColPred{plan.IntRange("nope", 0, 10)}, SkipOnly: true}, 0)
+	scan, err := e.PartitionScan(ctx, spec("orders",
+		&rewriter.ScanPredSet{Preds: []plan.ColPred{plan.IntRange("nope", 0, 10)}, SkipOnly: true}, "o_orderkey"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,8 +527,8 @@ func TestMalformedScanRequests(t *testing.T) {
 	}
 	// A skip-only int hint on a string column has no MinMax index of that
 	// shape to use — the scan must still run, just without skipping.
-	scan, err = e.PartitionScan("supplier", 0, []string{"s_suppkey", "s_name"},
-		&rewriter.ScanPredSet{Preds: []plan.ColPred{plan.IntRange("s_name", 0, 10)}, SkipOnly: true}, 0)
+	scan, err = e.PartitionScan(ctx, spec("supplier",
+		&rewriter.ScanPredSet{Preds: []plan.ColPred{plan.IntRange("s_name", 0, 10)}, SkipOnly: true}, "s_suppkey", "s_name"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,13 +567,13 @@ func TestMalformedScanRequests(t *testing.T) {
 func TestUpdateWhereRejectsKindMismatch(t *testing.T) {
 	e := testEngine(t, 3)
 	setupTables(t, e, 100)
-	_, err := e.UpdateWhere("orders",
+	_, err := e.UpdateWhere(context.Background(), "orders",
 		plan.EQ(plan.Col("o_orderkey"), plan.Int(1)),
 		[]string{"o_total"}, []plan.Expr{plan.Str("oops")})
 	if err == nil || !strings.Contains(err.Error(), "does not match column kind") {
 		t.Fatalf("kind mismatch not rejected: %v", err)
 	}
-	_, err = e.UpdateWhere("orders",
+	_, err = e.UpdateWhere(context.Background(), "orders",
 		plan.Col("o_total"), // not a boolean predicate
 		[]string{"o_total"}, []plan.Expr{plan.Float(1)})
 	if err == nil || !strings.Contains(err.Error(), "not boolean") {

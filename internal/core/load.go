@@ -10,6 +10,7 @@ import (
 	"vectorh/internal/expr"
 	"vectorh/internal/pdt"
 	"vectorh/internal/plan"
+	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
 )
 
@@ -185,14 +186,10 @@ func (e *Engine) bumpRows(t *Table) {
 // path). Rows land in the Write-PDT as tail inserts; queries see them
 // immediately after commit, and query performance stays unaffected (§8
 // "Impact of Updates").
-func (e *Engine) InsertRows(table string, b *vector.Batch) error {
-	//lint:ctx compatibility shim for context-free callers; cancellable path is InsertRowsContext
-	return e.InsertRowsContext(context.Background(), table, b)
-}
-
-// InsertRowsContext is InsertRows honoring a context: a cancelled context
-// aborts the transaction before commit (committed work is never undone).
-func (e *Engine) InsertRowsContext(ctx context.Context, table string, b *vector.Batch) error {
+//
+// A cancelled context aborts the transaction before commit; committed work
+// is never undone (the post-commit flush runs to completion).
+func (e *Engine) InsertRows(ctx context.Context, table string, b *vector.Batch) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.mu.RLock()
@@ -230,7 +227,7 @@ func (e *Engine) InsertRowsContext(ctx context.Context, table string, b *vector.
 		return err
 	}
 	e.bumpRows(t)
-	if err := e.maybePropagate(t); err != nil {
+	if err := e.maybePropagate(ctx, t); err != nil {
 		// The insert is durably committed; only the post-commit flush
 		// failed. Say so, or a caller would retry and duplicate the rows.
 		return fmt.Errorf("core: rows committed, but post-commit flush failed: %w", err)
@@ -241,25 +238,13 @@ func (e *Engine) InsertRowsContext(ctx context.Context, table string, b *vector.
 // DeleteWhere trickle-deletes all rows matching pred, returning the count.
 // Deletes are recorded positionally in the PDTs (compact for contiguous
 // ranges) at each partition's responsible node.
-func (e *Engine) DeleteWhere(table string, pred plan.Expr) (int64, error) {
-	//lint:ctx compatibility shim for context-free callers; cancellable path is DeleteWhereContext
-	return e.DeleteWhereContext(context.Background(), table, pred)
-}
-
-// DeleteWhereContext is DeleteWhere honoring a context.
-func (e *Engine) DeleteWhereContext(ctx context.Context, table string, pred plan.Expr) (int64, error) {
+func (e *Engine) DeleteWhere(ctx context.Context, table string, pred plan.Expr) (int64, error) {
 	return e.updateWhere(ctx, table, pred, nil, nil)
 }
 
 // UpdateWhere trickle-modifies the named columns of matching rows with
 // values computed by the given expressions (over the full table schema).
-func (e *Engine) UpdateWhere(table string, pred plan.Expr, setCols []string, setExprs []plan.Expr) (int64, error) {
-	//lint:ctx compatibility shim for context-free callers; cancellable path is UpdateWhereContext
-	return e.UpdateWhereContext(context.Background(), table, pred, setCols, setExprs)
-}
-
-// UpdateWhereContext is UpdateWhere honoring a context.
-func (e *Engine) UpdateWhereContext(ctx context.Context, table string, pred plan.Expr, setCols []string, setExprs []plan.Expr) (int64, error) {
+func (e *Engine) UpdateWhere(ctx context.Context, table string, pred plan.Expr, setCols []string, setExprs []plan.Expr) (int64, error) {
 	if len(setCols) == 0 {
 		return 0, fmt.Errorf("core: UpdateWhere without SET columns")
 	}
@@ -323,7 +308,7 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 		node := nodeOf[part.Responsible]
 		// Value-space scan: the batches feed SET-expression evaluation and
 		// PDT writes, which want materialized strings anyway.
-		scan, err := e.partitionScanCtx(ctx, table, part.CurrentMeta().Partition, schema.Names(), nil, node, false)
+		scan, err := e.PartitionScan(ctx, rewriter.ScanSpec{Table: table, Cols: schema.Names()}, part.CurrentMeta().Partition, node)
 		if err != nil {
 			tx.Abort()
 			return 0, err
@@ -427,7 +412,7 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 		return 0, err
 	}
 	e.bumpRows(t)
-	if err := e.maybePropagate(t); err != nil {
+	if err := e.maybePropagate(ctx, t); err != nil {
 		// The changes are durably committed; report the affected count
 		// alongside the post-commit flush failure.
 		return total, fmt.Errorf("core: %d rows committed, but post-commit flush failed: %w", total, err)
@@ -485,14 +470,14 @@ func widenAll(m *colstore.PartitionMeta, col string, n int64, f float64, s strin
 // exceed the flush threshold. Propagation failures are surfaced, not
 // swallowed: a partition whose flush failed half-way must not pretend the
 // write path is healthy. The caller holds e.writeMu.
-func (e *Engine) maybePropagate(t *Table) error {
+func (e *Engine) maybePropagate(ctx context.Context, t *Table) error {
 	for _, part := range t.Parts {
 		mem, err := e.mgr.MemBytesOf(part.Key)
 		if err != nil {
 			continue
 		}
 		if mem >= e.cfg.PDTFlushBytes {
-			if err := e.propagatePartition(t, part); err != nil {
+			if err := e.propagatePartition(ctx, t, part); err != nil {
 				return fmt.Errorf("core: propagating %s.p%d: %w", t.Info.Name, part.CurrentMeta().Partition, err)
 			}
 		}
@@ -503,7 +488,7 @@ func (e *Engine) maybePropagate(t *Table) error {
 // PropagatePartition flushes a partition's PDTs into the column store: tail
 // inserts append new blocks (the cheap path of §6), anything else rewrites
 // the partition into a new generation of chunk files.
-func (e *Engine) PropagatePartition(table string, partIdx int) error {
+func (e *Engine) PropagatePartition(ctx context.Context, table string, partIdx int) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.mu.RLock()
@@ -515,11 +500,11 @@ func (e *Engine) PropagatePartition(table string, partIdx int) error {
 	if partIdx < 0 || partIdx >= len(t.Parts) {
 		return fmt.Errorf("core: %s has no partition %d", table, partIdx)
 	}
-	return e.propagatePartition(t, t.Parts[partIdx])
+	return e.propagatePartition(ctx, t, t.Parts[partIdx])
 }
 
 // propagatePartition is PropagatePartition with e.writeMu held.
-func (e *Engine) propagatePartition(t *Table, part *Partition) error {
+func (e *Engine) propagatePartition(ctx context.Context, t *Table, part *Partition) error {
 	nodeOf := e.nodeSlots()
 	if err := e.mgr.PropagateWriteToRead(part.Key); err != nil {
 		return err
@@ -556,7 +541,10 @@ func (e *Engine) propagatePartition(t *Table, part *Partition) error {
 	// generation finish undisturbed; its files are deleted when the last of
 	// them closes.
 	node := nodeOf[part.Responsible]
-	scan, err := e.PartitionScan(t.Info.Name, partIdx, schema.Names(), nil, node)
+	// The flush follows a commit that is never undone, so the rewriting
+	// scan does not inherit the statement's cancellation.
+	scan, err := e.PartitionScan(context.WithoutCancel(ctx),
+		rewriter.ScanSpec{Table: t.Info.Name, Cols: schema.Names(), Codes: true}, partIdx, node)
 	if err != nil {
 		return err
 	}

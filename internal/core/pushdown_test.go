@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -35,12 +36,11 @@ func pushdownQuery() plan.Node {
 // sets are identical; it returns the rows.
 func runBoth(t *testing.T, e *Engine, q plan.Node) [][]any {
 	t.Helper()
-	on, off := true, false
-	rOn, err := e.QueryOpts(q, QueryOptions{ScanPushdown: &on})
+	rOn, err := e.Run(context.Background(), q, QueryOptions{}, nil)
 	if err != nil {
 		t.Fatalf("pushdown on: %v", err)
 	}
-	rOff, err := e.QueryOpts(q, QueryOptions{ScanPushdown: &off})
+	rOff, err := e.Run(context.Background(), q, QueryOptions{Disable: rewriter.ScanPushdown}, nil)
 	if err != nil {
 		t.Fatalf("pushdown off: %v", err)
 	}
@@ -75,12 +75,12 @@ func TestScanPushdownParityAcrossDeltas(t *testing.T) {
 
 	// Flip qualification via modifies: push some qualifying rows below the
 	// o_total bound, and pull some non-qualifying rows into the date range.
-	if _, err := e.UpdateWhere("orders",
+	if _, err := e.UpdateWhere(context.Background(), "orders",
 		plan.EQ(plan.Col("o_orderkey"), plan.Int(150)),
 		[]string{"o_total"}, []plan.Expr{plan.Float(5)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.UpdateWhere("orders",
+	if _, err := e.UpdateWhere(context.Background(), "orders",
 		plan.EQ(plan.Col("o_orderkey"), plan.Int(3999)),
 		[]string{"o_date"}, []plan.Expr{plan.DateVal(int32(vector.MustDate("1995-01-12")))}); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestScanPushdownParityAcrossDeltas(t *testing.T) {
 	ins := vector.NewBatchForSchema(ordersSchema, 2)
 	ins.AppendRow(int64(9001), vector.MustDate("1995-01-15"), float64(500))
 	ins.AppendRow(int64(9002), vector.MustDate("1997-06-01"), float64(500))
-	if err := e.InsertRows("orders", ins); err != nil {
+	if err := e.InsertRows(context.Background(), "orders", ins); err != nil {
 		t.Fatal(err)
 	}
 	afterIns := runBoth(t, e, q)
@@ -116,7 +116,7 @@ func TestScanPushdownParityAcrossDeltas(t *testing.T) {
 	}
 
 	// Deletes shift positions under the scan.
-	if _, err := e.DeleteWhere("orders",
+	if _, err := e.DeleteWhere(context.Background(), "orders",
 		plan.LT(plan.Col("o_orderkey"), plan.Int(50))); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestScanPushdownParityAcrossDeltas(t *testing.T) {
 
 	// Propagate every partition so deltas become blocks, then re-verify.
 	for p := 0; p < 4; p++ {
-		if err := e.PropagatePartition("orders", p); err != nil {
+		if err := e.PropagatePartition(context.Background(), "orders", p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,14 +166,13 @@ func TestLateMaterializationPrunesIO(t *testing.T) {
 	f.Push(&plan.ScanPredSet{Preds: []plan.ColPred{plan.IntRange("noise", 10000, 10000)}}, nil)
 	q := plan.Node(f)
 
-	on, off := true, false
 	s0 := e.ScanStats()
-	rOn, err := e.QueryOpts(q, QueryOptions{ScanPushdown: &on})
+	rOn, err := e.Run(context.Background(), q, QueryOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1 := e.ScanStats()
-	rOff, err := e.QueryOpts(q, QueryOptions{ScanPushdown: &off})
+	rOff, err := e.Run(context.Background(), q, QueryOptions{Disable: rewriter.ScanPushdown}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vectorh/internal/exec"
-	"vectorh/internal/mpp"
 	"vectorh/internal/obs"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
@@ -17,23 +16,11 @@ import (
 
 // QueryOptions tune one query execution (rule ablation, profiling).
 type QueryOptions struct {
-	// Rule flags; nil means all rules enabled.
-	LocalJoin      *bool
-	ReplicateBuild *bool
-	PartialAgg     *bool
-	// ScanPushdown (nil = on) controls predicate pushdown into scans: off,
-	// pushable conjuncts degrade to skip-only hints and the full Select
-	// stays above the scan — the pre-pushdown pipeline, used by the
-	// selectivity experiment and the row-identity parity gates.
-	ScanPushdown *bool
-	// CompressedExec (nil = on) controls execution on compressed data: off,
-	// scans materialize every string block to values and predicates run in
-	// value space — the baseline the compressed-execution parity gate and
-	// the compression experiment compare against. On, PDICT blocks surface
-	// dictionary-code vectors, pushed string conjuncts evaluate per
-	// dictionary entry, and frame bounds verdict integer conjuncts before
-	// any unpack.
-	CompressedExec *bool
+	// Disable switches rewrite rules off for this query; the zero value runs
+	// every rule. Only the §5 ablation, the selectivity/compression
+	// experiments and the parity gates (ScanPushdown and CompressedExec off
+	// are their reference paths) disable anything.
+	Disable rewriter.Rules
 	// Profile enables the per-operator profile of the Appendix and the
 	// EXPLAIN ANALYZE rendering (Analyzed/Operators on the result). The off
 	// path inserts no wrappers at all, so it costs nothing per batch.
@@ -48,7 +35,6 @@ type QueryResult struct {
 	Rows    [][]any
 	Explain string
 	Elapsed time.Duration
-	Profile []ProfileEntry
 
 	// EXPLAIN ANALYZE output, filled when QueryOptions.Profile is set: the
 	// plan tree annotated with estimated vs actual rows, batch counts and
@@ -60,77 +46,35 @@ type QueryResult struct {
 	Scan      ScanIO
 }
 
-// ProfileEntry is one operator's measurements (time and cum tuples), the
-// shape of the Appendix profile.
-type ProfileEntry struct {
-	Operator string
-	Nanos    int64
-	Tuples   int64
-}
-
-// Query plans, parallelizes and executes a logical plan, returning all
-// result rows (the session master is the single consumer).
+// Query runs a logical plan with default options and returns all result
+// rows. It exists because tpch.Runner needs a signature the baseline oracle
+// shares; everything else calls Run.
 func (e *Engine) Query(q plan.Node) ([][]any, error) {
-	res, err := e.QueryOpts(q, QueryOptions{})
+	//lint:ctx tpch.Runner signature shared with the context-free baseline oracle
+	res, err := e.Run(context.Background(), q, QueryOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res.Rows, nil
 }
 
-// QueryContext is Query under a context: a deadline or cancellation stops
-// the scans, local exchange producers and DXchg senders of the query at
-// batch granularity, releasing their goroutines and storage snapshots.
-func (e *Engine) QueryContext(ctx context.Context, q plan.Node) ([][]any, error) {
-	res, err := e.QueryOptsContext(ctx, q, QueryOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
-// QueryOpts runs a query with explicit options.
-func (e *Engine) QueryOpts(q plan.Node, qo QueryOptions) (*QueryResult, error) {
-	//lint:ctx compatibility shim for context-free callers; cancellable path is QueryOptsContext
-	return e.QueryOptsContext(context.Background(), q, qo)
-}
-
-// QueryOptsContext runs a query with explicit options under a context.
-func (e *Engine) QueryOptsContext(ctx context.Context, q plan.Node, qo QueryOptions) (*QueryResult, error) {
+// Run is the engine's one query path: rewrite the logical plan, instantiate
+// it with ctx threaded into scans and exchanges, and drain the single root
+// stream at the session master batch by batch. A deadline or cancellation
+// stops the scans, local exchange producers and DXchg senders at batch
+// granularity, releasing their goroutines and storage snapshots.
+//
+// Result rows are delivered to yield as the root produces them (the serving
+// layer's streamed `rows` frames) and res.Rows stays nil; a non-nil error
+// from yield cancels the execution. A nil yield collects into res.Rows.
+func (e *Engine) Run(ctx context.Context, q plan.Node, qo QueryOptions, yield func(rows [][]any) error) (*QueryResult, error) {
 	res := &QueryResult{}
-	err := e.queryStream(ctx, q, qo, res, func(rows [][]any) error {
-		res.Rows = append(res.Rows, rows...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	if yield == nil {
+		yield = func(rows [][]any) error {
+			res.Rows = append(res.Rows, rows...)
+			return nil
+		}
 	}
-	return res, nil
-}
-
-// QueryStreamContext executes a query and delivers result rows to yield in
-// batches as the root stream produces them (the serving layer's streamed
-// `rows` frames). A non-nil error from yield cancels the execution. It
-// returns the executed plan's metadata with Rows left nil.
-func (e *Engine) QueryStreamContext(ctx context.Context, q plan.Node, yield func(rows [][]any) error) (*QueryResult, error) {
-	return e.QueryStreamOpts(ctx, q, QueryOptions{}, yield)
-}
-
-// QueryStreamOpts is QueryStreamContext with explicit options — the serving
-// layer's profiled path (slow-query logging) streams rows while the
-// per-operator wrappers accumulate.
-func (e *Engine) QueryStreamOpts(ctx context.Context, q plan.Node, qo QueryOptions, yield func(rows [][]any) error) (*QueryResult, error) {
-	res := &QueryResult{}
-	if err := e.queryStream(ctx, q, qo, res, yield); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// queryStream is the shared execution path: rewrite, instantiate with the
-// query context threaded into scans and exchanges, then drain the single
-// root stream batch by batch.
-func (e *Engine) queryStream(ctx context.Context, q plan.Node, qo QueryOptions, res *QueryResult, yield func(rows [][]any) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -146,43 +90,17 @@ func (e *Engine) queryStream(ctx context.Context, q plan.Node, qo QueryOptions, 
 	e.mu.RUnlock()
 
 	opts := rewriter.DefaultOptions(nodes, e.cfg.ThreadsPerNode)
-	if qo.LocalJoin != nil {
-		opts.LocalJoin = *qo.LocalJoin
-	}
-	if qo.ReplicateBuild != nil {
-		opts.ReplicateBuild = *qo.ReplicateBuild
-	}
-	if qo.PartialAgg != nil {
-		opts.PartialAgg = *qo.PartialAgg
-	}
-	if qo.ScanPushdown != nil {
-		opts.PushFilterIntoScan = *qo.ScanPushdown
-	}
-	codeExec := true
-	if qo.CompressedExec != nil {
-		codeExec = *qo.CompressedExec
-	}
-	opts.ExecOnCompressed = codeExec
-	// Profiled runs use the estimating rewrite so EXPLAIN ANALYZE can put
-	// the cost model's ~N next to the measured actuals; the plain path keeps
-	// the cheaper non-estimating rewrite.
+	opts.Disable = qo.Disable
 	rewriteDone := qo.Trace.StartPhase("rewrite")
-	var phys rewriter.Phys
-	var est map[rewriter.Phys]int64
-	var err error
-	if qo.Profile {
-		phys, est, err = rewriter.RewriteEst(q, e, opts)
-	} else {
-		phys, err = rewriter.Rewrite(q, e, opts)
-	}
+	phys, est, err := rewriter.RewriteEst(q, e, opts)
 	rewriteDone()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	env := &rewriter.Env{
 		Ctx:      ctx,
 		Net:      net,
-		Provider: ctxScans{e: e, ctx: ctx, codeExec: codeExec},
+		Provider: e,
 		Nodes:    nodes,
 		Threads:  e.cfg.ThreadsPerNode,
 		Mode:     e.cfg.Mode,
@@ -193,7 +111,7 @@ func (e *Engine) queryStream(ctx context.Context, q plan.Node, qo QueryOptions, 
 	}
 	streams, err := rewriter.Instantiate(phys, env)
 	if err != nil {
-		return fmt.Errorf("core: instantiate: %w\n%s", err, rewriter.Explain(phys))
+		return nil, fmt.Errorf("core: instantiate: %w\n%s", err, rewriter.Explain(phys))
 	}
 	var root exec.Operator
 	count := 0
@@ -204,22 +122,22 @@ func (e *Engine) queryStream(ctx context.Context, q plan.Node, qo QueryOptions, 
 		}
 	}
 	if count != 1 {
-		return fmt.Errorf("core: plan root has %d streams\n%s", count, rewriter.Explain(phys))
+		return nil, fmt.Errorf("core: plan root has %d streams\n%s", count, rewriter.Explain(phys))
 	}
 	start := time.Now()
 	if err := root.Open(); err != nil {
 		root.Close()
-		return err
+		return nil, err
 	}
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			root.Close()
-			return fmt.Errorf("core: query canceled: %w", context.Cause(ctx))
+			return nil, fmt.Errorf("core: query canceled: %w", context.Cause(ctx))
 		}
 		b, err := root.Next()
 		if err != nil {
 			root.Close()
-			return err
+			return nil, err
 		}
 		if b == nil {
 			break
@@ -230,7 +148,7 @@ func (e *Engine) queryStream(ctx context.Context, q plan.Node, qo QueryOptions, 
 		}
 		if err := yield(rows); err != nil {
 			root.Close()
-			return err
+			return nil, err
 		}
 	}
 	// A cancellation that lands while Next is blocked can surface as a
@@ -239,29 +157,21 @@ func (e *Engine) queryStream(ctx context.Context, q plan.Node, qo QueryOptions, 
 	// would be reported as complete.
 	if cerr := ctx.Err(); cerr != nil {
 		root.Close()
-		return fmt.Errorf("core: query canceled: %w", context.Cause(ctx))
+		return nil, fmt.Errorf("core: query canceled: %w", context.Cause(ctx))
 	}
 	if err := root.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	res.Explain = rewriter.Explain(phys)
 	res.Elapsed = time.Since(start)
 	qo.Trace.AddPhase("execute", res.Elapsed)
 	if qo.Profile {
-		for _, sp := range env.Profile.Streams {
-			res.Profile = append(res.Profile, ProfileEntry{
-				Operator: sp.Prof.Name,
-				Nanos:    atomic.LoadInt64(&sp.Prof.NanosSelf),
-				Tuples:   atomic.LoadInt64(&sp.Prof.TuplesOut),
-			})
-		}
-		sort.Slice(res.Profile, func(i, j int) bool { return res.Profile[i].Nanos > res.Profile[j].Nanos })
 		res.Analyzed, res.Operators, res.Scan = buildAnalyzed(phys, est, env.Profile)
 		for _, op := range res.Operators {
 			qo.Trace.AddOp(op)
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // scanIOReporter is implemented by scan operators that retain their IO
@@ -354,20 +264,3 @@ func (e *Engine) Explain(q plan.Node) (string, error) {
 	}
 	return rewriter.ExplainEst(phys, est), nil
 }
-
-// FormatProfile renders a profile like the Appendix figure: per operator,
-// self time and produced tuples, heaviest first.
-func FormatProfile(entries []ProfileEntry, topN int) string {
-	var sb strings.Builder
-	for i, p := range entries {
-		if i >= topN {
-			break
-		}
-		fmt.Fprintf(&sb, "%-60s time=%10.3fms  out=%d tuples\n",
-			p.Operator, float64(p.Nanos)/1e6, p.Tuples)
-	}
-	return sb.String()
-}
-
-// ExchangeMode returns the engine's DXchg fan-out strategy (for reports).
-func (e *Engine) ExchangeMode() mpp.Mode { return e.cfg.Mode }

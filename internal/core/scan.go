@@ -62,63 +62,30 @@ func (e *Engine) tableAndNode(table string, node int) (*Table, string, bool) {
 	return t, nodeName, ok
 }
 
-// PartitionScan implements rewriter.ScanProvider.
-func (e *Engine) PartitionScan(table string, partIdx int, cols []string, pred *rewriter.ScanPredSet, node int) (exec.Operator, error) {
-	//lint:ctx ScanProvider interface method without a context; query paths use ctxScans
-	return e.partitionScanCtx(context.Background(), table, partIdx, cols, pred, node, true)
-}
-
-func (e *Engine) partitionScanCtx(ctx context.Context, table string, partIdx int, cols []string, pred *rewriter.ScanPredSet, node int, codeExec bool) (exec.Operator, error) {
-	t, nodeName, ok := e.tableAndNode(table, node)
+// PartitionScan implements rewriter.ScanProvider: the query's context is
+// threaded into the storage scan so a deadline or client cancel stops block
+// reads at batch granularity.
+func (e *Engine) PartitionScan(ctx context.Context, spec rewriter.ScanSpec, partIdx, node int) (exec.Operator, error) {
+	t, nodeName, ok := e.tableAndNode(spec.Table, node)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown table %q", table)
+		return nil, fmt.Errorf("core: unknown table %q", spec.Table)
 	}
 	if partIdx < 0 || partIdx >= len(t.Parts) {
-		return nil, fmt.Errorf("core: %s has no partition %d", table, partIdx)
+		return nil, fmt.Errorf("core: %s has no partition %d", spec.Table, partIdx)
 	}
-	return e.newMScan(ctx, t, t.Parts[partIdx], cols, pred, nodeName, codeExec)
+	return e.newMScan(ctx, t, t.Parts[partIdx], spec, nodeName)
 }
 
 // ReplicatedScan implements rewriter.ScanProvider.
-func (e *Engine) ReplicatedScan(table string, cols []string, pred *rewriter.ScanPredSet, node int) (exec.Operator, error) {
-	//lint:ctx ScanProvider interface method without a context; query paths use ctxScans
-	return e.replicatedScanCtx(context.Background(), table, cols, pred, node, true)
-}
-
-func (e *Engine) replicatedScanCtx(ctx context.Context, table string, cols []string, pred *rewriter.ScanPredSet, node int, codeExec bool) (exec.Operator, error) {
-	t, nodeName, ok := e.tableAndNode(table, node)
+func (e *Engine) ReplicatedScan(ctx context.Context, spec rewriter.ScanSpec, node int) (exec.Operator, error) {
+	t, nodeName, ok := e.tableAndNode(spec.Table, node)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown table %q", table)
+		return nil, fmt.Errorf("core: unknown table %q", spec.Table)
 	}
 	if len(t.Parts) == 0 {
-		return nil, fmt.Errorf("core: table %q has no partitions", table)
+		return nil, fmt.Errorf("core: table %q has no partitions", spec.Table)
 	}
-	return e.newMScan(ctx, t, t.Parts[0], cols, pred, nodeName, codeExec)
-}
-
-// ctxScans adapts the engine to rewriter.ScanProvider for one query
-// execution, threading the query's context into every storage scan so a
-// deadline or client cancel stops block reads at batch granularity, plus
-// the query's compressed-execution toggle.
-type ctxScans struct {
-	e        *Engine
-	ctx      context.Context
-	codeExec bool
-}
-
-// PartitionScan implements rewriter.ScanProvider.
-func (c ctxScans) PartitionScan(table string, part int, cols []string, pred *rewriter.ScanPredSet, node int) (exec.Operator, error) {
-	return c.e.partitionScanCtx(c.ctx, table, part, cols, pred, node, c.codeExec)
-}
-
-// ReplicatedScan implements rewriter.ScanProvider.
-func (c ctxScans) ReplicatedScan(table string, cols []string, pred *rewriter.ScanPredSet, node int) (exec.Operator, error) {
-	return c.e.replicatedScanCtx(c.ctx, table, cols, pred, node, c.codeExec)
-}
-
-// ResponsibleParts implements rewriter.ScanProvider.
-func (c ctxScans) ResponsibleParts(table string, node int) []int {
-	return c.e.ResponsibleParts(table, node)
+	return e.newMScan(ctx, t, t.Parts[0], spec, nodeName)
 }
 
 // mscan streams one partition: column blocks merged through the Read- and
@@ -133,11 +100,11 @@ type mscan struct {
 	pred   *rewriter.ScanPredSet
 	ctx    context.Context
 
-	// codeExec enables compressed-domain execution for this scan (scanner
+	// codes enables compressed-domain execution for this scan (scanner
 	// serves dictionary-code vectors, predicates verdict against per-block
 	// dictionaries and PFOR frame bounds); codeSpace additionally requires
 	// the pushed predicate set to be marked legal for it.
-	codeExec  bool
+	codes     bool
 	codeSpace bool
 
 	// Acquired at Open in one critical section, released at Close.
@@ -179,10 +146,10 @@ type ScanIO struct {
 // closed (the engine closes every operator before reading profiles).
 func (m *mscan) ScanIOStats() ScanIO { return m.io }
 
-func (e *Engine) newMScan(ctx context.Context, t *Table, part *Partition, cols []string, pred *rewriter.ScanPredSet, node string, codeExec bool) (exec.Operator, error) {
+func (e *Engine) newMScan(ctx context.Context, t *Table, part *Partition, spec rewriter.ScanSpec, node string) (exec.Operator, error) {
 	schema := t.Info.Schema
-	colIdx := make([]int, len(cols))
-	for i, c := range cols {
+	colIdx := make([]int, len(spec.Cols))
+	for i, c := range spec.Cols {
 		colIdx[i] = schema.Index(c)
 		if colIdx[i] < 0 {
 			return nil, fmt.Errorf("core: no column %q in %s", c, t.Info.Name)
@@ -191,7 +158,7 @@ func (e *Engine) newMScan(ctx context.Context, t *Table, part *Partition, cols [
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &mscan{eng: e, part: part, node: node, cols: cols, colIdx: colIdx, pred: pred, ctx: ctx, codeExec: codeExec}, nil
+	return &mscan{eng: e, part: part, node: node, cols: spec.Cols, colIdx: colIdx, pred: spec.Pred, ctx: ctx, codes: spec.Codes}, nil
 }
 
 // Open implements exec.Operator. It pins the partition's storage metadata
@@ -284,9 +251,9 @@ func (m *mscan) Open() error {
 		return err
 	}
 	sc.SetCache(m.eng.blockCache)
-	sc.SetCodeExec(m.codeExec)
+	sc.SetCodeExec(m.codes)
 	m.sc = sc
-	m.codeSpace = m.codeExec && m.pred != nil && m.pred.CodeSpace && len(m.filters) > 0
+	m.codeSpace = m.codes && m.pred != nil && m.pred.CodeSpace && len(m.filters) > 0
 	if m.codeSpace {
 		m.skip = make([]bool, len(m.filters))
 	}

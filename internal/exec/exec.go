@@ -191,7 +191,6 @@ func (l *Limit) Close() error { return l.Child.Close() }
 // only inserted into a plan when profiling is requested, so the profiling-off
 // path pays nothing — no wrapper, no timestamps, no atomics.
 type Profiled struct {
-	Name  string
 	Child Operator
 
 	NanosSelf int64

@@ -517,7 +517,7 @@ func TestXchgPropagatesErrors(t *testing.T) {
 }
 
 func TestProfiledCountsTuples(t *testing.T) {
-	p := &Profiled{Name: "scan", Child: src(250, 2)}
+	p := &Profiled{Child: src(250, 2)}
 	rows, err := Collect(p)
 	if err != nil || len(rows) != 250 {
 		t.Fatal(err)

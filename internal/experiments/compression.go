@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
 	"time"
 
 	"vectorh/internal/core"
+	"vectorh/internal/rewriter"
 	"vectorh/internal/sql"
 	"vectorh/internal/tpch"
 )
@@ -123,9 +125,9 @@ func Compression(sf float64, nodes int) (*CompressionResult, error) {
 		}
 		pt := CompressionPoint{Query: fmt.Sprintf("Q%02d", q)}
 
-		on, off := true, false
-		run := func(code *bool) ([][]any, error) {
-			r, err := eng.QueryOpts(p, core.QueryOptions{CompressedExec: code})
+		const on, off = rewriter.Rules(0), rewriter.CompressedExec
+		run := func(disable rewriter.Rules) ([][]any, error) {
+			r, err := eng.Run(context.Background(), p, core.QueryOptions{Disable: disable}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -133,11 +135,11 @@ func Compression(sf float64, nodes int) (*CompressionResult, error) {
 		}
 		// Warm both paths once and validate them against each other: same
 		// engine, same rows, only the execution domain differs.
-		rowsOn, err := run(&on)
+		rowsOn, err := run(on)
 		if err != nil {
 			return nil, fmt.Errorf("Q%02d code-space: %w", q, err)
 		}
-		rowsOff, err := run(&off)
+		rowsOff, err := run(off)
 		if err != nil {
 			return nil, fmt.Errorf("Q%02d value-space: %w", q, err)
 		}
@@ -145,14 +147,14 @@ func Compression(sf float64, nodes int) (*CompressionResult, error) {
 		pt.Rows = len(rowsOn)
 
 		reps := 5
-		measure := func(code *bool) (nsPerOp, allocsPerOp, decoded, materialized, skipped, pruned int64, err error) {
+		measure := func(disable rewriter.Rules) (nsPerOp, allocsPerOp, decoded, materialized, skipped, pruned int64, err error) {
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			s0 := eng.ScanStats()
 			t0 := time.Now()
 			for i := 0; i < reps; i++ {
-				if _, err = run(code); err != nil {
+				if _, err = run(disable); err != nil {
 					return
 				}
 			}
@@ -166,10 +168,10 @@ func Compression(sf float64, nodes int) (*CompressionResult, error) {
 				(s1.BytesSkipped - s0.BytesSkipped) / n,
 				(s1.SpansPruned - s0.SpansPruned) / n, nil
 		}
-		if pt.NsPerOp, pt.AllocsPerOp, pt.BytesDecoded, pt.BytesMaterialized, pt.BytesSkipped, pt.SpansPruned, err = measure(&on); err != nil {
+		if pt.NsPerOp, pt.AllocsPerOp, pt.BytesDecoded, pt.BytesMaterialized, pt.BytesSkipped, pt.SpansPruned, err = measure(on); err != nil {
 			return nil, err
 		}
-		if pt.OffNsPerOp, _, pt.OffBytesDecoded, pt.OffBytesMaterialized, pt.OffBytesSkipped, pt.OffSpansPruned, err = measure(&off); err != nil {
+		if pt.OffNsPerOp, _, pt.OffBytesDecoded, pt.OffBytesMaterialized, pt.OffBytesSkipped, pt.OffSpansPruned, err = measure(off); err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, pt)

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -18,6 +19,7 @@ import (
 	"vectorh/internal/core"
 	"vectorh/internal/hadoopfmt"
 	"vectorh/internal/hdfs"
+	"vectorh/internal/obs"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/spark"
@@ -343,25 +345,26 @@ func Fig5Ablation(sf float64, nodes int) ([]AblationResult, error) {
 			plan.AStar("l_count")),
 		10, plan.Asc(plan.Col("l_count")))
 
-	off := false
 	configs := []struct {
-		name string
-		opts core.QueryOptions
+		name    string
+		disable rewriter.Rules
 	}{
-		{"all rules", core.QueryOptions{}},
-		{"no partial aggregation", core.QueryOptions{PartialAgg: &off}},
-		{"no replicated build", core.QueryOptions{ReplicateBuild: &off}},
-		{"no local join", core.QueryOptions{LocalJoin: &off}},
-		{"no rules", core.QueryOptions{LocalJoin: &off, ReplicateBuild: &off, PartialAgg: &off}},
+		{"all rules", 0},
+		{"no partial aggregation", rewriter.PartialAgg},
+		{"no replicated build", rewriter.ReplicateBuild},
+		{"no local join", rewriter.LocalJoin},
+		{"no rules", rewriter.LocalJoin | rewriter.ReplicateBuild | rewriter.PartialAgg},
 	}
+	ctx := context.Background()
 	var out []AblationResult
 	for _, cfg := range configs {
-		if _, err := eng.QueryOpts(q, cfg.opts); err != nil { // warm
+		opts := core.QueryOptions{Disable: cfg.disable}
+		if _, err := eng.Run(ctx, q, opts, nil); err != nil { // warm
 			return nil, err
 		}
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
-			res, err := eng.QueryOpts(q, cfg.opts)
+			res, err := eng.Run(ctx, q, opts, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -608,19 +611,20 @@ func UpdateImpact(sf float64, nodes int, queries []int) ([]UpdateImpactResult, e
 	if err != nil {
 		return nil, err
 	}
+	ctx := context.Background()
 	t0 := time.Now()
-	if err := eng.InsertRows("orders", rf1Orders); err != nil {
+	if err := eng.InsertRows(ctx, "orders", rf1Orders); err != nil {
 		return nil, err
 	}
-	if err := eng.InsertRows("lineitem", rf1Items); err != nil {
+	if err := eng.InsertRows(ctx, "lineitem", rf1Items); err != nil {
 		return nil, err
 	}
 	rf1Time := time.Since(t0)
 	t0 = time.Now()
-	if _, err := eng.DeleteWhere("orders", plan.InInt(plan.Col("o_orderkey"), rf2...)); err != nil {
+	if _, err := eng.DeleteWhere(ctx, "orders", plan.InInt(plan.Col("o_orderkey"), rf2...)); err != nil {
 		return nil, err
 	}
-	if _, err := eng.DeleteWhere("lineitem", plan.InInt(plan.Col("l_orderkey"), rf2...)); err != nil {
+	if _, err := eng.DeleteWhere(ctx, "lineitem", plan.InInt(plan.Col("l_orderkey"), rf2...)); err != nil {
 		return nil, err
 	}
 	rf2Time := time.Since(t0)
@@ -686,13 +690,13 @@ func ProfileQ1(sf float64, nodes int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := eng.QueryOpts(p, core.QueryOptions{Profile: true})
+	res, err := eng.Run(context.Background(), p, core.QueryOptions{Profile: true}, nil)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "TPC-H Q1 wall clock: %v\n", res.Elapsed)
 	sb.WriteString(res.Explain)
-	sb.WriteString(core.FormatProfile(res.Profile, 24))
+	sb.WriteString(obs.FormatOps(res.Operators, 24))
 	return sb.String(), nil
 }

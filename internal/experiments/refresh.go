@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -111,7 +112,7 @@ func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 		tpch.InsertSQL("lineitem", tpch.LineitemSchema, rf1Items, 500)...)
 	t0 := time.Now()
 	for _, s := range rf1Stmts {
-		if _, err := sql.Exec(s, eng); err != nil {
+		if _, err := sql.Exec(context.Background(), s, eng); err != nil {
 			return nil, fmt.Errorf("RF1: %w", err)
 		}
 	}
@@ -122,7 +123,7 @@ func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 	// RF2: deletes as SQL.
 	t0 = time.Now()
 	for _, s := range tpch.RF2SQL(rf2) {
-		n, err := sql.Exec(s, eng)
+		n, err := sql.Exec(context.Background(), s, eng)
 		if err != nil {
 			return nil, fmt.Errorf("RF2: %w", err)
 		}

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
 	"time"
 
 	"vectorh/internal/core"
+	"vectorh/internal/rewriter"
 	"vectorh/internal/sql"
 	"vectorh/internal/tpch"
 )
@@ -108,9 +110,9 @@ func Selectivity(sf float64, nodes int) (*SelectivityResult, error) {
 		}
 		pt := SelectivityPoint{Label: w.label}
 
-		on, off := true, false
-		run := func(pushdown *bool) ([][]any, error) {
-			r, err := eng.QueryOpts(p, core.QueryOptions{ScanPushdown: pushdown})
+		const on, off = rewriter.Rules(0), rewriter.ScanPushdown
+		run := func(disable rewriter.Rules) ([][]any, error) {
+			r, err := eng.Run(context.Background(), p, core.QueryOptions{Disable: disable}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -118,11 +120,11 @@ func Selectivity(sf float64, nodes int) (*SelectivityResult, error) {
 		}
 		// Warm both paths once (and validate the aggregates against each
 		// other: same engine, same rows, only the scan pipeline differs).
-		rowsOn, err := run(&on)
+		rowsOn, err := run(on)
 		if err != nil {
 			return nil, err
 		}
-		rowsOff, err := run(&off)
+		rowsOff, err := run(off)
 		if err != nil {
 			return nil, err
 		}
@@ -137,14 +139,14 @@ func Selectivity(sf float64, nodes int) (*SelectivityResult, error) {
 		}
 
 		reps := 5
-		measure := func(pushdown *bool) (nsPerOp, allocsPerOp, blocks, bytes, pruned int64, err error) {
+		measure := func(disable rewriter.Rules) (nsPerOp, allocsPerOp, blocks, bytes, pruned int64, err error) {
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			s0 := eng.ScanStats()
 			t0 := time.Now()
 			for i := 0; i < reps; i++ {
-				if _, err = run(pushdown); err != nil {
+				if _, err = run(disable); err != nil {
 					return
 				}
 			}
@@ -156,10 +158,10 @@ func Selectivity(sf float64, nodes int) (*SelectivityResult, error) {
 				(s1.BlocksRead - s0.BlocksRead) / n, (s1.BytesDecoded - s0.BytesDecoded) / n,
 				(s1.SpansPruned - s0.SpansPruned) / n, nil
 		}
-		if pt.NsPerOp, pt.AllocsPerOp, pt.BlocksRead, pt.BytesDecoded, pt.SpansPruned, err = measure(&on); err != nil {
+		if pt.NsPerOp, pt.AllocsPerOp, pt.BlocksRead, pt.BytesDecoded, pt.SpansPruned, err = measure(on); err != nil {
 			return nil, err
 		}
-		if pt.OffNsPerOp, _, pt.OffBlocksRead, pt.OffBytesDecoded, _, err = measure(&off); err != nil {
+		if pt.OffNsPerOp, _, pt.OffBlocksRead, pt.OffBytesDecoded, _, err = measure(off); err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, pt)

@@ -151,6 +151,21 @@ func FormatPhases(phases []Phase) string {
 	return b.String()
 }
 
+// FormatOps renders operator profiles like the paper's Appendix figure: per
+// operator, cumulative wall time over its streams and produced tuples, at
+// most topN lines in the order given (core returns them heaviest first).
+func FormatOps(ops []OpProfile, topN int) string {
+	var b strings.Builder
+	for i, op := range ops {
+		if i >= topN {
+			break
+		}
+		fmt.Fprintf(&b, "%-60s time=%10.3fms  out=%d tuples\n",
+			op.Label, float64(op.Nanos)/1e6, op.Rows)
+	}
+	return b.String()
+}
+
 // QueryHash is the stable FNV-64a hash of a normalized query text, rendered
 // as 16 hex digits. Two invocations of the same statement (differing only in
 // formatting, per sql.NormalizeSQL) share a hash, which is what makes the

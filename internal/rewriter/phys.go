@@ -24,6 +24,16 @@ import (
 // scan (defined in the plan package, re-exported for providers).
 type ScanPredSet = plan.ScanPredSet
 
+// ScanSpec is what a physical scan asks of storage.
+type ScanSpec struct {
+	Table string
+	Cols  []string
+	Pred  *ScanPredSet
+	// Codes asks for PDICT string blocks as dictionary-code vectors; unset
+	// when the CompressedExec rule is off.
+	Codes bool
+}
+
 // ScanProvider supplies storage-backed scan streams; the engine implements
 // it, tests can fake it.
 //
@@ -33,10 +43,11 @@ type ScanPredSet = plan.ScanPredSet
 // that merely skips would leak rows. A SkipOnly set is best-effort IO
 // pruning; row filtering stays upstream.
 type ScanProvider interface {
-	// PartitionScan scans one partition of a partitioned table at a node.
-	PartitionScan(table string, part int, cols []string, pred *ScanPredSet, node int) (exec.Operator, error)
+	// PartitionScan scans one partition of a partitioned table at a node,
+	// under the query's context.
+	PartitionScan(ctx context.Context, spec ScanSpec, part, node int) (exec.Operator, error)
 	// ReplicatedScan scans a replicated table at a node.
-	ReplicatedScan(table string, cols []string, pred *ScanPredSet, node int) (exec.Operator, error)
+	ReplicatedScan(ctx context.Context, spec ScanSpec, node int) (exec.Operator, error)
 	// ResponsibleParts lists the partitions a node is responsible for,
 	// in ascending order (co-partitioned tables agree on this mapping).
 	ResponsibleParts(table string, node int) []int
@@ -44,9 +55,9 @@ type ScanProvider interface {
 
 // Env is the instantiation context of one query execution.
 type Env struct {
-	// Ctx is the query's context; it is threaded into storage scans (by the
-	// ScanProvider) and into every local and distributed exchange, whose
-	// producers and senders check it per batch. Nil means Background.
+	// Ctx is the query's context; it is threaded into storage scans and into
+	// every local and distributed exchange, whose producers and senders check
+	// it per batch. Nil means Background.
 	Ctx      context.Context
 	Net      *mpi.Network
 	Provider ScanProvider
@@ -77,15 +88,6 @@ type Profile struct {
 	Streams []StreamProf
 }
 
-// ByPhys groups the profiled streams by plan node.
-func (pr *Profile) ByPhys() map[Phys][]StreamProf {
-	m := make(map[Phys][]StreamProf, len(pr.Streams))
-	for _, sp := range pr.Streams {
-		m[sp.Phys] = append(m[sp.Phys], sp)
-	}
-	return m
-}
-
 func (e *Env) ctx() context.Context {
 	if e.Ctx == nil {
 		return context.Background()
@@ -107,8 +109,7 @@ func (e *Env) instantiate(p Phys) ([][]exec.Operator, error) {
 	if e.Profile != nil {
 		for n := range streams {
 			for s := range streams[n] {
-				key := fmt.Sprintf("%s@n%d.%d", p.label(), n, s)
-				prof := &exec.Profiled{Name: key, Child: streams[n][s]}
+				prof := &exec.Profiled{Child: streams[n][s]}
 				e.Profile.Streams = append(e.Profile.Streams, StreamProf{Phys: p, Node: n, Stream: s, Prof: prof})
 				streams[n][s] = prof
 			}
@@ -173,9 +174,7 @@ func Label(p Phys) string { return p.label() }
 // --- scans ---
 
 type physScan struct {
-	table      string
-	cols       []string
-	pred       *ScanPredSet
+	ScanSpec
 	replicated bool
 	schema     vector.Schema
 }
@@ -188,12 +187,12 @@ func (p *physScan) label() string {
 	if p.replicated {
 		kind = "replicated"
 	}
-	s := fmt.Sprintf("MScan[%s] (%s)", p.table, kind)
-	if p.pred != nil {
-		if p.pred.SkipOnly {
-			s += fmt.Sprintf(" skip(%s)", p.pred)
+	s := fmt.Sprintf("MScan[%s] (%s)", p.Table, kind)
+	if p.Pred != nil {
+		if p.Pred.SkipOnly {
+			s += fmt.Sprintf(" skip(%s)", p.Pred)
 		} else {
-			s += fmt.Sprintf(" pred(%s)", p.pred)
+			s += fmt.Sprintf(" pred(%s)", p.Pred)
 		}
 	}
 	return s
@@ -203,15 +202,15 @@ func (p *physScan) instantiate(e *Env) ([][]exec.Operator, error) {
 	out := make([][]exec.Operator, e.Nodes)
 	for n := 0; n < e.Nodes; n++ {
 		if p.replicated {
-			op, err := e.Provider.ReplicatedScan(p.table, p.cols, p.pred, n)
+			op, err := e.Provider.ReplicatedScan(e.ctx(), p.ScanSpec, n)
 			if err != nil {
 				return nil, err
 			}
 			out[n] = []exec.Operator{op}
 			continue
 		}
-		for _, part := range e.Provider.ResponsibleParts(p.table, n) {
-			op, err := e.Provider.PartitionScan(p.table, part, p.cols, p.pred, n)
+		for _, part := range e.Provider.ResponsibleParts(p.Table, n) {
+			op, err := e.Provider.PartitionScan(e.ctx(), p.ScanSpec, part, n)
 			if err != nil {
 				return nil, err
 			}

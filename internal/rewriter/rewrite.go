@@ -24,40 +24,54 @@ type Catalog interface {
 	Table(name string) (TableInfo, error)
 }
 
-// Options hold the topology and the rule flags whose ablation §5 reports
-// (5.02s with everything on; 26.14s with everything off).
+// Rules is a set of rewrite rules. The first three are the rules whose
+// ablation §5 reports (5.02s with everything on; 26.14s with everything
+// off); the last two are the scan-side rules whose off state is the
+// reference path of the parity gates. Rules are only ever switched OFF — a
+// Rules value names the disabled set, so the zero value runs everything.
+type Rules uint8
+
+// The rewrite rules.
+const (
+	// LocalJoin detects co-located partition-pair joins.
+	LocalJoin Rules = 1 << iota
+	// ReplicateBuild builds join hash tables from replicated tables locally.
+	ReplicateBuild
+	// PartialAgg aggregates locally before exchanging.
+	PartialAgg
+	// ScanPushdown moves a filter's pushable conjuncts into the scan
+	// underneath (late-materialized filtering + per-kind MinMax skipping),
+	// eliding the Select when the conjuncts subsume its whole predicate.
+	// Off, conjuncts degrade to skip-only hints and the full Select stays —
+	// the pre-pushdown pipeline.
+	ScanPushdown
+	// CompressedExec executes on compressed data: scans serve PDICT string
+	// blocks as dictionary-code vectors (ScanSpec.Codes) and pushed predicate
+	// sets are marked legal for compressed-domain evaluation
+	// (ScanPredSet.CodeSpace) — string conjuncts transpose into
+	// dictionary-code space, integer conjuncts verdict against frame bounds
+	// before any unpack. Only genuinely row-filtering sets are marked;
+	// SkipOnly hints never are. Off, scans materialize every string block and
+	// predicates run in value space.
+	CompressedExec
+)
+
+// Options hold the topology and the disabled rewrite rules.
 type Options struct {
 	Nodes   int
 	Threads int // exchange consumer threads per node
 	Master  int // session-master node (final gather target)
 
-	LocalJoin      bool // detect co-located partition-pair joins
-	ReplicateBuild bool // build join hash tables from replicated tables locally
-	PartialAgg     bool // aggregate locally before exchanging
-
-	// PushFilterIntoScan moves a filter's pushable conjuncts into the scan
-	// underneath (late-materialized filtering + per-kind MinMax skipping),
-	// eliding the Select when the conjuncts subsume its whole predicate.
-	// Off, conjuncts degrade to skip-only hints and the full Select stays —
-	// the pre-pushdown pipeline, kept as an ablation/validation baseline.
-	PushFilterIntoScan bool
-
-	// ExecOnCompressed marks pushed predicate sets as legal for
-	// compressed-domain evaluation (ScanPredSet.CodeSpace): string conjuncts
-	// transpose into dictionary-code space and integer conjuncts verdict
-	// against frame bounds before the scan unpacks anything. Only genuinely
-	// row-filtering sets are marked — SkipOnly hints never are. Off is the
-	// value-space baseline the compressed-execution parity gate compares
-	// against.
-	ExecOnCompressed bool
+	Disable Rules // rules switched off; zero = every rule on
 }
 
 // DefaultOptions enables every rewrite rule.
 func DefaultOptions(nodes, threads int) Options {
-	return Options{Nodes: nodes, Threads: threads,
-		LocalJoin: true, ReplicateBuild: true, PartialAgg: true, PushFilterIntoScan: true,
-		ExecOnCompressed: true}
+	return Options{Nodes: nodes, Threads: threads}
 }
+
+// on reports whether rule is enabled.
+func (o Options) on(rule Rules) bool { return o.Disable&rule == 0 }
 
 // result carries a physical subtree plus its structural properties — the
 // (partitioning, replication, gathered) properties of the paper's DP state.
@@ -175,7 +189,9 @@ func (c *rewriteCtx) recScan(n *plan.ScanNode) (result, error) {
 		schema = append(schema, f)
 	}
 	r := result{
-		phys:   &physScan{table: n.Table, cols: cols, replicated: info.PartitionKey == "", schema: schema},
+		phys: &physScan{
+			ScanSpec:   ScanSpec{Table: n.Table, Cols: cols, Codes: c.opts.on(CompressedExec)},
+			replicated: info.PartitionKey == "", schema: schema},
 		schema: schema,
 		rows:   info.Rows,
 	}
@@ -203,12 +219,12 @@ func (c *rewriteCtx) recFilter(n *plan.FilterNode) (result, error) {
 	// ranges" rule of the Appendix rewriter profile, generalized from one
 	// int range to the full per-column conjunct set).
 	scan, isScan := child.phys.(*physScan)
-	if isScan && n.SkipSet != nil && scan.pred == nil && c.opts.PushFilterIntoScan && !n.SkipSet.SkipOnly {
+	if isScan && n.SkipSet != nil && scan.Pred == nil && c.opts.on(ScanPushdown) && !n.SkipSet.SkipOnly {
 		// Clone before marking CodeSpace: the logical plan may be cached and
 		// rewritten again under different options.
 		ps := n.SkipSet.Clone()
-		ps.CodeSpace = c.opts.ExecOnCompressed
-		scan.pred = ps
+		ps.CodeSpace = c.opts.on(CompressedExec)
+		scan.Pred = ps
 		child.rows = child.rows/3 + 1
 		if n.Residual == nil {
 			// The scan evaluates every conjunct itself: no Select needed.
@@ -221,12 +237,12 @@ func (c *rewriteCtx) recFilter(n *plan.FilterNode) (result, error) {
 		child.phys = &physFilter{child: child.phys, pred: bound}
 		return child, nil
 	}
-	if isScan && n.SkipSet != nil && scan.pred == nil {
+	if isScan && n.SkipSet != nil && scan.Pred == nil {
 		// Skip-only hints (builder Skip() assertions, or pushdown disabled):
 		// blocks are pruned by MinMax, rows are still filtered above.
 		skip := n.SkipSet.Clone()
 		skip.SkipOnly = true
-		scan.pred = skip
+		scan.Pred = skip
 	}
 	bound, err := n.Pred.Bind(child.schema)
 	if err != nil {
@@ -340,7 +356,7 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 	out := result{schema: outSchema, rows: maxI64(left.rows, right.rows)}
 	switch {
 	// Rule: local join over co-located partitions.
-	case c.opts.LocalJoin && left.coPart && right.coPart &&
+	case c.opts.on(LocalJoin) && left.coPart && right.coPart &&
 		left.partCount == right.partCount &&
 		keyAligned(n.LeftKeys, n.RightKeys, left.partitionedBy, right.partitionedBy):
 		// Co-ordered clustered tables merge-join without hashing.
@@ -384,7 +400,7 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 
 	// Rule: replicated build side — build the hash table from the local
 	// replica on every node, splitting only between local threads.
-	case c.opts.ReplicateBuild && right.replicated && !left.gathered:
+	case c.opts.on(ReplicateBuild) && right.replicated && !left.gathered:
 		bk, err := bindAll(n.RightKeys, right.schema)
 		if err != nil {
 			return result{}, err
@@ -510,7 +526,7 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 		}
 	}
 
-	if !c.opts.PartialAgg || hasDistinct {
+	if !c.opts.on(PartialAgg) || hasDistinct {
 		// Exchange raw rows, aggregate once at the consumers.
 		var ex result
 		if len(n.GroupBy) == 0 {

@@ -1,6 +1,7 @@
 package rewriter
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -70,7 +71,8 @@ func (p *fakeProvider) ResponsibleParts(table string, node int) []int {
 	return parts
 }
 
-func (p *fakeProvider) PartitionScan(table string, part int, cols []string, pred *ScanPredSet, node int) (exec.Operator, error) {
+func (p *fakeProvider) PartitionScan(_ context.Context, spec ScanSpec, part, node int) (exec.Operator, error) {
+	table, cols := spec.Table, spec.Cols
 	p.scans[node]++
 	schema, rows := p.tableData(table)
 	// Partition by first column % 4.
@@ -85,7 +87,8 @@ func (p *fakeProvider) PartitionScan(table string, part int, cols []string, pred
 	return p.source(schema, cols, filtered), nil
 }
 
-func (p *fakeProvider) ReplicatedScan(table string, cols []string, pred *ScanPredSet, node int) (exec.Operator, error) {
+func (p *fakeProvider) ReplicatedScan(_ context.Context, spec ScanSpec, node int) (exec.Operator, error) {
+	table, cols := spec.Table, spec.Cols
 	schema, rows := p.tableData(table)
 	return p.source(schema, cols, rows), nil
 }
@@ -201,7 +204,7 @@ func TestRewriteColocatedMergeJoin(t *testing.T) {
 
 func TestRewriteLocalJoinDisabledUsesExchange(t *testing.T) {
 	opts := DefaultOptions(2, 2)
-	opts.LocalJoin = false
+	opts.Disable = LocalJoin
 	q := plan.Join(plan.InnerJoin, plan.Scan("fact", "f_ok", "f_val"), plan.Scan("head", "h_ok", "h_date"),
 		[]string{"f_ok"}, []string{"h_ok"})
 	rows, _, explain := run(t, q, opts)
@@ -228,7 +231,7 @@ func TestRewriteReplicatedBuildJoin(t *testing.T) {
 	}
 	// Disabling the rule falls back to exchanges, same answer.
 	opts := DefaultOptions(2, 2)
-	opts.ReplicateBuild = false
+	opts.Disable = ReplicateBuild
 	rows2, _, explain2 := run(t, q, opts)
 	if len(rows2) != 4000 {
 		t.Fatalf("rows = %d", len(rows2))
@@ -277,7 +280,7 @@ func TestRewriteAggregationPartialFinal(t *testing.T) {
 	}
 	// Without the rule: rows are exchanged and aggregated once.
 	opts := DefaultOptions(2, 2)
-	opts.PartialAgg = false
+	opts.Disable = PartialAgg
 	rows2, _, explain2 := run(t, q, opts)
 	if len(rows2) != 10 {
 		t.Fatalf("groups = %d", len(rows2))

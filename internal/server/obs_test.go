@@ -136,6 +136,13 @@ func TestSlowQueryLog(t *testing.T) {
 	if _, err := c.Query(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
+	// The same statement, reformatted (NormalizeSQL collapses case and
+	// whitespace) — before the DML below bumps the catalog epoch and flushes
+	// the plan cache.
+	if _, err := c.Query(context.Background(),
+		"SELECT count(*)\nFROM lineitem\nWHERE l_quantity < 24"); err != nil {
+		t.Fatal(err)
+	}
 	// DML is slow-logged too (no operator breakdown); net to zero rows.
 	if _, err := c.Exec(context.Background(),
 		"insert into region (r_regionkey, r_name, r_comment) values (78, 'LEMURIA', 'sunk')"); err != nil {
@@ -146,8 +153,8 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("expected 3 slow-log lines, got %d:\n%s", len(lines), buf.String())
+	if len(lines) != 4 {
+		t.Fatalf("expected 4 slow-log lines, got %d:\n%s", len(lines), buf.String())
 	}
 	var entry obs.SlowEntry
 	if err := json.Unmarshal([]byte(lines[0]), &entry); err != nil {
@@ -172,15 +179,9 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Error("entry has no timestamp")
 	}
 
-	// The same statement, reformatted, hashes identically and hits the
-	// plan cache (NormalizeSQL collapses whitespace for both).
-	if _, err := c.Query(context.Background(),
-		"SELECT count(*)\nFROM lineitem\nWHERE l_quantity < 24"); err != nil {
-		t.Fatal(err)
-	}
-	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
+	// The reformatted invocation hashes identically and hits the plan cache.
 	var again obs.SlowEntry
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &again); err != nil {
+	if err := json.Unmarshal([]byte(lines[1]), &again); err != nil {
 		t.Fatal(err)
 	}
 	if again.Hash != entry.Hash {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vectorh"
+	"vectorh/internal/core"
 	"vectorh/internal/obs"
 	"vectorh/internal/sql"
 	"vectorh/internal/vector"
@@ -576,23 +577,26 @@ func (ss *session) runRequest(ctx context.Context, req Request) {
 	ss.srv.m.active.Add(1)
 	defer ss.srv.m.active.Add(-1)
 
+	// Each op hands back its done frame instead of sending it: the counters
+	// move first, so a client that has seen "done" finds its query counted.
 	start := time.Now()
+	var done *Response
 	var err error
 	switch req.Op {
 	case OpQuery:
-		err = ss.runQuery(ctx, req, queueWait)
+		done, err = ss.runQuery(ctx, req, queueWait)
 	case OpProfile:
-		err = ss.runProfile(ctx, req)
+		done, err = ss.runProfile(ctx, req)
 	case OpExec:
 		var affected int64
-		affected, err = ss.srv.db.ExecSQLContext(ctx, req.SQL)
+		affected, err = ss.srv.db.ExecSQL(ctx, req.SQL)
 		if err == nil {
 			elapsed := time.Since(start)
 			ss.srv.slowLogExec(req.SQL, elapsed, queueWait, affected)
-			err = ss.send(&Response{ID: req.ID, Type: RespDone, Affected: affected,
+			done = &Response{ID: req.ID, Type: RespDone, Affected: affected,
 				ElapsedUs: elapsed.Microseconds(),
 				QueueUs:   queueWait.Microseconds(),
-				ExecUs:    elapsed.Microseconds()})
+				ExecUs:    elapsed.Microseconds()}
 		}
 	}
 	ss.srv.execHist.Observe(time.Since(start))
@@ -606,6 +610,7 @@ func (ss *session) runRequest(ctx context.Context, req Request) {
 		return
 	}
 	ss.srv.m.completed.Add(1)
+	ss.send(done)
 }
 
 // queryHash returns the slow-log hash of a statement: normalized token text
@@ -631,14 +636,22 @@ func (s *Server) slowLogExec(src string, elapsed, queueWait time.Duration, affec
 	})
 }
 
-func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Duration) error {
+func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Duration) (*Response, error) {
 	db := ss.srv.db
-	schema, err := db.SchemaSQL(req.SQL)
+	// A slow-logging server runs queries with profiling on, so a slow entry
+	// can say where the time went (phase breakdown, top operators) — the
+	// instrumented run costs a timing wrapper per operator stream.
+	slow := ss.srv.slow
+	var tr *obs.Trace
+	if slow.Enabled() {
+		tr = obs.NewTrace()
+	}
+	node, schema, err := db.CompileSQL(req.SQL, tr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := ss.send(&Response{ID: req.ID, Type: RespSchema, Schema: descSchema(schema)}); err != nil {
-		return err
+		return nil, err
 	}
 	start := time.Now()
 	var pending [][]any
@@ -656,73 +669,51 @@ func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Dur
 		pending = pending[:0]
 		return nil
 	}
-	yield := func(rows [][]any) error {
+	_, err = db.Run(ctx, node, core.QueryOptions{Profile: slow.Enabled(), Trace: tr}, func(rows [][]any) error {
 		pending = append(pending, rows...)
 		if len(pending) >= ss.srv.opt.RowsPerFrame {
 			return flush()
 		}
 		return nil
-	}
-	// A slow-logging server runs queries with profiling on, so a slow entry
-	// can say where the time went (phase breakdown, top operators) — the
-	// instrumented run costs a timing wrapper per operator stream.
-	slow := ss.srv.slow
-	var prof *vectorh.QueryProfile
-	if slow.Enabled() {
-		prof, err = db.QueryStreamProfileSQL(ctx, req.SQL, yield)
-	} else {
-		err = db.QueryStreamSQL(ctx, req.SQL, yield)
-	}
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := flush(); err != nil {
-		return err
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	if slow.Enabled() {
 		entry := obs.SlowEntry{
-			Hash:    queryHash(req.SQL),
-			QueueUs: queueWait.Microseconds(),
-			Rows:    served,
+			Hash:     queryHash(req.SQL),
+			QueueUs:  queueWait.Microseconds(),
+			Rows:     served,
+			CacheHit: tr.CacheHit(),
 		}
-		if prof != nil {
-			entry.CacheHit = prof.CacheHit
-			for _, ph := range prof.Phases {
-				entry.Phases = append(entry.Phases, obs.SlowPhase{Name: ph.Name, Micros: ph.Nanos.Microseconds()})
-			}
-			ops := prof.Operators
-			if len(ops) > 3 {
-				ops = ops[:3]
-			}
-			for _, op := range ops {
-				entry.TopOps = append(entry.TopOps, obs.SlowOp{
-					Op: op.Label, Micros: op.Nanos.Microseconds(), Rows: op.Rows, Batches: op.Batches})
-			}
-		}
+		entry.Phases, entry.TopOps = obs.EntryFromTrace(tr, 3)
 		slow.Record(elapsed, entry)
 	}
-	return ss.send(&Response{ID: req.ID, Type: RespDone,
+	return &Response{ID: req.ID, Type: RespDone,
 		ElapsedUs: elapsed.Microseconds(),
 		QueueUs:   queueWait.Microseconds(),
-		ExecUs:    elapsed.Microseconds()})
+		ExecUs:    elapsed.Microseconds()}, nil
 }
 
 // runProfile executes a SELECT under EXPLAIN ANALYZE (full execution with
-// per-operator profiling, rows discarded) and returns the rendered analysis
+// per-operator profiling, rows discarded) and sends the rendered analysis
 // as a plan frame.
-func (ss *session) runProfile(ctx context.Context, req Request) error {
+func (ss *session) runProfile(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
 	p, err := ss.srv.db.QueryStreamProfileSQL(ctx, req.SQL, func(rows [][]any) error { return nil })
 	if err != nil {
-		return err
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	if err := ss.send(&Response{ID: req.ID, Type: RespPlan, Plan: p.Render()}); err != nil {
-		return err
+		return nil, err
 	}
-	return ss.send(&Response{ID: req.ID, Type: RespDone,
-		ElapsedUs: elapsed.Microseconds(), ExecUs: elapsed.Microseconds()})
+	return &Response{ID: req.ID, Type: RespDone,
+		ElapsedUs: elapsed.Microseconds(), ExecUs: elapsed.Microseconds()}, nil
 }
 
 func (ss *session) sendErr(id int64, err error) {

@@ -56,62 +56,30 @@ type DML struct {
 // against; *core.Engine (and therefore vectorh.DB) satisfies it.
 type DMLEngine interface {
 	plan.Catalog
-	InsertRows(table string, b *vector.Batch) error
-	UpdateWhere(table string, pred plan.Expr, setCols []string, setExprs []plan.Expr) (int64, error)
-	DeleteWhere(table string, pred plan.Expr) (int64, error)
-}
-
-// DMLEngineContext is the context-aware write surface: engines that
-// implement it (like *core.Engine) get per-statement deadlines and
-// cancellation threaded into their DML execution.
-type DMLEngineContext interface {
-	DMLEngine
-	InsertRowsContext(ctx context.Context, table string, b *vector.Batch) error
-	UpdateWhereContext(ctx context.Context, table string, pred plan.Expr, setCols []string, setExprs []plan.Expr) (int64, error)
-	DeleteWhereContext(ctx context.Context, table string, pred plan.Expr) (int64, error)
+	InsertRows(ctx context.Context, table string, b *vector.Batch) error
+	UpdateWhere(ctx context.Context, table string, pred plan.Expr, setCols []string, setExprs []plan.Expr) (int64, error)
+	DeleteWhere(ctx context.Context, table string, pred plan.Expr) (int64, error)
 }
 
 // Exec compiles and runs one DML statement, returning the number of
-// affected rows.
-func Exec(src string, eng DMLEngine) (int64, error) {
-	//lint:ctx compatibility shim for context-free callers; cancellable path is ExecContext
-	return ExecContext(context.Background(), src, eng)
-}
-
-// ExecContext is Exec under a context. When the engine implements
-// DMLEngineContext the context reaches the trickle-update scan loops (a
-// cancelled statement aborts its transaction); otherwise it degrades to the
-// uncancellable Exec.
-func ExecContext(ctx context.Context, src string, eng DMLEngine) (int64, error) {
+// affected rows. The context reaches the trickle-update scan loops: a
+// cancelled statement aborts its transaction.
+func Exec(ctx context.Context, src string, eng DMLEngine) (int64, error) {
 	d, err := CompileDML(src, eng)
 	if err != nil {
 		return 0, err
 	}
-	if ce, ok := eng.(DMLEngineContext); ok {
-		switch d.Kind {
-		case DMLInsert:
-			n := int64(d.Insert.Len())
-			if err := ce.InsertRowsContext(ctx, d.Table, d.Insert); err != nil {
-				return 0, err
-			}
-			return n, nil
-		case DMLUpdate:
-			return ce.UpdateWhereContext(ctx, d.Table, d.Where, d.SetCols, d.SetExprs)
-		default:
-			return ce.DeleteWhereContext(ctx, d.Table, d.Where)
-		}
-	}
 	switch d.Kind {
 	case DMLInsert:
 		n := int64(d.Insert.Len())
-		if err := eng.InsertRows(d.Table, d.Insert); err != nil {
+		if err := eng.InsertRows(ctx, d.Table, d.Insert); err != nil {
 			return 0, err
 		}
 		return n, nil
 	case DMLUpdate:
-		return eng.UpdateWhere(d.Table, d.Where, d.SetCols, d.SetExprs)
+		return eng.UpdateWhere(ctx, d.Table, d.Where, d.SetCols, d.SetExprs)
 	default:
-		return eng.DeleteWhere(d.Table, d.Where)
+		return eng.DeleteWhere(ctx, d.Table, d.Where)
 	}
 }
 
@@ -137,7 +105,7 @@ func LowerDML(stmt Stmt, cat plan.Catalog) (*DML, error) {
 	case *DeleteStmt:
 		return lowerDelete(s, cat)
 	case *SelectStmt:
-		return nil, errf(Pos{1, 1}, "SELECT is a query, not a DML statement; use QuerySQL")
+		return nil, errf(Pos{1, 1}, "SELECT is a query, not a DML statement")
 	}
 	return nil, errf(Pos{1, 1}, "unsupported statement")
 }

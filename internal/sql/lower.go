@@ -28,20 +28,16 @@ func CompileTraced(src string, cat plan.Catalog, tr *obs.Trace) (plan.Node, erro
 	if err != nil {
 		return nil, err
 	}
-	return LowerTraced(stmt, cat, tr)
+	return lower(stmt, cat, tr)
 }
 
-// Lower plans a parsed statement in phases: bind the FROM clause and every
+// lower plans a parsed statement in phases: bind the FROM clause and every
 // reference (bind.go), decorrelate subquery predicates into hidden join
 // sources (decorrelate.go), order the join tree by estimated cardinality
-// (stats.go), and emit plan.Node operators (this file).
-func Lower(stmt *SelectStmt, cat plan.Catalog) (plan.Node, error) {
-	return LowerTraced(stmt, cat, nil)
-}
-
-// LowerTraced is Lower with phase spans recorded into tr; only the top-level
-// block carries the trace (sub-block time folds into its caller's phase).
-func LowerTraced(stmt *SelectStmt, cat plan.Catalog, tr *obs.Trace) (plan.Node, error) {
+// (stats.go), and emit plan.Node operators (this file). Phase spans are
+// recorded into the nil-safe tr; only the top-level block carries the trace
+// (sub-block time folds into its caller's phase).
+func lower(stmt *SelectStmt, cat plan.Catalog, tr *obs.Trace) (plan.Node, error) {
 	b, err := newBlock(stmt, cat, nil)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,13 @@
 package tpch
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"vectorh/internal/colstore"
 	"vectorh/internal/core"
+	"vectorh/internal/rewriter"
 	"vectorh/internal/sql"
 )
 
@@ -47,17 +49,16 @@ func TestCompressedExecParityTPCH(t *testing.T) {
 
 	compareAll := func(phase string) {
 		t.Helper()
-		on, off := true, false
 		for _, q := range qs {
 			p, err := sql.Compile(SQLQueries[q], eng)
 			if err != nil {
 				t.Fatalf("%s Q%02d compile: %v", phase, q, err)
 			}
-			rOn, err := eng.QueryOpts(p, core.QueryOptions{CompressedExec: &on})
+			rOn, err := eng.Run(context.Background(), p, core.QueryOptions{}, nil)
 			if err != nil {
 				t.Fatalf("%s Q%02d code-space: %v", phase, q, err)
 			}
-			rOff, err := eng.QueryOpts(p, core.QueryOptions{CompressedExec: &off})
+			rOff, err := eng.Run(context.Background(), p, core.QueryOptions{Disable: rewriter.CompressedExec}, nil)
 			if err != nil {
 				t.Fatalf("%s Q%02d value-space: %v", phase, q, err)
 			}
@@ -76,12 +77,12 @@ func TestCompressedExecParityTPCH(t *testing.T) {
 		count = 5
 	}
 	for _, s := range RF1SQL(d, count, 21) {
-		if _, err := sql.Exec(s, eng); err != nil {
+		if _, err := sql.Exec(context.Background(), s, eng); err != nil {
 			t.Fatalf("RF1: %v", err)
 		}
 	}
 	for _, s := range RF2SQL(RF2Keys(d, count, 22)) {
-		if _, err := sql.Exec(s, eng); err != nil {
+		if _, err := sql.Exec(context.Background(), s, eng); err != nil {
 			t.Fatalf("RF2: %v", err)
 		}
 	}

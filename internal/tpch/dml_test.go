@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -60,7 +61,7 @@ func TestSQLDMLParityWithEngineAPI(t *testing.T) {
 	rf1Orders, rf1Items := RF1(d, 20, 3)
 	var inserted int64
 	for _, s := range RF1SQL(d, 20, 3) {
-		n, err := sqlDB.ExecSQL(s)
+		n, err := sqlDB.ExecSQL(context.Background(), s)
 		if err != nil {
 			t.Fatalf("insert SQL: %v", err)
 		}
@@ -69,10 +70,10 @@ func TestSQLDMLParityWithEngineAPI(t *testing.T) {
 	if want := int64(rf1Orders.Len() + rf1Items.Len()); inserted != want {
 		t.Fatalf("insert affected %d rows, want %d", inserted, want)
 	}
-	if err := apiDB.InsertRows("orders", rf1Orders); err != nil {
+	if err := apiDB.InsertRows(context.Background(), "orders", rf1Orders); err != nil {
 		t.Fatal(err)
 	}
-	if err := apiDB.InsertRows("lineitem", rf1Items); err != nil {
+	if err := apiDB.InsertRows(context.Background(), "lineitem", rf1Items); err != nil {
 		t.Fatal(err)
 	}
 	assertSameResults(t, "after INSERT", sqlDB, apiDB)
@@ -81,11 +82,11 @@ func TestSQLDMLParityWithEngineAPI(t *testing.T) {
 	upd := `update orders
 	        set o_orderpriority = '1-URGENT', o_totalprice = o_totalprice + 10.5
 	        where o_orderkey in (3, 17, 2029)`
-	nSQL, err := sqlDB.ExecSQL(upd)
+	nSQL, err := sqlDB.ExecSQL(context.Background(), upd)
 	if err != nil {
 		t.Fatalf("update SQL: %v", err)
 	}
-	nAPI, err := apiDB.UpdateWhere("orders",
+	nAPI, err := apiDB.UpdateWhere(context.Background(), "orders",
 		plan.InInt(plan.Col("o_orderkey"), 3, 17, 2029),
 		[]string{"o_orderpriority", "o_totalprice"},
 		[]plan.Expr{
@@ -104,17 +105,17 @@ func TestSQLDMLParityWithEngineAPI(t *testing.T) {
 	keys := RF2Keys(d, 20, 4)
 	var delSQL int64
 	for _, s := range RF2SQL(keys) {
-		n, err := sqlDB.ExecSQL(s)
+		n, err := sqlDB.ExecSQL(context.Background(), s)
 		if err != nil {
 			t.Fatalf("delete SQL: %v", err)
 		}
 		delSQL += n
 	}
-	nli, err := apiDB.DeleteWhere("lineitem", plan.InInt(plan.Col("l_orderkey"), keys...))
+	nli, err := apiDB.DeleteWhere(context.Background(), "lineitem", plan.InInt(plan.Col("l_orderkey"), keys...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nord, err := apiDB.DeleteWhere("orders", plan.InInt(plan.Col("o_orderkey"), keys...))
+	nord, err := apiDB.DeleteWhere(context.Background(), "orders", plan.InInt(plan.Col("o_orderkey"), keys...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestUpdateWidensMinMax(t *testing.T) {
 	if err := LoadIntoEngine(db.Engine, d, 6); err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.ExecSQL("update lineitem set l_shipdate = date '2099-01-01' where l_orderkey = 5")
+	n, err := db.ExecSQL(context.Background(), "update lineitem set l_shipdate = date '2099-01-01' where l_orderkey = 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n, err := db.ExecSQL("delete from region")
+	n, err := db.ExecSQL(context.Background(), "delete from region")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 	}
 
 	for _, s := range InsertSQL("region", RegionSchema, d.Tables["region"], 2) {
-		if _, err := db.ExecSQL(s); err != nil {
+		if _, err := db.ExecSQL(context.Background(), s); err != nil {
 			t.Fatalf("re-insert: %v", err)
 		}
 	}

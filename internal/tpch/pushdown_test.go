@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"vectorh/internal/colstore"
 	"vectorh/internal/core"
+	"vectorh/internal/rewriter"
 	"vectorh/internal/sql"
 )
 
@@ -48,17 +50,16 @@ func TestPushdownParityTPCH(t *testing.T) {
 
 	compareAll := func(phase string) {
 		t.Helper()
-		on, off := true, false
 		for _, q := range qs {
 			p, err := sql.Compile(SQLQueries[q], eng)
 			if err != nil {
 				t.Fatalf("%s Q%02d compile: %v", phase, q, err)
 			}
-			rOn, err := eng.QueryOpts(p, core.QueryOptions{ScanPushdown: &on})
+			rOn, err := eng.Run(context.Background(), p, core.QueryOptions{}, nil)
 			if err != nil {
 				t.Fatalf("%s Q%02d pushdown: %v", phase, q, err)
 			}
-			rOff, err := eng.QueryOpts(p, core.QueryOptions{ScanPushdown: &off})
+			rOff, err := eng.Run(context.Background(), p, core.QueryOptions{Disable: rewriter.ScanPushdown}, nil)
 			if err != nil {
 				t.Fatalf("%s Q%02d select-above-scan: %v", phase, q, err)
 			}
@@ -77,12 +78,12 @@ func TestPushdownParityTPCH(t *testing.T) {
 		count = 5
 	}
 	for _, s := range RF1SQL(d, count, 21) {
-		if _, err := sql.Exec(s, eng); err != nil {
+		if _, err := sql.Exec(context.Background(), s, eng); err != nil {
 			t.Fatalf("RF1: %v", err)
 		}
 	}
 	for _, s := range RF2SQL(RF2Keys(d, count, 22)) {
-		if _, err := sql.Exec(s, eng); err != nil {
+		if _, err := sql.Exec(context.Background(), s, eng); err != nil {
 			t.Fatalf("RF2: %v", err)
 		}
 	}

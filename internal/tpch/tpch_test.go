@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -182,10 +183,10 @@ func TestUpdateImpactShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ob, lb := RF1(d, 20, 4)
-	if err := eng.InsertRows("orders", ob); err != nil {
+	if err := eng.InsertRows(context.Background(), "orders", ob); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.InsertRows("lineitem", lb); err != nil {
+	if err := eng.InsertRows(context.Background(), "lineitem", lb); err != nil {
 		t.Fatal(err)
 	}
 	if err := base.InsertRows("orders", ob); err != nil {
@@ -208,7 +209,7 @@ func TestUpdateImpactShape(t *testing.T) {
 		if table == "lineitem" {
 			col = "l_orderkey"
 		}
-		if _, err := eng.DeleteWhere(table, inKeys(col, ik)); err != nil {
+		if _, err := eng.DeleteWhere(context.Background(), table, inKeys(col, ik)); err != nil {
 			t.Fatal(err)
 		}
 	}

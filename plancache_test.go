@@ -1,6 +1,7 @@
 package vectorh_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestPlanCacheInvalidationOnDML(t *testing.T) {
 	}
 
 	epoch0 := db.Engine.CatalogEpoch()
-	if _, err := db.ExecSQL("insert into region (r_regionkey, r_name, r_comment) values (77, 'LEMURIA', 'epoch test')"); err != nil {
+	if _, err := db.ExecSQL(context.Background(), "insert into region (r_regionkey, r_name, r_comment) values (77, 'LEMURIA', 'epoch test')"); err != nil {
 		t.Fatal(err)
 	}
 	if db.Engine.CatalogEpoch() == epoch0 {
@@ -66,7 +67,7 @@ func TestPlanCacheInvalidationOnDML(t *testing.T) {
 	}
 
 	epoch1 := db.Engine.CatalogEpoch()
-	if _, err := db.ExecSQL("update region set r_comment = 'updated' where r_regionkey = 77"); err != nil {
+	if _, err := db.ExecSQL(context.Background(), "update region set r_comment = 'updated' where r_regionkey = 77"); err != nil {
 		t.Fatal(err)
 	}
 	if db.Engine.CatalogEpoch() == epoch1 {
@@ -74,7 +75,7 @@ func TestPlanCacheInvalidationOnDML(t *testing.T) {
 	}
 
 	epoch2 := db.Engine.CatalogEpoch()
-	if _, err := db.ExecSQL("delete from region where r_regionkey = 77"); err != nil {
+	if _, err := db.ExecSQL(context.Background(), "delete from region where r_regionkey = 77"); err != nil {
 		t.Fatal(err)
 	}
 	if db.Engine.CatalogEpoch() == epoch2 {
@@ -134,14 +135,14 @@ func TestPlanCacheParityAcrossRefresh(t *testing.T) {
 
 	keys := tpch.RF2Keys(d, 20, 3)
 	for _, stmt := range tpch.RF1SQL(d, 20, 3) {
-		if _, err := db.ExecSQL(stmt); err != nil {
+		if _, err := db.ExecSQL(context.Background(), stmt); err != nil {
 			t.Fatalf("RF1: %v", err)
 		}
 	}
 	checkAll("after RF1")
 
 	for _, stmt := range tpch.RF2SQL(keys) {
-		if _, err := db.ExecSQL(stmt); err != nil {
+		if _, err := db.ExecSQL(context.Background(), stmt); err != nil {
 			t.Fatalf("RF2: %v", err)
 		}
 	}

@@ -124,11 +124,11 @@ func TestProfileOffNoWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryOpts(n, core.QueryOptions{})
+	res, err := db.Run(context.Background(), n, core.QueryOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Profile != nil || res.Analyzed != "" || res.Operators != nil {
+	if res.Analyzed != "" || res.Operators != nil {
 		t.Errorf("unprofiled run carries profiling artifacts: %+v", res)
 	}
 	p, err := db.QueryProfileSQL(context.Background(), tpch.SQLQueries[6])

@@ -10,7 +10,19 @@
 //	db.CreateTable(vectorh.TableInfo{Name: "t", Schema: schema,
 //	        PartitionKey: "k", Partitions: 6})
 //	db.Load("t", batches)
-//	rows, _ := db.Query(plan.Top(plan.Scan("t"), 10, plan.Desc(plan.Col("k"))))
+//	rows, _ := db.QuerySQL(`select k, v from t order by k desc limit 10`)
+//
+// Every statement takes one path: SQL text compiles (through the plan cache)
+// to a logical plan, and Engine.Run rewrites it into a distributed physical
+// plan and drains its single root stream. Hand-built plans enter the same
+// path directly, streaming (yield) or collecting (nil yield):
+//
+//	res, _ := db.Run(ctx, plan.Top(plan.Scan("t"), 10, plan.Desc(plan.Col("k"))),
+//	        core.QueryOptions{}, nil) // res.Rows
+//
+// QueryOptions.Disable takes a rewriter.Rules set (LocalJoin|ReplicateBuild|
+// PartialAgg|ScanPushdown|CompressedExec) to switch rewrite rules off for
+// the §5 ablation and the parity gates; the zero value runs every rule.
 //
 // Logical plans are built with the vectorh/internal/plan package; see
 // examples/ for complete programs and internal/tpch for the full TPC-H
@@ -63,7 +75,7 @@ var (
 // cluster: workers, session master, HDFS, YARN).
 //
 // Concurrency: a DB is safe for concurrent use. Any number of goroutines
-// may run QuerySQL/QuerySQLContext simultaneously — each query executes
+// may run queries simultaneously — each query executes
 // against a consistent snapshot (copy-on-write PDT masters plus a
 // refcounted column-store metadata generation, pinned atomically at scan
 // open). DML (ExecSQL and the InsertRows/UpdateWhere/DeleteWhere API) may
@@ -94,11 +106,14 @@ func (db *DB) planCache() *sql.PlanCache {
 	return db.plans
 }
 
-// compile lowers query through the plan cache, keyed on normalized token
-// text and the engine's current catalog epoch (so DDL, DML commits and
-// background rewrites invalidate cached plans).
-func (db *DB) compile(query string) (plan.Node, vector.Schema, error) {
-	n, s, _, err := db.planCache().Compile(query, db.Engine, db.Engine.CatalogEpoch())
+// CompileSQL lowers a SELECT through the plan cache, keyed on normalized
+// token text and the engine's current catalog epoch (so DDL, DML commits and
+// background rewrites invalidate cached plans), and returns the logical plan
+// with its output schema (column names and types, for clients that render
+// results). The plan runs with db.Run. Compile phases and the cache outcome
+// are recorded into the nil-safe tr.
+func (db *DB) CompileSQL(query string, tr *obs.Trace) (plan.Node, Schema, error) {
+	n, s, _, err := db.planCache().CompileTraced(query, db.Engine, db.Engine.CatalogEpoch(), tr)
 	return n, s, err
 }
 
@@ -107,75 +122,12 @@ func (db *DB) PlanCacheStats() sql.PlanCacheStats {
 	return db.planCache().Stats()
 }
 
-// Prepare parses a parameterized statement template ('?' markers). Use
-// QueryPrepared / ExecPrepared to run it with bound values; repeated
-// executions share one cached plan per distinct parameter binding.
-func (db *DB) Prepare(src string) (*sql.Prepared, error) {
-	return sql.Prepare(src)
-}
-
-// QueryPrepared binds params into a prepared SELECT and executes it through
-// the plan cache, returning all result rows.
-func (db *DB) QueryPrepared(ctx context.Context, stmt *sql.Prepared, params ...any) ([][]any, error) {
-	bound, err := stmt.Bind(params)
-	if err != nil {
-		return nil, err
-	}
-	return db.QuerySQLContext(ctx, bound)
-}
-
-// ExecPrepared binds params into a prepared DML statement and executes it.
-func (db *DB) ExecPrepared(ctx context.Context, stmt *sql.Prepared, params ...any) (int64, error) {
-	bound, err := stmt.Bind(params)
-	if err != nil {
-		return 0, err
-	}
-	return db.ExecSQLContext(ctx, bound)
-}
-
-// QuerySQL parses, binds and executes one SQL SELECT statement, returning
-// all result rows. The statement is lowered onto the same logical plan
-// layer as hand-built plan.Node queries, so rewriting, Xchg parallelism and
-// MinMax skipping apply unchanged:
-//
-//	rows, err := db.QuerySQL(`select city, sum(amount) as total
-//	                          from sales group by city order by total desc`)
-func (db *DB) QuerySQL(query string) ([][]any, error) {
-	return db.QuerySQLContext(context.Background(), query)
-}
-
-// QuerySQLContext is QuerySQL honoring a context: a deadline or
-// cancellation propagates to every scan, local exchange producer and
-// distributed exchange sender of the query (checked per vector batch), so a
-// cancelled query stops consuming cores and releases its storage snapshot
-// promptly. The serving layer (internal/server) builds its per-query
-// deadlines and client-initiated cancellation on this entry point.
-func (db *DB) QuerySQLContext(ctx context.Context, query string) ([][]any, error) {
-	n, _, err := db.compile(query)
-	if err != nil {
-		return nil, err
-	}
-	return db.QueryContext(ctx, n)
-}
-
-// QueryStreamSQL compiles a SELECT and streams its result rows to yield in
-// batches as the root stream produces them, instead of buffering the full
-// result. A non-nil error from yield (or a cancelled context) stops the
-// execution.
-func (db *DB) QueryStreamSQL(ctx context.Context, query string, yield func(rows [][]any) error) error {
-	n, _, err := db.compile(query)
-	if err != nil {
-		return err
-	}
-	_, err = db.QueryStreamContext(ctx, n, yield)
-	return err
-}
-
-// QueryProfile is the result of one profiled SQL execution — the substance
-// behind EXPLAIN ANALYZE: the rows themselves plus the annotated plan tree
-// (estimated vs actual rows, batches, per-operator wall time), the compile
-// and execute phase spans, the plan-cache outcome, the flat per-operator
-// aggregates (heaviest first) and the query's exact scan IO.
+// QueryProfile is the result of one SQL execution. Rows and Schema are always
+// meaningful; the rest is the substance behind EXPLAIN ANALYZE, filled by the
+// profiled methods: the annotated plan tree (estimated vs actual rows,
+// batches, per-operator wall time), the compile and execute phase spans, the
+// plan-cache outcome, the flat per-operator aggregates (heaviest first) and
+// the query's exact scan IO.
 type QueryProfile struct {
 	Rows      [][]any
 	Schema    Schema
@@ -199,57 +151,70 @@ func (p *QueryProfile) Render() string {
 	return sb.String()
 }
 
+// run is the façade's one SQL query path: compile through the plan cache,
+// then Engine.Run. The four exported Query*SQL methods differ only in whether
+// they profile and whether they stream.
+func (db *DB) run(ctx context.Context, query string, profile bool, yield func(rows [][]any) error) (*QueryProfile, error) {
+	var tr *obs.Trace
+	if profile {
+		tr = obs.NewTrace()
+	}
+	n, s, err := db.CompileSQL(query, tr)
+	if err != nil {
+		return nil, err
+	}
+	res, err := db.Run(ctx, n, core.QueryOptions{Profile: profile, Trace: tr}, yield)
+	if err != nil {
+		return nil, err
+	}
+	return &QueryProfile{Rows: res.Rows, Schema: s, Analyzed: res.Analyzed, Phases: tr.Phases(),
+		CacheHit: tr.CacheHit(), Operators: res.Operators, Scan: res.Scan, Elapsed: res.Elapsed}, nil
+}
+
+// QuerySQL parses, binds and executes one SQL SELECT statement, returning
+// all result rows. The statement is lowered onto the same logical plan
+// layer as hand-built plan.Node queries, so rewriting, Xchg parallelism and
+// MinMax skipping apply unchanged:
+//
+//	rows, err := db.QuerySQL(`select city, sum(amount) as total
+//	                          from sales group by city order by total desc`)
+func (db *DB) QuerySQL(query string) ([][]any, error) {
+	p, err := db.run(context.Background(), query, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.Rows, nil
+}
+
+// QueryStreamSQL compiles a SELECT and streams its result rows to yield in
+// batches as the root stream produces them, instead of buffering the full
+// result. A non-nil error from yield, a deadline or a cancellation stops
+// every scan, local exchange producer and distributed exchange sender of the
+// query (checked per vector batch), so a cancelled query stops consuming
+// cores and releases its storage snapshot promptly.
+func (db *DB) QueryStreamSQL(ctx context.Context, query string, yield func(rows [][]any) error) error {
+	_, err := db.run(ctx, query, false, yield)
+	return err
+}
+
 // QueryProfileSQL executes a SELECT with per-operator profiling and phase
 // tracing — the API behind `EXPLAIN ANALYZE <sql>`. The profiled run pays
 // for its instrumentation (a timing wrapper around every operator stream);
 // the regular query paths insert no wrappers and are unaffected.
 func (db *DB) QueryProfileSQL(ctx context.Context, query string) (*QueryProfile, error) {
-	p := &QueryProfile{}
-	err := db.queryProfile(ctx, query, p, func(rows [][]any) error {
-		p.Rows = append(p.Rows, rows...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	return db.run(ctx, query, true, nil)
 }
 
 // QueryStreamProfileSQL is QueryProfileSQL streaming result rows to yield
-// instead of buffering them (Rows stays nil) — the serving layer's slow-query
-// logging path.
+// instead of buffering them (Rows stays nil).
 func (db *DB) QueryStreamProfileSQL(ctx context.Context, query string, yield func(rows [][]any) error) (*QueryProfile, error) {
-	p := &QueryProfile{}
-	if err := db.queryProfile(ctx, query, p, yield); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (db *DB) queryProfile(ctx context.Context, query string, p *QueryProfile, yield func(rows [][]any) error) error {
-	tr := obs.NewTrace()
-	n, s, _, err := db.planCache().CompileTraced(query, db.Engine, db.Engine.CatalogEpoch(), tr)
-	if err != nil {
-		return err
-	}
-	res, err := db.QueryStreamOpts(ctx, n, core.QueryOptions{Profile: true, Trace: tr}, yield)
-	if err != nil {
-		return err
-	}
-	p.Schema = s
-	p.Analyzed = res.Analyzed
-	p.Phases = tr.Phases()
-	p.CacheHit = tr.CacheHit()
-	p.Operators = res.Operators
-	p.Scan = res.Scan
-	p.Elapsed = res.Elapsed
-	return nil
+	return db.run(ctx, query, true, yield)
 }
 
 // ExplainSQL compiles a SQL statement and returns the distributed physical
 // plan without executing it.
 func (db *DB) ExplainSQL(query string) (string, error) {
-	n, _, err := db.compile(query)
+	n, _, err := db.CompileSQL(query, nil)
 	if err != nil {
 		return "", err
 	}
@@ -264,27 +229,13 @@ func (db *DB) ExplainSQL(query string) (string, error) {
 // transactions into the Write-PDTs and become visible to the PDT-merging
 // scans immediately after commit (§6):
 //
-//	n, err := db.ExecSQL(`update orders set o_orderpriority = '1-URGENT'
-//	                      where o_orderdate >= date '1998-01-01'`)
+//	n, err := db.ExecSQL(ctx, `update orders set o_orderpriority = '1-URGENT'
+//	                           where o_orderdate >= date '1998-01-01'`)
 //
+// Cancellation before commit aborts the statement's transaction (a committed
+// statement is never undone — post-commit flush work runs to completion).
 // For scripts with multiple ';'-separated statements, split them first with
 // sql.SplitStatements and call ExecSQL per statement.
-func (db *DB) ExecSQL(stmt string) (int64, error) {
-	return sql.Exec(stmt, db.Engine)
-}
-
-// ExecSQLContext is ExecSQL honoring a context: cancellation before commit
-// aborts the statement's transaction (a committed statement is never undone
-// — post-commit flush work may still run to completion).
-func (db *DB) ExecSQLContext(ctx context.Context, stmt string) (int64, error) {
-	return sql.ExecContext(ctx, stmt, db.Engine)
-}
-
-// SchemaSQL compiles a SQL statement and returns its output schema (column
-// names and types), for clients that render results.
-// A repeated query's schema comes straight from its cache entry, so a
-// serving layer that asks for the schema and then executes compiles once.
-func (db *DB) SchemaSQL(query string) (Schema, error) {
-	_, s, err := db.compile(query)
-	return s, err
+func (db *DB) ExecSQL(ctx context.Context, stmt string) (int64, error) {
+	return sql.Exec(ctx, stmt, db.Engine)
 }
