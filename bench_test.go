@@ -79,6 +79,31 @@ func BenchmarkLoadPaths(b *testing.B) {
 	}
 }
 
+// BenchmarkLoad measures the real bulk-load path (§7's vwload, not the
+// simulation above): create the eight TPC-H tables and Engine.Load them into
+// a fresh 3-node × 2-thread, 6-partition engine per iteration. Generation
+// stays outside the timer; rows/s and allocations per load are the numbers
+// EXPERIMENTS.md records.
+func BenchmarkLoad(b *testing.B) {
+	d := tpch.Generate(benchSF, 9)
+	rows := 0
+	for _, t := range d.Tables {
+		rows += t.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := experiments.NewEngine(3, 2, 6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tpch.LoadIntoEngine(eng, d, 6); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
 // BenchmarkTPCH regenerates the Figure 7 table: all 22 queries on VectorH
 // versus the baseline personalities.
 func BenchmarkTPCH(b *testing.B) {

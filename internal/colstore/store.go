@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"vectorh/internal/compress"
 	"vectorh/internal/hdfs"
@@ -51,10 +52,27 @@ func (d *colData) slice(k vector.Kind, lo, hi int) colData {
 	}
 }
 
-func (d *colData) appendBatchCol(v *vector.Vec, sel []int32) {
+// room returns s with capacity for n more values, at least doubling when it
+// has to grow: a pending buffer reaches its steady size — a few blocks — in
+// a handful of copies instead of append's dozens.
+func room[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(n, cap(s)))
+	}
+	return s
+}
+
+// appendBatchCol appends the live rows of v and returns their contribution
+// to rawBytesEstimate.
+func (d *colData) appendBatchCol(v *vector.Vec, sel []int32) (raw int) {
+	n := v.Len()
+	if sel != nil {
+		n = len(sel)
+	}
 	switch v.Kind() {
 	case vector.Int32:
 		src := v.Int32s()
+		d.i64 = room(d.i64, n)
 		if sel == nil {
 			for _, x := range src {
 				d.i64 = append(d.i64, int64(x))
@@ -64,8 +82,10 @@ func (d *colData) appendBatchCol(v *vector.Vec, sel []int32) {
 				d.i64 = append(d.i64, int64(src[i]))
 			}
 		}
+		return n * 8
 	case vector.Int64:
 		src := v.Int64s()
+		d.i64 = room(d.i64, n)
 		if sel == nil {
 			d.i64 = append(d.i64, src...)
 		} else {
@@ -73,8 +93,10 @@ func (d *colData) appendBatchCol(v *vector.Vec, sel []int32) {
 				d.i64 = append(d.i64, src[i])
 			}
 		}
+		return n * 8
 	case vector.Float64:
 		src := v.Float64s()
+		d.f64 = room(d.f64, n)
 		if sel == nil {
 			d.f64 = append(d.f64, src...)
 		} else {
@@ -82,8 +104,10 @@ func (d *colData) appendBatchCol(v *vector.Vec, sel []int32) {
 				d.f64 = append(d.f64, src[i])
 			}
 		}
+		return n * 8
 	case vector.String:
 		src := v.Strings()
+		d.str = room(d.str, n)
 		if sel == nil {
 			d.str = append(d.str, src...)
 		} else {
@@ -91,32 +115,44 @@ func (d *colData) appendBatchCol(v *vector.Vec, sel []int32) {
 				d.str = append(d.str, src[i])
 			}
 		}
+		return rawBytesEstimate(vector.String, colData{str: d.str[len(d.str)-n:]})
 	default:
 		panic(fmt.Sprintf("colstore: unsupported kind %v", v.Kind()))
 	}
 }
 
-// encodeBlock compresses values with the best lightweight scheme for the
-// kind: PFOR vs PFOR-DELTA for integers, PDICT vs raw+LZ for strings, raw
-// bytes for floats (which lightweight schemes do not compress, per Fig. 1).
-func encodeBlock(k vector.Kind, d colData) []byte {
+// drop removes the first k values, shifting the rest to the front of the
+// buffer so later appends keep reusing it.
+func (d *colData) drop(kind vector.Kind, k int) {
+	switch kind {
+	case vector.Float64:
+		d.f64 = d.f64[:copy(d.f64, d.f64[k:])]
+	case vector.String:
+		n := copy(d.str, d.str[k:])
+		clear(d.str[n:]) // drop the references the shift left behind
+		d.str = d.str[:n]
+	default:
+		d.i64 = d.i64[:copy(d.i64, d.i64[k:])]
+	}
+}
+
+// encodeBlock appends values compressed with the best lightweight scheme
+// for the kind to dst: PFOR vs PFOR-DELTA for integers, PDICT vs raw+LZ for
+// strings, raw bytes for floats (which lightweight schemes do not compress,
+// per Fig. 1). e lends the encoders their staging memory.
+func encodeBlock(e *compress.Encoder, dst []byte, k vector.Kind, d colData) []byte {
 	switch k {
 	case vector.Float64:
-		out := []byte{tagFloatRaw}
-		out = binary.AppendUvarint(out, uint64(len(d.f64)))
+		dst = append(dst, tagFloatRaw)
+		dst = binary.AppendUvarint(dst, uint64(len(d.f64)))
 		for _, f := range d.f64 {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
-		return out
+		return dst
 	case vector.String:
-		return compress.EncodeStrings(d.str)
+		return e.AppendStrings(dst, d.str)
 	default:
-		p := compress.PFOREncode(d.i64)
-		pd := compress.PFORDeltaEncode(d.i64)
-		if len(pd) < len(p) {
-			return pd
-		}
-		return p
+		return e.AppendInts(dst, d.i64)
 	}
 }
 
@@ -162,7 +198,7 @@ func decodeBlockScan(k vector.Kind, data []byte, codeForm bool, scratch *compres
 			i64 []int64
 			err error
 		)
-		if data[0] == 2 { // tagPFORDelta
+		if compress.IsPFORDelta(data) {
 			i64, err = compress.PFORDeltaDecodeScratch(data, nil, scratch)
 		} else {
 			i64, err = compress.PFORDecodeScratch(data, nil, scratch)
@@ -244,6 +280,9 @@ func blockMinMax(k vector.Kind, d colData, b *BlockMeta) {
 	}
 }
 
+// zeroPage pads block slots out to their fixed size; it is never written.
+var zeroPage [64 << 10]byte
+
 // Appender buffers rows for one partition and writes them as compressed
 // blocks: full blocks land at fixed offsets in chunk files, the final
 // partially filled block of each column goes to a compact partial-chunk
@@ -255,7 +294,17 @@ type Appender struct {
 	node string // writer node; gets the first HDFS replica
 
 	pend      []colData // per column, pending values not yet in full blocks
+	pendRaw   []int     // per column, rawBytesEstimate of pend, kept incrementally
 	flushedTo []int64   // per column, rows already covered by full blocks
+
+	// Encode staging, owned for the appender's lifetime so encoding a block
+	// allocates nothing once warm: the encoders' scratch, two output buffers
+	// (the block-size search keeps the last fitting encoding in one while
+	// it tries a longer prefix in the other) and the partial-chunk file
+	// image.
+	enc      compress.Encoder
+	buf, alt []byte
+	partial  []byte
 
 	// superseded lists files this append consumed and replaced (the previous
 	// partial-chunk generation). They are NOT deleted here: a concurrent
@@ -277,6 +326,7 @@ func NewAppender(fs *hdfs.Cluster, meta *PartitionMeta, node string) (*Appender,
 		meta:      meta,
 		node:      node,
 		pend:      make([]colData, len(meta.Cols)),
+		pendRaw:   make([]int, len(meta.Cols)),
 		flushedTo: make([]int64, len(meta.Cols)),
 	}
 	for ci := range meta.Cols {
@@ -294,10 +344,11 @@ func NewAppender(fs *hdfs.Cluster, meta *PartitionMeta, node string) (*Appender,
 				return nil, err
 			}
 			a.pend[ci] = d
+			a.pendRaw[ci] = rawBytesEstimate(c.Type.Kind, d)
 			c.Blocks = c.Blocks[:n-1]
 			// The partial block's rows re-flush below; un-count their raw
 			// bytes so the running estimate is not doubled.
-			c.RawBytes -= int64(rawBytesEstimate(c.Type.Kind, d))
+			c.RawBytes -= int64(a.pendRaw[ci])
 		}
 		if n := len(c.Blocks); n > 0 {
 			a.flushedTo[ci] = c.Blocks[n-1].RowStart + int64(c.Blocks[n-1].Rows)
@@ -322,7 +373,7 @@ func (a *Appender) Append(b *vector.Batch) error {
 		return fmt.Errorf("colstore: batch has %d columns, partition %d", b.NumCols(), len(a.meta.Cols))
 	}
 	for ci := range a.meta.Cols {
-		a.pend[ci].appendBatchCol(b.Col(ci), b.Sel)
+		a.pendRaw[ci] += a.pend[ci].appendBatchCol(b.Col(ci), b.Sel)
 	}
 	a.meta.Rows += int64(b.Len())
 	return a.flushFull()
@@ -331,19 +382,14 @@ func (a *Appender) Append(b *vector.Batch) error {
 // flushFull writes pending data to full blocks while a comfortable margin of
 // data remains buffered (the remainder becomes the partial block at Close).
 func (a *Appender) flushFull() error {
+	bs := a.meta.Format.BlockSize
 	for ci := range a.meta.Cols {
-		c := &a.meta.Cols[ci]
-		for {
-			n := a.pend[ci].length(c.Type.Kind)
-			raw := rawBytesEstimate(c.Type.Kind, a.pend[ci])
-			// Only cut a block when enough raw bytes are buffered to
-			// very likely fill one compressed block; force a cut when
-			// highly compressible data would otherwise buffer without
-			// bound.
-			if raw < 4*a.meta.Format.BlockSize {
-				break
-			}
-			cut, err := a.cutOneBlock(ci, n, raw >= 64*a.meta.Format.BlockSize)
+		// Only cut a block when enough raw bytes are buffered to very likely
+		// fill one compressed block; force a cut when highly compressible
+		// data would otherwise buffer without bound.
+		for a.pendRaw[ci] >= 4*bs {
+			n := a.pend[ci].length(a.meta.Cols[ci].Type.Kind)
+			cut, err := a.cutOneBlock(ci, n, a.pendRaw[ci] >= 64*bs, nil)
 			if err != nil {
 				return err
 			}
@@ -370,33 +416,38 @@ func rawBytesEstimate(k vector.Kind, d colData) int {
 	}
 }
 
+// encode compresses d into a.buf and returns the image; it stays valid
+// until the next encode.
+func (a *Appender) encode(k vector.Kind, d colData) []byte {
+	a.buf = encodeBlock(&a.enc, a.buf[:0], k, d)
+	return a.buf
+}
+
 // cutOneBlock encodes a prefix of the pending values into one block of at
 // most BlockSize compressed bytes (growing/shrinking the prefix with a
 // doubling search) and writes it to the current chunk file. With force set,
-// it also emits undersized final blocks. It returns the rows consumed.
-func (a *Appender) cutOneBlock(ci, avail int, force bool) (int, error) {
+// it also emits undersized final blocks. whole, when non-nil, is the
+// encoding of all avail values the caller already made. It returns the rows
+// consumed.
+func (a *Appender) cutOneBlock(ci, avail int, force bool, whole []byte) (int, error) {
 	c := &a.meta.Cols[ci]
+	kind := c.Type.Kind
 	bs := a.meta.Format.BlockSize
-	limit := avail
-	if cap := a.meta.Format.MaxRowsPerBlock; limit > cap {
-		limit = cap
-	}
-	if est := bs * 8; limit > est { // lower bound ~1 bit/value
-		limit = est
-	}
+	limit := min(avail, a.meta.Format.MaxRowsPerBlock, bs*8) // lower bound ~1 bit/value
 	k := limit
 	d := a.pend[ci]
-	enc := encodeBlock(c.Type.Kind, d.slice(c.Type.Kind, 0, k))
+	enc := whole
+	if enc == nil || k != avail {
+		enc = a.encode(kind, d.slice(kind, 0, k))
+	}
 	for len(enc) > bs && k > 1 {
 		k /= 2
-		enc = encodeBlock(c.Type.Kind, d.slice(c.Type.Kind, 0, k))
+		enc = a.encode(kind, d.slice(kind, 0, k))
 	}
 	for len(enc) <= bs/2 && k < limit {
-		k2 := k * 2
-		if k2 > limit {
-			k2 = limit
-		}
-		enc2 := encodeBlock(c.Type.Kind, d.slice(c.Type.Kind, 0, k2))
+		k2 := min(k*2, limit)
+		a.buf, a.alt = a.alt, a.buf // enc stays intact while the longer prefix is tried
+		enc2 := a.encode(kind, d.slice(kind, 0, k2))
 		if len(enc2) > bs {
 			break
 		}
@@ -413,13 +464,23 @@ func (a *Appender) cutOneBlock(ci, avail int, force bool) (int, error) {
 	if err := a.writePadded(a.meta.ChunkPath(chunk), enc, slots*bs); err != nil {
 		return 0, err
 	}
-	bm := BlockMeta{Chunk: chunk, Slot: slot, RowStart: a.flushedTo[ci], Rows: k, Bytes: len(enc)}
-	blockMinMax(c.Type.Kind, d.slice(c.Type.Kind, 0, k), &bm)
-	c.Blocks = append(c.Blocks, bm)
-	c.RawBytes += int64(rawBytesEstimate(c.Type.Kind, d.slice(c.Type.Kind, 0, k)))
+	a.blockWritten(ci, BlockMeta{Chunk: chunk, Slot: slot, Rows: k, Bytes: len(enc)})
 	a.flushedTo[ci] += int64(k)
-	a.pend[ci] = d.slice(c.Type.Kind, k, avail)
+	a.pend[ci].drop(kind, k)
 	return k, nil
+}
+
+// blockWritten records the block holding the first bm.Rows pending values of
+// column ci in the directory: its MinMax summary and raw-size accounting.
+func (a *Appender) blockWritten(ci int, bm BlockMeta) {
+	c := &a.meta.Cols[ci]
+	d := a.pend[ci].slice(c.Type.Kind, 0, bm.Rows)
+	bm.RowStart = a.flushedTo[ci]
+	blockMinMax(c.Type.Kind, d, &bm)
+	c.Blocks = append(c.Blocks, bm)
+	raw := rawBytesEstimate(c.Type.Kind, d)
+	c.RawBytes += int64(raw)
+	a.pendRaw[ci] -= raw
 }
 
 // allocSlots reserves consecutive slots in the open chunk file, opening a
@@ -444,10 +505,12 @@ func (a *Appender) writePadded(path string, enc []byte, padded int) error {
 	if _, err := w.Write(enc); err != nil {
 		return err
 	}
-	if pad := padded - len(enc); pad > 0 {
-		if _, err := w.Write(make([]byte, pad)); err != nil {
+	for pad := padded - len(enc); pad > 0; {
+		n, err := w.Write(zeroPage[:min(pad, len(zeroPage))])
+		if err != nil {
 			return err
 		}
+		pad -= n
 	}
 	return w.Close()
 }
@@ -456,20 +519,27 @@ func (a *Appender) writePadded(path string, enc []byte, padded int) error {
 // files, the final under-full block of each column goes to a fresh compact
 // partial-chunk file.
 func (a *Appender) Close() error {
+	bs := a.meta.Format.BlockSize
+	a.partial = a.partial[:0]
 	for ci := range a.meta.Cols {
-		c := &a.meta.Cols[ci]
+		kind := a.meta.Cols[ci].Type.Kind
 		for {
-			n := a.pend[ci].length(c.Type.Kind)
-			if n == 0 || n <= a.meta.Format.MaxRowsPerBlock {
-				if n == 0 {
+			n := a.pend[ci].length(kind)
+			if n == 0 {
+				break
+			}
+			var whole []byte
+			if n <= a.meta.Format.MaxRowsPerBlock {
+				if whole = a.encode(kind, a.pend[ci]); len(whole) <= bs {
+					// The remainder fits one (partial) block. For partial
+					// blocks, Slot records the byte offset inside the
+					// compact partial file.
+					a.blockWritten(ci, BlockMeta{Chunk: -1, Slot: len(a.partial), Rows: n, Bytes: len(whole)})
+					a.partial = append(a.partial, whole...)
 					break
 				}
-				enc := encodeBlock(c.Type.Kind, a.pend[ci])
-				if len(enc) <= a.meta.Format.BlockSize {
-					break // remainder fits one (partial) block
-				}
 			}
-			if _, err := a.cutOneBlock(ci, n, true); err != nil {
+			if _, err := a.cutOneBlock(ci, n, true, whole); err != nil {
 				return err
 			}
 		}
@@ -481,14 +551,7 @@ func (a *Appender) Close() error {
 			return fmt.Errorf("colstore: column %s covers %d of %d rows", c.Name, covered, a.meta.Rows)
 		}
 	}
-	// Write the partial-chunk file.
-	anyPartial := false
-	for ci := range a.meta.Cols {
-		if a.pend[ci].length(a.meta.Cols[ci].Type.Kind) > 0 {
-			anyPartial = true
-		}
-	}
-	if !anyPartial {
+	if len(a.partial) == 0 {
 		a.meta.PartialGen = -1
 		return nil
 	}
@@ -504,24 +567,8 @@ func (a *Appender) Close() error {
 	if err != nil {
 		return err
 	}
-	off := 0
-	for ci := range a.meta.Cols {
-		c := &a.meta.Cols[ci]
-		n := a.pend[ci].length(c.Type.Kind)
-		if n == 0 {
-			continue
-		}
-		enc := encodeBlock(c.Type.Kind, a.pend[ci])
-		// For partial blocks, Slot records the byte offset inside the
-		// compact partial file.
-		bm := BlockMeta{Chunk: -1, Slot: off, RowStart: a.flushedTo[ci], Rows: n, Bytes: len(enc)}
-		blockMinMax(c.Type.Kind, a.pend[ci], &bm)
-		c.Blocks = append(c.Blocks, bm)
-		c.RawBytes += int64(rawBytesEstimate(c.Type.Kind, a.pend[ci]))
-		if _, err := w.Write(enc); err != nil {
-			return err
-		}
-		off += len(enc)
+	if _, err := w.Write(a.partial); err != nil {
+		return err
 	}
 	return w.Close()
 }

@@ -14,6 +14,11 @@
 // chain and patches the escaped values.
 package compress
 
+import (
+	"encoding/binary"
+	"slices"
+)
+
 // packBits appends the low `width` bits of each value to dst as a
 // little-endian bit stream. width must be in [0, 64].
 func packBits(dst []byte, vals []uint64, width int) []byte {
@@ -22,26 +27,30 @@ func packBits(dst []byte, vals []uint64, width int) []byte {
 	}
 	total := (len(vals)*width + 7) / 8
 	start := len(dst)
-	dst = append(dst, make([]byte, total)...)
+	dst = slices.Grow(dst, total)[:start+total]
 	buf := dst[start:]
-	bitoff := 0
+	mask := ^uint64(0)
+	if width < 64 {
+		mask = 1<<uint(width) - 1
+	}
+	// Values gather in a 64-bit accumulator that is stored whole each time
+	// it fills; every byte of buf is written exactly once.
+	var acc uint64
+	nbits, pos := 0, 0
 	for _, v := range vals {
-		if width < 64 {
-			v &= (1 << uint(width)) - 1
+		v &= mask
+		acc |= v << uint(nbits)
+		if nbits += width; nbits >= 64 {
+			binary.LittleEndian.PutUint64(buf[pos:], acc)
+			pos += 8
+			nbits -= 64
+			acc = v >> uint(width-nbits) // the bits of v that did not fit
 		}
-		rem := width
-		for rem > 0 {
-			byteIdx := bitoff >> 3
-			bitIdx := bitoff & 7
-			take := 8 - bitIdx
-			if take > rem {
-				take = rem
-			}
-			buf[byteIdx] |= byte(v << uint(bitIdx))
-			v >>= uint(take)
-			bitoff += take
-			rem -= take
-		}
+	}
+	for ; nbits > 0; nbits -= 8 {
+		buf[pos] = byte(acc)
+		acc >>= 8
+		pos++
 	}
 	return dst
 }

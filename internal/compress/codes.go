@@ -145,6 +145,10 @@ func IsPDict(data []byte) bool { return len(data) > 0 && data[0] == tagPDict }
 // decode.
 func IsPFOR(data []byte) bool { return len(data) > 0 && data[0] == tagPFOR }
 
+// IsPFORDelta reports whether an encoded integer block uses PFOR-DELTA, whose
+// values only exist as a running sum over the whole block.
+func IsPFORDelta(data []byte) bool { return len(data) > 0 && data[0] == tagPFORDelta }
+
 // PDictOpen parses the dictionary and exception chain of a PDICT block
 // without unpacking the code stream. Exception values become additional
 // dictionary entries (deduplicated), so the returned dictionary covers

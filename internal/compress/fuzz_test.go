@@ -15,7 +15,10 @@ import (
 //     (both the eager decoder and the lazy PDictOpen/Codes/Materialize
 //     path the code-form scanner uses);
 //  2. decoding arbitrarily mutated bytes must fail cleanly — an error or
-//     wrong values, never a panic or out-of-bounds access.
+//     wrong values, never a panic or out-of-bounds access;
+//  3. every encoder is byte-equal to its reference in reference_test.go —
+//     the exact frame search, the size-based scheme choices and the
+//     word-wise bit packer must not change one encoded byte.
 func FuzzCompressRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(0), byte(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint16(3), byte(0x80))
@@ -40,6 +43,13 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		}
 
 		encPFOR := PFOREncode(vals)
+		if !bytes.Equal(encPFOR, refPFOREncode(vals)) {
+			t.Fatal("PFOREncode differs from the reference encoder")
+		}
+		var e Encoder
+		if !bytes.Equal(e.AppendInts(nil, vals), refEncodeInts(vals)) {
+			t.Fatal("AppendInts differs from encode-both-keep-smaller")
+		}
 		got, err := PFORDecodeScratch(encPFOR, nil, &s)
 		if err != nil {
 			t.Fatalf("PFOR decode of own encoding: %v", err)
@@ -63,6 +73,9 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		}
 
 		encDelta := PFORDeltaEncode(vals)
+		if !bytes.Equal(encDelta, refPFORDeltaEncode(vals)) {
+			t.Fatal("PFORDeltaEncode differs from the reference encoder")
+		}
 		got, err = PFORDeltaDecodeScratch(encDelta, nil, &s)
 		if err != nil {
 			t.Fatalf("PFOR-DELTA decode of own encoding: %v", err)
@@ -81,6 +94,9 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		}
 
 		encDict := PDictEncode(strs)
+		if !bytes.Equal(encDict, refPDictEncode(strs)) {
+			t.Fatal("PDictEncode differs from the reference encoder")
+		}
 		gotS, err := PDictDecodeScratch(encDict, nil, &s)
 		if err != nil {
 			t.Fatalf("PDICT decode of own encoding: %v", err)
@@ -108,7 +124,10 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		}
 		eqStr(t, "PDICT materialize", strs, mat)
 
-		encAuto := EncodeStrings(strs)
+		encAuto := e.AppendStrings(nil, strs)
+		if !bytes.Equal(encAuto, refEncodeStrings(strs)) {
+			t.Fatal("AppendStrings differs from the reference EncodeStrings")
+		}
 		gotS, err = DecodeStringsScratch(encAuto, nil, &s)
 		if err != nil {
 			t.Fatalf("EncodeStrings decode of own encoding: %v", err)

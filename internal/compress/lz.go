@@ -1,6 +1,9 @@
 package compress
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // LZCompress is a small byte-oriented LZ77 compressor in the spirit of
 // Snappy/LZ4: greedy hash-table matching on 4-byte windows, varint-coded
@@ -12,30 +15,29 @@ import "encoding/binary"
 // of length (c>>1)+minMatch with a following uvarint back-offset when
 // c&1 == 1.
 func LZCompress(src []byte) []byte {
+	out, _ := lzAppend(nil, src, math.MaxInt)
+	return out
+}
+
+// lzAppend appends the LZCompress image of src to out. It gives up and
+// reports false as soon as the image reaches limit bytes — the caller only
+// wants it when it is smaller than an alternative it already sized.
+func lzAppend(out, src []byte, limit int) ([]byte, bool) {
 	const (
 		minMatch   = 4
 		maxLiteral = 128
 		maxMatch   = 127 + minMatch
 		hashBits   = 14
 	)
-	out := binary.AppendUvarint(nil, uint64(len(src)))
-	if len(src) == 0 {
-		return out
-	}
-	var table [1 << hashBits]int32
-	for i := range table {
-		table[i] = -1
-	}
+	start := len(out)
+	out = binary.AppendUvarint(out, uint64(len(src)))
+	var table [1 << hashBits]int32 // position+1 of the last occurrence; 0 = none
 	hash := func(p int) uint32 {
-		v := uint32(src[p]) | uint32(src[p+1])<<8 | uint32(src[p+2])<<16 | uint32(src[p+3])<<24
-		return (v * 2654435761) >> (32 - hashBits)
+		return (binary.LittleEndian.Uint32(src[p:]) * 2654435761) >> (32 - hashBits)
 	}
 	emitLiterals := func(lo, hi int) {
 		for lo < hi {
-			run := hi - lo
-			if run > maxLiteral {
-				run = maxLiteral
-			}
+			run := min(hi-lo, maxLiteral)
 			out = append(out, byte((run-1)<<1))
 			out = append(out, src[lo:lo+run]...)
 			lo += run
@@ -45,27 +47,28 @@ func LZCompress(src []byte) []byte {
 	i := 0
 	for i+minMatch <= len(src) {
 		h := hash(i)
-		cand := table[h]
-		table[h] = int32(i)
-		if cand < 0 || int(cand)+minMatch > len(src) ||
-			src[cand] != src[i] || src[cand+1] != src[i+1] ||
-			src[cand+2] != src[i+2] || src[cand+3] != src[i+3] {
+		cand := int(table[h]) - 1
+		table[h] = int32(i + 1)
+		if cand < 0 || binary.LittleEndian.Uint32(src[cand:]) != binary.LittleEndian.Uint32(src[i:]) {
 			i++
 			continue
 		}
 		// Extend the match.
 		length := minMatch
-		for i+length < len(src) && length < maxMatch && src[int(cand)+length] == src[i+length] {
+		for i+length < len(src) && length < maxMatch && src[cand+length] == src[i+length] {
 			length++
 		}
 		emitLiterals(litStart, i)
 		out = append(out, byte((length-minMatch)<<1|1))
-		out = binary.AppendUvarint(out, uint64(i-int(cand)))
+		out = binary.AppendUvarint(out, uint64(i-cand))
 		i += length
 		litStart = i
+		if len(out)-start >= limit {
+			return out, false
+		}
 	}
 	emitLiterals(litStart, len(src))
-	return out
+	return out, len(out)-start < limit
 }
 
 // LZDecompress inverts LZCompress.

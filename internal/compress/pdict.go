@@ -1,98 +1,130 @@
 package compress
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // maxDictEntries caps the PDICT dictionary; values beyond the cap (or runs of
 // values too rare to be worth a slot) become patched exceptions.
 const maxDictEntries = 1 << 16
 
+// dictIndex maps a block's distinct values to entry ids — the one
+// string-keyed map of the encode path: one lookup per value, and the map is
+// reused across an Encoder's blocks.
+//
+//lint:hotpath the one dictionary build
+type dictIndex map[string]uint32
+
+// dictEntry is one distinct value of a block during the dictionary build.
+type dictEntry struct {
+	s    string
+	freq int
+	id   uint32 // creation order, which is the order of first occurrence
+}
+
 // PDictEncode compresses strings with patched dictionary encoding: frequent
 // values get thin fixed-width dictionary codes, infrequent values are stored
 // verbatim as exceptions threaded through the code stream.
 func PDictEncode(vals []string) []byte {
-	out := []byte{tagPDict}
-	out = binary.AppendUvarint(out, uint64(len(vals)))
+	var e Encoder
 	if len(vals) == 0 {
-		return out
+		return []byte{tagPDict, 0}
 	}
+	e.planDict(vals)
+	return e.emitDict(nil, vals)
+}
 
-	// Build the dictionary: distinct values by descending frequency,
-	// ties broken by first occurrence for determinism.
-	type entry struct {
-		s     string
-		freq  int
-		first int
+// planDict builds the block's dictionary — distinct values by descending
+// frequency, ties broken by first occurrence for determinism, capped at
+// maxDictEntries — and stages codes and exception chain in e.plain. One map
+// lookup per value assigns entry ids; codes follow from the sort
+// permutation. It returns the exact size of the PDICT block and the size of
+// the length-prefixed raw body the LZ alternative would compress.
+func (e *Encoder) planDict(vals []string) (dictSize, rawLen int) {
+	n := len(vals)
+	if e.index == nil {
+		e.index = make(dictIndex, 64)
 	}
-	index := make(map[string]int, 64)
-	var entries []entry
+	clear(e.index)
+	e.entries = e.entries[:0]
+	e.ids = grow(e.ids, n)
 	for i, s := range vals {
-		if j, ok := index[s]; ok {
-			entries[j].freq++
+		rawLen += uvarintLen(uint64(len(s))) + len(s)
+		id, ok := e.index[s]
+		if !ok {
+			id = uint32(len(e.entries))
+			e.index[s] = id
+			e.entries = append(e.entries, dictEntry{s: s, id: id})
+		}
+		e.entries[id].freq++
+		e.ids[i] = id
+	}
+	// Order by (frequency desc, id asc). Values seen once — most of a
+	// high-cardinality block — already stand in id order and sort behind
+	// everything else, so only the repeated values go through the sort.
+	repeated, once := e.ordered[:0], 0
+	for _, en := range e.entries {
+		if en.freq > 1 {
+			repeated = append(repeated, en)
 		} else {
-			index[s] = len(entries)
-			entries = append(entries, entry{s: s, freq: 1, first: i})
+			e.entries[once] = en
+			once++
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].freq != entries[b].freq {
-			return entries[a].freq > entries[b].freq
+	slices.SortFunc(repeated, func(a, b dictEntry) int {
+		if a.freq != b.freq {
+			return cmp.Compare(b.freq, a.freq)
 		}
-		return entries[a].first < entries[b].first
+		return cmp.Compare(a.id, b.id)
 	})
-	if len(entries) > maxDictEntries {
-		entries = entries[:maxDictEntries]
+	e.entries, e.ordered = append(repeated, e.entries[:once]...), e.entries[:0]
+	e.rank = grow(e.rank, len(e.entries))
+	for code, en := range e.entries {
+		e.rank[en.id] = uint32(code)
 	}
-	dictIdx := make(map[string]uint64, len(entries))
-	for i, e := range entries {
-		dictIdx[e.s] = uint64(i)
+	if len(e.entries) > maxDictEntries {
+		e.entries = e.entries[:maxDictEntries]
 	}
 
-	w := bitsFor(uint64(len(entries) - 1))
-	if w == 0 {
-		w = 1
-	}
-	sentinel := uint64(1) << uint(w)
-
-	codes := make([]uint64, len(vals))
-	for i, s := range vals {
-		if c, ok := dictIdx[s]; ok {
-			codes[i] = c
+	p := &e.plain
+	p.w = max(1, bitsFor(uint64(len(e.entries)-1)))
+	sentinel := uint64(1) << uint(p.w)
+	p.codes = grow(p.codes, n)
+	for i, id := range e.ids {
+		if c := uint64(e.rank[id]); c < uint64(len(e.entries)) {
+			p.codes[i] = c
 		} else {
-			codes[i] = sentinel
+			p.codes[i] = sentinel
 		}
 	}
-	plan := exceptionPlan(codes, w)
+	p.plan = exceptionPlan(p.plan[:0], p.codes, p.w)
 
-	out = binary.AppendUvarint(out, uint64(len(entries)))
-	for _, e := range entries {
-		out = binary.AppendUvarint(out, uint64(len(e.s)))
-		out = append(out, e.s...)
+	dictSize = 1 + uvarintLen(uint64(n)) + uvarintLen(uint64(len(e.entries))) + 1 + p.chainLen(n)
+	for _, en := range e.entries {
+		dictSize += uvarintLen(uint64(len(en.s))) + len(en.s)
 	}
-	out = append(out, byte(w))
-	firstExc := len(vals)
-	if len(plan) > 0 {
-		firstExc = plan[0]
+	for _, pos := range p.plan {
+		dictSize += uvarintLen(uint64(len(vals[pos]))) + len(vals[pos])
 	}
-	out = binary.AppendUvarint(out, uint64(firstExc))
-	out = binary.AppendUvarint(out, uint64(len(plan)))
+	return dictSize, rawLen
+}
 
-	packed := make([]uint64, len(codes))
-	copy(packed, codes)
-	for j, p := range plan {
-		gap := uint64(1)
-		if j+1 < len(plan) {
-			gap = uint64(plan[j+1] - p)
-		}
-		packed[p] = gap - 1
+// emitDict appends the PDICT block planDict staged for vals.
+func (e *Encoder) emitDict(out []byte, vals []string) []byte {
+	out = binary.AppendUvarint(append(out, tagPDict), uint64(len(vals)))
+	out = binary.AppendUvarint(out, uint64(len(e.entries)))
+	for _, en := range e.entries {
+		out = binary.AppendUvarint(out, uint64(len(en.s)))
+		out = append(out, en.s...)
 	}
-	out = packBits(out, packed, w)
-	for _, p := range plan {
-		out = binary.AppendUvarint(out, uint64(len(vals[p])))
-		out = append(out, vals[p]...)
+	out = append(out, byte(e.plain.w))
+	out = e.plain.appendChain(out, len(vals))
+	for _, pos := range e.plain.plan {
+		out = binary.AppendUvarint(out, uint64(len(vals[pos])))
+		out = append(out, vals[pos]...)
 	}
 	return out
 }
@@ -189,12 +221,32 @@ func PDictDecodeScratch(data []byte, dst []string, s *Scratch) ([]string, error)
 // whichever is smaller — mirroring VectorH, which dictionary-compresses
 // repetitive strings and falls back to LZ4 for the rest.
 func EncodeStrings(vals []string) []byte {
-	dict := PDictEncode(vals)
-	raw := rawStringEncode(vals)
-	if len(dict) <= len(raw) {
-		return dict
+	var e Encoder
+	return e.AppendStrings(nil, vals)
+}
+
+// AppendStrings appends the smaller of the PDICT and raw+LZ encodings of
+// vals (PDICT on a tie) to out. PDICT's size is computed exactly before
+// either body is built, and the LZ pass gives up as soon as its output can
+// no longer come in under it — so a low-cardinality column never finishes
+// an LZ pass and a high-cardinality one never packs a dictionary block.
+func (e *Encoder) AppendStrings(out []byte, vals []string) []byte {
+	if len(vals) == 0 {
+		return append(out, tagPDict, 0)
 	}
-	return raw
+	dictSize, rawLen := e.planDict(vals)
+	hdr := 1 + uvarintLen(uint64(len(vals)))
+	e.raw = slices.Grow(e.raw[:0], rawLen)
+	for _, s := range vals {
+		e.raw = binary.AppendUvarint(e.raw, uint64(len(s)))
+		e.raw = append(e.raw, s...)
+	}
+	var ok bool
+	if e.lz, ok = lzAppend(e.lz[:0], e.raw, dictSize-hdr); !ok {
+		return e.emitDict(out, vals)
+	}
+	out = binary.AppendUvarint(append(out, tagRawString), uint64(len(vals)))
+	return append(out, e.lz...)
 }
 
 // DecodeStrings decodes either string scheme, appending to dst.
@@ -215,19 +267,6 @@ func DecodeStringsScratch(data []byte, dst []string, s *Scratch) ([]string, erro
 	default:
 		return nil, fmt.Errorf("%w: unknown string scheme %d", ErrCorrupt, data[0])
 	}
-}
-
-func rawStringEncode(vals []string) []byte {
-	var body []byte
-	for _, s := range vals {
-		body = binary.AppendUvarint(body, uint64(len(s)))
-		body = append(body, s...)
-	}
-	lz := LZCompress(body)
-	out := []byte{tagRawString}
-	out = binary.AppendUvarint(out, uint64(len(vals)))
-	out = append(out, lz...)
-	return out
 }
 
 func rawStringDecode(data []byte, dst []string) ([]string, error) {

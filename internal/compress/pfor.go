@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Scheme tags stored as the first byte of every encoded block.
@@ -27,12 +26,12 @@ const maxExcBytes = 6
 // either side of the frame become patched exceptions. Arithmetic is modulo
 // 2^64, so any int64 round-trips exactly.
 func PFOREncode(vals []int64) []byte {
-	out := []byte{tagPFOR}
-	out = binary.AppendUvarint(out, uint64(len(vals)))
 	if len(vals) == 0 {
-		return out
+		return []byte{tagPFOR, 0}
 	}
-	return appendPatched(out, vals)
+	var e Encoder
+	e.planPatched(&e.plain, vals)
+	return e.emitPlain(nil, vals)
 }
 
 // PFORDecode decompresses a PFOREncode block, appending to dst.
@@ -62,19 +61,12 @@ func PFORDecodeScratch(data []byte, dst []int64, s *Scratch) ([]int64, error) {
 // near-sorted runs (keys, dates) become dramatically cheaper. This is the
 // scheme Lucene adopted for its inverted index.
 func PFORDeltaEncode(vals []int64) []byte {
-	out := []byte{tagPFORDelta}
-	out = binary.AppendUvarint(out, uint64(len(vals)))
 	if len(vals) == 0 {
-		return out
+		return []byte{tagPFORDelta, 0}
 	}
-	out = binary.AppendVarint(out, vals[0])
-	deltas := make([]int64, len(vals))
-	prev := vals[0]
-	for i := 1; i < len(vals); i++ {
-		deltas[i] = vals[i] - prev // wrapping; decode wraps identically
-		prev = vals[i]
-	}
-	return appendPatched(out, deltas)
+	var e Encoder
+	e.planPatched(&e.delta, e.deltasOf(vals))
+	return e.emitDelta(nil, vals)
 }
 
 // PFORDeltaDecode decompresses a PFORDeltaEncode block, appending to dst.
@@ -114,120 +106,6 @@ func PFORDeltaDecodeScratch(data []byte, dst []int64, s *Scratch) ([]int64, erro
 		dst = append(dst, dst[base+i-1]+deltas[i])
 	}
 	return dst, nil
-}
-
-// chooseRefWidth picks the frame base and code width minimizing the
-// estimated encoded size. For every width it slides a window of 2^w over the
-// sorted values to maximize the number of in-frame values; everything
-// outside the frame is an exception.
-func chooseRefWidth(vals []int64) (ref int64, width int) {
-	sorted := make([]int64, len(vals))
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
-	n := len(vals)
-	bestCost := n*9 + 1
-	ref, width = sorted[0], 64
-	for w := 0; w <= 64; w++ {
-		var limit uint64
-		all := w == 64
-		if !all {
-			limit = uint64(1) << uint(w)
-		}
-		// Two-pointer max-coverage window [sorted[i], sorted[i]+2^w).
-		maxIn, bestLo := 0, sorted[0]
-		j := 0
-		for i := 0; i < n; i++ {
-			if j < i {
-				j = i
-			}
-			for j < n && (all || uint64(sorted[j])-uint64(sorted[i]) < limit) {
-				j++
-			}
-			if j-i > maxIn {
-				maxIn, bestLo = j-i, sorted[i]
-			}
-			if j == n {
-				break
-			}
-		}
-		cost := (n*w+7)/8 + (n-maxIn)*maxExcBytes
-		if cost < bestCost {
-			bestCost, ref, width = cost, bestLo, w
-		}
-	}
-	return ref, width
-}
-
-// exceptionPlan returns the ordered exception positions for the given codes
-// and width, inserting forced exceptions so that consecutive chain gaps stay
-// representable in w bits (gap ∈ [1, 2^w]).
-func exceptionPlan(codes []uint64, w int) []int {
-	if w >= 64 {
-		return nil
-	}
-	limit := uint64(1) << uint(w)
-	var real []int
-	for i, c := range codes {
-		if c >= limit {
-			real = append(real, i)
-		}
-	}
-	if len(real) == 0 || w == 0 {
-		// w == 0 cannot thread a chain; caller bumps the width.
-		return real
-	}
-	maxGap := int(limit)
-	plan := make([]int, 0, len(real))
-	prev := real[0]
-	plan = append(plan, prev)
-	for _, p := range real[1:] {
-		for p-prev > maxGap {
-			prev += maxGap
-			plan = append(plan, prev) // forced exception
-		}
-		plan = append(plan, p)
-		prev = p
-	}
-	return plan
-}
-
-// appendPatched writes ref, width, the exception chain header, packed codes
-// and exception values for the given int64 symbols.
-func appendPatched(out []byte, vals []int64) []byte {
-	ref, w := chooseRefWidth(vals)
-	codes := make([]uint64, len(vals))
-	for i, v := range vals {
-		codes[i] = uint64(v) - uint64(ref)
-	}
-	plan := exceptionPlan(codes, w)
-	if w == 0 && len(plan) > 0 {
-		w = 1
-		plan = exceptionPlan(codes, w)
-	}
-
-	packed := make([]uint64, len(codes))
-	copy(packed, codes)
-	firstExc := len(vals)
-	if len(plan) > 0 {
-		firstExc = plan[0]
-		for j, p := range plan {
-			gap := uint64(1)
-			if j+1 < len(plan) {
-				gap = uint64(plan[j+1] - p)
-			}
-			packed[p] = gap - 1
-		}
-	}
-	out = binary.AppendVarint(out, ref)
-	out = append(out, byte(w))
-	out = binary.AppendUvarint(out, uint64(firstExc))
-	out = binary.AppendUvarint(out, uint64(len(plan)))
-	out = packBits(out, packed, w)
-	for _, p := range plan {
-		out = binary.AppendVarint(out, vals[p])
-	}
-	return out
 }
 
 // decodePatched performs two-phase patched decompression of n symbols.

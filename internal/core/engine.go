@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"vectorh/internal/affinity"
 	"vectorh/internal/colstore"
@@ -213,6 +214,13 @@ type Engine struct {
 	pdtFlushes      atomic.Int64
 	pdtFlushEntries atomic.Int64
 
+	// Bulk-write counters, bumped once per Load or propagation append: rows
+	// and wall-clock taken, raw value bytes in and encoded bytes out.
+	loadRows         atomic.Int64
+	loadNanos        atomic.Int64
+	loadRawBytes     atomic.Int64
+	loadEncodedBytes atomic.Int64
+
 	// blockCache is the engine-shared decoded-block cache (nil = disabled).
 	blockCache *colstore.BlockCache
 
@@ -360,6 +368,14 @@ func (e *Engine) registerMetrics() {
 		func() float64 { return float64(e.pdtFlushes.Load()) })
 	r.CounterFunc("vectorh_pdt_flush_entries_total", "PDT entries merged into blocks by flush propagation.",
 		func() float64 { return float64(e.pdtFlushEntries.Load()) })
+	r.CounterFunc("vectorh_load_rows_total", "Rows written to stable storage by bulk loads and propagation appends.",
+		func() float64 { return float64(e.loadRows.Load()) })
+	r.CounterFunc("vectorh_load_seconds_total", "Wall-clock seconds spent in bulk loads and propagation appends.",
+		func() float64 { return time.Duration(e.loadNanos.Load()).Seconds() })
+	r.CounterFunc("vectorh_load_raw_bytes_total", "Raw value bytes handed to the block encoders by loads.",
+		func() float64 { return float64(e.loadRawBytes.Load()) })
+	r.CounterFunc("vectorh_load_encoded_bytes_total", "Encoded block bytes loads added to storage.",
+		func() float64 { return float64(e.loadEncodedBytes.Load()) })
 	r.CounterFunc("vectorh_log_shipped_entries_total", "Log-shipping deliveries for replicated tables.",
 		func() float64 {
 			e.mu.RLock()

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"time"
 
 	"vectorh/internal/colstore"
 	"vectorh/internal/exec"
@@ -27,7 +32,13 @@ func partitionOf(key int64, parts int) int {
 // (the vwload path). Partitioned tables are hash-partitioned on the
 // partition key; clustered tables are sorted on the clustered column per
 // partition. Appends are issued from each partition's responsible node, so
-// the first HDFS replica lands locally.
+// the first HDFS replica lands locally, and partitions are encoded
+// concurrently — each writes its own files under its own metadata clone.
+//
+// A load is all-or-nothing: the new metadata generations are published only
+// after every partition has been written; on any error the files this load
+// wrote are removed and metadata, row counts and catalog epoch stay as they
+// were.
 func (e *Engine) Load(table string, batches []*vector.Batch) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -37,45 +48,130 @@ func (e *Engine) Load(table string, batches []*vector.Batch) error {
 	if !ok {
 		return fmt.Errorf("core: unknown table %q", table)
 	}
-	schema := t.Info.Schema
-	nparts := len(t.Parts)
+	start := time.Now()
+	src, err := loadSource(t, batches)
+	if err != nil {
+		return err
+	}
+	rows := splitRows(t, src)
 
-	// Split rows per partition (replicated tables have one partition).
-	perPart := make([]*vector.Batch, nparts)
-	for i := range perPart {
-		perPart[i] = vector.NewBatchForSchema(schema, 0)
+	// Workers take partitions off a queue filled before the first one
+	// starts. They never touch writeMu (held here for their whole lifetime)
+	// and publish nothing.
+	staged := make([]*stagedAppend, len(t.Parts))
+	errs := make([]error, len(t.Parts))
+	todo := make(chan int, len(t.Parts))
+	for pi := range t.Parts {
+		if len(rows[pi]) > 0 {
+			todo <- pi
+		}
 	}
-	keyIdx := -1
-	if t.Info.PartitionKey != "" {
-		keyIdx = schema.Index(t.Info.PartitionKey)
+	close(todo)
+	if len(todo) == 0 {
+		return nil // nothing to write: storage and epoch stay as they are
 	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pi := range todo {
+				staged[pi], errs[pi] = e.stageAppend(t, t.Parts[pi], src, rows[pi])
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		for _, s := range staged {
+			if s != nil {
+				e.discardAppend(s)
+			}
+		}
+		return fmt.Errorf("core: load into %s: %w", table, err)
+	}
+	for _, s := range staged {
+		if s != nil {
+			err = errors.Join(err, e.publishAppend(s))
+		}
+	}
+	e.bumpEpoch()
+	e.bumpRows(t)
+	e.countLoad(staged, time.Since(start))
+	return err
+}
+
+// loadSource checks the batches against the table's schema and returns them
+// as one batch: the batch itself, selection vector and all, or the
+// concatenation of several.
+func loadSource(t *Table, batches []*vector.Batch) (*vector.Batch, error) {
+	schema := t.Info.Schema
+	total := 0
+	for bi, b := range batches {
+		if b.NumCols() != len(schema) {
+			return nil, fmt.Errorf("core: load into %s: batch %d has %d columns, the table has %d",
+				t.Info.Name, bi, b.NumCols(), len(schema))
+		}
+		for ci, f := range schema {
+			if k := b.Col(ci).Kind(); k != f.Type.Kind {
+				return nil, fmt.Errorf("core: load into %s: batch %d column %s is %s, the table stores %s",
+					t.Info.Name, bi, f.Name, k, f.Type.Kind)
+			}
+			if f.Type.Kind == vector.String {
+				// Dictionary vectors materialize on first read; do it here,
+				// not under concurrent partition writers.
+				b.Col(ci).Strings()
+			}
+		}
+		total += b.Len()
+	}
+	if len(batches) == 1 {
+		return batches[0], nil
+	}
+	out := vector.NewBatchForSchema(schema, total)
 	for _, b := range batches {
-		c := b.Compact()
-		for r := 0; r < c.Len(); r++ {
-			p := 0
-			if keyIdx >= 0 {
-				p = partitionOf(int64At(c.Col(keyIdx), r), nparts)
-			}
-			for ci := range schema {
-				perPart[p].Vecs[ci].AppendFrom(c.Col(ci), r)
+		for ci, v := range out.Vecs {
+			if b.Sel != nil {
+				v.AppendGather(b.Col(ci), b.Sel)
+			} else {
+				v.AppendRange(b.Col(ci), 0, b.Col(ci).Len())
 			}
 		}
 	}
-	for pi, part := range t.Parts {
-		pb := perPart[pi]
-		if pb.Len() == 0 {
-			continue
+	return out, nil
+}
+
+// splitRows returns, per partition, the physical rows of b it receives, in
+// load order (replicated tables have one partition) — stable-sorted on the
+// clustered key when the table has one.
+func splitRows(t *Table, b *vector.Batch) [][]int32 {
+	rows := make([][]int32, len(t.Parts))
+	var key *vector.Vec
+	if t.Info.PartitionKey != "" {
+		key = b.Col(t.Info.Schema.Index(t.Info.PartitionKey))
+	}
+	n := b.Len()
+	for p := range rows {
+		rows[p] = make([]int32, 0, n/len(rows)+n/16+1)
+	}
+	for i := 0; i < n; i++ {
+		r, p := i, 0
+		if b.Sel != nil {
+			r = int(b.Sel[i])
 		}
-		if t.Info.ClusteredOn != "" {
-			ci := schema.Index(t.Info.ClusteredOn)
-			perm := sortPermBy(pb, ci)
-			pb = &vector.Batch{Vecs: pb.Vecs, Sel: perm}
+		if key != nil {
+			p = partitionOf(int64At(key, r), len(rows))
 		}
-		if err := e.appendStable(t, part, pb); err != nil {
-			return err
+		rows[p] = append(rows[p], int32(r))
+	}
+	if t.Info.ClusteredOn != "" {
+		v := b.Col(t.Info.Schema.Index(t.Info.ClusteredOn))
+		for _, part := range rows {
+			slices.SortStableFunc(part, func(x, y int32) int {
+				return cmp.Compare(int64At(v, int(x)), int64At(v, int(y)))
+			})
 		}
 	}
-	return nil
+	return rows
 }
 
 func int64At(v *vector.Vec, r int) int64 {
@@ -85,72 +181,106 @@ func int64At(v *vector.Vec, r int) int64 {
 	return v.Int64s()[r]
 }
 
-func sortPermBy(b *vector.Batch, col int) []int32 {
-	perm := make([]int32, b.Len())
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	v := b.Col(col)
-	sort.SliceStable(perm, func(x, y int) bool {
-		return int64At(v, int(perm[x])) < int64At(v, int(perm[y]))
-	})
-	return perm
+// stagedAppend is one partition's append, written but not yet visible: the
+// metadata generation to publish, and what to undo should it be abandoned.
+type stagedAppend struct {
+	part       *Partition
+	old, meta  *colstore.PartitionMeta
+	superseded []string
+	tailSize   int64 // pre-append size of old's open chunk file
 }
 
-// appendStable writes rows to a partition's column store and refreshes its
-// transaction state to the new stable row count (bulk load happens outside
-// transactions, as in vwload). The caller holds e.writeMu.
+// stageAppend writes the given rows of src (physical positions; src.Sel is
+// not consulted) to a partition's column store without publishing them. It
+// takes no engine lock: the caller holds e.writeMu, and Load runs one call
+// per partition concurrently.
 //
 // Copy-on-write: the appender works on a clone of the partition metadata;
 // concurrent scans keep reading the published generation (appends to chunk
 // files only add bytes past the offsets old block directories reference).
-// The clone is published — and the PDTs reset — in one critical section, so
-// a scan opening mid-append sees either the old blocks+PDT tail or the new
-// blocks+empty PDTs, never a mix.
-func (e *Engine) appendStable(t *Table, part *Partition, b *vector.Batch) error {
-	newMeta := part.CurrentMeta().Clone()
-	a, err := colstore.NewAppender(e.fs, newMeta, part.Responsible)
+// On error everything written is removed again.
+func (e *Engine) stageAppend(t *Table, part *Partition, src *vector.Batch, rows []int32) (s *stagedAppend, err error) {
+	s = &stagedAppend{part: part, old: part.CurrentMeta()}
+	s.meta = s.old.Clone()
+	if n := len(s.old.Chunks); n > 0 {
+		if s.tailSize, err = e.fs.Size(s.old.ChunkPath(n - 1)); err != nil {
+			return nil, err
+		}
+	}
+	defer func() {
+		if err != nil {
+			e.discardAppend(s)
+			s = nil
+		}
+	}()
+	a, err := colstore.NewAppender(e.fs, s.meta, part.Responsible)
 	if err != nil {
-		return err
+		return s, err
 	}
 	// Feed in vector-sized batches to bound appender encode granularity.
-	c := b.Compact()
-	for off := 0; off < c.Len(); off += vector.MaxSize {
-		hi := off + vector.MaxSize
-		if hi > c.Len() {
-			hi = c.Len()
-		}
-		sub := &vector.Batch{Vecs: make([]*vector.Vec, len(c.Vecs))}
-		for i, v := range c.Vecs {
-			sub.Vecs[i] = v.Slice(off, hi)
-		}
-		if err := a.Append(sub); err != nil {
-			return err
+	chunk := vector.Batch{Vecs: src.Vecs}
+	for off := 0; off < len(rows); off += vector.MaxSize {
+		chunk.Sel = rows[off:min(off+vector.MaxSize, len(rows))]
+		if err := a.Append(&chunk); err != nil {
+			return s, err
 		}
 	}
 	if err := a.Close(); err != nil {
-		return err
+		return s, err
 	}
+	s.superseded = a.Superseded()
 	if t.Replicated() {
 		// Replicated tables carry one replica per worker.
-		for _, f := range newMeta.Files() {
+		for _, f := range s.meta.Files() {
 			if err := e.fs.SetReplication(f, len(e.active)); err != nil {
-				return err
+				return s, err
 			}
 		}
 		e.fs.ReReplicate()
 	}
-	part.mu.Lock()
-	deletable := part.publishLocked(newMeta, a.Superseded())
-	err = e.mgr.ResetAfterFlush(part.Key, newMeta.Rows)
-	part.mu.Unlock()
-	deleteAll(e.fs, deletable)
-	e.bumpEpoch()
-	if err != nil {
-		return err
+	return s, nil
+}
+
+// discardAppend removes what an abandoned append wrote: the files it created
+// and the bytes it added to the chunk file that was already open.
+func (e *Engine) discardAppend(s *stagedAppend) {
+	keep := s.old.Files()
+	deleteAll(e.fs, slices.DeleteFunc(s.meta.Files(), func(f string) bool { return slices.Contains(keep, f) }))
+	if n := len(s.old.Chunks); n > 0 {
+		// Cannot fail: the file was sized at stage time and has only grown.
+		_ = e.fs.Truncate(s.old.ChunkPath(n-1), s.tailSize)
 	}
-	e.bumpRows(t)
-	return nil
+}
+
+// publishAppend makes a staged append visible and refreshes the partition's
+// transaction state to the new stable row count (bulk load happens outside
+// transactions, as in vwload). The clone is published — and the PDTs reset —
+// in one critical section, so a scan opening mid-append sees either the old
+// blocks+PDT tail or the new blocks+empty PDTs, never a mix. The caller
+// holds e.writeMu and bumps the catalog epoch afterwards.
+func (e *Engine) publishAppend(s *stagedAppend) error {
+	s.part.mu.Lock()
+	deletable := s.part.publishLocked(s.meta, s.superseded)
+	err := e.mgr.ResetAfterFlush(s.part.Key, s.meta.Rows)
+	s.part.mu.Unlock()
+	deleteAll(e.fs, deletable)
+	return err
+}
+
+// countLoad feeds the vectorh_load_* metrics: once per Load or propagation
+// append, nothing per row.
+func (e *Engine) countLoad(staged []*stagedAppend, took time.Duration) {
+	for _, s := range staged {
+		if s == nil {
+			continue
+		}
+		oldRaw, oldEnc := s.old.StorageBytes()
+		raw, enc := s.meta.StorageBytes()
+		e.loadRows.Add(s.meta.Rows - s.old.Rows)
+		e.loadRawBytes.Add(raw - oldRaw)
+		e.loadEncodedBytes.Add(enc - oldEnc)
+	}
+	e.loadNanos.Add(int64(took))
 }
 
 // nodeSlots snapshots the active-node ordering (name → slot) under e.mu.
@@ -526,11 +656,25 @@ func (e *Engine) propagatePartition(ctx context.Context, t *Table, part *Partiti
 		// Tail-insert separation: append new blocks only.
 		merger := pdt.NewMerger(stRead, schema, identityCols(len(schema)))
 		tail, _ := merger.Tail()
-		if tail != nil {
-			if err := e.appendStable(t, part, tail); err != nil {
-				return err
-			}
+		if tail == nil {
+			return nil
 		}
+		start := time.Now()
+		rows := make([]int32, tail.Len()) // Tail batches are dense
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		s, err := e.stageAppend(t, part, tail, rows)
+		if err != nil {
+			return err
+		}
+		err = e.publishAppend(s)
+		e.bumpEpoch()
+		if err != nil {
+			return err
+		}
+		e.bumpRows(t)
+		e.countLoad([]*stagedAppend{s}, time.Since(start))
 		return nil
 	}
 

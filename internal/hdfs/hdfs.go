@@ -344,6 +344,31 @@ func (c *Cluster) Delete(path string) error {
 	return nil
 }
 
+// Truncate cuts a file back to size bytes, as HDFS truncate does: whole
+// blocks past the new end go away and the block straddling it is shortened.
+// A writer that failed part-way undoes its appends with it.
+func (c *Cluster) Truncate(path string, size int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.files[path]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	if size < 0 || size > f.size {
+		return fmt.Errorf("%w: truncate %s to %d of %d bytes", ErrReadRange, path, size, f.size)
+	}
+	bs := int64(c.cfg.BlockSize)
+	keep := int((size + bs - 1) / bs)
+	c.stats.BlocksRemoved += int64(len(f.blocks) - keep)
+	f.blocks = f.blocks[:keep]
+	if keep > 0 {
+		last := f.blocks[keep-1]
+		last.data = last.data[:size-int64(keep-1)*bs]
+	}
+	f.size = size
+	return nil
+}
+
 // Exists reports whether a file exists.
 func (c *Cluster) Exists(path string) bool {
 	c.mu.Lock()
@@ -478,6 +503,13 @@ func (w *Writer) Write(p []byte) (int, error) {
 		room := c.cfg.BlockSize - len(last.data)
 		if room > len(p) {
 			room = len(p)
+		}
+		if need := len(last.data) + room; need > cap(last.data) {
+			// Double up to the block size: a block filled by many small
+			// appends is copied twice over, not append's five times.
+			grown := make([]byte, len(last.data), min(max(2*cap(last.data), need), c.cfg.BlockSize))
+			copy(grown, last.data)
+			last.data = grown
 		}
 		last.data = append(last.data, p[:room]...)
 		p = p[room:]

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -292,5 +293,41 @@ func TestNoAliveNodesWriteFails(t *testing.T) {
 	w, _ := c.Create("/f", "node1")
 	if _, err := w.Write([]byte{1}); err == nil {
 		t.Fatal("write with no alive nodes should fail")
+	}
+}
+
+// TestTruncateThenAppend: cutting a file back drops whole blocks and
+// shortens the straddling one, and a later append continues at the new end.
+func TestTruncateThenAppend(t *testing.T) {
+	c := newTestCluster(3, 64)
+	data := make([]byte, 300)
+	rand.New(rand.NewSource(2)).Read(data)
+	if err := c.WriteFile("/f", "node1", data); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int64{300, 200, 128, 70, 0} {
+		if err := c.Truncate("/f", size); err != nil {
+			t.Fatalf("truncate to %d: %v", size, err)
+		}
+		locs, _ := c.BlockLocations("/f")
+		if sz, _ := c.Size("/f"); sz != size || len(locs) != int((size+63)/64) {
+			t.Fatalf("after truncate to %d: size %d, %d blocks", size, sz, len(locs))
+		}
+		w, err := c.Append("/f", "node1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data[size:]); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.ReadAll("/f", "node1"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("after truncate to %d and re-append: err=%v, content differs=%v", size, err, !bytes.Equal(got, data))
+		}
+	}
+	if err := c.Truncate("/f", 301); !errors.Is(err, ErrReadRange) {
+		t.Fatalf("truncate past the end: %v", err)
+	}
+	if err := c.Truncate("/missing", 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("truncate of a missing file: %v", err)
 	}
 }

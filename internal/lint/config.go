@@ -19,20 +19,24 @@ func isLibraryPkg(pkgPath string) bool {
 		!strings.Contains(pkgPath, "internal/experiments")
 }
 
-// isHotPathPkg reports whether the whole package is per-batch hot-path code:
-// internal/vector and internal/exec process millions of batches per query, so
-// PR 2's no-map[string]/no-Sprintf regression guard applies to every file.
+// isHotPathPkg reports whether the whole package is hot-path code:
+// internal/vector and internal/exec process millions of batches per query,
+// and internal/compress runs per value on both sides of storage — the
+// decoders inside every scan, the encoders under every bulk load — so PR 2's
+// no-map[string]/no-Sprintf regression guard applies to every file. (The one
+// string-keyed map compress keeps, the PDICT dictionary build, is an audited
+// suppression.)
 func isHotPathPkg(pkgPath string) bool {
 	return strings.HasSuffix(pkgPath, "internal/vector") ||
-		strings.HasSuffix(pkgPath, "internal/exec")
+		strings.HasSuffix(pkgPath, "internal/exec") ||
+		strings.HasSuffix(pkgPath, "internal/compress")
 }
 
 // isHotPathFile reports whether one file of a package is hot-path code even
 // though its package is not: the MScan inner loop lives in internal/core next
-// to cold catalog code (whose map[string] tables are fine), and the
-// code-space accessors of internal/compress (dictionary handles, frame
-// bounds, ranged decode) run per block inside the scan while the encoders
-// around them are load-path code.
+// to cold catalog code (whose map[string] tables are fine), and colstore's
+// Appender and Scanner share store.go while the metadata around them
+// formats paths and JSON.
 func isHotPathFile(pkgPath, filename string) bool {
 	switch {
 	case strings.HasSuffix(pkgPath, "internal/core"):
@@ -40,8 +44,8 @@ func isHotPathFile(pkgPath, filename string) bool {
 		case "scan.go", "scanpred.go":
 			return true
 		}
-	case strings.HasSuffix(pkgPath, "internal/compress"):
-		return path.Base(filename) == "codes.go"
+	case strings.HasSuffix(pkgPath, "internal/colstore"):
+		return path.Base(filename) == "store.go"
 	}
 	return false
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // HotPathAlloc is the permanent regression guard for PR 2's hash-layer work:
-// the per-batch packages (internal/vector, internal/exec) and the MScan
-// files in internal/core must never regress to stringly-typed per-row work.
+// the per-batch packages (internal/vector, internal/exec), the codecs
+// (internal/compress), colstore's Appender/Scanner file and the MScan files
+// in internal/core must never regress to stringly-typed per-row work.
 //
 // In those files it forbids:
 //   - map types with string keys (the old per-row serialization idiom the
@@ -23,7 +24,7 @@ var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Key:  "hotpath",
 	Doc: "no map[string], fmt.Sprintf or per-row string concatenation in " +
-		"internal/vector, internal/exec, or the MScan path",
+		"internal/vector, internal/exec, internal/compress, colstore/store.go or the MScan path",
 	Run: runHotPathAlloc,
 }
 
