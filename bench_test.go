@@ -150,119 +150,9 @@ func BenchmarkTPCHPerQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkTPCHRefresh runs the TPC-H refresh streams RF1/RF2 as SQL DML
-// through the PDT trickle-update path (with update propagation forced) and
-// re-validates every SQL TPC-H query against expected results recomputed
-// over the post-refresh data. Named so CI's `-bench=TPCH` smoke step picks
-// it up: the update path gets the same can't-silently-rot guarantee as the
-// query path.
-func BenchmarkTPCHRefresh(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Refresh(benchSF, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, q := range res.Queries {
-			if !q.Match {
-				b.Fatalf("Q%02d diverged from the recomputed expected result after refresh", q.Q)
-			}
-		}
-		if i == 0 {
-			b.Log("\n" + res.Report())
-		}
-	}
-}
-
-// BenchmarkTPCHSelectivity sweeps the Q6-shaped scan across predicate
-// selectivities, comparing the late-materialized pushdown pipeline against
-// the Select-above-scan pipeline (blocks read, bytes decoded, ns/op) and
-// validating that both return the same aggregates. Named so CI's
-// `-bench=TPCH` smoke step picks it up: the scan-pushdown path gets the
-// same can't-silently-rot guarantee as the query and update paths.
-func BenchmarkTPCHSelectivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Selectivity(benchSF, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllMatch() {
-			b.Fatal("pushdown pipeline diverged from the Select-above-scan pipeline")
-		}
-		if i == 0 {
-			b.Log("\n" + res.Report())
-		}
-	}
-}
-
-// BenchmarkTPCHJoinOrder runs the join-heavy TPC-H queries from their
-// hand-built plans (hand-written join order) and from SQL text (the
-// stats-driven ordering pass in internal/sql), validating row-identical
-// results and reporting the per-query cost of the optimizer's choice —
-// the numbers `vectorh-bench -exp joinorder` records into BENCH_tpch.json.
-// Named so CI's `-bench=TPCH` smoke step picks it up: the join-order pass
-// gets the same can't-silently-rot guarantee as the other planner paths.
-func BenchmarkTPCHJoinOrder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.JoinOrder(benchSF, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllMatch() {
-			b.Fatal("an optimizer-ordered plan diverged from its hand-built counterpart")
-		}
-		if i == 0 {
-			b.Log("\n" + res.Report())
-		}
-	}
-}
-
-// BenchmarkTPCHCompression runs the execute-on-compressed-data experiment:
-// the target TPC-H queries with compressed-domain execution (dictionary
-// verdicts, code-space sieves and join/group keys, frame-bounds skips) on
-// and off, validating row-identical results and reporting the decode /
-// materialization / skip work of each pipeline — the numbers
-// `vectorh-bench -exp compression` records into BENCH_tpch.json. Named so
-// CI's `-bench=TPCH` smoke step picks it up: the code-space kernels get the
-// same can't-silently-rot guarantee as the other scan paths.
-func BenchmarkTPCHCompression(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Compression(benchSF, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllMatch() {
-			b.Fatal("the code-space pipeline diverged from the value-space pipeline")
-		}
-		if i == 0 {
-			b.Log("\n" + res.Report())
-		}
-	}
-}
-
 // BenchmarkUpdateImpact regenerates the bottom block of Figure 7: RF1/RF2
 // times and the GeoDiff of query performance after updates (paper: VectorH
 // 102.8% vs Hive 138.2%).
-// BenchmarkTPCHConcurrency drives the full serving-layer scaling experiment
-// (1..256 prepared-statement sessions over loopback TCP). Run with
-// -mutexprofile to see where sessions contend.
-func BenchmarkTPCHConcurrency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Concurrency(benchSF, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllMatch {
-			b.Fatal("a remote result diverged from in-process execution")
-		}
-		if res.PlanCacheHitRate < 0.9 {
-			b.Fatalf("plan cache hit rate %.1f%%, want >= 90%%", 100*res.PlanCacheHitRate)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Report())
-		}
-	}
-}
-
 func BenchmarkUpdateImpact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.UpdateImpact(benchSF, 3, []int{1, 3, 6, 12, 14})

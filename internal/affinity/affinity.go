@@ -150,8 +150,8 @@ func solve(parts, workers []string, perPart int, isLocal Locality) ([][]int, err
 	return out, nil
 }
 
-// LocalityScore counts the partitions local to a node; dbAgent ranks
-// candidate workers by it during worker-set selection.
+// LocalityScore counts the partitions local to a node; the paper's dbAgent
+// (§4) ranks candidate workers by it during worker-set selection.
 func LocalityScore(parts []string, node string, isLocal Locality) int {
 	score := 0
 	for _, p := range parts {

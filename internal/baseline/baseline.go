@@ -31,13 +31,12 @@ import (
 // Flavor selects a personality.
 type Flavor string
 
-// The four evaluated systems plus Presto (Figure 1 only).
+// The four evaluated systems.
 const (
 	HAWQ     Flavor = "hawq"
 	SparkSQL Flavor = "sparksql"
 	Impala   Flavor = "impala"
 	Hive     Flavor = "hive"
-	Presto   Flavor = "presto"
 )
 
 type props struct {
@@ -55,8 +54,6 @@ func flavorProps(f Flavor) props {
 		return props{kind: hadoopfmt.Parquet, skip: hadoopfmt.SkipCPU, batchRows: 8}
 	case Impala:
 		return props{kind: hadoopfmt.Parquet, skip: hadoopfmt.NoSkip, batchRows: 1}
-	case Presto:
-		return props{kind: hadoopfmt.ORC, skip: hadoopfmt.SkipCPU, batchRows: 4}
 	default: // Hive
 		return props{kind: hadoopfmt.ORC, skip: hadoopfmt.SkipIO, batchRows: 1, updatable: true}
 	}

@@ -161,8 +161,8 @@ func (m *PartitionMeta) PartialPath(gen int) string {
 	return fmt.Sprintf("%s/partial%06d.dat", m.Dir(), gen)
 }
 
-// Files lists every live data file of the partition (dbAgent feeds these to
-// the namenode to compute locality).
+// Files lists every live data file of the partition (the engine feeds these
+// to the namenode to compute locality).
 func (m *PartitionMeta) Files() []string {
 	var out []string
 	for _, c := range m.Chunks {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -450,6 +451,48 @@ func TestCreateTableValidation(t *testing.T) {
 	}
 	if _, err := e.Table("ghost"); err == nil {
 		t.Fatal("unknown table should fail")
+	}
+}
+
+// TestWorkerOrderIsByName pins the worker indexing contract: workers are
+// indexed in name order whatever order Config.Nodes lists them in, and
+// partition responsibility (hence affinity placement and every stored
+// layout) follows that index.
+func TestWorkerOrderIsByName(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, want []string
+		responsible []string // of the 6 partitions of a partitioned table
+	}{
+		{
+			nodes:       []string{"node1", "node2", "node3"},
+			want:        []string{"node1", "node2", "node3"},
+			responsible: []string{"node1", "node1", "node2", "node2", "node3", "node3"},
+		},
+		{
+			nodes:       []string{"w2", "w10", "w1"},
+			want:        []string{"w1", "w10", "w2"},
+			responsible: []string{"w1", "w1", "w10", "w10", "w2", "w2"},
+		},
+	} {
+		e, err := New(Config{Nodes: tc.nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Nodes(); !slices.Equal(got, tc.want) {
+			t.Errorf("Nodes() for %v = %v, want %v", tc.nodes, got, tc.want)
+		}
+		if err := e.CreateTable(rewriter.TableInfo{
+			Name: "orders", Schema: ordersSchema, PartitionKey: "o_orderkey", Partitions: 6,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, part := range e.tables["orders"].Parts {
+			got = append(got, part.Responsible)
+		}
+		if !slices.Equal(got, tc.responsible) {
+			t.Errorf("responsible nodes for %v = %v, want %v", tc.nodes, got, tc.responsible)
+		}
 	}
 }
 

@@ -1,13 +1,14 @@
-// Package core assembles the VectorH engine: a simulated Hadoop cluster
-// (HDFS + YARN) hosting N worker processes, a session master coordinating
-// transactions and parallel query optimization, column-store partitions with
-// instrumented block placement, PDT-based trickle updates, and the
-// distributed execution runtime. It is the integration point of every
-// substrate package and the implementation behind the public vectorh API.
+// Package core assembles the VectorH engine: a simulated HDFS cluster hosting
+// N worker processes, a session master coordinating transactions and parallel
+// query optimization, column-store partitions with instrumented block
+// placement, PDT-based trickle updates, and the distributed execution runtime.
+// It is the integration point of every substrate package and the
+// implementation behind the public vectorh API.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,7 +26,6 @@ import (
 	"vectorh/internal/txn"
 	"vectorh/internal/vector"
 	"vectorh/internal/wal"
-	"vectorh/internal/yarn"
 )
 
 // Config parameterizes an engine.
@@ -38,7 +38,6 @@ type Config struct {
 	Mode           mpp.Mode        // DXchg fan-out strategy
 	MsgBytes       int             // exchange message size
 	PDTFlushBytes  int             // update-propagation trigger; default 8 MiB
-	NodeResources  yarn.Resource   // per-node capacity; default 16GB/16c
 
 	// BlockCacheBytes bounds the engine-shared decoded-block cache
 	// (0 = default 64 MiB, negative = disabled). Experiments that measure
@@ -61,9 +60,6 @@ func (c *Config) fill() {
 	}
 	if c.PDTFlushBytes <= 0 {
 		c.PDTFlushBytes = 8 << 20
-	}
-	if c.NodeResources == (yarn.Resource{}) {
-		c.NodeResources = yarn.Resource{MemoryMB: 16 << 10, VCores: 16}
 	}
 }
 
@@ -183,8 +179,6 @@ type Engine struct {
 	writeMu sync.Mutex
 
 	fs     *hdfs.Cluster
-	rm     *yarn.ResourceManager
-	agent  *yarn.DBAgent
 	net    *mpi.Network
 	policy *placementPolicy
 	mgr    *txn.Manager
@@ -398,9 +392,8 @@ func (e *Engine) registerMetrics() {
 		})
 }
 
-// New creates and starts an engine: it brings up the simulated HDFS and
-// YARN, negotiates the worker set through the dbAgent, and initializes the
-// transaction manager with a global WAL.
+// New creates and starts an engine: it brings up the simulated HDFS, fixes
+// the worker set, and initializes the transaction manager with a global WAL.
 func New(cfg Config) (*Engine, error) {
 	cfg.fill()
 	e := &Engine{cfg: cfg, tables: make(map[string]*Table), reg: obs.NewRegistry()}
@@ -411,24 +404,11 @@ func New(cfg Config) (*Engine, error) {
 		Replication: cfg.Replication,
 		Policy:      e.policy,
 	})
-	e.rm = yarn.NewResourceManager()
-	for _, n := range cfg.Nodes {
-		e.rm.AddNode(n, cfg.NodeResources)
-	}
-	slice := yarn.Resource{MemoryMB: cfg.NodeResources.MemoryMB / 4, VCores: cfg.NodeResources.VCores / 4}
-	if slice.VCores == 0 {
-		slice = cfg.NodeResources
-	}
-	e.agent = yarn.NewDBAgent(e.rm, 5, slice, cfg.NodeResources, slice)
-	workers, err := e.agent.SelectWorkers(cfg.Nodes, len(cfg.Nodes), nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.agent.Start(workers); err != nil {
-		return nil, err
-	}
-	e.active = workers
-	e.net = mpi.NewNetwork(len(workers))
+	// Workers are indexed in name order, whatever order cfg.Nodes lists
+	// them in: partition responsibility, affinity placement and every stored
+	// layout follow this order.
+	e.active = slices.Sorted(slices.Values(cfg.Nodes))
+	e.net = mpi.NewNetwork(len(e.active))
 	e.mgr = txn.NewManager(wal.Open(e.fs, "/wal/global", e.master()))
 	switch {
 	case cfg.BlockCacheBytes == 0:
@@ -469,12 +449,6 @@ func (e *Engine) FS() *hdfs.Cluster { return e.fs }
 
 // Net exposes the simulated network fabric.
 func (e *Engine) Net() *mpi.Network { return e.net }
-
-// Agent exposes the YARN dbAgent.
-func (e *Engine) Agent() *yarn.DBAgent { return e.agent }
-
-// RM exposes the YARN resource manager (for tenant simulation in tests).
-func (e *Engine) RM() *yarn.ResourceManager { return e.rm }
 
 // Manager exposes the transaction manager.
 func (e *Engine) Manager() *txn.Manager { return e.mgr }
@@ -678,7 +652,6 @@ func (e *Engine) KillNode(name string) error {
 		return fmt.Errorf("core: %s not in worker set", name)
 	}
 	e.fs.KillNode(name)
-	e.rm.RemoveNode(name)
 	e.active = append(e.active[:idx], e.active[idx+1:]...)
 	if len(e.active) == 0 {
 		return fmt.Errorf("core: no workers left")

@@ -462,45 +462,6 @@ func TestXchgBroadcast(t *testing.T) {
 	}
 }
 
-func TestXchgRangeSplit(t *testing.T) {
-	ports := XchgRangeSplit(context.Background(), []Operator{src(100, 2)}, expr.Col(0, vector.Int64), []int64{29, 59})
-	counts := make([]int, 3)
-	done := make(chan struct{}, 3)
-	for i, p := range ports {
-		go func(i int, p Operator) {
-			rows, _ := Collect(p)
-			counts[i] = len(rows)
-			done <- struct{}{}
-		}(i, p)
-	}
-	for range ports {
-		<-done
-	}
-	if counts[0] != 30 || counts[1] != 30 || counts[2] != 40 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestXchgMergeUnion(t *testing.T) {
-	mk := func(keys ...int64) Operator {
-		return &BatchSource{Batches: []*vector.Batch{vector.NewBatch(vector.FromInt64(keys))}}
-	}
-	m := XchgMergeUnion([]Operator{mk(1, 4, 9), mk(2, 3, 10), mk(5)}, []SortKey{{Expr: expr.Col(0, vector.Int64)}})
-	rows, err := Collect(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 2, 3, 4, 5, 9, 10}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %v", rows)
-	}
-	for i, w := range want {
-		if rows[i][0].(int64) != w {
-			t.Fatalf("rows = %v", rows)
-		}
-	}
-}
-
 type errOp struct{ err error }
 
 func (e *errOp) Open() error                  { return nil }

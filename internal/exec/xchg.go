@@ -230,185 +230,6 @@ func XchgBroadcast(ctx context.Context, producers []Operator, m int) []Operator 
 	return ports
 }
 
-// XchgRangeSplit routes rows to consumers by comparing an int64 key against
-// ascending boundaries: consumer i receives keys in (bounds[i-1], bounds[i]]
-// with the last consumer unbounded.
-func XchgRangeSplit(ctx context.Context, producers []Operator, key expr.Expr, bounds []int64) []Operator {
-	m := len(bounds) + 1
-	route := func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
-		kv, err := key.Eval(b)
-		if err != nil {
-			select {
-			case outs[0] <- item{err: err}:
-			case <-quit:
-			}
-			return err
-		}
-		sels := make([][]int32, m)
-		for r := 0; r < b.Len(); r++ {
-			x := int64At(kv, r)
-			d := 0
-			for d < len(bounds) && x > bounds[d] {
-				d++
-			}
-			phys := int32(r)
-			if b.Sel != nil {
-				phys = b.Sel[r]
-			}
-			sels[d] = append(sels[d], phys)
-		}
-		for d, sel := range sels {
-			if len(sel) == 0 {
-				continue
-			}
-			if err := send(outs[d], &vector.Batch{Vecs: b.Vecs, Sel: sel}, quit); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	x := newXchgCore(ctx, producers, m, route)
-	ports := make([]Operator, m)
-	for i := range ports {
-		ports[i] = &port{x: x, idx: i}
-	}
-	return ports
-}
-
-// XchgMergeUnion merges producer streams that are each sorted on the keys
-// into one globally sorted consumer stream.
-func XchgMergeUnion(producers []Operator, keys []SortKey) Operator {
-	return &mergeUnion{producers: producers, keys: keys}
-}
-
-type mergeUnion struct {
-	producers []Operator
-	keys      []SortKey
-
-	bufs  []*vector.Batch
-	pos   []int
-	done  []bool
-	open  bool
-	kvecs [][]*vector.Vec
-}
-
-// Open implements Operator.
-func (m *mergeUnion) Open() error {
-	m.bufs = make([]*vector.Batch, len(m.producers))
-	m.pos = make([]int, len(m.producers))
-	m.done = make([]bool, len(m.producers))
-	m.kvecs = make([][]*vector.Vec, len(m.producers))
-	for _, p := range m.producers {
-		if err := p.Open(); err != nil {
-			return err
-		}
-	}
-	m.open = true
-	return nil
-}
-
-// Close implements Operator.
-func (m *mergeUnion) Close() error {
-	var first error
-	for _, p := range m.producers {
-		if err := p.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func (m *mergeUnion) fill(i int) error {
-	for !m.done[i] && (m.bufs[i] == nil || m.pos[i] >= m.bufs[i].Len()) {
-		b, err := m.producers[i].Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			m.done[i] = true
-			m.bufs[i] = nil
-			return nil
-		}
-		c := b.Compact()
-		m.bufs[i], m.pos[i] = c, 0
-		m.kvecs[i] = make([]*vector.Vec, len(m.keys))
-		for ki, k := range m.keys {
-			kv, err := k.Expr.Eval(c)
-			if err != nil {
-				return err
-			}
-			m.kvecs[i][ki] = kv
-		}
-	}
-	return nil
-}
-
-// Next implements Operator.
-func (m *mergeUnion) Next() (*vector.Batch, error) {
-	var out *vector.Batch
-	for n := 0; n < vector.MaxSize; n++ {
-		best := -1
-		for i := range m.producers {
-			if err := m.fill(i); err != nil {
-				return nil, err
-			}
-			if m.bufs[i] == nil {
-				continue
-			}
-			if best == -1 || m.less(i, best) {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		src := m.bufs[best]
-		if out == nil {
-			out = &vector.Batch{Vecs: make([]*vector.Vec, len(src.Vecs))}
-			for i, v := range src.Vecs {
-				out.Vecs[i] = vector.New(v.Kind(), vector.MaxSize)
-			}
-		}
-		for i, v := range src.Vecs {
-			out.Vecs[i].AppendFrom(v, m.pos[best])
-		}
-		m.pos[best]++
-	}
-	if out == nil {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// less orders producer heads i vs j by the sort keys.
-func (m *mergeUnion) less(i, j int) bool {
-	for ki, k := range m.keys {
-		c := compareAt2(m.kvecs[i][ki], m.pos[i], m.kvecs[j][ki], m.pos[j])
-		if c == 0 {
-			continue
-		}
-		if k.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-func compareAt2(a *vector.Vec, x int, b *vector.Vec, y int) int {
-	switch a.Kind() {
-	case vector.Int64:
-		return cmpOrdered(a.Int64s()[x], b.Int64s()[y])
-	case vector.Int32:
-		return cmpOrdered(a.Int32s()[x], b.Int32s()[y])
-	case vector.Float64:
-		return cmpOrdered(a.Float64s()[x], b.Float64s()[y])
-	case vector.String:
-		return cmpOrdered(a.Strings()[x], b.Strings()[y])
-	}
-	return 0
-}
-
 // HashRows computes a 64-bit hash of the key expressions for every live row
 // of a batch. It delegates to the vector hash kernels — the same column-wise
 // functions the hash join and aggregation tables use — so joins, group-by,

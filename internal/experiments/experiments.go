@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index lives in DESIGN.md). Each experiment
-// returns a plain-text report in the shape of the corresponding paper
-// artifact; bench_test.go wraps them as benchmarks and cmd/vectorh-bench
-// prints them.
+// evaluation (the per-experiment index is the table at the top of
+// EXPERIMENTS.md). Each experiment returns a plain-text report in the shape
+// of the corresponding paper artifact; bench_test.go wraps them as
+// benchmarks.
 package experiments
 
 import (

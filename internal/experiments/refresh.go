@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vectorh/internal/baseline"
-	"vectorh/internal/colstore"
 	"vectorh/internal/core"
 	"vectorh/internal/sql"
 	"vectorh/internal/tpch"
@@ -34,16 +33,6 @@ type RefreshResult struct {
 	Statements           int
 	PropagatedPartitions int
 	Queries              []RefreshQuery
-}
-
-// AllMatch reports whether every validated query returned the expected rows.
-func (r *RefreshResult) AllMatch() bool {
-	for _, q := range r.Queries {
-		if !q.Match {
-			return false
-		}
-	}
-	return true
 }
 
 // Report renders the experiment as text.
@@ -81,21 +70,12 @@ func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 	rf1Orders, rf1Items := tpch.RF1(d, count, 21)
 	rf2 := tpch.RF2Keys(d, count, 22)
 
-	names := make([]string, nodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("node%d", i+1)
-	}
-	eng, err := core.New(core.Config{
-		Nodes:          names,
-		ThreadsPerNode: 2,
-		BlockSize:      1 << 20,
-		Format:         colstore.Format{BlockSize: 64 << 10, BlocksPerChunk: 256, MaxRowsPerBlock: 8192},
-		MsgBytes:       64 << 10,
-		// Low flush threshold: the refresh volume must cross it so the
-		// experiment exercises maybePropagate — tail-insert appends after
-		// RF1 and full partition rewrites after RF2 — not just PDT merges.
-		PDTFlushBytes: 512,
-	})
+	cfg := benchConfig(nodes, 2)
+	// Low flush threshold: the refresh volume must cross it so the
+	// experiment exercises maybePropagate — tail-insert appends after
+	// RF1 and full partition rewrites after RF2 — not just PDT merges.
+	cfg.PDTFlushBytes = 512
+	eng, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -403,7 +403,7 @@ func (c *Cluster) List(prefix string) []string {
 }
 
 // BlockLocations returns, per block of the file, the nodes holding replicas.
-// This is the namenode query dbAgent uses to compute data locality.
+// This is the namenode query the engine uses to compute data locality.
 func (c *Cluster) BlockLocations(path string) ([][]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

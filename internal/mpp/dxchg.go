@@ -1,6 +1,6 @@
 // Package mpp implements the distributed exchange (DXchg) operators of §5:
-// DXchgHashSplit, DXchgRangeSplit, DXchgBroadcast and DXchgUnion, in both
-// fan-out strategies the paper describes —
+// DXchgHashSplit and DXchgUnion, the former in both fan-out strategies the
+// paper describes —
 //
 //   - thread-to-thread: every sender partitions straight to every consumer
 //     stream (fanout N·C, per-node buffering 2·N·C²·msg), fastest on small
@@ -139,7 +139,7 @@ func (sb *sendBuffer) init(src *vector.Batch, withExtra bool) {
 	}
 	if withExtra {
 		// The receiver-thread column (one byte per tuple in the paper; an
-		// int32 here — the accounting difference is noted in DESIGN.md).
+		// int32 here, counted as 4 bytes per tuple in the message size).
 		sb.vecs = append(sb.vecs, vector.New(vector.Int32, 256))
 	}
 }
@@ -246,41 +246,9 @@ func DXchgHashSplit(cfg Config, producers [][]exec.Operator, keys []expr.Expr, c
 	})
 }
 
-// DXchgRangeSplit partitions by comparing an int64 key against ascending
-// boundaries; consumer stream i gets keys ≤ bounds[i] (last unbounded).
-func DXchgRangeSplit(cfg Config, producers [][]exec.Operator, key expr.Expr, bounds []int64, consumersPerNode []int) ([][]exec.Operator, *Exchange) {
-	return newSplit(cfg, producers, consumersPerNode, func(b *vector.Batch, scratch []uint64) ([]uint64, error) {
-		kv, err := key.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		out := scratch
-		if n := b.Len(); cap(out) < n {
-			out = make([]uint64, n)
-		} else {
-			out = out[:n]
-		}
-		for r := range out {
-			var x int64
-			if kv.Kind() == vector.Int32 {
-				x = int64(kv.Int32s()[r])
-			} else {
-				x = kv.Int64s()[r]
-			}
-			d := 0
-			for d < len(bounds) && x > bounds[d] {
-				d++
-			}
-			out[r] = uint64(d)
-		}
-		return out, nil
-	})
-}
-
 // newSplit builds a partitioning exchange; route returns one routing value
-// per live row (hash, or direct stream index for range split — both are
-// reduced modulo the stream count). The scratch argument is a per-sender
-// buffer route may reuse and return, keeping steady-state routing
+// per live row, reduced modulo the stream count. The scratch argument is a
+// per-sender buffer route may reuse and return, keeping steady-state routing
 // allocation-free.
 func newSplit(cfg Config, producers [][]exec.Operator, consumersPerNode []int,
 	route func(*vector.Batch, []uint64) ([]uint64, error)) ([][]exec.Operator, *Exchange) {
@@ -545,69 +513,8 @@ func DXchgUnion(cfg Config, producers [][]exec.Operator, consumerNode int) (exec
 	return ex.newPort(q), ex
 }
 
-// DXchgBroadcast replicates every producer row to every consumer thread on
-// every node (used to build replicated join sides).
-func DXchgBroadcast(cfg Config, producers [][]exec.Operator, consumersPerNode []int) ([][]exec.Operator, *Exchange) {
-	ex := newExchange(cfg)
-	ex.fanout = len(consumersPerNode)
-	nSenders := 0
-	for _, ps := range producers {
-		nSenders += len(ps)
-	}
-	comm := cfg.Net.NewComm(len(consumersPerNode), nSenders, nil)
-	dests := make([]int, len(consumersPerNode))
-	for i := range dests {
-		dests[i] = i
-	}
-	for pn, ps := range producers {
-		for _, p := range ps {
-			go runForwardSender(ex, comm, pn, p, dests)
-		}
-	}
-	queues := make([]chan portItem, 0)
-	ports := make([][]exec.Operator, len(consumersPerNode))
-	for n, c := range consumersPerNode {
-		nodeQueues := make([]chan portItem, c)
-		for t := 0; t < c; t++ {
-			q := make(chan portItem, 4)
-			nodeQueues[t] = q
-			queues = append(queues, q)
-			ports[n] = append(ports[n], ex.newPort(q))
-		}
-		go func(n int, nodeQueues []chan portItem) {
-			defer func() {
-				for _, q := range nodeQueues {
-					close(q)
-				}
-			}()
-			for {
-				m, ok := comm.RecvQuit(n, ex.quit)
-				if !ok {
-					return
-				}
-				b, err := m.Batch()
-				it := portItem{b: b}
-				if err != nil {
-					it = portItem{err: err}
-				} else if eb := asErrBatch(b); eb != nil {
-					it = portItem{err: eb}
-				}
-				for _, q := range nodeQueues {
-					select {
-					case q <- it:
-					case <-ex.quit:
-						return
-					}
-				}
-			}
-		}(n, nodeQueues)
-	}
-	_ = queues
-	return ports, ex
-}
-
 // runForwardSender buffers batches and sends them whole to a list of
-// destination ranks (union: one; broadcast: all).
+// destination ranks (the union's single consumer).
 func runForwardSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator, dests []int) {
 	defer comm.DoneSending()
 	var buf sendBuffer

@@ -156,42 +156,6 @@ func TestDXchgUnion(t *testing.T) {
 	}
 }
 
-func TestDXchgBroadcast(t *testing.T) {
-	net := mpi.NewNetwork(2)
-	producers := [][]exec.Operator{{producer(0, 100)}}
-	ports, _ := DXchgBroadcast(Config{Net: net, MsgBytes: 512}, producers, []int{2, 2})
-	total, byStream := collectAll(t, ports)
-	if total != 400 {
-		t.Fatalf("total = %d", total)
-	}
-	for s, keys := range byStream {
-		if len(keys) != 100 {
-			t.Fatalf("stream %d got %d rows, want 100", s, len(keys))
-		}
-	}
-}
-
-func TestDXchgRangeSplit(t *testing.T) {
-	net := mpi.NewNetwork(2)
-	producers := [][]exec.Operator{{producer(0, 100)}, {producer(100, 100)}}
-	ports, _ := DXchgRangeSplit(Config{Net: net, MsgBytes: 512}, producers,
-		expr.Col(0, vector.Int64), []int64{49}, []int{1, 1})
-	_, byStream := collectAll(t, ports)
-	for _, k := range byStream[0] {
-		if k > 49 {
-			t.Fatalf("stream 0 received key %d", k)
-		}
-	}
-	for _, k := range byStream[1] {
-		if k <= 49 {
-			t.Fatalf("stream 1 received key %d", k)
-		}
-	}
-	if len(byStream[0]) != 50 || len(byStream[1]) != 150 {
-		t.Fatalf("sizes = %d/%d", len(byStream[0]), len(byStream[1]))
-	}
-}
-
 type failOp struct{}
 
 func (failOp) Open() error                  { return nil }

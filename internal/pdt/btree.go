@@ -7,8 +7,8 @@
 // Layering follows the paper: a big slow-moving Read-PDT holds differences
 // against the persistent table, a smaller Write-PDT holds differences
 // against the Read-PDT image, and each transaction stacks a private
-// Trans-PDT on top. One simplification is documented in DESIGN.md: Write-
-// and Trans-PDT entries are both keyed in the Read-image position space, so
+// Trans-PDT on top. One simplification against the paper: Write- and
+// Trans-PDT entries are both keyed in the Read-image position space, so
 // commit-time serialization merges by position directly instead of rebasing
 // delta-on-delta; write-write conflicts are still detected at tuple
 // granularity via per-entry commit epochs.

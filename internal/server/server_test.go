@@ -106,11 +106,14 @@ func normalizeRows(rows [][]any) []string {
 
 // TestSixteenSessionsRowIdentical is the acceptance gate: 16 concurrent
 // sessions each run all SQL TPC-H queries and every result must be
-// row-identical to single-session in-process execution.
+// row-identical to single-session in-process execution. The sessions share
+// one plan cache: of the 17 × 22 compiles of 22 texts (reference run
+// included) at least 90 % must hit it.
 func TestSixteenSessionsRowIdentical(t *testing.T) {
 	db := testDB(t)
 	_, addr := startServer(t, Options{MaxConcurrent: 8})
 
+	pc0 := db.PlanCacheStats()
 	qs := sqlQueryNumbers()
 	want := make(map[int][]string, len(qs))
 	for _, q := range qs {
@@ -153,6 +156,11 @@ func TestSixteenSessionsRowIdentical(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+	pc := db.PlanCacheStats()
+	hits, misses := pc.Hits-pc0.Hits, pc.Misses-pc0.Misses
+	if rate := float64(hits) / float64(hits+misses); rate < 0.9 {
+		t.Fatalf("plan cache hit rate %.1f%% (%d hits, %d misses), want >= 90%%", 100*rate, hits, misses)
 	}
 }
 

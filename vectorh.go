@@ -1,8 +1,8 @@
 // Package vectorh is the public façade of the VectorH reproduction: a
 // vectorized, columnar, updatable MPP SQL engine over a simulated Hadoop
-// substrate (HDFS with instrumented block placement, YARN elasticity, MPI
-// exchanges), faithfully following "VectorH: Taking SQL-on-Hadoop to the
-// Next Level" (SIGMOD 2016).
+// substrate (HDFS with instrumented block placement, MPI exchanges),
+// faithfully following "VectorH: Taking SQL-on-Hadoop to the Next Level"
+// (SIGMOD 2016).
 //
 // Quick start:
 //
@@ -72,7 +72,7 @@ var (
 )
 
 // DB is a running VectorH instance (an in-process simulation of the whole
-// cluster: workers, session master, HDFS, YARN).
+// cluster: workers, session master, HDFS).
 //
 // Concurrency: a DB is safe for concurrent use. Any number of goroutines
 // may run queries simultaneously — each query executes
