@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 
+	"vectorh/internal/expr"
 	"vectorh/internal/hadoopfmt"
 	"vectorh/internal/hdfs"
 	"vectorh/internal/plan"
@@ -291,13 +292,17 @@ func (e *Engine) evalScan(n *plan.ScanNode, pred *hadoopfmt.RangePred) (*relatio
 // evalExprs evaluates bound expressions over rows in flavor-sized
 // mini-batches (batch size 1 = genuine tuple-at-a-time interpretation).
 func (e *Engine) evalExprs(rel *relation, exprs []plan.Expr) ([][]any, error) {
-	bound := make([]boundExpr, len(exprs))
+	bound := make([]expr.Expr, len(exprs))
 	for i, pe := range exprs {
 		be, err := pe.Bind(rel.schema)
 		if err != nil {
 			return nil, err
 		}
-		bound[i] = boundExpr{be}
+		bound[i] = be
+	}
+	prog, err := expr.Compile(bound...)
+	if err != nil {
+		return nil, err
 	}
 	out := make([][]any, len(rel.rows))
 	bs := e.p.batchRows
@@ -310,26 +315,17 @@ func (e *Engine) evalExprs(rel *relation, exprs []plan.Expr) ([][]any, error) {
 		for _, row := range rel.rows[lo:hi] {
 			batch.AppendRow(row...)
 		}
+		if err := prog.Run(batch); err != nil {
+			return nil, err
+		}
 		for r := lo; r < hi; r++ {
 			out[r] = make([]any, len(exprs))
-		}
-		for c, be := range bound {
-			v, err := be.e.Eval(batch)
-			if err != nil {
-				return nil, err
-			}
-			for r := lo; r < hi; r++ {
-				out[r][c] = v.Get(r - lo)
+			for c := range exprs {
+				out[r][c] = prog.Out(c).Get(r - lo)
 			}
 		}
 	}
 	return out, nil
-}
-
-type boundExpr struct{ e exprEval }
-
-type exprEval interface {
-	Eval(b *vector.Batch) (*vector.Vec, error)
 }
 
 func (e *Engine) filterRel(rel *relation, pred plan.Expr) (*relation, error) {

@@ -426,6 +426,16 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 		}
 		setBound = append(setBound, be)
 	}
+	// Two programs, because the SET expressions run only on batches with a
+	// hit; both are this statement's own.
+	predProg, err := expr.Compile(bound)
+	if err != nil {
+		return 0, err
+	}
+	setProg, err := expr.Compile(setBound...)
+	if err != nil {
+		return 0, err
+	}
 
 	tx := e.mgr.Begin()
 	var total int64
@@ -464,13 +474,12 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 			if b == nil {
 				break
 			}
-			pv, err := bound.Eval(b)
-			if err != nil {
+			if err := predProg.Run(b); err != nil {
 				scan.Close()
 				tx.Abort()
 				return 0, err
 			}
-			matches := pv.Bools()
+			matches := predProg.Out(0).Bools()
 			nmatch := 0
 			for _, m := range matches {
 				if m {
@@ -497,23 +506,18 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 					deleted++
 				}
 			} else {
-				var setVals []*vector.Vec
-				for _, se := range setBound {
-					v, err := se.Eval(b)
-					if err != nil {
-						scan.Close()
-						tx.Abort()
-						return 0, err
-					}
-					setVals = append(setVals, v)
+				if err := setProg.Run(b); err != nil {
+					scan.Close()
+					tx.Abort()
+					return 0, err
 				}
 				for r, match := range matches {
 					if !match {
 						continue
 					}
-					vals := make([]any, len(setVals))
-					for i, v := range setVals {
-						vals[i] = v.Get(r)
+					vals := make([]any, len(setBound))
+					for i := range vals {
+						vals[i] = setProg.Out(i).Get(r)
 					}
 					if err := tx.Modify(part.Key, rid+int64(r), setIdx, vals); err != nil {
 						scan.Close()

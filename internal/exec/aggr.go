@@ -68,22 +68,40 @@ type HashAggr struct {
 	Keys  []expr.Expr
 	Aggs  []AggSpec
 
-	table    *HashTable   // group-by keys; nil for global aggregation
-	states   [][]aggState // indexed [agg][group]
-	distinct []*HashTable // (group, value) tables, allocated lazily and only
+	prog     *expr.Program // keys, then every non-nil aggregate argument
+	table    *HashTable    // group-by keys; nil for global aggregation
+	states   [][]aggState  // indexed [agg][group]
+	distinct []*HashTable  // (group, value) tables, allocated lazily and only
 	// for AggCountDistinct specs
 	pool     vector.Pool
 	emitted  int
 	consumed bool
 }
 
+// AggExprs lists the expressions an aggregation evaluates per batch, in the
+// order of its program's outputs: the keys, then every non-nil argument.
+// Compiling them together is what lets aggregates over overlapping
+// expressions (Q01's eleven over five) share their common primitives.
+func AggExprs(keys []expr.Expr, aggs []AggSpec) []expr.Expr {
+	out := append(make([]expr.Expr, 0, len(keys)+len(aggs)), keys...)
+	for _, a := range aggs {
+		if a.Arg != nil {
+			out = append(out, a.Arg)
+		}
+	}
+	return out
+}
+
 // Open implements Operator.
-func (h *HashAggr) Open() error {
+func (h *HashAggr) Open() (err error) {
 	h.table = nil
 	h.states = nil
 	h.distinct = nil
 	h.emitted = 0
 	h.consumed = false
+	if h.prog, err = expr.Compile(AggExprs(h.Keys, h.Aggs)...); err != nil {
+		return err
+	}
 	return h.Child.Open()
 }
 
@@ -177,17 +195,17 @@ func (h *HashAggr) consume() error {
 		if n == 0 {
 			continue
 		}
-		// Evaluate key and argument expressions once per batch.
-		for i, k := range h.Keys {
-			if keyCols[i], err = k.Eval(b); err != nil {
-				return err
-			}
+		// Evaluate key and argument expressions once per batch, into the
+		// program's scratch: the table copies the keys it keeps and the
+		// states fold the arguments before the next Run.
+		if err := h.prog.RunInto(b, keyCols); err != nil {
+			return err
 		}
+		o := len(keyCols)
 		for i, a := range h.Aggs {
 			if a.Arg != nil {
-				if argCols[i], err = a.Arg.Eval(b); err != nil {
-					return err
-				}
+				argCols[i] = h.prog.Out(o)
+				o++
 			}
 		}
 		groups := h.pool.GetSel(n)[:n]

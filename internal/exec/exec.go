@@ -8,7 +8,6 @@
 package exec
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -78,10 +77,17 @@ func (s *FuncSource) Close() error {
 type Select struct {
 	Child Operator
 	Pred  expr.Expr
+
+	filter *expr.Filter // this instance's compiled predicate
 }
 
 // Open implements Operator.
-func (s *Select) Open() error { return s.Child.Open() }
+func (s *Select) Open() (err error) {
+	if s.filter, err = expr.CompileFilter(s.Pred); err != nil {
+		return err
+	}
+	return s.Child.Open()
+}
 
 // Next implements Operator.
 func (s *Select) Next() (*vector.Batch, error) {
@@ -90,23 +96,14 @@ func (s *Select) Next() (*vector.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		v, err := s.Pred.Eval(b)
+		out, err := s.filter.Select(b)
 		if err != nil {
 			return nil, err
 		}
-		if v.Kind() != vector.Bool {
-			return nil, fmt.Errorf("exec: select predicate is %v", v.Kind())
+		if out != nil {
+			vector.CheckBatch(out)
+			return out, nil
 		}
-		sel := expr.SelFromBool(v, b)
-		if len(sel) == 0 {
-			continue
-		}
-		if len(sel) == b.Len() && b.Sel == nil {
-			return b, nil // everything qualifies: pass through
-		}
-		out := &vector.Batch{Vecs: b.Vecs, Sel: sel}
-		vector.CheckBatch(out)
-		return out, nil
 	}
 }
 
@@ -115,14 +112,22 @@ func (s *Select) Close() error { return s.Child.Close() }
 
 // --- project ---
 
-// Project evaluates expressions into a dense output batch.
+// Project evaluates expressions into a dense output batch. Its vectors leave
+// the operator, so each is taken from the program, never its scratch.
 type Project struct {
 	Child Operator
 	Exprs []expr.Expr
+
+	prog *expr.Program
 }
 
 // Open implements Operator.
-func (p *Project) Open() error { return p.Child.Open() }
+func (p *Project) Open() (err error) {
+	if p.prog, err = expr.Compile(p.Exprs...); err != nil {
+		return err
+	}
+	return p.Child.Open()
+}
 
 // Next implements Operator.
 func (p *Project) Next() (*vector.Batch, error) {
@@ -130,13 +135,12 @@ func (p *Project) Next() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
+	if err := p.prog.Run(b); err != nil {
+		return nil, err
+	}
 	out := &vector.Batch{Vecs: make([]*vector.Vec, len(p.Exprs))}
-	for i, e := range p.Exprs {
-		v, err := e.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		out.Vecs[i] = v
+	for i := range p.Exprs {
+		out.Vecs[i] = p.prog.Take(i)
 	}
 	return out, nil
 }

@@ -506,11 +506,16 @@ func TestFuncSource(t *testing.T) {
 func TestHashRowsDeterministicAcrossBatches(t *testing.T) {
 	b1 := vector.NewBatch(vector.FromInt64([]int64{42}))
 	b2 := vector.NewBatch(vector.FromInt64([]int64{42, 7}))
-	h1, err := HashRows(b1, []expr.Expr{expr.Col(0, vector.Int64)})
+	hasher, err := NewRowHasher([]expr.Expr{expr.Col(0, vector.Int64)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := HashRows(b2, []expr.Expr{expr.Col(0, vector.Int64)})
+	h1, err := hasher.Hash(b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1 = append([]uint64(nil), h1...) // valid only until the next Hash
+	h2, err := hasher.Hash(b2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,19 +30,26 @@ type HashJoin struct {
 	ProbeKeys []expr.Expr
 	Type      JoinType
 
-	built     bool
-	table     *HashTable
-	buildCols []*vector.Vec
-	keyCols   []*vector.Vec // per-batch evaluated key columns (reused)
-	pool      vector.Pool
+	buildKeys, probeKeys *expr.Program
+	built                bool
+	table                *HashTable
+	buildCols            []*vector.Vec
+	keyCols              []*vector.Vec // per-batch evaluated key columns (reused)
+	pool                 vector.Pool
 }
 
 // Open implements Operator.
-func (j *HashJoin) Open() error {
+func (j *HashJoin) Open() (err error) {
 	j.built = false
 	j.table = nil
 	j.buildCols = nil
 	j.keyCols = nil
+	if j.buildKeys, err = expr.Compile(j.BuildKeys...); err != nil {
+		return err
+	}
+	if j.probeKeys, err = expr.Compile(j.ProbeKeys...); err != nil {
+		return err
+	}
 	if err := j.Build.Open(); err != nil {
 		return err
 	}
@@ -84,10 +91,8 @@ func (j *HashJoin) buildTable() error {
 				j.buildCols[i] = vector.New(v.Kind(), n)
 			}
 		}
-		for i, k := range j.BuildKeys {
-			if keyCols[i], err = k.Eval(b); err != nil {
-				return err
-			}
+		if err := j.buildKeys.RunInto(b, keyCols); err != nil {
+			return err
 		}
 		j.table.InsertBatch(keyCols, n)
 		// Append the build columns in the same live-row order the key
@@ -122,10 +127,8 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		if n == 0 {
 			continue
 		}
-		for i, k := range j.ProbeKeys {
-			if j.keyCols[i], err = k.Eval(b); err != nil {
-				return nil, err
-			}
+		if err := j.probeKeys.RunInto(b, j.keyCols); err != nil {
+			return nil, err
 		}
 		switch j.Type {
 		case Semi, Anti:

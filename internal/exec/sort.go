@@ -18,6 +18,7 @@ type Sort struct {
 	Child Operator
 	Keys  []SortKey
 
+	prog    *expr.Program
 	sorted  *vector.Batch
 	perm    []int32
 	emitted int
@@ -25,9 +26,20 @@ type Sort struct {
 }
 
 // Open implements Operator.
-func (s *Sort) Open() error {
+func (s *Sort) Open() (err error) {
 	s.sorted, s.perm, s.emitted, s.done = nil, nil, 0, false
+	if s.prog, err = compileSortKeys(s.Keys); err != nil {
+		return err
+	}
 	return s.Child.Open()
+}
+
+func compileSortKeys(keys []SortKey) (*expr.Program, error) {
+	exprs := make([]expr.Expr, len(keys))
+	for i, k := range keys {
+		exprs[i] = k.Expr
+	}
+	return expr.Compile(exprs...)
 }
 
 // Close implements Operator.
@@ -59,15 +71,12 @@ func materializeAll(child Operator) (*vector.Batch, error) {
 	}
 }
 
-// sortPerm computes the permutation ordering the batch by keys.
-func sortPerm(b *vector.Batch, keys []SortKey) ([]int32, error) {
+// sortPerm computes the permutation ordering the batch by keys, evaluated by
+// prog (compileSortKeys of the same keys).
+func sortPerm(b *vector.Batch, keys []SortKey, prog *expr.Program) ([]int32, error) {
 	keyVecs := make([]*vector.Vec, len(keys))
-	for i, k := range keys {
-		v, err := k.Expr.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		keyVecs[i] = v
+	if err := prog.RunInto(b, keyVecs); err != nil {
+		return nil, err
 	}
 	perm := make([]int32, b.Len())
 	for i := range perm {
@@ -139,7 +148,7 @@ func (s *Sort) Next() (*vector.Batch, error) {
 		if all == nil {
 			return nil, nil
 		}
-		s.perm, err = sortPerm(all, s.Keys)
+		s.perm, err = sortPerm(all, s.Keys, s.prog)
 		if err != nil {
 			return nil, err
 		}
@@ -166,13 +175,17 @@ type TopN struct {
 	Keys  []SortKey
 	N     int
 
+	prog *expr.Program
 	out  Operator
 	init bool
 }
 
 // Open implements Operator.
-func (t *TopN) Open() error {
+func (t *TopN) Open() (err error) {
 	t.out, t.init = nil, false
+	if t.prog, err = compileSortKeys(t.Keys); err != nil {
+		return err
+	}
 	return t.Child.Open()
 }
 
@@ -190,7 +203,7 @@ func (t *TopN) Next() (*vector.Batch, error) {
 		if all == nil {
 			t.out = &BatchSource{}
 		} else {
-			perm, err := sortPerm(all, t.Keys)
+			perm, err := sortPerm(all, t.Keys, t.prog)
 			if err != nil {
 				return nil, err
 			}

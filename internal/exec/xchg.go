@@ -31,7 +31,7 @@ type xchgCore struct {
 	ctx       context.Context
 	producers []Operator
 	outs      []chan item
-	route     func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error
+	newRoute  func() (routeFunc, error) // called once per producer goroutine
 	quit      chan struct{}
 	openPorts atomic.Int32
 	startOnce sync.Once
@@ -39,12 +39,16 @@ type xchgCore struct {
 	wg        sync.WaitGroup
 }
 
-func newXchgCore(ctx context.Context, producers []Operator, consumers int,
-	route func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error) *xchgCore {
+// routeFunc delivers one producer batch to the consumer channels. Every
+// producer goroutine gets its own, so a routing function may keep per-stream
+// state (the hash split's compiled key program).
+type routeFunc func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error
+
+func newXchgCore(ctx context.Context, producers []Operator, consumers int, newRoute func() (routeFunc, error)) *xchgCore {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	x := &xchgCore{ctx: ctx, producers: producers, route: route, quit: make(chan struct{})}
+	x := &xchgCore{ctx: ctx, producers: producers, newRoute: newRoute, quit: make(chan struct{})}
 	x.openPorts.Store(int32(consumers))
 	x.outs = make([]chan item, consumers)
 	for i := range x.outs {
@@ -71,6 +75,11 @@ func (x *xchgCore) start() {
 		for _, p := range x.producers {
 			go func(p Operator) {
 				defer x.wg.Done()
+				route, err := x.newRoute()
+				if err != nil {
+					x.fanErr(err)
+					return
+				}
 				if err := p.Open(); err != nil {
 					x.fanErr(err)
 					return
@@ -89,7 +98,7 @@ func (x *xchgCore) start() {
 					if b == nil {
 						return
 					}
-					if err := x.route(b, x.outs, x.quit); err != nil {
+					if err := route(b, x.outs, x.quit); err != nil {
 						return
 					}
 				}
@@ -163,106 +172,112 @@ func (quitError) Error() string { return "exec: exchange canceled" }
 
 var errQuit = quitError{}
 
-// XchgUnion merges n producer streams into one consumer stream.
-func XchgUnion(ctx context.Context, producers []Operator) Operator {
-	x := newXchgCore(ctx, producers, 1, func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
-		return send(outs[0], b, quit)
-	})
-	return &port{x: x}
+// stateless adapts a routing function without per-producer state.
+func stateless(route routeFunc) func() (routeFunc, error) {
+	return func() (routeFunc, error) { return route, nil }
 }
 
-// XchgHashSplit hash-partitions n producer streams into m consumer streams
-// on the given key expressions. It returns the m consumer ports.
-func XchgHashSplit(ctx context.Context, producers []Operator, keys []expr.Expr, m int) []Operator {
-	route := func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
-		hashes, err := HashRows(b, keys)
-		if err != nil {
-			// Deliver the error to consumer 0.
-			select {
-			case outs[0] <- item{err: err}:
-			case <-quit:
-			}
-			return err
-		}
-		sels := make([][]int32, m)
-		for r, h := range hashes {
-			d := int(h % uint64(m))
-			phys := int32(r)
-			if b.Sel != nil {
-				phys = b.Sel[r]
-			}
-			sels[d] = append(sels[d], phys)
-		}
-		for d, sel := range sels {
-			if len(sel) == 0 {
-				continue
-			}
-			if err := send(outs[d], &vector.Batch{Vecs: b.Vecs, Sel: sel}, quit); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	x := newXchgCore(ctx, producers, m, route)
-	ports := make([]Operator, m)
+func (x *xchgCore) ports() []Operator {
+	ports := make([]Operator, len(x.outs))
 	for i := range ports {
 		ports[i] = &port{x: x, idx: i}
 	}
 	return ports
 }
 
+// XchgUnion merges n producer streams into one consumer stream.
+func XchgUnion(ctx context.Context, producers []Operator) Operator {
+	x := newXchgCore(ctx, producers, 1, stateless(func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
+		return send(outs[0], b, quit)
+	}))
+	return x.ports()[0]
+}
+
+// XchgHashSplit hash-partitions n producer streams into m consumer streams
+// on the given key expressions. It returns the m consumer ports.
+func XchgHashSplit(ctx context.Context, producers []Operator, keys []expr.Expr, m int) []Operator {
+	return newXchgCore(ctx, producers, m, func() (routeFunc, error) {
+		hasher, err := NewRowHasher(keys)
+		if err != nil {
+			return nil, err
+		}
+		return func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
+			hashes, err := hasher.Hash(b)
+			if err != nil {
+				// Deliver the error to consumer 0.
+				select {
+				case outs[0] <- item{err: err}:
+				case <-quit:
+				}
+				return err
+			}
+			sels := make([][]int32, m)
+			for r, h := range hashes {
+				d := int(h % uint64(m))
+				phys := int32(r)
+				if b.Sel != nil {
+					phys = b.Sel[r]
+				}
+				sels[d] = append(sels[d], phys)
+			}
+			for d, sel := range sels {
+				if len(sel) == 0 {
+					continue
+				}
+				if err := send(outs[d], &vector.Batch{Vecs: b.Vecs, Sel: sel}, quit); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, nil
+	}).ports()
+}
+
 // XchgBroadcast replicates every producer batch to all m consumer streams
 // (used to build replicated join sides).
 func XchgBroadcast(ctx context.Context, producers []Operator, m int) []Operator {
-	route := func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
+	return newXchgCore(ctx, producers, m, stateless(func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
 		for _, ch := range outs {
 			if err := send(ch, b, quit); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	x := newXchgCore(ctx, producers, m, route)
-	ports := make([]Operator, m)
-	for i := range ports {
-		ports[i] = &port{x: x, idx: i}
-	}
-	return ports
+	})).ports()
 }
 
-// HashRows computes a 64-bit hash of the key expressions for every live row
-// of a batch. It delegates to the vector hash kernels — the same column-wise
-// functions the hash join and aggregation tables use — so joins, group-by,
-// local exchanges and distributed exchanges all agree on one hash function.
-func HashRows(b *vector.Batch, keys []expr.Expr) ([]uint64, error) {
-	return HashRowsInto(nil, b, keys)
+// RowHasher computes a 64-bit hash of key expressions for every live row of
+// a stream's batches. It delegates to the vector hash kernels — the same
+// column-wise functions the hash join and aggregation tables use — so joins,
+// group-by, local exchanges and distributed exchanges all agree on one hash
+// function. It owns the compiled key program and the hash buffer, so each
+// exchange sender needs its own and hashes without allocating.
+type RowHasher struct {
+	prog   *expr.Program
+	keys   []*vector.Vec
+	hashes []uint64
 }
 
-// HashRowsInto is HashRows reusing dst's capacity, for callers that hash a
-// stream of batches (exchange senders) and want an allocation-free steady
-// state.
-func HashRowsInto(dst []uint64, b *vector.Batch, keys []expr.Expr) ([]uint64, error) {
+// NewRowHasher compiles the key expressions for one stream.
+func NewRowHasher(keys []expr.Expr) (*RowHasher, error) {
+	prog, err := expr.Compile(keys...)
+	if err != nil {
+		return nil, err
+	}
+	return &RowHasher{prog: prog, keys: make([]*vector.Vec, len(keys))}, nil
+}
+
+// Hash returns one hash per live row of b, valid until the next call.
+func (h *RowHasher) Hash(b *vector.Batch) ([]uint64, error) {
+	if err := h.prog.RunInto(b, h.keys); err != nil {
+		return nil, err
+	}
 	n := b.Len()
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	} else {
-		dst = dst[:n]
+	if cap(h.hashes) < n {
+		h.hashes = make([]uint64, n)
 	}
-	for i, k := range keys {
-		kv, err := k.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			vector.HashCol(dst, kv)
-		} else {
-			vector.RehashCol(dst, kv)
-		}
-	}
-	if len(keys) == 0 {
-		vector.HashStart(dst)
-	}
-	return dst, nil
+	vector.HashCols(h.hashes[:n], h.keys)
+	return h.hashes[:n], nil
 }
 
 // HashInt64 hashes a single integer key with the same function HashRows

@@ -1,10 +1,17 @@
-// Package expr implements the vectorized expression interpreter of the
-// engine: every expression evaluates over a whole batch at a time (honoring
-// its selection vector) and produces a dense result vector, keeping the
-// per-tuple interpretation overhead amortized over ~1024 values (§2 of the
-// paper).
+// Package expr is the engine's vectorized expression layer (§2 of the
+// paper), split into an immutable description and a per-operator executable.
 //
-// Columns are referenced by position; the planner binds names to positions.
+// An Expr is the description: a bound tree (columns by position, typed
+// literals) the rewriter builds once and hands to every stream of a plan. It
+// holds no per-batch state and may be shared freely.
+//
+// A Program (compile.go) is the executable: Compile flattens all the
+// expressions one operator instance evaluates into a straight-line sequence
+// of typed primitives (kernels.go) over a register file the program owns and
+// refills batch after batch — structurally equal sub-expressions share a
+// register, literals are immediates, int→float conversion happens inside the
+// consuming loop. Programs are never shared between streams.
+//
 // Decimal columns are stored as scaled int64 and explicitly converted with
 // Scaled for arithmetic, mirroring how a real engine separates storage and
 // computation types.
@@ -13,116 +20,177 @@ package expr
 import (
 	"fmt"
 	"math"
-	"strings"
+	"sync/atomic"
 
 	"vectorh/internal/vector"
 )
 
-// Expr is a vectorized expression.
+// Expr is a bound, immutable expression over the columns of a batch.
 type Expr interface {
-	// Eval returns a dense vector of length b.Len().
+	// Eval is the one-shot form: it returns a dense vector of length b.Len()
+	// that belongs to the caller (or is one of b's own vectors, for a bare
+	// column of a batch without selection). It runs a cached Program on the
+	// same kernels operators use; operators compile their own Program instead.
 	Eval(b *vector.Batch) (*vector.Vec, error)
 	// Kind is the result kind.
 	Kind() vector.Kind
 	String() string
 }
 
+type opcode uint8
+
+// The order groups the opcodes the compiler and the dispatcher treat alike:
+// opAdd..opDiv are arithmetic, opLT..opNE comparisons, opAdd..opOr infix.
+const (
+	opCol opcode = iota
+	opConst
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opLT
+	opLE
+	opGT
+	opGE
+	opEQ
+	opNE
+	opAnd
+	opOr
+	opNot
+	opScaled
+	opCastInt32
+	opCastInt64
+	opToScaled
+	opLike
+	opInStr
+	opInInt
+	opSubstr
+	opYear
+	opCase
+	opSelTrue // filter programs only: narrow the selection by a bool register
+)
+
+var opNames = [...]string{"col", "const", "add", "sub", "mul", "div", "lt", "le", "gt", "ge", "eq", "ne",
+	"and", "or", "not", "scaled", "int32", "int64", "toscaled", "like", "in", "in", "substr", "year", "case", "true"}
+
+var opSyms = [...]string{opAdd: "+", opSub: "-", opMul: "*", opDiv: "/",
+	opLT: "<", opLE: "<=", opGT: ">", opGE: ">=", opEQ: "=", opNE: "<>", opAnd: "and", opOr: "or"}
+
+func (op opcode) isArith() bool { return op >= opAdd && op <= opDiv }
+func (op opcode) isCmp() bool   { return op >= opLT && op <= opNE }
+
+// imm is an immediate operand. An integer literal carries its value in both
+// numeric domains so a kernel reads it in the one it computes in; the float
+// is kept as bits so that -0 and NaN compare exactly when sub-expressions
+// are matched for sharing.
+type imm struct {
+	i  int64
+	fb uint64
+	s  string
+	b  bool
+}
+
+func immInt(v int64) imm     { return imm{i: v, fb: math.Float64bits(float64(v))} }
+func immFloat(v float64) imm { return imm{fb: math.Float64bits(v)} }
+
+func (m imm) float() float64 { return math.Float64frombits(m.fb) }
+
+func (m imm) format(k vector.Kind) string {
+	switch k {
+	case vector.Int32, vector.Int64:
+		return fmt.Sprint(m.i)
+	case vector.Float64:
+		return fmt.Sprint(m.float())
+	case vector.Bool:
+		return fmt.Sprint(m.b)
+	default:
+		return m.s
+	}
+}
+
+// node is the one concrete Expr: an operator, its result kind, its argument
+// expressions and its literal parameters.
+type node struct {
+	op   opcode
+	kind vector.Kind
+	args []Expr
+	// x holds the literal of opConst, the column index of opCol (x.i), the
+	// factor of Scaled/ToScaledInt64, the pattern (x.s) and negation (x.b) of
+	// LIKE and the start of Substr (x.i); y.i the length of Substr.
+	x, y imm
+	strs []string // InStr list
+	ints []int64  // InInt64 list
+
+	once atomic.Pointer[Program] // Eval's cached program
+}
+
+func (e *node) Kind() vector.Kind { return e.kind }
+
+func (e *node) String() string {
+	switch e.op {
+	case opCol:
+		return fmt.Sprintf("$%d", e.x.i)
+	case opConst:
+		return e.x.format(e.kind)
+	case opScaled, opToScaled:
+		return fmt.Sprintf("%s(%s,%g)", opNames[e.op], e.args[0], e.x.float())
+	case opLike:
+		if e.x.b {
+			return fmt.Sprintf("notlike(%s,%q)", e.args[0], e.x.s)
+		}
+		return fmt.Sprintf("like(%s,%q)", e.args[0], e.x.s)
+	case opInStr:
+		return fmt.Sprintf("in(%s,%v)", e.args[0], e.strs)
+	case opInInt:
+		return fmt.Sprintf("in(%s,%v)", e.args[0], e.ints)
+	case opSubstr:
+		return fmt.Sprintf("substr(%s,%d,%d)", e.args[0], e.x.i, e.y.i)
+	case opCase:
+		return fmt.Sprintf("case(%s,%s,%s)", e.args[0], e.args[1], e.args[2])
+	case opNot, opCastInt32, opCastInt64, opYear:
+		return fmt.Sprintf("%s(%s)", opNames[e.op], e.args[0])
+	default:
+		return fmt.Sprintf("(%s %s %s)", e.args[0], opSyms[e.op], e.args[1])
+	}
+}
+
+// Eval implements Expr: compile-or-reuse, run, hand the result over. Programs
+// are single-user, so concurrent callers of one shared Expr each take the
+// cached program or compile their own.
+func (e *node) Eval(b *vector.Batch) (*vector.Vec, error) {
+	p := e.once.Swap(nil)
+	if p == nil {
+		var err error
+		if p, err = Compile(e); err != nil {
+			return nil, err
+		}
+	}
+	defer e.once.Store(p)
+	if err := p.Run(b); err != nil {
+		return nil, err
+	}
+	return p.Take(0), nil
+}
+
 // --- column references and constants ---
 
-type colExpr struct {
-	idx  int
-	kind vector.Kind
-}
-
 // Col references input column idx with the given kind.
-func Col(idx int, kind vector.Kind) Expr { return &colExpr{idx, kind} }
-
-func (c *colExpr) Kind() vector.Kind { return c.kind }
-func (c *colExpr) String() string    { return fmt.Sprintf("$%d", c.idx) }
-
-func (c *colExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	if c.idx >= len(b.Vecs) {
-		return nil, fmt.Errorf("expr: column $%d out of range (%d cols)", c.idx, len(b.Vecs))
-	}
-	v := b.Vecs[c.idx]
-	if v.Kind() != c.kind {
-		return nil, fmt.Errorf("expr: column $%d is %v, expected %v", c.idx, v.Kind(), c.kind)
-	}
-	if b.Sel == nil {
-		return v, nil
-	}
-	return v.Gather(b.Sel, len(b.Sel)), nil
-}
-
-type constExpr struct {
-	kind vector.Kind
-	val  any
-}
+func Col(idx int, kind vector.Kind) Expr { return &node{op: opCol, kind: kind, x: imm{i: int64(idx)}} }
 
 // ConstInt64 is an int64 literal.
-func ConstInt64(v int64) Expr { return &constExpr{vector.Int64, v} }
+func ConstInt64(v int64) Expr { return &node{op: opConst, kind: vector.Int64, x: immInt(v)} }
 
 // ConstInt32 is an int32 literal (also used for date literals).
-func ConstInt32(v int32) Expr { return &constExpr{vector.Int32, v} }
+func ConstInt32(v int32) Expr { return &node{op: opConst, kind: vector.Int32, x: immInt(int64(v))} }
 
 // ConstFloat is a float64 literal.
-func ConstFloat(v float64) Expr { return &constExpr{vector.Float64, v} }
+func ConstFloat(v float64) Expr { return &node{op: opConst, kind: vector.Float64, x: immFloat(v)} }
 
 // ConstStr is a string literal.
-func ConstStr(v string) Expr { return &constExpr{vector.String, v} }
+func ConstStr(v string) Expr { return &node{op: opConst, kind: vector.String, x: imm{s: v}} }
 
 // ConstBool is a boolean literal.
-func ConstBool(v bool) Expr { return &constExpr{vector.Bool, v} }
-
-func (c *constExpr) Kind() vector.Kind { return c.kind }
-func (c *constExpr) String() string    { return fmt.Sprintf("%v", c.val) }
-
-func (c *constExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	return vector.Const(c.kind, c.val, b.Len()), nil
-}
-
-// --- numeric promotion helpers ---
-
-// asInt64 produces an []int64 view of an int32/int64 vector.
-func asInt64(v *vector.Vec) ([]int64, bool) {
-	switch v.Kind() {
-	case vector.Int64:
-		return v.Int64s(), true
-	case vector.Int32:
-		src := v.Int32s()
-		out := make([]int64, len(src))
-		for i, x := range src {
-			out[i] = int64(x)
-		}
-		return out, true
-	default:
-		return nil, false
-	}
-}
-
-// asFloat produces an []float64 view of any numeric vector.
-func asFloat(v *vector.Vec) ([]float64, bool) {
-	switch v.Kind() {
-	case vector.Float64:
-		return v.Float64s(), true
-	case vector.Int64:
-		src := v.Int64s()
-		out := make([]float64, len(src))
-		for i, x := range src {
-			out[i] = float64(x)
-		}
-		return out, true
-	case vector.Int32:
-		src := v.Int32s()
-		out := make([]float64, len(src))
-		for i, x := range src {
-			out[i] = float64(x)
-		}
-		return out, true
-	default:
-		return nil, false
-	}
-}
+func ConstBool(v bool) Expr { return &node{op: opConst, kind: vector.Bool, x: imm{b: v}} }
 
 func isNumeric(k vector.Kind) bool {
 	return k == vector.Int32 || k == vector.Int64 || k == vector.Float64
@@ -130,27 +198,12 @@ func isNumeric(k vector.Kind) bool {
 
 // --- arithmetic ---
 
-type arithOp uint8
-
-const (
-	opAdd arithOp = iota
-	opSub
-	opMul
-	opDiv
-)
-
-type arithExpr struct {
-	op   arithOp
-	l, r Expr
-	kind vector.Kind
-}
-
-func arith(op arithOp, l, r Expr) Expr {
+func arith(op opcode, l, r Expr) Expr {
 	kind := vector.Int64
 	if l.Kind() == vector.Float64 || r.Kind() == vector.Float64 || op == opDiv {
 		kind = vector.Float64
 	}
-	return &arithExpr{op: op, l: l, r: r, kind: kind}
+	return &node{op: op, kind: kind, args: []Expr{l, r}}
 }
 
 // Add returns l + r (int64 unless either side is float, then float64).
@@ -165,94 +218,10 @@ func Mul(l, r Expr) Expr { return arith(opMul, l, r) }
 // Div returns l / r as float64.
 func Div(l, r Expr) Expr { return arith(opDiv, l, r) }
 
-func (e *arithExpr) Kind() vector.Kind { return e.kind }
-
-func (e *arithExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.l, [...]string{"+", "-", "*", "/"}[e.op], e.r)
-}
-
-func (e *arithExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	lv, err := e.l.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := e.r.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if !isNumeric(lv.Kind()) || !isNumeric(rv.Kind()) {
-		return nil, fmt.Errorf("expr: arithmetic on %v/%v", lv.Kind(), rv.Kind())
-	}
-	if e.kind == vector.Float64 {
-		l, _ := asFloat(lv)
-		r, _ := asFloat(rv)
-		out := make([]float64, len(l))
-		switch e.op {
-		case opAdd:
-			for i := range l {
-				out[i] = l[i] + r[i]
-			}
-		case opSub:
-			for i := range l {
-				out[i] = l[i] - r[i]
-			}
-		case opMul:
-			for i := range l {
-				out[i] = l[i] * r[i]
-			}
-		case opDiv:
-			for i := range l {
-				out[i] = l[i] / r[i]
-			}
-		}
-		return vector.FromFloat64(out), nil
-	}
-	l, _ := asInt64(lv)
-	r, _ := asInt64(rv)
-	out := make([]int64, len(l))
-	switch e.op {
-	case opAdd:
-		for i := range l {
-			out[i] = l[i] + r[i]
-		}
-	case opSub:
-		for i := range l {
-			out[i] = l[i] - r[i]
-		}
-	case opMul:
-		for i := range l {
-			out[i] = l[i] * r[i]
-		}
-	}
-	return vector.FromInt64(out), nil
-}
-
 // Scaled converts a scaled-int64 decimal column to float64 (factor is the
 // inverse scale, e.g. 0.01 for two decimal digits).
-func Scaled(e Expr, factor float64) Expr { return &scaledExpr{e, factor} }
-
-type scaledExpr struct {
-	e      Expr
-	factor float64
-}
-
-func (s *scaledExpr) Kind() vector.Kind { return vector.Float64 }
-func (s *scaledExpr) String() string    { return fmt.Sprintf("scaled(%s,%g)", s.e, s.factor) }
-
-func (s *scaledExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := s.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	f, ok := asFloat(v)
-	if !ok {
-		return nil, fmt.Errorf("expr: scaled() on %v", v.Kind())
-	}
-	out := make([]float64, len(f))
-	for i, x := range f {
-		out[i] = x * s.factor
-	}
-	return vector.FromFloat64(out), nil
+func Scaled(e Expr, factor float64) Expr {
+	return &node{op: opScaled, kind: vector.Float64, args: []Expr{e}, x: immFloat(factor)}
 }
 
 // --- physical casts (the trickle-update write path converts computed
@@ -261,570 +230,93 @@ func (s *scaledExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
 // CastInt32 narrows an integer expression to int32, failing at evaluation
 // time on values outside the int32 range (silent truncation would corrupt
 // stored data).
-func CastInt32(e Expr) Expr { return &castInt32Expr{e} }
-
-type castInt32Expr struct{ e Expr }
-
-func (c *castInt32Expr) Kind() vector.Kind { return vector.Int32 }
-func (c *castInt32Expr) String() string    { return fmt.Sprintf("int32(%s)", c.e) }
-
-func (c *castInt32Expr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := c.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind() == vector.Int32 {
-		return v, nil
-	}
-	src, ok := asInt64(v)
-	if !ok {
-		return nil, fmt.Errorf("expr: int32() on %v", v.Kind())
-	}
-	out := make([]int32, len(src))
-	for i, x := range src {
-		if x < -1<<31 || x > 1<<31-1 {
-			return nil, fmt.Errorf("expr: value %d overflows int32", x)
-		}
-		out[i] = int32(x)
-	}
-	return vector.FromInt32(out), nil
-}
+func CastInt32(e Expr) Expr { return &node{op: opCastInt32, kind: vector.Int32, args: []Expr{e}} }
 
 // CastInt64 widens an int32 expression to int64 (a no-op on int64 input).
-func CastInt64(e Expr) Expr { return &castInt64Expr{e} }
-
-type castInt64Expr struct{ e Expr }
-
-func (c *castInt64Expr) Kind() vector.Kind { return vector.Int64 }
-func (c *castInt64Expr) String() string    { return fmt.Sprintf("int64(%s)", c.e) }
-
-func (c *castInt64Expr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := c.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind() == vector.Int64 {
-		return v, nil
-	}
-	src, ok := asInt64(v)
-	if !ok {
-		return nil, fmt.Errorf("expr: int64() on %v", v.Kind())
-	}
-	return vector.FromInt64(src), nil
-}
+func CastInt64(e Expr) Expr { return &node{op: opCastInt64, kind: vector.Int64, args: []Expr{e}} }
 
 // ToScaledInt64 converts a numeric expression to a scaled int64 (the
 // inverse of Scaled): round(x * scale). It is how computed SQL decimal
 // values return to their storage representation.
-func ToScaledInt64(e Expr, scale float64) Expr { return &toScaledExpr{e, scale} }
-
-type toScaledExpr struct {
-	e     Expr
-	scale float64
+func ToScaledInt64(e Expr, scale float64) Expr {
+	return &node{op: opToScaled, kind: vector.Int64, args: []Expr{e}, x: immFloat(scale)}
 }
 
-func (s *toScaledExpr) Kind() vector.Kind { return vector.Int64 }
-func (s *toScaledExpr) String() string    { return fmt.Sprintf("toscaled(%s,%g)", s.e, s.scale) }
+// --- comparisons and boolean connectives ---
 
-func (s *toScaledExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := s.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	f, ok := asFloat(v)
-	if !ok {
-		return nil, fmt.Errorf("expr: toscaled() on %v", v.Kind())
-	}
-	out := make([]int64, len(f))
-	for i, x := range f {
-		out[i] = int64(math.Round(x * s.scale))
-	}
-	return vector.FromInt64(out), nil
-}
-
-// --- comparisons ---
-
-type cmpOp uint8
-
-const (
-	opLT cmpOp = iota
-	opLE
-	opGT
-	opGE
-	opEQ
-	opNE
-)
-
-type cmpExpr struct {
-	op   cmpOp
-	l, r Expr
-}
+func boolean(op opcode, args ...Expr) Expr { return &node{op: op, kind: vector.Bool, args: args} }
 
 // LT returns l < r.
-func LT(l, r Expr) Expr { return &cmpExpr{opLT, l, r} }
+func LT(l, r Expr) Expr { return boolean(opLT, l, r) }
 
 // LE returns l <= r.
-func LE(l, r Expr) Expr { return &cmpExpr{opLE, l, r} }
+func LE(l, r Expr) Expr { return boolean(opLE, l, r) }
 
 // GT returns l > r.
-func GT(l, r Expr) Expr { return &cmpExpr{opGT, l, r} }
+func GT(l, r Expr) Expr { return boolean(opGT, l, r) }
 
 // GE returns l >= r.
-func GE(l, r Expr) Expr { return &cmpExpr{opGE, l, r} }
+func GE(l, r Expr) Expr { return boolean(opGE, l, r) }
 
 // EQ returns l == r.
-func EQ(l, r Expr) Expr { return &cmpExpr{opEQ, l, r} }
+func EQ(l, r Expr) Expr { return boolean(opEQ, l, r) }
 
 // NE returns l != r.
-func NE(l, r Expr) Expr { return &cmpExpr{opNE, l, r} }
-
-func (e *cmpExpr) Kind() vector.Kind { return vector.Bool }
-
-func (e *cmpExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.l, [...]string{"<", "<=", ">", ">=", "=", "<>"}[e.op], e.r)
-}
-
-// cmpStrOne applies one comparison to a scalar string pair (the dictionary
-// fast path evaluates it once per dictionary entry).
-func cmpStrOne(op cmpOp, a, b string) bool {
-	switch op {
-	case opLT:
-		return a < b
-	case opLE:
-		return a <= b
-	case opGT:
-		return a > b
-	case opGE:
-		return a >= b
-	case opEQ:
-		return a == b
-	case opNE:
-		return a != b
-	}
-	return false
-}
-
-// dictMap evaluates a scalar string predicate once per dictionary entry of a
-// code vector, then gathers the per-entry verdicts through the codes.
-func dictMap(v *vector.Vec, pred func(string) bool) []bool {
-	vals := v.Dict().Values
-	dm := make([]bool, len(vals))
-	for i, s := range vals {
-		dm[i] = pred(s)
-	}
-	codes := v.DictCodes()
-	out := make([]bool, len(codes))
-	for i, c := range codes {
-		out[i] = dm[c]
-	}
-	return out
-}
-
-func cmpSlice[T int64 | float64 | string](op cmpOp, l, r []T) []bool {
-	out := make([]bool, len(l))
-	switch op {
-	case opLT:
-		for i := range l {
-			out[i] = l[i] < r[i]
-		}
-	case opLE:
-		for i := range l {
-			out[i] = l[i] <= r[i]
-		}
-	case opGT:
-		for i := range l {
-			out[i] = l[i] > r[i]
-		}
-	case opGE:
-		for i := range l {
-			out[i] = l[i] >= r[i]
-		}
-	case opEQ:
-		for i := range l {
-			out[i] = l[i] == r[i]
-		}
-	case opNE:
-		for i := range l {
-			out[i] = l[i] != r[i]
-		}
-	}
-	return out
-}
-
-func (e *cmpExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	lv, err := e.l.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := e.r.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case lv.Kind() == vector.String && rv.Kind() == vector.String:
-		// Dictionary fast path: comparing a code vector against a literal
-		// evaluates the comparison once per dictionary entry, then maps it
-		// over the codes — no string materialization, no per-row compares.
-		if lv.IsDict() {
-			if c, ok := e.r.(*constExpr); ok {
-				return vector.FromBool(dictMap(lv, func(s string) bool {
-					return cmpStrOne(e.op, s, c.val.(string))
-				})), nil
-			}
-		}
-		if rv.IsDict() {
-			if c, ok := e.l.(*constExpr); ok {
-				return vector.FromBool(dictMap(rv, func(s string) bool {
-					return cmpStrOne(e.op, c.val.(string), s)
-				})), nil
-			}
-		}
-		return vector.FromBool(cmpSlice(e.op, lv.Strings(), rv.Strings())), nil
-	case lv.Kind() == vector.Float64 || rv.Kind() == vector.Float64:
-		l, ok1 := asFloat(lv)
-		r, ok2 := asFloat(rv)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("expr: compare %v with %v", lv.Kind(), rv.Kind())
-		}
-		return vector.FromBool(cmpSlice(e.op, l, r)), nil
-	default:
-		l, ok1 := asInt64(lv)
-		r, ok2 := asInt64(rv)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("expr: compare %v with %v", lv.Kind(), rv.Kind())
-		}
-		return vector.FromBool(cmpSlice(e.op, l, r)), nil
-	}
-}
+func NE(l, r Expr) Expr { return boolean(opNE, l, r) }
 
 // Between returns lo <= e AND e <= hi.
 func Between(e, lo, hi Expr) Expr { return And(GE(e, lo), LE(e, hi)) }
 
-// --- boolean connectives ---
-
-type boolOp uint8
-
-const (
-	opAnd boolOp = iota
-	opOr
-	opNot
-)
-
-type boolExpr struct {
-	op   boolOp
-	l, r Expr
-}
-
 // And returns l AND r.
-func And(l, r Expr) Expr { return &boolExpr{opAnd, l, r} }
+func And(l, r Expr) Expr { return boolean(opAnd, l, r) }
 
 // Or returns l OR r.
-func Or(l, r Expr) Expr { return &boolExpr{opOr, l, r} }
+func Or(l, r Expr) Expr { return boolean(opOr, l, r) }
 
 // Not returns NOT l.
-func Not(l Expr) Expr { return &boolExpr{opNot, l, nil} }
-
-func (e *boolExpr) Kind() vector.Kind { return vector.Bool }
-
-func (e *boolExpr) String() string {
-	if e.op == opNot {
-		return fmt.Sprintf("not(%s)", e.l)
-	}
-	return fmt.Sprintf("(%s %s %s)", e.l, [...]string{"and", "or"}[e.op], e.r)
-}
-
-func (e *boolExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	lv, err := e.l.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if lv.Kind() != vector.Bool {
-		return nil, fmt.Errorf("expr: boolean op on %v", lv.Kind())
-	}
-	l := lv.Bools()
-	if e.op == opNot {
-		out := make([]bool, len(l))
-		for i := range l {
-			out[i] = !l[i]
-		}
-		return vector.FromBool(out), nil
-	}
-	rv, err := e.r.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if rv.Kind() != vector.Bool {
-		return nil, fmt.Errorf("expr: boolean op on %v", rv.Kind())
-	}
-	r := rv.Bools()
-	out := make([]bool, len(l))
-	if e.op == opAnd {
-		for i := range l {
-			out[i] = l[i] && r[i]
-		}
-	} else {
-		for i := range l {
-			out[i] = l[i] || r[i]
-		}
-	}
-	return vector.FromBool(out), nil
-}
+func Not(l Expr) Expr { return boolean(opNot, l) }
 
 // --- string predicates ---
 
-type likeExpr struct {
-	e       Expr
-	pattern string
-	negate  bool
-}
-
 // Like implements SQL LIKE with % wildcards (the _ wildcard is not needed by
 // TPC-H and unsupported).
-func Like(e Expr, pattern string) Expr { return &likeExpr{e, pattern, false} }
-
-// NotLike is the negation of Like.
-func NotLike(e Expr, pattern string) Expr { return &likeExpr{e, pattern, true} }
-
-func (e *likeExpr) Kind() vector.Kind { return vector.Bool }
-func (e *likeExpr) String() string    { return fmt.Sprintf("like(%s,%q)", e.e, e.pattern) }
-
-func (e *likeExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := e.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind() != vector.String {
-		return nil, fmt.Errorf("expr: LIKE on %v", v.Kind())
-	}
-	parts := strings.Split(e.pattern, "%")
-	anchoredL := !strings.HasPrefix(e.pattern, "%")
-	anchoredR := !strings.HasSuffix(e.pattern, "%")
-	var pieces []string
-	for _, p := range parts {
-		if p != "" {
-			pieces = append(pieces, p)
-		}
-	}
-	if v.IsDict() {
-		// LIKE over a code vector: match each dictionary entry once, then
-		// map the verdicts over the codes. For low-cardinality columns this
-		// turns ~1024 substring searches per vector into a handful.
-		return vector.FromBool(dictMap(v, func(s string) bool {
-			return likeMatch(s, pieces, anchoredL, anchoredR) != e.negate
-		})), nil
-	}
-	src := v.Strings()
-	out := make([]bool, len(src))
-	for i, s := range src {
-		out[i] = likeMatch(s, pieces, anchoredL, anchoredR) != e.negate
-	}
-	return vector.FromBool(out), nil
+func Like(e Expr, pattern string) Expr {
+	return &node{op: opLike, kind: vector.Bool, args: []Expr{e}, x: imm{s: pattern}}
 }
 
-func likeMatch(s string, pieces []string, anchoredL, anchoredR bool) bool {
-	if len(pieces) == 0 {
-		return true
-	}
-	if anchoredL {
-		if !strings.HasPrefix(s, pieces[0]) {
-			return false
-		}
-		s = s[len(pieces[0]):]
-		pieces = pieces[1:]
-		if len(pieces) == 0 && anchoredR {
-			// No wildcard between the anchors: exact match required.
-			return s == ""
-		}
-	}
-	var last string
-	if anchoredR && len(pieces) > 0 {
-		last = pieces[len(pieces)-1]
-		pieces = pieces[:len(pieces)-1]
-	}
-	for _, p := range pieces {
-		idx := strings.Index(s, p)
-		if idx < 0 {
-			return false
-		}
-		s = s[idx+len(p):]
-	}
-	if last != "" {
-		return strings.HasSuffix(s, last)
-	}
-	return true
+// NotLike is the negation of Like.
+func NotLike(e Expr, pattern string) Expr {
+	return &node{op: opLike, kind: vector.Bool, args: []Expr{e}, x: imm{s: pattern, b: true}}
 }
 
 // InStr tests membership in a string list.
-func InStr(e Expr, vals ...string) Expr { return &inStrExpr{e, vals} }
-
-type inStrExpr struct {
-	e    Expr
-	vals []string
-}
-
-func (e *inStrExpr) Kind() vector.Kind { return vector.Bool }
-func (e *inStrExpr) String() string    { return fmt.Sprintf("in(%s,%v)", e.e, e.vals) }
-
-func (e *inStrExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := e.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind() != vector.String {
-		return nil, fmt.Errorf("expr: IN strings on %v", v.Kind())
-	}
-	set := make(map[string]bool, len(e.vals))
-	for _, s := range e.vals {
-		set[s] = true
-	}
-	if v.IsDict() {
-		return vector.FromBool(dictMap(v, func(s string) bool { return set[s] })), nil
-	}
-	src := v.Strings()
-	out := make([]bool, len(src))
-	for i, s := range src {
-		out[i] = set[s]
-	}
-	return vector.FromBool(out), nil
+func InStr(e Expr, vals ...string) Expr {
+	return &node{op: opInStr, kind: vector.Bool, args: []Expr{e}, strs: vals}
 }
 
 // InInt64 tests membership in an integer list.
-func InInt64(e Expr, vals ...int64) Expr { return &inIntExpr{e, vals} }
-
-type inIntExpr struct {
-	e    Expr
-	vals []int64
-}
-
-func (e *inIntExpr) Kind() vector.Kind { return vector.Bool }
-func (e *inIntExpr) String() string    { return fmt.Sprintf("in(%s,%v)", e.e, e.vals) }
-
-func (e *inIntExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := e.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	src, ok := asInt64(v)
-	if !ok {
-		return nil, fmt.Errorf("expr: IN ints on %v", v.Kind())
-	}
-	set := make(map[int64]bool, len(e.vals))
-	for _, x := range e.vals {
-		set[x] = true
-	}
-	out := make([]bool, len(src))
-	for i, x := range src {
-		out[i] = set[x]
-	}
-	return vector.FromBool(out), nil
+func InInt64(e Expr, vals ...int64) Expr {
+	return &node{op: opInInt, kind: vector.Bool, args: []Expr{e}, ints: vals}
 }
 
 // Substr returns the 1-based substring of fixed length (SQL SUBSTRING(e FROM
-// start FOR length)).
-func Substr(e Expr, start, length int) Expr { return &substrExpr{e, start, length} }
-
-type substrExpr struct {
-	e             Expr
-	start, length int
-}
-
-func (e *substrExpr) Kind() vector.Kind { return vector.String }
-func (e *substrExpr) String() string    { return fmt.Sprintf("substr(%s,%d,%d)", e.e, e.start, e.length) }
-
-func (e *substrExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := e.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind() != vector.String {
-		return nil, fmt.Errorf("expr: SUBSTRING on %v", v.Kind())
-	}
-	src := v.Strings()
-	out := make([]string, len(src))
-	for i, s := range src {
-		lo := e.start - 1
-		if lo > len(s) {
-			lo = len(s)
-		}
-		hi := lo + e.length
-		if hi > len(s) {
-			hi = len(s)
-		}
-		out[i] = s[lo:hi]
-	}
-	return vector.FromString(out), nil
+// start FOR length)). A start below 1 reads from the first byte and a
+// negative length yields the empty string; the SQL binder rejects both.
+func Substr(e Expr, start, length int) Expr {
+	return &node{op: opSubstr, kind: vector.String, args: []Expr{e}, x: imm{i: int64(start)}, y: imm{i: int64(length)}}
 }
 
 // --- dates ---
 
 // Year extracts the civil year of a date column (int32 days since epoch).
-func Year(e Expr) Expr { return &yearExpr{e} }
-
-type yearExpr struct{ e Expr }
-
-func (e *yearExpr) Kind() vector.Kind { return vector.Int32 }
-func (e *yearExpr) String() string    { return fmt.Sprintf("year(%s)", e.e) }
-
-func (e *yearExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	v, err := e.e.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind() != vector.Int32 {
-		return nil, fmt.Errorf("expr: YEAR on %v", v.Kind())
-	}
-	src := v.Int32s()
-	out := make([]int32, len(src))
-	for i, d := range src {
-		out[i] = vector.YearOf(d)
-	}
-	return vector.FromInt32(out), nil
-}
+func Year(e Expr) Expr { return &node{op: opYear, kind: vector.Int32, args: []Expr{e}} }
 
 // --- CASE WHEN ---
 
 // Case returns then where when is true, otherwise els. then and els must
 // have the same kind.
-func Case(when, then, els Expr) Expr { return &caseExpr{when, then, els} }
-
-type caseExpr struct {
-	when, then, els Expr
-}
-
-func (e *caseExpr) Kind() vector.Kind { return e.then.Kind() }
-func (e *caseExpr) String() string {
-	return fmt.Sprintf("case(%s,%s,%s)", e.when, e.then, e.els)
-}
-
-func (e *caseExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
-	wv, err := e.when.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if wv.Kind() != vector.Bool {
-		return nil, fmt.Errorf("expr: CASE condition is %v", wv.Kind())
-	}
-	tv, err := e.then.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	ev, err := e.els.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if tv.Kind() != ev.Kind() {
-		return nil, fmt.Errorf("expr: CASE branches %v vs %v", tv.Kind(), ev.Kind())
-	}
-	w := wv.Bools()
-	out := vector.New(tv.Kind(), len(w))
-	for i, cond := range w {
-		if cond {
-			out.AppendFrom(tv, i)
-		} else {
-			out.AppendFrom(ev, i)
-		}
-	}
-	return out, nil
+func Case(when, then, els Expr) Expr {
+	return &node{op: opCase, kind: then.Kind(), args: []Expr{when, then, els}}
 }
 
 // SelFromBool converts a dense boolean vector into a selection vector over

@@ -236,23 +236,12 @@ func flatten(consumersPerNode []int) (total int, streamNode []int) {
 // DXchgHashSplit hash-partitions producer streams (grouped by node) across
 // consumer threads on every node. It returns consumer ports indexed
 // [node][thread].
+//
+// Routing runs on exec.RowHasher — the single hash definition shared with
+// local exchange partitioning and the join/aggregation hash tables. Every
+// sender compiles its own from keys, so steady-state routing is
+// allocation-free and nothing mutable is shared between senders.
 func DXchgHashSplit(cfg Config, producers [][]exec.Operator, keys []expr.Expr, consumersPerNode []int) ([][]exec.Operator, *Exchange) {
-	// Routing delegates to exec.HashRowsInto, which runs on the vector hash
-	// kernels — the single hash definition shared with local exchange
-	// partitioning and the join/aggregation hash tables — reusing the
-	// sender's scratch buffer batch over batch.
-	return newSplit(cfg, producers, consumersPerNode, func(b *vector.Batch, scratch []uint64) ([]uint64, error) {
-		return exec.HashRowsInto(scratch, b, keys)
-	})
-}
-
-// newSplit builds a partitioning exchange; route returns one routing value
-// per live row, reduced modulo the stream count. The scratch argument is a
-// per-sender buffer route may reuse and return, keeping steady-state routing
-// allocation-free.
-func newSplit(cfg Config, producers [][]exec.Operator, consumersPerNode []int,
-	route func(*vector.Batch, []uint64) ([]uint64, error)) ([][]exec.Operator, *Exchange) {
-
 	totalStreams, streamNode := flatten(consumersPerNode)
 	ex := newExchange(cfg)
 	nSenders := 0
@@ -278,7 +267,7 @@ func newSplit(cfg Config, producers [][]exec.Operator, consumersPerNode []int,
 	// Sender goroutines.
 	for pn, ps := range producers {
 		for _, p := range ps {
-			go runSplitSender(ex, comm, pn, p, totalStreams, streamNode, consumersPerNode, route)
+			go runSplitSender(ex, comm, pn, p, totalStreams, streamNode, consumersPerNode, keys)
 		}
 	}
 
@@ -348,8 +337,7 @@ func newSplit(cfg Config, producers [][]exec.Operator, consumersPerNode []int,
 }
 
 func runSplitSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator,
-	totalStreams int, streamNode []int, consumersPerNode []int,
-	route func(*vector.Batch, []uint64) ([]uint64, error)) {
+	totalStreams int, streamNode []int, consumersPerNode []int, keys []expr.Expr) {
 
 	defer comm.DoneSending()
 	t2t := ex.cfg.Mode == ThreadToThread
@@ -378,12 +366,16 @@ func runSplitSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator,
 		// Deliver the error through rank 0 so some consumer sees it.
 		comm.SendQuit(node, 0, errBatch(err), ex.quit)
 	}
+	hasher, err := exec.NewRowHasher(keys)
+	if err != nil {
+		fail(err)
+		return
+	}
 	if err := p.Open(); err != nil {
 		fail(err)
 		return
 	}
 	defer p.Close()
-	var scratch []uint64 // per-sender routing buffer, reused batch over batch
 	for {
 		// The per-batch cancellation point of §5's DXchg senders: a
 		// cancelled query stops partitioning and stops pulling from the
@@ -400,12 +392,11 @@ func runSplitSender(ex *Exchange, comm *mpi.Comm, node int, p exec.Operator,
 		if b == nil {
 			break
 		}
-		rvals, err := route(b, scratch)
+		rvals, err := hasher.Hash(b)
 		if err != nil {
 			fail(err)
 			return
 		}
-		scratch = rvals
 		for i := range sels {
 			sels[i] = sels[i][:0]
 		}

@@ -249,7 +249,21 @@ type physProject struct {
 
 func (p *physProject) OutSchema() vector.Schema { return p.schema }
 func (p *physProject) children() []Phys         { return []Phys{p.child} }
-func (p *physProject) label() string            { return fmt.Sprintf("Project[%d exprs]", len(p.exprs)) }
+func (p *physProject) label() string {
+	return fmt.Sprintf("Project[%d exprs,%d prims]", len(p.exprs), numPrims(p.exprs))
+}
+
+// numPrims is the size of the program an operator instance compiles from
+// exprs, shown in labels so a missed shared sub-expression or an unexpected
+// conversion is visible in EXPLAIN without a profiler. A set that does not
+// compile reports 0; Open surfaces the error.
+func numPrims(exprs []expr.Expr) int {
+	prog, err := expr.Compile(exprs...)
+	if err != nil {
+		return 0
+	}
+	return prog.NumPrims()
+}
 
 func (p *physProject) instantiate(e *Env) ([][]exec.Operator, error) {
 	in, err := e.instantiate(p.child)
@@ -376,7 +390,8 @@ type physAggr struct {
 func (p *physAggr) OutSchema() vector.Schema { return p.schema }
 func (p *physAggr) children() []Phys         { return []Phys{p.child} }
 func (p *physAggr) label() string {
-	return fmt.Sprintf("Aggr(%s)[%d keys,%d aggs]", p.kind, len(p.keys), len(p.aggs))
+	return fmt.Sprintf("Aggr(%s)[%d keys,%d aggs,%d prims]", p.kind, len(p.keys), len(p.aggs),
+		numPrims(exec.AggExprs(p.keys, p.aggs)))
 }
 
 func (p *physAggr) instantiate(e *Env) ([][]exec.Operator, error) {

@@ -395,6 +395,32 @@ func TestErrorCarriesPosition(t *testing.T) {
 	}
 }
 
+// TestSubstringOutOfRangeIsAnErrorNotACrash: SUBSTRING(x FROM 0 ...) used to
+// slice out of bounds on an exchange sender goroutine, which nothing recovers
+// — one statement killed the process. It is now a positioned bind error, the
+// connection stays usable, and a length near MaxInt64 (which overflowed the
+// same bounds arithmetic) just reads to the end of the string.
+func TestSubstringOutOfRangeIsAnErrorNotACrash(t *testing.T) {
+	_, addr := startServer(t, Options{})
+	c := dial(t, addr)
+	_, err := c.Query(context.Background(), "select substring(c_phone from 0 for 2) from customer")
+	var werr *WireError
+	if !errors.As(err, &werr) || werr.Line != 1 || werr.Col != 8 || !strings.Contains(err.Error(), "SUBSTRING start must be at least 1") {
+		t.Fatalf("err = %v, want a positioned error frame", err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after the error: %v", err)
+	}
+	res, err := c.Query(context.Background(),
+		"select c_phone, substring(c_phone from 2 for 9223372036854775807) as rest from customer where c_custkey = 1")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][1] != res.Rows[0][0].(string)[1:] {
+		t.Fatalf("rows = %v, err = %v", res, err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after the long substring: %v", err)
+	}
+}
+
 // TestExecOverWire runs DML through a session (insert, verify, delete).
 func TestExecOverWire(t *testing.T) {
 	_, addr := startServer(t, Options{})

@@ -1287,6 +1287,15 @@ func lowerExpr(s vector.Schema, e Expr, top bool) (plan.Expr, error) {
 		}
 		return plan.Like(ce, x.Pattern), nil
 	case *SubstrExpr:
+		// SQL positions are 1-based. The kernel reads from the first byte for
+		// anything lower, which is not what the standard says, so it is not
+		// offered; this is the one place SELECT and DML expressions all pass.
+		if x.Start < 1 {
+			return plan.Expr{}, errf(x.P, "SUBSTRING start must be at least 1, got %d", x.Start)
+		}
+		if x.Length < 0 {
+			return plan.Expr{}, errf(x.P, "SUBSTRING length must not be negative, got %d", x.Length)
+		}
 		ce, err := lowerExpr(s, x.E, false)
 		if err != nil {
 			return plan.Expr{}, err

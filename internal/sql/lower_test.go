@@ -79,6 +79,10 @@ func TestLowerErrors(t *testing.T) {
 			`subquery column (int64) and outer column s (string) have incompatible types`},
 		{"select substring(a from 1 for 2) from t",
 			`1:8: SUBSTRING requires a string argument`},
+		{"select substring(s from 0 for 2) from t",
+			`1:8: SUBSTRING start must be at least 1, got 0`},
+		{"select a from t where substring(s from 0 for 2) = 'x'",
+			`1:23: SUBSTRING start must be at least 1, got 0`},
 	}
 	cat := testCat()
 	for _, c := range cases {

@@ -809,7 +809,10 @@ func (p *parser) parseSubstring() (Expr, error) {
 		return nil, errf(s.pos, "expected integer start in SUBSTRING, found %q", s.text)
 	}
 	p.next()
-	start, _ := strconv.ParseInt(s.text, 10, 64)
+	start, err := strconv.ParseInt(s.text, 10, 64)
+	if err != nil {
+		return nil, errf(s.pos, "SUBSTRING start %s does not fit in 64 bits", s.text)
+	}
 	if _, err := p.expect("for"); err != nil {
 		return nil, err
 	}
@@ -818,7 +821,10 @@ func (p *parser) parseSubstring() (Expr, error) {
 		return nil, errf(n.pos, "expected integer length in SUBSTRING, found %q", n.text)
 	}
 	p.next()
-	length, _ := strconv.ParseInt(n.text, 10, 64)
+	length, err := strconv.ParseInt(n.text, 10, 64)
+	if err != nil {
+		return nil, errf(n.pos, "SUBSTRING length %s does not fit in 64 bits", n.text)
+	}
 	if _, err := p.expect(")"); err != nil {
 		return nil, err
 	}

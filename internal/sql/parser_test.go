@@ -98,6 +98,10 @@ func TestParseErrors(t *testing.T) {
 		{"select a from t where exists (a > 1)", `1:31: expected SELECT after EXISTS (, found "a"`},
 		{"select substring(s from x for 2) from t", `1:25: expected integer start in SUBSTRING, found "x"`},
 		{"select substring(s from 1, 2) from t", `1:26: expected "for", found ","`},
+		{"select substring(s from 2 for 92233720368547758070) from t",
+			`1:31: SUBSTRING length 92233720368547758070 does not fit in 64 bits`},
+		{"select substring(s from 92233720368547758070 for 2) from t",
+			`1:25: SUBSTRING start 92233720368547758070 does not fit in 64 bits`},
 		{"select a from (select a from t)", `1:32: derived table requires an alias, found "end of input"`},
 		{"select a from (select a from t) as", `1:35: derived table requires an alias, found "end of input"`},
 		{"select a from t as where a = 1", `1:20: expected alias, found "where"`},

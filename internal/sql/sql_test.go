@@ -218,10 +218,10 @@ func TestExplainGolden(t *testing.T) {
 	want := strings.TrimLeft(`
 Sort ~14 rows
   DXchgUnion->n0
-    Project[2 exprs] ~14 rows
-      Aggr(final)[1 keys,1 aggs]
+    Project[2 exprs,0 prims] ~14 rows
+      Aggr(final)[1 keys,1 aggs,0 prims]
         DXchgHashSplit
-          Aggr(partial)[1 keys,1 aggs]
+          Aggr(partial)[1 keys,1 aggs,0 prims]
             HashJoin[0,replicated-build] ~134 rows
               MScan[sales] (partitioned) pred(sold in [18276,max]) ~134 rows
               MScan[regions] (replicated) ~4 rows
@@ -253,10 +253,10 @@ func TestExplainGoldenMultiConjunct(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.TrimLeft(`
-Project[1 exprs] ~14 rows
-  Aggr(final)[0 keys,1 aggs]
+Project[1 exprs,0 prims] ~14 rows
+  Aggr(final)[0 keys,1 aggs,0 prims]
     DXchgUnion->n0
-      Aggr(partial)[0 keys,1 aggs]
+      Aggr(partial)[0 keys,1 aggs,0 prims]
         Select[(($1 + 1) > 12)] ~134 rows
           MScan[sales] (partitioned) pred(sold in [18276,18306] & amount in [10,95) & id in [1 2 3 500]) ~400 rows
 `, "\n")

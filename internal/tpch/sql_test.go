@@ -94,3 +94,35 @@ func TestSQLExplain(t *testing.T) {
 		t.Errorf("explain lacks orders scan:\n%s", ex)
 	}
 }
+
+// TestExplainShowsProgramSizes pins what the compiler makes of the two
+// expression-heaviest statements of the benchmark: Q01's partial aggregate
+// evaluates two keys and eleven aggregates over five distinct expressions in
+// 8 primitives (4 decimal conversions, 1-disc, 1+tax, two multiplies), and the
+// projection under S3's aggregate takes 10. A missed shared sub-expression or
+// a constant that is broadcast instead of folded into a kernel moves these
+// numbers, in EXPLAIN, without a profiler.
+func TestExplainShowsProgramSizes(t *testing.T) {
+	d := Generate(0.002, 7)
+	db := newDB(t)
+	if err := LoadIntoEngine(db.Engine, d, 6); err != nil {
+		t.Fatal(err)
+	}
+	const s3 = `select l_shipmode, year(l_shipdate) as ship_year,
+	       sum(case when l_discount > 0.05 then l_extendedprice * (1 - l_discount) else 0 end) as disc_revenue,
+	       sum(l_quantity * l_tax) as qty_tax
+	from lineitem
+	group by l_shipmode, ship_year`
+	for _, c := range []struct{ name, sql, want string }{
+		{"Q01", SQLQueries[1], "Aggr(partial)[2 keys,11 aggs,8 prims]"},
+		{"S3", s3, "Project[4 exprs,10 prims]"},
+	} {
+		ex, err := db.ExplainSQL(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(ex, c.want) {
+			t.Errorf("%s: explain lacks %q:\n%s", c.name, c.want, ex)
+		}
+	}
+}

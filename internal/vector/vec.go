@@ -68,7 +68,7 @@ func FromString(vals []string) *Vec { return &Vec{kind: String, n: len(vals), st
 // Const returns a vector of n copies of the given value (Go value must match
 // the kind: bool, int32, int64, float64 or string).
 func Const(kind Kind, val any, n int) *Vec {
-	v := New(kind, n)
+	v := New(kind, max(n, 1)) // New(kind, 0) would reserve MaxSize for an empty batch
 	for i := 0; i < n; i++ {
 		v.AppendAny(val)
 	}
@@ -91,6 +91,67 @@ func (v *Vec) Reset() {
 	v.f64 = v.f64[:0]
 	v.str = v.str[:0]
 	v.codes, v.dict = nil, nil
+}
+
+// Resize sets the length to n, reusing the vector's capacity and growing it
+// when short; the n values are unspecified until the caller overwrites them.
+// Together with GatherFrom it is how operator-owned scratch vectors (the
+// registers of an expr.Program) are refilled batch after batch without
+// allocating. Only for vectors the caller created with New and has not handed
+// downstream.
+func (v *Vec) Resize(n int) {
+	switch v.kind {
+	case Bool:
+		v.b = resize(v.b, n)
+	case Int32:
+		v.i32 = resize(v.i32, n)
+	case Int64:
+		v.i64 = resize(v.i64, n)
+	case Float64:
+		v.f64 = resize(v.f64, n)
+	case String:
+		v.str = resize(v.str, n)
+	default:
+		panic("vector: Resize on invalid vector")
+	}
+	v.n, v.dict = n, nil
+}
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// GatherFrom overwrites v with src[sel[i]] for every position of sel (same
+// kind), reusing v's buffers: the allocation-free form of Gather, under the
+// ownership rule of Resize. A dictionary source stays in code form.
+func (v *Vec) GatherFrom(src *Vec, sel []int32) {
+	if src.dict != nil {
+		v.codes, v.dict, v.n = resize(v.codes, len(sel)), src.dict, len(sel)
+		gather(v.codes, src.codes, sel)
+		return
+	}
+	v.Resize(len(sel))
+	switch v.kind {
+	case Bool:
+		gather(v.b, src.b, sel)
+	case Int32:
+		gather(v.i32, src.i32, sel)
+	case Int64:
+		gather(v.i64, src.i64, sel)
+	case Float64:
+		gather(v.f64, src.f64, sel)
+	case String:
+		gather(v.str, src.str, sel)
+	}
+}
+
+func gather[T any](dst, src []T, sel []int32) {
+	for i, s := range sel {
+		dst[i] = src[s]
+	}
 }
 
 // Bools returns the backing slice of a Bool vector.
@@ -317,58 +378,16 @@ func (v *Vec) AppendZero() {
 // vector gathers codes and keeps the dictionary handle, so selection and
 // join payload gathers stay in code space.
 func (v *Vec) Gather(sel []int32, n int) *Vec {
-	if v.dict != nil {
-		var codes []uint32
-		if sel == nil {
-			codes = append(make([]uint32, 0, n), v.codes[:n]...)
-		} else {
-			codes = make([]uint32, 0, len(sel))
-			for _, i := range sel {
-				codes = append(codes, v.codes[i])
-			}
-		}
-		return FromDictCodes(codes, v.dict)
-	}
-	out := New(v.kind, n)
-	if sel == nil {
-		switch v.kind {
-		case Bool:
-			out.b = append(out.b, v.b[:n]...)
-		case Int32:
-			out.i32 = append(out.i32, v.i32[:n]...)
-		case Int64:
-			out.i64 = append(out.i64, v.i64[:n]...)
-		case Float64:
-			out.f64 = append(out.f64, v.f64[:n]...)
-		case String:
-			out.str = append(out.str, v.str[:n]...)
-		}
-		out.n = n
+	if sel != nil {
+		out := &Vec{kind: v.kind}
+		out.GatherFrom(v, sel)
 		return out
 	}
-	switch v.kind {
-	case Bool:
-		for _, i := range sel {
-			out.b = append(out.b, v.b[i])
-		}
-	case Int32:
-		for _, i := range sel {
-			out.i32 = append(out.i32, v.i32[i])
-		}
-	case Int64:
-		for _, i := range sel {
-			out.i64 = append(out.i64, v.i64[i])
-		}
-	case Float64:
-		for _, i := range sel {
-			out.f64 = append(out.f64, v.f64[i])
-		}
-	case String:
-		for _, i := range sel {
-			out.str = append(out.str, v.str[i])
-		}
+	if v.dict != nil {
+		return FromDictCodes(append(make([]uint32, 0, n), v.codes[:n]...), v.dict)
 	}
-	out.n = len(sel)
+	out := New(v.kind, n)
+	out.AppendRange(v, 0, n)
 	return out
 }
 
