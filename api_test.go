@@ -13,6 +13,8 @@ import (
 
 	"vectorh"
 	"vectorh/internal/core"
+	"vectorh/internal/plan"
+	"vectorh/internal/rewriter"
 )
 
 // TestExecutionEntryPoints guards the one query path: the exported
@@ -87,5 +89,79 @@ func TestExchangeOperatorsReachable(t *testing.T) {
 	}
 	for name := range unused {
 		t.Errorf("%s is used by no rewriter rule and not by bench/: delete it or use it", name)
+	}
+}
+
+// TestOnePredicateOneEvaluator guards the single statement of a scan filter:
+// a logical filter is a child and a predicate, nothing restating the
+// predicate beside it; a scan is asked for a table, columns, that predicate,
+// the skip bounds derived from it, and code vectors or not; and the scan does
+// not evaluate — no function under internal/core turns a vector into a
+// selection, that is expr.Filter's job.
+func TestOnePredicateOneEvaluator(t *testing.T) {
+	fields := func(typ reflect.Type) []string {
+		var names []string
+		for i := 0; i < typ.NumField(); i++ {
+			names = append(names, typ.Field(i).Name)
+		}
+		return names
+	}
+	if got, want := fields(reflect.TypeOf(plan.FilterNode{})), []string{"Child", "Pred"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("plan.FilterNode fields = %v, want %v", got, want)
+	}
+	if got, want := fields(reflect.TypeOf(rewriter.ScanSpec{})), []string{"Table", "Cols", "Filter", "Skip", "Codes"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rewriter.ScanSpec fields = %v, want %v", got, want)
+	}
+
+	typeText := func(e ast.Expr) string {
+		var sb strings.Builder
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.StarExpr:
+				sb.WriteString("*")
+			case *ast.ArrayType:
+				sb.WriteString("[]")
+			case *ast.SelectorExpr:
+				sb.WriteString(n.X.(*ast.Ident).Name + "." + n.Sel.Name)
+				return false
+			case *ast.Ident:
+				sb.WriteString(n.Name)
+			}
+			return true
+		})
+		return sb.String()
+	}
+	hasType := func(fl *ast.FieldList, want string) bool {
+		if fl == nil {
+			return false
+		}
+		for _, f := range fl.List {
+			if typeText(f.Type) == want {
+				return true
+			}
+		}
+		return false
+	}
+	files, _ := filepath.Glob("internal/core/*.go")
+	if len(files) == 0 {
+		t.Fatal("found no files under internal/core; did the package move?")
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			// Declarations, literals and func-typed fields all hold a FuncType.
+			if typ, ok := n.(*ast.FuncType); ok && hasType(typ.Params, "*vector.Vec") && hasType(typ.Results, "[]int32") {
+				t.Errorf("%s: a func from *vector.Vec to a selection: the scan calls expr.Filter, it does not evaluate",
+					fset.Position(n.Pos()))
+			}
+			return true
+		})
 	}
 }

@@ -171,15 +171,7 @@ func (e *Engine) eval(n plan.Node) (*relation, error) {
 	case *plan.ScanNode:
 		return e.evalScan(n, nil)
 	case *plan.FilterNode:
-		scan, isScan := n.Child.(*plan.ScanNode)
-		if col, lo, hi, ok := n.SkipSet.FirstIntRange(); isScan && ok && e.p.skip != hadoopfmt.NoSkip {
-			rel, err := e.evalScan(scan, &hadoopfmt.RangePred{Col: col, Lo: lo, Hi: hi})
-			if err != nil {
-				return nil, err
-			}
-			return e.filterRel(rel, n.Pred)
-		}
-		rel, err := e.eval(n.Child)
+		rel, err := e.evalFilterChild(n)
 		if err != nil {
 			return nil, err
 		}
@@ -204,6 +196,30 @@ func (e *Engine) eval(n plan.Node) (*relation, error) {
 	default:
 		return nil, fmt.Errorf("baseline: unsupported node %T", n)
 	}
+}
+
+// evalFilterChild evaluates the input of a filter. A scan is handed the one
+// range the ORC/Parquet readers understand: the first integer interval the
+// filter's predicate implies — the bounds VectorH's own scans skip on.
+func (e *Engine) evalFilterChild(n *plan.FilterNode) (*relation, error) {
+	scan, ok := n.Child.(*plan.ScanNode)
+	if !ok || e.p.skip == hadoopfmt.NoSkip {
+		return e.eval(n.Child)
+	}
+	schema, err := scan.Schema(e)
+	if err != nil {
+		return nil, err
+	}
+	pred, err := n.Pred.Bind(schema)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range expr.Bounds(pred) {
+		if b.Kind == vector.Int64 {
+			return e.evalScan(scan, &hadoopfmt.RangePred{Col: schema[b.Col].Name, Lo: b.IntLo, Hi: b.IntHi})
+		}
+	}
+	return e.evalScan(scan, nil)
 }
 
 func (e *Engine) evalScan(n *plan.ScanNode, pred *hadoopfmt.RangePred) (*relation, error) {

@@ -80,10 +80,8 @@ func TestCodeSpaceDictVerdictPrunesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := plan.Filter(plan.Scan("cevents", "key", "status", "payload"),
-		plan.EQ(plan.Col("status"), plan.Str("banana")))
-	f.Push(&plan.ScanPredSet{Preds: []plan.ColPred{plan.StrEq("status", "banana")}}, nil)
-	q := plan.Node(f)
+	q := plan.Node(plan.Filter(plan.Scan("cevents", "key", "status", "payload"),
+		plan.EQ(plan.Col("status"), plan.Str("banana"))))
 
 	s0 := e.ScanStats()
 	rOn, err := e.Run(context.Background(), q, QueryOptions{}, nil)
@@ -140,7 +138,6 @@ func TestCodeSpaceParityAcrossDeltas(t *testing.T) {
 
 	f := plan.Filter(plan.Scan("corders", "key", "status"),
 		plan.EQ(plan.Col("status"), plan.Str("paid")))
-	f.Push(&plan.ScanPredSet{Preds: []plan.ColPred{plan.StrEq("status", "paid")}}, nil)
 	q := plan.Node(plan.OrderBy(f, plan.Asc(plan.Col("key"))))
 
 	base := runCodeBoth(t, e, q)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vectorh/internal/colstore"
+	"vectorh/internal/expr"
 	"vectorh/internal/obs"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
@@ -195,11 +196,9 @@ func TestFigure5StyleQuery(t *testing.T) {
 func TestMinMaxSkippingInQueries(t *testing.T) {
 	e := testEngine(t, 3)
 	setupTables(t, e, 4000)
-	lo, hi := vector.MustDate("1995-01-01"), vector.MustDate("1995-01-31")
 	q := plan.Aggregate(
 		plan.Filter(plan.Scan("orders", "o_orderkey", "o_date"),
-			plan.Between(plan.Col("o_date"), plan.Date("1995-01-01"), plan.Date("1995-01-31"))).
-			Skip("o_date", int64(lo), int64(hi)),
+			plan.Between(plan.Col("o_date"), plan.Date("1995-01-01"), plan.Date("1995-01-31"))),
 		nil, plan.AStar("n"))
 	e.FS().ResetStats()
 	rows, err := e.Query(q)
@@ -216,14 +215,22 @@ func TestMinMaxSkippingInQueries(t *testing.T) {
 	if rows[0][0].(int64) != want {
 		t.Fatalf("count = %v, want %d", rows[0][0], want)
 	}
-	// Same query without the skip hint reads more.
+	// The same rows through a predicate no bound is derived from (NOT implies
+	// nothing) read more: the skipping came from the predicate's bounds.
 	q2 := plan.Aggregate(
 		plan.Filter(plan.Scan("orders", "o_orderkey", "o_date"),
-			plan.Between(plan.Col("o_date"), plan.Date("1995-01-01"), plan.Date("1995-01-31"))),
+			plan.And(plan.Not(plan.LT(plan.Col("o_date"), plan.Date("1995-01-01"))),
+				plan.Not(plan.GT(plan.Col("o_date"), plan.Date("1995-01-31"))))),
 		nil, plan.AStar("n"))
+	e = testEngine(t, 3) // a fresh engine: the first query warmed the block cache
+	setupTables(t, e, 4000)
 	e.FS().ResetStats()
-	if _, err := e.Query(q2); err != nil {
+	rows2, err := e.Query(q2)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rows2[0][0].(int64) != want {
+		t.Fatalf("count without bounds = %v, want %d", rows2[0][0], want)
 	}
 	full := e.FS().Stats().LocalBytesRead
 	if skipIO >= full {
@@ -539,8 +546,8 @@ func TestMalformedScanRequests(t *testing.T) {
 	setupTables(t, e, 100)
 
 	ctx := context.Background()
-	spec := func(table string, pred *rewriter.ScanPredSet, cols ...string) rewriter.ScanSpec {
-		return rewriter.ScanSpec{Table: table, Cols: cols, Pred: pred, Codes: true}
+	spec := func(table string, skip []expr.Bound, cols ...string) rewriter.ScanSpec {
+		return rewriter.ScanSpec{Table: table, Cols: cols, Skip: skip, Codes: true}
 	}
 	if _, err := e.PartitionScan(ctx, spec("orders", nil, "o_orderkey"), -1, 0); err == nil {
 		t.Fatal("PartitionScan(-1) did not error")
@@ -558,20 +565,29 @@ func TestMalformedScanRequests(t *testing.T) {
 		t.Fatal("PropagatePartition(99) did not error")
 	}
 
-	// A predicate naming a column the partition does not store is a
-	// malformed plan and must surface at Open, not scan everything.
+	// A bound on a column the scan does not project is a malformed plan and
+	// must surface at Open, not scan everything; so must a predicate reading
+	// one.
 	scan, err := e.PartitionScan(ctx, spec("orders",
-		&rewriter.ScanPredSet{Preds: []plan.ColPred{plan.IntRange("nope", 0, 10)}, SkipOnly: true}, "o_orderkey"), 0, 0)
+		[]expr.Bound{{Col: 1, Kind: vector.Int64, IntLo: 0, IntHi: 10}}, "o_orderkey"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := scan.Open(); err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Fatalf("Open with bogus skip column: err=%v, want column-not-found", err)
+	if err := scan.Open(); err == nil || !strings.Contains(err.Error(), "column 1") {
+		t.Fatalf("Open with a bound past the projection: err=%v, want column-out-of-range", err)
 	}
-	// A skip-only int hint on a string column has no MinMax index of that
-	// shape to use — the scan must still run, just without skipping.
+	scan, err = e.PartitionScan(ctx, rewriter.ScanSpec{Table: "orders", Cols: []string{"o_orderkey"},
+		Filter: expr.LT(expr.Col(3, vector.Int64), expr.ConstInt64(5))}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scan.Open(); err == nil || !strings.Contains(err.Error(), "column 3") {
+		t.Fatalf("Open with a predicate past the projection: err=%v, want column-out-of-range", err)
+	}
+	// An integer bound on a string column has no MinMax index of that shape
+	// to use — the scan must still run, just without skipping.
 	scan, err = e.PartitionScan(ctx, spec("supplier",
-		&rewriter.ScanPredSet{Preds: []plan.ColPred{plan.IntRange("s_name", 0, 10)}, SkipOnly: true}, "s_suppkey", "s_name"), 0, 0)
+		[]expr.Bound{{Col: 1, Kind: vector.Int64, IntLo: 0, IntHi: 10}}, "s_suppkey", "s_name"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

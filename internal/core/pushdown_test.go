@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 
 	"vectorh/internal/plan"
@@ -11,24 +10,16 @@ import (
 	"vectorh/internal/vector"
 )
 
-// pushdownQuery builds a filtered scan whose predicate is fully subsumed by
-// a derived scan predicate set: o_date in a range and o_total in a decimal
-// window. With pushdown on, the rewriter elides the Select and the scan
-// both skips blocks and filters rows.
+// pushdownQuery builds a filtered scan: o_date in a range and o_total in a
+// float window. With pushdown on, the rewriter plans no Select and the scan
+// both skips blocks on the derived bounds and filters rows.
 func pushdownQuery() plan.Node {
-	lo := int64(vector.MustDate("1995-01-10"))
-	hi := int64(vector.MustDate("1995-01-20"))
 	pred := plan.AndAll(
-		plan.GE(plan.Col("o_date"), plan.DateVal(int32(lo))),
-		plan.LE(plan.Col("o_date"), plan.DateVal(int32(hi))),
+		plan.GE(plan.Col("o_date"), plan.Date("1995-01-10")),
+		plan.LE(plan.Col("o_date"), plan.Date("1995-01-20")),
 		plan.GE(plan.Col("o_total"), plan.Float(100)),
 	)
 	f := plan.Filter(plan.Scan("orders", "o_orderkey", "o_date", "o_total"), pred)
-	set := &plan.ScanPredSet{Preds: []plan.ColPred{
-		plan.IntRange("o_date", lo, hi),
-		{Col: "o_total", Op: plan.PredFloatRange, FloatLo: 100, FloatHi: math.Inf(1)},
-	}}
-	f.Push(set, nil)
 	return plan.OrderBy(f, plan.Asc(plan.Col("o_orderkey")))
 }
 
@@ -162,9 +153,7 @@ func TestLateMaterializationPrunesIO(t *testing.T) {
 	}
 
 	pred := plan.EQ(plan.Col("noise"), plan.Int(10000)) // even: never present
-	f := plan.Filter(plan.Scan("events", "key", "noise", "payload"), pred)
-	f.Push(&plan.ScanPredSet{Preds: []plan.ColPred{plan.IntRange("noise", 10000, 10000)}}, nil)
-	q := plan.Node(f)
+	q := plan.Node(plan.Filter(plan.Scan("events", "key", "noise", "payload"), pred))
 
 	s0 := e.ScanStats()
 	rOn, err := e.Run(context.Background(), q, QueryOptions{}, nil)

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vectorh/internal/colstore"
+	"vectorh/internal/compress"
 	"vectorh/internal/exec"
+	"vectorh/internal/expr"
 	"vectorh/internal/pdt"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
@@ -16,14 +19,20 @@ import (
 // partition's PDT layers positionally — every query sees the latest
 // committed state without the scan touching keys (§6).
 //
-// Late materialization: when the rewriter pushes a filtering predicate set
-// into the scan, each span decodes only the predicate columns first,
-// evaluates the conjuncts vectorized into a selection vector, and drops
-// dead spans without ever touching the payload columns; surviving rows
-// gather the payload columns through the scanner's column-subset API. Spans
-// touched by PDT deltas fall back to decode-all + merge, with the predicate
-// re-evaluated on the merged rows (and on PDT tail inserts), since deltas
-// can flip a row's qualification either way.
+// One predicate, one evaluator: when a filter sat directly on the scan the
+// rewriter hands over its whole bound predicate (ScanSpec.Filter) and the
+// per-column bounds derived from it (ScanSpec.Skip). The bounds only ever
+// prune — qualifying row ranges from MinMax summaries at Open — and every row
+// is decided by expr.Filter, the kernels Select runs. The scan's own work is
+// around them: the predicate is split into its top-level conjuncts, conjuncts
+// over the same columns are compiled as one filter, and each span decodes only
+// the columns the next filter reads, under the candidates the previous ones
+// left. A dead span never touches the payload columns; surviving rows gather
+// them through the scanner's column-subset API (late materialization). With
+// ScanSpec.Codes, a span is first put to a verdict on compression metadata
+// alone (verdictSpan). Spans touched by PDT deltas decode everything, merge,
+// and run the same filters over the merged rows (and over PDT tail inserts),
+// since deltas can flip a row's qualification either way.
 //
 // Concurrency: a scan pins one refcounted metadata generation plus the PDT
 // masters in a single critical section at Open (the same lock writers hold
@@ -95,17 +104,9 @@ type mscan struct {
 	eng    *Engine
 	part   *Partition
 	node   string
-	cols   []string
-	colIdx []int
-	pred   *rewriter.ScanPredSet
+	spec   rewriter.ScanSpec
+	colIdx []int // spec.Cols as positions in the table schema
 	ctx    context.Context
-
-	// codes enables compressed-domain execution for this scan (scanner
-	// serves dictionary-code vectors, predicates verdict against per-block
-	// dictionaries and PFOR frame bounds); codeSpace additionally requires
-	// the pushed predicate set to be marked legal for it.
-	codes     bool
-	codeSpace bool
 
 	// Acquired at Open in one critical section, released at Close.
 	gen      *metaGen
@@ -118,10 +119,13 @@ type mscan struct {
 	writeM *pdt.Merger
 	stage  int // 0=blocks, 1=read tail, 2=write tail, 3=done
 
-	// Compiled filtering state (nil/empty for skip-only or no predicate).
-	filters   []rowFilter
-	leadSlots []int  // predicate column slots: the only columns stage 0 decodes eagerly
-	skip      []bool // per-span verdict scratch: filters proven all-pass, kernels elided
+	// The predicate as compiled at Open (empty without ScanSpec.Filter), and
+	// the per-span scratch of evaluating it.
+	parts []predPart
+	lead  []int         // predicate column slots: the only columns stage 0 clamps spans on
+	pass  []bool        // per part: proven to hold for every row of the span, kernel elided
+	span  []*vector.Vec // by slot: the predicate columns of the span decoded so far
+	sel   []int32       // the span's surviving candidates
 
 	spansPruned int64 // spans dropped before any payload column was decoded
 
@@ -158,16 +162,9 @@ func (e *Engine) newMScan(ctx context.Context, t *Table, part *Partition, spec r
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &mscan{eng: e, part: part, node: node, cols: spec.Cols, colIdx: colIdx, pred: spec.Pred, ctx: ctx, codes: spec.Codes}, nil
+	return &mscan{eng: e, part: part, node: node, spec: spec, colIdx: colIdx, ctx: ctx}, nil
 }
 
-// Open implements exec.Operator. It pins the partition's storage metadata
-// generation and snapshots the PDT masters atomically: writers publish new
-// block directories and reset PDTs under the same partition lock, so the
-// two images always agree on which rows live where. Predicate compilation
-// happens here too: each conjunct contributes a MinMax block predicate
-// (intersected into the qualifying ranges) and — unless the set is
-// skip-only — a vectorized row kernel.
 // snapshotAndPin pins the partition's metadata generation and snapshots
 // the PDT masters under one shared read lock: any number of scans open
 // concurrently; only a writer publishing a new generation (and resetting
@@ -184,83 +181,132 @@ func (m *mscan) snapshotAndPin() (read, write *pdt.PDT, err error) {
 	return read, write, nil
 }
 
-func (m *mscan) Open() error {
+// Open implements exec.Operator. It pins the partition's storage metadata
+// generation and snapshots the PDT masters atomically: writers publish new
+// block directories and reset PDTs under the same partition lock, so the
+// two images always agree on which rows live where. The skip bounds are
+// intersected into the qualifying row ranges here, and the predicate is
+// compiled.
+func (m *mscan) Open() (err error) {
 	read, write, err := m.snapshotAndPin()
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			m.releaseMeta()
+		}
+	}()
 	m.meta = m.gen.meta
 	m.readPDT, m.writePDT = read, write
+	schema := m.meta.Schema()
 
 	ranges := m.meta.FullRange()
-	if m.pred != nil {
-		for _, p := range m.pred.Preds {
-			// A predicate naming a column the partition does not store is a
-			// malformed plan — surface it instead of silently scanning
-			// everything.
-			c, err := m.meta.Col(p.Col)
-			if err != nil {
-				m.releaseMeta()
-				return fmt.Errorf("core: scan predicate: %w", err)
-			}
-			if bp := blockPredFor(p, c.Type); bp != nil {
-				qr, err := m.meta.QualifyingRanges(p.Col, bp)
-				if err != nil {
-					m.releaseMeta()
-					return err
-				}
-				ranges = colstore.IntersectRanges(ranges, qr)
-			}
-			if m.pred.SkipOnly {
-				continue
-			}
-			slot := -1
-			for i, name := range m.cols {
-				if name == p.Col {
-					slot = i
-					break
-				}
-			}
-			if slot < 0 {
-				m.releaseMeta()
-				return fmt.Errorf("core: predicate column %q is not in the scan projection of %s", p.Col, m.meta.Table)
-			}
-			keep, err := compileRowFilter(p, c.Type)
-			if err != nil {
-				m.releaseMeta()
-				return err
-			}
-			rf := rowFilter{slot: slot, keep: keep}
-			fillCodeSpace(&rf, p)
-			m.filters = append(m.filters, rf)
-			seen := false
-			for _, s := range m.leadSlots {
-				if s == slot {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				m.leadSlots = append(m.leadSlots, slot)
-			}
+	for _, b := range m.spec.Skip {
+		// A bound on a column the scan does not project is a malformed plan —
+		// surface it instead of silently scanning everything.
+		if b.Col < 0 || b.Col >= len(m.spec.Cols) {
+			return fmt.Errorf("core: skip bound on column %d of a %d-column scan of %s", b.Col, len(m.spec.Cols), m.meta.Table)
+		}
+		bp := blockPredicate(b, schema[m.colIdx[b.Col]].Type.Kind)
+		if bp == nil {
+			continue // no summary of that shape: skipping is best-effort
+		}
+		qr, err := m.meta.QualifyingRanges(m.spec.Cols[b.Col], bp)
+		if err != nil {
+			return err
+		}
+		ranges = colstore.IntersectRanges(ranges, qr)
+	}
+	if m.spec.Filter != nil {
+		if err := m.compilePredicate(schema); err != nil {
+			return err
 		}
 	}
-	sc, err := colstore.NewScanner(m.eng.fs, m.meta, m.node, m.cols, ranges)
-	if err != nil {
-		m.releaseMeta()
+	if m.sc, err = colstore.NewScanner(m.eng.fs, m.meta, m.node, m.spec.Cols, ranges); err != nil {
 		return err
 	}
-	sc.SetCache(m.eng.blockCache)
-	sc.SetCodeExec(m.codes)
-	m.sc = sc
-	m.codeSpace = m.codes && m.pred != nil && m.pred.CodeSpace && len(m.filters) > 0
-	if m.codeSpace {
-		m.skip = make([]bool, len(m.filters))
-	}
-	schema := m.meta.Schema()
+	m.sc.SetCache(m.eng.blockCache)
+	m.sc.SetCodeExec(m.spec.Codes)
 	m.readM = pdt.NewMerger(m.readPDT, schema, m.colIdx)
 	m.writeM = pdt.NewMerger(m.writePDT, schema, m.colIdx)
 	m.stage = 0
+	return nil
+}
+
+// blockPredicate is the MinMax test of a skip bound on a column of kind k,
+// nil when the two do not match.
+func blockPredicate(b expr.Bound, k vector.Kind) colstore.BlockPredicate {
+	switch {
+	case b.Kind == vector.Int64 && (k == vector.Int32 || k == vector.Int64):
+		return colstore.Int64RangePred(b.IntLo, b.IntHi)
+	case b.Kind == vector.Float64 && k == vector.Float64:
+		return colstore.Float64RangePred(b.FloatLo, b.FloatHi)
+	case b.Kind == vector.String && k == vector.String:
+		return colstore.StrRangePred(b.StrLo, b.StrHi, true, b.HasStrHi)
+	}
+	return nil
+}
+
+// predPart is the conjuncts of the scan's predicate that read one set of
+// columns, compiled as one filter, together with what can decide a whole
+// span for it before anything is unpacked.
+type predPart struct {
+	filter *expr.Filter
+	slots  []int
+	// bound is the integer interval the part implies for its column, held
+	// against the block's value bounds; nil when it implies none.
+	bound *expr.Bound
+	// dictSlot is the part's one column when that is a string column (else
+	// -1): the part is then a function of the value alone, and running its
+	// filter over a block dictionary's values as a column decides every row of
+	// the block at once. dict/dictPass remember the last dictionary seen and
+	// how many of its values passed — one block serves many spans.
+	dictSlot int
+	dict     *compress.StrDict
+	dictPass int
+}
+
+// compilePredicate splits the predicate into its top-level conjuncts and
+// compiles those over the same columns together, in order of first mention.
+func (m *mscan) compilePredicate(schema vector.Schema) error {
+	conj := expr.Conjuncts(m.spec.Filter)
+	preds := make([]expr.Expr, 0, len(conj))
+	m.parts, m.lead = make([]predPart, 0, len(conj)), make([]int, 0, len(m.spec.Cols))
+conjuncts:
+	for _, c := range conj {
+		cols := expr.Columns(c)
+		for i := range m.parts {
+			if slices.Equal(m.parts[i].slots, cols) {
+				preds[i] = expr.And(preds[i], c)
+				continue conjuncts
+			}
+		}
+		preds, m.parts = append(preds, c), append(m.parts, predPart{slots: cols, dictSlot: -1})
+	}
+	for i, pred := range preds {
+		p := &m.parts[i]
+		var err error
+		if p.filter, err = expr.CompileFilter(pred); err != nil {
+			return err
+		}
+		for _, s := range p.slots {
+			if s >= len(m.spec.Cols) {
+				return fmt.Errorf("core: predicate %s reads column %d of a %d-column scan of %s", pred, s, len(m.spec.Cols), m.meta.Table)
+			}
+			if !slices.Contains(m.lead, s) {
+				m.lead = append(m.lead, s)
+			}
+		}
+		if bs := expr.Bounds(pred); len(bs) == 1 && bs[0].Kind == vector.Int64 {
+			p.bound = &bs[0]
+		}
+		if len(p.slots) == 1 && schema[m.colIdx[p.slots[0]]].Type.Kind == vector.String {
+			p.dictSlot = p.slots[0]
+		}
+	}
+	m.pass, m.span = make([]bool, len(m.parts)), make([]*vector.Vec, len(m.spec.Cols))
+	m.sel = make([]int32, 0, vector.MaxSize)
 	return nil
 }
 
@@ -274,14 +320,10 @@ func (m *mscan) Next() (*vector.Batch, error) {
 		}
 		switch m.stage {
 		case 0:
-			// Stage-0 clamping: only the predicate columns (lead slots)
-			// bound the span, so a span rejected wholesale never positions
-			// — let alone decodes — a payload block.
-			lead := m.leadSlots
-			if len(m.filters) == 0 {
-				lead = nil // no filtering: clamp on all columns as before
-			}
-			start, n, err := m.sc.NextSpan(lead)
+			// Stage-0 clamping: only the predicate columns bound the span, so a
+			// span rejected wholesale never positions — let alone decodes — a
+			// payload block. Without a predicate (nil) every column does.
+			start, n, err := m.sc.NextSpan(m.lead)
 			if err != nil {
 				return nil, err
 			}
@@ -302,24 +344,13 @@ func (m *mscan) Next() (*vector.Batch, error) {
 				}
 			}
 			if !needMerge {
-				if len(m.filters) == 0 {
-					b, err := m.denseSpan(start, n)
-					if err != nil {
-						return nil, err
-					}
-					return b, nil
-				}
-				sel, all, dead, err := m.evalSpan(start, n)
+				b, err := m.filteredSpan(start, n)
 				if err != nil {
 					return nil, err
 				}
-				if dead {
+				if b == nil {
 					m.spansPruned++
 					continue
-				}
-				b, err := m.gatherSpan(start, n, sel, all)
-				if err != nil {
-					return nil, err
 				}
 				return b, nil
 			}
@@ -338,11 +369,8 @@ func (m *mscan) Next() (*vector.Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			if b2.Len() == 0 {
-				continue
-			}
-			if out := m.filterBatch(b2); out != nil {
-				return out, nil
+			if out, err := m.filterBatch(b2); out != nil || err != nil {
+				return out, err
 			}
 		case 1:
 			m.stage = 2
@@ -351,17 +379,15 @@ func (m *mscan) Next() (*vector.Batch, error) {
 				if err != nil {
 					return nil, err
 				}
-				if b2.Len() > 0 {
-					if out := m.filterBatch(b2); out != nil {
-						return out, nil
-					}
+				if out, err := m.filterBatch(b2); out != nil || err != nil {
+					return out, err
 				}
 			}
 		case 2:
 			m.stage = 3
-			if tail, _ := m.writeM.Tail(); tail != nil && tail.Len() > 0 {
-				if out := m.filterBatch(tail); out != nil {
-					return out, nil
+			if tail, _ := m.writeM.Tail(); tail != nil {
+				if out, err := m.filterBatch(tail); out != nil || err != nil {
+					return out, err
 				}
 			}
 		default:
@@ -372,8 +398,8 @@ func (m *mscan) Next() (*vector.Batch, error) {
 
 // denseSpan decodes all projected columns of a span as a dense batch.
 func (m *mscan) denseSpan(start int64, n int) (*vector.Batch, error) {
-	b := &vector.Batch{Vecs: make([]*vector.Vec, len(m.cols))}
-	for i := range m.cols {
+	b := &vector.Batch{Vecs: make([]*vector.Vec, len(m.spec.Cols))}
+	for i := range m.spec.Cols {
 		v, err := m.sc.ColVec(i, start, n)
 		if err != nil {
 			return nil, err
@@ -383,151 +409,153 @@ func (m *mscan) denseSpan(start int64, n int) (*vector.Batch, error) {
 	return b, nil
 }
 
-// evalSpan runs the compiled conjuncts over a span, decoding predicate
-// columns lazily (a conjunct that kills the span stops later predicate
-// columns from being decoded at all).
-//
-// When the predicate set is marked CodeSpace, a verdict phase runs first,
-// entirely on compression metadata: integer conjuncts compare against block
-// value bounds (MinMax summaries or PFOR frame bounds) and string conjuncts
-// against the block dictionary. A dead verdict prunes the span before any
-// code stream is unpacked; an all-pass verdict elides that conjunct's row
-// kernel for the span.
-func (m *mscan) evalSpan(start int64, n int) (sel []int32, all, dead bool, err error) {
-	if m.codeSpace {
-		dead, err = m.verdictSpan(start)
-		if err != nil {
-			return nil, false, false, err
-		}
-		if dead {
-			return nil, false, true, nil
+// filteredSpan serves a span no delta touches: nil when no row of it
+// satisfies the predicate (decided on metadata where possible, else after
+// decoding only as many predicate columns as it took), otherwise the
+// qualifying rows of every projected column — a dense view when all qualify,
+// gathered at the survivors when some do.
+func (m *mscan) filteredSpan(start int64, n int) (*vector.Batch, error) {
+	clear(m.pass)
+	clear(m.span)
+	if m.spec.Codes {
+		if dead, err := m.verdictSpan(start); dead || err != nil {
+			return nil, err
 		}
 	}
-	all = true
-	for fi := range m.filters {
-		if m.codeSpace && m.skip[fi] {
-			continue
-		}
-		f := &m.filters[fi]
-		v, verr := m.sc.ColVec(f.slot, start, n)
-		if verr != nil {
-			return nil, false, false, verr
-		}
-		var cand []int32
-		if !all {
-			cand = sel
-		}
-		out, okAll := f.eval(v, cand)
-		if all && okAll {
-			continue
-		}
-		sel, all = out, false
-		if len(sel) == 0 {
-			return nil, false, true, nil
-		}
+	sel, all, err := m.narrow(m.span, start, n)
+	if err != nil || !all && len(sel) == 0 {
+		return nil, err
 	}
-	return sel, all, false, nil
-}
-
-// verdictSpan runs the pre-decode verdict phase over one span, filling
-// m.skip. Integer bound checks go first — they read only metadata — so a
-// span dead on an integer conjunct never even opens a string block's
-// dictionary.
-func (m *mscan) verdictSpan(start int64) (dead bool, err error) {
-	for fi := range m.filters {
-		m.skip[fi] = false
-	}
-	for fi := range m.filters {
-		f := &m.filters[fi]
-		if !f.hasBounds {
-			continue
-		}
-		lo, hi, ok := m.sc.SpanValueBounds(f.slot, start)
-		if !ok {
-			continue
-		}
-		if lo > f.hi || hi < f.lo {
-			return true, nil
-		}
-		if f.exact && lo >= f.lo && hi <= f.hi {
-			m.skip[fi] = true
-		}
-	}
-	for fi := range m.filters {
-		f := &m.filters[fi]
-		if f.strEval == nil {
-			continue
-		}
-		dict, derr := m.sc.SpanDict(f.slot, start)
-		if derr != nil {
-			return false, derr
-		}
-		if dict == nil {
-			continue
-		}
-		_, nTrue := f.dictMask(dict)
-		if nTrue == 0 {
-			return true, nil
-		}
-		if nTrue == dict.Len() {
-			m.skip[fi] = true
-		}
-	}
-	return false, nil
-}
-
-// gatherSpan materializes the output batch of a filtered span: fully
-// surviving spans decode dense (zero-copy views), partial survivors gather
-// only the selected rows of every column.
-func (m *mscan) gatherSpan(start int64, n int, sel []int32, all bool) (*vector.Batch, error) {
-	b := &vector.Batch{Vecs: make([]*vector.Vec, len(m.cols))}
-	for i := range m.cols {
-		var v *vector.Vec
-		var err error
-		if all {
-			v, err = m.sc.ColVec(i, start, n)
-		} else {
-			v, err = m.sc.GatherCol(i, start, sel)
+	b := &vector.Batch{Vecs: make([]*vector.Vec, len(m.spec.Cols))}
+	for i := range m.spec.Cols {
+		switch {
+		case !all:
+			b.Vecs[i], err = m.sc.GatherCol(i, start, sel)
+		case i < len(m.span) && m.span[i] != nil:
+			b.Vecs[i] = m.span[i]
+		default:
+			b.Vecs[i], err = m.sc.ColVec(i, start, n)
 		}
 		if err != nil {
 			return nil, err
 		}
-		b.Vecs[i] = v
 	}
 	vector.CheckBatch(b)
 	return b, nil
 }
 
-// filterBatch applies the compiled conjuncts to a dense merged or tail
-// batch, returning nil when no row survives (callers continue the scan
-// loop). Without filters the batch passes through.
-func (m *mscan) filterBatch(b *vector.Batch) *vector.Batch {
-	if len(m.filters) == 0 {
-		return b
-	}
-	var sel []int32
-	all := true
-	for fi := range m.filters {
-		f := &m.filters[fi]
-		var cand []int32
-		if !all {
-			cand = sel
-		}
-		out, okAll := f.eval(b.Vecs[f.slot], cand)
-		if all && okAll {
+// narrow runs the parts not already proven to pass over n rows, each under
+// the candidates the previous ones left, and returns the survivors (scratch,
+// valid until the next call) or all = true. A nil entry of vecs is a column of
+// the span at start not decoded yet: it is decoded when a part first reads
+// it, so a part that leaves no candidate stops the later ones' columns from
+// being decoded at all.
+func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int) (sel []int32, all bool, err error) {
+	b, live, all := vector.Batch{Vecs: vecs}, n, true
+	for pi := range m.parts {
+		if m.pass[pi] {
 			continue
 		}
-		sel, all = out, false
-		if len(sel) == 0 {
-			return nil
+		p := &m.parts[pi]
+		for _, s := range p.slots {
+			if vecs[s] == nil {
+				if vecs[s], err = m.sc.ColVec(s, start, n); err != nil {
+					return nil, false, err
+				}
+			}
+		}
+		out, err := p.filter.Match(&b, live)
+		if err != nil {
+			return nil, false, err
+		}
+		if len(out) == live {
+			continue
+		}
+		if all {
+			m.sel, all = append(m.sel[:0], out...), false
+		} else {
+			for k, pos := range out {
+				m.sel[k] = m.sel[pos]
+			}
+			m.sel = m.sel[:len(out)]
+		}
+		if b.Sel, live = m.sel, len(m.sel); live == 0 {
+			break
 		}
 	}
-	if all {
-		return b
+	return m.sel, all, nil
+}
+
+// verdictSpan decides what it can of a span on compression metadata alone,
+// before any code stream is unpacked: a part whose integer interval misses
+// the block's value bounds (MinMax summary, else PFOR frame bounds) or that
+// no value of the block's dictionary satisfies makes the span dead; one whose
+// exact interval covers the bounds, or that every dictionary value satisfies,
+// is marked in m.pass and its kernel elided. Intervals go first — they read
+// only metadata — so a span dead on one never opens a string block's
+// dictionary.
+func (m *mscan) verdictSpan(start int64) (dead bool, err error) {
+	for pi := range m.parts {
+		p := &m.parts[pi]
+		if p.bound == nil {
+			continue
+		}
+		lo, hi, ok := m.sc.SpanValueBounds(p.bound.Col, start)
+		if !ok {
+			continue
+		}
+		if lo > p.bound.IntHi || hi < p.bound.IntLo {
+			return true, nil
+		}
+		m.pass[pi] = p.bound.Exact && lo >= p.bound.IntLo && hi <= p.bound.IntHi
 	}
-	out := &vector.Batch{Vecs: b.Vecs, Sel: sel}
+	for pi := range m.parts {
+		p := &m.parts[pi]
+		if p.dictSlot < 0 {
+			continue
+		}
+		dict, err := m.sc.SpanDict(p.dictSlot, start)
+		if err != nil {
+			return false, err
+		}
+		if dict == nil || dict.Len() == 0 {
+			continue
+		}
+		if dict != p.dict {
+			m.span[p.dictSlot] = vector.FromString(dict.Values)
+			out, err := p.filter.Match(&vector.Batch{Vecs: m.span}, dict.Len())
+			m.span[p.dictSlot] = nil
+			if err != nil {
+				return false, err
+			}
+			p.dict, p.dictPass = dict, len(out)
+		}
+		if p.dictPass == 0 {
+			return true, nil
+		}
+		m.pass[pi] = p.dictPass == dict.Len()
+	}
+	return false, nil
+}
+
+// filterBatch applies the predicate to a dense merged or tail batch,
+// returning nil when no row survives (callers continue the scan loop).
+// Without a predicate the batch passes through.
+func (m *mscan) filterBatch(b *vector.Batch) (*vector.Batch, error) {
+	if b.Len() == 0 {
+		return nil, nil
+	}
+	clear(m.pass) // verdicts describe stored blocks, not merged rows
+	sel, all, err := m.narrow(b.Vecs, 0, b.Len())
+	switch {
+	case err != nil || !all && len(sel) == 0:
+		return nil, err
+	case all:
+		return b, nil
+	}
+	out := &vector.Batch{Vecs: b.Vecs, Sel: slices.Clone(sel)}
 	vector.CheckBatch(out)
-	return out
+	return out, nil
 }
 
 func (m *mscan) releaseMeta() {

@@ -112,8 +112,7 @@ func Fig1(sf float64) (*Fig1Result, error) {
 		x := minDate + int32(float64(maxDate-minDate)*sel)
 		q := plan.Aggregate(
 			plan.Filter(plan.Scan("lineitem", "l_linenumber", "l_shipdate"),
-				plan.LT(plan.Col("l_shipdate"), plan.DateVal(x))).
-				Skip("l_shipdate", math.MinInt32, int64(x)),
+				plan.LT(plan.Col("l_shipdate"), plan.DateVal(x))),
 			nil, plan.A("m", plan.Max, plan.Col("l_linenumber")))
 		if _, err := eng.Query(q); err != nil { // warm
 			return nil, err

@@ -31,9 +31,21 @@ type Program struct {
 	own   []*vector.Vec // the program's buffers; nil where none is needed or it was taken
 
 	// Filter state: the candidate list successive conjuncts narrow (positions
-	// among the batch's live rows), its buffer, and the identity list 0..n-1.
+	// among the batch's live rows), its buffer, and the identity list 0..n-1
+	// of a batch longer than the shared one.
 	cand, selBuf, ident []int32
 }
+
+// identity is 0..MaxSize-1, the candidate list every filter starts from. It is
+// never written — a narrowing primitive reads its candidates and writes the
+// program's own buffer — so all programs share it.
+var identity = func() []int32 {
+	s := make([]int32, vector.MaxSize)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
 
 type colRef struct {
 	idx  int
@@ -75,7 +87,7 @@ type prim struct {
 // LIKE/IN/SUBSTRING/YEAR on the wrong kind fail with the offending
 // sub-expression named — and LIKE patterns and IN lists are prepared once.
 func Compile(exprs ...Expr) (*Program, error) {
-	p := newProgram(len(exprs))
+	p := newProgram(len(exprs), len(exprs))
 	for _, e := range exprs {
 		r, err := p.reg(e)
 		if err != nil {
@@ -86,12 +98,13 @@ func Compile(exprs ...Expr) (*Program, error) {
 	return p, nil
 }
 
-// newProgram sizes a program for n expressions that are plain columns — what
-// most programs of a query are (join, exchange and group keys) — so those
-// cost four small allocations; expression-heavy ones grow from there.
-func newProgram(n int) *Program {
-	return &Program{cols: make([]colRef, 0, n), outs: make([]int32, 0, n),
-		kinds: make([]vector.Kind, 0, n), regs: make([]*vector.Vec, 0, n), own: make([]*vector.Vec, 0, n)}
+// newProgram sizes a program for nOut outputs over nReg registers. A program
+// of n expressions that are plain columns — what most programs of a query are
+// (join, exchange and group keys) — has n of each and costs four small
+// allocations; expression-heavy ones grow from there.
+func newProgram(nOut, nReg int) *Program {
+	return &Program{cols: make([]colRef, 0, nReg), outs: make([]int32, 0, nOut),
+		kinds: make([]vector.Kind, 0, nReg), regs: make([]*vector.Vec, 0, nReg), own: make([]*vector.Vec, 0, nReg)}
 }
 
 func (p *Program) newReg(k vector.Kind) int32 {
@@ -258,7 +271,7 @@ func (p *Program) cmp(n *node, in *prim) error {
 	}
 	if isLiteral(l) && !isLiteral(r) {
 		l, r = r, l
-		in.op = [...]opcode{opLT: opGT, opLE: opGE, opGT: opLT, opGE: opLE, opEQ: opEQ, opNE: opNE}[op]
+		in.op = mirror[op]
 	}
 	var err error
 	if in.a, err = p.reg(l); err != nil {
@@ -282,9 +295,12 @@ func (p *Program) cmp(n *node, in *prim) error {
 type Filter struct{ p *Program }
 
 // CompileFilter compiles a boolean predicate; Compile's errors apply, and a
-// predicate that is not boolean is one of them.
+// predicate that is not boolean is one of them. Every stream of a scan
+// compiles its own, so the program starts at the size of a typical predicate
+// part — a few primitives over a few registers — and seldom regrows.
 func CompileFilter(pred Expr) (*Filter, error) {
-	p := newProgram(1)
+	p := newProgram(0, 4)
+	p.prims = make([]prim, 0, 4)
 	if err := p.conjunct(pred); err != nil {
 		return nil, err
 	}
@@ -360,7 +376,7 @@ func (p *Program) bind(b *vector.Batch) error {
 		if b.Sel == nil {
 			p.regs[c.reg] = v
 		} else {
-			p.scratch(c.reg, len(b.Sel)).GatherFrom(v, b.Sel)
+			p.scratch(c.reg, v.Len()).GatherFrom(v, b.Sel) // sized for any selection of v
 		}
 	}
 	return nil
@@ -405,38 +421,51 @@ func (p *Program) Take(i int) *vector.Vec {
 	return v
 }
 
-// Select returns b restricted to the rows satisfying the predicate: nil when
-// there are none, b itself when all qualify, otherwise b's vectors under a
-// freshly allocated selection vector (it leaves the operator).
-func (f *Filter) Select(b *vector.Batch) (*vector.Batch, error) {
+// Match evaluates the predicate over the n live rows of b and returns the
+// positions among them (ascending, in 0..n-1) that satisfy it: the filter's
+// scratch, read-only and valid until its next call. b needs to hold only the
+// columns the predicate reads, which is how a scan decides a span before it
+// has decoded the others.
+func (f *Filter) Match(b *vector.Batch, n int) ([]int32, error) {
 	p := f.p
 	if err := p.bind(b); err != nil {
 		return nil, err
 	}
-	n := b.Len()
-	for len(p.ident) < n {
-		p.ident = append(p.ident, int32(len(p.ident)))
+	ident := identity
+	if n > len(ident) {
+		for len(p.ident) < n {
+			p.ident = append(p.ident, int32(len(p.ident)))
+		}
+		ident = p.ident
 	}
 	if cap(p.selBuf) < n {
-		p.selBuf = make([]int32, n)
+		p.selBuf = make([]int32, max(n, vector.MaxSize))
 	}
-	p.cand = p.ident[:n]
+	p.cand = ident[:n]
 	for i := range p.prims {
 		if err := p.exec(&p.prims[i], n); err != nil {
 			return nil, err
 		}
 	}
-	switch len(p.cand) {
-	case 0:
-		return nil, nil
-	case n:
+	return p.cand, nil
+}
+
+// Select returns b restricted to the rows satisfying the predicate: nil when
+// there are none, b itself when all qualify, otherwise b's vectors under a
+// freshly allocated selection vector (it leaves the operator).
+func (f *Filter) Select(b *vector.Batch) (*vector.Batch, error) {
+	cand, err := f.Match(b, b.Len())
+	switch {
+	case err != nil || len(cand) == 0:
+		return nil, err
+	case len(cand) == b.Len():
 		return b, nil
 	}
-	sel := make([]int32, len(p.cand))
+	sel := make([]int32, len(cand))
 	if b.Sel == nil {
-		copy(sel, p.cand)
+		copy(sel, cand)
 	} else {
-		for i, r := range p.cand {
+		for i, r := range cand {
 			sel[i] = b.Sel[r]
 		}
 	}

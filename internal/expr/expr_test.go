@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"testing"
 
 	"vectorh/internal/vector"
@@ -144,6 +145,28 @@ func TestLikePatterns(t *testing.T) {
 		{"green", []bool{false, true, false, false, false}},
 		{"%forest%blue%", []bool{false, false, false, false, false}},
 		{"%forest%metallic", []bool{true, false, false, false, false}},
+		// A pattern without pieces: all wildcards match everything, the empty
+		// pattern matches the empty string only.
+		{"%", []bool{true, true, true, true, true}},
+		{"%%", []bool{true, true, true, true, true}},
+		{"", []bool{false, false, false, false, false}},
+	}
+	empty := vector.NewBatch(vector.FromString([]string{"", "a"}))
+	for _, c := range []struct {
+		pattern   string
+		like, not []bool
+	}{
+		{"", []bool{true, false}, []bool{false, true}},
+		{"%", []bool{true, true}, []bool{false, false}},
+		{"%%", []bool{true, true}, []bool{false, false}},
+		{"a", []bool{false, true}, []bool{true, false}},
+	} {
+		if got := evalOK(t, Like(Col(0, vector.String), c.pattern), empty).Bools(); !slices.Equal(got, c.like) {
+			t.Fatalf("['' 'a'] like %q = %v, want %v", c.pattern, got, c.like)
+		}
+		if got := evalOK(t, NotLike(Col(0, vector.String), c.pattern), empty).Bools(); !slices.Equal(got, c.not) {
+			t.Fatalf("['' 'a'] not like %q = %v, want %v", c.pattern, got, c.not)
+		}
 	}
 	for _, c := range cases {
 		got := evalOK(t, Like(Col(0, vector.String), c.pattern), b).Bools()

@@ -482,7 +482,9 @@ func likePred(pattern string, negate bool) func(string) bool {
 
 func likeMatch(s string, pieces []string, anchoredL, anchoredR bool) bool {
 	if len(pieces) == 0 {
-		return true
+		// All wildcards, or — both ends anchored — the empty pattern, which
+		// only the empty string matches.
+		return !(anchoredL && anchoredR) || s == ""
 	}
 	if anchoredL {
 		if !strings.HasPrefix(s, pieces[0]) {

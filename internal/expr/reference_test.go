@@ -620,7 +620,8 @@ func (e *refLikeExpr) Eval(b *vector.Batch) (*vector.Vec, error) {
 
 func refLikeMatch(s string, pieces []string, anchoredL, anchoredR bool) bool {
 	if len(pieces) == 0 {
-		return true
+		// '%', '%%', …: everything; '': the empty string only.
+		return !(anchoredL && anchoredR) || s == ""
 	}
 	if anchoredL {
 		if !strings.HasPrefix(s, pieces[0]) {

@@ -42,10 +42,7 @@ func isHotPathPkg(pkgPath string) bool {
 func isHotPathFile(pkgPath, filename string) bool {
 	switch {
 	case strings.HasSuffix(pkgPath, "internal/core"):
-		switch path.Base(filename) {
-		case "scan.go", "scanpred.go":
-			return true
-		}
+		return path.Base(filename) == "scan.go"
 	case strings.HasSuffix(pkgPath, "internal/colstore"):
 		return path.Base(filename) == "store.go"
 	}

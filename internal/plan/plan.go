@@ -47,50 +47,17 @@ func (n *ScanNode) Schema(cat Catalog) (vector.Schema, error) {
 	return out, nil
 }
 
-// FilterNode applies a predicate. An optional SkipSet carries the
-// predicate's pushable per-column conjuncts for the scan underneath: they
-// prune block IO via MinMax summaries and — unless the set is SkipOnly —
-// are evaluated by the scan itself, late-materializing payload columns.
-// Residual is the part of Pred the set does not cover; nil with a non-nil
-// SkipSet means the set subsumes the whole predicate and the rewriter may
-// elide the Select above a scan entirely.
+// FilterNode applies a predicate, and the predicate is all a client states:
+// when the child is a scan, the rewriter hands the bound predicate to the
+// scan — which evaluates it itself and late-materializes the other columns —
+// together with the MinMax skip bounds it derives from it (expr.Bounds).
 type FilterNode struct {
 	Child Node
 	Pred  Expr
-
-	SkipSet  *ScanPredSet
-	Residual *Expr
 }
 
 // Filter builds a selection.
 func Filter(child Node, pred Expr) *FilterNode { return &FilterNode{Child: child, Pred: pred} }
-
-// Skip attaches a MinMax skip hint asserting the column's data range. The
-// hint is skip-only: blocks wholly outside [lo, hi] are not read, but rows
-// are never filtered by it (the range is an assertion about stored data,
-// not necessarily implied by the predicate), and the full predicate still
-// runs above the scan.
-func (n *FilterNode) Skip(col string, lo, hi int64) *FilterNode {
-	if n.SkipSet == nil || !n.SkipSet.SkipOnly {
-		n.SkipSet = &ScanPredSet{SkipOnly: true}
-	}
-	n.SkipSet.Preds = append(n.SkipSet.Preds, IntRange(col, lo, hi))
-	n.Residual = &n.Pred
-	return n
-}
-
-// SkipDates attaches a skip hint with date-literal bounds.
-func (n *FilterNode) SkipDates(col, lo, hi string) *FilterNode {
-	return n.Skip(col, int64(vector.MustDate(lo)), int64(vector.MustDate(hi)))
-}
-
-// Push attaches a derived scan-predicate set whose conjuncts are implied by
-// the predicate, plus the non-pushable residual (nil when the set covers the
-// whole predicate).
-func (n *FilterNode) Push(set *ScanPredSet, residual *Expr) *FilterNode {
-	n.SkipSet, n.Residual = set, residual
-	return n
-}
 
 // Schema implements Node.
 func (n *FilterNode) Schema(cat Catalog) (vector.Schema, error) { return n.Child.Schema(cat) }

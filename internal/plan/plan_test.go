@@ -32,6 +32,10 @@ func TestScanSchemaProjection(t *testing.T) {
 	if len(full) != 4 {
 		t.Fatalf("full schema = %v", full)
 	}
+	// A filter passes its child's schema through.
+	if s, err := Filter(Scan("t"), GE(Col("d"), Date("1995-06-01"))).Schema(cat{}); err != nil || len(s) != 4 {
+		t.Fatalf("filter schema = %v err=%v", s, err)
+	}
 }
 
 func TestProjectSchemaTypes(t *testing.T) {
@@ -95,23 +99,6 @@ func TestExprBindErrors(t *testing.T) {
 	e, err := Between(Col("d"), Date("1995-01-01"), DateOffset("1995-01-01", 2)).Bind(schema)
 	if err != nil || e == nil {
 		t.Fatalf("between bind: %v", err)
-	}
-}
-
-func TestFilterSkipHints(t *testing.T) {
-	f := Filter(Scan("t"), GE(Col("d"), Date("1995-06-01"))).SkipDates("d", "1995-06-01", "1998-12-31")
-	col, lo, _, ok := f.SkipSet.FirstIntRange()
-	if !ok || col != "d" || lo != int64(vector.MustDate("1995-06-01")) {
-		t.Fatalf("skip hint = %+v", f.SkipSet)
-	}
-	if !f.SkipSet.SkipOnly {
-		t.Fatalf("builder Skip() must be skip-only (an asserted range, not an implied one): %+v", f.SkipSet)
-	}
-	if f.Residual == nil {
-		t.Fatal("builder Skip() must keep the full predicate as residual")
-	}
-	if s, err := f.Schema(cat{}); err != nil || len(s) != 4 {
-		t.Fatalf("filter schema = %v err=%v", s, err)
 	}
 }
 

@@ -15,33 +15,33 @@ import (
 	"vectorh/internal/expr"
 	"vectorh/internal/mpi"
 	"vectorh/internal/mpp"
-	"vectorh/internal/plan"
 	"vectorh/internal/vector"
 )
 
-// ScanPredSet is the per-column conjunct set a scan receives: MinMax block
-// skipping plus — unless SkipOnly — vectorized row filtering inside the
-// scan (defined in the plan package, re-exported for providers).
-type ScanPredSet = plan.ScanPredSet
-
-// ScanSpec is what a physical scan asks of storage.
+// ScanSpec is what a physical scan asks of storage: a projection of a table
+// and, when a filter sat directly on the scan, what that filter's predicate
+// lets storage do.
 type ScanSpec struct {
 	Table string
 	Cols  []string
-	Pred  *ScanPredSet
-	// Codes asks for PDICT string blocks as dictionary-code vectors; unset
-	// when the CompressedExec rule is off.
+	// Filter is the filter's whole predicate, bound against Cols. The provider
+	// MUST return exactly the rows satisfying it — there is no Select above
+	// the scan to re-check. Nil when there was no filter or the ScanPushdown
+	// rule is off (the Select then stays above the scan).
+	Filter expr.Expr
+	// Skip are the per-column bounds the predicate implies (expr.Bounds; Col
+	// indexes Cols): best-effort pruning of blocks no qualifying row can be
+	// in. They are derived from the predicate, never stated beside it, and
+	// never decide a row.
+	Skip []expr.Bound
+	// Codes asks for PDICT string blocks as dictionary-code vectors, and for
+	// spans to be decided on compression metadata before anything is
+	// unpacked; unset when the CompressedExec rule is off.
 	Codes bool
 }
 
 // ScanProvider supplies storage-backed scan streams; the engine implements
 // it, tests can fake it.
-//
-// Predicate contract: a non-nil pred with SkipOnly unset means the provider
-// MUST return only rows satisfying every conjunct — the rewriter elides the
-// Select above the scan when the set subsumes its predicate, so a provider
-// that merely skips would leak rows. A SkipOnly set is best-effort IO
-// pruning; row filtering stays upstream.
 type ScanProvider interface {
 	// PartitionScan scans one partition of a partitioned table at a node,
 	// under the query's context.
@@ -188,12 +188,19 @@ func (p *physScan) label() string {
 		kind = "replicated"
 	}
 	s := fmt.Sprintf("MScan[%s] (%s)", p.Table, kind)
-	if p.Pred != nil {
-		if p.Pred.SkipOnly {
-			s += fmt.Sprintf(" skip(%s)", p.Pred)
-		} else {
-			s += fmt.Sprintf(" pred(%s)", p.Pred)
+	if p.Filter != nil {
+		var parts []string
+		for _, c := range expr.Conjuncts(p.Filter) {
+			parts = append(parts, c.String())
 		}
+		s += fmt.Sprintf(" filter(%s)", strings.Join(parts, " and "))
+	}
+	if len(p.Skip) > 0 {
+		var parts []string
+		for _, b := range p.Skip {
+			parts = append(parts, fmt.Sprintf("%s in %s", p.Cols[b.Col], b))
+		}
+		s += fmt.Sprintf(" skip(%s)", strings.Join(parts, " & "))
 	}
 	return s
 }

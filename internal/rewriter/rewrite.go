@@ -39,20 +39,17 @@ const (
 	ReplicateBuild
 	// PartialAgg aggregates locally before exchanging.
 	PartialAgg
-	// ScanPushdown moves a filter's pushable conjuncts into the scan
-	// underneath (late-materialized filtering + per-kind MinMax skipping),
-	// eliding the Select when the conjuncts subsume its whole predicate.
-	// Off, conjuncts degrade to skip-only hints and the full Select stays —
-	// the pre-pushdown pipeline.
+	// ScanPushdown hands the predicate of a filter that sits directly on a
+	// scan to the scan (ScanSpec.Filter): the scan evaluates it over the
+	// predicate columns and late-materializes the rest, and no Select is
+	// planned above it. Off, the scan receives only the skip bounds derived
+	// from the predicate and the Select stays — the parity gates' reference
+	// path.
 	ScanPushdown
-	// CompressedExec executes on compressed data: scans serve PDICT string
-	// blocks as dictionary-code vectors (ScanSpec.Codes) and pushed predicate
-	// sets are marked legal for compressed-domain evaluation
-	// (ScanPredSet.CodeSpace) — string conjuncts transpose into
-	// dictionary-code space, integer conjuncts verdict against frame bounds
-	// before any unpack. Only genuinely row-filtering sets are marked;
-	// SkipOnly hints never are. Off, scans materialize every string block and
-	// predicates run in value space.
+	// CompressedExec executes on compressed data (ScanSpec.Codes): scans serve
+	// PDICT string blocks as dictionary-code vectors and decide spans against
+	// block dictionaries and frame bounds before any unpack. Off, scans
+	// materialize every string block and predicates run in value space.
 	CompressedExec
 )
 
@@ -215,41 +212,22 @@ func (c *rewriteCtx) recFilter(n *plan.FilterNode) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	// Push the filter's pushable conjuncts into the scan (the "derive scan
-	// ranges" rule of the Appendix rewriter profile, generalized from one
-	// int range to the full per-column conjunct set).
-	scan, isScan := child.phys.(*physScan)
-	if isScan && n.SkipSet != nil && scan.Pred == nil && c.opts.on(ScanPushdown) && !n.SkipSet.SkipOnly {
-		// Clone before marking CodeSpace: the logical plan may be cached and
-		// rewritten again under different options.
-		ps := n.SkipSet.Clone()
-		ps.CodeSpace = c.opts.on(CompressedExec)
-		scan.Pred = ps
-		child.rows = child.rows/3 + 1
-		if n.Residual == nil {
-			// The scan evaluates every conjunct itself: no Select needed.
-			return child, nil
-		}
-		bound, err := n.Residual.Bind(child.schema)
-		if err != nil {
-			return result{}, err
-		}
-		child.phys = &physFilter{child: child.phys, pred: bound}
-		return child, nil
-	}
-	if isScan && n.SkipSet != nil && scan.Pred == nil {
-		// Skip-only hints (builder Skip() assertions, or pushdown disabled):
-		// blocks are pruned by MinMax, rows are still filtered above.
-		skip := n.SkipSet.Clone()
-		skip.SkipOnly = true
-		scan.Pred = skip
-	}
-	bound, err := n.Pred.Bind(child.schema)
+	pred, err := n.Pred.Bind(child.schema)
 	if err != nil {
 		return result{}, err
 	}
-	child.phys = &physFilter{child: child.phys, pred: bound}
 	child.rows = child.rows/3 + 1
+	// A filter directly on a scan: the scan skips on the bounds the predicate
+	// implies (the "derive scan ranges" rule of the Appendix rewriter profile)
+	// and, with ScanPushdown on, evaluates the predicate itself.
+	if scan, ok := child.phys.(*physScan); ok && scan.Filter == nil {
+		scan.Skip = expr.Bounds(pred)
+		if c.opts.on(ScanPushdown) {
+			scan.Filter = pred
+			return child, nil
+		}
+	}
+	child.phys = &physFilter{child: child.phys, pred: pred}
 	return child, nil
 }
 

@@ -72,9 +72,8 @@ func (p *fakeProvider) ResponsibleParts(table string, node int) []int {
 }
 
 func (p *fakeProvider) PartitionScan(_ context.Context, spec ScanSpec, part, node int) (exec.Operator, error) {
-	table, cols := spec.Table, spec.Cols
 	p.scans[node]++
-	schema, rows := p.tableData(table)
+	schema, rows := p.tableData(spec.Table)
 	// Partition by first column % 4.
 	filtered := [][]any{}
 	for _, r := range rows {
@@ -84,13 +83,12 @@ func (p *fakeProvider) PartitionScan(_ context.Context, spec ScanSpec, part, nod
 	}
 	// Clustered tables are ordered on their key.
 	sort.Slice(filtered, func(i, j int) bool { return filtered[i][0].(int64) < filtered[j][0].(int64) })
-	return p.source(schema, cols, filtered), nil
+	return p.source(schema, spec, filtered), nil
 }
 
 func (p *fakeProvider) ReplicatedScan(_ context.Context, spec ScanSpec, node int) (exec.Operator, error) {
-	table, cols := spec.Table, spec.Cols
-	schema, rows := p.tableData(table)
-	return p.source(schema, cols, rows), nil
+	schema, rows := p.tableData(spec.Table)
+	return p.source(schema, spec, rows), nil
 }
 
 func (p *fakeProvider) tableData(table string) (vector.Schema, [][]any) {
@@ -114,7 +112,10 @@ func (p *fakeProvider) tableData(table string) (vector.Schema, [][]any) {
 	return info.Schema, rows
 }
 
-func (p *fakeProvider) source(schema vector.Schema, cols []string, rows [][]any) exec.Operator {
+// source serves the projection of rows and honours the provider contract:
+// a scan handed a Filter returns exactly the rows satisfying it.
+func (p *fakeProvider) source(schema vector.Schema, spec ScanSpec, rows [][]any) exec.Operator {
+	cols := spec.Cols
 	idx := make([]int, len(cols))
 	for i, c := range cols {
 		idx[i] = schema.Index(c)
@@ -132,7 +133,11 @@ func (p *fakeProvider) source(schema vector.Schema, cols []string, rows [][]any)
 		}
 		b.AppendRow(vals...)
 	}
-	return &exec.BatchSource{Batches: []*vector.Batch{b}}
+	var op exec.Operator = &exec.BatchSource{Batches: []*vector.Batch{b}}
+	if spec.Filter != nil {
+		op = &exec.Select{Child: op, Pred: spec.Filter}
+	}
+	return op
 }
 
 func run(t *testing.T, n plan.Node, opts Options) ([][]any, *fakeProvider, string) {

@@ -555,10 +555,9 @@ func (b *block) lower() (plan.Node, error) {
 	return node, nil
 }
 
-// sourceNode builds one source's subtree: a column-pruned scan (with pushed
-// filters and scan-evaluable skip predicates) or the derived/hidden subplan
-// (with a plain filter), topped by a rename projection when duplicate output
-// names forced physical renames.
+// sourceNode builds one source's subtree: a column-pruned scan or the
+// derived/hidden subplan, under a filter of the conjuncts pushed to it, topped
+// by a rename projection when duplicate output names forced physical renames.
 func (b *block) sourceNode(s *source, pushed []Expr) (plan.Node, vector.Schema, error) {
 	var node plan.Node
 	var ps vector.Schema
@@ -575,37 +574,15 @@ func (b *block) sourceNode(s *source, pushed []Expr) (plan.Node, vector.Schema, 
 			ps = vector.Schema{s.schema[0]}
 		}
 		node = plan.Scan(s.table, cols...)
-		if len(pushed) > 0 {
-			pred, err := lowerConj(ps, pushed)
-			if err != nil {
-				return nil, nil, err
-			}
-			f := plan.Filter(node, pred)
-			if set, rest := deriveSkipSet(ps, pushed); set != nil {
-				var res *plan.Expr
-				if len(rest) > 0 {
-					re, err := lowerConj(ps, rest)
-					if err != nil {
-						return nil, nil, err
-					}
-					res = &re
-				}
-				f.Push(set, res)
-			}
-			node = f
-		}
 	} else {
-		// Derived table: the subplan computes every output column; pushed
-		// conjuncts become a plain filter (no scan to push into from here —
-		// the inner block already pushed its own WHERE).
-		node, ps = s.sub, s.schema
-		if len(pushed) > 0 {
-			pred, err := lowerConj(ps, pushed)
-			if err != nil {
-				return nil, nil, err
-			}
-			node = plan.Filter(node, pred)
+		node, ps = s.sub, s.schema // the subplan computes every output column
+	}
+	if len(pushed) > 0 {
+		pred, err := lowerConj(ps, pushed)
+		if err != nil {
+			return nil, nil, err
 		}
+		node = plan.Filter(node, pred)
 	}
 	if len(s.phys) > 0 {
 		exprs := make([]plan.NamedExpr, len(ps))

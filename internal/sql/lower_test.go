@@ -132,31 +132,6 @@ func TestLowerShapes(t *testing.T) {
 		t.Fatalf("pruned scan has cols %v, want [a b]", scan.Cols)
 	}
 
-	// Date range predicates produce a scan predicate set on the filter that
-	// fully subsumes the WHERE clause (nil residual: the Select above the
-	// scan can be elided).
-	n, err = Compile(
-		"select a from t where d >= date '1994-01-01' and d < date '1995-01-01'", cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filter = n.(*plan.ProjectNode).Child.(*plan.FilterNode)
-	if filter.SkipSet == nil || len(filter.SkipSet.Preds) != 1 {
-		t.Fatalf("skip set = %+v, want one conjunct", filter.SkipSet)
-	}
-	p := filter.SkipSet.Preds[0]
-	lo := int64(vector.MustDate("1994-01-01"))
-	hi := int64(vector.MustDate("1994-12-31"))
-	if p.Col != "d" || p.Op != plan.PredIntRange || p.IntLo != lo || p.IntHi != hi {
-		t.Fatalf("derived pred %+v, want d in [%d,%d]", p, lo, hi)
-	}
-	if filter.SkipSet.SkipOnly {
-		t.Fatal("derived set must filter rows, not only skip blocks")
-	}
-	if filter.Residual != nil {
-		t.Fatalf("date range is fully pushable, residual should be nil")
-	}
-
 	// Join with mixed ON: equality becomes keys, the rest residual.
 	n, err = Compile(
 		"select a, label from t join u on t.id = u.id and label <> 'x'", cat)

@@ -91,7 +91,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("filter+top = %v, want %v", rows, want)
 	}
 
-	// Date-range predicate (served with a MinMax skip hint).
+	// Date-range predicate (the scan skips on the bound derived from it).
 	rows = runSQL(t, e,
 		"select count(*) as n from sales where sold >= date '2020-01-01' and sold < date '2020-01-01' + interval '1' month")
 	wantN := int64(0)
@@ -162,42 +162,11 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPushdownClassifierEdgeCases locks classifier corners where a wrong
-// derived range silently changes results (the Select above the scan is
-// elided, so nothing re-filters): equality must not weaken an accumulated
-// strict bound at the same value, strict integer bounds must not wrap at
-// the int64 extremes, and date literals against float columns must push
-// the day number, not zero.
-func TestPushdownClassifierEdgeCases(t *testing.T) {
-	e := newEngine(t)
-	count := func(q string) int64 {
-		rows := runSQL(t, e, q)
-		return rows[0][0].(int64)
-	}
-	// amount cycles 0..99 over 400 rows; region names: north/east/south/west.
-	if n := count("select count(*) as n from sales where amount > 50.0 and amount = 50.0"); n != 0 {
-		t.Fatalf("x > 50 AND x = 50 returned %d rows, want 0 (strict bound weakened by equality)", n)
-	}
-	if n := count("select count(*) as n from sales where amount = 50.0 and amount > 50.0"); n != 0 {
-		t.Fatalf("x = 50 AND x > 50 returned %d rows, want 0", n)
-	}
-	if n := count("select count(*) as n from regions where region_name > 'north' and region_name = 'north'"); n != 0 {
-		t.Fatalf("s > 'north' AND s = 'north' returned %d rows, want 0", n)
-	}
-	if n := count("select count(*) as n from sales where id > 9223372036854775807"); n != 0 {
-		t.Fatalf("id > MaxInt64 returned %d rows, want 0 (strict bound wrapped)", n)
-	}
-	// Date literal vs float column compares as the day number (interpreter
-	// semantics): day('1970-01-11') = 10, amounts 0..99 → 89 per 100 rows.
-	if n := count("select count(*) as n from sales where amount > date '1970-01-11'"); n != 4*89 {
-		t.Fatalf("amount > date-literal returned %d rows, want %d", n, 4*89)
-	}
-}
-
 // TestExplainGolden locks the full distributed physical plan of a SQL
-// aggregation query (stable: fixed data, fixed config). The WHERE clause is
-// fully subsumed by the scan predicate set, so no Select appears above the
-// sales scan: the scan filters (and MinMax-skips) the date range itself.
+// aggregation query (stable: fixed data, fixed config). The WHERE clause sits
+// directly on the sales scan, so no Select appears above it: the scan line
+// shows the predicate it evaluates and the bound derived from it that it
+// MinMax-skips on.
 // The ~N rows annotations are the cost model's cardinality estimates; the
 // join order the planner picks is auditable from them.
 func TestExplainGolden(t *testing.T) {
@@ -223,7 +192,7 @@ Sort ~14 rows
         DXchgHashSplit
           Aggr(partial)[1 keys,1 aggs,0 prims]
             HashJoin[0,replicated-build] ~134 rows
-              MScan[sales] (partitioned) pred(sold in [18276,max]) ~134 rows
+              MScan[sales] (partitioned) filter(($2 >= 18276)) skip(sold in [18276,max]) ~134 rows
               MScan[regions] (replicated) ~4 rows
 `, "\n")
 	if got != want {
@@ -232,11 +201,11 @@ Sort ~14 rows
 }
 
 // TestExplainGoldenMultiConjunct locks the plan of a scan-dominated query
-// whose WHERE clause mixes pushable conjuncts of three kinds (date range,
-// float range, int IN list) with one residual the scan cannot evaluate
-// (an arithmetic comparison). The pushable conjuncts land in the scan's
-// pred(...) set — every one of them skips blocks and filters rows — while
-// the Select above it shrinks to just the residual.
+// whose WHERE clause mixes conjuncts bounds are derived from (date range,
+// float range, int IN list) with one that implies none (an arithmetic
+// comparison). The scan evaluates all of them — there is no Select above it —
+// and skips on the three derived bounds: closed intervals, the IN list as its
+// envelope.
 func TestExplainGoldenMultiConjunct(t *testing.T) {
 	e := newEngine(t)
 	n, err := Compile(`
@@ -257,8 +226,7 @@ Project[1 exprs,0 prims] ~14 rows
   Aggr(final)[0 keys,1 aggs,0 prims]
     DXchgUnion->n0
       Aggr(partial)[0 keys,1 aggs,0 prims]
-        Select[(($1 + 1) > 12)] ~134 rows
-          MScan[sales] (partitioned) pred(sold in [18276,18306] & amount in [10,95) & id in [1 2 3 500]) ~400 rows
+        MScan[sales] (partitioned) filter(($2 >= 18276) and ($2 < 18307) and ($1 >= 10) and ($1 < 95) and in($0,[1 2 3 500]) and (($1 + 1) > 12)) skip(sold in [18276,18306] & amount in [10,95] & id in [1,500]) ~134 rows
 `, "\n")
 	if got != want {
 		t.Fatalf("explain mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"vectorh/internal/sql/joinorder"
+	"vectorh/internal/vector"
 )
 
 // This file is phase 3 of the multi-phase SELECT planner: stats-driven join
@@ -60,6 +61,20 @@ func (b *block) estimateRows(s *source, pushed []Expr) (rows, base float64, ok b
 	return rows, base, true
 }
 
+// mirrorCmp is a comparison operator with its operands swapped.
+var mirrorCmp = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+
+// intLit returns the value of an integer or date literal.
+func intLit(e Expr) (int64, bool) {
+	switch x := e.(type) {
+	case *IntLit:
+		return x.V, true
+	case *DateLit:
+		return int64(vector.AddMonths(vector.MustDate(x.V), x.Months)), true
+	}
+	return 0, false
+}
+
 // conjSelectivity estimates one conjunct's selectivity over its base table,
 // from the MinMax range of the referenced column when the conjunct is a
 // literal comparison over an integer-backed column (ints and dates), and the
@@ -85,48 +100,39 @@ func conjSelectivity(table string, c Expr, cs columnStats) float64 {
 	switch x := c.(type) {
 	case *BinExpr:
 		col, okCol := x.L.(*ColRef)
-		lit, okLit := litOf(x.R)
+		lit, okLit := intLit(x.R)
 		op := x.Op
 		if !okCol || !okLit {
-			if col, okCol = x.R.(*ColRef); !okCol {
+			// reversed: literal op column
+			col, okCol = x.R.(*ColRef)
+			lit, okLit = intLit(x.L)
+			if !okCol || !okLit {
 				return defaultSel
 			}
-			if lit, okLit = litOf(x.L); !okLit {
-				return defaultSel
-			}
-			op = flipCmp(op)
-		}
-		if lit.cls != classInt {
-			return defaultSel
+			op = mirrorCmp[op]
 		}
 		switch op {
 		case "=":
 			return rangeSel(col, func(lo, hi int64) float64 { return 1 / width(lo, hi) })
 		case "<":
-			return rangeSel(col, func(lo, hi int64) float64 { return float64(lit.i-lo) / width(lo, hi) })
+			return rangeSel(col, func(lo, hi int64) float64 { return float64(lit-lo) / width(lo, hi) })
 		case "<=":
-			return rangeSel(col, func(lo, hi int64) float64 { return float64(lit.i-lo+1) / width(lo, hi) })
+			return rangeSel(col, func(lo, hi int64) float64 { return float64(lit-lo+1) / width(lo, hi) })
 		case ">":
-			return rangeSel(col, func(lo, hi int64) float64 { return float64(hi-lit.i) / width(lo, hi) })
+			return rangeSel(col, func(lo, hi int64) float64 { return float64(hi-lit) / width(lo, hi) })
 		case ">=":
-			return rangeSel(col, func(lo, hi int64) float64 { return float64(hi-lit.i+1) / width(lo, hi) })
+			return rangeSel(col, func(lo, hi int64) float64 { return float64(hi-lit+1) / width(lo, hi) })
 		}
 		return defaultSel
 	case *BetweenExpr:
 		col, okCol := x.E.(*ColRef)
-		lo, okLo := litOf(x.Lo)
-		hi, okHi := litOf(x.Hi)
-		if !okCol || !okLo || !okHi || lo.cls != classInt || hi.cls != classInt {
+		lo, okLo := intLit(x.Lo)
+		hi, okHi := intLit(x.Hi)
+		if !okCol || !okLo || !okHi {
 			return defaultSel
 		}
 		return rangeSel(col, func(clo, chi int64) float64 {
-			a, z := lo.i, hi.i
-			if a < clo {
-				a = clo
-			}
-			if z > chi {
-				z = chi
-			}
+			a, z := max(lo, clo), min(hi, chi)
 			return (float64(z-a) + 1) / width(clo, chi)
 		})
 	case *InExpr:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vectorh/internal/plan"
-	"vectorh/internal/vector"
 )
 
 // Runner executes a logical plan; both the VectorH engine and the baseline
@@ -24,18 +23,6 @@ func BuildQuery(q int, r Runner) (plan.Node, error) {
 		return nil, fmt.Errorf("tpch: no query %d", q)
 	}
 	return builders[q-1](r)
-}
-
-func days(s string) int64 { return int64(vector.MustDate(s)) }
-
-// predSet wraps conjuncts as a filtering scan predicate set. Every set
-// built here must be exactly implied by the filter predicate it rides on:
-// the rewriter elides (or shrinks) the Select above the scan, so a bound
-// looser or tighter than the predicate would change results. Data-range
-// assertions that are NOT implied by the predicate belong in Skip(), which
-// stays block-skip-only.
-func predSet(preds ...plan.ColPred) *plan.ScanPredSet {
-	return &plan.ScanPredSet{Preds: preds}
 }
 
 // revenue is l_extendedprice * (1 - l_discount).
@@ -58,8 +45,7 @@ func q1(Runner) (plan.Node, error) {
 		plan.Aggregate(
 			plan.Filter(plan.Scan("lineitem", "l_returnflag", "l_linestatus", "l_quantity",
 				"l_extendedprice", "l_discount", "l_tax", "l_shipdate"),
-				plan.LE(plan.Col("l_shipdate"), plan.Date(cutoff))).
-				Push(predSet(plan.IntMax("l_shipdate", days(cutoff))), nil),
+				plan.LE(plan.Col("l_shipdate"), plan.Date(cutoff))),
 			[]string{"l_returnflag", "l_linestatus"},
 			plan.A("sum_qty", plan.Sum, plan.Dec("l_quantity")),
 			plan.A("sum_base_price", plan.Sum, plan.Dec("l_extendedprice")),
@@ -117,14 +103,11 @@ func q2(Runner) (plan.Node, error) {
 
 func q3(Runner) (plan.Node, error) {
 	cust := plan.Filter(plan.Scan("customer", "c_custkey", "c_mktsegment"),
-		plan.EQ(plan.Col("c_mktsegment"), plan.Str("BUILDING"))).
-		Push(predSet(plan.StrEq("c_mktsegment", "BUILDING")), nil)
+		plan.EQ(plan.Col("c_mktsegment"), plan.Str("BUILDING")))
 	ord := plan.Filter(plan.Scan("orders", "o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"),
-		plan.LT(plan.Col("o_orderdate"), plan.Date("1995-03-15"))).
-		Push(predSet(plan.IntMax("o_orderdate", days("1995-03-14"))), nil)
+		plan.LT(plan.Col("o_orderdate"), plan.Date("1995-03-15")))
 	li := plan.Filter(plan.Scan("lineitem", "l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"),
-		plan.GT(plan.Col("l_shipdate"), plan.Date("1995-03-15"))).
-		Push(predSet(plan.IntMin("l_shipdate", days("1995-03-15")+1)), nil)
+		plan.GT(plan.Col("l_shipdate"), plan.Date("1995-03-15")))
 	co := plan.Join(plan.InnerJoin, ord, cust, []string{"o_custkey"}, []string{"c_custkey"})
 	j := plan.Join(plan.InnerJoin, li, co, []string{"l_orderkey"}, []string{"o_orderkey"})
 	return plan.Top(
@@ -138,8 +121,7 @@ func q4(Runner) (plan.Node, error) {
 		plan.LT(plan.Col("l_commitdate"), plan.Col("l_receiptdate")))
 	ord := plan.Filter(plan.Scan("orders", "o_orderkey", "o_orderdate", "o_orderpriority"),
 		plan.And(plan.GE(plan.Col("o_orderdate"), plan.Date("1993-07-01")),
-			plan.LT(plan.Col("o_orderdate"), plan.DateOffset("1993-07-01", 3)))).
-		Push(predSet(plan.DateRange("o_orderdate", "1993-07-01", "1993-09-30")), nil)
+			plan.LT(plan.Col("o_orderdate"), plan.DateOffset("1993-07-01", 3))))
 	semi := plan.Join(plan.SemiJoin, ord, late, []string{"o_orderkey"}, []string{"l_orderkey"})
 	return plan.OrderBy(
 		plan.Aggregate(semi, []string{"o_orderpriority"}, plan.AStar("order_count")),
@@ -150,8 +132,7 @@ func q5(Runner) (plan.Node, error) {
 	cust := plan.Scan("customer", "c_custkey", "c_nationkey")
 	ord := plan.Filter(plan.Scan("orders", "o_orderkey", "o_custkey", "o_orderdate"),
 		plan.And(plan.GE(plan.Col("o_orderdate"), plan.Date("1994-01-01")),
-			plan.LT(plan.Col("o_orderdate"), plan.Date("1995-01-01")))).
-		Push(predSet(plan.DateRange("o_orderdate", "1994-01-01", "1994-12-31")), nil)
+			plan.LT(plan.Col("o_orderdate"), plan.Date("1995-01-01"))))
 	oc := plan.Join(plan.InnerJoin, ord, cust, []string{"o_custkey"}, []string{"c_custkey"})
 	li := plan.Scan("lineitem", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount")
 	loc := plan.Join(plan.InnerJoin, li, oc, []string{"l_orderkey"}, []string{"o_orderkey"})
@@ -175,11 +156,7 @@ func q6(Runner) (plan.Node, error) {
 			plan.GE(plan.Col("l_shipdate"), plan.Date("1994-01-01")),
 			plan.LT(plan.Col("l_shipdate"), plan.Date("1995-01-01")),
 			plan.Between(plan.Dec("l_discount"), plan.Float(0.05), plan.Float(0.07)),
-			plan.LT(plan.Dec("l_quantity"), plan.Float(24)))).
-		Push(predSet(
-			plan.DateRange("l_shipdate", "1994-01-01", "1994-12-31"),
-			plan.DecRange("l_discount", 0.05, 0.07, false, false),
-			plan.DecMax("l_quantity", 24, true)), nil)
+			plan.LT(plan.Dec("l_quantity"), plan.Float(24))))
 	return plan.Aggregate(li, nil,
 		plan.A("revenue", plan.Sum, plan.Mul(plan.Dec("l_extendedprice"), plan.Dec("l_discount")))), nil
 }
@@ -190,8 +167,7 @@ func q7(Runner) (plan.Node, error) {
 	n2 := plan.Project(plan.Scan("nation", "n_nationkey", "n_name"),
 		plan.As("n2_key", plan.Col("n_nationkey")), plan.As("cust_nation", plan.Col("n_name")))
 	li := plan.Filter(plan.Scan("lineitem", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"),
-		plan.Between(plan.Col("l_shipdate"), plan.Date("1995-01-01"), plan.Date("1996-12-31"))).
-		Push(predSet(plan.DateRange("l_shipdate", "1995-01-01", "1996-12-31")), nil)
+		plan.Between(plan.Col("l_shipdate"), plan.Date("1995-01-01"), plan.Date("1996-12-31")))
 	lo := plan.Join(plan.InnerJoin, li, plan.Scan("orders", "o_orderkey", "o_custkey"),
 		[]string{"l_orderkey"}, []string{"o_orderkey"})
 	loc := plan.Join(plan.InnerJoin, lo, plan.Scan("customer", "c_custkey", "c_nationkey"),
@@ -217,13 +193,11 @@ func q7(Runner) (plan.Node, error) {
 
 func q8(Runner) (plan.Node, error) {
 	part := plan.Filter(plan.Scan("part", "p_partkey", "p_type"),
-		plan.EQ(plan.Col("p_type"), plan.Str("ECONOMY ANODIZED STEEL"))).
-		Push(predSet(plan.StrEq("p_type", "ECONOMY ANODIZED STEEL")), nil)
+		plan.EQ(plan.Col("p_type"), plan.Str("ECONOMY ANODIZED STEEL")))
 	li := plan.Scan("lineitem", "l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount")
 	lp := plan.Join(plan.InnerJoin, li, part, []string{"l_partkey"}, []string{"p_partkey"})
 	ord := plan.Filter(plan.Scan("orders", "o_orderkey", "o_custkey", "o_orderdate"),
-		plan.Between(plan.Col("o_orderdate"), plan.Date("1995-01-01"), plan.Date("1996-12-31"))).
-		Push(predSet(plan.DateRange("o_orderdate", "1995-01-01", "1996-12-31")), nil)
+		plan.Between(plan.Col("o_orderdate"), plan.Date("1995-01-01"), plan.Date("1996-12-31")))
 	lpo := plan.Join(plan.InnerJoin, lp, ord, []string{"l_orderkey"}, []string{"o_orderkey"})
 	cust := plan.Join(plan.InnerJoin, lpo, plan.Scan("customer", "c_custkey", "c_nationkey"),
 		[]string{"o_custkey"}, []string{"c_custkey"})
@@ -281,11 +255,9 @@ func q9(Runner) (plan.Node, error) {
 func q10(Runner) (plan.Node, error) {
 	ord := plan.Filter(plan.Scan("orders", "o_orderkey", "o_custkey", "o_orderdate"),
 		plan.And(plan.GE(plan.Col("o_orderdate"), plan.Date("1993-10-01")),
-			plan.LT(plan.Col("o_orderdate"), plan.DateOffset("1993-10-01", 3)))).
-		Push(predSet(plan.DateRange("o_orderdate", "1993-10-01", "1993-12-31")), nil)
+			plan.LT(plan.Col("o_orderdate"), plan.DateOffset("1993-10-01", 3))))
 	li := plan.Filter(plan.Scan("lineitem", "l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"),
-		plan.EQ(plan.Col("l_returnflag"), plan.Str("R"))).
-		Push(predSet(plan.StrEq("l_returnflag", "R")), nil)
+		plan.EQ(plan.Col("l_returnflag"), plan.Str("R")))
 	lo := plan.Join(plan.InnerJoin, li, ord, []string{"l_orderkey"}, []string{"o_orderkey"})
 	cust := plan.Join(plan.InnerJoin, lo,
 		plan.Scan("customer", "c_custkey", "c_name", "c_acctbal", "c_address", "c_phone", "c_comment", "c_nationkey"),
@@ -323,19 +295,13 @@ func q11(r Runner) (plan.Node, error) {
 }
 
 func q12(Runner) (plan.Node, error) {
-	q12Residual := plan.And(
-		plan.LT(plan.Col("l_commitdate"), plan.Col("l_receiptdate")),
-		plan.LT(plan.Col("l_shipdate"), plan.Col("l_commitdate")))
 	li := plan.Filter(plan.Scan("lineitem", "l_orderkey", "l_shipmode", "l_commitdate", "l_receiptdate", "l_shipdate"),
 		plan.AndAll(
 			plan.InStr(plan.Col("l_shipmode"), "MAIL", "SHIP"),
 			plan.LT(plan.Col("l_commitdate"), plan.Col("l_receiptdate")),
 			plan.LT(plan.Col("l_shipdate"), plan.Col("l_commitdate")),
 			plan.GE(plan.Col("l_receiptdate"), plan.Date("1994-01-01")),
-			plan.LT(plan.Col("l_receiptdate"), plan.Date("1995-01-01")))).
-		Push(predSet(
-			plan.StrInList("l_shipmode", "MAIL", "SHIP"),
-			plan.DateRange("l_receiptdate", "1994-01-01", "1994-12-31")), &q12Residual)
+			plan.LT(plan.Col("l_receiptdate"), plan.Date("1995-01-01"))))
 	j := plan.Join(plan.InnerJoin, li, plan.Scan("orders", "o_orderkey", "o_orderpriority"),
 		[]string{"l_orderkey"}, []string{"o_orderkey"})
 	pre := plan.Project(j,
@@ -369,8 +335,7 @@ func q13(Runner) (plan.Node, error) {
 func q14(Runner) (plan.Node, error) {
 	li := plan.Filter(plan.Scan("lineitem", "l_partkey", "l_extendedprice", "l_discount", "l_shipdate"),
 		plan.And(plan.GE(plan.Col("l_shipdate"), plan.Date("1995-09-01")),
-			plan.LT(plan.Col("l_shipdate"), plan.DateOffset("1995-09-01", 1)))).
-		Push(predSet(plan.DateRange("l_shipdate", "1995-09-01", "1995-09-30")), nil)
+			plan.LT(plan.Col("l_shipdate"), plan.DateOffset("1995-09-01", 1))))
 	j := plan.Join(plan.InnerJoin, li, plan.Scan("part", "p_partkey", "p_type"),
 		[]string{"l_partkey"}, []string{"p_partkey"})
 	pre := plan.Project(j,
@@ -386,8 +351,7 @@ func q15(r Runner) (plan.Node, error) {
 	rev := func() plan.Node {
 		li := plan.Filter(plan.Scan("lineitem", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"),
 			plan.And(plan.GE(plan.Col("l_shipdate"), plan.Date("1996-01-01")),
-				plan.LT(plan.Col("l_shipdate"), plan.DateOffset("1996-01-01", 3)))).
-			Push(predSet(plan.DateRange("l_shipdate", "1996-01-01", "1996-03-31")), nil)
+				plan.LT(plan.Col("l_shipdate"), plan.DateOffset("1996-01-01", 3))))
 		return plan.Aggregate(li, []string{"l_suppkey"},
 			plan.A("total_revenue", plan.Sum, revenue()))
 	}
@@ -493,8 +457,7 @@ func q20(Runner) (plan.Node, error) {
 	shipped := plan.Aggregate(
 		plan.Filter(plan.Scan("lineitem", "l_partkey", "l_suppkey", "l_quantity", "l_shipdate"),
 			plan.And(plan.GE(plan.Col("l_shipdate"), plan.Date("1994-01-01")),
-				plan.LT(plan.Col("l_shipdate"), plan.Date("1995-01-01")))).
-			Skip("l_shipdate", days("1994-01-01"), days("1994-12-31")),
+				plan.LT(plan.Col("l_shipdate"), plan.Date("1995-01-01")))),
 		[]string{"l_partkey", "l_suppkey"},
 		plan.A("sq", plan.Sum, plan.Dec("l_quantity")))
 	forest := plan.Filter(plan.Scan("part", "p_partkey", "p_name"),

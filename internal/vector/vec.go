@@ -119,7 +119,9 @@ func (v *Vec) Resize(n int) {
 
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		// At least doubling: a buffer refilled with batches of growing size
+		// reallocates a logarithmic number of times, not once per size.
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
