@@ -165,3 +165,56 @@ func TestOnePredicateOneEvaluator(t *testing.T) {
 		})
 	}
 }
+
+// TestOneTraversalOfTheSQLAST guards the one statement of the SQL AST's
+// operand structure: walk and rewrite in ast.go (and lowerExpr, which maps
+// each node kind to a plan expression by nature). A function anywhere else in
+// internal/sql with both a `case *BetweenExpr` and a `case *CaseExpr` is the
+// fingerprint of a hand-copied walker — the shape the twelve visitors over
+// walk/rewrite replaced — and would have to learn every future node kind
+// separately.
+func TestOneTraversalOfTheSQLAST(t *testing.T) {
+	files, _ := filepath.Glob("internal/sql/*.go")
+	if len(files) == 0 {
+		t.Fatal("found no files under internal/sql; did the package move?")
+	}
+	fset := token.NewFileSet()
+	foundLowerExpr := false
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			foundLowerExpr = foundLowerExpr || fd.Name.Name == "lowerExpr"
+			cases := map[string]bool{}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if cc, ok := n.(*ast.CaseClause); ok {
+					for _, e := range cc.List {
+						if st, ok := e.(*ast.StarExpr); ok {
+							if id, ok := st.X.(*ast.Ident); ok {
+								cases[id.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+			allowed := filepath.Base(path) == "ast.go" || fd.Name.Name == "lowerExpr"
+			if cases["BetweenExpr"] && cases["CaseExpr"] && !allowed {
+				t.Errorf("%s: %s switches over the expression node kinds; make it a visitor over walk/rewrite (ast.go)",
+					fset.Position(fd.Pos()), fd.Name.Name)
+			}
+		}
+	}
+	if !foundLowerExpr {
+		t.Error("found no lowerExpr in internal/sql; did it move?")
+	}
+}

@@ -662,6 +662,9 @@ func finishAcc(st *acc, fn plan.AggFuncName, kind vector.Kind) any {
 		if kind == vector.String {
 			return st.s
 		}
+		if kind == vector.Int32 { // min/max of an int32 or date keep its type
+			return int32(st.i)
+		}
 		return st.i
 	}
 }

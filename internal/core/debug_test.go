@@ -46,7 +46,7 @@ func TestBalancedPinReleaseClean(t *testing.T) {
 	g := p.pinLocked()
 	p.mu.RUnlock()
 	p.release(g, nil)
-	if n := g.refs.Load(); n != 0 {
+	if n := g.refs; n != 0 {
 		t.Fatalf("refs after balanced pin/release = %d, want 0", n)
 	}
 }

@@ -75,10 +75,11 @@ func (t *Table) Replicated() bool { return t.Info.PartitionKey == "" }
 // Partition is one table partition's storage and delta state. Its metadata
 // is copy-on-write: writers (bulk load, update propagation, MinMax widening)
 // build a clone and publish it with a pointer swap, while every open scan
-// holds a refcounted reference to the generation it started on. Files that a
-// new generation superseded are deleted only when the last scan of the old
-// generation finishes, so concurrent readers never observe a half-mutated
-// block directory or a vanished chunk file.
+// holds a refcounted reference to the generation it started on. A file that a
+// publish dropped is deleted only once no generation at or before the one
+// that dropped it is pinned, so concurrent readers never observe a
+// half-mutated block directory or a vanished chunk file — however many
+// generations were published since they opened.
 type Partition struct {
 	Key         txn.PartKey
 	Responsible string // node owning the partition's WAL and PDTs
@@ -89,27 +90,18 @@ type Partition struct {
 	// under the exclusive lock.
 	mu  sync.RWMutex
 	cur *metaGen
+
+	// lifeMu guards retired and every generation's refs and dead. It is
+	// taken inside mu, never around it.
+	lifeMu  sync.Mutex
+	retired []*metaGen // superseded generations not yet reaped, oldest first
 }
 
-// metaGen is one refcounted metadata generation. The refcount is atomic so
-// pinning under the partition's shared read lock never mutates map state;
-// retirement bookkeeping (dead files) is written by the publisher under the
-// exclusive lock and claimed exactly once via claimed.
+// metaGen is one refcounted metadata generation.
 type metaGen struct {
-	meta    *colstore.PartitionMeta
-	refs    atomic.Int64
-	retired atomic.Bool
-	claimed atomic.Bool
-	dead    []string // superseded files; set before retired is published
-}
-
-// takeDead claims the generation's dead files for deletion, exactly once,
-// and only when the generation is retired with no scans pinning it.
-func (g *metaGen) takeDead() []string {
-	if g.retired.Load() && g.refs.Load() == 0 && g.claimed.CompareAndSwap(false, true) {
-		return g.dead
-	}
-	return nil
+	meta *colstore.PartitionMeta
+	refs int64    // open scans pinning this generation
+	dead []string // files the publish that superseded this generation dropped
 }
 
 // CurrentMeta returns the partition's current storage metadata generation.
@@ -124,33 +116,48 @@ func (p *Partition) CurrentMeta() *colstore.PartitionMeta {
 // pinLocked pins the current metadata generation for an open scan. Caller
 // holds p.mu (shared or exclusive).
 func (p *Partition) pinLocked() *metaGen {
-	g := p.cur
-	g.refs.Add(1)
-	return g
+	p.lifeMu.Lock()
+	defer p.lifeMu.Unlock()
+	p.cur.refs++
+	return p.cur
 }
 
-// release unpins a metadata generation; when the last scan of a retired
-// generation finishes, its superseded files are deleted. Lock-free: the
-// publisher and the last releaser race for the claim, and exactly one wins.
+// release unpins a metadata generation and deletes the files no remaining
+// pin can reach.
 func (p *Partition) release(g *metaGen, fs *hdfs.Cluster) {
-	debugCheckRefs(g.refs.Add(-1))
-	deleteAll(fs, g.takeDead())
+	p.lifeMu.Lock()
+	g.refs--
+	debugCheckRefs(g.refs)
+	deletable := p.reapLocked()
+	p.lifeMu.Unlock()
+	deleteAll(fs, deletable)
+}
+
+// reapLocked pops unpinned generations off the front of retired and returns
+// their dead files. A generation's dead files may still be read through any
+// older generation (they share chunk files), which is why only the front is
+// ever popped: once it is unpinned, nothing at or before it is. Caller holds
+// p.lifeMu.
+func (p *Partition) reapLocked() (deletable []string) {
+	for len(p.retired) > 0 && p.retired[0].refs == 0 {
+		deletable = append(deletable, p.retired[0].dead...)
+		p.retired = slices.Delete(p.retired, 0, 1)
+	}
+	return deletable
 }
 
 // publishLocked swaps in a new metadata generation, retiring the old one.
-// deadFiles lists files the new generation no longer references; they are
-// returned for immediate deletion when no scan pins the old generation, or
-// claimed by the old generation's last release. Caller holds p.mu
-// exclusively.
+// deadFiles lists files the new generation no longer references; the ones no
+// pinned scan can still reach (all of them, when none is open) are returned
+// for deletion, the rest go with the release that unpins them. Caller holds
+// p.mu exclusively.
 func (p *Partition) publishLocked(newMeta *colstore.PartitionMeta, deadFiles []string) (deletable []string) {
-	old := p.cur
+	p.lifeMu.Lock()
+	defer p.lifeMu.Unlock()
+	p.cur.dead = deadFiles
+	p.retired = append(p.retired, p.cur)
 	p.cur = &metaGen{meta: newMeta}
-	if len(deadFiles) == 0 {
-		return nil
-	}
-	old.dead = deadFiles
-	old.retired.Store(true)
-	return old.takeDead()
+	return p.reapLocked()
 }
 
 func deleteAll(fs *hdfs.Cluster, files []string) {

@@ -39,8 +39,8 @@ func (a AggSpec) resultKind() vector.Kind {
 			return vector.Int64
 		}
 		k := a.Arg.Kind()
-		if k == vector.Int32 {
-			return vector.Int64 // sums/mins widen int32
+		if k == vector.Int32 && a.Func == AggSum {
+			return vector.Int64 // sums widen int32; min/max keep their argument's kind
 		}
 		return k
 	}
@@ -161,6 +161,8 @@ func (h *HashAggr) Next() (*vector.Batch, error) {
 					v.AppendFloat64(st.f64)
 				case vector.String:
 					v.AppendString(st.str)
+				case vector.Int32:
+					v.AppendInt32(int32(st.i64))
 				default:
 					v.AppendInt64(st.i64)
 				}

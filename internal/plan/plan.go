@@ -165,8 +165,8 @@ func (n *AggregateNode) Schema(cat Catalog) (vector.Schema, error) {
 			if err != nil {
 				return nil, err
 			}
-			t = at
-			if t.Kind == vector.Int32 {
+			t = at // min/max keep their argument's type
+			if a.Func == Sum && t.Kind == vector.Int32 {
 				t = vector.TInt64
 			}
 		}

@@ -1,5 +1,11 @@
 package sql
 
+// The AST. The operand structure of the expression nodes is stated once, in
+// walk and rewrite below; every analysis and transformation of the planner is
+// a visitor over those two. A new node kind is: its struct, String, walk,
+// rewrite, lowerExpr — TestWalkRewriteCoverEveryNode fails until walk and
+// rewrite know it.
+
 import (
 	"fmt"
 	"strings"
@@ -98,6 +104,93 @@ type OrderItem struct {
 type Expr interface {
 	fmt.Stringer
 	pos() Pos
+}
+
+// walk visits e and its operands depth-first in source order. pre returning
+// false prunes the node's operands. Subquery statements (ExistsExpr.Sub,
+// SubqueryExpr.Sub, InSubquery.Sub) are opaque: their expressions belong to
+// their own blocks. A nil e (count(*)'s argument) is skipped.
+func walk(e Expr, pre func(Expr) bool) {
+	if e == nil || !pre(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *BinExpr:
+		walk(x.L, pre)
+		walk(x.R, pre)
+	case *NotExpr:
+		walk(x.E, pre)
+	case *FuncCall:
+		walk(x.Arg, pre)
+	case *LikeExpr:
+		walk(x.E, pre)
+	case *InExpr:
+		walk(x.E, pre)
+	case *InSubquery:
+		walk(x.E, pre)
+	case *SubstrExpr:
+		walk(x.E, pre)
+	case *BetweenExpr:
+		walk(x.E, pre)
+		walk(x.Lo, pre)
+		walk(x.Hi, pre)
+	case *CaseExpr:
+		walk(x.When, pre)
+		walk(x.Then, pre)
+		walk(x.Else, pre)
+	}
+}
+
+// rewrite maps e top-down: where f returns true its result replaces the node
+// (whose operands are then not visited); otherwise the node is rebuilt as a
+// copy — every scalar field kept — over its rewritten operands, and a leaf is
+// returned as it is. Subquery statements are opaque, as in walk.
+func rewrite(e Expr, f func(Expr) (Expr, bool)) Expr {
+	if e == nil {
+		return nil
+	}
+	if r, ok := f(e); ok {
+		return r
+	}
+	switch x := e.(type) {
+	case *BinExpr:
+		c := *x
+		c.L, c.R = rewrite(x.L, f), rewrite(x.R, f)
+		return &c
+	case *NotExpr:
+		c := *x
+		c.E = rewrite(x.E, f)
+		return &c
+	case *FuncCall:
+		c := *x
+		c.Arg = rewrite(x.Arg, f)
+		return &c
+	case *LikeExpr:
+		c := *x
+		c.E = rewrite(x.E, f)
+		return &c
+	case *InExpr:
+		c := *x
+		c.E = rewrite(x.E, f)
+		return &c
+	case *InSubquery:
+		c := *x
+		c.E = rewrite(x.E, f)
+		return &c
+	case *SubstrExpr:
+		c := *x
+		c.E = rewrite(x.E, f)
+		return &c
+	case *BetweenExpr:
+		c := *x
+		c.E, c.Lo, c.Hi = rewrite(x.E, f), rewrite(x.Lo, f), rewrite(x.Hi, f)
+		return &c
+	case *CaseExpr:
+		c := *x
+		c.When, c.Then, c.Else = rewrite(x.When, f), rewrite(x.Then, f), rewrite(x.Else, f)
+		return &c
+	}
+	return e
 }
 
 // ColRef references a column, optionally qualified by a table alias.

@@ -198,63 +198,44 @@ func (b *block) probes(c *ColRef) bool {
 // Subquery expressions are skipped — they bind inside their own block during
 // decorrelation. When allowAggs is false, aggregate calls are rejected.
 func (b *block) bindUse(e Expr, allowAggs bool) error {
-	switch x := e.(type) {
-	case *ColRef:
-		s, f, err := b.resolve(x)
+	var err error
+	walk(e, func(e Expr) bool {
 		if err != nil {
-			return err
+			return false
 		}
-		s.used[f.Name] = true
-		s.valUsed[f.Name] = true
-	case *BinExpr:
-		if err := b.bindUse(x.L, allowAggs); err != nil {
-			return err
-		}
-		return b.bindUse(x.R, allowAggs)
-	case *NotExpr:
-		return b.bindUse(x.E, allowAggs)
-	case *FuncCall:
-		if aggFuncs[x.Name] {
+		switch x := e.(type) {
+		case *ColRef:
+			var s *source
+			var f vector.Field
+			if s, f, err = b.resolve(x); err == nil {
+				s.used[f.Name] = true
+				s.valUsed[f.Name] = true
+			}
+		case *FuncCall:
+			if !aggFuncs[x.Name] {
+				return true
+			}
 			if !allowAggs {
-				return errf(x.P, "aggregate %s() is only allowed in the select list", x.Name)
-			}
-			if x.Arg != nil {
+				err = errf(x.P, "aggregate %s() is only allowed in the select list", x.Name)
+			} else {
 				// no nested aggregates inside an aggregate argument
-				return b.bindUse(x.Arg, false)
+				err = b.bindUse(x.Arg, false)
 			}
-			return nil
+			return false
 		}
-		if x.Arg != nil {
-			return b.bindUse(x.Arg, allowAggs)
-		}
-	case *LikeExpr:
-		return b.bindUse(x.E, allowAggs)
-	case *InExpr:
-		return b.bindUse(x.E, allowAggs)
-	case *SubstrExpr:
-		return b.bindUse(x.E, allowAggs)
-	case *BetweenExpr:
-		if err := b.bindUse(x.E, allowAggs); err != nil {
-			return err
-		}
-		if err := b.bindUse(x.Lo, allowAggs); err != nil {
-			return err
-		}
-		return b.bindUse(x.Hi, allowAggs)
-	case *CaseExpr:
-		if err := b.bindUse(x.When, allowAggs); err != nil {
-			return err
-		}
-		if err := b.bindUse(x.Then, allowAggs); err != nil {
-			return err
-		}
-		return b.bindUse(x.Else, allowAggs)
-	case *InSubquery:
-		return b.bindUse(x.E, allowAggs)
-	case *ExistsExpr, *SubqueryExpr:
-		// bound in their own block during decorrelation
+		return true
+	})
+	return err
+}
+
+// eqCols matches a bare column equality l = r, the shape of a join key and of
+// a correlation condition.
+func eqCols(c Expr) (l, r *ColRef, ok bool) {
+	if be, isBin := c.(*BinExpr); isBin && be.Op == "=" {
+		l, _ = be.L.(*ColRef)
+		r, _ = be.R.(*ColRef)
 	}
-	return nil
+	return l, r, l != nil && r != nil
 }
 
 // bindOnUse resolves an ON condition. Conjuncts shaped like prospective join
@@ -263,17 +244,13 @@ func (b *block) bindUse(e Expr, allowAggs bool) error {
 // apply to them.
 func (b *block) bindOnUse(on Expr) error {
 	for _, c := range splitAnd(on) {
-		if be, ok := c.(*BinExpr); ok && be.Op == "=" {
-			lc, lok := be.L.(*ColRef)
-			rc, rok := be.R.(*ColRef)
-			if lok && rok {
-				ls, lf, lerr := b.resolve(lc)
-				rs, rf, rerr := b.resolve(rc)
-				if lerr == nil && rerr == nil && ls != rs {
-					ls.used[lf.Name] = true
-					rs.used[rf.Name] = true
-					continue
-				}
+		if lc, rc, ok := eqCols(c); ok {
+			ls, lf, lerr := b.resolve(lc)
+			rs, rf, rerr := b.resolve(rc)
+			if lerr == nil && rerr == nil && ls != rs {
+				ls.used[lf.Name] = true
+				rs.used[rf.Name] = true
+				continue
 			}
 		}
 		if err := b.bindUse(c, false); err != nil {
@@ -288,41 +265,14 @@ func (b *block) bindOnUse(on Expr) error {
 // live in their own block).
 func (b *block) srcsOf(e Expr) map[*source]bool {
 	out := make(map[*source]bool)
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *ColRef:
+	walk(e, func(e Expr) bool {
+		if x, ok := e.(*ColRef); ok {
 			if s, _, err := b.resolveAny(x); err == nil {
 				out[s] = true
 			}
-		case *BinExpr:
-			walk(x.L)
-			walk(x.R)
-		case *NotExpr:
-			walk(x.E)
-		case *FuncCall:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
-		case *LikeExpr:
-			walk(x.E)
-		case *InExpr:
-			walk(x.E)
-		case *SubstrExpr:
-			walk(x.E)
-		case *BetweenExpr:
-			walk(x.E)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *CaseExpr:
-			walk(x.When)
-			walk(x.Then)
-			walk(x.Else)
-		case *InSubquery:
-			walk(x.E)
 		}
-	}
-	walk(e)
+		return true
+	})
 	return out
 }
 
@@ -360,37 +310,17 @@ func (b *block) assignPhys(order []int) {
 // away before this runs; unresolvable references are left as-is for the
 // expression lowering to report against the concrete schema.
 func (b *block) rewriteRefs(e Expr) Expr {
-	switch x := e.(type) {
-	case *ColRef:
+	return rewrite(e, func(e Expr) (Expr, bool) {
+		x, ok := e.(*ColRef)
+		if !ok {
+			return nil, false
+		}
 		if s, f, err := b.resolveAny(x); err == nil {
-			return &ColRef{Name: s.outCol(f.Name), P: x.P}
+			return &ColRef{Name: s.outCol(f.Name), P: x.P}, true
 		}
 		if x.Table != "" {
-			return &ColRef{Name: x.Name, P: x.P}
+			return &ColRef{Name: x.Name, P: x.P}, true
 		}
-		return x
-	case *BinExpr:
-		return &BinExpr{Op: x.Op, L: b.rewriteRefs(x.L), R: b.rewriteRefs(x.R), P: x.P}
-	case *NotExpr:
-		return &NotExpr{E: b.rewriteRefs(x.E), P: x.P}
-	case *FuncCall:
-		if x.Arg == nil {
-			return x
-		}
-		return &FuncCall{Name: x.Name, Arg: b.rewriteRefs(x.Arg), Star: x.Star,
-			Distinct: x.Distinct, P: x.P}
-	case *LikeExpr:
-		return &LikeExpr{E: b.rewriteRefs(x.E), Pattern: x.Pattern, Not: x.Not, P: x.P}
-	case *InExpr:
-		return &InExpr{E: b.rewriteRefs(x.E), Strs: x.Strs, Ints: x.Ints, Not: x.Not, P: x.P}
-	case *SubstrExpr:
-		return &SubstrExpr{E: b.rewriteRefs(x.E), Start: x.Start, Length: x.Length, P: x.P}
-	case *BetweenExpr:
-		return &BetweenExpr{E: b.rewriteRefs(x.E), Lo: b.rewriteRefs(x.Lo),
-			Hi: b.rewriteRefs(x.Hi), P: x.P}
-	case *CaseExpr:
-		return &CaseExpr{When: b.rewriteRefs(x.When), Then: b.rewriteRefs(x.Then),
-			Else: b.rewriteRefs(x.Else), P: x.P}
-	}
-	return e
+		return x, true
+	})
 }

@@ -29,39 +29,12 @@ import (
 // nested subquery expressions (those bind inside their own blocks).
 func collectRefs(e Expr) []*ColRef {
 	var out []*ColRef
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *ColRef:
+	walk(e, func(e Expr) bool {
+		if x, ok := e.(*ColRef); ok {
 			out = append(out, x)
-		case *BinExpr:
-			walk(x.L)
-			walk(x.R)
-		case *NotExpr:
-			walk(x.E)
-		case *FuncCall:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
-		case *LikeExpr:
-			walk(x.E)
-		case *InExpr:
-			walk(x.E)
-		case *SubstrExpr:
-			walk(x.E)
-		case *BetweenExpr:
-			walk(x.E)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *CaseExpr:
-			walk(x.When)
-			walk(x.Then)
-			walk(x.Else)
-		case *InSubquery:
-			walk(x.E)
 		}
-	}
-	walk(e)
+		return true
+	})
 	return out
 }
 
@@ -86,14 +59,8 @@ func (sb *block) splitCorr() (inner, outerRefs []*ColRef, err error) {
 			kept = append(kept, c)
 			continue
 		}
-		be, ok := c.(*BinExpr)
-		if !ok || be.Op != "=" {
-			return nil, nil, errf(c.pos(),
-				"correlated condition %s must be a simple equality between a subquery column and an outer column", c)
-		}
-		lc, lok := be.L.(*ColRef)
-		rc, rok := be.R.(*ColRef)
-		if !lok || !rok {
+		lc, rc, ok := eqCols(c)
+		if !ok {
 			return nil, nil, errf(c.pos(),
 				"correlated condition %s must be a simple equality between a subquery column and an outer column", c)
 		}
@@ -322,95 +289,65 @@ func (b *block) addScalar(x *SubqueryExpr, post bool) (*ColRef, error) {
 // AND conjunct. EXISTS and IN subqueries nested below the conjunct level are
 // rejected for the same reason.
 func (b *block) extractScalars(c Expr, post bool) (Expr, error) {
-	var rec func(e Expr, guarded bool) (Expr, error)
-	rec = func(e Expr, guarded bool) (Expr, error) {
+	var err error
+	guarded := false // below an OR or a NOT
+	var visit func(e Expr) (Expr, bool)
+	visit = func(e Expr) (Expr, bool) {
+		if err != nil {
+			return e, true
+		}
+		guards := false
 		switch x := e.(type) {
 		case *SubqueryExpr:
 			if guarded {
-				return nil, errf(x.P, "scalar subquery is only supported in top-level AND conjuncts")
+				err = errf(x.P, "scalar subquery is only supported in top-level AND conjuncts")
+				return e, true
 			}
-			return b.addScalar(x, post)
+			var ref *ColRef
+			if ref, err = b.addScalar(x, post); err != nil {
+				return e, true
+			}
+			return ref, true
 		case *ExistsExpr:
-			return nil, errf(x.P, "EXISTS is only supported as a top-level WHERE conjunct")
+			err = errf(x.P, "EXISTS is only supported as a top-level WHERE conjunct")
+			return e, true
 		case *InSubquery:
-			return nil, errf(x.P, "IN (SELECT ...) is only supported as a top-level WHERE conjunct")
-		case *BinExpr:
-			g := guarded || x.Op == "or"
-			l, err := rec(x.L, g)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rec(x.R, g)
-			if err != nil {
-				return nil, err
-			}
-			return &BinExpr{Op: x.Op, L: l, R: r, P: x.P}, nil
-		case *NotExpr:
-			inner, err := rec(x.E, true)
-			if err != nil {
-				return nil, err
-			}
-			return &NotExpr{E: inner, P: x.P}, nil
-		case *BetweenExpr:
-			ee, err := rec(x.E, guarded)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := rec(x.Lo, guarded)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := rec(x.Hi, guarded)
-			if err != nil {
-				return nil, err
-			}
-			return &BetweenExpr{E: ee, Lo: lo, Hi: hi, P: x.P}, nil
+			err = errf(x.P, "IN (SELECT ...) is only supported as a top-level WHERE conjunct")
+			return e, true
 		case *CaseExpr:
 			// CASE branches evaluate conditionally: a single-row join cannot
 			// model that, so reject subqueries inside them.
-			for _, sub := range []Expr{x.When, x.Then, x.Else} {
-				if containsSubquery(sub) {
-					return nil, errf(x.P, "subqueries inside CASE are not supported")
-				}
+			if firstSubquery(x) != nil {
+				err = errf(x.P, "subqueries inside CASE are not supported")
 			}
-			return x, nil
+			return e, true
+		case *BinExpr:
+			guards = x.Op == "or"
+		case *NotExpr:
+			guards = true
 		}
-		return e, nil
+		if guards && !guarded {
+			guarded = true
+			e = rewrite(e, visit) // visit declines e this time: its operands are rewritten guarded
+			guarded = false
+			return e, true
+		}
+		return nil, false
 	}
-	return rec(c, false)
+	out := rewrite(c, visit)
+	return out, err
 }
 
-// containsSubquery reports whether any subquery expression occurs in e.
-func containsSubquery(e Expr) bool {
-	found := false
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
+// firstSubquery returns the first subquery expression in e, nil when there is
+// none.
+func firstSubquery(e Expr) Expr {
+	var found Expr
+	walk(e, func(e Expr) bool {
+		switch e.(type) {
 		case *SubqueryExpr, *ExistsExpr, *InSubquery:
-			found = true
-		case *BinExpr:
-			walk(x.L)
-			walk(x.R)
-		case *NotExpr:
-			walk(x.E)
-		case *FuncCall:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
-		case *LikeExpr:
-			walk(x.E)
-		case *SubstrExpr:
-			walk(x.E)
-		case *BetweenExpr:
-			walk(x.E)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *CaseExpr:
-			walk(x.When)
-			walk(x.Then)
-			walk(x.Else)
+			found = e
 		}
-	}
-	walk(e)
+		return found == nil
+	})
 	return found
 }

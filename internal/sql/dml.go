@@ -225,7 +225,7 @@ func insertValue(e Expr, f vector.Field) (any, error) {
 }
 
 func lowerUpdate(s *UpdateStmt, cat plan.Catalog) (*DML, error) {
-	schema, b, err := dmlBinder(s.Table, s.TablePos, cat)
+	b, schema, err := dmlBlock(s.Table, s.TablePos, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +240,7 @@ func lowerUpdate(s *UpdateStmt, cat plan.Catalog) (*DML, error) {
 			return nil, errf(it.ColPos, "column %q assigned twice", it.Col)
 		}
 		seen[it.Col] = true
-		if err := b.bindDMLExpr(it.Expr); err != nil {
+		if err := b.bindDML(it.Expr); err != nil {
 			return nil, err
 		}
 		le, err := lowerExpr(schema, it.Expr, false)
@@ -261,7 +261,7 @@ func lowerUpdate(s *UpdateStmt, cat plan.Catalog) (*DML, error) {
 }
 
 func lowerDelete(s *DeleteStmt, cat plan.Catalog) (*DML, error) {
-	schema, b, err := dmlBinder(s.Table, s.TablePos, cat)
+	b, schema, err := dmlBlock(s.Table, s.TablePos, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -272,33 +272,35 @@ func lowerDelete(s *DeleteStmt, cat plan.Catalog) (*DML, error) {
 	return d, nil
 }
 
-// dmlBinder builds a single-table binder for UPDATE/DELETE expressions.
-func dmlBinder(table string, pos Pos, cat plan.Catalog) (vector.Schema, *binder, error) {
-	schema, err := cat.TableSchema(table)
+// dmlBlock is the binding scope of an UPDATE/DELETE: a block whose one source
+// is the target table, so DML names resolve exactly as a SELECT's do.
+func dmlBlock(table string, pos Pos, cat plan.Catalog) (*block, vector.Schema, error) {
+	b, err := newBlock(&SelectStmt{From: []FromItem{{Table: table, Alias: table, Pos: pos}}}, cat, nil)
 	if err != nil {
-		return nil, nil, errf(pos, "unknown table %q", table)
+		return nil, nil, err
 	}
-	b := &binder{tables: []*boundTable{{
-		table: table, alias: table, schema: schema, used: make(map[string]bool),
-	}}}
-	return schema, b, nil
+	return b, b.srcs[0].schema, nil
 }
 
-// bindDMLExpr resolves names in a DML scalar expression, rejecting
-// aggregates up front with a DML-specific message.
-func (b *binder) bindDMLExpr(e Expr) error {
+// bindDML resolves the names of a DML scalar expression. Subqueries and
+// aggregates have no meaning over the one row such an expression sees and are
+// rejected up front, with DML-specific messages.
+func (b *block) bindDML(e Expr) error {
+	if sub := firstSubquery(e); sub != nil {
+		return errf(sub.pos(), "subqueries are not supported in UPDATE/DELETE")
+	}
 	if aggs := collectAggs(e); len(aggs) > 0 {
 		return errf(aggs[0].P, "aggregate %s() is not allowed in INSERT/UPDATE/DELETE", aggs[0].Name)
 	}
-	return b.bindRefs(e, false)
+	return b.bindUse(e, false)
 }
 
 // lowerWhere lowers an optional predicate; absent means TRUE (all rows).
-func (b *binder) lowerWhere(schema vector.Schema, where Expr) (plan.Expr, error) {
+func (b *block) lowerWhere(schema vector.Schema, where Expr) (plan.Expr, error) {
 	if where == nil {
 		return plan.Bool(true), nil
 	}
-	if err := b.bindDMLExpr(where); err != nil {
+	if err := b.bindDML(where); err != nil {
 		return plan.Expr{}, err
 	}
 	return lowerExpr(schema, where, false)

@@ -113,6 +113,11 @@ func TestDMLBindErrors(t *testing.T) {
 		{"delete from nosuch", `1:13: unknown table "nosuch"`},
 		{"delete from t where zzz = 1", `1:21: unknown column "zzz"`},
 		{"delete from t where count(*) > 1", `1:21: aggregate count() is not allowed in INSERT/UPDATE/DELETE`},
+		// DML supports no subqueries, and says so at the subquery.
+		{"delete from t where id in (select id from u)", `1:24: subqueries are not supported in UPDATE/DELETE`},
+		{"delete from t where exists (select * from u where u.id = t.id)",
+			`1:21: subqueries are not supported in UPDATE/DELETE`},
+		{"update t set a = (select max(id) from u)", `1:18: subqueries are not supported in UPDATE/DELETE`},
 		// SELECT through the DML entry point.
 		{"select a from t", `SELECT is a query`},
 	}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -83,6 +84,7 @@ func FuzzParser(f *testing.F) {
 	f.Add("SELECT a FROM (SELECT b AS a FROM t) s WHERE EXISTS (SELECT 1 FROM u WHERE u.k = s.a)")
 	f.Add("UPDATE t SET a = CASE WHEN b > 0 THEN 1 ELSE 2 END WHERE c IN (SELECT d FROM u)")
 	f.Add("DELETE FROM t WHERE " + strings.Repeat("(", 300) + "1" + strings.Repeat(")", 300) + " = 1")
+	f.Add(allNodeKinds)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > fuzzInputCap {
 			t.Skip()
@@ -98,7 +100,97 @@ func FuzzParser(f *testing.F) {
 		if stmt == nil {
 			t.Fatalf("ParseStmt(%q): nil statement without error", src)
 		}
+		// Every expression the parser can build is one walk terminates on
+		// and rewrite reproduces.
+		for _, e := range stmtExprs(stmt) {
+			nodes := 0
+			walk(e, func(Expr) bool { nodes++; return true })
+			if nodes == 0 || nodes > len(src) {
+				t.Fatalf("walk visited %d nodes of %s (source: %d bytes)", nodes, e, len(src))
+			}
+			if same := rewrite(e, func(Expr) (Expr, bool) { return nil, false }); same.String() != e.String() {
+				t.Fatalf("rewrite(identity) of %s prints %s", e, same)
+			}
+		}
 	})
+}
+
+// allNodeKinds is one statement using every expression node kind.
+const allNodeKinds = `select t.a, -1, 2.5, 'x', date '1994-01-01' + interval '3' month, ?, a + b, not a = b,
+	count(*), count(distinct a), year(d), s like 'x%', s not in ('a', 'b'), a in (1, 2),
+	substring(s from 1 for 2), a between 1 and 2, case when a > 1 then 1 else 0 end
+	from t where exists (select * from u where u.k = t.a) and a > (select max(k) from u)
+	and a not in (select k from u)`
+
+// stmtExprs returns every top-level expression of a statement, those of the
+// statements nested in it (derived tables, subquery expressions) included.
+func stmtExprs(stmt Stmt) []Expr {
+	var out []Expr
+	add := func(es ...Expr) {
+		for _, e := range es {
+			if e == nil {
+				continue
+			}
+			out = append(out, e)
+			walk(e, func(x Expr) bool {
+				switch s := x.(type) {
+				case *ExistsExpr:
+					out = append(out, stmtExprs(s.Sub)...)
+				case *SubqueryExpr:
+					out = append(out, stmtExprs(s.Sub)...)
+				case *InSubquery:
+					out = append(out, stmtExprs(s.Sub)...)
+				}
+				return true
+			})
+		}
+	}
+	switch s := stmt.(type) {
+	case *SelectStmt:
+		for _, it := range s.Items {
+			add(it.Expr)
+		}
+		for _, f := range s.From {
+			add(f.On)
+			if f.Sub != nil {
+				out = append(out, stmtExprs(f.Sub)...)
+			}
+		}
+		add(s.Where, s.Having)
+		for _, o := range s.OrderBy {
+			add(o.Expr)
+		}
+	case *InsertStmt:
+		for _, row := range s.Rows {
+			add(row...)
+		}
+	case *UpdateStmt:
+		for _, it := range s.Sets {
+			add(it.Expr)
+		}
+		add(s.Where)
+	case *DeleteStmt:
+		add(s.Where)
+	}
+	return out
+}
+
+// TestAllNodeKindsSeed keeps the FuzzParser seed honest: it parses, and its
+// expressions reach every kind exprNodes lists.
+func TestAllNodeKindsSeed(t *testing.T) {
+	stmt, err := ParseStmt(allNodeKinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range stmtExprs(stmt) {
+		walk(e, func(x Expr) bool { seen[reflect.TypeOf(x).String()] = true; return true })
+	}
+	for _, n := range exprNodes {
+		if k := reflect.TypeOf(n).String(); !seen[k] {
+			t.Errorf("the seed has no %s", k)
+		}
+	}
 }
 
 func FuzzNormalizeSQL(f *testing.F) {

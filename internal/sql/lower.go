@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,146 +47,17 @@ func lower(stmt *SelectStmt, cat plan.Catalog, tr *obs.Trace) (plan.Node, error)
 	return b.lower()
 }
 
-// boundTable is one FROM entry with its resolved schema and column usage.
-// The binder is the single-table resolution layer the DML statements
-// (INSERT/UPDATE/DELETE) still use; SELECT planning replaced it with block.
-type boundTable struct {
-	table, alias string
-	schema       vector.Schema
-	used         map[string]bool
-}
-
-type binder struct {
-	tables []*boundTable
-}
-
-// resolve finds the table owning a column reference.
-func (b *binder) resolve(c *ColRef) (int, vector.Field, error) {
-	if c.Table != "" {
-		for i, t := range b.tables {
-			if t.alias == c.Table {
-				f, err := t.schema.Field(c.Name)
-				if err != nil {
-					return 0, vector.Field{}, errf(c.P, "table %q has no column %q", c.Table, c.Name)
-				}
-				return i, f, nil
-			}
-		}
-		return 0, vector.Field{}, errf(c.P, "unknown table alias %q", c.Table)
-	}
-	found := -1
-	var field vector.Field
-	for i, t := range b.tables {
-		if j := t.schema.Index(c.Name); j >= 0 {
-			if found >= 0 {
-				return 0, vector.Field{}, errf(c.P, "ambiguous column %q (in %s and %s)",
-					c.Name, b.tables[found].alias, t.alias)
-			}
-			found, field = i, t.schema[j]
-		}
-	}
-	if found < 0 {
-		return 0, vector.Field{}, errf(c.P, "unknown column %q", c.Name)
-	}
-	return found, field, nil
-}
-
-// bindRefs resolves every column reference in e, marking usage. When
-// allowAggs is false, aggregate calls are rejected.
-func (b *binder) bindRefs(e Expr, allowAggs bool) error {
-	switch x := e.(type) {
-	case *ColRef:
-		ti, f, err := b.resolve(x)
-		if err != nil {
-			return err
-		}
-		b.tables[ti].used[f.Name] = true
-	case *BinExpr:
-		if err := b.bindRefs(x.L, allowAggs); err != nil {
-			return err
-		}
-		return b.bindRefs(x.R, allowAggs)
-	case *NotExpr:
-		return b.bindRefs(x.E, allowAggs)
-	case *FuncCall:
-		if aggFuncs[x.Name] {
-			if !allowAggs {
-				return errf(x.P, "aggregate %s() is only allowed in the select list", x.Name)
-			}
-			if x.Arg != nil {
-				// no nested aggregates inside an aggregate argument
-				return b.bindRefs(x.Arg, false)
-			}
-			return nil
-		}
-		if x.Arg != nil {
-			return b.bindRefs(x.Arg, allowAggs)
-		}
-	case *LikeExpr:
-		return b.bindRefs(x.E, allowAggs)
-	case *InExpr:
-		return b.bindRefs(x.E, allowAggs)
-	case *SubstrExpr:
-		return b.bindRefs(x.E, allowAggs)
-	case *BetweenExpr:
-		if err := b.bindRefs(x.E, allowAggs); err != nil {
-			return err
-		}
-		if err := b.bindRefs(x.Lo, allowAggs); err != nil {
-			return err
-		}
-		return b.bindRefs(x.Hi, allowAggs)
-	case *CaseExpr:
-		if err := b.bindRefs(x.When, allowAggs); err != nil {
-			return err
-		}
-		if err := b.bindRefs(x.Then, allowAggs); err != nil {
-			return err
-		}
-		return b.bindRefs(x.Else, allowAggs)
-	}
-	return nil
-}
-
 // collectAggs returns the aggregate calls in e, in source order. Subquery
 // expressions are opaque: their aggregates belong to their own blocks.
 func collectAggs(e Expr) []*FuncCall {
 	var out []*FuncCall
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *BinExpr:
-			walk(x.L)
-			walk(x.R)
-		case *NotExpr:
-			walk(x.E)
-		case *FuncCall:
-			if aggFuncs[x.Name] {
-				out = append(out, x)
-				return
-			}
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
-		case *LikeExpr:
-			walk(x.E)
-		case *InExpr:
-			walk(x.E)
-		case *SubstrExpr:
-			walk(x.E)
-		case *BetweenExpr:
-			walk(x.E)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *CaseExpr:
-			walk(x.When)
-			walk(x.Then)
-			walk(x.Else)
-		case *InSubquery:
-			walk(x.E)
+	walk(e, func(e Expr) bool {
+		if x, ok := e.(*FuncCall); ok && aggFuncs[x.Name] {
+			out = append(out, x)
+			return false
 		}
-	}
-	walk(e)
+		return true
+	})
 	return out
 }
 
@@ -513,9 +385,10 @@ func (b *block) lower() (plan.Node, error) {
 	}
 	var keys []plan.OrderKey
 	for _, o := range stmt.OrderBy {
-		e := stripQualifiers(o.Expr)
+		// ORDER BY binds against the output schema by bare column name, so a
+		// qualifier on a reference is simply not looked at.
 		// Standard SQL ordinal: ORDER BY n sorts by the n-th output column.
-		if il, ok := e.(*IntLit); ok {
+		if il, ok := o.Expr.(*IntLit); ok {
 			if il.V < 1 || il.V > int64(len(outSchema)) {
 				return nil, errf(il.P, "ORDER BY position %d is out of range (1..%d)", il.V, len(outSchema))
 			}
@@ -523,7 +396,7 @@ func (b *block) lower() (plan.Node, error) {
 			continue
 		}
 		// Aggregates in ORDER BY refer to their select-list output columns.
-		e, err := rewriteAggsText(e, aggByText)
+		e, err := rewriteAggsText(o.Expr, aggByText)
 		if err != nil {
 			return nil, err
 		}
@@ -602,13 +475,8 @@ func (b *block) sourceNode(s *source, pushed []Expr) (plan.Node, vector.Schema, 
 // names. Kind-mismatched equalities (e.g. decimal vs float) stay residual
 // predicates, where the comparison runs with the usual promotions.
 func (b *block) poolKey(c Expr, inTree map[*source]bool, next *source) (lk, rk string, ok bool) {
-	be, isBin := c.(*BinExpr)
-	if !isBin || be.Op != "=" {
-		return "", "", false
-	}
-	lc, lok := be.L.(*ColRef)
-	rc, rok := be.R.(*ColRef)
-	if !lok || !rok {
+	lc, rc, isEq := eqCols(c)
+	if !isEq {
 		return "", "", false
 	}
 	ls, lf, lerr := b.resolve(lc)
@@ -824,10 +692,10 @@ func (b *block) lowerAggregate(cur plan.Node, curSchema vector.Schema, groups []
 		groupNames[i] = g.phys
 	}
 
-	child := cur
-	items := make([]plan.AggItem, 0, len(aggs))
+	// With a pre-projection the group expressions and the aggregate arguments
+	// are computed below the Aggregate, which then reads them as columns.
+	var pre []plan.NamedExpr
 	if needPre {
-		var pre []plan.NamedExpr
 		for _, g := range groups {
 			if g.fromCol {
 				pre = append(pre, plan.As(g.phys, plan.Col(g.phys)))
@@ -839,32 +707,27 @@ func (b *block) lowerAggregate(cur plan.Node, curSchema vector.Schema, groups []
 			}
 			pre = append(pre, plan.As(g.name, e))
 		}
-		for i, a := range aggs {
-			if a.call.Star {
-				items = append(items, plan.AStar(a.name))
-				continue
-			}
-			fn, arg, err := b.aggArg(a.call, curSchema)
-			if err != nil {
-				return nil, nil, err
-			}
+	}
+	items := make([]plan.AggItem, 0, len(aggs))
+	for i, a := range aggs {
+		if a.call.Star {
+			items = append(items, plan.AStar(a.name))
+			continue
+		}
+		fn, arg, err := b.aggArg(a.call, curSchema)
+		if err != nil {
+			return nil, nil, err
+		}
+		if needPre {
 			argName := fmt.Sprintf("__arg%d", i)
 			pre = append(pre, plan.As(argName, arg))
-			items = append(items, plan.A(a.name, fn, plan.Col(argName)))
+			arg = plan.Col(argName)
 		}
+		items = append(items, plan.A(a.name, fn, arg))
+	}
+	child := cur
+	if needPre {
 		child = plan.Project(cur, pre...)
-	} else {
-		for _, a := range aggs {
-			if a.call.Star {
-				items = append(items, plan.AStar(a.name))
-				continue
-			}
-			fn, arg, err := b.aggArg(a.call, curSchema)
-			if err != nil {
-				return nil, nil, err
-			}
-			items = append(items, plan.A(a.name, fn, arg))
-		}
 	}
 	aggNode := plan.Aggregate(child, groupNames, items...)
 	aggSchema, err := aggNode.Schema(cat)
@@ -877,16 +740,9 @@ func (b *block) lowerAggregate(cur plan.Node, curSchema vector.Schema, groups []
 	node := plan.Node(aggNode)
 	schema := aggSchema
 	for _, s := range b.postSubs {
-		key := s.rightKeys[0]
-		pass := make([]plan.NamedExpr, 0, len(schema)+1)
-		for _, f := range schema {
-			pass = append(pass, plan.As(f.Name, plan.Col(f.Name)))
+		if node, schema, err = b.attachHidden(node, schema, s); err != nil {
+			return nil, nil, err
 		}
-		pass = append(pass, plan.As(key, plan.Int(0)))
-		node = plan.Join(plan.InnerJoin, plan.Project(node, pass...), s.sub,
-			[]string{key}, []string{key})
-		schema = append(schema.Clone(), vector.Field{Name: key, Type: vector.TInt64})
-		schema = append(schema, s.schema...)
 	}
 
 	// HAVING: aggregate calls refer to their output columns, group columns
@@ -969,45 +825,19 @@ func (b *block) aggArg(c *FuncCall, curSchema vector.Schema) (plan.AggFuncName, 
 // mapGroupPhys rewrites bare references to renamed group columns into their
 // physical names (a no-op unless a duplicate column name forced a rename).
 func mapGroupPhys(e Expr, groups []groupCol) Expr {
-	needed := false
-	for _, g := range groups {
-		if g.phys != g.name {
-			needed = true
-		}
-	}
-	if !needed {
+	if !slices.ContainsFunc(groups, func(g groupCol) bool { return g.phys != g.name }) {
 		return e
 	}
-	switch x := e.(type) {
-	case *ColRef:
-		for _, g := range groups {
-			if g.name == x.Name && g.phys != x.Name {
-				return &ColRef{Name: g.phys, P: x.P}
+	return rewrite(e, func(e Expr) (Expr, bool) {
+		if x, ok := e.(*ColRef); ok {
+			for _, g := range groups {
+				if g.name == x.Name && g.phys != x.Name {
+					return &ColRef{Name: g.phys, P: x.P}, true
+				}
 			}
 		}
-	case *BinExpr:
-		return &BinExpr{Op: x.Op, L: mapGroupPhys(x.L, groups), R: mapGroupPhys(x.R, groups), P: x.P}
-	case *NotExpr:
-		return &NotExpr{E: mapGroupPhys(x.E, groups), P: x.P}
-	case *FuncCall:
-		if x.Arg != nil {
-			return &FuncCall{Name: x.Name, Arg: mapGroupPhys(x.Arg, groups), Star: x.Star,
-				Distinct: x.Distinct, P: x.P}
-		}
-	case *LikeExpr:
-		return &LikeExpr{E: mapGroupPhys(x.E, groups), Pattern: x.Pattern, Not: x.Not, P: x.P}
-	case *InExpr:
-		return &InExpr{E: mapGroupPhys(x.E, groups), Strs: x.Strs, Ints: x.Ints, Not: x.Not, P: x.P}
-	case *SubstrExpr:
-		return &SubstrExpr{E: mapGroupPhys(x.E, groups), Start: x.Start, Length: x.Length, P: x.P}
-	case *BetweenExpr:
-		return &BetweenExpr{E: mapGroupPhys(x.E, groups), Lo: mapGroupPhys(x.Lo, groups),
-			Hi: mapGroupPhys(x.Hi, groups), P: x.P}
-	case *CaseExpr:
-		return &CaseExpr{When: mapGroupPhys(x.When, groups), Then: mapGroupPhys(x.Then, groups),
-			Else: mapGroupPhys(x.Else, groups), P: x.P}
-	}
-	return e
+		return nil, false
+	})
 }
 
 // rewriteAggsText replaces aggregate calls in an ORDER BY expression with
@@ -1015,109 +845,57 @@ func mapGroupPhys(e Expr, groups []groupCol) Expr {
 // by canonical text, since ORDER BY re-parses the call as a distinct AST
 // node).
 func rewriteAggsText(e Expr, aggByText map[string]string) (Expr, error) {
-	switch x := e.(type) {
-	case *FuncCall:
-		if aggFuncs[x.Name] {
-			if n, ok := aggByText[x.String()]; ok {
-				return &ColRef{Name: n, P: x.P}, nil
+	var err error
+	out := rewrite(e, func(e Expr) (Expr, bool) {
+		x, ok := e.(*FuncCall)
+		if !ok || !aggFuncs[x.Name] {
+			return nil, false
+		}
+		n, ok := aggByText[x.String()]
+		if !ok {
+			if err == nil {
+				err = errf(x.P, "aggregate %s in ORDER BY must also appear in the select list", x)
 			}
-			return nil, errf(x.P, "aggregate %s in ORDER BY must also appear in the select list", x)
+			return x, true
 		}
-	case *BinExpr:
-		l, err := rewriteAggsText(x.L, aggByText)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rewriteAggsText(x.R, aggByText)
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: x.Op, L: l, R: r, P: x.P}, nil
-	}
-	return e, nil
+		return &ColRef{Name: n, P: x.P}, true
+	})
+	return out, err
 }
 
 // checkGrouped verifies every column ref outside aggregate arguments names a
 // group column. References to decorrelated scalar-subquery values (__sqN)
 // are single per group by construction and pass.
 func checkGrouped(e Expr, groupSet map[string]bool) error {
-	switch x := e.(type) {
-	case *ColRef:
-		if strings.HasPrefix(x.Name, "__sq") {
-			return nil
+	var err error
+	walk(e, func(e Expr) bool {
+		if err != nil {
+			return false
 		}
-		if !groupSet[x.Name] {
-			return errf(x.P, "column %q must appear in GROUP BY or inside an aggregate", x.Name)
+		switch x := e.(type) {
+		case *ColRef:
+			if !groupSet[x.Name] && !strings.HasPrefix(x.Name, "__sq") {
+				err = errf(x.P, "column %q must appear in GROUP BY or inside an aggregate", x.Name)
+			}
+		case *FuncCall:
+			return !aggFuncs[x.Name] // aggregate arguments may use any source column
 		}
-	case *BinExpr:
-		if err := checkGrouped(x.L, groupSet); err != nil {
-			return err
-		}
-		return checkGrouped(x.R, groupSet)
-	case *NotExpr:
-		return checkGrouped(x.E, groupSet)
-	case *FuncCall:
-		if aggFuncs[x.Name] {
-			return nil // aggregate arguments may use any source column
-		}
-		if x.Arg != nil {
-			return checkGrouped(x.Arg, groupSet)
-		}
-	case *LikeExpr:
-		return checkGrouped(x.E, groupSet)
-	case *InExpr:
-		return checkGrouped(x.E, groupSet)
-	case *SubstrExpr:
-		return checkGrouped(x.E, groupSet)
-	case *BetweenExpr:
-		if err := checkGrouped(x.E, groupSet); err != nil {
-			return err
-		}
-		if err := checkGrouped(x.Lo, groupSet); err != nil {
-			return err
-		}
-		return checkGrouped(x.Hi, groupSet)
-	case *CaseExpr:
-		if err := checkGrouped(x.When, groupSet); err != nil {
-			return err
-		}
-		if err := checkGrouped(x.Then, groupSet); err != nil {
-			return err
-		}
-		return checkGrouped(x.Else, groupSet)
-	}
-	return nil
+		return true
+	})
+	return err
 }
 
 // rewriteAggs replaces aggregate calls with references to their output
 // columns, leaving every other node untouched.
 func rewriteAggs(e Expr, aggName map[*FuncCall]string) Expr {
-	switch x := e.(type) {
-	case *FuncCall:
-		if n, ok := aggName[x]; ok {
-			return &ColRef{Name: n, P: x.P}
+	return rewrite(e, func(e Expr) (Expr, bool) {
+		if x, ok := e.(*FuncCall); ok {
+			if n, ok := aggName[x]; ok {
+				return &ColRef{Name: n, P: x.P}, true
+			}
 		}
-		if x.Arg != nil {
-			return &FuncCall{Name: x.Name, Arg: rewriteAggs(x.Arg, aggName), P: x.P}
-		}
-	case *BinExpr:
-		return &BinExpr{Op: x.Op, L: rewriteAggs(x.L, aggName), R: rewriteAggs(x.R, aggName), P: x.P}
-	case *NotExpr:
-		return &NotExpr{E: rewriteAggs(x.E, aggName), P: x.P}
-	case *LikeExpr:
-		return &LikeExpr{E: rewriteAggs(x.E, aggName), Pattern: x.Pattern, Not: x.Not, P: x.P}
-	case *InExpr:
-		return &InExpr{E: rewriteAggs(x.E, aggName), Strs: x.Strs, Ints: x.Ints, Not: x.Not, P: x.P}
-	case *SubstrExpr:
-		return &SubstrExpr{E: rewriteAggs(x.E, aggName), Start: x.Start, Length: x.Length, P: x.P}
-	case *BetweenExpr:
-		return &BetweenExpr{E: rewriteAggs(x.E, aggName), Lo: rewriteAggs(x.Lo, aggName),
-			Hi: rewriteAggs(x.Hi, aggName), P: x.P}
-	case *CaseExpr:
-		return &CaseExpr{When: rewriteAggs(x.When, aggName), Then: rewriteAggs(x.Then, aggName),
-			Else: rewriteAggs(x.Else, aggName), P: x.P}
-	}
-	return e
+		return nil, false
+	})
 }
 
 // aggFuncName maps a parsed aggregate call to the logical function.
@@ -1252,6 +1030,9 @@ func lowerExpr(s vector.Schema, e Expr, top bool) (plan.Expr, error) {
 		ce, err := lowerExpr(s, x.Arg, false)
 		if err != nil {
 			return plan.Expr{}, err
+		}
+		if ct, cterr := ce.Type(s); cterr == nil && ct != vector.TDate {
+			return plan.Expr{}, errf(x.P, "year() requires a date argument, got %s", ct)
 		}
 		return plan.Year(ce), nil
 	case *LikeExpr:
@@ -1400,14 +1181,4 @@ func adaptTo(s vector.Schema, subject plan.Expr, ast Expr) (plan.Expr, error) {
 		}
 	}
 	return e, nil
-}
-
-// stripQualifiers rewrites qualified column refs to bare ones (used for
-// ORDER BY, which binds against the output schema where qualifiers are
-// gone).
-func stripQualifiers(e Expr) Expr {
-	if c, ok := e.(*ColRef); ok && c.Table != "" {
-		return &ColRef{Name: c.Name, P: c.P}
-	}
-	return e
 }

@@ -83,6 +83,9 @@ func TestLowerErrors(t *testing.T) {
 			`1:8: SUBSTRING start must be at least 1, got 0`},
 		{"select a from t where substring(s from 0 for 2) = 'x'",
 			`1:23: SUBSTRING start must be at least 1, got 0`},
+		{"select year(a) from t", `1:8: year() requires a date argument, got int64`},
+		{"select s, max(a) from t group by s order by year(max(a))",
+			`1:45: year() requires a date argument, got int64`},
 	}
 	cat := testCat()
 	for _, c := range cases {
@@ -222,6 +225,18 @@ func TestLowerShapes(t *testing.T) {
 	// ORDER BY on an unaliased select-list aggregate resolves by text.
 	if _, err := Compile("select s, sum(a) from t group by s order by sum(a) desc", cat); err != nil {
 		t.Fatalf("order by select-list aggregate: %v", err)
+	}
+
+	// min/max keep their argument's type; sum still widens int32.
+	n, err = Compile("select max(d) as hi, min(d) as lo, sum(year(d)) as ys from t", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if schema, err = n.Schema(cat); err != nil {
+		t.Fatal(err)
+	}
+	if schema[0].Type != vector.TDate || schema[1].Type != vector.TDate || schema[2].Type != vector.TInt64 {
+		t.Fatalf("max/min/sum types %v, want date, date, int64", schema)
 	}
 
 	// IN over a float/decimal subject expands to an equality chain.

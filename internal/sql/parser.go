@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -58,11 +59,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case "delete":
 		return p.parseDelete()
 	default:
-		got := t.text
-		if t.kind == tEOF {
-			got = "end of input"
-		}
-		return nil, errf(t.pos, "expected SELECT, INSERT, UPDATE or DELETE, found %q", got)
+		return nil, errf(t.pos, "expected SELECT, INSERT, UPDATE or DELETE, found %q", t.found())
 	}
 }
 
@@ -198,6 +195,14 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
+// found is how an error names the token met in place of the expected one.
+func (t token) found() string {
+	if t.kind == tEOF {
+		return "end of input"
+	}
+	return t.text
+}
+
 func (p *parser) peek() token  { return p.toks[p.i] }
 func (p *parser) peek2() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
 func (p *parser) next() token  { t := p.toks[p.i]; p.i++; return t }
@@ -216,21 +221,13 @@ func (p *parser) expect(text string) (token, error) {
 	if (t.kind == tKeyword || t.kind == tSymbol) && t.text == text {
 		return p.next(), nil
 	}
-	got := t.text
-	if t.kind == tEOF {
-		got = "end of input"
-	}
-	return token{}, errf(t.pos, "expected %q, found %q", text, got)
+	return token{}, errf(t.pos, "expected %q, found %q", text, t.found())
 }
 
 func (p *parser) expectIdent(what string) (token, error) {
 	t := p.peek()
 	if t.kind != tIdent {
-		got := t.text
-		if t.kind == tEOF {
-			got = "end of input"
-		}
-		return token{}, errf(t.pos, "expected %s, found %q", what, got)
+		return token{}, errf(t.pos, "expected %s, found %q", what, t.found())
 	}
 	return p.next(), nil
 }
@@ -395,11 +392,7 @@ func (p *parser) parseTableRef() (FromItem, error) {
 		p.accept("as")
 		a := p.peek()
 		if a.kind != tIdent {
-			got := a.text
-			if a.kind == tEOF {
-				got = "end of input"
-			}
-			return FromItem{}, errf(a.pos, "derived table requires an alias, found %q", got)
+			return FromItem{}, errf(a.pos, "derived table requires an alias, found %q", a.found())
 		}
 		p.next()
 		return FromItem{Alias: a.text, Sub: sub, Pos: t.pos}, nil
@@ -432,39 +425,26 @@ func (p *parser) parseExpr() (Expr, error) {
 	return p.parseOr()
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if !p.accept("or") {
-			return l, nil
-		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: "or", L: l, R: r, P: t.pos}
-	}
-}
+func (p *parser) parseOr() (Expr, error)  { return p.parseBinary(p.parseAnd, "or") }
+func (p *parser) parseAnd() (Expr, error) { return p.parseBinary(p.parseNot, "and") }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+// parseBinary parses one precedence level of left-associative binary
+// operators: operand (op operand)*.
+func (p *parser) parseBinary(operand func() (Expr, error), ops ...string) (Expr, error) {
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.peek()
-		if !p.accept("and") {
+		if !slices.Contains(ops, t.text) || !p.accept(t.text) {
 			return l, nil
 		}
-		r, err := p.parseNot()
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: "and", L: l, R: r, P: t.pos}
+		l = &BinExpr{Op: t.text, L: l, R: r, P: t.pos}
 	}
 }
 
@@ -585,41 +565,11 @@ func isCmp(s string) bool {
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != tSymbol || (t.text != "+" && t.text != "-") {
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: t.text, L: l, R: r, P: t.pos}
-	}
+	return p.parseBinary(p.parseMultiplicative, "+", "-")
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != tSymbol || (t.text != "*" && t.text != "/") {
-			return l, nil
-		}
-		p.next()
-		r, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: t.text, L: l, R: r, P: t.pos}
-	}
+	return p.parseBinary(p.parsePrimary, "*", "/")
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
@@ -691,11 +641,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case t.kind == tIdent:
 		return p.parseIdentExpr()
 	}
-	got := t.text
-	if t.kind == tEOF {
-		got = "end of input"
-	}
-	return nil, errf(t.pos, "expected expression, found %q", got)
+	return nil, errf(t.pos, "expected expression, found %q", t.found())
 }
 
 // parseDateLit parses DATE 'YYYY-MM-DD' [ (+|-) INTERVAL 'n' MONTH ].
@@ -774,11 +720,7 @@ func (p *parser) parseExists() (Expr, error) {
 		return nil, err
 	}
 	if s := p.peek(); !(s.kind == tKeyword && s.text == "select") {
-		got := s.text
-		if s.kind == tEOF {
-			got = "end of input"
-		}
-		return nil, errf(s.pos, "expected SELECT after EXISTS (, found %q", got)
+		return nil, errf(s.pos, "expected SELECT after EXISTS (, found %q", s.found())
 	}
 	sub, err := p.parseSelect()
 	if err != nil {

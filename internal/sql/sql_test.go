@@ -160,6 +160,43 @@ func TestEndToEnd(t *testing.T) {
 	if got := rows[0][0].(float64); got != sum/400 {
 		t.Fatalf("mean = %v, want %v", got, sum/400)
 	}
+
+	// An expression over aggregates means the same in the select list, in
+	// HAVING and in ORDER BY — whatever node kinds it is built from. Region r
+	// sums to 4800+100r; its last sale is on day 88 (r even) or 89 (r odd).
+	last := func(r int64) int32 { return vector.MustDate("2020-01-01") + 88 + int32(r%2) }
+	for _, c := range []struct {
+		q    string
+		want [][]any
+	}{
+		{"select region_id, case when sum(amount) > 4950 then 0 else 1 end as k from sales group by region_id order by k, region_id",
+			[][]any{{int64(2), int64(0)}, {int64(3), int64(0)}, {int64(0), int64(1)}, {int64(1), int64(1)}}},
+		{"select region_id, sum(amount) as total from sales group by region_id order by case when sum(amount) > 4950 then 0 else 1 end, region_id",
+			[][]any{{int64(2), 5000.0}, {int64(3), 5100.0}, {int64(0), 4800.0}, {int64(1), 4900.0}}},
+		{"select region_id, year(max(sold)) as y from sales group by region_id order by region_id",
+			[][]any{{int64(0), int32(2020)}, {int64(1), int32(2020)}, {int64(2), int32(2020)}, {int64(3), int32(2020)}}},
+		{"select region_id, max(sold) as last from sales group by region_id order by year(max(sold)), region_id desc",
+			[][]any{{int64(3), last(3)}, {int64(2), last(2)}, {int64(1), last(1)}, {int64(0), last(0)}}},
+		{"select region_id, sum(amount) between 4850 and 5050 as mid from sales group by region_id order by region_id",
+			[][]any{{int64(0), false}, {int64(1), true}, {int64(2), true}, {int64(3), false}}},
+		{"select region_id, sum(amount) as total from sales group by region_id order by sum(amount) between 4850 and 5050, region_id",
+			[][]any{{int64(0), 4800.0}, {int64(3), 5100.0}, {int64(1), 4900.0}, {int64(2), 5000.0}}},
+		{"select region_id, not sum(amount) > 4950 as low from sales group by region_id order by region_id",
+			[][]any{{int64(0), true}, {int64(1), true}, {int64(2), false}, {int64(3), false}}},
+		{"select region_id, sum(amount) as total from sales group by region_id order by not sum(amount) > 4950, region_id",
+			[][]any{{int64(2), 5000.0}, {int64(3), 5100.0}, {int64(0), 4800.0}, {int64(1), 4900.0}}},
+		// min/max return their argument's type: a date stays a date, through
+		// the partial/final split, comparable to a date literal.
+		{"select min(sold) as first, max(sold) as last from sales",
+			[][]any{{vector.MustDate("2020-01-01"), last(1)}}},
+		{"select region_id, max(sold) as last from sales group by region_id " +
+			"having max(sold) >= date '2020-03-30' and year(max(sold)) = 2020 order by region_id",
+			[][]any{{int64(1), last(1)}, {int64(3), last(3)}}},
+	} {
+		if rows := runSQL(t, e, c.q); !reflect.DeepEqual(rows, c.want) {
+			t.Errorf("%s\n got  %v\n want %v", c.q, rows, c.want)
+		}
+	}
 }
 
 // TestExplainGolden locks the full distributed physical plan of a SQL

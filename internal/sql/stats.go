@@ -216,13 +216,8 @@ func (b *block) orderSources(pushed map[*source][]Expr) []int {
 			continue
 		}
 		for _, c := range splitAnd(s.on) {
-			be, ok := c.(*BinExpr)
-			if !ok || be.Op != "=" {
-				continue
-			}
-			lc, lok := be.L.(*ColRef)
-			rc, rok := be.R.(*ColRef)
-			if !lok || !rok {
+			lc, rc, ok := eqCols(c)
+			if !ok {
 				continue
 			}
 			ls, _, lerr := b.resolve(lc)
