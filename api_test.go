@@ -33,7 +33,7 @@ func TestExecutionEntryPoints(t *testing.T) {
 		sort.Strings(names)
 		return names
 	}
-	engine := []string{"DeleteWhere", "InsertRows", "Query", "Run", "UpdateWhere"}
+	engine := []string{"DeleteWhere", "InsertRows", "Run", "UpdateWhere"}
 	facade := append([]string{"ExecSQL", "QueryProfileSQL", "QuerySQL", "QueryStreamProfileSQL", "QueryStreamSQL"}, engine...)
 	sort.Strings(facade)
 

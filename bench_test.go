@@ -13,6 +13,7 @@ import (
 
 	"vectorh"
 	"vectorh/internal/baseline"
+	"vectorh/internal/core"
 	"vectorh/internal/experiments"
 	"vectorh/internal/tpch"
 )
@@ -142,7 +143,7 @@ func BenchmarkTPCHPerQuery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Query(p); err != nil {
+				if _, err := eng.Run(context.Background(), p, core.QueryOptions{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

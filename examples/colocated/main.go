@@ -10,7 +10,6 @@ import (
 
 	"vectorh"
 	"vectorh/internal/core"
-	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/tpch"
 )
@@ -28,20 +27,22 @@ func main() {
 	// lineitem ⋈ orders is co-partitioned AND co-ordered: merge join, no
 	// network. supplier is replicated: local build. Only the group-by
 	// exchange touches the wire.
-	q := plan.Top(
-		plan.Aggregate(
-			plan.Join(plan.InnerJoin,
-				plan.Join(plan.InnerJoin,
-					plan.Scan("lineitem", "l_orderkey", "l_suppkey"),
-					plan.Scan("orders", "o_orderkey", "o_orderdate"),
-					[]string{"l_orderkey"}, []string{"o_orderkey"}),
-				plan.Scan("supplier", "s_suppkey", "s_name"),
-				[]string{"l_suppkey"}, []string{"s_suppkey"}),
-			[]string{"s_suppkey", "s_name"},
-			plan.AStar("l_count")),
-		10, plan.Desc(plan.Col("l_count")))
+	const text = `select s_suppkey, s_name, count(*) as l_count
+	              from lineitem
+	                join orders on l_orderkey = o_orderkey
+	                join supplier on l_suppkey = s_suppkey
+	              group by s_suppkey, s_name
+	              order by l_count desc
+	              limit 10`
+	q, _, err := db.CompileSQL(text, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	explain, _ := db.Explain(q)
+	explain, err := db.Explain(q)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("plan with all rewrite rules:")
 	fmt.Println(explain)
 

@@ -7,7 +7,6 @@ import (
 	"log"
 
 	"vectorh"
-	"vectorh/internal/plan"
 	"vectorh/internal/vector"
 )
 
@@ -37,19 +36,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	q := plan.OrderBy(
-		plan.Aggregate(
-			plan.Filter(plan.Scan("sales"), plan.GE(plan.Col("amount"), plan.Float(50))),
-			[]string{"city"},
-			plan.A("total", plan.Sum, plan.Col("amount")),
-			plan.AStar("n")),
-		plan.Desc(plan.Col("total")))
+	const q = `select city, sum(amount) as total, count(*) as n
+	           from sales where amount >= 50
+	           group by city order by total desc`
 
-	explain, _ := db.Explain(q)
+	explain, err := db.ExplainSQL(q)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("distributed plan:")
 	fmt.Println(explain)
 
-	rows, err := db.Query(q)
+	rows, err := db.QuerySQL(q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"vectorh"
-	"vectorh/internal/plan"
 	"vectorh/internal/vector"
 )
 
@@ -38,7 +37,7 @@ func main() {
 
 	ctx := context.Background()
 	count := func(label string) {
-		rows, err := db.Query(plan.Aggregate(plan.Scan("events", "k"), nil, plan.AStar("n")))
+		rows, err := db.QuerySQL("select count(*) as n from events")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,16 +55,14 @@ func main() {
 	}
 	count("after 500 trickle inserts")
 
-	n, err := db.DeleteWhere(ctx, "events", plan.LT(plan.Col("k"), plan.Int(1000)))
+	n, err := db.ExecSQL(ctx, "delete from events where k < 1000")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("deleted %d rows\n", n)
 	count("after delete k<1000")
 
-	n, err = db.UpdateWhere(ctx, "events",
-		plan.GE(plan.Col("k"), plan.Int(100000)),
-		[]string{"v"}, []plan.Expr{plan.Float(42)})
+	n, err = db.ExecSQL(ctx, "update events set v = 42.0 where k >= 100000")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,6 +76,9 @@ func main() {
 		}
 	}
 	count("after update propagation")
-	rows, _ := db.Query(plan.Filter(plan.Scan("events"), plan.EQ(plan.Col("k"), plan.Int(100003))))
+	rows, err := db.QuerySQL("select k, d, v from events where k = 100003")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("row 100003 after everything: %v\n", rows[0])
 }

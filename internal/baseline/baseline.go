@@ -157,7 +157,8 @@ type relation struct {
 	rows   [][]any
 }
 
-// Query implements tpch.Runner by interpreting the logical plan.
+// Query runs a logical plan — typically SQL compiled against this engine as
+// its plan.Catalog — by interpreting it tuple at a time.
 func (e *Engine) Query(q plan.Node) ([][]any, error) {
 	rel, err := e.eval(q)
 	if err != nil {

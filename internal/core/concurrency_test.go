@@ -21,6 +21,15 @@ import (
 	"vectorh/internal/tpch"
 )
 
+// queryRows runs a plan on the one query path with default options.
+func queryRows(e *core.Engine, q plan.Node) ([][]any, error) {
+	res, err := e.Run(context.Background(), q, core.QueryOptions{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
 func stressEngine(t *testing.T) (*core.Engine, *tpch.Data) {
 	t.Helper()
 	e, err := core.New(core.Config{
@@ -72,7 +81,7 @@ func TestConcurrentReadersWithDMLWriter(t *testing.T) {
 					errs <- fmt.Errorf("reader %d Q%d build: %w", r, q, err)
 					return
 				}
-				if _, err := e.Query(p); err != nil {
+				if _, err := queryRows(e, p); err != nil {
 					errs <- fmt.Errorf("reader %d Q%d: %w", r, q, err)
 					return
 				}
@@ -140,7 +149,7 @@ func TestConcurrentReadersWithDMLWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := e.Query(plan.Aggregate(plan.Scan(table), nil, plan.A("n", plan.CountStar, plan.Int(1))))
+		rows, err := queryRows(e, plan.Aggregate(plan.Scan(table), nil, plan.A("n", plan.CountStar, plan.Int(1))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +169,7 @@ func TestQueryContextCancelStopsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm-up, then baseline.
-	if _, err := e.Query(p); err != nil {
+	if _, err := queryRows(e, p); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -187,7 +196,7 @@ func TestQueryContextCancelStopsWorkers(t *testing.T) {
 	}
 	waitGoroutines(t, baseline)
 	// And the engine still answers correctly.
-	if _, err := e.Query(p); err != nil {
+	if _, err := queryRows(e, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -218,7 +227,7 @@ func TestRunContract(t *testing.T) {
 	// A multi-batch result gathered through a DXchgUnion: aborting after
 	// the first batch leaves senders in flight that Close must stop.
 	p := plan.Scan("lineitem", "l_orderkey")
-	want, err := e.Query(p)
+	want, err := queryRows(e, p)
 	if err != nil {
 		t.Fatal(err)
 	}

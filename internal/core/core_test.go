@@ -15,6 +15,15 @@ import (
 	"vectorh/internal/vector"
 )
 
+// queryRows runs a plan on the one query path with default options.
+func queryRows(e *Engine, q plan.Node) ([][]any, error) {
+	res, err := e.Run(context.Background(), q, QueryOptions{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
 func testEngine(t *testing.T, nodes int) *Engine {
 	t.Helper()
 	var names []string
@@ -100,7 +109,7 @@ func TestLoadAndScanCounts(t *testing.T) {
 		if got, err := e.TableRows(tc.table); err != nil || got != tc.want {
 			t.Fatalf("%s rows = %d err=%v", tc.table, got, err)
 		}
-		rows, err := e.Query(plan.Scan(tc.table))
+		rows, err := queryRows(e, plan.Scan(tc.table))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +124,10 @@ func TestScansAreShortCircuit(t *testing.T) {
 	e := testEngine(t, 3)
 	setupTables(t, e, 2000)
 	e.FS().ResetStats()
-	if _, err := e.Query(plan.Scan("orders")); err != nil {
+	if _, err := queryRows(e, plan.Scan("orders")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(plan.Scan("items", "i_orderkey", "i_qty")); err != nil {
+	if _, err := queryRows(e, plan.Scan("items", "i_orderkey", "i_qty")); err != nil {
 		t.Fatal(err)
 	}
 	s := e.FS().Stats()
@@ -144,7 +153,7 @@ func TestColocatedJoinQuery(t *testing.T) {
 	if !strings.Contains(explain, "MergeJoin[co-located]") {
 		t.Fatalf("expected co-located merge join:\n%s", explain)
 	}
-	rows, err := e.Query(q)
+	rows, err := queryRows(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +210,7 @@ func TestMinMaxSkippingInQueries(t *testing.T) {
 			plan.Between(plan.Col("o_date"), plan.Date("1995-01-01"), plan.Date("1995-01-31"))),
 		nil, plan.AStar("n"))
 	e.FS().ResetStats()
-	rows, err := e.Query(q)
+	rows, err := queryRows(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +234,7 @@ func TestMinMaxSkippingInQueries(t *testing.T) {
 	e = testEngine(t, 3) // a fresh engine: the first query warmed the block cache
 	setupTables(t, e, 4000)
 	e.FS().ResetStats()
-	rows2, err := e.Query(q2)
+	rows2, err := queryRows(e, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +257,7 @@ func TestTrickleInsertVisibleAndPersisted(t *testing.T) {
 	if err := e.InsertRows(context.Background(), "orders", nb); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := e.Query(plan.Filter(plan.Scan("orders"), plan.GE(plan.Col("o_orderkey"), plan.Int(100000))))
+	rows, err := queryRows(e, plan.Filter(plan.Scan("orders"), plan.GE(plan.Col("o_orderkey"), plan.Int(100000))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +279,7 @@ func TestTrickleDeleteAndUpdate(t *testing.T) {
 	if n != 50 {
 		t.Fatalf("deleted %d", n)
 	}
-	rows, err := e.Query(plan.Scan("orders", "o_orderkey"))
+	rows, err := queryRows(e, plan.Scan("orders", "o_orderkey"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +301,7 @@ func TestTrickleDeleteAndUpdate(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("updated %d", n)
 	}
-	rows, err = e.Query(plan.Filter(plan.Scan("orders"), plan.EQ(plan.Col("o_orderkey"), plan.Int(55))))
+	rows, err = queryRows(e, plan.Filter(plan.Scan("orders"), plan.EQ(plan.Col("o_orderkey"), plan.Int(55))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +339,7 @@ func TestUpdatePropagationTailInserts(t *testing.T) {
 	if stable != 164 {
 		t.Fatalf("stable rows = %d", stable)
 	}
-	rows, err := e.Query(plan.Scan("orders", "o_orderkey"))
+	rows, err := queryRows(e, plan.Scan("orders", "o_orderkey"))
 	if err != nil || len(rows) != 164 {
 		t.Fatalf("rows = %d err=%v", len(rows), err)
 	}
@@ -365,7 +374,7 @@ func TestUpdatePropagationRewrite(t *testing.T) {
 	if stable != 300 {
 		t.Fatalf("stable rows = %d", stable)
 	}
-	rows, err := e.Query(plan.Scan("orders", "o_orderkey"))
+	rows, err := queryRows(e, plan.Scan("orders", "o_orderkey"))
 	if err != nil || len(rows) != 300 {
 		t.Fatalf("rows = %d err=%v", len(rows), err)
 	}
@@ -382,7 +391,7 @@ func TestLogShippingForReplicatedTables(t *testing.T) {
 	if e.ShippedEntries == 0 {
 		t.Fatal("replicated-table commit should ship log entries")
 	}
-	rows, err := e.Query(plan.Scan("supplier"))
+	rows, err := queryRows(e, plan.Scan("supplier"))
 	if err != nil || len(rows) != 11 {
 		t.Fatalf("rows = %d err=%v", len(rows), err)
 	}
@@ -391,7 +400,7 @@ func TestLogShippingForReplicatedTables(t *testing.T) {
 func TestNodeFailureRecovery(t *testing.T) {
 	e := testEngine(t, 4)
 	setupTables(t, e, 1000)
-	before, err := e.Query(plan.Aggregate(plan.Scan("items", "i_qty"), nil,
+	before, err := queryRows(e, plan.Aggregate(plan.Scan("items", "i_qty"), nil,
 		plan.A("s", plan.Sum, plan.Col("i_qty"))))
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +419,7 @@ func TestNodeFailureRecovery(t *testing.T) {
 			}
 		}
 	}
-	after, err := e.Query(plan.Aggregate(plan.Scan("items", "i_qty"), nil,
+	after, err := queryRows(e, plan.Aggregate(plan.Scan("items", "i_qty"), nil,
 		plan.A("s", plan.Sum, plan.Col("i_qty"))))
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +429,7 @@ func TestNodeFailureRecovery(t *testing.T) {
 	}
 	// After re-replication, scans are local again.
 	e.FS().ResetStats()
-	if _, err := e.Query(plan.Scan("items", "i_orderkey")); err != nil {
+	if _, err := queryRows(e, plan.Scan("items", "i_orderkey")); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.FS().Stats(); s.RemoteBytesRead != 0 {
@@ -515,7 +524,7 @@ func TestQueryAfterInsertKeepsPerformance(t *testing.T) {
 			plan.Scan("orders", "o_orderkey"),
 			[]string{"i_orderkey"}, []string{"o_orderkey"}),
 		nil, plan.A("total", plan.Sum, plan.Col("i_qty")))
-	before, err := e.Query(q)
+	before, err := queryRows(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +539,7 @@ func TestQueryAfterInsertKeepsPerformance(t *testing.T) {
 	if err := e.InsertRows(context.Background(), "items", ib); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.Query(q)
+	after, err := queryRows(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}

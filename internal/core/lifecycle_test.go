@@ -131,7 +131,7 @@ func TestPinnedScanOutlivesLaterPublishes(t *testing.T) {
 					t.Errorf("%s is referenced by no generation and pinned by no scan, and still exists", f)
 				}
 			}
-			rowsNow, err := e.Query(plan.Aggregate(plan.Scan("t"), nil, plan.A("n", plan.CountStar, plan.Int(1))))
+			rowsNow, err := queryRows(e, plan.Aggregate(plan.Scan("t"), nil, plan.A("n", plan.CountStar, plan.Int(1))))
 			if err != nil || len(rowsNow) != 1 {
 				t.Fatalf("count after the publishes: %v, %v", rowsNow, err)
 			}

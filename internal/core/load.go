@@ -39,6 +39,12 @@ func partitionOf(key int64, parts int) int {
 // after every partition has been written; on any error the files this load
 // wrote are removed and metadata, row counts and catalog epoch stay as they
 // were.
+//
+// Publishing an append resets the partition's PDTs, so a partition that
+// receives rows and holds committed deltas is propagated first (writeMu keeps
+// DML out meanwhile). That does not weaken all-or-nothing: propagation only
+// moves committed state into stable storage, so a stage that fails after it
+// still leaves a correct database.
 func (e *Engine) Load(table string, batches []*vector.Batch) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -69,6 +75,14 @@ func (e *Engine) Load(table string, batches []*vector.Batch) error {
 	close(todo)
 	if len(todo) == 0 {
 		return nil // nothing to write: storage and epoch stay as they are
+	}
+	for pi, part := range t.Parts {
+		if mem, err := e.mgr.MemBytesOf(part.Key); err == nil && mem > 0 && len(rows[pi]) > 0 {
+			//lint:ctx Load takes no context; propagation is post-commit work that never honours cancellation
+			if err := e.propagatePartition(context.Background(), t, part); err != nil {
+				return fmt.Errorf("core: load into %s: propagating p%d: %w", table, pi, err)
+			}
+		}
 	}
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {

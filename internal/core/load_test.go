@@ -56,7 +56,7 @@ func ordersBatch(lo, hi int) *vector.Batch {
 
 func scanOrderKeys(t *testing.T, e *Engine) []int64 {
 	t.Helper()
-	rows, err := e.Query(plan.Scan("orders", "o_orderkey"))
+	rows, err := queryRows(e, plan.Scan("orders", "o_orderkey"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,5 +234,44 @@ func TestLoadMetrics(t *testing.T) {
 	}
 	if got := scrape()["vectorh_load_rows_total"]; got != 4074 {
 		t.Errorf("after propagation: vectorh_load_rows_total = %v, want 4074", got)
+	}
+}
+
+// TestLoadKeepsCommittedDeltas: DML committed below the flush threshold lives
+// in the partitions' PDTs when a later Load appends to them. The load must
+// keep it: deleted rows stay deleted, inserted rows stay visible.
+func TestLoadKeepsCommittedDeltas(t *testing.T) {
+	e := testEngine(t, 3)
+	if err := e.CreateTable(rewriter.TableInfo{
+		Name: "orders", Schema: ordersSchema,
+		PartitionKey: "o_orderkey", Partitions: 4, ClusteredOn: "o_orderkey",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load("orders", []*vector.Batch{ordersBatch(0, 1000)}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if n, err := e.DeleteWhere(ctx, "orders", plan.LT(plan.Col("o_orderkey"), plan.Int(10))); err != nil || n != 10 {
+		t.Fatalf("delete: n=%d err=%v", n, err)
+	}
+	if err := e.InsertRows(ctx, "orders", ordersBatch(5000, 5005)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load("orders", []*vector.Batch{ordersBatch(1000, 2000)}); err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for k := int64(10); k < 2000; k++ {
+		want = append(want, k)
+	}
+	for k := int64(5000); k < 5005; k++ {
+		want = append(want, k)
+	}
+	if got := scanOrderKeys(t, e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after load over pending deltas: %d rows visible, want %d", len(got), len(want))
+	}
+	if info, _ := e.Table("orders"); info.Rows != int64(len(want)) {
+		t.Fatalf("catalog rows %d, want %d", info.Rows, len(want))
 	}
 }

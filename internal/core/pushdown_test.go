@@ -14,11 +14,10 @@ import (
 // float window. With pushdown on, the rewriter plans no Select and the scan
 // both skips blocks on the derived bounds and filters rows.
 func pushdownQuery() plan.Node {
-	pred := plan.AndAll(
+	pred := plan.And(plan.And(
 		plan.GE(plan.Col("o_date"), plan.Date("1995-01-10")),
-		plan.LE(plan.Col("o_date"), plan.Date("1995-01-20")),
-		plan.GE(plan.Col("o_total"), plan.Float(100)),
-	)
+		plan.LE(plan.Col("o_date"), plan.Date("1995-01-20"))),
+		plan.GE(plan.Col("o_total"), plan.Float(100)))
 	f := plan.Filter(plan.Scan("orders", "o_orderkey", "o_date", "o_total"), pred)
 	return plan.OrderBy(f, plan.Asc(plan.Col("o_orderkey")))
 }
@@ -73,7 +72,7 @@ func TestScanPushdownParityAcrossDeltas(t *testing.T) {
 	}
 	if _, err := e.UpdateWhere(context.Background(), "orders",
 		plan.EQ(plan.Col("o_orderkey"), plan.Int(3999)),
-		[]string{"o_date"}, []plan.Expr{plan.DateVal(int32(vector.MustDate("1995-01-12")))}); err != nil {
+		[]string{"o_date"}, []plan.Expr{plan.Date("1995-01-12")}); err != nil {
 		t.Fatal(err)
 	}
 	afterMod := runBoth(t, e, q)

@@ -46,18 +46,6 @@ type QueryResult struct {
 	Scan      ScanIO
 }
 
-// Query runs a logical plan with default options and returns all result
-// rows. It exists because tpch.Runner needs a signature the baseline oracle
-// shares; everything else calls Run.
-func (e *Engine) Query(q plan.Node) ([][]any, error) {
-	//lint:ctx tpch.Runner signature shared with the context-free baseline oracle
-	res, err := e.Run(context.Background(), q, QueryOptions{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
 // Run is the engine's one query path: rewrite the logical plan, instantiate
 // it with ctx threaded into scans and exchanges, and drain the single root
 // stream at the session master batch by batch. A deadline or cancellation

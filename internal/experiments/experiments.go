@@ -23,6 +23,7 @@ import (
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/spark"
+	"vectorh/internal/sql"
 	"vectorh/internal/tpch"
 	"vectorh/internal/vector"
 )
@@ -41,6 +42,18 @@ func NewEngineNoCache(nodes, threads, partitions int) (*core.Engine, error) {
 	cfg := benchConfig(nodes, threads)
 	cfg.BlockCacheBytes = -1
 	return core.New(cfg)
+}
+
+// runOn is how an experiment runs a compiled plan on VectorH: the one query
+// path with default options. A baseline engine's runner is its Query method.
+func runOn(eng *core.Engine) func(plan.Node) ([][]any, error) {
+	return func(n plan.Node) ([][]any, error) {
+		res, err := eng.Run(context.Background(), n, core.QueryOptions{}, nil)
+		if err != nil {
+			return nil, err
+		}
+		return res.Rows, nil
+	}
 }
 
 func benchConfig(nodes, threads int) core.Config {
@@ -108,18 +121,20 @@ func Fig1(sf float64) (*Fig1Result, error) {
 	if err := eng.Load("lineitem", []*vector.Batch{sorted}); err != nil {
 		return nil, err
 	}
+	run := runOn(eng)
 	for _, sel := range cutoffs {
 		x := minDate + int32(float64(maxDate-minDate)*sel)
-		q := plan.Aggregate(
-			plan.Filter(plan.Scan("lineitem", "l_linenumber", "l_shipdate"),
-				plan.LT(plan.Col("l_shipdate"), plan.DateVal(x))),
-			nil, plan.A("m", plan.Max, plan.Col("l_linenumber")))
-		if _, err := eng.Query(q); err != nil { // warm
+		q, err := sql.Compile(fmt.Sprintf("select max(l_linenumber) as m from lineitem where l_shipdate < date '%s'",
+			vector.FormatDate(x)), eng)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := run(q); err != nil { // warm
 			return nil, err
 		}
 		eng.FS().ResetStats()
 		start := time.Now()
-		if _, err := eng.Query(q); err != nil {
+		if _, err := run(q); err != nil {
 			return nil, err
 		}
 		st := eng.FS().Stats()
@@ -320,6 +335,11 @@ type AblationResult struct {
 
 // Fig5Ablation runs the §5 example query (items ⋈ orders ⋈ supplier, group
 // by supplier, top 10) with rewrite rules toggled.
+//
+// It is the one workload plan still built by hand: the ablation measures the
+// §5 rules on the paper's join order, lineitem ⋈ orders (co-located) probed
+// into supplier (replicated), and that shape must not move when the SQL
+// optimizer's join ordering does.
 func Fig5Ablation(sf float64, nodes int) ([]AblationResult, error) {
 	eng, err := NewEngine(nodes, 2, 2*nodes)
 	if err != nil {
@@ -483,21 +503,21 @@ func TPCH(sf float64, nodes int, flavors []baseline.Flavor) (*TPCHResult, error)
 	for q := 1; q <= tpch.NumQueries; q++ {
 		res.Queries = append(res.Queries, q)
 	}
-	runAll := func(name string, r tpch.Runner) error {
+	runAll := func(name string, cat plan.Catalog, run func(plan.Node) ([][]any, error)) error {
 		for _, q := range res.Queries {
-			p, err := tpch.BuildQuery(q, r)
+			p, err := tpch.BuildQuery(q, cat)
 			if err != nil {
-				return fmt.Errorf("%s Q%d build: %w", name, q, err)
+				return fmt.Errorf("%s Q%d compile: %w", name, q, err)
 			}
 			start := time.Now()
-			if _, err := r.Query(p); err != nil {
+			if _, err := run(p); err != nil {
 				return fmt.Errorf("%s Q%d: %w", name, q, err)
 			}
 			res.Times[name] = append(res.Times[name], time.Since(start))
 		}
 		return nil
 	}
-	if err := runAll("VectorH", eng); err != nil {
+	if err := runAll("VectorH", eng, runOn(eng)); err != nil {
 		return nil, err
 	}
 	for _, f := range flavors {
@@ -505,7 +525,7 @@ func TPCH(sf float64, nodes int, flavors []baseline.Flavor) (*TPCHResult, error)
 		if err := tpch.LoadIntoBaseline(be, d); err != nil {
 			return nil, err
 		}
-		if err := runAll(string(f), be); err != nil {
+		if err := runAll(string(f), be, be.Query); err != nil {
 			return nil, err
 		}
 	}
@@ -582,15 +602,15 @@ func UpdateImpact(sf float64, nodes int, queries []int) ([]UpdateImpactResult, e
 
 	var out []UpdateImpactResult
 
-	runQueries := func(r tpch.Runner) ([]time.Duration, error) {
+	runQueries := func(cat plan.Catalog, run func(plan.Node) ([][]any, error)) ([]time.Duration, error) {
 		var ds []time.Duration
 		for _, q := range queries {
-			p, err := tpch.BuildQuery(q, r)
+			p, err := tpch.BuildQuery(q, cat)
 			if err != nil {
 				return nil, err
 			}
 			start := time.Now()
-			if _, err := r.Query(p); err != nil {
+			if _, err := run(p); err != nil {
 				return nil, err
 			}
 			ds = append(ds, time.Since(start))
@@ -606,7 +626,7 @@ func UpdateImpact(sf float64, nodes int, queries []int) ([]UpdateImpactResult, e
 	if err := tpch.LoadIntoEngine(eng, d, 2*nodes); err != nil {
 		return nil, err
 	}
-	before, err := runQueries(eng)
+	before, err := runQueries(eng, runOn(eng))
 	if err != nil {
 		return nil, err
 	}
@@ -627,7 +647,7 @@ func UpdateImpact(sf float64, nodes int, queries []int) ([]UpdateImpactResult, e
 		return nil, err
 	}
 	rf2Time := time.Since(t0)
-	after, err := runQueries(eng)
+	after, err := runQueries(eng, runOn(eng))
 	if err != nil {
 		return nil, err
 	}
@@ -641,7 +661,7 @@ func UpdateImpact(sf float64, nodes int, queries []int) ([]UpdateImpactResult, e
 	if err := tpch.LoadIntoBaseline(be, d); err != nil {
 		return nil, err
 	}
-	before, err = runQueries(be)
+	before, err = runQueries(be, be.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -661,7 +681,7 @@ func UpdateImpact(sf float64, nodes int, queries []int) ([]UpdateImpactResult, e
 		return nil, err
 	}
 	rf2Time = time.Since(t0)
-	after, err = runQueries(be)
+	after, err = runQueries(be, be.Query)
 	if err != nil {
 		return nil, err
 	}

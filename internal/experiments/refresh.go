@@ -58,9 +58,9 @@ func (r *RefreshResult) Report() string {
 // order key) execute as INSERT/DELETE text through the PDT trickle-update
 // path, with the flush threshold set low enough that update propagation
 // (tail-insert appends and full partition rewrites) actually runs. The same
-// refresh is applied to a baseline engine, and every TPC-H query with SQL
-// text is then validated row-identically against the baseline's freshly
-// recomputed answer.
+// refresh is applied to a baseline engine, and every TPC-H query is then
+// validated row-identically against the baseline's answer to the same SQL
+// text, recomputed over its refreshed data.
 func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 	d := tpch.Generate(sf, 13)
 	count := int(1500 * sf)
@@ -147,26 +147,21 @@ func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 		return nil, err
 	}
 
-	var qs []int
-	for q := range tpch.SQLQueries {
-		qs = append(qs, q)
-	}
-	sort.Ints(qs)
-	for _, q := range qs {
+	for q := 1; q <= tpch.NumQueries; q++ {
 		p, err := tpch.BuildQuery(q, be)
 		if err != nil {
-			return nil, fmt.Errorf("Q%d build: %w", q, err)
+			return nil, fmt.Errorf("Q%d baseline compile: %w", q, err)
 		}
 		want, err := be.Query(p)
 		if err != nil {
 			return nil, fmt.Errorf("Q%d baseline: %w", q, err)
 		}
 		t0 = time.Now()
-		n, err := sql.Compile(tpch.SQLQueries[q], eng)
+		n, err := tpch.BuildQuery(q, eng)
 		if err != nil {
 			return nil, fmt.Errorf("Q%d compile: %w", q, err)
 		}
-		got, err := eng.Query(n)
+		got, err := runOn(eng)(n)
 		if err != nil {
 			return nil, fmt.Errorf("Q%d: %w", q, err)
 		}

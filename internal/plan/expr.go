@@ -68,9 +68,6 @@ func Str(v string) Expr { return lit(vector.TString, expr.ConstStr(v)) }
 // Date is a date literal ("YYYY-MM-DD").
 func Date(s string) Expr { return lit(vector.TDate, expr.ConstInt32(vector.MustDate(s))) }
 
-// DateVal is a date literal from days since epoch.
-func DateVal(days int32) Expr { return lit(vector.TDate, expr.ConstInt32(days)) }
-
 // DateOffset is a date literal shifted by months (interval arithmetic is
 // folded at plan-build time).
 func DateOffset(s string, months int) Expr {
@@ -148,15 +145,6 @@ func NE(l, r Expr) Expr { return binary(l, r, boolType, expr.NE) }
 
 // And returns l AND r.
 func And(l, r Expr) Expr { return binary(l, r, boolType, expr.And) }
-
-// AndAll folds a conjunction.
-func AndAll(es ...Expr) Expr {
-	out := es[0]
-	for _, e := range es[1:] {
-		out = And(out, e)
-	}
-	return out
-}
 
 // Or returns l OR r.
 func Or(l, r Expr) Expr { return binary(l, r, boolType, expr.Or) }

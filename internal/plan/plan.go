@@ -71,9 +71,6 @@ type NamedExpr struct {
 // As names an expression.
 func As(name string, e Expr) NamedExpr { return NamedExpr{name, e} }
 
-// C projects a bare column under its own name.
-func C(name string) NamedExpr { return NamedExpr{name, Col(name)} }
-
 // ProjectNode computes expressions.
 type ProjectNode struct {
 	Child Node

@@ -42,7 +42,7 @@ func TestProjectSchemaTypes(t *testing.T) {
 	p := Project(Scan("t"),
 		As("x", Mul(Dec("price"), Float(2))),
 		As("y", Year(Col("d"))),
-		C("k"))
+		As("k", Col("k")))
 	s, err := p.Schema(cat{})
 	if err != nil {
 		t.Fatal(err)

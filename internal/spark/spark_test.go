@@ -1,6 +1,7 @@
 package spark
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -90,9 +91,9 @@ func TestVWLoadAndQuery(t *testing.T) {
 	if err := VWLoad(e, "t", paths); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := e.Query(plan.Scan("t", "k"))
-	if err != nil || len(rows) != 600 {
-		t.Fatalf("rows = %d err=%v", len(rows), err)
+	res, err := e.Run(context.Background(), plan.Scan("t", "k"), core.QueryOptions{}, nil)
+	if err != nil || len(res.Rows) != 600 {
+		t.Fatalf("res = %+v err=%v", res, err)
 	}
 }
 

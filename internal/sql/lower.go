@@ -14,7 +14,8 @@ import (
 // Compile parses src and lowers it to a logical plan bound against the
 // catalog. The emitted tree uses only the existing plan.Node/plan.Expr
 // vocabulary, so the Parallel Rewriter, Xchg parallelism and MinMax skipping
-// apply to SQL queries exactly as to hand-built plans.
+// apply to it like to any plan, and a baseline engine that implements
+// plan.Catalog runs the same plan.
 func Compile(src string, cat plan.Catalog) (plan.Node, error) {
 	return CompileTraced(src, cat, nil)
 }
@@ -599,7 +600,7 @@ type groupCol struct {
 // lowerAggregate builds [pre-projection →] Aggregate [→ scalar-subquery
 // joins] [→ HAVING filter] [→ post-projection].
 // A pre-projection is emitted only when GROUP BY targets computed
-// select-list aliases (the shape hand-built queries like TPC-H Q7–Q9 use);
+// select-list aliases (as TPC-H Q7–Q9 do);
 // otherwise aggregation runs directly over the joined/filtered source with
 // aggregate arguments as inline expressions. HAVING aggregates missing from
 // the select list are computed under hidden names and dropped by the post-
@@ -937,8 +938,8 @@ func lowerConj(s vector.Schema, conj []Expr) (plan.Expr, error) {
 
 // lowerExpr lowers a scalar AST expression over a concrete schema. top marks
 // projection/group positions where a bare decimal column stays raw; anywhere
-// nested, decimal columns convert to float64 (SQL decimal semantics), which
-// mirrors the plan.Dec usage of the hand-built queries.
+// nested, decimal columns convert to float64 (SQL decimal semantics) through
+// plan.Dec.
 func lowerExpr(s vector.Schema, e Expr, top bool) (plan.Expr, error) {
 	switch x := e.(type) {
 	case *ColRef:
@@ -1136,7 +1137,7 @@ func lowerExpr(s vector.Schema, e Expr, top bool) (plan.Expr, error) {
 
 // lowerPair lowers both operands of a binary construct, promoting an integer
 // literal to float when the other side is float-typed (so `l_quantity < 24`
-// over a decimal column compares as floats, matching the builder queries).
+// over a decimal column compares as floats).
 // The inferred operand types are returned for the caller's checks.
 func lowerPair(s vector.Schema, lAst, rAst Expr) (plan.Expr, plan.Expr, vector.Type, vector.Type, error) {
 	var lt, rt vector.Type

@@ -253,12 +253,12 @@ func sameUnderAllRules(t *testing.T, e *core.Engine, phase, stmt string) [][]any
 }
 
 // TestGeneratedPredicateDifferential is the differential described at the top
-// of the file, over three states of the table: clean blocks, INSERT / UPDATE
+// of the file, over four states of the table: clean blocks, INSERT / UPDATE
 // / DELETE deltas sitting in the PDTs (spans they touch are merged and
-// re-filtered, the rest is served from blocks), and after update propagation
-// has rewritten the blocks. The fixed statements are those that once returned
-// wrong rows, each also checked against the count the Go-side model of the
-// table gives.
+// re-filtered, the rest is served from blocks), after a bulk load on top of
+// those deltas, and after update propagation has rewritten the blocks. The
+// fixed statements are those that once returned wrong rows, each also checked
+// against the count the Go-side model of the table gives.
 func TestGeneratedPredicateDifferential(t *testing.T) {
 	// The corners TestPushdownClassifierEdgeCases locked, on its tables, now
 	// under every rule setting: equality must not weaken a strict bound at the
@@ -394,6 +394,18 @@ func TestGeneratedPredicateDifferential(t *testing.T) {
 	del("delete from p where k between 300 and 420", func(r predRow) bool { return r.k >= 300 && r.k <= 420 })
 	del("delete from p where s = 'east' and a > 30", func(r predRow) bool { return r.s == "east" && r.a > 30 })
 	check("deltas")
+
+	// A bulk load on top of the pending deltas must keep them.
+	b := vector.NewBatchForSchema(predSchema, 200)
+	for k := int64(3040); k < 3240; k++ {
+		r := predTableRow(k)
+		model = append(model, r)
+		b.AppendRow(r.values()...)
+	}
+	if err := e.Load("p", []*vector.Batch{b}); err != nil {
+		t.Fatal(err)
+	}
+	check("loaded")
 
 	for part := 0; part < 4; part++ {
 		if err := e.PropagatePartition(ctx, "p", part); err != nil {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,11 +69,11 @@ func runSQL(t *testing.T, e *core.Engine, q string) [][]any {
 	if err != nil {
 		t.Fatalf("compile %q: %v", q, err)
 	}
-	rows, err := e.Query(n)
+	res, err := e.Run(context.Background(), n, core.QueryOptions{}, nil)
 	if err != nil {
 		t.Fatalf("run %q: %v", q, err)
 	}
-	return rows
+	return res.Rows
 }
 
 // TestEndToEnd runs SQL text through the whole stack: parse, bind, rewrite,

@@ -1,19 +1,35 @@
 package tpch
 
-// SQLQueries expresses the full 22-query TPC-H workload as SQL text for the
-// internal/sql front-end. Each entry lowers to the same answer as its
-// hand-built plan counterpart in queries.go; TestSQLQueriesMatchBuilders
-// cross-validates them row for row. Select lists follow the builder output
-// column order (group columns first), which is what makes the row-identity
-// comparison direct.
+import (
+	"fmt"
+
+	"vectorh/internal/plan"
+	"vectorh/internal/sql"
+)
+
+// NumQueries is the TPC-H query count.
+const NumQueries = 22
+
+// BuildQuery compiles the SQL text of TPC-H query q (1-based) against a
+// catalog: the engine, or a baseline engine, which then runs the same plan.
+func BuildQuery(q int, cat plan.Catalog) (plan.Node, error) {
+	if q < 1 || q > NumQueries {
+		return nil, fmt.Errorf("tpch: no query %d", q)
+	}
+	return sql.Compile(SQLQueries[q], cat)
+}
+
+// SQLQueries is the 22-query TPC-H workload as SQL text, the one statement of
+// each query: the engine, the baseline flavors and the benchmark all run
+// these texts, and testdata/answers.golden pins their answers at SF 0.01.
 //
-// Two texts hedge float determinism against their builders: the builders for
-// Q15 run the inner aggregation through the Runner and compare against the
-// literal maximum with a 1e-9 slack, so the SQL mirrors that slack
-// (`* 0.999999999`) rather than demanding bit-equality between two
-// independently parallel float sums. Decimal columns projected through
-// `* 1.00` (Q2, Q22) force the scaled-float representation the builders
-// produce via plan.Dec.
+// Two texts deviate from the specification's wording on purpose. Q15 compares
+// each supplier's revenue with the maximum scaled by 0.999999999: both sides
+// are float sums computed independently and in parallel, so demanding bit
+// equality between them would drop the top supplier whenever the summation
+// orders differ. Decimal columns projected through `* 1.00` (Q2, Q22) come out
+// as float64 amounts rather than the stored scaled integers (Q10's c_acctbal);
+// answers.golden pins those column types.
 var SQLQueries = map[int]string{
 	2: `select s_acctbal * 1.00 as s_acctbal, s_name, n_name, p_partkey, p_mfgr,
 	       s_address, s_phone, s_comment

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -27,54 +26,9 @@ func newDB(t *testing.T) *vectorh.DB {
 	return db
 }
 
-// TestSQLQueriesMatchBuilders cross-validates the SQL text front-end: every
-// query in SQLQueries must return rows identical to its hand-built plan
-// counterpart when run through vectorh.DB.QuerySQL on the same engine.
-func TestSQLQueriesMatchBuilders(t *testing.T) {
-	if len(SQLQueries) != NumQueries {
-		t.Fatalf("want SQL text for all %d TPC-H queries, have %d", NumQueries, len(SQLQueries))
-	}
-	d := Generate(0.004, 7)
-	db := newDB(t)
-	if err := LoadIntoEngine(db.Engine, d, 6); err != nil {
-		t.Fatal(err)
-	}
-	var qs []int
-	for q := range SQLQueries {
-		qs = append(qs, q)
-	}
-	sort.Ints(qs)
-	for _, q := range qs {
-		q := q
-		t.Run(fmt.Sprintf("Q%02d", q), func(t *testing.T) {
-			pb, err := BuildQuery(q, db.Engine)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			want, err := db.Query(pb)
-			if err != nil {
-				t.Fatalf("builder plan: %v", err)
-			}
-			got, err := db.QuerySQL(SQLQueries[q])
-			if err != nil {
-				t.Fatalf("QuerySQL: %v", err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("rows: sql %d vs builder %d", len(got), len(want))
-			}
-			ng, nw := normalize(got), normalize(want)
-			for i := range ng {
-				if ng[i] != nw[i] {
-					t.Fatalf("row %d differs:\n sql     %s\n builder %s", i, ng[i], nw[i])
-				}
-			}
-		})
-	}
-}
-
-// TestSQLExplain sanity-checks that SQL-born plans run through the same
-// parallel rewriting as builder plans (exchanges present) and that MinMax
-// skip hints survive lowering into the scans.
+// TestSQLExplain sanity-checks that compiled SQL goes through the parallel
+// rewriting (exchanges present) and that MinMax skip hints survive lowering
+// into the scans.
 func TestSQLExplain(t *testing.T) {
 	d := Generate(0.002, 7)
 	db := newDB(t)
@@ -129,7 +83,7 @@ func TestExplainShowsProgramSizes(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/explain.golden from the current planner")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/explain.golden and testdata/answers.golden (whichever test runs)")
 
 // benchStmts are the non-TPC-H statement texts of bench/stmts.go (scan_agg's
 // S3/S4, wide_result's W1–W4), copied because bench/ is a nested module.

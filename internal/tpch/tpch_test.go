@@ -12,7 +12,6 @@ import (
 	"vectorh/internal/colstore"
 	"vectorh/internal/core"
 	"vectorh/internal/plan"
-	"vectorh/internal/vector"
 )
 
 func TestGenerateDeterministicAndScaled(t *testing.T) {
@@ -61,6 +60,15 @@ func TestLineitemInvariants(t *testing.T) {
 	}
 }
 
+// queryRows runs a plan on the engine's one query path with default options.
+func queryRows(e *core.Engine, q plan.Node) ([][]any, error) {
+	res, err := e.Run(context.Background(), q, core.QueryOptions{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
 func newEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	e, err := core.New(core.Config{
@@ -79,6 +87,14 @@ func newEngine(t *testing.T) *core.Engine {
 // normalize renders a result set as sorted strings with floats rounded for
 // stable comparison between the vectorized and tuple-at-a-time engines.
 func normalize(rows [][]any) []string {
+	out := renderRows(rows)
+	sort.Strings(out)
+	return out
+}
+
+// renderRows renders each row as one string, in result order, with floats at
+// 4 decimals.
+func renderRows(rows [][]any) []string {
 	out := make([]string, len(rows))
 	for i, row := range rows {
 		var sb strings.Builder
@@ -92,58 +108,12 @@ func normalize(rows [][]any) []string {
 		}
 		out[i] = sb.String()
 	}
-	sort.Strings(out)
 	return out
 }
 
 func roundTo(x float64, digits int) float64 {
 	p := math.Pow(10, float64(digits))
 	return math.Round(x*p) / p
-}
-
-func TestAllQueriesEngineVsBaseline(t *testing.T) {
-	d := Generate(0.004, 7)
-	eng := newEngine(t)
-	if err := LoadIntoEngine(eng, d, 6); err != nil {
-		t.Fatal(err)
-	}
-	base := baseline.New(baseline.Hive)
-	if err := LoadIntoBaseline(base, d); err != nil {
-		t.Fatal(err)
-	}
-	for q := 1; q <= NumQueries; q++ {
-		q := q
-		t.Run(fmt.Sprintf("Q%02d", q), func(t *testing.T) {
-			pe, err := BuildQuery(q, eng)
-			if err != nil {
-				t.Fatalf("build (engine): %v", err)
-			}
-			got, err := eng.Query(pe)
-			if err != nil {
-				t.Fatalf("engine: %v", err)
-			}
-			pb, err := BuildQuery(q, base)
-			if err != nil {
-				t.Fatalf("build (baseline): %v", err)
-			}
-			want, err := base.Query(pb)
-			if err != nil {
-				t.Fatalf("baseline: %v", err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("rows: engine %d vs baseline %d", len(got), len(want))
-			}
-			ng, nw := normalize(got), normalize(want)
-			for i := range ng {
-				if ng[i] != nw[i] {
-					t.Fatalf("row %d differs:\n engine   %s\n baseline %s", i, ng[i], nw[i])
-				}
-			}
-			if len(got) == 0 && q != 19 { // q19's triple predicate can be empty at tiny SF
-				t.Logf("Q%d produced no rows at this SF", q)
-			}
-		})
-	}
 }
 
 func TestRefreshFunctions(t *testing.T) {
@@ -214,12 +184,18 @@ func TestUpdateImpactShape(t *testing.T) {
 		}
 	}
 	for _, q := range []int{1, 6} {
-		pe, _ := BuildQuery(q, eng)
-		got, err := eng.Query(pe)
+		pe, err := BuildQuery(q, eng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, _ := BuildQuery(q, base)
+		got, err := queryRows(eng, pe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := BuildQuery(q, base)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := base.Query(pb)
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +210,6 @@ func TestUpdateImpactShape(t *testing.T) {
 			}
 		}
 	}
-	_ = vector.MaxSize
 }
 
 // inKeys builds an IN-list predicate over int64 keys.

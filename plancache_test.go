@@ -7,6 +7,7 @@ import (
 
 	"vectorh"
 	"vectorh/internal/colstore"
+	"vectorh/internal/core"
 	"vectorh/internal/sql"
 	"vectorh/internal/tpch"
 )
@@ -103,11 +104,11 @@ func TestPlanCacheParityAcrossRefresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := db.Engine.Query(n)
+		res, err := db.Run(context.Background(), n, core.QueryOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return normRowsT(rows)
+		return normRowsT(res.Rows)
 	}
 	cached := func(q string) []string {
 		rows, err := db.QuerySQL(q)

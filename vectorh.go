@@ -26,7 +26,7 @@
 //
 // Logical plans are built with the vectorh/internal/plan package; see
 // examples/ for complete programs and internal/tpch for the full TPC-H
-// workload expressed against this API.
+// workload as SQL text.
 package vectorh
 
 import (
