@@ -92,6 +92,54 @@ func TestExchangeOperatorsReachable(t *testing.T) {
 	}
 }
 
+// TestOneExchangeRuntime guards the one exchange runtime, exec's producer
+// goroutines and consumer ports: the distributed exchanges in internal/mpp
+// are routes over it and start no goroutine and make no channel of their
+// own, internal/mpi is a codec and traffic counters with no communicator
+// beside them, and no configuration picks a fan-out strategy.
+func TestOneExchangeRuntime(t *testing.T) {
+	files, _ := filepath.Glob("internal/mpp/*.go")
+	mpi, _ := filepath.Glob("internal/mpi/*.go")
+	if len(files) == 0 || len(mpi) == 0 {
+		t.Fatal("found no files under internal/mpp or internal/mpi; did the packages move?")
+	}
+	fset := token.NewFileSet()
+	for _, path := range append(files, mpi...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inMPP := strings.HasPrefix(path, filepath.Join("internal", "mpp"))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if inMPP {
+					t.Errorf("%s: a go statement in internal/mpp: senders are exec.NewExchange producers", fset.Position(n.Pos()))
+				}
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "make" && len(n.Args) > 0 && inMPP {
+					if _, ok := n.Args[0].(*ast.ChanType); ok {
+						t.Errorf("%s: a channel made in internal/mpp: exec's exchange owns the channels", fset.Position(n.Pos()))
+					}
+				}
+			case *ast.TypeSpec:
+				if !inMPP && n.Name.Name == "Comm" {
+					t.Errorf("%s: internal/mpi declares a Comm type: messages travel on exec's exchange channels", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(core.Config{}), reflect.TypeOf(rewriter.Env{})} {
+		if _, ok := typ.FieldByName("Mode"); ok {
+			t.Errorf("%v has a Mode field: there is one fan-out strategy", typ)
+		}
+	}
+}
+
 // TestOnePredicateOneEvaluator guards the single statement of a scan filter:
 // a logical filter is a child and a predicate, nothing restating the
 // predicate beside it; a scan is asked for a table, columns, that predicate,

@@ -19,7 +19,6 @@ import (
 	"vectorh/internal/colstore"
 	"vectorh/internal/hdfs"
 	"vectorh/internal/mpi"
-	"vectorh/internal/mpp"
 	"vectorh/internal/obs"
 	"vectorh/internal/pdt"
 	"vectorh/internal/rewriter"
@@ -35,7 +34,6 @@ type Config struct {
 	Replication    int             // HDFS replication degree; default 3
 	BlockSize      int             // HDFS block size; default 1 MiB
 	Format         colstore.Format // column store format
-	Mode           mpp.Mode        // DXchg fan-out strategy
 	MsgBytes       int             // exchange message size
 	PDTFlushBytes  int             // update-propagation trigger; default 8 MiB
 

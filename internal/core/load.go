@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"vectorh/internal/colstore"
-	"vectorh/internal/exec"
 	"vectorh/internal/expr"
 	"vectorh/internal/pdt"
 	"vectorh/internal/plan"
@@ -25,7 +24,7 @@ import (
 // so a repartitioning exchange never degenerates into a no-op whose routing
 // accidentally matches the table partitioning.
 func partitionOf(key int64, parts int) int {
-	return int((exec.HashInt64(key) >> 32) % uint64(parts))
+	return int((vector.HashInt64(key) >> 32) % uint64(parts))
 }
 
 // Load bulk-appends batches into a table's stable storage, bypassing PDTs

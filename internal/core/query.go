@@ -91,7 +91,6 @@ func (e *Engine) Run(ctx context.Context, q plan.Node, qo QueryOptions, yield fu
 		Provider: e,
 		Nodes:    nodes,
 		Threads:  e.cfg.ThreadsPerNode,
-		Mode:     e.cfg.Mode,
 		MsgBytes: e.cfg.MsgBytes,
 	}
 	if qo.Profile {

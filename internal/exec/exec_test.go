@@ -475,6 +475,26 @@ func TestXchgPropagatesErrors(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
+
+	// A key program that compiles but fails on the batch ($5 of a 3-column
+	// batch): the route's error reaches every port as one value.
+	ports := XchgHashSplit(context.Background(), []Operator{src(10, 2)}, []expr.Expr{expr.Col(5, vector.Int64)}, 3)
+	errs := make([]error, len(ports))
+	done := make(chan struct{})
+	for i, p := range ports {
+		go func() {
+			_, errs[i] = Collect(p)
+			done <- struct{}{}
+		}()
+	}
+	for range ports {
+		<-done
+	}
+	for i, err := range errs {
+		if err == nil || !errors.Is(err, errs[0]) {
+			t.Fatalf("port %d: err = %v, port 0: %v", i, err, errs[0])
+		}
+	}
 }
 
 func TestProfiledCountsTuples(t *testing.T) {
@@ -503,7 +523,7 @@ func TestFuncSource(t *testing.T) {
 	}
 }
 
-func TestHashRowsDeterministicAcrossBatches(t *testing.T) {
+func TestRowHasherDeterministicAcrossBatches(t *testing.T) {
 	b1 := vector.NewBatch(vector.FromInt64([]int64{42}))
 	b2 := vector.NewBatch(vector.FromInt64([]int64{42, 7}))
 	hasher, err := NewRowHasher([]expr.Expr{expr.Col(0, vector.Int64)})

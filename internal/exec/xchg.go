@@ -7,31 +7,47 @@ import (
 	"sync/atomic"
 
 	"vectorh/internal/expr"
+	"vectorh/internal/mpi"
 	"vectorh/internal/vector"
 )
 
-// The local Xchg operator family (§5, after Graefe's Volcano): an Xchg never
-// modifies data, it only redistributes streams between producer and consumer
-// threads, encapsulating parallelism so all other operators stay
-// parallelism-unaware. Producers run in goroutines started at Open.
+// The exchange operator family (§5, after Graefe's Volcano): an exchange
+// never modifies data, it only redistributes streams between producer and
+// consumer threads, encapsulating parallelism so all other operators stay
+// parallelism-unaware. This file is the one exchange runtime: the local Xchg
+// operators below and the distributed DXchg operators of package mpp are
+// routes over it. Producers run in goroutines started at the first port
+// Open, each with its own Route.
 //
 // Every exchange carries the query's context: producers check it once per
 // batch, so a cancelled or timed-out query stops its producer goroutines
-// promptly instead of letting them drain their inputs into dead channels.
+// promptly instead of letting them drain their inputs into dead channels. An
+// error that ends a producer — its own, its route's, or the cancellation —
+// reaches every consumer port as the same error value.
 
-// item is one unit on an exchange channel.
+// chanDepth is the number of items a consumer stream's channel holds. It is
+// what lets producers run ahead of a consumer busy with the previous batch;
+// for a DXchg, whose items are MsgBytes send buffers, it is the
+// double-buffering of the paper's Figure 4 with slack for the several
+// senders that share each consumer stream.
+const chanDepth = 4
+
+// item is one unit on an exchange channel: a batch handed over by pointer, a
+// batch encoded for another node (decoded by the consumer port), or the
+// error that ended a producer.
 type item struct {
-	b   *vector.Batch
-	err error
+	b    *vector.Batch
+	wire []byte
+	err  error
 }
 
-// xchgCore runs producers and fans their output to consumer channels using
-// a routing function.
+// xchgCore runs producers and fans their output to consumer channels through
+// per-producer routes.
 type xchgCore struct {
 	ctx       context.Context
 	producers []Operator
 	outs      []chan item
-	newRoute  func() (routeFunc, error) // called once per producer goroutine
+	newRoute  func(producer int) (Route, error)
 	quit      chan struct{}
 	openPorts atomic.Int32
 	startOnce sync.Once
@@ -39,22 +55,41 @@ type xchgCore struct {
 	wg        sync.WaitGroup
 }
 
-// routeFunc delivers one producer batch to the consumer channels. Every
-// producer goroutine gets its own, so a routing function may keep per-stream
-// state (the hash split's compiled key program).
-type routeFunc func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error
+// Route delivers one producer's output to the consumer streams: the exchange
+// calls it with every batch the producer returns and once more with nil at
+// end of input, so a route that buffers can flush. A route runs on its
+// producer's goroutine only and may keep per-producer state.
+type Route func(b *vector.Batch, out Outs) error
 
-func newXchgCore(ctx context.Context, producers []Operator, consumers int, newRoute func() (routeFunc, error)) *xchgCore {
+// Outs is a route's handle on the consumer streams. A send blocks while the
+// stream's channel is full and fails once the exchange has stopped; a route
+// returns that failure as it is.
+type Outs struct{ x *xchgCore }
+
+// Send hands b to consumer stream i by pointer.
+func (o Outs) Send(i int, b *vector.Batch) error { return o.x.send(i, item{b: b}) }
+
+// SendEncoded hands consumer stream i a batch in mpi.EncodeBatch form; the
+// consumer's port decodes it.
+func (o Outs) SendEncoded(i int, wire []byte) error { return o.x.send(i, item{wire: wire}) }
+
+// NewExchange returns the consumer ports of an exchange over producers.
+// Nothing runs until the first port Open, which starts one goroutine per
+// producer with its own route from newRoute(i), i indexing producers. The
+// exchange stops once every port has closed or the context is cancelled.
+func NewExchange(ctx context.Context, producers []Operator, consumers int, newRoute func(producer int) (Route, error)) []Operator {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	x := &xchgCore{ctx: ctx, producers: producers, newRoute: newRoute, quit: make(chan struct{})}
 	x.openPorts.Store(int32(consumers))
 	x.outs = make([]chan item, consumers)
+	ports := make([]Operator, consumers)
 	for i := range x.outs {
-		x.outs[i] = make(chan item, 4)
+		x.outs[i] = make(chan item, chanDepth)
+		ports[i] = &port{x: x, idx: i}
 	}
-	return x
+	return ports
 }
 
 func (x *xchgCore) start() {
@@ -72,37 +107,13 @@ func (x *xchgCore) start() {
 			}()
 		}
 		x.wg.Add(len(x.producers))
-		for _, p := range x.producers {
-			go func(p Operator) {
+		for i, p := range x.producers {
+			go func() {
 				defer x.wg.Done()
-				route, err := x.newRoute()
-				if err != nil {
+				if err := x.produce(i, p); err != nil && err != errQuit {
 					x.fanErr(err)
-					return
 				}
-				if err := p.Open(); err != nil {
-					x.fanErr(err)
-					return
-				}
-				defer p.Close()
-				for {
-					if err := x.ctx.Err(); err != nil {
-						x.fanErr(fmt.Errorf("exec: exchange producer canceled: %w", context.Cause(x.ctx)))
-						return
-					}
-					b, err := p.Next()
-					if err != nil {
-						x.fanErr(err)
-						return
-					}
-					if b == nil {
-						return
-					}
-					if err := route(b, x.outs, x.quit); err != nil {
-						return
-					}
-				}
-			}(p)
+			}()
 		}
 		go func() {
 			x.wg.Wait()
@@ -113,11 +124,44 @@ func (x *xchgCore) start() {
 	})
 }
 
+// produce runs producer i to the end of its input through its own route.
+func (x *xchgCore) produce(i int, p Operator) error {
+	route, err := x.newRoute(i)
+	if err != nil {
+		return err
+	}
+	if err := p.Open(); err != nil {
+		return err
+	}
+	defer p.Close()
+	out := Outs{x}
+	for {
+		if err := x.ctx.Err(); err != nil {
+			return fmt.Errorf("exec: exchange producer canceled: %w", context.Cause(x.ctx))
+		}
+		b, err := p.Next()
+		if err != nil {
+			return err
+		}
+		if err := route(b, out); err != nil || b == nil {
+			return err
+		}
+	}
+}
+
+func (x *xchgCore) send(i int, it item) error {
+	select {
+	case x.outs[i] <- it:
+		return nil
+	case <-x.quit:
+		return errQuit
+	}
+}
+
 func (x *xchgCore) fanErr(err error) {
-	for _, ch := range x.outs {
-		select {
-		case ch <- item{err: err}:
-		case <-x.quit:
+	for i := range x.outs {
+		if x.send(i, item{err: err}) != nil {
+			return
 		}
 	}
 }
@@ -142,6 +186,9 @@ func (p *port) Next() (*vector.Batch, error) {
 	if !ok {
 		return nil, nil
 	}
+	if it.wire != nil {
+		return mpi.DecodeBatch(it.wire)
+	}
 	return it.b, it.err
 }
 
@@ -157,93 +204,74 @@ func (p *port) Close() error {
 	return nil
 }
 
-func send(ch chan item, b *vector.Batch, quit <-chan struct{}) error {
-	select {
-	case ch <- item{b: b}:
-		return nil
-	case <-quit:
-		return errQuit
-	}
-}
-
 type quitError struct{}
 
 func (quitError) Error() string { return "exec: exchange canceled" }
 
 var errQuit = quitError{}
 
-// stateless adapts a routing function without per-producer state.
-func stateless(route routeFunc) func() (routeFunc, error) {
-	return func() (routeFunc, error) { return route, nil }
-}
-
-func (x *xchgCore) ports() []Operator {
-	ports := make([]Operator, len(x.outs))
-	for i := range ports {
-		ports[i] = &port{x: x, idx: i}
+// stateless adapts a routing function without per-producer state or
+// buffering.
+func stateless(route func(b *vector.Batch, out Outs) error) func(int) (Route, error) {
+	return func(int) (Route, error) {
+		return func(b *vector.Batch, out Outs) error {
+			if b == nil {
+				return nil
+			}
+			return route(b, out)
+		}, nil
 	}
-	return ports
 }
 
 // XchgUnion merges n producer streams into one consumer stream.
 func XchgUnion(ctx context.Context, producers []Operator) Operator {
-	x := newXchgCore(ctx, producers, 1, stateless(func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
-		return send(outs[0], b, quit)
-	}))
-	return x.ports()[0]
+	return NewExchange(ctx, producers, 1, stateless(func(b *vector.Batch, out Outs) error {
+		return out.Send(0, b)
+	}))[0]
 }
 
 // XchgHashSplit hash-partitions n producer streams into m consumer streams
 // on the given key expressions. It returns the m consumer ports.
 func XchgHashSplit(ctx context.Context, producers []Operator, keys []expr.Expr, m int) []Operator {
-	return newXchgCore(ctx, producers, m, func() (routeFunc, error) {
+	return NewExchange(ctx, producers, m, func(int) (Route, error) {
 		hasher, err := NewRowHasher(keys)
 		if err != nil {
 			return nil, err
 		}
-		return func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
-			hashes, err := hasher.Hash(b)
-			if err != nil {
-				// Deliver the error to consumer 0.
-				select {
-				case outs[0] <- item{err: err}:
-				case <-quit:
-				}
-				return err
+		return func(b *vector.Batch, out Outs) error {
+			if b == nil {
+				return nil
 			}
+			// Fresh lists every batch: each consumer keeps its selection
+			// with the batch past the next send.
 			sels := make([][]int32, m)
-			for r, h := range hashes {
-				d := int(h % uint64(m))
-				phys := int32(r)
-				if b.Sel != nil {
-					phys = b.Sel[r]
-				}
-				sels[d] = append(sels[d], phys)
+			if err := hasher.Split(b, sels); err != nil {
+				return err
 			}
 			for d, sel := range sels {
 				if len(sel) == 0 {
 					continue
 				}
-				if err := send(outs[d], &vector.Batch{Vecs: b.Vecs, Sel: sel}, quit); err != nil {
+				if err := out.Send(d, &vector.Batch{Vecs: b.Vecs, Sel: sel}); err != nil {
 					return err
 				}
 			}
 			return nil
 		}, nil
-	}).ports()
+	})
 }
 
 // XchgBroadcast replicates every producer batch to all m consumer streams
 // (used to build replicated join sides).
 func XchgBroadcast(ctx context.Context, producers []Operator, m int) []Operator {
-	return newXchgCore(ctx, producers, m, stateless(func(b *vector.Batch, outs []chan item, quit <-chan struct{}) error {
-		for _, ch := range outs {
-			if err := send(ch, b, quit); err != nil {
+	return NewExchange(ctx, producers, m, stateless(func(b *vector.Batch, out Outs) error {
+		for i := 0; i < m; i++ {
+			if err := out.Send(i, b); err != nil {
 				return err
 			}
 		}
 		return nil
-	})).ports()
+	}))
 }
 
 // RowHasher computes a 64-bit hash of key expressions for every live row of
@@ -280,7 +308,26 @@ func (h *RowHasher) Hash(b *vector.Batch) ([]uint64, error) {
 	return h.hashes[:n], nil
 }
 
-// HashInt64 hashes a single integer key with the same function HashRows
-// uses, so table partitioning (hash of the partition key) and exchange
-// partitioning agree everywhere in the engine.
-func HashInt64(x int64) uint64 { return vector.HashInt64(x) }
+// Split is the row grouping of every hash-partitioning exchange: it truncates
+// each list of dests, then appends the physical position of every live row
+// of b to dests[hash % len(dests)]. A caller that hands the lists on with b
+// passes fresh ones each time; one that copies the rows out may reuse them.
+func (h *RowHasher) Split(b *vector.Batch, dests [][]int32) error {
+	hashes, err := h.Hash(b)
+	if err != nil {
+		return err
+	}
+	for d := range dests {
+		dests[d] = dests[d][:0]
+	}
+	m := uint64(len(dests))
+	for r, hv := range hashes {
+		phys := int32(r)
+		if b.Sel != nil {
+			phys = b.Sel[r]
+		}
+		d := hv % m
+		dests[d] = append(dests[d], phys)
+	}
+	return nil
+}

@@ -1,18 +1,18 @@
 // Package mpi simulates the message-passing transport underneath the
-// distributed exchange operators (§5, Figure 4 of the paper): fixed-size
-// framed messages (≥256 KB for good throughput in the paper; configurable
-// here), per-rank inboxes with capacity two — the double-buffering that
-// overlaps communication with processing — byte accounting for the network
-// cost model, and the intra-node optimization of passing batch pointers
-// instead of serialized buffers ("for intra-node communication we only send
-// pointers to sender-side buffers").
+// distributed exchange operators (§5, Figure 4 of the paper): the PAX-like
+// message layout a batch crosses nodes in (EncodeBatch/DecodeBatch; ≥256 KB
+// messages for good throughput in the paper, configurable here) and the
+// Network's traffic accounting for the network cost model — serialized bytes
+// and messages between nodes, and the intra-node optimization of passing
+// batch pointers instead of serialized buffers ("for intra-node
+// communication we only send pointers to sender-side buffers"). Messages
+// travel on the consumer channels of exec's exchange runtime.
 package mpi
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"vectorh/internal/vector"
@@ -29,8 +29,8 @@ type Stats struct {
 	LocalHandoffs int64 // intra-node pointer passes (no serialization)
 }
 
-// Network is the cluster-wide transport fabric: it carries accounting shared
-// by all communicators.
+// Network is the cluster-wide transport fabric: it carries the accounting
+// shared by every exchange sender.
 type Network struct {
 	nodes       int
 	remoteBytes atomic.Int64
@@ -60,110 +60,16 @@ func (n *Network) Reset() {
 	n.localPasses.Store(0)
 }
 
-// Message is one delivery: either serialized Data (remote) or a pointer-
-// passed Local batch (intra-node).
-type Message struct {
-	From  int
-	Data  []byte
-	Local *vector.Batch
-}
+// Handoff counts one intra-node pass of a batch pointer.
+func (n *Network) Handoff() { n.localPasses.Add(1) }
 
-// Comm is one communicator (one per distributed exchange): per-destination-
-// rank inboxes with a fixed number of senders. Ranks are nodes for
-// thread-to-node exchanges and streams for thread-to-thread exchanges.
-type Comm struct {
-	net     *Network
-	rankOf  func(rank int) int // rank -> node (identity for node ranks)
-	inboxes []chan Message
-	senders int32
-	once    sync.Once
-}
-
-// NewComm creates a communicator with the given number of destination ranks
-// and total senders. rankNode maps a rank to its physical node (used to
-// decide local vs remote); pass nil when ranks are nodes.
-func (n *Network) NewComm(ranks, senders int, rankNode func(int) int) *Comm {
-	if rankNode == nil {
-		rankNode = func(r int) int { return r }
-	}
-	c := &Comm{net: n, rankOf: rankNode, senders: int32(senders)}
-	c.inboxes = make([]chan Message, ranks)
-	for i := range c.inboxes {
-		// Capacity 2: the double-buffering of Figure 4.
-		c.inboxes[i] = make(chan Message, 2)
-	}
-	return c
-}
-
-// Send delivers a batch from a sender residing on fromNode to a rank. Local
-// destinations receive the batch pointer; remote destinations receive the
-// serialized buffer (accounted as network traffic). Serialization happens
-// here, so callers pass the batch either way.
-func (c *Comm) Send(fromNode, toRank int, b *vector.Batch) {
-	c.SendQuit(fromNode, toRank, b, nil)
-}
-
-// SendQuit is Send that gives up when quit closes (query cancellation):
-// inbox capacity is bounded, so without it an abandoned exchange would leave
-// senders blocked forever. It reports whether the message was delivered.
-func (c *Comm) SendQuit(fromNode, toRank int, b *vector.Batch, quit <-chan struct{}) bool {
-	if c.rankOf(toRank) == fromNode {
-		c.net.localPasses.Add(1)
-		select {
-		case c.inboxes[toRank] <- Message{From: fromNode, Local: b}:
-			return true
-		case <-quit:
-			return false
-		}
-	}
+// Encode serializes a batch bound for another node and counts it as one
+// remote message.
+func (n *Network) Encode(b *vector.Batch) []byte {
 	data := EncodeBatch(b)
-	c.net.remoteBytes.Add(int64(len(data)))
-	c.net.remoteMsgs.Add(1)
-	select {
-	case c.inboxes[toRank] <- Message{From: fromNode, Data: data}:
-		return true
-	case <-quit:
-		return false
-	}
-}
-
-// DoneSending signals one sender finished; when the last sender is done all
-// inboxes close.
-func (c *Comm) DoneSending() {
-	if atomic.AddInt32(&c.senders, -1) == 0 {
-		c.once.Do(func() {
-			for _, ch := range c.inboxes {
-				close(ch)
-			}
-		})
-	}
-}
-
-// Recv receives the next message for rank; ok is false when all senders are
-// done and the inbox is drained.
-func (c *Comm) Recv(rank int) (Message, bool) {
-	m, ok := <-c.inboxes[rank]
-	return m, ok
-}
-
-// RecvQuit is Recv that also returns (with ok=false) when quit closes, so
-// exchange dispatcher goroutines exit promptly on query cancellation even
-// while senders are stalled.
-func (c *Comm) RecvQuit(rank int, quit <-chan struct{}) (Message, bool) {
-	select {
-	case m, ok := <-c.inboxes[rank]:
-		return m, ok
-	case <-quit:
-		return Message{}, false
-	}
-}
-
-// Batch returns the message payload as a batch, decoding if it was remote.
-func (m *Message) Batch() (*vector.Batch, error) {
-	if m.Local != nil {
-		return m.Local, nil
-	}
-	return DecodeBatch(m.Data)
+	n.remoteBytes.Add(int64(len(data)))
+	n.remoteMsgs.Add(1)
+	return data
 }
 
 // EncodeBatch serializes a batch in a PAX-like layout: per column a kind
@@ -206,7 +112,10 @@ func EncodeBatch(b *vector.Batch) []byte {
 	return out
 }
 
-// DecodeBatch inverts EncodeBatch.
+// DecodeBatch inverts EncodeBatch. It sizes nothing from a header before
+// checking that the remaining bytes can hold it — every column takes at
+// least its kind byte and every value at least one byte — so hostile bytes
+// cost an error, never an allocation out of proportion to len(data).
 func DecodeBatch(data []byte) (*vector.Batch, error) {
 	nc, sz := binary.Uvarint(data)
 	if sz <= 0 {
@@ -218,6 +127,9 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 		return nil, fmt.Errorf("mpi: bad batch header")
 	}
 	data = data[sz:]
+	if nc > uint64(len(data)) {
+		return nil, fmt.Errorf("mpi: batch header claims %d columns in %d bytes", nc, len(data))
+	}
 	b := &vector.Batch{Vecs: make([]*vector.Vec, nc)}
 	for ci := uint64(0); ci < nc; ci++ {
 		if len(data) < 1 {
@@ -225,6 +137,9 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 		}
 		kind := vector.Kind(data[0])
 		data = data[1:]
+		if n > uint64(len(data)) {
+			return nil, fmt.Errorf("mpi: batch header claims %d rows in %d bytes", n, len(data))
+		}
 		switch kind {
 		case vector.Int64:
 			if uint64(len(data)) < n*8 {

@@ -1,9 +1,13 @@
 package mpp
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vectorh/internal/exec"
 	"vectorh/internal/expr"
@@ -59,21 +63,22 @@ func collectAll(t *testing.T, ports [][]exec.Operator) (total int, byStream map[
 	return total, byStream
 }
 
-func testBothModes(t *testing.T, fn func(t *testing.T, mode Mode)) {
-	t.Run("thread-to-thread", func(t *testing.T) { fn(t, ThreadToThread) })
-	t.Run("thread-to-node", func(t *testing.T) { fn(t, ThreadToNode) })
-}
+var key = []expr.Expr{expr.Col(0, vector.Int64)}
 
 func TestDXchgHashSplitCompleteAndConsistent(t *testing.T) {
-	testBothModes(t, func(t *testing.T, mode Mode) {
+	// Every producer thread sends to every consumer thread.
+	t.Run("thread-to-thread", func(t *testing.T) {
 		net := mpi.NewNetwork(3)
-		cfg := Config{Net: net, Mode: mode, MsgBytes: 1024}
+		cfg := Config{Net: net, MsgBytes: 1024}
 		producers := [][]exec.Operator{
 			{producer(0, 500), producer(500, 500)},
 			{producer(1000, 500)},
 			{producer(1500, 500)},
 		}
-		ports, ex := DXchgHashSplit(cfg, producers, []expr.Expr{expr.Col(0, vector.Int64)}, []int{2, 2, 2})
+		ports, err := DXchgHashSplit(cfg, producers, key, []int{2, 2, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		total, byStream := collectAll(t, ports)
 		if total != 2000 {
 			t.Fatalf("total = %d", total)
@@ -88,65 +93,42 @@ func TestDXchgHashSplitCompleteAndConsistent(t *testing.T) {
 				owner[k] = s
 			}
 		}
-		if ex.Stats().PeakBufferBytes <= 0 {
-			t.Fatal("no buffering recorded")
-		}
-		wantFanout := 6
-		if mode == ThreadToNode {
-			wantFanout = 3
-		}
-		if ex.Stats().Fanout != wantFanout {
-			t.Fatalf("fanout = %d, want %d", ex.Stats().Fanout, wantFanout)
-		}
 	})
 }
 
+// TestDXchgRemoteVsLocalAccounting pins the traffic counts, and with them
+// the message framing: flush at MsgBytes per destination stream, once more
+// at end of input, pointers on the sender's node, encoded bytes across.
 func TestDXchgRemoteVsLocalAccounting(t *testing.T) {
-	net := mpi.NewNetwork(2)
-	cfg := Config{Net: net, Mode: ThreadToNode, MsgBytes: 512}
-	producers := [][]exec.Operator{{producer(0, 1000)}, {producer(1000, 1000)}}
-	ports, _ := DXchgHashSplit(cfg, producers, []expr.Expr{expr.Col(0, vector.Int64)}, []int{1, 1})
-	total, _ := collectAll(t, ports)
-	if total != 2000 {
-		t.Fatalf("total = %d", total)
-	}
-	s := net.Stats()
-	if s.RemoteBytes == 0 || s.RemoteMsgs == 0 {
-		t.Fatalf("no remote traffic recorded: %+v", s)
-	}
-	if s.LocalHandoffs == 0 {
-		t.Fatalf("no intra-node pointer passes recorded: %+v", s)
-	}
-}
-
-func TestThreadToNodeReducesFanoutAndBuffering(t *testing.T) {
-	run := func(mode Mode) Stats {
-		net := mpi.NewNetwork(4)
-		cfg := Config{Net: net, Mode: mode, MsgBytes: 4096}
-		producers := make([][]exec.Operator, 4)
-		for n := range producers {
-			for i := 0; i < 4; i++ {
-				producers[n] = append(producers[n], producer(n*4000+i*1000, 1000))
-			}
+	for _, tc := range []struct {
+		consumers []int
+		want      mpi.Stats
+	}{
+		{[]int{2, 2}, mpi.Stats{RemoteBytes: 10140, RemoteMsgs: 20, LocalHandoffs: 20}},
+		{[]int{1, 1}, mpi.Stats{RemoteBytes: 10050, RemoteMsgs: 10, LocalHandoffs: 10}},
+	} {
+		net := mpi.NewNetwork(2)
+		producers := [][]exec.Operator{{producer(0, 1000)}, {producer(1000, 1000)}}
+		ports, err := DXchgHashSplit(Config{Net: net, MsgBytes: 512}, producers, key, tc.consumers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ports, ex := DXchgHashSplit(cfg, producers, []expr.Expr{expr.Col(0, vector.Int64)}, []int{4, 4, 4, 4})
-		total, _ := collectAll(t, ports)
-		if total != 16000 {
-			t.Fatalf("total = %d", total)
+		if total, _ := collectAll(t, ports); total != 2000 {
+			t.Fatalf("%v: total = %d", tc.consumers, total)
 		}
-		return ex.Stats()
-	}
-	t2t := run(ThreadToThread)
-	t2n := run(ThreadToNode)
-	if t2n.Fanout >= t2t.Fanout {
-		t.Fatalf("fanout t2n=%d should be < t2t=%d", t2n.Fanout, t2t.Fanout)
+		if got := net.Stats(); got != tc.want {
+			t.Errorf("%v: traffic %+v, want %+v", tc.consumers, got, tc.want)
+		}
 	}
 }
 
 func TestDXchgUnion(t *testing.T) {
 	net := mpi.NewNetwork(3)
 	producers := [][]exec.Operator{{producer(0, 300)}, {producer(300, 300)}, {producer(600, 300)}}
-	u, _ := DXchgUnion(Config{Net: net, MsgBytes: 2048}, producers, 0)
+	u, err := DXchgUnion(Config{Net: net, MsgBytes: 2048}, producers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, err := exec.Collect(u)
 	if err != nil {
 		t.Fatal(err)
@@ -156,87 +138,175 @@ func TestDXchgUnion(t *testing.T) {
 	}
 }
 
-type failOp struct{}
-
-func (failOp) Open() error                  { return nil }
-func (failOp) Next() (*vector.Batch, error) { return nil, errors.New("producer exploded") }
-func (failOp) Close() error                 { return nil }
-
-func TestDXchgPropagatesProducerErrors(t *testing.T) {
+func TestDXchgRejectsUnroutableTopology(t *testing.T) {
 	net := mpi.NewNetwork(2)
-	producers := [][]exec.Operator{{failOp{}}, {producer(0, 10)}}
-	ports, _ := DXchgHashSplit(Config{Net: net, MsgBytes: 512}, producers,
-		[]expr.Expr{expr.Col(0, vector.Int64)}, []int{1, 1})
-	var sawErr bool
-	var wg sync.WaitGroup
-	for _, nodePorts := range ports {
-		for _, p := range nodePorts {
-			wg.Add(1)
-			go func(p exec.Operator) {
-				defer wg.Done()
-				if _, err := exec.Collect(p); err != nil {
-					sawErr = true
-				}
-			}(p)
+	producers := [][]exec.Operator{{producer(0, 10)}, {producer(10, 10)}}
+	for _, consumers := range [][]int{nil, {0, 0}, {-1, 2}, {1, 1, 1}} {
+		if _, err := DXchgHashSplit(Config{Net: net}, producers, key, consumers); err == nil {
+			t.Errorf("DXchgHashSplit to %v: no error", consumers)
 		}
 	}
-	wg.Wait()
-	if !sawErr {
-		t.Fatal("producer error not delivered to any consumer")
+	for _, node := range []int{-1, 2} {
+		if _, err := DXchgUnion(Config{Net: net}, producers, node); err == nil {
+			t.Errorf("DXchgUnion to node %d: no error", node)
+		}
+	}
+	if _, err := DXchgUnion(Config{Net: mpi.NewNetwork(1)}, producers, 0); err == nil {
+		t.Error("DXchgUnion from 2 producer nodes on a 1-node network: no error")
 	}
 }
 
-func TestEncodeDecodeBatchRoundTrip(t *testing.T) {
-	b := vector.NewBatch(
-		vector.FromInt64([]int64{-1, 2, 1 << 40}),
-		vector.FromInt32([]int32{7, -8, 9}),
-		vector.FromFloat64([]float64{1.5, -2.5, 0}),
-		vector.FromString([]string{"", "abc", "日本"}),
-		vector.FromBool([]bool{true, false, true}),
-	)
-	b.Sel = []int32{2, 0}
-	got, err := mpi.DecodeBatch(mpi.EncodeBatch(b))
+type failOp struct{ err error }
+
+func (failOp) Open() error                    { return nil }
+func (f failOp) Next() (*vector.Batch, error) { return nil, f.err }
+func (failOp) Close() error                   { return nil }
+
+// TestDXchgPropagatesProducerErrors: a sender's error reaches every consumer
+// port as the original value.
+func TestDXchgPropagatesProducerErrors(t *testing.T) {
+	producerErr := errors.New("producer exploded")
+	producers := func() [][]exec.Operator {
+		return [][]exec.Operator{{failOp{producerErr}}, {producer(0, 10)}}
+	}
+	split, err := DXchgHashSplit(Config{Net: mpi.NewNetwork(2), MsgBytes: 512}, producers(), key, []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.Row(0)[0].(int64) != 1<<40 || got.Row(1)[3].(string) != "" {
-		t.Fatalf("round trip = %v %v", got.Row(0), got.Row(1))
+	union, err := DXchgUnion(Config{Net: mpi.NewNetwork(2), MsgBytes: 512}, producers(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := mpi.DecodeBatch([]byte{1, 2}); err == nil {
-		t.Fatal("garbage should fail to decode")
+	ports := append(append([]exec.Operator{}, split[0]...), split[1]...)
+	ports = append(ports, union)
+	var got atomic.Int32
+	var wg sync.WaitGroup
+	for _, p := range ports {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := exec.Collect(p); errors.Is(err, producerErr) {
+				got.Add(1)
+			} else {
+				t.Errorf("port returned %v, want %v", err, producerErr)
+			}
+		}()
+	}
+	wg.Wait()
+	if int(got.Load()) != len(ports) {
+		t.Fatalf("%d of %d ports saw the producer error", got.Load(), len(ports))
 	}
 }
 
-func BenchmarkDXchgFanout(b *testing.B) {
-	// Ablation: thread-to-thread vs thread-to-node on a 4x4 topology.
-	for _, mode := range []Mode{ThreadToThread, ThreadToNode} {
-		name := "thread-to-thread"
-		if mode == ThreadToNode {
-			name = "thread-to-node"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				net := mpi.NewNetwork(4)
-				cfg := Config{Net: net, Mode: mode, MsgBytes: 8192}
-				producers := make([][]exec.Operator, 4)
-				for n := range producers {
-					for j := 0; j < 4; j++ {
-						producers[n] = append(producers[n], producer(n*8000+j*2000, 2000))
-					}
-				}
-				ports, _ := DXchgHashSplit(cfg, producers, []expr.Expr{expr.Col(0, vector.Int64)}, []int{4, 4, 4, 4})
-				var wg sync.WaitGroup
-				for _, nodePorts := range ports {
-					for _, p := range nodePorts {
-						wg.Add(1)
-						go func(p exec.Operator) {
-							defer wg.Done()
-							exec.Collect(p)
-						}(p)
-					}
-				}
-				wg.Wait()
+// endless returns the same 200-row batch forever.
+func endless() exec.Operator {
+	b := producer(0, 200).(*exec.BatchSource).Batches[0]
+	return &exec.FuncSource{NextFn: func() (*vector.Batch, error) { return b, nil }}
+}
+
+// TestExchangeTeardown stops each exchange constructor, after every port has
+// delivered its first batch and while the endless producers fill the
+// channels, by closing every port or by cancelling the query context; either
+// way every goroutine the exchange started must exit.
+func TestExchangeTeardown(t *testing.T) {
+	constructors := []struct {
+		name  string
+		build func(ctx context.Context) ([]exec.Operator, error)
+	}{
+		{"XchgHashSplit", func(ctx context.Context) ([]exec.Operator, error) {
+			return exec.XchgHashSplit(ctx, []exec.Operator{endless(), endless()}, key, 3), nil
+		}},
+		{"DXchgHashSplit", func(ctx context.Context) ([]exec.Operator, error) {
+			ports, err := DXchgHashSplit(Config{Net: mpi.NewNetwork(2), MsgBytes: 512, Ctx: ctx},
+				[][]exec.Operator{{endless(), endless()}, {endless()}}, key, []int{2, 1})
+			if err != nil {
+				return nil, err
 			}
-		})
+			return append(ports[0], ports[1]...), nil
+		}},
+		{"DXchgUnion", func(ctx context.Context) ([]exec.Operator, error) {
+			u, err := DXchgUnion(Config{Net: mpi.NewNetwork(2), MsgBytes: 512, Ctx: ctx},
+				[][]exec.Operator{{endless()}, {endless()}}, 0)
+			return []exec.Operator{u}, err
+		}},
+	}
+	for _, c := range constructors {
+		for _, cancelQuery := range []bool{false, true} {
+			name := c.name + "/close"
+			if cancelQuery {
+				name = c.name + "/cancel"
+			}
+			t.Run(name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				ports, err := c.build(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range ports {
+					if err := p.Open(); err != nil {
+						t.Fatal(err)
+					}
+					if b, err := p.Next(); b == nil || err != nil {
+						t.Fatalf("port %d: first batch %v, %v", i, b, err)
+					}
+				}
+				if cancelQuery {
+					cancel()
+				} else {
+					for _, p := range ports {
+						p.Close()
+					}
+				}
+				waitGoroutines(t, baseline)
+				for _, p := range ports {
+					p.Close()
+				}
+			})
+		}
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back to
+// baseline.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak: %d vs baseline %d\n%s", runtime.NumGoroutine(), baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// BenchmarkDXchgHashSplit routes 32k rows from 16 senders to 16 consumer
+// streams on a 4-node × 4-thread topology.
+func BenchmarkDXchgHashSplit(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		producers := make([][]exec.Operator, 4)
+		for n := range producers {
+			for j := 0; j < 4; j++ {
+				producers[n] = append(producers[n], producer(n*8000+j*2000, 2000))
+			}
+		}
+		ports, err := DXchgHashSplit(Config{Net: mpi.NewNetwork(4), MsgBytes: 8192}, producers, key, []int{4, 4, 4, 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, nodePorts := range ports {
+			for _, p := range nodePorts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					exec.Collect(p)
+				}()
+			}
+		}
+		wg.Wait()
 	}
 }

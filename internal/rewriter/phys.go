@@ -63,7 +63,6 @@ type Env struct {
 	Provider ScanProvider
 	Nodes    int
 	Threads  int // consumer threads per node for exchanges
-	Mode     mpp.Mode
 	MsgBytes int
 	Profile  *Profile // when non-nil, every stream is wrapped in exec.Profiled
 
@@ -431,9 +430,7 @@ func (p *physDXchgHash) instantiate(e *Env) ([][]exec.Operator, error) {
 	for i := range consumers {
 		consumers[i] = e.Threads
 	}
-	ports, _ := mpp.DXchgHashSplit(mpp.Config{Net: e.Net, Mode: e.Mode, MsgBytes: e.MsgBytes, Ctx: e.ctx()},
-		in, p.keys, consumers)
-	return ports, nil
+	return mpp.DXchgHashSplit(mpp.Config{Net: e.Net, MsgBytes: e.MsgBytes, Ctx: e.ctx()}, in, p.keys, consumers)
 }
 
 type physDXchgUnion struct {
@@ -450,7 +447,10 @@ func (p *physDXchgUnion) instantiate(e *Env) ([][]exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	union, _ := mpp.DXchgUnion(mpp.Config{Net: e.Net, Mode: e.Mode, MsgBytes: e.MsgBytes, Ctx: e.ctx()}, in, p.node)
+	union, err := mpp.DXchgUnion(mpp.Config{Net: e.Net, MsgBytes: e.MsgBytes, Ctx: e.ctx()}, in, p.node)
+	if err != nil {
+		return nil, err
+	}
 	out := make([][]exec.Operator, e.Nodes)
 	out[p.node] = []exec.Operator{union}
 	return out, nil

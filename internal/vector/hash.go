@@ -4,8 +4,8 @@ import "math"
 
 // Hash kernels: column-at-a-time hashing shared by every hash consumer in
 // the engine — hash joins and group-by (exec.HashTable), COUNT(DISTINCT),
-// local exchange partitioning (exec.HashRows), distributed exchange routing
-// (mpp.DXchgHashSplit) and table partitioning. One definition means local
+// local and distributed exchange partitioning (exec.RowHasher, which
+// XchgHashSplit and mpp.DXchgHashSplit route on) and table partitioning. One definition means local
 // and remote partitioning always agree, and a join can trust that both
 // sides of an exchange used the same function.
 //
