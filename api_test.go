@@ -266,3 +266,45 @@ func TestOneTraversalOfTheSQLAST(t *testing.T) {
 		t.Error("found no lowerExpr in internal/sql; did it move?")
 	}
 }
+
+// TestOneClientPath guards the shell's one way to run a statement: in both
+// modes vectorh-sql drives a server through server.Client, so nothing under
+// cmd/vectorh-sql compiles, runs or binds a statement in process; and the
+// server's counters have one wire surface, the metrics op, with no JSON
+// stats op beside it.
+func TestOneClientPath(t *testing.T) {
+	inProcess := map[string]bool{"CompileSQL": true, "Run": true, "QuerySQL": true, "QueryStreamSQL": true,
+		"QueryProfileSQL": true, "ExplainSQL": true, "ExecSQL": true}
+	cmd, _ := filepath.Glob("cmd/vectorh-sql/*.go")
+	srv, _ := filepath.Glob("internal/server/*.go")
+	if len(cmd) == 0 || len(srv) == 0 {
+		t.Fatal("found no files under cmd/vectorh-sql or internal/server; did they move?")
+	}
+	fset := token.NewFileSet()
+	for _, path := range append(cmd, srv...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inCmd := strings.HasPrefix(path, filepath.Join("cmd", "vectorh-sql"))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				pkg, _ := n.X.(*ast.Ident)
+				if inCmd && (inProcess[n.Sel.Name] || pkg != nil && pkg.Name == "sql" && n.Sel.Name == "Prepare") {
+					t.Errorf("%s: vectorh-sql uses %s in process: statements run through server.Client", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					if !inCmd && name.Name == "OpStats" {
+						t.Errorf("%s: internal/server declares OpStats: server counters travel as metrics samples", fset.Position(name.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	}
+}

@@ -1,6 +1,6 @@
 // Command vectorh-serve exposes an in-process VectorH cluster over TCP: the
 // serving layer that turns the engine library into a multi-session service.
-// It preloads TPC-H data (like cmd/vectorh-sql) and speaks the
+// It preloads TPC-H data (tpch.Demo, as cmd/vectorh-sql does) and speaks the
 // length-prefixed JSON frame protocol of internal/server.
 //
 //	$ vectorh-serve -addr 127.0.0.1:15432 -sf 0.01 -max-concurrent 8
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"vectorh"
-	"vectorh/internal/colstore"
 	"vectorh/internal/server"
 	"vectorh/internal/tpch"
 )
@@ -44,24 +43,10 @@ func main() {
 	slowThreshold := flag.Duration("slow-threshold", 500*time.Millisecond, "queries at or above this duration are slow-logged")
 	flag.Parse()
 
-	names := make([]string, *nodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("node%d", i+1)
-	}
-	db, err := vectorh.Open(vectorh.Config{
-		Nodes:          names,
-		ThreadsPerNode: *threads,
-		BlockSize:      1 << 18,
-		Format:         colstore.Format{BlockSize: 16 << 10, BlocksPerChunk: 64, MaxRowsPerBlock: 2048},
-		MsgBytes:       16 << 10,
-	})
-	if err != nil {
-		fatal(err)
-	}
 	fmt.Fprintf(os.Stderr, "loading TPC-H sf=%g onto %d nodes...\n", *sf, *nodes)
 	start := time.Now()
-	d := tpch.Generate(*sf, 42)
-	if err := tpch.LoadIntoEngine(db.Engine, d, *partitions); err != nil {
+	e, _, err := tpch.Demo(*sf, *nodes, *threads, *partitions)
+	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "loaded in %v\n", time.Since(start).Round(time.Millisecond))
@@ -77,7 +62,7 @@ func main() {
 		}
 		opt.SlowQueryLog, opt.SlowQueryThreshold = slowFile, *slowThreshold
 	}
-	srv := server.New(db, opt)
+	srv := server.New(&vectorh.DB{Engine: e}, opt)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fatal(err)

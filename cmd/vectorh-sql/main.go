@@ -1,9 +1,11 @@
-// Command vectorh-sql is an interactive SQL shell. By default it runs over
-// an in-process VectorH cluster preloaded with TPC-H data; with -connect it
-// becomes a network client of a vectorh-serve instance instead (same
-// statements, same rendering, no local engine). Statements end with ';';
-// several statements may share a line (or an input buffer) and run in
-// order. INSERT/UPDATE/DELETE run through the PDT trickle-update path.
+// Command vectorh-sql is an interactive SQL shell, a client of the serving
+// layer. With -connect it talks to a vectorh-serve instance. Without it, it
+// is vectorh-serve and that client in one process: it loads TPC-H into an
+// in-process cluster, serves it on a loopback port and drives it through the
+// same server.Client, so every statement runs the same way in both modes.
+// Statements end with ';'; several statements may share a line (or an input
+// buffer) and run in order. INSERT/UPDATE/DELETE run through the PDT
+// trickle-update path.
 //
 //	$ go run ./cmd/vectorh-sql -sf 0.01 -nodes 3
 //	$ go run ./cmd/vectorh-sql -connect 127.0.0.1:15432
@@ -17,14 +19,18 @@
 //	vectorh> \prepare q6 select sum(l_extendedprice * l_discount) from lineitem where l_quantity < ?;
 //	vectorh> \execute q6 24
 //	vectorh> \timing     -- toggle per-statement wall clock
-//	vectorh> \rf1 10     -- run refresh stream RF1 (10 new orders) as SQL (embedded mode)
-//	vectorh> \rf2 10     -- run refresh stream RF2 (delete 10 orders) as SQL (embedded mode)
+//	vectorh> \stats      -- the server's metrics samples
+//	vectorh> \rf1 10     -- run refresh stream RF1 (10 new orders) as SQL
+//	vectorh> \rf2 10     -- run refresh stream RF2 (delete 10 orders) as SQL
 //	vectorh> \quit
+//
+// \rf1 and \rf2 derive their rows and keys from TPC-H data generated at -sf
+// (seed 42); with -connect, -sf must be the server's.
 //
 // Scripted use: when statements arrive via stdin (or -q) and any of them
 // fails, vectorh-sql exits non-zero after processing the remaining input —
-// CI smoke steps assert on it. -timeout applies a per-statement deadline;
-// in -connect mode a deadline expiring mid-query sends a wire-level cancel.
+// CI smoke steps assert on it. -timeout applies a per-statement deadline; a
+// deadline expiring mid-query sends a wire-level cancel.
 package main
 
 import (
@@ -32,6 +38,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -39,7 +46,6 @@ import (
 	"time"
 
 	"vectorh"
-	"vectorh/internal/colstore"
 	"vectorh/internal/core"
 	"vectorh/internal/server"
 	"vectorh/internal/sql"
@@ -48,74 +54,145 @@ import (
 )
 
 func main() {
-	sf := flag.Float64("sf", 0.01, "TPC-H scale factor to preload (embedded mode)")
-	nodes := flag.Int("nodes", 3, "simulated cluster size (embedded mode)")
-	partitions := flag.Int("partitions", 6, "table partition count (embedded mode)")
-	threads := flag.Int("threads", 2, "exchange threads per node (embedded mode)")
-	connect := flag.String("connect", "", "host:port of a vectorh-serve instance (client mode)")
-	timeout := flag.Duration("timeout", 0, "per-statement deadline (0 = none); expiring mid-query cancels it")
-	timing := flag.Bool("timing", false, "print per-statement wall clock")
-	query := flag.String("q", "", "run one statement (or ';'-separated script) and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	sh := &shell{timing: *timing, timeout: *timeout}
-	if *connect != "" {
-		cl, err := server.Dial(*connect)
-		if err != nil {
-			fatal(err)
-		}
-		defer cl.Close()
-		if err := cl.Ping(); err != nil {
-			fatal(err)
-		}
-		sh.remote = cl
-		fmt.Fprintf(os.Stderr, "connected to %s\n", *connect)
+// run is the command: it runs -q's script, or the REPL over stdin, and
+// returns the exit status, 1 when any statement failed.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	sh, script, err := open(args, stdout, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer sh.close()
+	if script != "" {
+		sh.run(script)
 	} else {
-		names := make([]string, *nodes)
-		for i := range names {
-			names[i] = fmt.Sprintf("node%d", i+1)
-		}
-		db, err := vectorh.Open(vectorh.Config{
-			Nodes:          names,
-			ThreadsPerNode: *threads,
-			BlockSize:      1 << 18,
-			Format:         colstore.Format{BlockSize: 16 << 10, BlocksPerChunk: 64, MaxRowsPerBlock: 2048},
-			MsgBytes:       16 << 10,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "loading TPC-H sf=%g onto %d nodes...\n", *sf, *nodes)
-		start := time.Now()
-		d := tpch.Generate(*sf, 42)
-		if err := tpch.LoadIntoEngine(db.Engine, d, *partitions); err != nil {
-			fatal(err)
-		}
-		sh.db = db
-		sh.data = d
-		sh.rfSeed = 1000
-		fmt.Fprintf(os.Stderr, "loaded in %v; statements end with ';', \\quit exits\n", time.Since(start).Round(time.Millisecond))
+		sh.repl(stdin)
 	}
+	if sh.failed {
+		return 1
+	}
+	return 0
+}
 
-	if *query != "" {
-		sh.run(*query)
-		sh.exit()
+// open parses the command line and connects a shell to -connect's server or,
+// without it, to a loopback server over a freshly loaded TPC-H database.
+// script is -q's text.
+func open(args []string, stdout, stderr io.Writer) (sh *shell, script string, err error) {
+	fs := flag.NewFlagSet("vectorh-sql", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	sf := fs.Float64("sf", 0.01, "TPC-H scale factor to preload, or the server's with -connect")
+	nodes := fs.Int("nodes", 3, "simulated cluster size (embedded mode)")
+	partitions := fs.Int("partitions", 6, "table partition count (embedded mode)")
+	threads := fs.Int("threads", 2, "exchange threads per node (embedded mode)")
+	connect := fs.String("connect", "", "host:port of a vectorh-serve instance (client mode)")
+	timeout := fs.Duration("timeout", 0, "per-statement deadline (0 = none); expiring mid-query cancels it")
+	timing := fs.Bool("timing", false, "print per-statement wall clock")
+	query := fs.String("q", "", "run one statement (or ';'-separated script) and exit")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
+
+	sh = &shell{out: stdout, sf: *sf, rfSeed: 1000, timing: *timing, timeout: *timeout,
+		stmts: make(map[string]prepared)}
+	addr := *connect
+	if addr == "" {
+		fmt.Fprintf(stderr, "loading TPC-H sf=%g onto %d nodes...\n", *sf, *nodes)
+		start := time.Now()
+		e, d, err := tpch.Demo(*sf, *nodes, *threads, *partitions)
+		if err != nil {
+			return nil, "", err
+		}
+		sh.local, sh.data = e, d
+		sh.srv = server.New(&vectorh.DB{Engine: e}, server.Options{})
+		bound, err := sh.srv.Listen("127.0.0.1:0")
+		if err != nil {
+			sh.close()
+			return nil, "", err
+		}
+		addr = bound.String()
+		fmt.Fprintf(stderr, "loaded in %v; statements end with ';', \\quit exits\n", time.Since(start).Round(time.Millisecond))
 	}
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
+	if sh.c, err = server.Dial(addr); err == nil {
+		err = sh.c.Ping()
+	}
+	if err != nil {
+		sh.close()
+		return nil, "", err
+	}
+	if *connect != "" {
+		fmt.Fprintf(stderr, "connected to %s\n", addr)
+	}
+	return sh, *query, nil
+}
+
+// shell holds the REPL state: the client every statement runs through, in
+// embedded mode the loopback server and engine behind it, the generated
+// TPC-H data the refresh streams derive their inserts and delete keys from,
+// and the failure flag scripted runs exit on.
+type shell struct {
+	c      *server.Client
+	srv    *server.Server // embedded mode
+	local  *core.Engine   // embedded mode: \d lists its tables
+	sf     float64
+	data   *tpch.Data // generated at sf on the first \rf1/\rf2 with -connect
+	rfSeed int64      // bumped per refresh so repeated \rf1 inserts fresh keys
+	stmts  map[string]prepared
+
+	out     io.Writer
+	timing  bool
+	timeout time.Duration
+	failed  bool
+}
+
+// prepared is a \prepare'd statement; DML templates run with Exec.
+type prepared struct {
+	*server.PreparedStmt
+	dml bool
+}
+
+// close disconnects and, in embedded mode, stops the loopback server.
+func (sh *shell) close() {
+	if sh.c != nil {
+		sh.c.Close()
+	}
+	if sh.srv != nil {
+		sh.srv.Close()
+	}
+}
+
+// fail records a statement failure and prints the error.
+func (sh *shell) fail(err error) {
+	sh.failed = true
+	fmt.Fprintln(sh.out, err)
+}
+
+// stmtCtx returns the per-statement context.
+func (sh *shell) stmtCtx() (context.Context, context.CancelFunc) {
+	if sh.timeout > 0 {
+		return context.WithTimeout(context.Background(), sh.timeout)
+	}
+	return context.Background(), func() {}
+}
+
+// repl reads input until EOF or \quit: a line starting with '\' outside a
+// statement is a meta command, and a statement runs when a line ends in ';'.
+func (sh *shell) repl(in io.Reader) {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := "vectorh> "
 	for {
-		fmt.Print(prompt)
-		if !in.Scan() {
-			fmt.Println()
-			sh.exit()
+		fmt.Fprint(sh.out, prompt)
+		if !sc.Scan() {
+			fmt.Fprintln(sh.out)
+			return
 		}
-		line := in.Text()
+		line := sc.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
 			if sh.meta(trimmed) {
-				sh.exit()
+				return
 			}
 			continue
 		}
@@ -131,49 +208,6 @@ func main() {
 	}
 }
 
-// shell holds the REPL state: an embedded database (plus the generated
-// TPC-H data the refresh-stream commands derive their inserts and delete
-// keys from) or a remote serving session, and the failure flag scripted
-// runs exit on.
-type shell struct {
-	db     *vectorh.DB
-	data   *tpch.Data
-	remote *server.Client
-	rfSeed int64 // bumped per refresh so repeated \rf1 inserts fresh keys
-
-	timing  bool
-	timeout time.Duration
-	failed  bool
-
-	// named prepared statements (\prepare); exactly one side is set per
-	// entry depending on mode.
-	wireStmts  map[string]*server.PreparedStmt
-	localStmts map[string]*sql.Prepared
-}
-
-// exit terminates the process: non-zero when any statement failed, so
-// scripts piped through stdin can be asserted on.
-func (sh *shell) exit() {
-	if sh.failed {
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// fail records a statement failure and prints the error.
-func (sh *shell) fail(err error) {
-	sh.failed = true
-	fmt.Println(err)
-}
-
-// stmtCtx returns the per-statement context.
-func (sh *shell) stmtCtx() (context.Context, context.CancelFunc) {
-	if sh.timeout > 0 {
-		return context.WithTimeout(context.Background(), sh.timeout)
-	}
-	return context.Background(), func() {}
-}
-
 // meta handles backslash commands; it reports whether the REPL should exit.
 func (sh *shell) meta(cmd string) bool {
 	fields := strings.Fields(cmd)
@@ -182,67 +216,34 @@ func (sh *shell) meta(cmd string) bool {
 		return true
 	case "\\timing":
 		sh.timing = !sh.timing
-		fmt.Printf("timing %s\n", map[bool]string{true: "on", false: "off"}[sh.timing])
+		fmt.Fprintf(sh.out, "timing %s\n", map[bool]string{true: "on", false: "off"}[sh.timing])
 	case "\\stats":
-		if sh.remote == nil {
-			fmt.Println("\\stats requires -connect")
-			return false
-		}
-		st, err := sh.remote.Stats()
+		text, err := sh.c.Metrics()
 		if err != nil {
 			sh.fail(err)
 			return false
 		}
-		fmt.Printf("sessions=%d active=%d queued=%d completed=%d cancelled=%d failed=%d rejected=%d rows=%d stmts=%d max_concurrent=%d\n",
-			st.Sessions, st.ActiveQueries, st.QueuedQueries, st.CompletedQueries,
-			st.CancelledQueries, st.FailedQueries, st.RejectedQueries, st.RowsServed,
-			st.OpenStatements, st.MaxConcurrent)
-		if pc := st.PlanCache; pc != nil {
-			total := pc.Hits + pc.Misses
-			rate := 0.0
-			if total > 0 {
-				rate = 100 * float64(pc.Hits) / float64(total)
+		for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+			if !strings.HasPrefix(line, "#") {
+				fmt.Fprintln(sh.out, line)
 			}
-			fmt.Printf("plan cache: hits=%d misses=%d (%.1f%% hit rate) evictions=%d invalidations=%d entries=%d\n",
-				pc.Hits, pc.Misses, rate, pc.Evictions, pc.Invalidations, pc.Entries)
-		}
-		if p := st.Process; p != nil {
-			fmt.Printf("process: uptime=%s goroutines=%d heap=%.1fMB gc=%d (%.2fms paused) alloc=%dMB\n",
-				(time.Duration(p.UptimeSec) * time.Second).String(), p.Goroutines,
-				float64(p.HeapBytes)/(1<<20), p.NumGC,
-				float64(p.GCPauseNs)/1e6, p.TotalAllocMB)
-		}
-		if sc := st.Scan; sc != nil {
-			fmt.Printf("scan: blocks=%d decoded=%.1fMB skipped=%.1fMB materialized=%.1fMB pruned=%d cache_hits=%d\n",
-				sc.BlocksRead, float64(sc.BytesDecoded)/(1<<20), float64(sc.BytesSkipped)/(1<<20),
-				float64(sc.BytesMaterialized)/(1<<20), sc.SpansPruned, sc.CacheHits)
-		}
-		for _, ts := range st.Storage {
-			if ts.EncodedBytes == 0 {
-				continue
-			}
-			fmt.Printf("compression: %-10s %5.2fx (%.1fMB raw -> %.1fMB encoded)\n",
-				ts.Table, ts.Ratio, float64(ts.RawBytes)/(1<<20), float64(ts.EncodedBytes)/(1<<20))
-		}
-		if st.SlowQueries > 0 {
-			fmt.Printf("slow queries logged: %d\n", st.SlowQueries)
 		}
 	case "\\d":
-		if sh.db == nil {
-			fmt.Println("\\d requires embedded mode (table listing is not part of the wire protocol yet)")
+		if sh.local == nil {
+			fmt.Fprintln(sh.out, "\\d requires embedded mode (table listing is not part of the wire protocol yet)")
 			return false
 		}
-		for _, t := range sh.db.SortedTables() {
-			s, _ := sh.db.TableSchema(t)
-			rows, _ := sh.db.TableRows(t)
-			fmt.Printf("%-10s %8d rows\n", t, rows)
+		for _, t := range sh.local.SortedTables() {
+			s, _ := sh.local.TableSchema(t)
+			rows, _ := sh.local.TableRows(t)
+			fmt.Fprintf(sh.out, "%-10s %8d rows\n", t, rows)
 			for _, f := range s {
-				fmt.Printf("    %-16s %s\n", f.Name, f.Type)
+				fmt.Fprintf(sh.out, "    %-16s %s\n", f.Name, f.Type)
 			}
 		}
 	case "\\q":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\q N  (run the TPC-H query N SQL text)")
+			fmt.Fprintln(sh.out, "usage: \\q N  (run the TPC-H query N SQL text)")
 			return false
 		}
 		n, err := strconv.Atoi(fields[1])
@@ -253,67 +254,50 @@ func (sh *shell) meta(cmd string) bool {
 				avail = append(avail, q)
 			}
 			sort.Ints(avail)
-			fmt.Printf("no SQL text for %q; available: %v\n", fields[1], avail)
+			fmt.Fprintf(sh.out, "no SQL text for %q; available: %v\n", fields[1], avail)
 			return false
 		}
-		fmt.Println(text)
+		fmt.Fprintln(sh.out, text)
 		sh.run(text)
 	case "\\prepare":
 		// \prepare name select ... where x = ? and y < ?
 		rest := strings.TrimSpace(strings.TrimPrefix(cmd, "\\prepare"))
 		name, text, ok := strings.Cut(rest, " ")
 		if !ok || name == "" || strings.TrimSpace(text) == "" {
-			fmt.Println("usage: \\prepare NAME SQL-with-? ")
+			fmt.Fprintln(sh.out, "usage: \\prepare NAME SQL-with-? ")
 			return false
 		}
 		text = strings.TrimSuffix(strings.TrimSpace(text), ";")
-		if sh.remote != nil {
-			ps, err := sh.remote.Prepare(text)
-			if err != nil {
-				sh.fail(err)
-				return false
-			}
-			if sh.wireStmts == nil {
-				sh.wireStmts = make(map[string]*server.PreparedStmt)
-			}
-			if old := sh.wireStmts[name]; old != nil {
-				old.Close()
-			}
-			sh.wireStmts[name] = ps
-			fmt.Printf("prepared %q (%d parameters)\n", name, ps.NumParams())
-		} else {
-			ps, err := sql.Prepare(text)
-			if err != nil {
-				sh.fail(err)
-				return false
-			}
-			if sh.localStmts == nil {
-				sh.localStmts = make(map[string]*sql.Prepared)
-			}
-			sh.localStmts[name] = ps
-			fmt.Printf("prepared %q (%d parameters)\n", name, ps.NumParams())
+		ps, err := sh.c.Prepare(text)
+		if err != nil {
+			sh.fail(err)
+			return false
 		}
+		if old, ok := sh.stmts[name]; ok {
+			old.Close()
+		}
+		sh.stmts[name] = prepared{ps, isDML(text)}
+		fmt.Fprintf(sh.out, "prepared %q (%d parameters)\n", name, ps.NumParams())
 	case "\\execute":
 		// \execute name param1 param2 ... — bare tokens are typed by shape
 		// (int, float, else string); quote with '...' to force a string.
 		if len(fields) < 2 {
-			fmt.Println("usage: \\execute NAME [PARAM ...]")
+			fmt.Fprintln(sh.out, "usage: \\execute NAME [PARAM ...]")
 			return false
 		}
-		sh.executeStmt(fields[1], parseParams(fields[2:]))
+		sh.execute(fields[1], parseParams(fields[2:]))
 	case "\\rf1", "\\rf2":
-		if sh.db == nil {
-			fmt.Println(fields[0] + " requires embedded mode")
-			return false
-		}
 		count := 10
 		if len(fields) == 2 {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n <= 0 {
-				fmt.Printf("usage: %s [N]  (refresh N orders; default 10)\n", fields[0])
+				fmt.Fprintf(sh.out, "usage: %s [N]  (refresh N orders; default 10)\n", fields[0])
 				return false
 			}
 			count = n
+		}
+		if sh.data == nil {
+			sh.data = tpch.Generate(sh.sf, 42)
 		}
 		sh.rfSeed++
 		var stmts []string
@@ -323,10 +307,10 @@ func (sh *shell) meta(cmd string) bool {
 			stmts = tpch.RF2SQL(tpch.RF2Keys(sh.data, count, sh.rfSeed))
 		}
 		for _, s := range stmts {
-			sh.execDML(s)
+			sh.runOne(s)
 		}
 	default:
-		fmt.Printf("unknown command %s (try \\d, \\q N, \\timing, \\stats, \\prepare, \\execute, \\rf1 N, \\rf2 N, \\quit)\n", fields[0])
+		fmt.Fprintf(sh.out, "unknown command %s (try \\d, \\q N, \\timing, \\stats, \\prepare, \\execute, \\rf1 N, \\rf2 N, \\quit)\n", fields[0])
 	}
 	return false
 }
@@ -349,56 +333,23 @@ func parseParams(args []string) []any {
 	return out
 }
 
-// executeStmt runs a named prepared statement with the given values.
-func (sh *shell) executeStmt(name string, params []any) {
-	ctx, cancel := sh.stmtCtx()
-	defer cancel()
-	start := time.Now()
-	if sh.remote != nil {
-		ps := sh.wireStmts[name]
-		if ps == nil {
-			sh.fail(fmt.Errorf("no prepared statement %q (use \\prepare)", name))
-			return
-		}
-		res, err := ps.Query(ctx, params...)
-		if err != nil {
-			sh.fail(err)
-			return
-		}
-		printResult(wireSchema(res.Schema), res.Rows)
-		sh.printTiming(len(res.Rows), start)
-		return
-	}
-	ps := sh.localStmts[name]
-	if ps == nil {
+// execute runs a named prepared statement with the given values.
+func (sh *shell) execute(name string, params []any) {
+	ps, ok := sh.stmts[name]
+	if !ok {
 		sh.fail(fmt.Errorf("no prepared statement %q (use \\prepare)", name))
 		return
 	}
-	bound, err := ps.Bind(params)
-	if err != nil {
-		sh.fail(err)
+	ctx, cancel := sh.stmtCtx()
+	defer cancel()
+	start := time.Now()
+	if ps.dml {
+		n, err := ps.Exec(ctx, params...)
+		sh.printAffected(n, err, start)
 		return
 	}
-	if !ps.IsSelect() {
-		sh.execDML(bound)
-		return
-	}
-	schema, rows, err := sh.localQuery(ctx, bound)
-	if err != nil {
-		sh.fail(err)
-		return
-	}
-	printResult(schema, rows)
-	sh.printTiming(len(rows), start)
-}
-
-// printTiming prints the row count, with wall clock when \timing is on.
-func (sh *shell) printTiming(rows int, start time.Time) {
-	if sh.timing {
-		fmt.Printf("(%d rows, %v)\n", rows, time.Since(start).Round(time.Microsecond))
-	} else {
-		fmt.Printf("(%d rows)\n", rows)
-	}
+	res, err := ps.Query(ctx, params...)
+	sh.printResult(res, err, start)
 }
 
 // run executes the buffered input: each ';'-separated statement in order
@@ -414,190 +365,107 @@ func (sh *shell) runOne(stmt string) {
 	if stmt == "" {
 		return
 	}
+	ctx, cancel := sh.stmtCtx()
+	defer cancel()
+	start := time.Now()
 	lower := strings.ToLower(stmt)
 	switch {
 	case strings.HasPrefix(lower, "explain analyze"):
 		// EXPLAIN ANALYZE really runs the query (rows discarded) and prints
 		// the plan annotated with actual row counts, per-operator timings,
 		// phase spans, and scan IO.
-		body := stmt[len("explain analyze"):]
-		ctx, cancel := sh.stmtCtx()
-		defer cancel()
-		var text string
-		var err error
-		if sh.remote != nil {
-			text, err = sh.remote.Profile(ctx, body)
-		} else {
-			var p *vectorh.QueryProfile
-			p, err = sh.db.QueryProfileSQL(ctx, body)
-			if err == nil {
-				text = p.Render()
-			}
-		}
-		if err != nil {
-			sh.fail(err)
-			return
-		}
-		fmt.Print(text)
-		return
+		sh.printText(sh.c.Profile(ctx, stmt[len("explain analyze"):]))
 	case strings.HasPrefix(lower, "explain"):
-		var plan string
-		var err error
-		if sh.remote != nil {
-			plan, err = sh.remote.Explain(stmt[len("explain"):])
-		} else {
-			plan, err = sh.db.ExplainSQL(stmt[len("explain"):])
-		}
-		if err != nil {
-			sh.fail(err)
-			return
-		}
-		fmt.Print(plan)
-		return
-	case strings.HasPrefix(lower, "insert"), strings.HasPrefix(lower, "update"),
-		strings.HasPrefix(lower, "delete"):
-		sh.execDML(stmt)
-		return
-	}
-	sh.runQuery(stmt)
-}
-
-// localQuery compiles a SELECT through the embedded DB's plan cache and runs
-// it under ctx, returning the output schema with all rows.
-func (sh *shell) localQuery(ctx context.Context, stmt string) (vectorh.Schema, [][]any, error) {
-	n, schema, err := sh.db.CompileSQL(stmt, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sh.db.Run(ctx, n, core.QueryOptions{}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return schema, res.Rows, nil
-}
-
-func (sh *shell) runQuery(stmt string) {
-	ctx, cancel := sh.stmtCtx()
-	defer cancel()
-	start := time.Now()
-	var schema vectorh.Schema
-	var rows [][]any
-	var err error
-	var queue, exec time.Duration
-	if sh.remote != nil {
-		var res *server.Result
-		res, err = sh.remote.Query(ctx, stmt)
-		if err == nil {
-			rows = res.Rows
-			schema = wireSchema(res.Schema)
-			queue, exec = res.Queue, res.Exec
-		}
-	} else {
-		schema, rows, err = sh.localQuery(ctx, stmt)
-	}
-	if err != nil {
-		sh.fail(err)
-		return
-	}
-	printResult(schema, rows)
-	switch {
-	case sh.timing && exec > 0:
-		// Client round-trip plus the server-side split: admission queue wait
-		// vs actual execution.
-		fmt.Printf("(%d rows, %v round-trip; server exec=%v queue=%v)\n",
-			len(rows), time.Since(start).Round(time.Microsecond),
-			exec.Round(time.Microsecond), queue.Round(time.Microsecond))
-	case sh.timing:
-		fmt.Printf("(%d rows, %v)\n", len(rows), time.Since(start).Round(time.Microsecond))
+		sh.printText(sh.c.Explain(stmt[len("explain"):]))
+	case isDML(stmt):
+		n, err := sh.c.Exec(ctx, stmt)
+		sh.printAffected(n, err, start)
 	default:
-		fmt.Printf("(%d rows)\n", len(rows))
+		res, err := sh.c.Query(ctx, stmt)
+		sh.printResult(res, err, start)
 	}
 }
 
-// execDML runs one INSERT/UPDATE/DELETE through the PDT trickle-update path.
-func (sh *shell) execDML(stmt string) {
-	ctx, cancel := sh.stmtCtx()
-	defer cancel()
-	start := time.Now()
-	var n int64
-	var err error
-	if sh.remote != nil {
-		n, err = sh.remote.Exec(ctx, stmt)
-	} else {
-		n, err = sh.db.ExecSQL(ctx, stmt)
-	}
+// isDML reports whether a statement is an INSERT, UPDATE or DELETE.
+func isDML(stmt string) bool {
+	lower := strings.ToLower(strings.TrimSpace(stmt))
+	return strings.HasPrefix(lower, "insert") || strings.HasPrefix(lower, "update") ||
+		strings.HasPrefix(lower, "delete")
+}
+
+// printText prints EXPLAIN or EXPLAIN ANALYZE text.
+func (sh *shell) printText(text string, err error) {
 	if err != nil {
 		sh.fail(err)
 		return
 	}
-	if sh.timing {
-		fmt.Printf("(%d rows affected, %v)\n", n, time.Since(start).Round(time.Microsecond))
-	} else {
-		fmt.Printf("(%d rows affected)\n", n)
+	fmt.Fprint(sh.out, text)
+}
+
+// printAffected reports a DML statement's affected rows.
+func (sh *shell) printAffected(n int64, err error, start time.Time) {
+	switch {
+	case err != nil:
+		sh.fail(err)
+	case sh.timing:
+		fmt.Fprintf(sh.out, "(%d rows affected, %v)\n", n, time.Since(start).Round(time.Microsecond))
+	default:
+		fmt.Fprintf(sh.out, "(%d rows affected)\n", n)
 	}
 }
 
-// wireSchema converts wire column descriptors to a renderable schema.
-func wireSchema(desc []server.ColDesc) vectorh.Schema {
-	s := make(vectorh.Schema, len(desc))
-	for i, d := range desc {
-		t := vectorh.TString
-		switch d.Kind {
-		case "int32":
-			t = vectorh.TInt32
-		case "int64":
-			t = vectorh.TInt64
-		case "float64":
-			t = vectorh.TFloat64
-		}
-		switch d.Logical {
-		case "date":
-			t = vectorh.TDate
-		case "decimal":
-			t = vectorh.TDecimal
-		}
-		s[i] = vectorh.Field{Name: d.Name, Type: t}
+// printResult renders a query result as an aligned table, formatting dates
+// and decimals per the output schema, then its row count; with \timing, the
+// client round trip and the server's split of it into admission queue wait
+// and execution.
+func (sh *shell) printResult(res *server.Result, err error, start time.Time) {
+	if err != nil {
+		sh.fail(err)
+		return
 	}
-	return s
-}
-
-// printResult renders rows as an aligned table, formatting dates and
-// decimals per the output schema.
-func printResult(schema vectorh.Schema, rows [][]any) {
-	cells := make([][]string, len(rows)+1)
-	cells[0] = make([]string, len(schema))
+	schema, err := server.Schema(res.Schema)
+	if err != nil {
+		sh.fail(err)
+		return
+	}
+	cells := make([][]string, len(res.Rows)+1)
+	cells[0] = schema.Names()
 	widths := make([]int, len(schema))
 	for c, f := range schema {
-		cells[0][c] = f.Name
 		widths[c] = len(f.Name)
 	}
-	for r, row := range rows {
+	for r, row := range res.Rows {
 		cells[r+1] = make([]string, len(schema))
 		for c, v := range row {
 			s := format(schema[c].Type, v)
 			cells[r+1][c] = s
-			if len(s) > widths[c] {
-				widths[c] = len(s)
-			}
+			widths[c] = max(widths[c], len(s))
 		}
 	}
 	for r, row := range cells {
 		for c, s := range row {
 			if c > 0 {
-				fmt.Print(" | ")
+				fmt.Fprint(sh.out, " | ")
 			}
-			fmt.Printf("%-*s", widths[c], s)
+			fmt.Fprintf(sh.out, "%-*s", widths[c], s)
 		}
-		fmt.Println()
+		fmt.Fprintln(sh.out)
 		if r == 0 {
 			for c, w := range widths {
 				if c > 0 {
-					fmt.Print("-+-")
+					fmt.Fprint(sh.out, "-+-")
 				}
-				fmt.Print(strings.Repeat("-", w))
+				fmt.Fprint(sh.out, strings.Repeat("-", w))
 			}
-			fmt.Println()
+			fmt.Fprintln(sh.out)
 		}
+	}
+	if sh.timing {
+		fmt.Fprintf(sh.out, "(%d rows, %v round-trip; server exec=%v queue=%v)\n",
+			len(res.Rows), time.Since(start).Round(time.Microsecond),
+			res.Exec.Round(time.Microsecond), res.Queue.Round(time.Microsecond))
+	} else {
+		fmt.Fprintf(sh.out, "(%d rows)\n", len(res.Rows))
 	}
 }
 
@@ -610,20 +478,11 @@ func format(t vector.Type, v any) string {
 		}
 	case vector.Decimal:
 		if i, ok := v.(int64); ok {
-			sign := ""
-			if i < 0 {
-				sign, i = "-", -i
-			}
-			return fmt.Sprintf("%s%d.%02d", sign, i/100, i%100)
+			return vector.FormatDecimal(i)
 		}
 	}
 	if f, ok := v.(float64); ok {
 		return fmt.Sprintf("%.4f", f)
 	}
 	return fmt.Sprintf("%v", v)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -144,9 +144,9 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		return nil, err
 	}
 	req.ID = id
-	// Single-frame ops (pong/stats/plan) are not terminal frames in the
-	// reader's eyes, so unregister here — otherwise every Ping/Stats/
-	// Explain would leak a pending entry for the connection's lifetime.
+	// Single-frame ops (pong/plan/metrics) are not terminal frames in the
+	// reader's eyes, so unregister here — otherwise every Ping/Explain/
+	// Metrics would leak a pending entry for the connection's lifetime.
 	defer c.unregister(id)
 	if err := c.writeFrame(req); err != nil {
 		return nil, err
@@ -174,18 +174,6 @@ func (c *Client) connLost() error {
 func (c *Client) Ping() error {
 	_, err := c.roundTrip(&Request{Op: OpPing})
 	return err
-}
-
-// Stats fetches the server metrics snapshot.
-func (c *Client) Stats() (*StatsSnapshot, error) {
-	resp, err := c.roundTrip(&Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Stats == nil {
-		return nil, errors.New("server: stats response without payload")
-	}
-	return resp.Stats, nil
 }
 
 // Explain returns the distributed physical plan text.
@@ -228,8 +216,13 @@ func (c *Client) Profile(ctx context.Context, query string) (string, error) {
 
 // Exec runs one DML statement, returning affected rows.
 func (c *Client) Exec(ctx context.Context, stmt string) (int64, error) {
+	return c.exec(ctx, &Request{Op: OpExec, SQL: stmt})
+}
+
+// exec runs a DML request to its done frame and returns the affected rows.
+func (c *Client) exec(ctx context.Context, req *Request) (int64, error) {
 	var affected int64
-	err := c.run(ctx, &Request{Op: OpExec, SQL: stmt}, func(resp *Response) error {
+	err := c.run(ctx, req, func(resp *Response) error {
 		if resp.Type == RespDone {
 			affected = resp.Affected
 		}
@@ -243,66 +236,14 @@ func (c *Client) Exec(ctx context.Context, stmt string) (int64, error) {
 // sends a wire-level cancel for the in-flight query; the engine stops its
 // scans and exchange senders at the next batch boundary.
 func (c *Client) Query(ctx context.Context, query string) (*Result, error) {
-	res := &Result{}
-	var types []vector.Type
-	err := c.run(ctx, &Request{Op: OpQuery, SQL: query}, func(resp *Response) error {
-		switch resp.Type {
-		case RespSchema:
-			res.Schema = resp.Schema
-			var err error
-			types, err = schemaTypes(resp.Schema)
-			return err
-		case RespRows:
-			if types == nil {
-				return errors.New("server: rows frame before schema frame")
-			}
-			for _, row := range resp.Rows {
-				if err := decodeRow(row, types); err != nil {
-					return err
-				}
-			}
-			res.Rows = append(res.Rows, resp.Rows...)
-		case RespDone:
-			res.Elapsed = time.Duration(resp.ElapsedUs) * time.Microsecond
-			res.Queue = time.Duration(resp.QueueUs) * time.Microsecond
-			res.Exec = time.Duration(resp.ExecUs) * time.Microsecond
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return c.collect(ctx, &Request{Op: OpQuery, SQL: query})
 }
 
 // QueryStream runs a SELECT, invoking yield for the schema frame (rows nil)
 // and for every rows frame as it arrives.
 func (c *Client) QueryStream(ctx context.Context, query string, yield func(schema []ColDesc, rows [][]any) error) error {
-	var schema []ColDesc
-	var types []vector.Type
-	return c.run(ctx, &Request{Op: OpQuery, SQL: query}, func(resp *Response) error {
-		switch resp.Type {
-		case RespSchema:
-			schema = resp.Schema
-			var err error
-			types, err = schemaTypes(schema)
-			if err != nil {
-				return err
-			}
-			return yield(schema, nil)
-		case RespRows:
-			if types == nil {
-				return errors.New("server: rows frame before schema frame")
-			}
-			for _, row := range resp.Rows {
-				if err := decodeRow(row, types); err != nil {
-					return err
-				}
-			}
-			return yield(schema, resp.Rows)
-		}
-		return nil
-	})
+	_, err := c.query(ctx, &Request{Op: OpQuery, SQL: query}, yield)
+	return err
 }
 
 // PreparedStmt is a server-side '?' template bound to one client session.
@@ -332,61 +273,21 @@ func (c *Client) Prepare(query string) (*PreparedStmt, error) {
 func (p *PreparedStmt) NumParams() int { return p.numParams }
 
 // Query executes a prepared SELECT with the given parameter values and
-// collects the streamed result.
+// collects the streamed result like Client.Query.
 func (p *PreparedStmt) Query(ctx context.Context, params ...any) (*Result, error) {
-	res := &Result{}
-	err := p.QueryStream(ctx, params, func(schema []ColDesc, rows [][]any) error {
-		res.Schema = schema
-		res.Rows = append(res.Rows, rows...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return p.c.collect(ctx, p.execute(params))
 }
 
 // QueryStream executes a prepared SELECT, invoking yield like
 // Client.QueryStream.
 func (p *PreparedStmt) QueryStream(ctx context.Context, params []any, yield func(schema []ColDesc, rows [][]any) error) error {
-	var schema []ColDesc
-	var types []vector.Type
-	return p.c.run(ctx, &Request{Op: OpExecute, Stmt: p.id, Params: normParams(params)}, func(resp *Response) error {
-		switch resp.Type {
-		case RespSchema:
-			schema = resp.Schema
-			var err error
-			types, err = schemaTypes(schema)
-			if err != nil {
-				return err
-			}
-			return yield(schema, nil)
-		case RespRows:
-			if types == nil {
-				return errors.New("server: rows frame before schema frame")
-			}
-			for _, row := range resp.Rows {
-				if err := decodeRow(row, types); err != nil {
-					return err
-				}
-			}
-			return yield(schema, resp.Rows)
-		}
-		return nil
-	})
+	_, err := p.c.query(ctx, p.execute(params), yield)
+	return err
 }
 
 // Exec executes a prepared DML statement, returning affected rows.
 func (p *PreparedStmt) Exec(ctx context.Context, params ...any) (int64, error) {
-	var affected int64
-	err := p.c.run(ctx, &Request{Op: OpExecute, Stmt: p.id, Params: normParams(params)},
-		func(resp *Response) error {
-			if resp.Type == RespDone {
-				affected = resp.Affected
-			}
-			return nil
-		})
-	return affected, err
+	return p.c.exec(ctx, p.execute(params))
 }
 
 // Close drops the statement on the server.
@@ -395,14 +296,67 @@ func (p *PreparedStmt) Close() error {
 	return err
 }
 
-// normParams gives Params a non-nil identity so an execute frame for a
-// zero-parameter statement still carries `"params":[]` (the server
-// distinguishes "no values" from a malformed frame by count, not presence).
-func normParams(params []any) []any {
+// execute is the request that runs the statement with params. Params is
+// never nil, so a zero-parameter execute still carries `"params":[]` (the
+// server distinguishes "no values" from a malformed frame by count, not
+// presence).
+func (p *PreparedStmt) execute(params []any) *Request {
 	if params == nil {
-		return []any{}
+		params = []any{}
 	}
-	return params
+	return &Request{Op: OpExecute, Stmt: p.id, Params: params}
+}
+
+// collect runs a query request and gathers its rows and done-frame timings.
+func (c *Client) collect(ctx context.Context, req *Request) (*Result, error) {
+	res := &Result{}
+	done, err := c.query(ctx, req, func(schema []ColDesc, rows [][]any) error {
+		res.Schema = schema
+		res.Rows = append(res.Rows, rows...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Duration(done.ElapsedUs) * time.Microsecond
+	res.Queue = time.Duration(done.QueueUs) * time.Microsecond
+	res.Exec = time.Duration(done.ExecUs) * time.Microsecond
+	return res, nil
+}
+
+// query is the one consumer of a query's frames. The schema frame is
+// yielded with nil rows; each rows frame is decoded in place into the
+// engine-identical types the schema names and yielded; the done frame is
+// returned.
+func (c *Client) query(ctx context.Context, req *Request, yield func(schema []ColDesc, rows [][]any) error) (*Response, error) {
+	var desc []ColDesc
+	var schema vector.Schema
+	var done *Response
+	err := c.run(ctx, req, func(resp *Response) error {
+		switch resp.Type {
+		case RespSchema:
+			var err error
+			if schema, err = Schema(resp.Schema); err != nil {
+				return err
+			}
+			desc = resp.Schema
+			return yield(desc, nil)
+		case RespRows:
+			if schema == nil {
+				return errors.New("server: rows frame before schema frame")
+			}
+			for _, row := range resp.Rows {
+				if err := decodeRow(row, schema); err != nil {
+					return err
+				}
+			}
+			return yield(desc, resp.Rows)
+		case RespDone:
+			done = resp
+		}
+		return nil
+	})
+	return done, err
 }
 
 // run drives one request to its terminal frame, racing the context: on
@@ -483,47 +437,17 @@ func (c *Client) drain(ch chan *Response) {
 	}
 }
 
-// schemaTypes maps wire column descriptors back to engine types.
-func schemaTypes(schema []ColDesc) ([]vector.Type, error) {
-	out := make([]vector.Type, len(schema))
-	for i, d := range schema {
-		var t vector.Type
-		switch d.Kind {
-		case "bool":
-			t = vector.TBool
-		case "int32":
-			t = vector.TInt32
-		case "int64":
-			t = vector.TInt64
-		case "float64":
-			t = vector.TFloat64
-		case "string":
-			t = vector.TString
-		default:
-			return nil, fmt.Errorf("server: unknown column kind %q", d.Kind)
-		}
-		switch d.Logical {
-		case "date":
-			t.Logical = vector.Date
-		case "decimal":
-			t.Logical = vector.Decimal
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
 // decodeRow converts JSON-decoded values (json.Number, string, bool) in
 // place into the engine-identical dynamic types the schema dictates, so
 // results fetched over the wire compare row-identical against in-process
 // execution.
-func decodeRow(row []any, types []vector.Type) error {
-	if len(row) != len(types) {
-		return fmt.Errorf("server: row has %d values, schema %d", len(row), len(types))
+func decodeRow(row []any, schema vector.Schema) error {
+	if len(row) != len(schema) {
+		return fmt.Errorf("server: row has %d values, schema %d", len(row), len(schema))
 	}
 	for i, v := range row {
 		num, isNum := v.(json.Number)
-		switch types[i].Kind {
+		switch schema[i].Type.Kind {
 		case vector.Int32:
 			if !isNum {
 				return fmt.Errorf("server: column %d: %T is not a number", i, v)

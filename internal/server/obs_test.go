@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -83,27 +85,45 @@ func TestProfileOp(t *testing.T) {
 	}
 }
 
-// TestStatsCarriesProcessHealth pins the process block of a stats snapshot.
-func TestStatsCarriesProcessHealth(t *testing.T) {
+// TestMetricsCarryProcessHealth pins the process-health samples of the
+// metrics text: uptime, goroutines, heap, GC cycles and pause, allocation.
+func TestMetricsCarryProcessHealth(t *testing.T) {
 	_, addr := startServer(t, Options{MaxConcurrent: 2, QueueWait: time.Minute})
 	c := dial(t, addr)
-	st, err := c.Stats()
+	runtime.GC() // at least one completed cycle
+	text, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := st.Process
-	if p == nil {
-		t.Fatal("stats snapshot has no process block")
+	for name, positive := range map[string]bool{
+		"vectorh_process_uptime_seconds":         false,
+		"vectorh_process_goroutines":             true,
+		"vectorh_process_heap_bytes":             true,
+		"vectorh_process_gc_cycles_total":        true,
+		"vectorh_process_gc_pause_seconds_total": false,
+		"vectorh_process_alloc_bytes_total":      true,
+	} {
+		if v := metricValue(t, text, name); v < 0 || positive && v == 0 {
+			t.Errorf("%s = %v", name, v)
+		}
 	}
-	if p.Goroutines <= 0 {
-		t.Errorf("goroutines = %d", p.Goroutines)
+}
+
+// metricValue returns the value of the unlabelled sample name in a
+// Prometheus text exposition.
+func metricValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
 	}
-	if p.HeapBytes <= 0 {
-		t.Errorf("heap bytes = %d", p.HeapBytes)
-	}
-	if p.UptimeSec < 0 {
-		t.Errorf("uptime = %d", p.UptimeSec)
-	}
+	t.Fatalf("metrics text has no sample %s", name)
+	return 0
 }
 
 // syncBuffer is a goroutine-safe io.Writer for capturing slow-log output.

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vectorh/internal/sql"
 )
 
 // TestWirePrepareExecute prepares parameterized TPC-H-shaped statements over
@@ -14,7 +16,7 @@ import (
 // that repeated executes are served from the shared plan cache.
 func TestWirePrepareExecute(t *testing.T) {
 	db := testDB(t)
-	_, addr := startServer(t, Options{MaxConcurrent: 4})
+	srv, addr := startServer(t, Options{MaxConcurrent: 4})
 	c := dial(t, addr)
 
 	ps, err := c.Prepare("select count(*) from lineitem where l_quantity < ?")
@@ -57,27 +59,24 @@ func TestWirePrepareExecute(t *testing.T) {
 	}
 
 	// Repeated executes with the same parameters are plan-cache hits.
-	s0, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	hits := func() float64 {
+		text, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, text, "vectorh_plan_cache_hits_total")
 	}
-	if s0.PlanCache == nil {
-		t.Fatal("stats frame missing plan_cache block")
-	}
+	h0 := hits()
 	for i := 0; i < 5; i++ {
 		if _, err := ps.Query(context.Background(), 24); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s1, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	if h1 := hits(); h1 < h0+5 {
+		t.Fatalf("plan cache hits %v -> %v, want +5", h0, h1)
 	}
-	if s1.PlanCache.Hits < s0.PlanCache.Hits+5 {
-		t.Fatalf("plan cache hits %d -> %d, want +5", s0.PlanCache.Hits, s1.PlanCache.Hits)
-	}
-	if s1.OpenStatements < 2 {
-		t.Fatalf("open_statements = %d, want >= 2", s1.OpenStatements)
+	if n := srv.Stats().OpenStatements; n < 2 {
+		t.Fatalf("open statements = %d, want >= 2", n)
 	}
 
 	// Arity mismatch is a per-request error, not a dead session.
@@ -108,6 +107,47 @@ func TestWirePrepareExecute(t *testing.T) {
 	}
 	if _, err := c.Prepare("select count(*) from from lineitem"); err == nil {
 		t.Fatal("param-free bad template must fail at prepare")
+	}
+}
+
+// TestWirePreparedExponentNumbers: the client encodes 1e-7 and 1e21 in
+// exponent form ("1e-07", "1e+21"), which the lexer has no form for. Over
+// the wire they must bind to the text they bind to in process and return
+// the same rows.
+func TestWirePreparedExponentNumbers(t *testing.T) {
+	db := testDB(t)
+	_, addr := startServer(t, Options{})
+	c := dial(t, addr)
+	for _, tc := range []struct {
+		tmpl  string
+		param float64
+	}{
+		{"select count(*) as n from lineitem where l_discount > ?", 1e-7},
+		{"select count(*) as n from lineitem where l_orderkey < ?", 1e21},
+	} {
+		p, err := sql.Prepare(tc.tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := p.Bind([]any{tc.param})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.QuerySQL(bound)
+		if err != nil {
+			t.Fatalf("in process %q: %v", bound, err)
+		}
+		ps, err := c.Prepare(tc.tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ps.Query(context.Background(), tc.param)
+		if err != nil {
+			t.Fatalf("%s with %g: %v", tc.tmpl, tc.param, err)
+		}
+		if g, w := normalizeRows(got.Rows), normalizeRows(want); !eqStringSlices(g, w) {
+			t.Fatalf("%s with %g: rows %v, in process %v", tc.tmpl, tc.param, g, w)
+		}
 	}
 }
 

@@ -17,6 +17,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+
+	"vectorh/internal/vector"
 )
 
 // Frame format: a 4-byte big-endian payload length followed by a JSON
@@ -37,7 +40,6 @@ const (
 	OpExplain   = "explain"    // SQL SELECT; plan text
 	OpCancel    = "cancel"     // cancel the in-flight request named by Target
 	OpPing      = "ping"       // liveness; pong
-	OpStats     = "stats"      // server metrics snapshot
 	OpPrepare   = "prepare"    // register a '?' template under Stmt; stmt{num_params}
 	OpExecute   = "execute"    // run prepared Stmt with Params; query/exec response shape
 	OpCloseStmt = "close-stmt" // drop the statement registered under Stmt
@@ -53,7 +55,6 @@ const (
 	RespError   = "error"
 	RespPlan    = "plan"
 	RespPong    = "pong"
-	RespStats   = "stats"
 	RespStmt    = "stmt"
 	RespMetrics = "metrics"
 )
@@ -78,6 +79,39 @@ type ColDesc struct {
 	Logical string `json:"logical,omitempty"` // date|decimal when it differs from the kind
 }
 
+// logicalNames is how each logical annotation travels in ColDesc.Logical.
+var logicalNames = [...]string{vector.Plain: "", vector.Date: "date", vector.Decimal: "decimal"}
+
+// descSchema renders an output schema for the wire.
+func descSchema(schema vector.Schema) []ColDesc {
+	out := make([]ColDesc, len(schema))
+	for i, f := range schema {
+		out[i] = ColDesc{Name: f.Name, Kind: f.Type.Kind.String(), Logical: logicalNames[f.Type.Logical]}
+	}
+	return out
+}
+
+// Schema maps wire column descriptors back to the engine schema they
+// describe, inverting descSchema.
+func Schema(desc []ColDesc) (vector.Schema, error) {
+	out := make(vector.Schema, len(desc))
+	for i, d := range desc {
+		f := vector.Field{Name: d.Name}
+		for k := vector.Bool; k <= vector.String; k++ {
+			if k.String() == d.Kind {
+				f.Type.Kind = k
+			}
+		}
+		l := slices.Index(logicalNames[:], d.Logical)
+		if f.Type.Kind == vector.Invalid || l < 0 {
+			return nil, fmt.Errorf("server: unknown column type %q/%q", d.Kind, d.Logical)
+		}
+		f.Type.Logical = vector.Logical(l)
+		out[i] = f
+	}
+	return out, nil
+}
+
 // WireError is a structured error; SQL compile errors carry their 1-based
 // source position.
 type WireError struct {
@@ -94,83 +128,20 @@ func (e *WireError) Error() string {
 	return e.Msg
 }
 
-// PlanCacheInfo is the compiled-plan cache block inside a stats snapshot.
-type PlanCacheInfo struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	Entries       int64 `json:"entries"`
-}
-
-// ProcessStats is the process-health block of a stats snapshot: uptime,
-// scheduler and heap pressure, and cumulative GC pauses.
-type ProcessStats struct {
-	UptimeSec    int64 `json:"uptime_sec"`
-	Goroutines   int   `json:"goroutines"`
-	HeapBytes    int64 `json:"heap_bytes"`     // bytes of allocated heap objects in use
-	GCPauseNs    int64 `json:"gc_pause_ns"`    // cumulative stop-the-world pause
-	NumGC        int64 `json:"num_gc"`         // completed GC cycles
-	TotalAllocMB int64 `json:"total_alloc_mb"` // cumulative allocation volume
-}
-
-// ScanInfo is the engine scan-IO block of a stats snapshot: cumulative
-// physical scan work, including the compressed bytes scans never decoded
-// (dictionary-miss and frame-bounds pruning) and the value bytes actually
-// materialized into execution memory.
-type ScanInfo struct {
-	BlocksRead        int64 `json:"blocks_read"`
-	BytesDecoded      int64 `json:"bytes_decoded"`
-	BytesSkipped      int64 `json:"bytes_skipped"`
-	BytesMaterialized int64 `json:"bytes_materialized"`
-	SpansPruned       int64 `json:"spans_pruned"`
-	CacheHits         int64 `json:"cache_hits"`
-}
-
-// TableStorageInfo is one table's compression footprint in a stats snapshot.
-type TableStorageInfo struct {
-	Table        string  `json:"table"`
-	RawBytes     int64   `json:"raw_bytes"`
-	EncodedBytes int64   `json:"encoded_bytes"`
-	Ratio        float64 `json:"ratio"` // raw / encoded; 0 when nothing is flushed
-}
-
-// StatsSnapshot is the serving-layer metrics block returned by OpStats.
-type StatsSnapshot struct {
-	Sessions         int64          `json:"sessions"`
-	TotalSessions    int64          `json:"total_sessions"`
-	ActiveQueries    int64          `json:"active_queries"`
-	QueuedQueries    int64          `json:"queued_queries"`
-	CompletedQueries int64          `json:"completed_queries"`
-	CancelledQueries int64          `json:"cancelled_queries"`
-	FailedQueries    int64          `json:"failed_queries"`
-	RejectedQueries  int64          `json:"rejected_queries"` // admission queue timeouts
-	RowsServed       int64          `json:"rows_served"`
-	OpenStatements   int64          `json:"open_statements"` // prepared statements across live sessions
-	MaxConcurrent    int            `json:"max_concurrent"`
-	PlanCache        *PlanCacheInfo `json:"plan_cache,omitempty"`
-	Process          *ProcessStats  `json:"process,omitempty"`
-	SlowQueries      int64          `json:"slow_queries,omitempty"` // slow-log entries written
-
-	Scan    *ScanInfo          `json:"scan,omitempty"`
-	Storage []TableStorageInfo `json:"storage,omitempty"`
-}
-
 // Response is one server frame.
 type Response struct {
-	ID        int64          `json:"id"`
-	Type      string         `json:"type"`
-	Schema    []ColDesc      `json:"schema,omitempty"`
-	Rows      [][]any        `json:"rows,omitempty"`
-	Affected  int64          `json:"affected,omitempty"`
-	ElapsedUs int64          `json:"elapsed_us,omitempty"`
-	QueueUs   int64          `json:"queue_us,omitempty"` // done: admission queue wait
-	ExecUs    int64          `json:"exec_us,omitempty"`  // done: server-side execution time
-	Plan      string         `json:"plan,omitempty"`
-	Metrics   string         `json:"metrics,omitempty"` // metrics: Prometheus text
-	Err       *WireError     `json:"err,omitempty"`
-	Stats     *StatsSnapshot `json:"stats,omitempty"`
-	NumParams int            `json:"num_params,omitempty"` // stmt: '?' count in the template
+	ID        int64      `json:"id"`
+	Type      string     `json:"type"`
+	Schema    []ColDesc  `json:"schema,omitempty"`
+	Rows      [][]any    `json:"rows,omitempty"`
+	Affected  int64      `json:"affected,omitempty"`
+	ElapsedUs int64      `json:"elapsed_us,omitempty"`
+	QueueUs   int64      `json:"queue_us,omitempty"` // done: admission queue wait
+	ExecUs    int64      `json:"exec_us,omitempty"`  // done: server-side execution time
+	Plan      string     `json:"plan,omitempty"`
+	Metrics   string     `json:"metrics,omitempty"` // metrics: Prometheus text
+	Err       *WireError `json:"err,omitempty"`
+	NumParams int        `json:"num_params,omitempty"` // stmt: '?' count in the template
 }
 
 // WriteFrame marshals v and writes one frame.

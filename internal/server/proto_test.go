@@ -48,7 +48,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 1, Type: RespRows, Rows: [][]any{{int64(1), int32(9131)}, {int64(1 << 60), int32(0)}}},
 		{ID: 1, Type: RespDone, ElapsedUs: 1234},
 		{ID: 2, Type: RespError, Err: &WireError{Line: 3, Col: 14, Msg: "unknown column"}},
-		{ID: 3, Type: RespStats, Stats: &StatsSnapshot{Sessions: 2, CompletedQueries: 41, MaxConcurrent: 4}},
+		{ID: 3, Type: RespMetrics, Metrics: "# TYPE vectorh_sessions_active gauge\nvectorh_sessions_active 2\n"},
 	}
 	var buf bytes.Buffer
 	for i := range responses {
@@ -73,9 +73,9 @@ func TestResponseRoundTrip(t *testing.T) {
 			if got.Err == nil || *got.Err != *want.Err {
 				t.Fatalf("frame %d error: got %+v want %+v", i, got.Err, want.Err)
 			}
-		case RespStats:
-			if got.Stats == nil || !reflect.DeepEqual(*got.Stats, *want.Stats) {
-				t.Fatalf("frame %d stats: got %+v want %+v", i, got.Stats, want.Stats)
+		case RespMetrics:
+			if got.Metrics != want.Metrics {
+				t.Fatalf("frame %d metrics: got %q want %q", i, got.Metrics, want.Metrics)
 			}
 		case RespRows:
 			// Values decode as json.Number until the schema-aware client

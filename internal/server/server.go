@@ -16,7 +16,6 @@ import (
 	"vectorh/internal/core"
 	"vectorh/internal/obs"
 	"vectorh/internal/sql"
-	"vectorh/internal/vector"
 )
 
 // Options tune a serving instance.
@@ -29,9 +28,6 @@ type Options struct {
 	// execution slot before it is rejected with a "server busy" error.
 	// Default 10s.
 	QueueWait time.Duration
-	// RowsPerFrame bounds the row count of one streamed `rows` frame.
-	// Default 512.
-	RowsPerFrame int
 	// MaxFrameBytes bounds accepted request frames. Default 8 MiB.
 	MaxFrameBytes int
 	// SlowQueryThreshold enables the structured slow-query log: queries (and
@@ -52,13 +48,13 @@ func (o *Options) fill() {
 	if o.QueueWait <= 0 {
 		o.QueueWait = 10 * time.Second
 	}
-	if o.RowsPerFrame <= 0 {
-		o.RowsPerFrame = 512
-	}
 	if o.MaxFrameBytes <= 0 {
 		o.MaxFrameBytes = DefaultMaxFrameBytes
 	}
 }
+
+// rowsPerFrame bounds the row count of one streamed `rows` frame.
+const rowsPerFrame = 512
 
 // metrics is the server's atomic counter block.
 type metrics struct {
@@ -133,6 +129,8 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		func() float64 { return float64(s.m.active.Load()) })
 	r.GaugeFunc("vectorh_queries_queued", "Queries waiting in the admission queue.",
 		func() float64 { return float64(s.m.queued.Load()) })
+	r.GaugeFunc("vectorh_queries_max_concurrent", "Execution slots (admission limit).",
+		func() float64 { return float64(s.opt.MaxConcurrent) })
 	r.CounterFunc("vectorh_queries_completed_total", "Queries completed successfully.",
 		func() float64 { return float64(s.m.completed.Load()) })
 	r.CounterFunc("vectorh_queries_cancelled_total", "Queries cancelled by client, deadline or shutdown.",
@@ -161,12 +159,21 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		func() float64 { return time.Since(s.started).Seconds() })
 	r.GaugeFunc("vectorh_process_goroutines", "Live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.GaugeFunc("vectorh_process_heap_bytes", "Heap bytes in use.",
-		func() float64 {
+	memStat := func(f func(*runtime.MemStats) float64) func() float64 {
+		return func() float64 {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapInuse)
-		})
+			return f(&ms)
+		}
+	}
+	r.GaugeFunc("vectorh_process_heap_bytes", "Heap bytes in use.",
+		memStat(func(ms *runtime.MemStats) float64 { return float64(ms.HeapInuse) }))
+	r.CounterFunc("vectorh_process_gc_cycles_total", "Completed GC cycles.",
+		memStat(func(ms *runtime.MemStats) float64 { return float64(ms.NumGC) }))
+	r.CounterFunc("vectorh_process_gc_pause_seconds_total", "Cumulative GC stop-the-world pause.",
+		memStat(func(ms *runtime.MemStats) float64 { return float64(ms.PauseTotalNs) / 1e9 }))
+	r.CounterFunc("vectorh_process_alloc_bytes_total", "Cumulative bytes allocated on the heap.",
+		memStat(func(ms *runtime.MemStats) float64 { return float64(ms.TotalAlloc) }))
 }
 
 // Metrics renders the full registry (engine + server) in Prometheus text
@@ -177,20 +184,6 @@ func (s *Server) Metrics() (string, error) {
 		return "", err
 	}
 	return sb.String(), nil
-}
-
-// processStats samples the process-health block of a stats snapshot.
-func (s *Server) processStats() *ProcessStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return &ProcessStats{
-		UptimeSec:    int64(time.Since(s.started).Seconds()),
-		Goroutines:   runtime.NumGoroutine(),
-		HeapBytes:    int64(ms.HeapInuse),
-		GCPauseNs:    int64(ms.PauseTotalNs),
-		NumGC:        int64(ms.NumGC),
-		TotalAllocMB: int64(ms.TotalAlloc >> 20),
-	}
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting in a
@@ -277,19 +270,25 @@ func (s *Server) beginClose() (ln net.Listener, conns []net.Conn, first bool) {
 	return ln, conns, true
 }
 
-// Stats returns a point-in-time metrics snapshot, including the shared
-// compiled-plan cache counters.
+// StatsSnapshot is a point-in-time copy of the server's own counters.
+type StatsSnapshot struct {
+	Sessions         int64
+	TotalSessions    int64
+	ActiveQueries    int64
+	QueuedQueries    int64
+	CompletedQueries int64
+	CancelledQueries int64
+	FailedQueries    int64
+	RejectedQueries  int64 // admission queue timeouts
+	RowsServed       int64
+	OpenStatements   int64 // prepared statements across live sessions
+	MaxConcurrent    int
+	SlowQueries      int64 // slow-log entries written
+}
+
+// Stats returns the server's counters in process; over the wire the same
+// numbers are samples of the `metrics` op.
 func (s *Server) Stats() StatsSnapshot {
-	pc := s.db.PlanCacheStats()
-	es := s.db.Stats()
-	var storage []TableStorageInfo
-	for _, ts := range s.db.TableStorage() {
-		info := TableStorageInfo{Table: ts.Table, RawBytes: ts.RawBytes, EncodedBytes: ts.EncodedBytes}
-		if ts.EncodedBytes > 0 {
-			info.Ratio = float64(ts.RawBytes) / float64(ts.EncodedBytes)
-		}
-		storage = append(storage, info)
-	}
 	return StatsSnapshot{
 		Sessions:         s.m.sessions.Load(),
 		TotalSessions:    s.m.totalSessions.Load(),
@@ -302,24 +301,7 @@ func (s *Server) Stats() StatsSnapshot {
 		RowsServed:       s.m.rowsServed.Load(),
 		OpenStatements:   s.m.openStmts.Load(),
 		MaxConcurrent:    s.opt.MaxConcurrent,
-		PlanCache: &PlanCacheInfo{
-			Hits:          pc.Hits,
-			Misses:        pc.Misses,
-			Evictions:     pc.Evictions,
-			Invalidations: pc.Invalidations,
-			Entries:       pc.Entries,
-		},
-		Process:     s.processStats(),
-		SlowQueries: s.slow.Logged(),
-		Scan: &ScanInfo{
-			BlocksRead:        es.Scan.BlocksRead,
-			BytesDecoded:      es.Scan.BytesDecoded,
-			BytesSkipped:      es.Scan.BytesSkipped,
-			BytesMaterialized: es.Scan.BytesMaterialized,
-			SpansPruned:       es.Scan.SpansPruned,
-			CacheHits:         es.ScanCacheHit,
-		},
-		Storage: storage,
+		SlowQueries:      s.slow.Logged(),
 	}
 }
 
@@ -375,9 +357,6 @@ func (ss *session) readLoop() {
 		switch req.Op {
 		case OpPing:
 			ss.send(&Response{ID: req.ID, Type: RespPong})
-		case OpStats:
-			st := ss.srv.Stats()
-			ss.send(&Response{ID: req.ID, Type: RespStats, Stats: &st})
 		case OpMetrics:
 			text, err := ss.srv.Metrics()
 			if err != nil {
@@ -671,7 +650,7 @@ func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Dur
 	}
 	_, err = db.Run(ctx, node, core.QueryOptions{Profile: slow.Enabled(), Trace: tr}, func(rows [][]any) error {
 		pending = append(pending, rows...)
-		if len(pending) >= ss.srv.opt.RowsPerFrame {
+		if len(pending) >= rowsPerFrame {
 			return flush()
 		}
 		return nil
@@ -727,22 +706,6 @@ func toWireError(err error) *WireError {
 		return &WireError{Line: serr.Pos.Line, Col: serr.Pos.Col, Msg: serr.Msg}
 	}
 	return &WireError{Msg: err.Error()}
-}
-
-// descSchema renders an output schema for the wire.
-func descSchema(schema vectorh.Schema) []ColDesc {
-	out := make([]ColDesc, len(schema))
-	for i, f := range schema {
-		d := ColDesc{Name: f.Name, Kind: f.Type.Kind.String()}
-		switch f.Type.Logical {
-		case vector.Date:
-			d.Logical = "date"
-		case vector.Decimal:
-			d.Logical = "decimal"
-		}
-		out[i] = d
-	}
-	return out
 }
 
 // unmarshalStrictNumbers decodes JSON rejecting trailing garbage (a frame

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"vectorh"
-	"vectorh/internal/colstore"
+	"vectorh/internal/core"
 	"vectorh/internal/tpch"
 )
 
@@ -30,23 +30,9 @@ var (
 func testDB(t *testing.T) *vectorh.DB {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		db, err := vectorh.Open(vectorh.Config{
-			Nodes:          []string{"node1", "node2", "node3"},
-			ThreadsPerNode: 2,
-			BlockSize:      1 << 18,
-			Format:         colstore.Format{BlockSize: 16 << 10, BlocksPerChunk: 64, MaxRowsPerBlock: 2048},
-			MsgBytes:       16 << 10,
-		})
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		d := tpch.Generate(0.01, 42)
-		if err := tpch.LoadIntoEngine(db.Engine, d, 6); err != nil {
-			fixtureErr = err
-			return
-		}
-		fixtureDB = db
+		var e *core.Engine
+		e, _, fixtureErr = tpch.Demo(0.01, 3, 2, 6)
+		fixtureDB = &vectorh.DB{Engine: e}
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
@@ -440,9 +426,10 @@ func TestExecOverWire(t *testing.T) {
 	}
 }
 
-// TestPingStatsExplain covers the control ops.
+// TestPingStatsExplain covers the control ops and the server's counters, in
+// process and as metrics samples.
 func TestPingStatsExplain(t *testing.T) {
-	_, addr := startServer(t, Options{MaxConcurrent: 3})
+	srv, addr := startServer(t, Options{MaxConcurrent: 3})
 	c := dial(t, addr)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
@@ -450,12 +437,17 @@ func TestPingStatsExplain(t *testing.T) {
 	if _, err := c.Query(context.Background(), tpch.SQLQueries[6]); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	if st := srv.Stats(); st.MaxConcurrent != 3 || st.CompletedQueries < 1 || st.Sessions < 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	text, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MaxConcurrent != 3 || st.CompletedQueries < 1 || st.Sessions < 1 {
-		t.Fatalf("stats = %+v", st)
+	if metricValue(t, text, "vectorh_queries_max_concurrent") != 3 ||
+		metricValue(t, text, "vectorh_queries_completed_total") < 1 ||
+		metricValue(t, text, "vectorh_sessions_active") < 1 {
+		t.Fatalf("metrics:\n%s", text)
 	}
 	plan, err := c.Explain(tpch.SQLQueries[6])
 	if err != nil || !strings.Contains(plan, "MScan") {

@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -146,6 +148,51 @@ func TestPreparedBindRendering(t *testing.T) {
 	}
 	if _, err := p.Bind([]any{1.0, true}); err == nil {
 		t.Fatal("unsupported param type must error")
+	}
+}
+
+// TestBindJSONNumber: a number decoded off the wire binds to exactly the text
+// the int64 or float64 it denotes binds to. Exponent forms used to be spliced
+// verbatim, which the lexer reads as a number followed by an identifier:
+// "1E5" in a select list became `1 as e5`.
+func TestBindJSONNumber(t *testing.T) {
+	p, err := Prepare("select ? from regions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := func(v any) (string, error) { return p.Bind([]any{v}) }
+	for _, tc := range []struct {
+		num  json.Number
+		same any
+	}{
+		{"42", int64(42)},
+		{"-7", int64(-7)},
+		{"9223372036854775807", int64(math.MaxInt64)},
+		{"2.5", 2.5},
+		{"1e-7", 1e-7},
+		{"1E5", 1e5},
+		{"1e+21", 1e21},
+		{"-3.25E-2", -0.0325},
+	} {
+		got, err := bind(tc.num)
+		if err != nil {
+			t.Errorf("%s: %v", tc.num, err)
+			continue
+		}
+		want, err := bind(tc.same)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(got, "select "), " from regions")
+		if got != want || strings.ContainsAny(lit, "eE") {
+			t.Errorf("%s binds to %q, want %q", tc.num, got, want)
+		}
+	}
+	for _, bad := range []any{json.Number("9223372036854775808"), json.Number("1e400"),
+		json.Number("0x10"), json.Number("NaN"), math.Inf(1), math.NaN()} {
+		if got, err := bind(bad); err == nil {
+			t.Errorf("%v binds to %q, want an error", bad, got)
+		}
 	}
 }
 

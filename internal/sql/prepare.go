@@ -3,6 +3,7 @@ package sql
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -134,11 +135,36 @@ func writeParam(sb *strings.Builder, v any) error {
 	case int64:
 		sb.WriteString(strconv.FormatInt(x, 10))
 	case float64:
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			//lint:errpos bind-time error: parameters are client values, there is no source position to point at
+			return fmt.Errorf("parameter %v has no literal form", x)
+		}
 		// 'f' keeps the literal in plain decimal form — the lexer has no
-		// exponent notation.
+		// exponent notation. A value past the int64 range is integral and
+		// keeps a fraction digit, or it would lex as an overflowing integer.
 		sb.WriteString(strconv.FormatFloat(x, 'f', -1, 64))
+		if math.Abs(x) >= 1<<63 {
+			sb.WriteString(".0")
+		}
 	case json.Number:
-		sb.WriteString(x.String())
+		// A number off the wire renders exactly like the int64 or float64 it
+		// denotes: its text may be in exponent form, which spliced verbatim
+		// would lex as a number followed by an identifier.
+		s := x.String()
+		if !strings.ContainsAny(s, ".eE") {
+			n, err := strconv.ParseInt(s, 10, 64)
+			if err != nil {
+				//lint:errpos bind-time error: parameters are client values, there is no source position to point at
+				return fmt.Errorf("number %q is not an int64", s)
+			}
+			return writeParam(sb, n)
+		}
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			//lint:errpos bind-time error: parameters are client values, there is no source position to point at
+			return fmt.Errorf("number %q is not a float64", s)
+		}
+		return writeParam(sb, f)
 	default:
 		//lint:errpos bind-time error: parameters are client values, there is no source position to point at
 		return fmt.Errorf("unsupported parameter type %T", v)

@@ -11,7 +11,8 @@ import (
 // internal/sql DML front-end: RF1 becomes multi-row INSERT INTO … VALUES
 // statements for orders and lineitem, RF2 becomes DELETE FROM … WHERE
 // o_orderkey IN (…) statements over a picked key set. The experiments
-// package and the vectorh-sql REPL replay them through DB.ExecSQL, driving
+// package replays them through DB.ExecSQL and the vectorh-sql REPL over the
+// wire, driving
 // the whole update stack — parser, binder, transactions, Write-PDTs,
 // MinMax maintenance and update propagation — from SQL text.
 
@@ -26,11 +27,7 @@ func SQLLiteral(t vector.Type, v any) string {
 		}
 	case vector.Decimal:
 		if i, ok := v.(int64); ok {
-			sign := ""
-			if i < 0 {
-				sign, i = "-", -i
-			}
-			return fmt.Sprintf("%s%d.%02d", sign, i/100, i%100)
+			return vector.FormatDecimal(i)
 		}
 	}
 	switch x := v.(type) {

@@ -92,6 +92,15 @@ func FormatDate(days int32) string {
 	return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
 }
 
+// FormatDecimal renders a Decimal value (scaled by 100) as "-123.45".
+func FormatDecimal(v int64) string {
+	sign, u := "", uint64(v)
+	if v < 0 {
+		sign, u = "-", -u
+	}
+	return fmt.Sprintf("%s%d.%02d", sign, u/100, u%100)
+}
+
 // YearOf returns the civil year of the date.
 func YearOf(days int32) int32 {
 	y, _, _ := YMDFromDate(days)

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -215,6 +216,17 @@ func TestParseAndFormatDate(t *testing.T) {
 	for _, bad := range []string{"1995/03/05", "19950305", "1995-13-05", "1995-00-10", "x995-03-05"} {
 		if _, err := ParseDate(bad); err == nil {
 			t.Errorf("ParseDate(%q) should fail", bad)
+		}
+	}
+}
+
+func TestFormatDecimal(t *testing.T) {
+	for v, want := range map[int64]string{
+		0: "0.00", 5: "0.05", -5: "-0.05", 12345: "123.45", -100: "-1.00",
+		math.MinInt64: "-92233720368547758.08",
+	} {
+		if got := FormatDecimal(v); got != want {
+			t.Errorf("FormatDecimal(%d) = %q, want %q", v, got, want)
 		}
 	}
 }
