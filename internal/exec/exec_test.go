@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sort"
@@ -458,6 +459,36 @@ func TestXchgBroadcast(t *testing.T) {
 	for i, c := range counts {
 		if c != 50 {
 			t.Fatalf("consumer %d got %d rows", i, c)
+		}
+	}
+}
+
+// TestSendEncodedRecyclesWireBuffers: encoded batches arrive intact, every
+// wire buffer goes back to the exchange's free list after its decode, so a
+// run allocates no more of them than can be in flight at once (the channel's
+// items, one being encoded, one being decoded), and under
+// -tags vectorh_debug the buffers on the list are poisoned.
+func TestSendEncodedRecyclesWireBuffers(t *testing.T) {
+	ports := NewExchange(context.Background(), []Operator{src(5000, 7)}, 1, stateless(func(b *vector.Batch, out Outs) error {
+		_, err := out.SendEncoded(0, b)
+		return err
+	}))
+	rows, err := Collect(ports[0])
+	if err != nil || len(rows) != 5000 {
+		t.Fatalf("%d rows, %v", len(rows), err)
+	}
+	for i, r := range rows {
+		if r[0].(int64) != int64(i) || r[1].(int64) != int64(i%7) || r[2].(float64) != float64(i) {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+	free := ports[0].(*port).x.freeWire
+	if len(free) == 0 || len(free) > chanDepth+2 {
+		t.Errorf("%d wire buffers on the free list after 50 messages, want 1…%d", len(free), chanDepth+2)
+	}
+	for _, w := range free {
+		if vector.DebugAsserts && bytes.Count(w, []byte{0xA5}) != len(w) {
+			t.Fatal("a recycled wire buffer is not poisoned under vectorh_debug")
 		}
 	}
 }

@@ -42,7 +42,9 @@ type item struct {
 }
 
 // xchgCore runs producers and fans their output to consumer channels through
-// per-producer routes.
+// per-producer routes. It owns every wire buffer of the exchange: SendEncoded
+// takes one from the free list, the consumer port returns it after decoding,
+// and the list goes with the exchange.
 type xchgCore struct {
 	ctx       context.Context
 	producers []Operator
@@ -53,6 +55,8 @@ type xchgCore struct {
 	startOnce sync.Once
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+	wireMu    sync.Mutex
+	freeWire  [][]byte
 }
 
 // Route delivers one producer's output to the consumer streams: the exchange
@@ -69,9 +73,14 @@ type Outs struct{ x *xchgCore }
 // Send hands b to consumer stream i by pointer.
 func (o Outs) Send(i int, b *vector.Batch) error { return o.x.send(i, item{b: b}) }
 
-// SendEncoded hands consumer stream i a batch in mpi.EncodeBatch form; the
-// consumer's port decodes it.
-func (o Outs) SendEncoded(i int, wire []byte) error { return o.x.send(i, item{wire: wire}) }
+// SendEncoded encodes b with mpi.AppendBatch into a wire buffer from the
+// exchange's free list and hands that to consumer stream i, whose port
+// decodes it and puts the buffer back on the list. It returns the encoded
+// size; b is free for reuse once it returns.
+func (o Outs) SendEncoded(i int, b *vector.Batch) (int, error) {
+	wire := mpi.AppendBatch(o.x.getWire(), b)
+	return len(wire), o.x.send(i, item{wire: wire})
+}
 
 // NewExchange returns the consumer ports of an exchange over producers.
 // Nothing runs until the first port Open, which starts one goroutine per
@@ -158,6 +167,34 @@ func (x *xchgCore) send(i int, it item) error {
 	}
 }
 
+// getWire returns an empty wire buffer, recycled when the free list has one.
+func (x *xchgCore) getWire() []byte {
+	x.wireMu.Lock()
+	defer x.wireMu.Unlock()
+	n := len(x.freeWire)
+	if n == 0 {
+		return nil
+	}
+	w := x.freeWire[n-1]
+	x.freeWire[n-1] = nil
+	x.freeWire = x.freeWire[:n-1]
+	return w[:0]
+}
+
+// putWire returns a decoded wire buffer to the free list. Under
+// -tags vectorh_debug it poisons the bytes first, so a decoder that starts
+// aliasing its input returns corrupt batches in the debug suite.
+func (x *xchgCore) putWire(w []byte) {
+	if vector.DebugAsserts {
+		for i := range w {
+			w[i] = 0xA5
+		}
+	}
+	x.wireMu.Lock()
+	x.freeWire = append(x.freeWire, w)
+	x.wireMu.Unlock()
+}
+
 func (x *xchgCore) fanErr(err error) {
 	for i := range x.outs {
 		if x.send(i, item{err: err}) != nil {
@@ -187,7 +224,9 @@ func (p *port) Next() (*vector.Batch, error) {
 		return nil, nil
 	}
 	if it.wire != nil {
-		return mpi.DecodeBatch(it.wire)
+		b, err := mpi.DecodeBatch(it.wire)
+		p.x.putWire(it.wire)
+		return b, err
 	}
 	return it.b, it.err
 }

@@ -21,17 +21,21 @@ func isLibraryPkg(pkgPath string) bool {
 
 // isHotPathPkg reports whether the whole package is hot-path code:
 // internal/vector, internal/expr and internal/exec process millions of
-// batches per query, and internal/compress runs per value on both sides of
+// batches per query; internal/compress runs per value on both sides of
 // storage — the decoders inside every scan, the encoders under every bulk
-// load — so PR 2's no-map[string]/no-Sprintf regression guard applies to
-// every file. (The one string-keyed map compress keeps, the PDICT dictionary
-// build, is an audited suppression; expr's IN sets are sorted slices and its
-// String methods write through one strings.Builder.)
+// load; and the distributed exchange runs per batch in internal/mpp's send
+// buffers and per message in internal/mpi's codec. So the
+// no-map[string]/no-Sprintf regression guard of the hash layer applies to
+// every file of them. (The one string-keyed map compress keeps, the PDICT
+// dictionary build, is an audited suppression; expr's IN sets are sorted
+// slices and its String methods write through one strings.Builder.)
 func isHotPathPkg(pkgPath string) bool {
 	return strings.HasSuffix(pkgPath, "internal/vector") ||
 		strings.HasSuffix(pkgPath, "internal/expr") ||
 		strings.HasSuffix(pkgPath, "internal/exec") ||
-		strings.HasSuffix(pkgPath, "internal/compress")
+		strings.HasSuffix(pkgPath, "internal/compress") ||
+		strings.HasSuffix(pkgPath, "internal/mpi") ||
+		strings.HasSuffix(pkgPath, "internal/mpp")
 }
 
 // isHotPathFile reports whether one file of a package is hot-path code even

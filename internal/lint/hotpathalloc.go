@@ -6,10 +6,11 @@ import (
 	"go/types"
 )
 
-// HotPathAlloc is the permanent regression guard for PR 2's hash-layer work:
-// the per-batch packages (internal/vector, internal/exec), the codecs
-// (internal/compress), colstore's Appender/Scanner file and the MScan files
-// in internal/core must never regress to stringly-typed per-row work.
+// HotPathAlloc is the permanent regression guard for the hash-layer work:
+// the per-batch packages (internal/vector, internal/expr, internal/exec), the
+// codecs (internal/compress), the distributed exchange (internal/mpi,
+// internal/mpp), colstore's Appender/Scanner file and the MScan files in
+// internal/core must never regress to stringly-typed per-row work.
 //
 // In those files it forbids:
 //   - map types with string keys (the old per-row serialization idiom the
@@ -24,7 +25,8 @@ var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Key:  "hotpath",
 	Doc: "no map[string], fmt.Sprintf or per-row string concatenation in " +
-		"internal/vector, internal/exec, internal/compress, colstore/store.go or the MScan path",
+		"internal/vector, internal/expr, internal/exec, internal/compress, internal/mpi, internal/mpp, " +
+		"colstore/store.go or the MScan path",
 	Run: runHotPathAlloc,
 }
 

@@ -1,18 +1,28 @@
 // Package mpi simulates the message-passing transport underneath the
 // distributed exchange operators (§5, Figure 4 of the paper): the PAX-like
-// message layout a batch crosses nodes in (EncodeBatch/DecodeBatch; ≥256 KB
+// message layout a batch crosses nodes in (AppendBatch/DecodeBatch; ≥256 KB
 // messages for good throughput in the paper, configurable here) and the
 // Network's traffic accounting for the network cost model — serialized bytes
 // and messages between nodes, and the intra-node optimization of passing
 // batch pointers instead of serialized buffers ("for intra-node
 // communication we only send pointers to sender-side buffers"). Messages
 // travel on the consumer channels of exec's exchange runtime.
+//
+// Lifetimes: AppendBatch copies the batch into the caller's buffer, so the
+// sender may refill its batch as soon as it returns. DecodeBatch's result
+// shares no memory with its input, so the wire buffer can go back to its
+// exchange's free list right after the decode. Each decoded string column is
+// one allocation that all its values are substrings of: a retained string
+// keeps alive at most its own message's column, the same bytes the
+// per-value copies held before.
 package mpi
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"strings"
 	"sync/atomic"
 
 	"vectorh/internal/vector"
@@ -63,21 +73,29 @@ func (n *Network) Reset() {
 // Handoff counts one intra-node pass of a batch pointer.
 func (n *Network) Handoff() { n.localPasses.Add(1) }
 
-// Encode serializes a batch bound for another node and counts it as one
-// remote message.
-func (n *Network) Encode(b *vector.Batch) []byte {
-	data := EncodeBatch(b)
-	n.remoteBytes.Add(int64(len(data)))
+// Remote counts one message of the given encoded size sent to another node.
+func (n *Network) Remote(bytes int) {
+	n.remoteBytes.Add(int64(bytes))
 	n.remoteMsgs.Add(1)
-	return data
 }
 
-// EncodeBatch serializes a batch in a PAX-like layout: per column a kind
-// byte, a row count and the packed values, "such that Receivers can return
-// vectors directly out of these buffers".
-func EncodeBatch(b *vector.Batch) []byte {
+// EncodeBatch serializes a batch into a new buffer: AppendBatch(nil, b).
+func EncodeBatch(b *vector.Batch) []byte { return AppendBatch(nil, b) }
+
+// AppendBatch appends b to dst in a PAX-like layout: per column a kind byte
+// and the packed values after one column count and one row count, "such
+// that Receivers can return vectors directly out of these buffers". It sizes
+// the message exactly first, so it grows dst at most once and not at all when
+// cap(dst) already holds it; only a selection or a dictionary-coded string
+// column in b costs an allocation, to materialize it.
+func AppendBatch(dst []byte, b *vector.Batch) []byte {
 	c := b.Compact()
-	out := binary.AppendUvarint(nil, uint64(len(c.Vecs)))
+	out := dst
+	if need := len(dst) + encodedLen(c); need > cap(dst) {
+		out = make([]byte, len(dst), need)
+		copy(out, dst)
+	}
+	out = binary.AppendUvarint(out, uint64(len(c.Vecs)))
 	out = binary.AppendUvarint(out, uint64(c.Len()))
 	for _, v := range c.Vecs {
 		out = append(out, byte(v.Kind()))
@@ -112,10 +130,33 @@ func EncodeBatch(b *vector.Batch) []byte {
 	return out
 }
 
-// DecodeBatch inverts EncodeBatch. It sizes nothing from a header before
-// checking that the remaining bytes can hold it — every column takes at
-// least its kind byte and every value at least one byte — so hostile bytes
-// cost an error, never an allocation out of proportion to len(data).
+// encodedLen is the exact number of bytes AppendBatch writes for the dense
+// batch c.
+func encodedLen(c *vector.Batch) int {
+	n := uvarintLen(uint64(len(c.Vecs))) + uvarintLen(uint64(c.Len()))
+	for _, v := range c.Vecs {
+		n++
+		switch v.Kind() {
+		case vector.String:
+			for _, s := range v.Strings() {
+				n += uvarintLen(uint64(len(s))) + len(s)
+			}
+		default:
+			n += v.Len() * v.Kind().Width()
+		}
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// DecodeBatch inverts AppendBatch. The batch it returns shares no memory
+// with data, so the caller may reuse data at once; a string column costs one
+// allocation for all its bytes, and every value is a substring of it. It
+// sizes nothing from a header before checking that the remaining bytes can
+// hold it — every column takes at least its kind byte and every value at
+// least one byte — so hostile bytes cost an error, never an allocation out of
+// proportion to len(data).
 func DecodeBatch(data []byte) (*vector.Batch, error) {
 	nc, sz := binary.Uvarint(data)
 	if sz <= 0 {
@@ -172,16 +213,11 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 			data = data[n*8:]
 			b.Vecs[ci] = vector.FromFloat64(vals)
 		case vector.String:
-			vals := make([]string, n)
-			for i := range vals {
-				l, sz := binary.Uvarint(data)
-				if sz <= 0 || uint64(len(data)-sz) < l {
-					return nil, fmt.Errorf("mpi: truncated string column")
-				}
-				data = data[sz:]
-				vals[i] = string(data[:l])
-				data = data[l:]
+			vals, rest, err := decodeStrings(data, n)
+			if err != nil {
+				return nil, err
 			}
+			data = rest
 			b.Vecs[ci] = vector.FromString(vals)
 		case vector.Bool:
 			if uint64(len(data)) < n {
@@ -198,4 +234,33 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 		}
 	}
 	return b, nil
+}
+
+// decodeStrings decodes a string column of n values from the front of data
+// and returns the bytes after it. A first pass checks every length against
+// the bytes present and sums them; the second copies them into one builder
+// grown once, whose String is the prefix written so far, so each value is a
+// substring of the column's one allocation.
+func decodeStrings(data []byte, n uint64) ([]string, []byte, error) {
+	total, rest := 0, data
+	for i := uint64(0); i < n; i++ {
+		l, sz := binary.Uvarint(rest)
+		if sz <= 0 || uint64(len(rest)-sz) < l {
+			return nil, nil, fmt.Errorf("mpi: truncated string column")
+		}
+		total += int(l)
+		rest = rest[sz+int(l):]
+	}
+	vals := make([]string, n)
+	var sb strings.Builder
+	sb.Grow(total)
+	for i := range vals {
+		l, sz := binary.Uvarint(data)
+		data = data[sz:]
+		start := sb.Len()
+		sb.Write(data[:l])
+		vals[i] = sb.String()[start:]
+		data = data[l:]
+	}
+	return vals, rest, nil
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -27,6 +28,54 @@ func TestEncodeDecodeBatchRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeBatch([]byte{1, 2}); err == nil {
 		t.Fatal("garbage should fail to decode")
+	}
+}
+
+// kindsBatch returns fuzzBatch's n-row batch over a fixed byte pattern,
+// without a selection: strings of 0–8 bytes.
+func kindsBatch(n int) *vector.Batch {
+	data := make([]byte, 8*n)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	b, _ := fuzzBatch(data)
+	return b
+}
+
+// TestAppendBatchReusesCapacity: encoding into a buffer that already holds
+// the message allocates nothing, for every kind; a short buffer grows once.
+func TestAppendBatchReusesCapacity(t *testing.T) {
+	b := kindsBatch(1000)
+	for c, v := range b.Vecs {
+		one := vector.NewBatch(v)
+		buf := EncodeBatch(one)
+		if allocs := testing.AllocsPerRun(20, func() { buf = AppendBatch(buf[:0], one) }); allocs != 0 {
+			t.Errorf("column %d (%v): AppendBatch into a large enough buffer allocated %.1f times", c, v.Kind(), allocs)
+		}
+	}
+	prefix := []byte{7, 8, 9}
+	var got []byte
+	if allocs := testing.AllocsPerRun(20, func() { got = AppendBatch(prefix[:3:3], b) }); allocs != 1 {
+		t.Errorf("AppendBatch onto a short buffer allocated %.1f times, want 1", allocs)
+	}
+	if !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], EncodeBatch(b)) {
+		t.Error("AppendBatch onto a prefix: the prefix or the message changed")
+	}
+}
+
+// TestDecodeBatchAllocsIndependentOfRows: a decode costs a fixed number of
+// allocations per column, not one per string value.
+func TestDecodeBatchAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) float64 {
+		wire := EncodeBatch(kindsBatch(n))
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DecodeBatch(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(10000); small != large {
+		t.Errorf("DecodeBatch allocated %.1f times at 10 rows and %.1f at 10000", small, large)
 	}
 }
 
@@ -80,8 +129,11 @@ func sameRows(a, b *vector.Batch) bool {
 // column costs one kind byte of input and one vector header of memory, which
 // is the multiple; anything a header claims beyond the bytes present is an
 // error; (2) whatever decodes re-encodes to the same rows; (3) a batch of all
-// five kinds round-trips, with and without a selection. The committed seeds
-// include header claims of 2⁶¹ rows and 2⁴⁰ columns.
+// five kinds round-trips, with and without a selection; (4) a decoded batch
+// shares no memory with its input — the exchange recycles wire buffers right
+// after the decode — so overwriting the input changes nothing the batch
+// re-encodes to, and a round trip still re-encodes to the original message.
+// The committed seeds include header claims of 2⁶¹ rows and 2⁴⁰ columns.
 func FuzzDecodeBatch(f *testing.F) {
 	b, sel := fuzzBatch([]byte("0123456789abcdef\x01\x02\x03\x04\x05\x06\x07\x08\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8"))
 	f.Add(EncodeBatch(b))
@@ -89,26 +141,45 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(EncodeBatch(b))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		in := bytes.Clone(data) // the engine's bytes must not be modified
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		got, err := DecodeBatch(data)
+		got, err := DecodeBatch(in)
 		runtime.ReadMemStats(&m1)
 		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(256*len(data)+4096) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 		}
 		if err == nil {
-			again, err := DecodeBatch(EncodeBatch(got))
+			canon := EncodeBatch(got)
+			again, err := DecodeBatch(canon)
 			if err != nil || !sameRows(got, again) {
 				t.Fatalf("re-encoding a decoded batch: %v", err)
+			}
+			overwrite(in)
+			if !bytes.Equal(EncodeBatch(got), canon) {
+				t.Fatal("overwriting the input changed the decoded batch")
 			}
 		}
 		src, sel := fuzzBatch(data)
 		for _, s := range [][]int32{nil, sel} {
 			src.Sel = s
-			out, err := DecodeBatch(EncodeBatch(src))
+			wire := EncodeBatch(src)
+			orig := bytes.Clone(wire)
+			out, err := DecodeBatch(wire)
 			if err != nil || !sameRows(src, out) {
 				t.Fatalf("round trip (sel %v): %v", s, err)
 			}
+			overwrite(wire)
+			if !bytes.Equal(EncodeBatch(out), orig) {
+				t.Fatalf("round trip (sel %v): overwriting the wire bytes changed the decoded batch", s)
+			}
 		}
 	})
+}
+
+// overwrite fills b with a byte no encoding of the fuzz batches relies on.
+func overwrite(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
+	}
 }

@@ -5,9 +5,16 @@
 // and add what crossing nodes takes: every sender buffers rows per
 // destination stream until MsgBytes (the paper's ≥256 KB MPI messages),
 // hands a full buffer to a consumer on its own node as a pointer and to one
-// on another node encoded by mpi.EncodeBatch, and counts both in the
+// on another node encoded by exec.Outs.SendEncoded, and counts both in the
 // mpi.Network. Senders partition straight to every consumer stream (the
 // paper's thread-to-thread fan-out).
+//
+// Lifetimes: a send buffer bound for another node is reused after it ships,
+// since the encode copied its rows into a wire buffer that exec's runtime
+// owns (the consumer port returns it to the exchange's free list after
+// decoding). A buffer handed to a consumer on the sender's node changes
+// owner, so the sender starts a new one, sized to the message it just
+// shipped plus a quarter.
 package mpp
 
 import (
@@ -155,32 +162,38 @@ func (s *sender) add(d int, b *vector.Batch, sel []int32, out exec.Outs) error {
 	return s.ship(d, out)
 }
 
-// ship hands stream d's buffer over: by pointer on the sender's node,
-// encoded across nodes.
+// ship hands stream d's buffer over: by pointer on the sender's node, which
+// gives the buffer away, and encoded across nodes, which copies it, so the
+// buffer is emptied and refilled.
 func (s *sender) ship(d int, out exec.Outs) error {
-	b := s.bufs[d].take()
-	if b == nil {
+	sb := &s.bufs[d]
+	if sb.rows() == 0 {
 		return nil
 	}
 	if s.streamNode[d] == s.node {
 		s.net.Handoff()
-		return out.Send(d, b)
+		return out.Send(d, sb.handOff())
 	}
-	return out.SendEncoded(d, s.net.Encode(b))
+	n, err := out.SendEncoded(d, &vector.Batch{Vecs: sb.vecs})
+	s.net.Remote(n)
+	sb.reset()
+	return err
 }
 
 // sendBuffer accumulates the rows bound for one consumer stream.
 type sendBuffer struct {
 	vecs  []*vector.Vec
 	bytes int
+	next  int // row capacity of new vectors: the last handoff's rows plus a quarter, at least 256
 }
 
 // append copies rows sel of b — every row when sel is nil — with one bulk
 // append per column and byte accounting per call, not per row.
 func (sb *sendBuffer) append(b *vector.Batch, sel []int32) {
 	if sb.vecs == nil {
+		capHint := max(sb.next, 256)
 		for _, v := range b.Vecs {
-			sb.vecs = append(sb.vecs, vector.New(v.Kind(), 256))
+			sb.vecs = append(sb.vecs, vector.New(v.Kind(), capHint))
 		}
 	}
 	for i, v := range b.Vecs {
@@ -194,11 +207,27 @@ func (sb *sendBuffer) append(b *vector.Batch, sel []int32) {
 	}
 }
 
-func (sb *sendBuffer) take() *vector.Batch {
-	if sb.vecs == nil || sb.vecs[0].Len() == 0 {
-		return nil
+func (sb *sendBuffer) rows() int {
+	if sb.vecs == nil {
+		return 0
 	}
+	return sb.vecs[0].Len()
+}
+
+// handOff gives the buffered rows away as a batch; the next append starts
+// new vectors sized to this message plus a quarter.
+func (sb *sendBuffer) handOff() *vector.Batch {
+	n := sb.rows()
 	b := &vector.Batch{Vecs: sb.vecs}
-	sb.vecs, sb.bytes = nil, 0
+	sb.vecs, sb.bytes, sb.next = nil, 0, n+n/4
 	return b
+}
+
+// reset empties the buffer after its rows were copied out, keeping the
+// vectors and their capacity.
+func (sb *sendBuffer) reset() {
+	for _, v := range sb.vecs {
+		v.Reset()
+	}
+	sb.bytes = 0
 }

@@ -15,7 +15,11 @@ import (
 	"vectorh/internal/vector"
 )
 
-func producer(lo, n int) exec.Operator {
+func producer(lo, n int) exec.Operator { return producerStr(lo, n, "v") }
+
+// producerStr returns n rows in 200-row batches: keys lo…lo+n-1 and the
+// string str on every row.
+func producerStr(lo, n int, str string) exec.Operator {
 	var batches []*vector.Batch
 	for off := 0; off < n; off += 200 {
 		cnt := n - off
@@ -26,7 +30,7 @@ func producer(lo, n int) exec.Operator {
 		vs := make([]string, cnt)
 		for i := 0; i < cnt; i++ {
 			ks[i] = int64(lo + off + i)
-			vs[i] = "v"
+			vs[i] = str
 		}
 		batches = append(batches, vector.NewBatch(vector.FromInt64(ks), vector.FromString(vs)))
 	}
@@ -283,30 +287,63 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// BenchmarkDXchgHashSplit routes 32k rows from 16 senders to 16 consumer
-// streams on a 4-node × 4-thread topology.
+// BenchmarkDXchgHashSplit routes rows from every thread of every node to
+// every consumer stream, the producers' batches built once outside the timer:
+// "4x4" is 32k rows on 4 nodes × 4 threads with 8 KiB messages, most of them
+// first or last partial buffers; "3x2-fill" is 240k rows with a 16-byte
+// string column on the benchmark's 3 × 2 topology with 64 KiB messages, where
+// most messages fill and the send and wire buffers reach steady state.
 func BenchmarkDXchgHashSplit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		producers := make([][]exec.Operator, 4)
-		for n := range producers {
-			for j := 0; j < 4; j++ {
-				producers[n] = append(producers[n], producer(n*8000+j*2000, 2000))
+	for _, c := range []struct {
+		name                    string
+		nodes, threads, perProd int
+		msgBytes                int
+		str                     string
+	}{
+		{"4x4", 4, 4, 2000, 8192, "v"},
+		{"3x2-fill", 3, 2, 40000, 64 << 10, "shipment-comment"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			producers := make([][]exec.Operator, c.nodes)
+			consumers := make([]int, c.nodes)
+			for n := range producers {
+				for j := 0; j < c.threads; j++ {
+					producers[n] = append(producers[n], producerStr((n*c.threads+j)*c.perProd, c.perProd, c.str))
+				}
+				consumers[n] = c.threads
 			}
-		}
-		ports, err := DXchgHashSplit(Config{Net: mpi.NewNetwork(4), MsgBytes: 8192}, producers, key, []int{4, 4, 4, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for _, nodePorts := range ports {
-			for _, p := range nodePorts {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					exec.Collect(p)
-				}()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ports, err := DXchgHashSplit(Config{Net: mpi.NewNetwork(c.nodes), MsgBytes: c.msgBytes}, producers, key, consumers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				for _, nodePorts := range ports {
+					for _, p := range nodePorts {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							drain(p)
+						}()
+					}
+				}
+				wg.Wait()
 			}
+		})
+	}
+}
+
+// drain pulls every batch from p without materializing rows.
+func drain(p exec.Operator) {
+	defer p.Close()
+	if p.Open() != nil {
+		return
+	}
+	for {
+		if b, err := p.Next(); b == nil || err != nil {
+			return
 		}
-		wg.Wait()
 	}
 }
