@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -65,10 +66,26 @@ func (c *Config) fill() {
 type Table struct {
 	Info  rewriter.TableInfo
 	Parts []*Partition
+
+	// A clustered table is in ascending Info.ClusteredOn order per partition
+	// until a write places a key below the highest its partition holds (high);
+	// unordered is set for good before that write commits, and Engine.Table
+	// stops reporting the order.
+	high      []int64
+	unordered atomic.Bool
 }
 
 // Replicated reports whether the table is stored replicated on every node.
 func (t *Table) Replicated() bool { return t.Info.PartitionKey == "" }
+
+// place records clustered key k as appended to partition p. Aborted writes
+// count too, which can only err toward unordered. The caller holds writeMu.
+func (t *Table) place(p int, k int64) {
+	if k < t.high[p] {
+		t.unordered.Store(true)
+	}
+	t.high[p] = max(t.high[p], k)
+}
 
 // Partition is one table partition's storage and delta state. Its metadata
 // is copy-on-write: writers (bulk load, update propagation, MinMax widening)
@@ -466,7 +483,11 @@ func (e *Engine) Table(name string) (rewriter.TableInfo, error) {
 	if !ok {
 		return rewriter.TableInfo{}, fmt.Errorf("core: unknown table %q", name)
 	}
-	return t.Info, nil
+	info := t.Info
+	if t.unordered.Load() {
+		info.ClusteredOn = ""
+	}
+	return info, nil
 }
 
 // TableSchema satisfies plan.Catalog.
@@ -507,7 +528,7 @@ func (e *Engine) CreateTable(info rewriter.TableInfo) error {
 			return fmt.Errorf("core: partition key %q must be an integer column", info.PartitionKey)
 		}
 	}
-	t := &Table{Info: info}
+	t := &Table{Info: info, high: slices.Repeat([]int64{math.MinInt64}, info.Partitions)}
 
 	// Affinity mapping: identical for every table of the same partition
 	// count, which co-locates matching partitions (Figure 2's R/S pairs).

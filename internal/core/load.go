@@ -59,6 +59,12 @@ func (e *Engine) Load(table string, batches []*vector.Batch) error {
 		return err
 	}
 	rows := splitRows(t, src)
+	for pi, rs := range rows {
+		if c := t.Info.Schema.Index(t.Info.ClusteredOn); c >= 0 && len(rs) > 0 {
+			t.place(pi, int64At(src.Col(c), int(rs[0]))) // sorted: first and last bound the rest
+			t.place(pi, int64At(src.Col(c), int(rs[len(rs)-1])))
+		}
+	}
 
 	// Workers take partitions off a queue filled before the first one
 	// starts. They never touch writeMu (held here for their whole lifetime)
@@ -346,6 +352,7 @@ func (e *Engine) InsertRows(ctx context.Context, table string, b *vector.Batch) 
 	if t.Info.PartitionKey != "" {
 		keyIdx = schema.Index(t.Info.PartitionKey)
 	}
+	ck := t.Info.Schema.Index(t.Info.ClusteredOn)
 	tx := e.mgr.Begin()
 	c := b.Compact()
 	for r := 0; r < c.Len(); r++ {
@@ -360,6 +367,9 @@ func (e *Engine) InsertRows(ctx context.Context, table string, b *vector.Batch) 
 		if err := tx.Append(t.Parts[p].Key, c.Row(r)); err != nil {
 			tx.Abort()
 			return err
+		}
+		if ck >= 0 {
+			t.place(p, int64At(c.Col(ck), r)) // before the commit makes the row visible
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -554,6 +564,10 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 	if err := ctx.Err(); err != nil {
 		tx.Abort()
 		return 0, fmt.Errorf("core: %s canceled: %w", table, context.Cause(ctx))
+	}
+	if total > 0 && slices.Contains(setIdx, t.Info.Schema.Index(t.Info.ClusteredOn)) {
+		// A modified clustered key can land anywhere among its neighbours.
+		t.unordered.Store(true)
 	}
 	if err := tx.Commit(); err != nil {
 		return 0, err

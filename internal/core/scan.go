@@ -102,6 +102,7 @@ func (e *Engine) ReplicatedScan(ctx context.Context, spec rewriter.ScanSpec, nod
 // filtering, and the PDT tail inserts.
 type mscan struct {
 	eng    *Engine
+	table  *Table
 	part   *Partition
 	node   string
 	spec   rewriter.ScanSpec
@@ -128,6 +129,8 @@ type mscan struct {
 	sel   []int32       // the span's surviving candidates
 
 	spansPruned int64 // spans dropped before any payload column was decoded
+
+	sorted *exec.Sort // restores ScanSpec.Ordered over a disordered partition
 
 	// IO totals retained at Close (after folding into the engine-wide
 	// counters) so EXPLAIN ANALYZE can attribute blocks and bytes to this
@@ -162,7 +165,7 @@ func (e *Engine) newMScan(ctx context.Context, t *Table, part *Partition, spec r
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &mscan{eng: e, part: part, node: node, spec: spec, colIdx: colIdx, ctx: ctx}, nil
+	return &mscan{eng: e, table: t, part: part, node: node, spec: spec, colIdx: colIdx, ctx: ctx}, nil
 }
 
 // snapshotAndPin pins the partition's metadata generation and snapshots
@@ -231,6 +234,15 @@ func (m *mscan) Open() (err error) {
 	m.readM = pdt.NewMerger(m.readPDT, schema, m.colIdx)
 	m.writeM = pdt.NewMerger(m.writePDT, schema, m.colIdx)
 	m.stage = 0
+	// A write that broke the clustered order after the plan was made flagged
+	// the table before it committed, so before this snapshot: sort then.
+	m.sorted = nil
+	if m.spec.Ordered && m.table.unordered.Load() {
+		c := slices.Index(m.spec.Cols, m.table.Info.ClusteredOn)
+		m.sorted = &exec.Sort{Child: &exec.FuncSource{NextFn: m.next},
+			Keys: []exec.SortKey{{Expr: expr.Col(c, schema[m.colIdx[c]].Type.Kind)}}}
+		return m.sorted.Open()
+	}
 	return nil
 }
 
@@ -314,6 +326,14 @@ conjuncts:
 // batch: a cancelled or timed-out query stops issuing block reads
 // immediately instead of draining the partition.
 func (m *mscan) Next() (*vector.Batch, error) {
+	if m.sorted != nil {
+		return m.sorted.Next()
+	}
+	return m.next()
+}
+
+// next is Next in storage order.
+func (m *mscan) next() (*vector.Batch, error) {
 	for {
 		if err := m.ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: scan of %s.p%d canceled: %w", m.meta.Table, m.meta.Partition, context.Cause(m.ctx))

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
@@ -55,93 +57,88 @@ type aggState struct {
 	count int64
 }
 
-// HashAggr performs hash group-by aggregation over the shared vectorized
-// HashTable: group lookup is batch-at-a-time (FindOrInsert emits a group id
-// per row, the table stores the key columns), aggregate updates fold whole
-// argument vectors per group id, and COUNT(DISTINCT) deduplicates through a
-// second (group, value)-keyed table instead of per-group map[string] sets.
-// It consumes the child fully on the first Next, then emits result batches:
-// key columns followed by one column per aggregate. With no keys it emits
-// exactly one global row.
-type HashAggr struct {
-	Child Operator
-	Keys  []expr.Expr
-	Aggs  []AggSpec
-
-	prog     *expr.Program // keys, then every non-nil aggregate argument
-	table    *HashTable    // group-by keys; nil for global aggregation
-	states   [][]aggState  // indexed [agg][group]
-	distinct []*HashTable  // (group, value) tables, allocated lazily and only
-	// for AggCountDistinct specs
-	pool     vector.Pool
-	emitted  int
-	consumed bool
+// aggAcc is what both aggregation operators do once a row has its group id:
+// states[agg][group], plus a (group, value) dedup table per COUNT(DISTINCT)
+// spec, created on first use so other aggregations never pay for it.
+type aggAcc struct {
+	aggs     []AggSpec
+	states   [][]aggState // indexed [agg][group]
+	distinct []*HashTable // (group, value) tables, by agg
+	pool     *vector.Pool // the owning operator's pool
 }
 
-// AggExprs lists the expressions an aggregation evaluates per batch, in the
-// order of its program's outputs: the keys, then every non-nil argument.
-// Compiling them together is what lets aggregates over overlapping
-// expressions (Q01's eleven over five) share their common primitives.
-func AggExprs(keys []expr.Expr, aggs []AggSpec) []expr.Expr {
-	out := append(make([]expr.Expr, 0, len(keys)+len(aggs)), keys...)
-	for _, a := range aggs {
-		if a.Arg != nil {
-			out = append(out, a.Arg)
+func (a *aggAcc) init(aggs []AggSpec, pool *vector.Pool) {
+	a.aggs, a.pool = aggs, pool
+	a.states, a.distinct = make([][]aggState, len(aggs)), make([]*HashTable, len(aggs))
+}
+
+// grow extends every per-agg state column to n groups.
+func (a *aggAcc) grow(n int) {
+	for ai := range a.states {
+		for len(a.states[ai]) < n {
+			a.states[ai] = append(a.states[ai], aggState{})
 		}
 	}
-	return out
 }
 
-// Open implements Operator.
-func (h *HashAggr) Open() (err error) {
-	h.table = nil
-	h.states = nil
-	h.distinct = nil
-	h.emitted = 0
-	h.consumed = false
-	if h.prog, err = expr.Compile(AggExprs(h.Keys, h.Aggs)...); err != nil {
-		return err
-	}
-	return h.Child.Open()
-}
-
-// Close implements Operator.
-func (h *HashAggr) Close() error { return h.Child.Close() }
-
-// numGroups returns the group count after consumption.
-func (h *HashAggr) numGroups() int {
-	if len(h.states) == 0 {
-		return 0
-	}
-	return len(h.states[0])
-}
-
-// Next implements Operator.
-func (h *HashAggr) Next() (*vector.Batch, error) {
-	if !h.consumed {
-		if err := h.consume(); err != nil {
-			return nil, err
+// update folds one batch into the groups its rows map to: args holds each
+// spec's argument column (nil for COUNT(*)), groups the row's group id.
+func (a *aggAcc) update(args []*vector.Vec, groups []int32) {
+	for ai, spec := range a.aggs {
+		if spec.Func == AggCountDistinct {
+			a.updateDistinct(ai, args[ai], groups)
+		} else {
+			updateAggBatch(a.states[ai], spec, args[ai], groups)
 		}
-		h.consumed = true
 	}
-	n := h.numGroups()
-	if h.emitted >= n {
-		return nil, nil
+}
+
+// updateDistinct records the batch's (group, value) pairs in the spec's
+// dedup table, creating it on first use.
+func (a *aggAcc) updateDistinct(ai int, arg *vector.Vec, groups []int32) {
+	dt := a.distinct[ai]
+	if dt == nil {
+		dt = NewHashTable([]vector.Kind{vector.Int32, arg.Kind()}, a.pool)
+		a.distinct[ai] = dt
 	}
-	lo := h.emitted
-	hi := lo + vector.MaxSize
-	if hi > n {
-		hi = n
+	n := len(groups)
+	ids := a.pool.GetSel(n)[:n]
+	dt.FindOrInsert([]*vector.Vec{vector.FromInt32(groups), arg}, n, ids)
+	a.pool.PutSel(ids)
+}
+
+// foldDistinct counts the dedup tables into the states: each stored
+// (group, value) entry is one distinct value of its group.
+func (a *aggAcc) foldDistinct() {
+	for ai, dt := range a.distinct {
+		if dt == nil {
+			continue
+		}
+		states := a.states[ai]
+		for _, g := range dt.Keys()[0].Int32s() {
+			states[g].count++
+		}
 	}
-	h.emitted = hi
-	out := &vector.Batch{Vecs: make([]*vector.Vec, len(h.Keys)+len(h.Aggs))}
-	for i := range h.Keys {
-		out.Vecs[i] = h.table.Keys()[i].Slice(lo, hi)
+}
+
+// reset drops every group, keeping the state columns and dedup tables for
+// the next ones.
+func (a *aggAcc) reset() {
+	for ai := range a.states {
+		a.states[ai] = a.states[ai][:0]
+		if dt := a.distinct[ai]; dt != nil {
+			dt.Reset()
+		}
 	}
-	for ai, spec := range h.Aggs {
+}
+
+// results fills out[ai] with aggregate ai's result column over groups
+// [lo, hi).
+func (a *aggAcc) results(lo, hi int, out []*vector.Vec) {
+	for ai, spec := range a.aggs {
 		v := vector.New(spec.resultKind(), hi-lo)
 		for g := lo; g < hi; g++ {
-			st := &h.states[ai][g]
+			st := &a.states[ai][g]
 			switch spec.Func {
 			case AggCount, AggCountStar, AggCountDistinct:
 				v.AppendInt64(st.count)
@@ -168,14 +165,104 @@ func (h *HashAggr) Next() (*vector.Batch, error) {
 				}
 			}
 		}
-		out.Vecs[len(h.Keys)+ai] = v
+		out[ai] = v
 	}
+}
+
+// argCols collects each spec's argument column from the output of a program
+// compiled from AggExprs, whose first nKeys outputs are the keys.
+func argCols(prog *expr.Program, nKeys int, aggs []AggSpec, dst []*vector.Vec) {
+	o := nKeys
+	for i, a := range aggs {
+		if a.Arg != nil {
+			dst[i] = prog.Out(o)
+			o++
+		}
+	}
+}
+
+// HashAggr performs hash group-by aggregation over the shared vectorized
+// HashTable: group lookup is batch-at-a-time (FindOrInsert emits a group id
+// per row, the table stores the key columns), aggregate updates fold whole
+// argument vectors per group id, and COUNT(DISTINCT) deduplicates through a
+// second (group, value)-keyed table instead of per-group map[string] sets.
+// It consumes the child fully on the first Next, then emits result batches:
+// key columns followed by one column per aggregate. With no keys it emits
+// exactly one global row.
+type HashAggr struct {
+	Child Operator
+	Keys  []expr.Expr
+	Aggs  []AggSpec
+
+	aggAcc
+	prog     *expr.Program // keys, then every non-nil aggregate argument
+	table    *HashTable    // group-by keys; nil for global aggregation
+	pool     vector.Pool
+	emitted  int
+	consumed bool
+}
+
+// AggExprs lists the expressions an aggregation evaluates per batch, in the
+// order of its program's outputs: the keys, then every non-nil argument.
+// Compiling them together is what lets aggregates over overlapping
+// expressions (Q01's eleven over five) share their common primitives.
+func AggExprs(keys []expr.Expr, aggs []AggSpec) []expr.Expr {
+	out := append(make([]expr.Expr, 0, len(keys)+len(aggs)), keys...)
+	for _, a := range aggs {
+		if a.Arg != nil {
+			out = append(out, a.Arg)
+		}
+	}
+	return out
+}
+
+// Open implements Operator.
+func (h *HashAggr) Open() (err error) {
+	h.table = nil
+	h.emitted = 0
+	h.consumed = false
+	if h.prog, err = expr.Compile(AggExprs(h.Keys, h.Aggs)...); err != nil {
+		return err
+	}
+	return h.Child.Open()
+}
+
+// Close implements Operator.
+func (h *HashAggr) Close() error { return h.Child.Close() }
+
+// numGroups returns the group count: the table's, or the one global group.
+func (h *HashAggr) numGroups() int {
+	if h.table != nil {
+		return h.table.Len()
+	}
+	return 1
+}
+
+// Next implements Operator.
+func (h *HashAggr) Next() (*vector.Batch, error) {
+	if !h.consumed {
+		if err := h.consume(); err != nil {
+			return nil, err
+		}
+		h.consumed = true
+	}
+	n := h.numGroups()
+	if h.emitted >= n {
+		return nil, nil
+	}
+	lo := h.emitted
+	hi := min(lo+vector.MaxSize, n)
+	h.emitted = hi
+	out := &vector.Batch{Vecs: make([]*vector.Vec, len(h.Keys)+len(h.Aggs))}
+	for i := range h.Keys {
+		out.Vecs[i] = h.table.Keys()[i].Slice(lo, hi)
+	}
+	h.results(lo, hi, out.Vecs[len(h.Keys):])
 	return out, nil
 }
 
 func (h *HashAggr) consume() error {
-	h.states = make([][]aggState, len(h.Aggs))
-	h.distinct = make([]*HashTable, len(h.Aggs))
+	h.init(h.Aggs, &h.pool)
 	if len(h.Keys) > 0 {
 		kinds := make([]vector.Kind, len(h.Keys))
 		for i, k := range h.Keys {
@@ -184,7 +271,7 @@ func (h *HashAggr) consume() error {
 		h.table = NewHashTable(kinds, &h.pool)
 	}
 	keyCols := make([]*vector.Vec, len(h.Keys))
-	argCols := make([]*vector.Vec, len(h.Aggs))
+	args := make([]*vector.Vec, len(h.Aggs))
 	for {
 		b, err := h.Child.Next()
 		if err != nil {
@@ -203,74 +290,137 @@ func (h *HashAggr) consume() error {
 		if err := h.prog.RunInto(b, keyCols); err != nil {
 			return err
 		}
-		o := len(keyCols)
-		for i, a := range h.Aggs {
-			if a.Arg != nil {
-				argCols[i] = h.prog.Out(o)
-				o++
-			}
-		}
+		argCols(h.prog, len(keyCols), h.Aggs, args)
 		groups := h.pool.GetSel(n)[:n]
 		if h.table != nil {
 			h.table.FindOrInsert(keyCols, n, groups)
 		} else {
-			for i := range groups {
-				groups[i] = 0
-			}
+			clear(groups)
 		}
-		h.growStates()
-		for ai, spec := range h.Aggs {
-			if spec.Func == AggCountDistinct {
-				h.updateDistinct(ai, argCols[ai], groups, n)
-			} else {
-				updateAggBatch(h.states[ai], spec, argCols[ai], groups)
-			}
-		}
+		h.grow(h.numGroups())
+		h.update(args, groups)
 		h.pool.PutSel(groups)
 	}
 	// Global aggregates emit one row even for empty input.
-	if len(h.Keys) == 0 && h.numGroups() == 0 {
-		h.growStates()
-	}
-	// Fold the distinct tables: each stored (group, value) entry is one
-	// distinct value of its group.
-	for ai, dt := range h.distinct {
-		if dt == nil {
-			continue
-		}
-		states := h.states[ai]
-		for _, g := range dt.Keys()[0].Int32s() {
-			states[g].count++
-		}
-	}
+	h.grow(h.numGroups())
+	h.foldDistinct()
 	return nil
 }
 
-// growStates extends every per-agg state column to the current group count.
-func (h *HashAggr) growStates() {
-	want := 1
-	if h.table != nil {
-		want = h.table.Len()
-	}
-	for ai := range h.states {
-		for len(h.states[ai]) < want {
-			h.states[ai] = append(h.states[ai], aggState{})
-		}
-	}
+// OrderedAggr is grouped aggregation over an input ordered on its one integer
+// group key, as a clustered table's key is. A group starts where the key
+// changes, so group ids come from runs, not a hash table; the rest is aggAcc.
+// Groups stay open across input batches and leave in key order once
+// vector.MaxSize are held and the next starts: state, COUNT(DISTINCT)'s
+// included, is one output batch of groups. vectorh_debug panics on a key
+// that goes down.
+type OrderedAggr struct {
+	Child Operator
+	Key   expr.Expr // Int32 or Int64, ascending in the input
+	Aggs  []AggSpec
+
+	aggAcc
+	prog   *expr.Program // the key, then every non-nil aggregate argument
+	pool   vector.Pool
+	keys   *vector.Vec   // one per held group; the last is the open group
+	last   int64         // the open group's key
+	args   []*vector.Vec // the current input batch's argument columns, by spec
+	pos, n int           // its next row to fold, and its row count
+	done   bool
 }
 
-// updateDistinct records this batch's (group, value) pairs in the spec's
-// dedup table, creating it on first use (so non-distinct aggregations never
-// pay for it).
-func (h *HashAggr) updateDistinct(ai int, arg *vector.Vec, groups []int32, n int) {
-	dt := h.distinct[ai]
-	if dt == nil {
-		dt = NewHashTable([]vector.Kind{vector.Int32, arg.Kind()}, &h.pool)
-		h.distinct[ai] = dt
+// Open implements Operator.
+func (o *OrderedAggr) Open() (err error) {
+	if o.prog, err = expr.Compile(AggExprs([]expr.Expr{o.Key}, o.Aggs)...); err != nil {
+		return err
 	}
-	ids := h.pool.GetSel(n)[:n]
-	dt.FindOrInsert([]*vector.Vec{vector.FromInt32(groups), arg}, n, ids)
-	h.pool.PutSel(ids)
+	o.init(o.Aggs, &o.pool)
+	o.keys, o.args = vector.New(o.Key.Kind(), vector.MaxSize), make([]*vector.Vec, len(o.Aggs))
+	o.last, o.pos, o.n, o.done = math.MinInt64, 0, 0, false
+	return o.Child.Open()
+}
+
+// Close implements Operator.
+func (o *OrderedAggr) Close() error { return o.Child.Close() }
+
+// Next implements Operator.
+func (o *OrderedAggr) Next() (*vector.Batch, error) {
+	for !o.done {
+		if o.pos == o.n {
+			b, err := o.Child.Next()
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				o.done = true
+				break
+			}
+			if o.pos, o.n = 0, b.Len(); o.n == 0 {
+				continue
+			}
+			if err := o.prog.Run(b); err != nil {
+				return nil, err
+			}
+			argCols(o.prog, 1, o.Aggs, o.args)
+		}
+		if o.fold() {
+			return o.emit(), nil
+		}
+	}
+	if o.keys.Len() == 0 {
+		return nil, nil
+	}
+	return o.emit(), nil
+}
+
+// fold assigns the current batch's rows from o.pos on to groups and folds
+// them, stopping at a row that starts a group when vector.MaxSize groups are
+// already held; it reports whether it stopped there.
+func (o *OrderedAggr) fold() (full bool) {
+	key := o.prog.Out(0)
+	groups := o.pool.GetSel(o.n - o.pos)
+	g := int32(o.keys.Len()) - 1
+	end := o.n
+	for r := o.pos; r < o.n; r++ {
+		if k := int64At(key, r); g < 0 || k != o.last {
+			if vector.DebugAsserts {
+				checkAscending("ordered aggregation", o.last, k)
+			}
+			if g+1 == vector.MaxSize {
+				end, full = r, true
+				break
+			}
+			g++
+			o.keys.AppendFrom(key, r)
+			o.last = k
+		}
+		groups = append(groups, g)
+	}
+	args := o.args
+	if o.pos > 0 || end < o.n { // once per output batch at most
+		args = make([]*vector.Vec, len(o.args))
+		for i, a := range o.args {
+			if a != nil {
+				args[i] = a.Slice(o.pos, end)
+			}
+		}
+	}
+	o.grow(int(g) + 1)
+	o.update(args, groups)
+	o.pool.PutSel(groups)
+	o.pos = end
+	return full
+}
+
+// emit hands the held groups, all closed, downstream and holds none.
+func (o *OrderedAggr) emit() *vector.Batch {
+	o.foldDistinct()
+	out := &vector.Batch{Vecs: make([]*vector.Vec, 1+len(o.Aggs))}
+	out.Vecs[0] = o.keys
+	o.results(0, o.keys.Len(), out.Vecs[1:])
+	o.keys = vector.New(o.Key.Kind(), vector.MaxSize)
+	o.reset()
+	return out
 }
 
 // updateAggBatch folds one batch of argument values into the per-group

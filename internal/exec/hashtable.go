@@ -66,6 +66,15 @@ func (t *HashTable) Len() int { return len(t.hashes) }
 // from them directly instead of keeping a second copy.
 func (t *HashTable) Keys() []*vector.Vec { return t.keys }
 
+// Reset empties the table for reuse (tails are read only under a set head).
+func (t *HashTable) Reset() {
+	for _, k := range t.keys {
+		k.Reset()
+	}
+	t.hashes, t.next = t.hashes[:0], t.next[:0]
+	clear(t.buckets)
+}
+
 // reserve grows the bucket directory so n rows stay under a 3/4 load factor,
 // rebuilding the chains (in insertion order) from the stored hashes.
 func (t *HashTable) reserve(n int) {

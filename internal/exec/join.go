@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"math"
+
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
@@ -217,7 +220,9 @@ type MergeJoin struct {
 	run      *vector.Batch
 	runKey   int64
 	runValid bool
-	runPos   int // resume point when an output batch fills mid-run
+	runPos   int   // resume point when an output batch fills mid-run
+	lastL    int64 // last key read per side, for the vectorh_debug order check
+	lastR    int64
 }
 
 // Open implements Operator.
@@ -226,6 +231,7 @@ func (m *MergeJoin) Open() error {
 	m.lpos, m.rpos = 0, 0
 	m.ldone, m.rdone = false, false
 	m.run, m.runValid, m.runPos = nil, false, 0
+	m.lastL, m.lastR = math.MinInt64, math.MinInt64
 	if err := m.Left.Open(); err != nil {
 		return err
 	}
@@ -274,6 +280,15 @@ func (m *MergeJoin) fillRight() error {
 	return nil
 }
 
+// checkAscending returns k, or panics when k follows a larger prev on an input
+// the plan relies on being ordered; callers guard it with vector.DebugAsserts.
+func checkAscending(what string, prev, k int64) int64 {
+	if k < prev {
+		panic(fmt.Sprintf("exec: %s key %d after %d: input not in key order", what, k, prev))
+	}
+	return k
+}
+
 func int64At(v *vector.Vec, i int) int64 {
 	if v.Kind() == vector.Int32 {
 		return int64(v.Int32s()[i])
@@ -293,6 +308,9 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 			break
 		}
 		lk := int64At(m.lb.Col(m.LeftKey), m.lpos)
+		if vector.DebugAsserts {
+			m.lastL = checkAscending("merge join left", m.lastL, lk)
+		}
 		// Replay the buffered run for every left row sharing its key; this
 		// also drains left duplicates after the right side is exhausted.
 		if m.runValid && lk == m.runKey {
@@ -330,6 +348,9 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 			break
 		}
 		rk := int64At(m.rb.Col(m.RightKey), m.rpos)
+		if vector.DebugAsserts {
+			m.lastR = checkAscending("merge join right", m.lastR, rk)
+		}
 		switch {
 		case lk < rk:
 			m.lpos++

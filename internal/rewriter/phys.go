@@ -38,6 +38,10 @@ type ScanSpec struct {
 	// spans to be decided on compression metadata before anything is
 	// unpacked; unset when the CompressedExec rule is off.
 	Codes bool
+	// Ordered says the plan relies on rows in ascending order of the table's
+	// clustered column (in Cols); should a write break that order before the
+	// scan's snapshot, the provider must restore it.
+	Ordered bool
 }
 
 // ScanProvider supplies storage-backed scan streams; the engine implements
@@ -390,7 +394,7 @@ type physAggr struct {
 	keys   []expr.Expr
 	aggs   []exec.AggSpec
 	schema vector.Schema
-	kind   string // "partial", "final", "direct"
+	kind   string // "partial", "final", "direct", "ordered"
 }
 
 func (p *physAggr) OutSchema() vector.Schema { return p.schema }
@@ -406,6 +410,9 @@ func (p *physAggr) instantiate(e *Env) ([][]exec.Operator, error) {
 		return nil, err
 	}
 	return mapStreams(in, func(op exec.Operator) exec.Operator {
+		if p.kind == "ordered" {
+			return &exec.OrderedAggr{Child: op, Key: p.keys[0], Aggs: p.aggs}
+		}
 		return &exec.HashAggr{Child: op, Keys: p.keys, Aggs: p.aggs}
 	}), nil
 }

@@ -123,10 +123,12 @@ func (c *rewriteCtx) gather(r result) result {
 		r.gathered = true
 		return r
 	}
+	// The union interleaves the streams' batches in arrival order.
 	r.phys = &physDXchgUnion{child: r.phys, node: c.opts.Master}
 	r.gathered = true
 	r.partitionedBy = nil
 	r.coPart = false
+	r.orderedBy = ""
 	return r
 }
 
@@ -185,13 +187,10 @@ func (c *rewriteCtx) recScan(n *plan.ScanNode) (result, error) {
 		}
 		schema = append(schema, f)
 	}
-	r := result{
-		phys: &physScan{
-			ScanSpec:   ScanSpec{Table: n.Table, Cols: cols, Codes: c.opts.on(CompressedExec)},
-			replicated: info.PartitionKey == "", schema: schema},
-		schema: schema,
-		rows:   info.Rows,
-	}
+	scan := &physScan{
+		ScanSpec:   ScanSpec{Table: n.Table, Cols: cols, Codes: c.opts.on(CompressedExec)},
+		replicated: info.PartitionKey == "", schema: schema}
+	r := result{phys: scan, schema: schema, rows: info.Rows}
 	if info.PartitionKey == "" {
 		r.replicated = true
 	} else {
@@ -203,6 +202,7 @@ func (c *rewriteCtx) recScan(n *plan.ScanNode) (result, error) {
 	}
 	if info.ClusteredOn != "" && schema.Index(info.ClusteredOn) >= 0 {
 		r.orderedBy = info.ClusteredOn
+		scan.Ordered = true
 	}
 	return r, nil
 }
@@ -489,10 +489,17 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 		if err != nil {
 			return result{}, err
 		}
-		child.phys = &physAggr{child: child.phys, keys: keys, aggs: aggs, schema: outSchema, kind: "direct"}
+		// Streams ordered on the one group key aggregate in that order, with
+		// no hash table, and the result keeps the order.
+		kind := "direct"
+		if len(n.GroupBy) == 1 && n.GroupBy[0] == child.orderedBy {
+			kind = "ordered"
+		} else {
+			child.orderedBy = ""
+		}
+		child.phys = &physAggr{child: child.phys, keys: keys, aggs: aggs, schema: outSchema, kind: kind}
 		child.schema = outSchema
 		child.rows = groupEstimate(child.rows)
-		child.orderedBy = ""
 		// Partitioning property: group keys retain the partition cols.
 		return child, nil
 	}
@@ -733,6 +740,7 @@ func (c *rewriteCtx) recOrderBy(n *plan.OrderByNode) (result, error) {
 	} else {
 		g.phys = &physSort{child: g.phys, keys: keys}
 	}
+	g.orderedBy = ""
 	return g, nil
 }
 

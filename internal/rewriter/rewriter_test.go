@@ -265,6 +265,70 @@ func TestRewriteAggregationPartitionLocal(t *testing.T) {
 	}
 }
 
+// TestRewriteOrderedAggregation: a stream ordered on its one group key
+// aggregates in that order and stays ordered through a rename, so a
+// co-located join above it merges; a wider key set hashes.
+func TestRewriteOrderedAggregation(t *testing.T) {
+	counts := plan.Project(
+		plan.Aggregate(plan.Scan("fact", "f_ok", "f_val"), []string{"f_ok"}, plan.AStar("n")),
+		plan.As("k", plan.Col("f_ok")), plan.As("n", plan.Col("n")))
+	q := plan.Join(plan.InnerJoin, plan.Scan("head", "h_ok", "h_date"), counts, []string{"h_ok"}, []string{"k"})
+	rows, _, explain := run(t, q, DefaultOptions(2, 2))
+	if !strings.Contains(explain, "Aggr(ordered)") || !strings.Contains(explain, "MergeJoin[co-located]") ||
+		strings.Contains(explain, "DXchgHashSplit") {
+		t.Fatalf("expected an ordered aggregation under a merge join:\n%s", explain)
+	}
+	if len(rows) != 1000 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r[0].(int64) != r[2].(int64) || r[3].(int64) != 4 {
+			t.Fatalf("row %v", r)
+		}
+	}
+
+	wide := plan.Aggregate(plan.Scan("fact", "f_ok", "f_sk"), []string{"f_ok", "f_sk"}, plan.AStar("n"))
+	rows, _, explain = run(t, wide, DefaultOptions(2, 2))
+	if !strings.Contains(explain, "Aggr(direct)") || strings.Contains(explain, "Aggr(ordered)") {
+		t.Fatalf("two group keys must hash:\n%s", explain)
+	}
+	if len(rows) != 1000 {
+		t.Fatalf("groups = %d", len(rows))
+	}
+}
+
+// TestRewriteReorderedInputHashes: a gather interleaves the partitions and a
+// sort or top-N puts rows in another key's order, so an aggregate on the
+// clustered key above either hashes.
+func TestRewriteReorderedInputHashes(t *testing.T) {
+	scan := func() plan.Node { return plan.Scan("fact", "f_ok", "f_sk") }
+	for name, tc := range map[string]struct {
+		child      plan.Node
+		rows, each int
+	}{
+		"limit":         {plan.Limit(scan(), 4000), 1000, 4},
+		"order by":      {plan.OrderBy(scan(), plan.Asc(plan.Col("f_sk"))), 1000, 4},
+		"top n":         {plan.Top(scan(), 2000, plan.Asc(plan.Col("f_sk"))), 500, 4},
+		"limit of sort": {plan.Limit(plan.OrderBy(scan(), plan.Desc(plan.Col("f_sk"))), 2000), 500, 4},
+	} {
+		q := plan.Aggregate(tc.child, []string{"f_ok"}, plan.AStar("n"))
+		rows, _, explain := run(t, q, DefaultOptions(2, 2))
+		if strings.Contains(explain, "Aggr(ordered)") {
+			t.Fatalf("%s: an aggregate over reordered input must hash:\n%s", name, explain)
+		}
+		seen := make(map[int64]bool, len(rows))
+		for _, r := range rows {
+			if k := r[0].(int64); seen[k] || r[1].(int64) != int64(tc.each) {
+				t.Fatalf("%s: row %v (seen before: %v)", name, r, seen[k])
+			}
+			seen[r[0].(int64)] = true
+		}
+		if len(rows) != tc.rows {
+			t.Fatalf("%s: groups = %d, want %d", name, len(rows), tc.rows)
+		}
+	}
+}
+
 func TestRewriteAggregationPartialFinal(t *testing.T) {
 	// GROUP BY on a non-partition column: partial + exchange + final.
 	q := plan.Aggregate(plan.Scan("fact", "f_sk", "f_val"), []string{"f_sk"},

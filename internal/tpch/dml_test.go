@@ -8,6 +8,7 @@ import (
 
 	"vectorh"
 	"vectorh/internal/plan"
+	"vectorh/internal/vector"
 )
 
 // probeQueries sample every updated table from several angles; parity tests
@@ -211,5 +212,55 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 	na, nb := normalize(q5After), normalize(q5Before)
 	if strings.Join(na, "\n") != strings.Join(nb, "\n") {
 		t.Fatalf("Q5 after delete-all + re-insert differs:\n got  %v\n want %v", na, nb)
+	}
+}
+
+// TestOutOfOrderInsert inserts a lineitem row whose l_orderkey lies below its
+// partition's highest key, so it lands at the partition's tail after larger
+// keys. Nothing may rely on lineitem's clustered order after that: a merge
+// join would drop the row, and an ordered aggregation would split its order
+// into two groups.
+func TestOutOfOrderInsert(t *testing.T) {
+	d := Generate(0.01, 7)
+	db := newDB(t)
+	if err := LoadIntoEngine(db.Engine, d, 6); err != nil {
+		t.Fatal(err)
+	}
+	li := d.Tables["lineitem"]
+	first := &vector.Batch{Vecs: li.Vecs, Sel: []int32{0}}
+	for _, s := range InsertSQL("lineitem", LineitemSchema, first, 1) {
+		if _, err := db.ExecSQL(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(q string) int64 {
+		t.Helper()
+		rows, err := db.QuerySQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows[0][0].(int64)
+	}
+	total := count("select count(*) as n from lineitem")
+	if total != int64(li.Len())+1 {
+		t.Fatalf("lineitem holds %d rows, want %d", total, li.Len()+1)
+	}
+	if got := count("select count(*) as n from lineitem join orders on l_orderkey = o_orderkey"); got != total {
+		t.Fatalf("lineitem join orders kept %d of %d rows", got, total)
+	}
+	rows, err := db.QuerySQL("select l_orderkey, count(*) as n from lineitem group by l_orderkey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int64]bool, len(rows))
+	for _, r := range rows {
+		k := r[0].(int64)
+		if seen[k] {
+			t.Fatalf("order %d forms two groups", k)
+		}
+		seen[k] = true
+	}
+	if want := d.Tables["orders"].Len(); len(rows) != want {
+		t.Fatalf("group by l_orderkey gave %d groups, want %d", len(rows), want)
 	}
 }

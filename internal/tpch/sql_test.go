@@ -83,6 +83,44 @@ func TestExplainShowsProgramSizes(t *testing.T) {
 	}
 }
 
+// TestGroupByClusteredKeyOverReorderedDerivedTable groups on lineitem's
+// clustered key over a derived table that sorts on another column, with and
+// without LIMIT: the derived table's rows are no longer in l_orderkey order,
+// so every order must still come out as exactly one group.
+func TestGroupByClusteredKeyOverReorderedDerivedTable(t *testing.T) {
+	d := Generate(0.002, 7)
+	db := newDB(t)
+	if err := LoadIntoEngine(db.Engine, d, 6); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		from         string
+		rows, groups int
+	}{
+		{"(select l_orderkey as k, l_partkey as p from lineitem order by p limit 1000) t", 1000, -1},
+		{"(select l_orderkey as k, l_partkey as p from lineitem order by p) t", d.Tables["lineitem"].Len(), d.Tables["orders"].Len()},
+	} {
+		q := "select k, count(*) as n from " + c.from + " group by k"
+		rows, err := db.QuerySQL(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		seen := make(map[int64]bool, len(rows))
+		total := 0
+		for _, r := range rows {
+			k := r[0].(int64)
+			if seen[k] {
+				t.Fatalf("%s: order %d forms two groups", q, k)
+			}
+			seen[k] = true
+			total += int(r[1].(int64))
+		}
+		if total != c.rows || (c.groups >= 0 && len(rows) != c.groups) {
+			t.Fatalf("%s: %d groups over %d rows, want %d groups over %d rows", q, len(rows), total, c.groups, c.rows)
+		}
+	}
+}
+
 var updateGolden = flag.Bool("update", false, "rewrite testdata/explain.golden and testdata/answers.golden (whichever test runs)")
 
 // benchStmts are the non-TPC-H statement texts of bench/stmts.go (scan_agg's
