@@ -140,6 +140,61 @@ func TestOneExchangeRuntime(t *testing.T) {
 	}
 }
 
+// TestOneCardinalityModel guards the one cardinality model: the SQL join
+// orderer and the rewriter's estimates measure a filter through
+// expr.Selectivity over one plan.Stats, so internal/sql keeps no selectivity
+// guess of its own, no statistics interface beside plan.Stats and no
+// estimate nothing reads, and the catalog's table metadata carries no row
+// count beside the live one.
+func TestOneCardinalityModel(t *testing.T) {
+	files, _ := filepath.Glob("internal/sql/*.go")
+	if len(files) == 0 {
+		t.Fatal("found no files under internal/sql; did the package move?")
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				switch n.Name {
+				case "conjSelectivity", "mirrorCmp", "defaultSel":
+					t.Errorf("%s: %s in internal/sql: selectivity is expr.Selectivity's", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.TypeSpec:
+				switch typ := n.Type.(type) {
+				case *ast.InterfaceType:
+					for _, m := range typ.Methods.List {
+						for _, name := range m.Names {
+							if name.Name == "TableRows" || name.Name == "ColumnRange" {
+								t.Errorf("%s: interface %s restates plan.Stats", fset.Position(n.Pos()), n.Name.Name)
+							}
+						}
+					}
+				case *ast.StructType:
+					for _, fld := range typ.Fields.List {
+						for _, name := range fld.Names {
+							if n.Name.Name == "source" && name.Name == "rows" {
+								t.Errorf("%s: source has a rows field: the estimate lives in the join orderer", fset.Position(name.Pos()))
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	if _, ok := reflect.TypeOf(rewriter.TableInfo{}).FieldByName("Rows"); ok {
+		t.Error("rewriter.TableInfo has a Rows field: the row count is the catalog's TableRows")
+	}
+}
+
 // TestOnePredicateOneEvaluator guards the single statement of a scan filter:
 // a logical filter is a child and a predicate, nothing restating the
 // predicate beside it; a scan is asked for a table, columns, that predicate,

@@ -26,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	d := tpch.Generate(*sf, *seed)
-	for _, info := range tpch.DDL(*sf, 1) {
+	for _, info := range tpch.DDL(1) {
 		path := filepath.Join(*out, info.Name+".tbl")
 		f, err := os.Create(path)
 		if err != nil {

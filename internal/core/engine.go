@@ -599,7 +599,8 @@ func (e *Engine) registerTableMetrics(name string) {
 		})
 }
 
-// TableRows returns the visible row count of a table.
+// TableRows returns the visible row count of a table, read live from the
+// partitions' PDTs: the one row count the planner's estimates start from.
 func (e *Engine) TableRows(name string) (int64, error) {
 	e.mu.RLock()
 	t, ok := e.tables[name]
@@ -618,11 +619,11 @@ func (e *Engine) TableRows(name string) (int64, error) {
 	return total, nil
 }
 
-// ColumnRange folds the MinMax block summaries of an integer-kinded column
-// (ints and dates) into a single [lo, hi] value range across all
-// partitions. ok is false when the table or column is unknown or no block
-// carries a summary — the SQL planner's selectivity model then falls back
-// to its default guess instead of trusting a zero range.
+// ColumnRange folds the MinMax block summaries of an integer-backed column
+// (ints, dates and decimals, in storage units) into a single [lo, hi] value
+// range across all partitions. ok is false when the table or column is
+// unknown or no block carries a summary — expr.Selectivity then charges the
+// column's conjuncts its 1/3 guess instead of trusting a zero range.
 func (e *Engine) ColumnRange(table, col string) (lo, hi int64, ok bool) {
 	e.mu.RLock()
 	t, found := e.tables[table]

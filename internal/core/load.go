@@ -114,7 +114,6 @@ func (e *Engine) Load(table string, batches []*vector.Batch) error {
 		}
 	}
 	e.bumpEpoch()
-	e.bumpRows(t)
 	e.countLoad(staged, time.Since(start))
 	return err
 }
@@ -313,24 +312,6 @@ func (e *Engine) nodeSlots() map[string]int {
 	return nodeOf
 }
 
-func (e *Engine) bumpRows(t *Table) {
-	var total int64
-	for _, p := range t.Parts {
-		if n, err := e.mgr.SizeOf(p.Key); err == nil {
-			total += n
-		} else {
-			total += p.CurrentMeta().Rows
-		}
-	}
-	// Info.Rows lives on the shared *Table; mutate it only under the engine
-	// lock so concurrent readers (Engine.Table, the rewriter's catalog
-	// lookups) never observe a torn write.
-	e.mu.Lock()
-	t.Info.Rows = total
-	e.tables[t.Info.Name] = t
-	e.mu.Unlock()
-}
-
 // InsertRows trickle-inserts rows through PDTs in one transaction (the RF1
 // path). Rows land in the Write-PDT as tail inserts; queries see them
 // immediately after commit, and query performance stays unaffected (§8
@@ -379,7 +360,6 @@ func (e *Engine) InsertRows(ctx context.Context, table string, b *vector.Batch) 
 	if err := tx.Commit(); err != nil {
 		return err
 	}
-	e.bumpRows(t)
 	if err := e.maybePropagate(ctx, t); err != nil {
 		// The insert is durably committed; only the post-commit flush
 		// failed. Say so, or a caller would retry and duplicate the rows.
@@ -572,7 +552,6 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 	if err := tx.Commit(); err != nil {
 		return 0, err
 	}
-	e.bumpRows(t)
 	if err := e.maybePropagate(ctx, t); err != nil {
 		// The changes are durably committed; report the affected count
 		// alongside the post-commit flush failure.
@@ -704,7 +683,6 @@ func (e *Engine) propagatePartition(ctx context.Context, t *Table, part *Partiti
 		if err != nil {
 			return err
 		}
-		e.bumpRows(t)
 		e.countLoad([]*stagedAppend{s}, time.Since(start))
 		return nil
 	}

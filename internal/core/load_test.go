@@ -34,11 +34,11 @@ func snapshotStorage(t *testing.T, e *Engine, table string) storageState {
 		}
 		s.metas = append(s.metas, string(m))
 	}
-	info, err := e.Table(table)
+	rows, err := e.TableRows(table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.rows, s.epoch = info.Rows, e.CatalogEpoch()
+	s.rows, s.epoch = rows, e.CatalogEpoch()
 	for _, f := range e.FS().List("/vectorh/") {
 		size, _ := e.FS().Size(f)
 		s.files = append(s.files, fmt.Sprintf("%s %d", f, size))
@@ -271,7 +271,7 @@ func TestLoadKeepsCommittedDeltas(t *testing.T) {
 	if got := scanOrderKeys(t, e); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after load over pending deltas: %d rows visible, want %d", len(got), len(want))
 	}
-	if info, _ := e.Table("orders"); info.Rows != int64(len(want)) {
-		t.Fatalf("catalog rows %d, want %d", info.Rows, len(want))
+	if rows, _ := e.TableRows("orders"); rows != int64(len(want)) {
+		t.Fatalf("catalog rows %d, want %d", rows, len(want))
 	}
 }

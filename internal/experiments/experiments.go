@@ -112,7 +112,7 @@ func Fig1(sf float64) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := tpch.DDL(sf, 1)[7] // lineitem
+	info := tpch.DDL(1)[7] // lineitem
 	info.Partitions = 1
 	info.ClusteredOn = "l_shipdate"
 	if err := eng.CreateTable(info); err != nil {

@@ -16,7 +16,9 @@ import (
 // predicate itself (Filter), so a bound that is too wide costs a block read
 // and can never cost a row. A bound that is too narrow would, which is why
 // this is the only place bounds are derived (bounds_test.go holds it to
-// "satisfies ⇒ inside" on generated conjuncts and values).
+// "satisfies ⇒ inside" on generated conjuncts and values). The planner
+// estimates with the same intervals (Selectivity), so an estimate and the
+// scan that runs cannot disagree about what a predicate means.
 
 // Conjuncts splits a predicate at its top-level ANDs, left to right.
 func Conjuncts(e Expr) []Expr { return appendConjuncts(nil, e) }
@@ -132,6 +134,55 @@ merge:
 		out[i].Exact = exact
 	}
 	return out
+}
+
+// Selectivity estimates the share of rows that satisfy pred, the one
+// selectivity model of the planner: the join orderer and the rewriter's
+// cardinality estimates both call it. Per column, the integer bounds of its
+// conjuncts (Bounds' intervals, so BETWEEN and its >= AND <= pair read the
+// same and a scaled decimal compares in storage units) are intersected and
+// measured against the column's value range under a uniform distribution; an
+// empty intersection gives 0. Every conjunct that bounds no ranged column is
+// charged the classic 1/3. colRange reports a column's value range with
+// lo <= hi (ok false when it has none); a nil colRange has none at all.
+func Selectivity(pred Expr, colRange func(col int) (lo, hi int64, ok bool)) float64 {
+	type ranged struct {
+		Bound        // the column's conjuncts' bounds, intersected
+		lo, hi int64 // the column's value range
+	}
+	var cols []ranged
+	sel := 1.0
+conjuncts:
+	for _, c := range Conjuncts(pred) {
+		b, ok := Bound{}, false
+		if n, _ := c.(*node); n != nil && colRange != nil {
+			b, ok = conjunctBound(n)
+			ok = ok && b.Kind == vector.Int64
+		}
+		for i := range cols {
+			if ok && cols[i].Col == b.Col {
+				cols[i].intersect(b)
+				continue conjuncts
+			}
+		}
+		var lo, hi int64
+		if ok {
+			lo, hi, ok = colRange(b.Col)
+		}
+		if !ok {
+			sel /= 3
+			continue
+		}
+		cols = append(cols, ranged{b, lo, hi})
+	}
+	for _, r := range cols {
+		a, z := max(r.IntLo, r.lo), min(r.IntHi, r.hi)
+		if a > z {
+			return 0
+		}
+		sel *= (float64(z) - float64(a) + 1) / (float64(r.hi) - float64(r.lo) + 1)
+	}
+	return sel
 }
 
 func (b *Bound) intersect(o Bound) {

@@ -78,6 +78,47 @@ func TestBoundsGolden(t *testing.T) {
 	}
 }
 
+func TestSelectivity(t *testing.T) {
+	i64, date, f64, str := Col(0, vector.Int64), Col(1, vector.Int32), Col(2, vector.Float64), Col(3, vector.String)
+	dec, unranged := Scaled(Col(4, vector.Int64), 0.01), Col(5, vector.Int64)
+	ranges := map[int][2]int64{0: {0, 99}, 1: {1000, 1999}, 4: {0, 9999}}
+	colRange := func(col int) (int64, int64, bool) {
+		r, ok := ranges[col]
+		return r[0], r[1], ok
+	}
+	for _, c := range []struct {
+		name string
+		e    Expr
+		want float64
+	}{
+		{"half range", GE(i64, ConstInt64(10)), 0.9},
+		{"point", EQ(i64, ConstInt64(7)), 0.01},
+		{"between", Between(i64, ConstInt64(10), ConstInt64(19)), 0.1},
+		{">= and <=", And(GE(i64, ConstInt64(10)), LE(i64, ConstInt64(19))), 0.1},
+		{"one column intersects", And(GE(i64, ConstInt64(10)), LT(i64, ConstInt64(20))), 0.1},
+		{"written apart", And(And(GE(i64, ConstInt64(10)), LT(date, ConstInt32(1100))), LT(i64, ConstInt64(20))), 0.01},
+		{"two columns multiply", And(LT(i64, ConstInt64(50)), LT(date, ConstInt32(1100))), 0.05},
+		{"in envelope", InInt64(i64, 19, 10, 14), 0.1},
+		{"float column", GT(f64, ConstFloat(1)), 1.0 / 3},
+		{"per conjunct", And(Like(str, "a%"), GT(f64, ConstFloat(1))), 1.0 / 9},
+		{"bounds nothing", NE(i64, ConstInt64(5)), 1.0 / 3},
+		{"no range", LT(unranged, ConstInt64(5)), 1.0 / 3},
+		{"ranged and not", And(LT(i64, ConstInt64(50)), Or(EQ(i64, ConstInt64(1)), EQ(i64, ConstInt64(2)))), 0.5 / 3},
+		{"decimal storage units", LT(dec, ConstFloat(25)), 2502.0 / 10000},
+		{"decimal between", Between(dec, ConstFloat(0.05), ConstFloat(0.07)), 5.0 / 10000},
+		{"empty intersection", And(GT(i64, ConstInt64(50)), LT(i64, ConstInt64(40))), 0},
+		{"outside the range", And(GT(i64, ConstInt64(200)), Like(str, "a%")), 0},
+		{"covers the range", GE(date, ConstInt32(0)), 1},
+	} {
+		if got := Selectivity(c.e, colRange); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: Selectivity(%s) = %v, want %v", c.name, c.e, got, c.want)
+		}
+	}
+	if got := Selectivity(And(LT(i64, ConstInt64(50)), GT(f64, ConstFloat(1))), nil); math.Abs(got-1.0/9) > 1e-12 {
+		t.Errorf("no column ranges: Selectivity = %v, want 1/9", got)
+	}
+}
+
 func TestConjunctsAndColumns(t *testing.T) {
 	a, b, c := LT(Col(2, vector.Int64), ConstInt64(1)), Like(Col(0, vector.String), "x%"), Or(ConstBool(true), LT(Col(2, vector.Int64), Col(1, vector.Int64)))
 	got := Conjuncts(And(And(a, b), And(c, a)))

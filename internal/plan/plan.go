@@ -12,6 +12,16 @@ type Catalog interface {
 	TableSchema(name string) (vector.Schema, error)
 }
 
+// Stats is the catalog's statistics, the inputs of the one cardinality
+// model (expr.Selectivity): a table's live row count and the MinMax value
+// range of an integer-backed column (ints, dates and decimals, in storage
+// units), ok only with lo <= hi. The SQL join orderer and the rewriter read
+// the same two.
+type Stats interface {
+	TableRows(table string) (int64, error)
+	ColumnRange(table, col string) (lo, hi int64, ok bool)
+}
+
 // Node is a logical plan node.
 type Node interface {
 	// Schema infers the output schema against a catalog.

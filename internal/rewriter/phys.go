@@ -139,8 +139,9 @@ func Explain(p Phys) string { return ExplainEst(p, nil) }
 // ExplainEst renders the physical plan tree with the cost model's
 // cardinality estimates (from RewriteEst) appended as ` ~N rows` on the
 // nodes that carry one. The annotations make the chosen join order
-// auditable: a join lists its probe child first, and each child shows the
-// estimate the ordering decision was based on.
+// auditable: a join lists its probe child first, and each base-table scan
+// shows the estimate the SQL join orderer ranked it by — the table's live
+// row count times expr.Selectivity of its filter, the same on both sides.
 func ExplainEst(p Phys, est map[Phys]int64) string {
 	return ExplainFunc(p, func(n Phys) string {
 		if rows, ok := est[n]; ok {

@@ -13,15 +13,17 @@ import (
 type TableInfo struct {
 	Name         string
 	Schema       vector.Schema
-	Rows         int64  // cardinality estimate for costing
 	PartitionKey string // "" = replicated (non-partitioned)
 	Partitions   int
 	ClusteredOn  string // clustered-index column ("" = unordered)
 }
 
-// Catalog resolves physical table metadata.
+// Catalog resolves physical table metadata, and the statistics the
+// cardinality estimates read: a scan's is the table's live row count, a
+// filter's its child's scaled by expr.Selectivity.
 type Catalog interface {
 	Table(name string) (TableInfo, error)
+	plan.Stats
 }
 
 // Rules is a set of rewrite rules. The first three are the rules whose
@@ -100,7 +102,9 @@ func Rewrite(n plan.Node, cat Catalog, opts Options) (Phys, error) {
 
 // RewriteEst is Rewrite plus the cost model's cardinality estimates, keyed
 // by the physical node each logical node lowered to (exchanges and other
-// glue nodes carry no estimate of their own). ExplainEst renders them.
+// glue nodes carry no estimate of their own). A filtered scan's estimate is
+// the one the SQL join orderer ranked it by: the same row count times the
+// same selectivity. ExplainEst renders them.
 func RewriteEst(n plan.Node, cat Catalog, opts Options) (Phys, map[Phys]int64, error) {
 	ctx := &rewriteCtx{cat: cat, opts: opts, est: make(map[Phys]int64)}
 	r, err := ctx.rec(n)
@@ -187,10 +191,14 @@ func (c *rewriteCtx) recScan(n *plan.ScanNode) (result, error) {
 		}
 		schema = append(schema, f)
 	}
+	rows, err := c.cat.TableRows(n.Table)
+	if err != nil {
+		return result{}, err
+	}
 	scan := &physScan{
 		ScanSpec:   ScanSpec{Table: n.Table, Cols: cols, Codes: c.opts.on(CompressedExec)},
 		replicated: info.PartitionKey == "", schema: schema}
-	r := result{phys: scan, schema: schema, rows: info.Rows}
+	r := result{phys: scan, schema: schema, rows: rows}
 	if info.PartitionKey == "" {
 		r.replicated = true
 	} else {
@@ -216,7 +224,14 @@ func (c *rewriteCtx) recFilter(n *plan.FilterNode) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	child.rows = child.rows/3 + 1
+	// Only a filter straight on a scan knows its columns' value ranges.
+	var colRange func(col int) (int64, int64, bool)
+	if scan, ok := n.Child.(*plan.ScanNode); ok {
+		colRange = func(col int) (int64, int64, bool) {
+			return c.cat.ColumnRange(scan.Table, child.schema[col].Name)
+		}
+	}
+	child.rows = scaleRows(child.rows, expr.Selectivity(pred, colRange))
 	// A filter directly on a scan: the scan skips on the bounds the predicate
 	// implies (the "derive scan ranges" rule of the Appendix rewriter profile)
 	// and, with ScanPushdown on, evaluates the predicate itself.
@@ -331,7 +346,19 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 		outSchema = append(outSchema, vector.Field{Name: plan.MatchedCol, Type: vector.TBool})
 	}
 
-	out := result{schema: outSchema, rows: maxI64(left.rows, right.rows)}
+	// Exchanges keep their input's schema, so the keys bind once for every
+	// placement below.
+	pk, err := bindAll(n.LeftKeys, left.schema)
+	if err != nil {
+		return result{}, err
+	}
+	bk, err := bindAll(n.RightKeys, right.schema)
+	if err != nil {
+		return result{}, err
+	}
+	join := &physHashJoin{build: right.phys, probe: left.phys,
+		buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
+	out := result{phys: join, schema: outSchema, rows: max(left.rows, right.rows)}
 	switch {
 	// Rule: local join over co-located partitions.
 	case c.opts.on(LocalJoin) && left.coPart && right.coPart &&
@@ -346,17 +373,6 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 				schema: outSchema,
 			}
 			out.orderedBy = left.orderedBy
-		} else {
-			bk, err := bindAll(n.RightKeys, right.schema)
-			if err != nil {
-				return result{}, err
-			}
-			pk, err := bindAll(n.LeftKeys, left.schema)
-			if err != nil {
-				return result{}, err
-			}
-			out.phys = &physHashJoin{build: right.phys, probe: left.phys,
-				buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
 		}
 		out.coPart, out.partCount = true, left.partCount
 		out.partitionedBy = left.partitionedBy
@@ -364,32 +380,12 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 	// Both sides replicated: join locally on every node, result stays
 	// replicated (no flag — it is never worse).
 	case left.replicated && right.replicated:
-		bk, err := bindAll(n.RightKeys, right.schema)
-		if err != nil {
-			return result{}, err
-		}
-		pk, err := bindAll(n.LeftKeys, left.schema)
-		if err != nil {
-			return result{}, err
-		}
-		out.phys = &physHashJoin{build: right.phys, probe: left.phys,
-			buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
 		out.replicated = true
 
 	// Rule: replicated build side — build the hash table from the local
 	// replica on every node, splitting only between local threads.
 	case c.opts.on(ReplicateBuild) && right.replicated && !left.gathered:
-		bk, err := bindAll(n.RightKeys, right.schema)
-		if err != nil {
-			return result{}, err
-		}
-		pk, err := bindAll(n.LeftKeys, left.schema)
-		if err != nil {
-			return result{}, err
-		}
-		out.phys = &physHashJoin{build: right.phys, probe: left.phys,
-			buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema,
-			broadcastBuild: true}
+		join.broadcastBuild = true
 		out.partitionedBy = left.partitionedBy
 		out.coPart, out.partCount = left.coPart, left.partCount
 		out.orderedBy = left.orderedBy
@@ -405,16 +401,7 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 		if err != nil {
 			return result{}, err
 		}
-		bk, err := bindAll(n.RightKeys, exR.schema)
-		if err != nil {
-			return result{}, err
-		}
-		pk, err := bindAll(n.LeftKeys, exL.schema)
-		if err != nil {
-			return result{}, err
-		}
-		out.phys = &physHashJoin{build: exR.phys, probe: exL.phys,
-			buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
+		join.probe, join.build = exL.phys, exR.phys
 		out.partitionedBy = n.LeftKeys
 	}
 
@@ -427,7 +414,7 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 			return result{}, err
 		}
 		out.phys = &physFilter{child: out.phys, pred: bound}
-		out.rows = out.rows/3 + 1
+		out.rows = scaleRows(out.rows, expr.Selectivity(bound, nil))
 	}
 	return out, nil
 }
@@ -744,11 +731,9 @@ func (c *rewriteCtx) recOrderBy(n *plan.OrderByNode) (result, error) {
 	return g, nil
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+// scaleRows applies a selectivity to a row estimate, keeping at least one row.
+func scaleRows(rows int64, sel float64) int64 {
+	return max(int64(float64(rows)*sel+0.5), 1)
 }
 
 // catAdapter exposes the rewriter catalog as a plan.Catalog.

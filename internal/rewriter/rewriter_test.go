@@ -27,7 +27,7 @@ func (fakeCat) Table(name string) (TableInfo, error) {
 				{Name: "f_sk", Type: vector.TInt64},
 				{Name: "f_val", Type: vector.TFloat64},
 			},
-			Rows: 4000, PartitionKey: "f_ok", Partitions: 4, ClusteredOn: "f_ok",
+			PartitionKey: "f_ok", Partitions: 4, ClusteredOn: "f_ok",
 		}, nil
 	case "head": // like orders: partitioned + clustered on pk
 		return TableInfo{
@@ -36,7 +36,7 @@ func (fakeCat) Table(name string) (TableInfo, error) {
 				{Name: "h_ok", Type: vector.TInt64},
 				{Name: "h_date", Type: vector.TDate},
 			},
-			Rows: 1000, PartitionKey: "h_ok", Partitions: 4, ClusteredOn: "h_ok",
+			PartitionKey: "h_ok", Partitions: 4, ClusteredOn: "h_ok",
 		}, nil
 	case "dim": // like supplier: replicated
 		return TableInfo{
@@ -45,11 +45,26 @@ func (fakeCat) Table(name string) (TableInfo, error) {
 				{Name: "d_sk", Type: vector.TInt64},
 				{Name: "d_name", Type: vector.TString},
 			},
-			Rows: 10, PartitionKey: "", Partitions: 0,
+			PartitionKey: "", Partitions: 0,
 		}, nil
 	}
 	return TableInfo{}, fmt.Errorf("no table %s", name)
 }
+
+func (fakeCat) TableRows(name string) (int64, error) {
+	switch name {
+	case "fact":
+		return 4000, nil
+	case "head":
+		return 1000, nil
+	case "dim":
+		return 10, nil
+	}
+	return 0, fmt.Errorf("no table %s", name)
+}
+
+// ColumnRange reports no ranges: every filter conjunct is charged 1/3.
+func (fakeCat) ColumnRange(string, string) (lo, hi int64, ok bool) { return 0, 0, false }
 
 // fakeProvider serves deterministic in-memory data. fact has 4000 rows
 // (f_ok = i%1000, f_sk = i%10, f_val = 1); head has 1000 rows (h_ok unique);

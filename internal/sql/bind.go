@@ -46,7 +46,6 @@ type source struct {
 	rightKeys []string
 
 	phys map[string]string // output renames (original -> physical name)
-	rows float64           // estimated output rows after pushed predicates
 }
 
 // outCol returns the physical (possibly renamed) output name of a column.

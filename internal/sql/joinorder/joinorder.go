@@ -1,10 +1,11 @@
 // Package joinorder implements the join-order search of the SQL planner: a
 // stats-driven greedy ordering over the join graph of one SELECT block.
-// Relations carry estimated output cardinalities (catalog row counts scaled
-// by per-conjunct selectivities, derived upstream from colstore MinMax
-// ranges); edges are the equality conjuncts of the ON conditions, each with
-// an estimated distinct-value count per side (MinMax width capped by the
-// relation's base rows). The search emits a left-deep join order that starts
+// Relations carry estimated output cardinalities (the catalog's live row
+// counts scaled by their filters' expr.Selectivity over colstore MinMax
+// ranges — the estimates EXPLAIN prints on the scans); edges are the
+// equality conjuncts of the ON conditions, each with an estimated
+// distinct-value count per side (MinMax width capped by the relation's base
+// rows). The search emits a left-deep join order that starts
 // from the largest relation — the fact table stays on the probe side, as in
 // the hand-written TPC-H plans — and repeatedly joins the relation that
 // minimizes the estimated intermediate cardinality, the classic greedy

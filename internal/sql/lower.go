@@ -215,8 +215,21 @@ func (b *block) lower() (plan.Node, error) {
 		residual = append(residual, c)
 	}
 
+	// Each source's pushed conjuncts lower once: the filter its subtree
+	// applies is the one its join-order estimate measured.
+	filters := make(map[*source]plan.Expr, len(pushed))
+	for _, s := range b.srcs {
+		if conj := pushed[s]; len(conj) > 0 {
+			pred, err := lowerConj(s.schema, conj)
+			if err != nil {
+				return nil, err
+			}
+			filters[s] = pred
+		}
+	}
+
 	// ---- order the join tree, fix physical output names ----
-	order := b.orderSources(pushed)
+	order := b.orderSources(filters)
 	b.assignPhys(order)
 	mark("joinorder")
 
@@ -225,11 +238,8 @@ func (b *block) lower() (plan.Node, error) {
 	schemas := make(map[*source]vector.Schema, len(order))
 	for _, i := range order {
 		s := b.srcs[i]
-		node, ps, err := b.sourceNode(s, pushed[s])
-		if err != nil {
-			return nil, err
-		}
-		nodes[s], schemas[s] = node, ps
+		filter, has := filters[s]
+		nodes[s], schemas[s] = b.sourceNode(s, filter, has)
 	}
 
 	// ---- join chain over the pooled ON conjuncts ----
@@ -430,9 +440,10 @@ func (b *block) lower() (plan.Node, error) {
 }
 
 // sourceNode builds one source's subtree: a column-pruned scan or the
-// derived/hidden subplan, under a filter of the conjuncts pushed to it, topped
-// by a rename projection when duplicate output names forced physical renames.
-func (b *block) sourceNode(s *source, pushed []Expr) (plan.Node, vector.Schema, error) {
+// derived/hidden subplan, under the filter of the conjuncts pushed to it (has
+// false for none), topped by a rename projection when duplicate output names
+// forced physical renames.
+func (b *block) sourceNode(s *source, filter plan.Expr, has bool) (plan.Node, vector.Schema) {
 	var node plan.Node
 	var ps vector.Schema
 	if s.table != "" {
@@ -451,12 +462,8 @@ func (b *block) sourceNode(s *source, pushed []Expr) (plan.Node, vector.Schema, 
 	} else {
 		node, ps = s.sub, s.schema // the subplan computes every output column
 	}
-	if len(pushed) > 0 {
-		pred, err := lowerConj(ps, pushed)
-		if err != nil {
-			return nil, nil, err
-		}
-		node = plan.Filter(node, pred)
+	if has {
+		node = plan.Filter(node, filter)
 	}
 	if len(s.phys) > 0 {
 		exprs := make([]plan.NamedExpr, len(ps))
@@ -468,7 +475,7 @@ func (b *block) sourceNode(s *source, pushed []Expr) (plan.Node, vector.Schema, 
 		node = plan.Project(node, exprs...)
 		ps = renamed
 	}
-	return node, ps, nil
+	return node, ps
 }
 
 // poolKey recognizes an ON conjunct of the form tree.col = next.col (either

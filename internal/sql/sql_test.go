@@ -223,14 +223,14 @@ func TestExplainGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.TrimLeft(`
-Sort ~14 rows
+Sort ~34 rows
   DXchgUnion->n0
-    Project[2 exprs,0 prims] ~14 rows
+    Project[2 exprs,0 prims] ~34 rows
       Aggr(final)[1 keys,1 aggs,0 prims]
         DXchgHashSplit
           Aggr(partial)[1 keys,1 aggs,0 prims]
-            HashJoin[0,replicated-build] ~134 rows
-              MScan[sales] (partitioned) filter(($2 >= 18276)) skip(sold in [18276,max]) ~134 rows
+            HashJoin[0,replicated-build] ~338 rows
+              MScan[sales] (partitioned) filter(($2 >= 18276)) skip(sold in [18276,max]) ~338 rows
               MScan[regions] (replicated) ~4 rows
 `, "\n")
 	if got != want {
@@ -260,11 +260,11 @@ func TestExplainGoldenMultiConjunct(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.TrimLeft(`
-Project[1 exprs,0 prims] ~14 rows
+Project[1 exprs,0 prims] ~1 rows
   Aggr(final)[0 keys,1 aggs,0 prims]
     DXchgUnion->n0
       Aggr(partial)[0 keys,1 aggs,0 prims]
-        MScan[sales] (partitioned) filter(($2 >= 18276) and ($2 < 18307) and ($1 >= 10) and ($1 < 95) and in($0,[1 2 3 500]) and (($1 + 1) > 12)) skip(sold in [18276,18306] & amount in [10,95] & id in [1,500]) ~134 rows
+        MScan[sales] (partitioned) filter(($2 >= 18276) and ($2 < 18307) and ($1 >= 10) and ($1 < 95) and in($0,[1 2 3 500]) and (($1 + 1) > 12)) skip(sold in [18276,18306] & amount in [10,95] & id in [1,500]) ~5 rows
 `, "\n")
 	if got != want {
 		t.Fatalf("explain mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)

@@ -329,23 +329,23 @@ func Generate(sf float64, seed int64) *Data {
 // orders partitioned and clustered on the orderkey, part/partsupp
 // co-partitioned on the partkey, customer partitioned on custkey, and the
 // small tables replicated.
-func DDL(sf float64, partitions int) []rewriter.TableInfo {
+func DDL(partitions int) []rewriter.TableInfo {
 	if partitions <= 0 {
 		partitions = 12
 	}
 	return []rewriter.TableInfo{
-		{Name: "region", Schema: RegionSchema, Rows: 5},
-		{Name: "nation", Schema: NationSchema, Rows: 25},
-		{Name: "supplier", Schema: SupplierSchema, Rows: int64(rowsAt(SupplierPerSF, sf))},
-		{Name: "customer", Schema: CustomerSchema, Rows: int64(rowsAt(CustomerPerSF, sf)),
+		{Name: "region", Schema: RegionSchema},
+		{Name: "nation", Schema: NationSchema},
+		{Name: "supplier", Schema: SupplierSchema},
+		{Name: "customer", Schema: CustomerSchema,
 			PartitionKey: "c_custkey", Partitions: partitions},
-		{Name: "part", Schema: PartSchema, Rows: int64(rowsAt(PartPerSF, sf)),
+		{Name: "part", Schema: PartSchema,
 			PartitionKey: "p_partkey", Partitions: partitions, ClusteredOn: "p_partkey"},
-		{Name: "partsupp", Schema: PartSuppSchema, Rows: int64(rowsAt(PartPerSF, sf) * 4),
+		{Name: "partsupp", Schema: PartSuppSchema,
 			PartitionKey: "ps_partkey", Partitions: partitions, ClusteredOn: "ps_partkey"},
-		{Name: "orders", Schema: OrdersSchema, Rows: int64(rowsAt(OrdersPerSF, sf)),
+		{Name: "orders", Schema: OrdersSchema,
 			PartitionKey: "o_orderkey", Partitions: partitions, ClusteredOn: "o_orderkey"},
-		{Name: "lineitem", Schema: LineitemSchema, Rows: int64(rowsAt(OrdersPerSF, sf) * 4),
+		{Name: "lineitem", Schema: LineitemSchema,
 			PartitionKey: "l_orderkey", Partitions: partitions, ClusteredOn: "l_orderkey"},
 	}
 }

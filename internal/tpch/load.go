@@ -39,7 +39,7 @@ func Demo(sf float64, nodes, threads, partitions int) (*core.Engine, *Data, erro
 // LoadIntoEngine creates the §8 physical design on a VectorH engine and bulk
 // loads a generated database.
 func LoadIntoEngine(e *core.Engine, d *Data, partitions int) error {
-	for _, info := range DDL(d.SF, partitions) {
+	for _, info := range DDL(partitions) {
 		if err := e.CreateTable(info); err != nil {
 			return err
 		}
@@ -52,7 +52,7 @@ func LoadIntoEngine(e *core.Engine, d *Data, partitions int) error {
 
 // LoadIntoBaseline loads a generated database into a baseline engine.
 func LoadIntoBaseline(e *baseline.Engine, d *Data) error {
-	for _, info := range DDL(d.SF, 1) {
+	for _, info := range DDL(1) {
 		if err := e.Load(info.Name, info.Schema, d.Tables[info.Name]); err != nil {
 			return err
 		}
