@@ -58,7 +58,7 @@ func BenchmarkFig5Ablation(b *testing.B) {
 		}
 		if i == 0 {
 			for _, r := range res {
-				b.Logf("%-24s %v", r.Name, r.Elapsed)
+				b.Logf("%-24s %v remote=%dKB", r.Name, r.Elapsed, r.RemoteBytes/1024)
 			}
 		}
 	}

@@ -326,11 +326,14 @@ func Fig2() (string, error) {
 
 // --- E4: Figure 5 / §5 — rewrite-rule ablation ---
 
-// AblationResult holds the rule-ablation timings (paper: 5.02 / 5.64 / 5.67
-// / 25.51 / 26.14 seconds).
+// AblationResult holds one rule configuration's best time (paper: 5.02 /
+// 5.64 / 5.67 / 25.51 / 26.14 seconds) and the bytes one run sends between
+// nodes (mpi.Network's RemoteBytes), the count a one-process cluster can
+// order honestly.
 type AblationResult struct {
-	Name    string
-	Elapsed time.Duration
+	Name        string
+	Elapsed     time.Duration
+	RemoteBytes int64
 }
 
 // Fig5Ablation runs the §5 example query (items ⋈ orders ⋈ supplier, group
@@ -382,6 +385,7 @@ func Fig5Ablation(sf float64, nodes int) ([]AblationResult, error) {
 			return nil, err
 		}
 		best := time.Duration(math.MaxInt64)
+		eng.Net().Reset()
 		for i := 0; i < 3; i++ {
 			res, err := eng.Run(ctx, q, opts, nil)
 			if err != nil {
@@ -391,7 +395,7 @@ func Fig5Ablation(sf float64, nodes int) ([]AblationResult, error) {
 				best = res.Elapsed
 			}
 		}
-		out = append(out, AblationResult{cfg.name, best})
+		out = append(out, AblationResult{cfg.name, best, eng.Net().Stats().RemoteBytes / 3})
 	}
 	return out, nil
 }

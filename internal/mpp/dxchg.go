@@ -1,13 +1,15 @@
 // Package mpp implements the distributed exchange (DXchg) operators of §5,
-// DXchgHashSplit and DXchgUnion. They are routes over exec's exchange
-// runtime — its producer goroutines, consumer ports, start, stop,
+// DXchgHashSplit, DXchgUnion and DXchgBroadcast. They are routes over exec's
+// exchange runtime — its producer goroutines, consumer ports, start, stop,
 // cancellation and error delivery are those of the local Xchg operators —
 // and add what crossing nodes takes: every sender buffers rows per
 // destination stream until MsgBytes (the paper's ≥256 KB MPI messages),
 // hands a full buffer to a consumer on its own node as a pointer and to one
 // on another node encoded by exec.Outs.SendEncoded, and counts both in the
-// mpi.Network. Senders partition straight to every consumer stream (the
-// paper's thread-to-thread fan-out).
+// mpi.Network. A hash split partitions straight to every consumer stream (the
+// paper's thread-to-thread fan-out); a union or a broadcast keeps one buffer
+// per sender and ships it to every consumer stream, encoded once for each
+// one on another node.
 //
 // Lifetimes: a send buffer bound for another node is reused after it ships,
 // since the encode copied its rows into a wire buffer that exec's runtime
@@ -71,9 +73,33 @@ func DXchgUnion(cfg Config, producers [][]exec.Operator, consumerNode int) (exec
 	return ports[0], nil
 }
 
+// DXchgBroadcast replicates every producer row to one consumer stream on
+// each node n with toNode[n] set (a join build side replicated at run time).
+// It returns ports indexed by node, none on the nodes left out: a node that
+// never drains a port must not be sent to, or the senders block on it.
+func DXchgBroadcast(cfg Config, producers [][]exec.Operator, toNode []bool) ([][]exec.Operator, error) {
+	perNode := make([]int, len(toNode))
+	for n, to := range toNode {
+		if to {
+			perNode[n] = 1
+		}
+	}
+	ports, err := dxchg(cfg, producers, nil, perNode)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]exec.Operator, len(toNode))
+	for n, to := range toNode {
+		if to {
+			out[n], ports = ports[:1:1], ports[1:]
+		}
+	}
+	return out, nil
+}
+
 // dxchg builds a distributed exchange over exec's runtime: one sender route
 // per producer, one port per consumer stream in node order. Without keys
-// there must be one consumer stream, which gets every row.
+// every consumer stream gets every row, and a node holds at most one of them.
 func dxchg(cfg Config, producers [][]exec.Operator, keys []expr.Expr, consumersPerNode []int) ([]exec.Operator, error) {
 	if len(producers) > cfg.Net.Nodes() || len(consumersPerNode) > cfg.Net.Nodes() {
 		return nil, fmt.Errorf("mpp: %d producer and %d consumer nodes do not fit the network", len(producers), len(consumersPerNode))
@@ -104,13 +130,14 @@ func dxchg(cfg Config, producers [][]exec.Operator, keys []expr.Expr, consumersP
 	}
 	return exec.NewExchange(cfg.Ctx, flat, len(streamNode), func(i int) (exec.Route, error) {
 		s := &sender{net: cfg.Net, node: senderNode[i], streamNode: streamNode, msgBytes: msgBytes,
-			bufs: make([]sendBuffer, len(streamNode))}
+			bufs: make([]sendBuffer, 1)}
 		if keys != nil {
 			var err error
 			if s.hasher, err = exec.NewRowHasher(keys); err != nil {
 				return nil, err
 			}
 			s.sels = make([][]int32, len(streamNode))
+			s.bufs = make([]sendBuffer, len(streamNode))
 		}
 		return s.route, nil
 	}), nil
@@ -122,9 +149,9 @@ type sender struct {
 	node       int   // the producer's node
 	streamNode []int // consumer stream -> node
 	msgBytes   int
-	hasher     *exec.RowHasher // nil: every row goes to stream 0
+	hasher     *exec.RowHasher // nil: every row goes to every stream
 	sels       [][]int32       // rows per stream, reused: send buffers copy them
-	bufs       []sendBuffer    // per stream
+	bufs       []sendBuffer    // per stream with a hasher, else the one for all
 }
 
 // route buffers b's rows per destination stream and ships a buffer once it
@@ -162,22 +189,36 @@ func (s *sender) add(d int, b *vector.Batch, sel []int32, out exec.Outs) error {
 	return s.ship(d, out)
 }
 
-// ship hands stream d's buffer over: by pointer on the sender's node, which
-// gives the buffer away, and encoded across nodes, which copies it, so the
-// buffer is emptied and refilled.
+// ship hands buffer d to its streams — stream d with a hasher, every stream
+// without: encoded to each stream on another node, which copies it, then by
+// pointer to the one on the sender's node, which gives the buffer away. A
+// buffer nothing took away is emptied and refilled.
 func (s *sender) ship(d int, out exec.Outs) error {
 	sb := &s.bufs[d]
 	if sb.rows() == 0 {
 		return nil
 	}
-	if s.streamNode[d] == s.node {
-		s.net.Handoff()
-		return out.Send(d, sb.handOff())
+	local := -1
+	for dst, node := range s.streamNode {
+		if s.hasher != nil && dst != d {
+			continue
+		}
+		if node == s.node {
+			local = dst
+			continue
+		}
+		n, err := out.SendEncoded(dst, &vector.Batch{Vecs: sb.vecs})
+		s.net.Remote(n)
+		if err != nil {
+			return err
+		}
 	}
-	n, err := out.SendEncoded(d, &vector.Batch{Vecs: sb.vecs})
-	s.net.Remote(n)
+	if local >= 0 {
+		s.net.Handoff()
+		return out.Send(local, sb.handOff())
+	}
 	sb.reset()
-	return err
+	return nil
 }
 
 // sendBuffer accumulates the rows bound for one consumer stream.

@@ -102,8 +102,24 @@ func TestDXchgHashSplitCompleteAndConsistent(t *testing.T) {
 
 // TestDXchgRemoteVsLocalAccounting pins the traffic counts, and with them
 // the message framing: flush at MsgBytes per destination stream, once more
-// at end of input, pointers on the sender's node, encoded bytes across.
+// at end of input, pointers on the sender's node, encoded bytes across. A
+// broadcast ships each message encoded to every other consumer node and by
+// pointer to its own, so its remote messages are (N−1) × its local handoffs.
 func TestDXchgRemoteVsLocalAccounting(t *testing.T) {
+	t.Run("broadcast", func(t *testing.T) {
+		net := mpi.NewNetwork(3)
+		producers := [][]exec.Operator{{producer(0, 1000)}, {producer(1000, 1000), producer(2000, 1000)}, {producer(3000, 1000)}}
+		ports, err := DXchgBroadcast(Config{Net: net, MsgBytes: 512}, producers, []bool{true, true, true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total, _ := collectAll(t, ports); total != 3*4000 {
+			t.Fatalf("total = %d", total)
+		}
+		if got := net.Stats(); got.LocalHandoffs == 0 || got.RemoteMsgs != 2*got.LocalHandoffs {
+			t.Errorf("traffic %+v, want remote messages = 2 × local handoffs", got)
+		}
+	})
 	for _, tc := range []struct {
 		consumers []int
 		want      mpi.Stats
@@ -122,6 +138,46 @@ func TestDXchgRemoteVsLocalAccounting(t *testing.T) {
 		}
 		if got := net.Stats(); got != tc.want {
 			t.Errorf("%v: traffic %+v, want %+v", tc.consumers, got, tc.want)
+		}
+	}
+}
+
+// TestDXchgBroadcastEveryRowOncePerNode: each consumer node receives every
+// producer row exactly once, and a node left out gets no port.
+func TestDXchgBroadcastEveryRowOncePerNode(t *testing.T) {
+	for _, toNode := range [][]bool{{true, true, true}, {true, false, true}, {false, true, false}} {
+		net := mpi.NewNetwork(3)
+		producers := [][]exec.Operator{{producer(0, 700), producer(700, 300)}, nil, {producer(1000, 500)}}
+		ports, err := DXchgBroadcast(Config{Net: net, MsgBytes: 1024}, producers, toNode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for n, to := range toNode {
+			if to != (len(ports[n]) == 1) || len(ports[n]) > 1 {
+				t.Fatalf("%v: node %d has %d ports", toNode, n, len(ports[n]))
+			}
+			if to {
+				want++
+			}
+		}
+		_, byStream := collectAll(t, ports)
+		if len(byStream) != want {
+			t.Fatalf("%v: %d consumer streams got rows, want %d", toNode, len(byStream), want)
+		}
+		for s, keys := range byStream {
+			seen := make(map[int64]int, len(keys))
+			for _, k := range keys {
+				seen[k]++
+			}
+			for k := int64(0); k < 1500; k++ {
+				if seen[k] != 1 {
+					t.Fatalf("%v: stream %d got key %d %d times", toNode, s, k, seen[k])
+				}
+			}
+			if len(keys) != 1500 {
+				t.Fatalf("%v: stream %d got %d rows, want 1500", toNode, s, len(keys))
+			}
 		}
 	}
 }
@@ -158,6 +214,11 @@ func TestDXchgRejectsUnroutableTopology(t *testing.T) {
 	if _, err := DXchgUnion(Config{Net: mpi.NewNetwork(1)}, producers, 0); err == nil {
 		t.Error("DXchgUnion from 2 producer nodes on a 1-node network: no error")
 	}
+	for _, toNode := range [][]bool{nil, {false, false}, {true, true, true}} {
+		if _, err := DXchgBroadcast(Config{Net: net}, producers, toNode); err == nil {
+			t.Errorf("DXchgBroadcast to %v: no error", toNode)
+		}
+	}
 }
 
 type failOp struct{ err error }
@@ -181,8 +242,12 @@ func TestDXchgPropagatesProducerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bcast, err := DXchgBroadcast(Config{Net: mpi.NewNetwork(2), MsgBytes: 512}, producers(), []bool{true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ports := append(append([]exec.Operator{}, split[0]...), split[1]...)
-	ports = append(ports, union)
+	ports = append(ports, union, bcast[0][0], bcast[1][0])
 	var got atomic.Int32
 	var wg sync.WaitGroup
 	for _, p := range ports {
@@ -232,6 +297,14 @@ func TestExchangeTeardown(t *testing.T) {
 			u, err := DXchgUnion(Config{Net: mpi.NewNetwork(2), MsgBytes: 512, Ctx: ctx},
 				[][]exec.Operator{{endless()}, {endless()}}, 0)
 			return []exec.Operator{u}, err
+		}},
+		{"DXchgBroadcast", func(ctx context.Context) ([]exec.Operator, error) {
+			ports, err := DXchgBroadcast(Config{Net: mpi.NewNetwork(3), MsgBytes: 512, Ctx: ctx},
+				[][]exec.Operator{{endless(), endless()}, {endless()}, {endless()}}, []bool{true, false, true})
+			if err != nil {
+				return nil, err
+			}
+			return append(ports[0], ports[2]...), nil
 		}},
 	}
 	for _, c := range constructors {

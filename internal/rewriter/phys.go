@@ -3,7 +3,10 @@
 // fragments connected by (D)Xchg operators, applying the paper's rewrite
 // rules — local join detection over co-located partitions, replicated build
 // sides, partial aggregation before exchanges — under a cost model that
-// makes network exchanges expensive.
+// makes network exchanges expensive. A join whose sides are not co-located
+// builds from a replicated side when it has one: a replicated table, or a
+// build side a DXchgBroadcast replicates at run time because that moves
+// fewer estimated bytes than repartitioning both sides.
 package rewriter
 
 import (
@@ -142,6 +145,9 @@ func Explain(p Phys) string { return ExplainEst(p, nil) }
 // auditable: a join lists its probe child first, and each base-table scan
 // shows the estimate the SQL join orderer ranked it by — the table's live
 // row count times expr.Selectivity of its filter, the same on both sides.
+// A join shows the orderer's containment estimate too (joinorder.JoinRows
+// over its children's estimates), which is also the probe size the
+// broadcast-or-repartition choice above it weighs.
 func ExplainEst(p Phys, est map[Phys]int64) string {
 	return ExplainFunc(p, func(n Phys) string {
 		if rows, ok := est[n]; ok {
@@ -304,8 +310,9 @@ type physHashJoin struct {
 	probeKeys    []expr.Expr
 	jt           exec.JoinType
 	schema       vector.Schema
-	// broadcastBuild: the build side has one stream per node that must be
-	// locally replicated to every probe stream (replicated build rule).
+	// broadcastBuild: the build side has one stream on each node with probe
+	// streams — a replicated scan or a DXchgBroadcast — that is locally
+	// replicated to every probe stream (replicated build rule).
 	broadcastBuild bool
 }
 
@@ -333,11 +340,11 @@ func (p *physHashJoin) instantiate(e *Env) ([][]exec.Operator, error) {
 	for n := 0; n < e.Nodes; n++ {
 		bstreams := build[n]
 		if p.broadcastBuild {
-			if len(bstreams) != 1 {
-				return nil, fmt.Errorf("rewriter: replicated build expects 1 stream, got %d", len(bstreams))
-			}
 			if len(probe[n]) == 0 {
 				continue
+			}
+			if len(bstreams) != 1 {
+				return nil, fmt.Errorf("rewriter: replicated build expects 1 stream, got %d", len(bstreams))
 			}
 			bstreams = exec.XchgBroadcast(e.ctx(), bstreams, len(probe[n]))
 		}
@@ -439,6 +446,32 @@ func (p *physDXchgHash) instantiate(e *Env) ([][]exec.Operator, error) {
 		consumers[i] = e.Threads
 	}
 	return mpp.DXchgHashSplit(mpp.Config{Net: e.Net, MsgBytes: e.MsgBytes, Ctx: e.ctx()}, in, p.keys, consumers)
+}
+
+// physDXchgBroadcast replicates a join's build side at run time: one stream
+// on every node where the probe side, to, has streams, and none elsewhere.
+type physDXchgBroadcast struct {
+	child, to Phys
+}
+
+func (p *physDXchgBroadcast) OutSchema() vector.Schema { return p.child.OutSchema() }
+func (p *physDXchgBroadcast) children() []Phys         { return []Phys{p.child} }
+func (p *physDXchgBroadcast) label() string            { return "DXchgBroadcast" }
+
+func (p *physDXchgBroadcast) instantiate(e *Env) ([][]exec.Operator, error) {
+	to, err := e.instantiate(p.to)
+	if err != nil {
+		return nil, err
+	}
+	in, err := e.instantiate(p.child)
+	if err != nil {
+		return nil, err
+	}
+	toNode := make([]bool, e.Nodes)
+	for n := range toNode {
+		toNode[n] = len(to[n]) > 0
+	}
+	return mpp.DXchgBroadcast(mpp.Config{Net: e.Net, MsgBytes: e.MsgBytes, Ctx: e.ctx()}, in, toNode)
 }
 
 type physDXchgUnion struct {

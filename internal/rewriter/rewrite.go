@@ -2,10 +2,13 @@ package rewriter
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"vectorh/internal/exec"
 	"vectorh/internal/expr"
 	"vectorh/internal/plan"
+	"vectorh/internal/sql/joinorder"
 	"vectorh/internal/vector"
 )
 
@@ -37,7 +40,9 @@ type Rules uint8
 const (
 	// LocalJoin detects co-located partition-pair joins.
 	LocalJoin Rules = 1 << iota
-	// ReplicateBuild builds join hash tables from replicated tables locally.
+	// ReplicateBuild builds join hash tables locally from replicated tables,
+	// and from build sides broadcast at run time where that moves fewer
+	// bytes than repartitioning both sides of the join.
 	ReplicateBuild
 	// PartialAgg aggregates locally before exchanging.
 	PartialAgg
@@ -79,12 +84,23 @@ type result struct {
 	schema vector.Schema
 
 	partitionedBy []string // output columns the streams are partitioned on
+	partEq        []string // other columns equal on every row to a single partitionedBy column
 	coPart        bool     // streams are table partitions (alignable 1:1)
 	partCount     int      // partition count for coPart alignment
 	replicated    bool     // every node holds a full copy (1 stream/node)
 	gathered      bool     // single stream at the master
 	orderedBy     string   // streams ordered on this column ("" = no)
 	rows          int64    // cardinality estimate
+	maxRows       int64    // upper bound on rows no estimate can undercut; -1 = none (a join's output)
+}
+
+// partCols lists the columns the streams are partitioned on when that is one
+// column: it and the columns equal to it.
+func (r result) partCols() []string {
+	if len(r.partitionedBy) != 1 {
+		return nil
+	}
+	return append([]string{r.partitionedBy[0]}, r.partEq...)
 }
 
 type rewriteCtx struct {
@@ -130,7 +146,7 @@ func (c *rewriteCtx) gather(r result) result {
 	// The union interleaves the streams' batches in arrival order.
 	r.phys = &physDXchgUnion{child: r.phys, node: c.opts.Master}
 	r.gathered = true
-	r.partitionedBy = nil
+	r.partitionedBy, r.partEq = nil, nil
 	r.coPart = false
 	r.orderedBy = ""
 	return r
@@ -155,7 +171,11 @@ func (c *rewriteCtx) recNode(n plan.Node) (result, error) {
 	case *plan.JoinNode:
 		return c.recJoin(n)
 	case *plan.AggregateNode:
-		return c.recAggregate(n)
+		r, err := c.recAggregate(n)
+		if len(n.GroupBy) == 0 {
+			r.maxRows = 1
+		}
+		return r, err
 	case *plan.OrderByNode:
 		return c.recOrderBy(n)
 	case *plan.LimitNode:
@@ -165,9 +185,7 @@ func (c *rewriteCtx) recNode(n plan.Node) (result, error) {
 		}
 		g := c.gather(child)
 		g.phys = &physLimit{child: g.phys, n: n.N}
-		if g.rows > n.N {
-			g.rows = n.N
-		}
+		g.rows, g.maxRows = min(g.rows, n.N), n.N
 		return g, nil
 	default:
 		return result{}, fmt.Errorf("rewriter: unsupported node %T", n)
@@ -198,7 +216,7 @@ func (c *rewriteCtx) recScan(n *plan.ScanNode) (result, error) {
 	scan := &physScan{
 		ScanSpec:   ScanSpec{Table: n.Table, Cols: cols, Codes: c.opts.on(CompressedExec)},
 		replicated: info.PartitionKey == "", schema: schema}
-	r := result{phys: scan, schema: schema, rows: rows}
+	r := result{phys: scan, schema: schema, rows: rows, maxRows: rows}
 	if info.PartitionKey == "" {
 		r.replicated = true
 	} else {
@@ -263,15 +281,23 @@ func (c *rewriteCtx) recProject(n *plan.ProjectNode) (result, error) {
 		}
 		schema[i] = vector.Field{Name: ne.Name, Type: t}
 	}
-	// Partitioning survives only for pass-through bare columns.
-	var newPart []string
-	for _, pc := range child.partitionedBy {
-		for _, ne := range n.Exprs {
-			if ne.Expr.Name == pc {
-				newPart = append(newPart, ne.Name)
-				break
+	// Partitioning survives only for pass-through bare columns; a single
+	// partition column survives through any column equal to it.
+	passed := func(cols []string) []string {
+		var out []string
+		for _, pc := range cols {
+			for _, ne := range n.Exprs {
+				if ne.Expr.Name == pc {
+					out = append(out, ne.Name)
+					break
+				}
 			}
 		}
+		return out
+	}
+	newPart, newEq := passed(child.partitionedBy), []string(nil)
+	if pc := passed(child.partCols()); len(pc) > 0 {
+		newPart, newEq = pc[:1], pc[1:]
 	}
 	if len(newPart) != len(child.partitionedBy) {
 		newPart = nil
@@ -286,19 +312,17 @@ func (c *rewriteCtx) recProject(n *plan.ProjectNode) (result, error) {
 	}
 	child.phys = &physProject{child: child.phys, exprs: exprs, schema: schema}
 	child.schema = schema
-	child.partitionedBy = newPart
+	child.partitionedBy, child.partEq = newPart, newEq
 	child.orderedBy = ordered
 	return child, nil
 }
 
 // keyAligned reports whether the join keys pair the two sides' partition
-// keys at the same position, making partition-pair joins correct.
-func keyAligned(lKeys, rKeys, lPart, rPart []string) bool {
-	if len(lPart) != 1 || len(rPart) != 1 {
-		return false
-	}
+// keys, or columns equal to them, at the same position, making
+// partition-pair joins correct.
+func keyAligned(lKeys, rKeys []string, left, right result) bool {
 	for i := range lKeys {
-		if lKeys[i] == lPart[0] && rKeys[i] == rPart[0] {
+		if slices.Contains(left.partCols(), lKeys[i]) && slices.Contains(right.partCols(), rKeys[i]) {
 			return true
 		}
 	}
@@ -358,12 +382,12 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 	}
 	join := &physHashJoin{build: right.phys, probe: left.phys,
 		buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
-	out := result{phys: join, schema: outSchema, rows: max(left.rows, right.rows)}
+	out := result{phys: join, schema: outSchema, rows: joinRows(jt, left, right), maxRows: -1}
 	switch {
 	// Rule: local join over co-located partitions.
 	case c.opts.on(LocalJoin) && left.coPart && right.coPart &&
 		left.partCount == right.partCount &&
-		keyAligned(n.LeftKeys, n.RightKeys, left.partitionedBy, right.partitionedBy):
+		keyAligned(n.LeftKeys, n.RightKeys, left, right):
 		// Co-ordered clustered tables merge-join without hashing.
 		if jt == exec.Inner && len(n.LeftKeys) == 1 &&
 			left.orderedBy == n.LeftKeys[0] && right.orderedBy == n.RightKeys[0] {
@@ -375,18 +399,26 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 			out.orderedBy = left.orderedBy
 		}
 		out.coPart, out.partCount = true, left.partCount
-		out.partitionedBy = left.partitionedBy
+		out.partitionedBy, out.partEq = left.partitionedBy, left.partEq
 
 	// Both sides replicated: join locally on every node, result stays
 	// replicated (no flag — it is never worse).
 	case left.replicated && right.replicated:
 		out.replicated = true
 
-	// Rule: replicated build side — build the hash table from the local
-	// replica on every node, splitting only between local threads.
-	case c.opts.on(ReplicateBuild) && right.replicated && !left.gathered:
+	// Rule: replicated build side — build the hash table on every node from
+	// a replica, splitting only between local threads: the replica on disk,
+	// or one a DXchgBroadcast makes at run time when that ships fewer bytes
+	// than repartitioning both sides. The probe keeps its streams, its
+	// partitioning and its order; a replicated probe is never broadcast to,
+	// since every copy of it would then join.
+	case c.opts.on(ReplicateBuild) && !left.gathered && !left.replicated &&
+		(right.replicated || c.broadcastCheaper(left, right)):
+		if !right.replicated {
+			join.build = &physDXchgBroadcast{child: right.phys, to: left.phys}
+		}
 		join.broadcastBuild = true
-		out.partitionedBy = left.partitionedBy
+		out.partitionedBy, out.partEq = left.partitionedBy, left.partEq
 		out.coPart, out.partCount = left.coPart, left.partCount
 		out.orderedBy = left.orderedBy
 
@@ -404,10 +436,16 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 		join.probe, join.build = exL.phys, exR.phys
 		out.partitionedBy = n.LeftKeys
 	}
-
-	if jt == exec.Semi || jt == exec.Anti {
-		out.rows = left.rows/2 + 1
+	// An inner join's key pairs are equal on every output row, so a build
+	// key paired with the partition column is another name for it.
+	if jt == exec.Inner {
+		for i, k := range n.LeftKeys {
+			if slices.Contains(out.partCols(), k) {
+				out.partEq = append(slices.Clip(out.partEq), n.RightKeys[i])
+			}
+		}
 	}
+
 	if n.ExtraPred != nil {
 		bound, err := n.ExtraPred.Bind(outSchema)
 		if err != nil {
@@ -431,12 +469,61 @@ func (c *rewriteCtx) exchangeOn(r result, keys []string) (result, error) {
 		phys = &physOneNode{child: phys, node: c.opts.Master}
 	}
 	r.phys = &physDXchgHash{child: phys, keys: bound}
-	r.partitionedBy = keys
+	r.partitionedBy, r.partEq = keys, nil
 	r.coPart = false
 	r.replicated = false
 	r.gathered = false
 	r.orderedBy = ""
 	return r, nil
+}
+
+// joinRows estimates a join's output with joinorder.JoinRows, the
+// containment model the SQL join orderer ranks by, from the probe's (left)
+// and build's (right) estimates and the build's upper bound as its base. A
+// semi join keeps the probe rows that estimate can match, an anti join the
+// rest, and a left outer join at least every probe row.
+func joinRows(jt exec.JoinType, left, right result) int64 {
+	base := right.rows
+	if right.maxRows >= 0 {
+		base = right.maxRows
+	}
+	probe := float64(left.rows)
+	rows := joinorder.JoinRows(probe, float64(right.rows), float64(base), math.Inf(1))
+	switch jt {
+	case exec.Semi:
+		rows = min(rows, probe)
+	case exec.Anti:
+		rows = probe - min(rows, probe)
+	case exec.LeftOuter:
+		rows = max(rows, probe)
+	}
+	return max(int64(rows+0.5), 1)
+}
+
+// broadcastCheaper reports whether replicating the build side to the probe's
+// nodes moves fewer bytes than repartitioning both sides on the join keys. A
+// broadcast is costed from the build's upper bound, so an estimate that comes
+// out low cannot turn it into a disaster: that many rows ship to N−1 nodes and
+// are built once more on each of the N, where the node's probe streams share
+// the batches. A repartition moves (N−1)/N of both sides' estimated rows. A
+// build without a bound, a join's output, is never broadcast.
+func (c *rewriteCtx) broadcastCheaper(probe, build result) bool {
+	if build.maxRows < 0 {
+		return false
+	}
+	nodes := float64(c.opts.Nodes)
+	bcast := float64(build.maxRows) * rowWidth(build.schema) * (2*nodes - 1)
+	repart := (float64(probe.rows)*rowWidth(probe.schema) + float64(build.rows)*rowWidth(build.schema)) * (nodes - 1) / nodes
+	return bcast < repart
+}
+
+// rowWidth is a row's bytes as cost accounting counts them (vector.Kind.Width).
+func rowWidth(s vector.Schema) float64 {
+	w := 0
+	for _, f := range s {
+		w += f.Type.Kind.Width()
+	}
+	return float64(w)
 }
 
 func subset(sub, super []string) bool {
@@ -467,7 +554,14 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 
 	// Grouping is stream-local when the stream partitioning keys are a
 	// subset of the GROUP BY (every group confined to one stream), when
-	// the data is replicated, or when already gathered.
+	// the data is replicated, or when already gathered. A single partition
+	// column counts under any of its names; the output keeps the grouped one.
+	for _, pc := range child.partCols() {
+		if slices.Contains(n.GroupBy, pc) {
+			child.partitionedBy, child.partEq = []string{pc}, nil
+			break
+		}
+	}
 	local := child.gathered || child.replicated ||
 		(len(child.partitionedBy) > 0 && subset(child.partitionedBy, n.GroupBy))
 
@@ -723,7 +817,7 @@ func (c *rewriteCtx) recOrderBy(n *plan.OrderByNode) (result, error) {
 	g := c.gather(child)
 	if n.Limit > 0 {
 		g.phys = &physTopN{child: g.phys, keys: keys, n: n.Limit, kind: "final"}
-		g.rows = n.Limit
+		g.rows, g.maxRows = n.Limit, n.Limit
 	} else {
 		g.phys = &physSort{child: g.phys, keys: keys}
 	}

@@ -231,8 +231,53 @@ func TestRewriteLocalJoinDisabledUsesExchange(t *testing.T) {
 	if len(rows) != 4000 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if !strings.Contains(explain, "DXchgHashSplit") {
+	if !strings.Contains(explain, "DXchgHashSplit") && !strings.Contains(explain, "DXchgBroadcast") {
 		t.Fatalf("expected exchanges without the local-join rule:\n%s", explain)
+	}
+}
+
+// TestRewriteBroadcastChoice: a join whose sides are not co-located
+// replicates its build side at run time when that ships fewer bytes than
+// repartitioning both sides, and only a bounded build to a distributed probe
+// with the ReplicateBuild rule on.
+func TestRewriteBroadcastChoice(t *testing.T) {
+	fact := func() plan.Node { return plan.Scan("fact", "f_ok", "f_sk", "f_val") }
+	head := func() plan.Node { return plan.Scan("head", "h_ok", "h_date") }
+	for _, tc := range []struct {
+		name      string
+		q         plan.Node
+		disable   Rules
+		nodes     int
+		rows      int
+		broadcast bool
+	}{
+		{"small partitioned build", plan.Join(plan.InnerJoin, fact(), head(), []string{"f_sk"}, []string{"h_ok"}),
+			0, 2, 4000, true},
+		{"large partitioned build", plan.Join(plan.InnerJoin, head(), fact(), []string{"h_ok"}, []string{"f_sk"}),
+			0, 2, 4000, false},
+		{"join output build", plan.Join(plan.InnerJoin, fact(),
+			plan.Join(plan.InnerJoin, head(), plan.Scan("dim", "d_sk"), []string{"h_ok"}, []string{"d_sk"}),
+			[]string{"f_sk"}, []string{"h_ok"}), 0, 2, 4000, false},
+		{"replicated probe", plan.Join(plan.InnerJoin, plan.Scan("dim", "d_sk", "d_name"), head(), []string{"d_sk"}, []string{"h_ok"}),
+			0, 2, 10, false},
+		{"rule off", plan.Join(plan.InnerJoin, fact(), head(), []string{"f_sk"}, []string{"h_ok"}),
+			ReplicateBuild, 2, 4000, false},
+		// Node 4 holds no fact partition: it gets no copy of the build.
+		{"one-row build, probe-less node", plan.Join(plan.InnerJoin, fact(),
+			plan.Aggregate(head(), nil, plan.A("m", plan.Max, plan.Col("h_ok"))), []string{"f_ok"}, []string{"m"}),
+			0, 5, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions(tc.nodes, 2)
+			opts.Disable = tc.disable
+			rows, _, explain := run(t, tc.q, opts)
+			if len(rows) != tc.rows {
+				t.Errorf("rows = %d, want %d\n%s", len(rows), tc.rows, explain)
+			}
+			if got := strings.Contains(explain, "DXchgBroadcast"); got != tc.broadcast {
+				t.Errorf("broadcast = %v, want %v:\n%s", got, tc.broadcast, explain)
+			}
+		})
 	}
 }
 

@@ -100,9 +100,7 @@ func Greedy(rels []Rel, edges []Edge) []int {
 			if !connected {
 				continue
 			}
-			base := maxf(maxf(rels[cand].Base, rels[cand].Rows), 1)
-			d := maxf(minf(minf(domTree, domCand), minf(treeRows, base)), 1)
-			out := treeRows * rels[cand].Rows / d
+			out := JoinRows(treeRows, rels[cand].Rows, rels[cand].Base, minf(domTree, domCand))
 			if best < 0 || out < bestRows {
 				best, bestRows = cand, out
 			}
@@ -118,6 +116,16 @@ func Greedy(rels []Rel, edges []Edge) []int {
 		}
 	}
 	return order
+}
+
+// JoinRows is the containment estimate of one join, the model Greedy orders
+// by and the rewriter prints on every join: treeRows × candRows / D, where D
+// is the key domain dom capped by treeRows and by the candidate's base rows
+// (at least candRows). A caller that knows no key domain passes +Inf.
+func JoinRows(treeRows, candRows, candBase, dom float64) float64 {
+	base := maxf(maxf(candBase, candRows), 1)
+	d := maxf(minf(dom, minf(treeRows, base)), 1)
+	return treeRows * candRows / d
 }
 
 func minf(a, b float64) float64 {

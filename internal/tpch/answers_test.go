@@ -1,14 +1,19 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"vectorh/internal/baseline"
+	"vectorh/internal/colstore"
+	"vectorh/internal/core"
 	"vectorh/internal/plan"
+	"vectorh/internal/rewriter"
 )
 
 // answerOrdered holds the queries whose ORDER BY fixes the whole row sequence
@@ -74,7 +79,6 @@ func TestTPCHAnswers(t *testing.T) {
 		}
 	}
 
-	const path = "testdata/answers.golden"
 	if *updateGolden {
 		var sb strings.Builder
 		for q := 1; q <= NumQueries; q++ {
@@ -83,25 +87,12 @@ func TestTPCHAnswers(t *testing.T) {
 			}
 			sb.WriteString(got[0][q])
 		}
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		if err := os.WriteFile(answersPath, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want [NumQueries + 1]string
-	q := 0
-	for _, line := range strings.SplitAfter(string(raw), "\n") {
-		if strings.HasPrefix(line, "== Q") {
-			if _, err := fmt.Sscanf(line, "== Q%d", &q); err != nil || q < 1 || q > NumQueries {
-				t.Fatalf("%s: bad section header %q", path, line)
-			}
-		}
-		want[q] += line
-	}
+	want := readAnswers(t)
 	for si, s := range sides {
 		other := got[1-si]
 		t.Run(s.name, func(t *testing.T) {
@@ -113,14 +104,90 @@ func TestTPCHAnswers(t *testing.T) {
 					var who string
 					switch other[q] {
 					case got[si][q]:
-						who = "engine and baseline agree with each other but not with " + path + ": the SQL text or its compilation changed"
+						who = "engine and baseline agree with each other but not with " + answersPath + ": the SQL text or its compilation changed"
 					case want[q]:
-						who = fmt.Sprintf("the %s diverges from %s; the %s matches it", s.name, path, sides[1-si].name)
+						who = fmt.Sprintf("the %s diverges from %s; the %s matches it", s.name, answersPath, sides[1-si].name)
 					default:
-						who = fmt.Sprintf("the %s diverges from %s; so does the %s, differently", s.name, path, sides[1-si].name)
+						who = fmt.Sprintf("the %s diverges from %s; so does the %s, differently", s.name, answersPath, sides[1-si].name)
 					}
 					t.Errorf("Q%02d: %s\n%s", q, who, firstDiff(got[si][q], want[q]))
 				})
+			}
+		})
+	}
+}
+
+const answersPath = "testdata/answers.golden"
+
+// readAnswers splits answers.golden into its per-query sections.
+func readAnswers(t *testing.T) (want [NumQueries + 1]string) {
+	t.Helper()
+	raw, err := os.ReadFile(answersPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := 0
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if strings.HasPrefix(line, "== Q") {
+			if _, err := fmt.Sscanf(line, "== Q%d", &q); err != nil || q < 1 || q > NumQueries {
+				t.Fatalf("%s: bad section header %q", answersPath, line)
+			}
+		}
+		want[q] += line
+	}
+	return want
+}
+
+// TestTopologyParity runs the 22 SQL texts on topologies the other gates do
+// not: one node, and 4 nodes over 3 partitions, where one node holds no
+// partition and so no probe stream of a partitioned join; and the default
+// topology without the ReplicateBuild rule. Every answer must match
+// answers.golden. Messages are small, so an exchange that sends to a port
+// nobody drains fills it and blocks; each query runs under a deadline, which
+// turns that into a failure instead of a hang.
+func TestTopologyParity(t *testing.T) {
+	d := Generate(0.01, 7)
+	want := readAnswers(t)
+	for _, tc := range []struct {
+		name         string
+		nodes, parts int
+		disable      rewriter.Rules
+	}{
+		{"1 node", 1, 2, 0},
+		{"4 nodes x 3 partitions", 4, 3, 0},
+		{"no replicated build", 3, 6, rewriter.ReplicateBuild},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			names := make([]string, tc.nodes)
+			for i := range names {
+				names[i] = fmt.Sprintf("n%d", i+1)
+			}
+			eng, err := core.New(core.Config{
+				Nodes: names, ThreadsPerNode: 2, BlockSize: 1 << 18,
+				Format:   colstore.Format{BlockSize: 16 << 10, BlocksPerChunk: 64, MaxRowsPerBlock: 128},
+				MsgBytes: 1 << 10, // small messages: more of them than a channel holds
+
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := LoadIntoEngine(eng, d, tc.parts); err != nil {
+				t.Fatal(err)
+			}
+			for q := 1; q <= NumQueries; q++ {
+				p, err := BuildQuery(q, eng)
+				var rows [][]any
+				if err == nil {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					var res *core.QueryResult
+					if res, err = eng.Run(ctx, p, core.QueryOptions{Disable: tc.disable}, nil); err == nil {
+						rows = res.Rows
+					}
+					cancel()
+				}
+				if got := renderAnswer(q, rows, err); got != want[q] {
+					t.Errorf("Q%02d: %s", q, firstDiff(got, want[q]))
+				}
 			}
 		})
 	}

@@ -20,6 +20,10 @@ import (
 // every node's copy.
 var partScanEst = regexp.MustCompile(`MScan\[\w+\] \(partitioned\).* ~(\d+) rows \(actual rows=(\d+) `)
 
+// joinEst matches a join's estimate and actual rows. Joins are logged, not
+// held to a bound: a join above a replicated probe counts every node's copy.
+var joinEst = regexp.MustCompile(`(?:Hash|Merge)Join\[[^\]]*\] ~(\d+) rows \(actual rows=(\d+) `)
+
 // maxScanQError90 bounds the 90th-percentile q-error — max(est/actual,
 // actual/est) — of the partitioned scans' estimates over the 22 queries.
 // Estimating a filter as 1/3 per conjunct over a cached row count read 27.7
@@ -38,15 +42,23 @@ func TestExplainAnalyzeAllTPCH(t *testing.T) {
 	}
 	db, _ := openTPCH(t, 0.01)
 
-	var qerrs []float64
+	var qerrs, joinQerrs []float64
+	qerr := func(m []string) float64 {
+		est, _ := strconv.ParseFloat(m[1], 64)
+		act, _ := strconv.ParseFloat(m[2], 64)
+		est, act = max(est, 1), max(act, 1)
+		return max(est/act, act/est)
+	}
 	defer func() {
-		if len(qerrs) == 0 {
-			t.Fatal("no partitioned scan with an estimate and actuals")
+		if len(qerrs) == 0 || len(joinQerrs) == 0 {
+			t.Fatal("no partitioned scan or join with an estimate and actuals")
 		}
 		slices.Sort(qerrs)
-		n := len(qerrs)
+		slices.Sort(joinQerrs)
+		n, j := len(qerrs), len(joinQerrs)
 		p90 := qerrs[(n*9+9)/10-1]
 		t.Logf("partitioned scan q-error over %d scans: median %.2f, p90 %.2f, max %.2f", n, qerrs[n/2], p90, qerrs[n-1])
+		t.Logf("join q-error over %d joins: median %.2f, p90 %.2f, max %.2f", j, joinQerrs[j/2], joinQerrs[(j*9+9)/10-1], joinQerrs[j-1])
 		if p90 > maxScanQError90 {
 			t.Errorf("p90 q-error = %.2f, want <= %d (all: %.2f)", p90, maxScanQError90, qerrs)
 		}
@@ -71,10 +83,10 @@ func TestExplainAnalyzeAllTPCH(t *testing.T) {
 				t.Errorf("analyzed plan lacks cardinality estimates:\n%s", p.Analyzed)
 			}
 			for _, m := range partScanEst.FindAllStringSubmatch(p.Analyzed, -1) {
-				est, _ := strconv.ParseFloat(m[1], 64)
-				act, _ := strconv.ParseFloat(m[2], 64)
-				est, act = max(est, 1), max(act, 1)
-				qerrs = append(qerrs, max(est/act, act/est))
+				qerrs = append(qerrs, qerr(m))
+			}
+			for _, m := range joinEst.FindAllStringSubmatch(p.Analyzed, -1) {
+				joinQerrs = append(joinQerrs, qerr(m))
 			}
 			if len(p.Operators) == 0 {
 				t.Fatal("no operator profiles")
