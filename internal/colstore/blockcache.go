@@ -118,9 +118,7 @@ func (c *BlockCache) put(k blockKey, d colData) {
 // occupy once unpacked (codes are memoized on the shared block handle).
 func approxColBytes(d colData) int64 {
 	n := int64(len(d.i64))*8 + int64(len(d.f64))*8
-	for _, s := range d.str {
-		n += int64(len(s)) + 16
-	}
+	n += strColBytes(&d.str)
 	if d.pd != nil {
 		n += int64(d.pd.Rows())*4 + strSliceBytes(d.pd.Dict.Values)
 	}

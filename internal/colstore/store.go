@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"vectorh/internal/compress"
 	"vectorh/internal/hdfs"
@@ -23,7 +24,7 @@ const tagFloatRaw = 5
 type colData struct {
 	i64 []int64
 	f64 []float64
-	str []string
+	str compress.StrCol
 	pd  *compress.PDictBlock
 }
 
@@ -35,7 +36,7 @@ func (d *colData) length(k vector.Kind) int {
 		if d.pd != nil {
 			return d.pd.Rows()
 		}
-		return len(d.str)
+		return d.str.Len()
 	default:
 		return len(d.i64)
 	}
@@ -46,7 +47,7 @@ func (d *colData) slice(k vector.Kind, lo, hi int) colData {
 	case vector.Float64:
 		return colData{f64: d.f64[lo:hi]}
 	case vector.String:
-		return colData{str: d.str[lo:hi]}
+		return colData{str: d.str.Slice(lo, hi)}
 	default:
 		return colData{i64: d.i64[lo:hi]}
 	}
@@ -106,31 +107,31 @@ func (d *colData) appendBatchCol(v *vector.Vec, sel []int32) (raw int) {
 		}
 		return n * 8
 	case vector.String:
-		src := v.Strings()
-		d.str = room(d.str, n)
+		before := d.str.ValueBytes()
 		if sel == nil {
-			d.str = append(d.str, src...)
+			for i := range n {
+				d.str.Append(v.StrAt(i))
+			}
 		} else {
 			for _, i := range sel {
-				d.str = append(d.str, src[i])
+				d.str.Append(v.StrAt(int(i)))
 			}
 		}
-		return rawBytesEstimate(vector.String, colData{str: d.str[len(d.str)-n:]})
+		return d.str.ValueBytes() - before + n*4
 	default:
 		panic(fmt.Sprintf("colstore: unsupported kind %v", v.Kind()))
 	}
 }
 
 // drop removes the first k values, shifting the rest to the front of the
-// buffer so later appends keep reusing it.
+// buffer so later appends keep reusing it (strings: the rest becomes a view
+// that moves to an arena of its own at the next append).
 func (d *colData) drop(kind vector.Kind, k int) {
 	switch kind {
 	case vector.Float64:
 		d.f64 = d.f64[:copy(d.f64, d.f64[k:])]
 	case vector.String:
-		n := copy(d.str, d.str[k:])
-		clear(d.str[n:]) // drop the references the shift left behind
-		d.str = d.str[:n]
+		d.str = d.str.Slice(k, d.str.Len())
 	default:
 		d.i64 = d.i64[:copy(d.i64, d.i64[k:])]
 	}
@@ -150,7 +151,7 @@ func encodeBlock(e *compress.Encoder, dst []byte, k vector.Kind, d colData) []by
 		}
 		return dst
 	case vector.String:
-		return e.AppendStrings(dst, d.str)
+		return e.AppendStrings(dst, &d.str)
 	default:
 		return e.AppendInts(dst, d.i64)
 	}
@@ -191,7 +192,7 @@ func decodeBlockScan(k vector.Kind, data []byte, codeForm bool, scratch *compres
 			pd, err := compress.PDictOpen(data)
 			return colData{pd: pd}, err
 		}
-		str, err := compress.DecodeStringsScratch(data, nil, scratch)
+		str, err := compress.DecodeStringsScratch(data, scratch)
 		return colData{str: str}, err
 	default:
 		var (
@@ -208,8 +209,9 @@ func decodeBlockScan(k vector.Kind, data []byte, codeForm bool, scratch *compres
 }
 
 // valueBytes estimates the materialized in-memory footprint of value-form
-// column data (string rows count header + shared bytes; code-form blocks
-// count only their dictionary values, the part that was materialized).
+// column data (string rows count their bytes and arena offset; code-form
+// blocks count only their dictionary values, the part that was
+// materialized).
 func valueBytes(k vector.Kind, d colData) int64 {
 	switch k {
 	case vector.Float64:
@@ -218,11 +220,13 @@ func valueBytes(k vector.Kind, d colData) int64 {
 		if d.pd != nil {
 			return strSliceBytes(d.pd.Dict.Values)
 		}
-		return strSliceBytes(d.str)
+		return strColBytes(&d.str)
 	default:
 		return int64(len(d.i64)) * 8
 	}
 }
+
+func strColBytes(c *compress.StrCol) int64 { return int64(c.ValueBytes() + 4*c.Len()) }
 
 func strSliceBytes(ss []string) int64 {
 	n := int64(len(ss)) * 16
@@ -252,18 +256,19 @@ func blockMinMax(k vector.Kind, d colData, b *BlockMeta) {
 			}
 		}
 	case vector.String:
-		if len(d.str) == 0 {
+		if d.str.Len() == 0 {
 			return
 		}
-		b.StrMin, b.StrMax = d.str[0], d.str[0]
-		for _, v := range d.str {
-			if v < b.StrMin {
-				b.StrMin = v
-			}
-			if v > b.StrMax {
-				b.StrMax = v
+		lo, hi := d.str.At(0), d.str.At(0)
+		for i := range d.str.Len() {
+			if v := d.str.At(i); v < lo {
+				lo = v
+			} else if v > hi {
+				hi = v
 			}
 		}
+		// Clones: the directory must not keep the block's arena alive.
+		b.StrMin, b.StrMax = strings.Clone(lo), strings.Clone(hi)
 	default:
 		if len(d.i64) == 0 {
 			return
@@ -406,11 +411,7 @@ func rawBytesEstimate(k vector.Kind, d colData) int {
 	case vector.Float64:
 		return len(d.f64) * 8
 	case vector.String:
-		total := 0
-		for _, s := range d.str {
-			total += len(s) + 4
-		}
-		return total
+		return d.str.ValueBytes() + 4*d.str.Len()
 	default:
 		return len(d.i64) * 8
 	}
@@ -815,7 +816,7 @@ func (s *Scanner) ColVec(i int, start int64, n int) (*vector.Vec, error) {
 			if err != nil {
 				return nil, err
 			}
-			return vector.FromString(str[lo:hi]), nil
+			return vector.FromStrCol(str.Slice(lo, hi)), nil
 		case vector.Int32:
 			out := make([]int32, n)
 			for j, v := range cb.data.i64[lo:hi] {
@@ -849,9 +850,7 @@ func (s *Scanner) ColVec(i int, start int64, n int) (*vector.Vec, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, v := range str[lo:hi] {
-				out.AppendString(v)
-			}
+			out.AppendRange(vector.FromStrCol(*str), lo, hi)
 		case vector.Int32:
 			for _, v := range cb.data.i64[lo:hi] {
 				out.AppendInt32(int32(v))
@@ -884,11 +883,11 @@ func (s *Scanner) blockCodes(cb *cachedBlock) ([]uint32, error) {
 // materializing a code-form block on first use. The materialization is
 // scanner-local (cachedBlock.data is a copy), so the shared cache keeps the
 // compact code form.
-func (s *Scanner) blockStrings(cb *cachedBlock) ([]string, error) {
-	if cb.data.str != nil || cb.data.pd == nil {
-		return cb.data.str, nil
+func (s *Scanner) blockStrings(cb *cachedBlock) (*compress.StrCol, error) {
+	if cb.data.str.Len() > 0 || cb.data.pd == nil {
+		return &cb.data.str, nil
 	}
-	str, err := cb.data.pd.Materialize(make([]string, 0, cb.data.pd.Rows()))
+	str, err := cb.data.pd.Materialize()
 	if err != nil {
 		return nil, err
 	}
@@ -896,9 +895,9 @@ func (s *Scanner) blockStrings(cb *cachedBlock) ([]string, error) {
 		cb.codesCharged = true
 		s.stats.BytesDecoded += int64(cb.data.pd.CodeBytes())
 	}
-	s.stats.BytesMaterialized += strSliceBytes(str)
+	s.stats.BytesMaterialized += strColBytes(&str)
 	cb.data.str = str
-	return str, nil
+	return &cb.data.str, nil
 }
 
 // GatherCol decodes only the rows start+sel[j] of projection slot i (sel
@@ -928,7 +927,7 @@ func (s *Scanner) GatherCol(i int, start int64, sel []int32) (*vector.Vec, error
 		return vector.FromDictCodes(out, cb.data.pd.Dict), nil
 	}
 	out := vector.New(s.kinds[i], len(sel))
-	var str []string
+	var str *compress.StrCol
 	if s.kinds[i] == vector.String {
 		if str, err = s.blockStrings(cb); err != nil {
 			return nil, err
@@ -951,7 +950,7 @@ func (s *Scanner) GatherCol(i int, start int64, sel []int32) (*vector.Vec, error
 		case vector.Float64:
 			out.AppendFloat64(cb.data.f64[j])
 		case vector.String:
-			out.AppendString(str[j])
+			out.AppendString(str.At(j))
 		case vector.Int32:
 			out.AppendInt32(int32(cb.data.i64[j]))
 		default:

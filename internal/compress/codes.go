@@ -80,6 +80,8 @@ func rowsFit(n uint64, w int, body []byte) bool {
 type Scratch struct {
 	codes  []uint64
 	deltas []int64
+	spans  [][2]int // PDICT value positions in the block
+	raw    []byte   // a raw+LZ block's decompressed values
 }
 
 func (s *Scratch) u64(n int) []uint64 {
@@ -92,15 +94,21 @@ func (s *Scratch) u64(n int) []uint64 {
 	return s.codes[:n]
 }
 
-func (s *Scratch) i64(n int) []int64 {
+func (s *Scratch) spansOf(n int) [][2]int {
 	if s == nil {
-		return make([]int64, 0, n)
+		return make([][2]int, n)
 	}
-	if cap(s.deltas) < n {
-		s.deltas = make([]int64, 0, n)
+	s.spans = grow(s.spans, n)
+	return s.spans
+}
+
+// deltaBuf returns the delta staging buffer, empty, for decodePatched to
+// grow once it has checked the block.
+func (s *Scratch) deltaBuf() []int64 {
+	if s == nil {
+		return nil
 	}
-	s.deltas = s.deltas[:0]
-	return s.deltas
+	return s.deltas[:0]
 }
 
 // PDictBlock is an opened PDICT block: the dictionary is parsed (including
@@ -154,102 +162,52 @@ func IsPFORDelta(data []byte) bool { return len(data) > 0 && data[0] == tagPFORD
 // dictionary entries (deduplicated), so the returned dictionary covers
 // every string in the block and codes are canonical.
 func PDictOpen(data []byte) (*PDictBlock, error) {
-	if len(data) < 2 || data[0] != tagPDict {
-		return nil, fmt.Errorf("%w: expected PDICT", ErrCorrupt)
+	l, err := parsePDict(data)
+	if err != nil {
+		return nil, err
 	}
-	body := data[1:]
-	n, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
-	}
-	body = body[sz:]
-	if n == 0 {
+	if l.n == 0 {
 		return &PDictBlock{Dict: &StrDict{}}, nil
 	}
-	dn, sz := binary.Uvarint(body)
-	if sz <= 0 || dn > maxDictEntries {
-		return nil, ErrCorrupt
+	vals := make([]string, l.dn, l.dn+4)
+	for i, rest := 0, l.dict; i < l.dn; i++ {
+		v, r, _ := nextLenPrefixed(rest)
+		vals[i], rest = string(v), r
 	}
-	body = body[sz:]
-	dictStart := len(body)
-	vals := make([]string, dn, dn+4)
-	for i := range vals {
-		l, sz := binary.Uvarint(body)
-		if sz <= 0 || uint64(len(body)-sz) < l {
-			return nil, ErrCorrupt
-		}
-		body = body[sz:]
-		vals[i] = string(body[:l])
-		body = body[l:]
-	}
-	dictBytes := dictStart - len(body)
-	if len(body) < 1 {
-		return nil, ErrCorrupt
-	}
-	w := int(body[0])
-	body = body[1:]
-	fe, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
-	}
-	body = body[sz:]
-	ne, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
-	}
-	body = body[sz:]
-	if w > 64 || fe > n || !rowsFit(n, w, body) {
-		return nil, ErrCorrupt
-	}
-	need := (int(n)*w + 7) / 8
-	if len(body) < need {
-		return nil, ErrCorrupt
-	}
-	packed := body[:need]
-	body = body[need:]
-
 	b := &PDictBlock{
-		n:         int(n),
-		w:         w,
-		packed:    packed,
-		dictBytes: dictBytes,
-		codeBytes: need,
+		n:         l.n,
+		w:         l.w,
+		packed:    l.packed,
+		dictBytes: l.dictSz,
+		codeBytes: len(l.packed),
 	}
-	if ne > 0 {
-		if ne > n {
-			return nil, ErrCorrupt
-		}
+	if l.ne > 0 {
 		// Dedup exception strings against the dictionary and each other so
 		// every distinct string keeps exactly one code.
 		//lint:hotpath block-open setup, sized by the dictionary, not per row
-		idx := make(map[string]uint32, len(vals)+int(ne))
+		idx := make(map[string]uint32, len(vals)+int(l.ne))
 		for i, v := range vals {
 			idx[v] = uint32(i)
 		}
-		b.excPos = make([]int32, 0, ne)
-		b.excCode = make([]uint32, 0, ne)
-		cur := int(fe)
-		for i := uint64(0); i < ne; i++ {
-			l, sz := binary.Uvarint(body)
-			if sz <= 0 || uint64(len(body)-sz) < l {
+		b.excPos = make([]int32, 0, l.ne)
+		b.excCode = make([]uint32, 0, l.ne)
+		cur, rest := int(l.fe), l.exc
+		for range l.ne {
+			v, r, ok := nextLenPrefixed(rest)
+			if !ok || cur >= l.n {
 				return nil, ErrCorrupt
 			}
-			body = body[sz:]
-			s := string(body[:l])
-			b.dictBytes += sz + int(l)
-			body = body[l:]
-			if cur >= int(n) {
-				return nil, ErrCorrupt
-			}
-			c, ok := idx[s]
+			b.dictBytes += len(rest) - len(r)
+			rest = r
+			c, ok := idx[string(v)]
 			if !ok {
 				c = uint32(len(vals))
-				vals = append(vals, s)
-				idx[s] = c
+				vals = append(vals, string(v))
+				idx[vals[c]] = c
 			}
 			b.excPos = append(b.excPos, int32(cur))
 			b.excCode = append(b.excCode, c)
-			cur += int(unpackOne(packed, cur, w)) + 1
+			cur += int(unpackOne(l.packed, cur, l.w)) + 1
 		}
 	}
 	b.Dict = &StrDict{Values: vals}
@@ -280,19 +238,19 @@ func (b *PDictBlock) Codes() ([]uint32, error) {
 	return b.codes, b.codesErr
 }
 
-// Materialize appends the block's strings to dst, going through the code
-// vector — the PDT-delta merge path uses this to re-materialize before
-// merging deltas, which only exist in value space.
-func (b *PDictBlock) Materialize(dst []string) ([]string, error) {
+// Materialize returns the block's values as a new column, going through
+// the code vector — the PDT-delta merge path uses this to re-materialize
+// before merging deltas, which only exist in value space.
+func (b *PDictBlock) Materialize() (StrCol, error) {
 	codes, err := b.Codes()
 	if err != nil {
-		return nil, err
+		return StrCol{}, err
 	}
-	vals := b.Dict.Values
+	var col StrCol
 	for _, c := range codes {
-		dst = append(dst, vals[c])
+		col.Append(b.Dict.Values[c])
 	}
-	return dst, nil
+	return col, nil
 }
 
 // PFORBounds computes a conservative value range [lo, hi] for a PFOR block

@@ -38,7 +38,7 @@ func TestPDictOpenCodes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: codes: %v", ci, err)
 		}
-		want, err := PDictDecode(enc, nil)
+		want, err := decodeAll(enc, nil)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", ci, err)
 		}
@@ -54,7 +54,7 @@ func TestPDictOpenCodes(t *testing.T) {
 			}
 			seen[got] = codes[i]
 		}
-		mat, err := b.Materialize(nil)
+		mat, err := materializeAll(b)
 		if err != nil {
 			t.Fatalf("case %d: materialize: %v", ci, err)
 		}
@@ -172,7 +172,7 @@ func TestScratchReuseAcrossSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs, err := DecodeStringsScratch(dict, nil, &s)
+		gs, err := decodeAll(dict, &s)
 		if err != nil {
 			t.Fatal(err)
 		}

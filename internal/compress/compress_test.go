@@ -219,7 +219,7 @@ func TestPFORDecodeRejectsGarbage(t *testing.T) {
 
 func TestPDictBasic(t *testing.T) {
 	vals := []string{"apple", "pear", "apple", "apple", "fig", "pear", "apple"}
-	dec, err := PDictDecode(PDictEncode(vals), nil)
+	dec, err := decodeAll(PDictEncode(vals), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPDictBasic(t *testing.T) {
 
 func TestPDictEmptyAndSingleton(t *testing.T) {
 	for _, vals := range [][]string{nil, {""}, {"only"}, {"", "", ""}} {
-		dec, err := PDictDecode(PDictEncode(vals), nil)
+		dec, err := decodeAll(PDictEncode(vals), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestPDictCompressionOnLowCardinality(t *testing.T) {
 	if len(enc) > len(vals)/2 {
 		t.Fatalf("PDICT too large: %d bytes for %d values", len(enc), len(vals))
 	}
-	dec, err := PDictDecode(enc, nil)
+	dec, err := decodeAll(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestEncodeStringsPicksRawForHighCardinality(t *testing.T) {
 		vals[i] = strings.Repeat("x", 20) + string(rune('a'+i%26)) + strings.Repeat("y", i%17)
 	}
 	enc := EncodeStrings(vals)
-	dec, err := DecodeStrings(enc, nil)
+	dec, err := decodeAll(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +290,10 @@ func TestEncodeStringsPicksRawForHighCardinality(t *testing.T) {
 }
 
 func TestDecodeStringsRejectsGarbage(t *testing.T) {
-	if _, err := DecodeStrings(nil, nil); err == nil {
+	if _, err := decodeAll(nil, nil); err == nil {
 		t.Fatal("nil input should fail")
 	}
-	if _, err := DecodeStrings([]byte{99, 0}, nil); err == nil {
+	if _, err := decodeAll([]byte{99, 0}, nil); err == nil {
 		t.Fatal("unknown tag should fail")
 	}
 }
@@ -304,7 +304,7 @@ func TestPDictRoundTripProperty(t *testing.T) {
 		for i, b := range raw {
 			vals[i] = string(b)
 		}
-		dec, err := DecodeStrings(EncodeStrings(vals), nil)
+		dec, err := decodeAll(EncodeStrings(vals), nil)
 		if err != nil || len(dec) != len(vals) {
 			return false
 		}
@@ -404,4 +404,25 @@ func BenchmarkPFORPatching(b *testing.B) {
 			}
 		})
 	}
+}
+
+// decodeAll decodes a string block of either scheme through the arena
+// decoder and returns its values as a []string.
+func decodeAll(data []byte, s *Scratch) ([]string, error) {
+	c, err := DecodeStringsScratch(data, s)
+	return colStrings(&c), err
+}
+
+// materializeAll is PDictBlock.Materialize as a []string.
+func materializeAll(b *PDictBlock) ([]string, error) {
+	c, err := b.Materialize()
+	return colStrings(&c), err
+}
+
+func colStrings(c *StrCol) []string {
+	out := make([]string, c.Len())
+	for i := range out {
+		out[i] = c.At(i)
+	}
+	return out
 }

@@ -146,7 +146,8 @@ func TestEncoderMatchesReferenceStrings(t *testing.T) {
 	var e Encoder
 	check := func(name string, vals []string) {
 		t.Helper()
-		if got, want := e.AppendStrings(nil, vals), refEncodeStrings(vals); !bytes.Equal(got, want) {
+		col := StrColOf(vals)
+		if got, want := e.AppendStrings(nil, &col), refEncodeStrings(vals); !bytes.Equal(got, want) {
 			t.Errorf("%s: AppendStrings differs from reference (%d vs %d bytes, tags %d vs %d)",
 				name, len(got), len(want), got[0], want[0])
 		}
@@ -228,12 +229,12 @@ func TestPackBitsMatchesReference(t *testing.T) {
 
 func TestEncoderReuseDoesNotAllocate(t *testing.T) {
 	ints := fill(8192, func(i int) int64 { return int64(i/3)*7 + int64(i%2)<<30 }) // frame plus exceptions
-	strs := strBlock(rand.New(rand.NewSource(1)), 8192, 300)
+	strs := StrColOf(strBlock(rand.New(rand.NewSource(1)), 8192, 300))
 	var e Encoder
 	var out []byte
 	encode := func() {
 		out = e.AppendInts(out[:0], ints)
-		out = e.AppendStrings(out[:0], strs)
+		out = e.AppendStrings(out[:0], &strs)
 	}
 	encode() // sizes the scratch
 	if allocs := testing.AllocsPerRun(10, encode); allocs != 0 {
@@ -273,16 +274,12 @@ func BenchmarkEncode(b *testing.B) {
 		})
 	}
 	for _, name := range []string{"str_lowcard", "str_comment"} {
-		vals := strs[name]
-		raw := 0
-		for _, s := range vals {
-			raw += len(s)
-		}
+		vals := StrColOf(strs[name])
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(raw))
+			b.SetBytes(int64(vals.ValueBytes()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out = e.AppendStrings(out[:0], vals)
+				out = e.AppendStrings(out[:0], &vals)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -14,8 +15,10 @@ import (
 //     bracket every encoded value), and for PDICT over the derived strings
 //     (both the eager decoder and the lazy PDictOpen/Codes/Materialize
 //     path the code-form scanner uses);
-//  2. decoding arbitrarily mutated bytes must fail cleanly — an error or
-//     wrong values, never a panic or out-of-bounds access;
+//  2. decoding arbitrarily mutated bytes, and the input itself taken as a
+//     block, must fail cleanly — an error or wrong values, never a panic or
+//     out-of-bounds access — and allocate in proportion to the bytes in and
+//     the values out, never to a count a header claims;
 //  3. every encoder is byte-equal to its reference in reference_test.go —
 //     the exact frame search, the size-based scheme choices and the
 //     word-wise bit packer must not change one encoded byte.
@@ -118,17 +121,18 @@ func FuzzCompressRoundTrip(f *testing.F) {
 				t.Fatalf("code[%d] maps to %q, want %q", i, pd.Dict.Values[c], strs[i])
 			}
 		}
-		mat, err := pd.Materialize(nil)
+		mat, err := materializeAll(pd)
 		if err != nil {
 			t.Fatalf("Materialize of own encoding: %v", err)
 		}
 		eqStr(t, "PDICT materialize", strs, mat)
 
-		encAuto := e.AppendStrings(nil, strs)
+		col := StrColOf(strs)
+		encAuto := e.AppendStrings(nil, &col)
 		if !bytes.Equal(encAuto, refEncodeStrings(strs)) {
 			t.Fatal("AppendStrings differs from the reference EncodeStrings")
 		}
-		gotS, err = DecodeStringsScratch(encAuto, nil, &s)
+		gotS, err = decodeAll(encAuto, &s)
 		if err != nil {
 			t.Fatalf("EncodeStrings decode of own encoding: %v", err)
 		}
@@ -137,24 +141,56 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		// Mutated bytes: every decoder over every (corrupted) encoding must
 		// fail cleanly. Values may be wrong — the mutation can land in a
 		// payload byte — but nothing may panic.
-		for _, enc := range [][]byte{encPFOR, encDelta, encDict, encAuto} {
+		for _, enc := range [][]byte{encPFOR, encDelta, encDict, encAuto, data} {
 			if len(enc) == 0 {
 				continue
 			}
 			m := bytes.Clone(enc)
 			m[int(mutPos)%len(m)] ^= mutXor
-			_, _ = PFORDecodeScratch(m, nil, &s)
-			_, _ = PFORDeltaDecodeScratch(m, nil, &s)
-			_, _ = DecodeStringsScratch(m, nil, &s)
-			_, _, _ = PFORBounds(m)
-			_, _ = PFORDecodeRange(m, 0, 1, nil, &s)
-			if pb, err := PDictOpen(m); err == nil {
-				if _, err := pb.Codes(); err == nil {
-					_, _ = pb.Materialize(nil)
+			for _, blk := range [][]byte{m, enc} {
+				var out int
+				alloc := allocBytes(func() { out = decodeEverything(blk) })
+				if limit := 1<<20 + 1024*len(blk) + 8*out; alloc > uint64(limit) {
+					t.Fatalf("decoding %d hostile bytes into %d bytes of values allocated %d bytes", len(blk), out, alloc)
 				}
 			}
 		}
 	})
+}
+
+// decodeEverything runs every decoder over blk, with a fresh scratch so the
+// staging buffers count, and returns the bytes of values they produced.
+func decodeEverything(blk []byte) (out int) {
+	var s Scratch
+	if v, err := PFORDecodeScratch(blk, nil, &s); err == nil {
+		out += 8 * len(v)
+	}
+	if v, err := PFORDeltaDecodeScratch(blk, nil, &s); err == nil {
+		out += 8 * len(v)
+	}
+	if c, err := DecodeStringsScratch(blk, &s); err == nil {
+		out += c.ValueBytes() + 4*c.Len()
+	}
+	_, _, _ = PFORBounds(blk)
+	if v, err := PFORDecodeRange(blk, 0, 1, nil, &s); err == nil {
+		out += 8 * len(v)
+	}
+	if pb, err := PDictOpen(blk); err == nil {
+		if codes, err := pb.Codes(); err == nil {
+			c, _ := pb.Materialize()
+			out += 4*len(codes) + c.ValueBytes() + 4*c.Len()
+		}
+	}
+	return out
+}
+
+// allocBytes returns the bytes of heap memory f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func eqI64(t *testing.T, what string, want, got []int64) {

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // LZCompress is a small byte-oriented LZ77 compressor in the spirit of
@@ -72,7 +73,11 @@ func lzAppend(out, src []byte, limit int) ([]byte, bool) {
 }
 
 // LZDecompress inverts LZCompress.
-func LZDecompress(src []byte) ([]byte, error) {
+func LZDecompress(src []byte) ([]byte, error) { return lzDecompress(nil, src) }
+
+// lzDecompress appends the bytes src decompresses to to dst[:0], growing it
+// at most once.
+func lzDecompress(dst, src []byte) ([]byte, error) {
 	const minMatch = 4
 	n, sz := binary.Uvarint(src)
 	if sz <= 0 {
@@ -87,7 +92,7 @@ func LZDecompress(src []byte) ([]byte, error) {
 	if n > uint64(len(src))*131 {
 		return nil, ErrCorrupt
 	}
-	out := make([]byte, 0, n)
+	out := slices.Grow(dst[:0], int(n))
 	for len(src) > 0 {
 		c := src[0]
 		src = src[1:]
@@ -107,7 +112,11 @@ func LZDecompress(src []byte) ([]byte, error) {
 		}
 		src = src[sz:]
 		start := len(out) - int(off)
-		for j := 0; j < length; j++ { // may self-overlap
+		if int(off) >= length {
+			out = append(out, out[start:start+length]...)
+			continue
+		}
+		for j := 0; j < length; j++ { // self-overlapping: each byte may be one this match wrote
 			out = append(out, out[start+j])
 		}
 	}

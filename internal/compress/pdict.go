@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // maxDictEntries caps the PDICT dictionary; values beyond the cap (or runs of
@@ -27,14 +28,16 @@ type dictEntry struct {
 
 // PDictEncode compresses strings with patched dictionary encoding: frequent
 // values get thin fixed-width dictionary codes, infrequent values are stored
-// verbatim as exceptions threaded through the code stream.
+// verbatim as exceptions threaded through the code stream. It copies vals
+// into a StrCol first (bench and tests only).
 func PDictEncode(vals []string) []byte {
 	var e Encoder
 	if len(vals) == 0 {
 		return []byte{tagPDict, 0}
 	}
-	e.planDict(vals)
-	return e.emitDict(nil, vals)
+	c := StrColOf(vals)
+	e.planDict(&c)
+	return e.emitDict(nil, &c)
 }
 
 // planDict builds the block's dictionary — distinct values by descending
@@ -43,15 +46,16 @@ func PDictEncode(vals []string) []byte {
 // lookup per value assigns entry ids; codes follow from the sort
 // permutation. It returns the exact size of the PDICT block and the size of
 // the length-prefixed raw body the LZ alternative would compress.
-func (e *Encoder) planDict(vals []string) (dictSize, rawLen int) {
-	n := len(vals)
+func (e *Encoder) planDict(vals *StrCol) (dictSize, rawLen int) {
+	n := vals.Len()
 	if e.index == nil {
 		e.index = make(dictIndex, 64)
 	}
 	clear(e.index)
 	e.entries = e.entries[:0]
 	e.ids = grow(e.ids, n)
-	for i, s := range vals {
+	for i := range n {
+		s := vals.At(i)
 		rawLen += uvarintLen(uint64(len(s))) + len(s)
 		id, ok := e.index[s]
 		if !ok {
@@ -107,122 +111,179 @@ func (e *Encoder) planDict(vals []string) (dictSize, rawLen int) {
 		dictSize += uvarintLen(uint64(len(en.s))) + len(en.s)
 	}
 	for _, pos := range p.plan {
-		dictSize += uvarintLen(uint64(len(vals[pos]))) + len(vals[pos])
+		l := len(vals.At(pos))
+		dictSize += uvarintLen(uint64(l)) + l
 	}
 	return dictSize, rawLen
 }
 
 // emitDict appends the PDICT block planDict staged for vals.
-func (e *Encoder) emitDict(out []byte, vals []string) []byte {
-	out = binary.AppendUvarint(append(out, tagPDict), uint64(len(vals)))
+func (e *Encoder) emitDict(out []byte, vals *StrCol) []byte {
+	out = binary.AppendUvarint(append(out, tagPDict), uint64(vals.Len()))
 	out = binary.AppendUvarint(out, uint64(len(e.entries)))
 	for _, en := range e.entries {
 		out = binary.AppendUvarint(out, uint64(len(en.s)))
 		out = append(out, en.s...)
 	}
 	out = append(out, byte(e.plain.w))
-	out = e.plain.appendChain(out, len(vals))
+	out = e.plain.appendChain(out, vals.Len())
 	for _, pos := range e.plain.plan {
-		out = binary.AppendUvarint(out, uint64(len(vals[pos])))
-		out = append(out, vals[pos]...)
+		out = appendLenPrefixed(out, vals.At(pos))
 	}
 	return out
 }
 
-// PDictDecode decompresses a PDictEncode block, appending to dst.
-func PDictDecode(data []byte, dst []string) ([]string, error) {
-	return PDictDecodeScratch(data, dst, nil)
+func appendLenPrefixed(out []byte, s string) []byte {
+	return append(binary.AppendUvarint(out, uint64(len(s))), s...)
 }
 
-// PDictDecodeScratch is PDictDecode with caller-owned staging buffers.
+// PDictDecodeScratch decodes a PDictEncode block and appends its values to
+// dst: a []string adapter over the arena decode (bench and tests only).
 func PDictDecodeScratch(data []byte, dst []string, s *Scratch) ([]string, error) {
-	if len(data) < 2 || data[0] != tagPDict {
+	if len(data) == 0 || data[0] != tagPDict {
 		return nil, fmt.Errorf("%w: expected PDICT", ErrCorrupt)
+	}
+	c, err := DecodeStringsScratch(data, s) // empty on error
+	for i := range c.Len() {
+		dst = append(dst, c.At(i))
+	}
+	return dst, err
+}
+
+// pdictLayout is a parsed PDICT block header: where its sections lie. The
+// dictionary entries are checked against the bytes present; the exception
+// values, which follow the packed codes, are not.
+type pdictLayout struct {
+	n, w   int
+	dn     int
+	dict   []byte // dn length-prefixed entries first, then the rest of the block
+	dictSz int    // the entries' bytes
+	fe, ne uint64 // first exception position, exception count
+	packed []byte // the n w-bit codes
+	exc    []byte // ne length-prefixed exception values, and anything after
+}
+
+func parsePDict(data []byte) (pdictLayout, error) {
+	var l pdictLayout
+	if len(data) < 2 || data[0] != tagPDict {
+		return l, fmt.Errorf("%w: expected PDICT", ErrCorrupt)
 	}
 	body := data[1:]
 	n, sz := binary.Uvarint(body)
 	if sz <= 0 {
-		return nil, ErrCorrupt
+		return l, ErrCorrupt
 	}
 	body = body[sz:]
 	if n == 0 {
-		return dst, nil
+		return l, nil
 	}
 	dn, sz := binary.Uvarint(body)
 	if sz <= 0 || dn > maxDictEntries {
-		return nil, ErrCorrupt
+		return l, ErrCorrupt
 	}
 	body = body[sz:]
-	dict := make([]string, dn)
-	for i := range dict {
-		l, sz := binary.Uvarint(body)
-		if sz <= 0 || uint64(len(body)-sz) < l {
-			return nil, ErrCorrupt
+	l.dn, l.dict = int(dn), body
+	for range dn {
+		_, rest, ok := nextLenPrefixed(body)
+		if !ok {
+			return l, ErrCorrupt
 		}
-		body = body[sz:]
-		dict[i] = string(body[:l])
-		body = body[l:]
+		body = rest
 	}
+	l.dictSz = len(l.dict) - len(body)
 	if len(body) < 1 {
-		return nil, ErrCorrupt
+		return l, ErrCorrupt
 	}
-	w := int(body[0])
+	// The encoder writes codes at least one bit wide, so every row costs
+	// packed bits and a hostile row count cannot outgrow the block.
+	l.w = int(body[0])
 	body = body[1:]
-	fe, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
+	if l.fe, sz = binary.Uvarint(body); sz <= 0 {
+		return l, ErrCorrupt
 	}
 	body = body[sz:]
-	ne, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
+	if l.ne, sz = binary.Uvarint(body); sz <= 0 {
+		return l, ErrCorrupt
 	}
 	body = body[sz:]
-	if w > 64 || !rowsFit(n, w, body) {
-		return nil, ErrCorrupt
+	if l.w < 1 || l.w > 64 || l.fe > n || l.ne > n || !rowsFit(n, l.w, body) {
+		return l, ErrCorrupt
 	}
-	need := (int(n)*w + 7) / 8
-	if len(body) < need {
-		return nil, ErrCorrupt
-	}
-	codes := s.u64(int(n))
-	unpackBits(codes, body[:need], int(n), w)
-	body = body[need:]
+	l.n = int(n)
+	need := (l.n*l.w + 7) / 8
+	l.packed, l.exc = body[:need], body[need:]
+	return l, nil
+}
 
-	base := len(dst)
-	// Phase 1: inflate dictionary codes. Exception slots hold chain links
-	// which may collide with valid indexes; they are overwritten in phase 2.
+// nextLenPrefixed splits the first length-prefixed value off b.
+func nextLenPrefixed(b []byte) (v, rest []byte, ok bool) {
+	l, sz := binary.Uvarint(b)
+	if sz <= 0 || uint64(len(b)-sz) < l {
+		return nil, nil, false
+	}
+	return b[sz : sz+int(l)], b[sz+int(l):], true
+}
+
+// pdictDecode decodes a PDICT block into value form: the codes unpack into
+// the scratch, every dictionary entry and exception becomes a span of the
+// block's bytes, and the values are copied into one arena.
+func pdictDecode(data []byte, s *Scratch) (StrCol, error) {
+	l, err := parsePDict(data)
+	if err != nil || l.n == 0 {
+		return StrCol{}, err
+	}
+	codes := s.u64(l.n)
+	unpackBits(codes, l.packed, l.n, l.w)
+	// spans[c] locates value c in data: dictionary entries first, then
+	// exception k as code dn+k, patched over its chain link once read.
+	spans := s.spansOf(l.dn + int(l.ne))
+	for i, rest := 0, l.dict; i < l.dn; i++ {
+		v, r, _ := nextLenPrefixed(rest)
+		spans[i] = [2]int{len(data) - len(r) - len(v), len(data) - len(r)}
+		rest = r
+	}
+	cur, rest := l.fe, l.exc
+	for k := range int(l.ne) {
+		v, r, ok := nextLenPrefixed(rest)
+		if !ok || cur >= uint64(l.n) {
+			return StrCol{}, ErrCorrupt
+		}
+		spans[l.dn+k] = [2]int{len(data) - len(r) - len(v), len(data) - len(r)}
+		rest = r
+		next := cur + codes[cur] + 1
+		codes[cur] = uint64(l.dn + k)
+		cur = next
+	}
+	// Codes past the dictionary that no exception patched stand for "".
+	total := uint64(0)
 	for _, c := range codes {
-		if c < uint64(len(dict)) {
-			dst = append(dst, dict[c])
-		} else {
-			dst = append(dst, "")
+		if c < uint64(len(spans)) {
+			total += uint64(spans[c][1] - spans[c][0])
 		}
 	}
-	// Phase 2: hop the chain, patching verbatim values.
-	cur := int(fe)
-	for i := uint64(0); i < ne; i++ {
-		l, sz := binary.Uvarint(body)
-		if sz <= 0 || uint64(len(body)-sz) < l {
-			return nil, ErrCorrupt
-		}
-		body = body[sz:]
-		if cur >= int(n) {
-			return nil, ErrCorrupt
-		}
-		dst[base+cur] = string(body[:l])
-		body = body[l:]
-		cur += int(codes[cur]) + 1
+	if total > MaxBytes {
+		return StrCol{}, fmt.Errorf("%w: %d string bytes in one block", ErrCorrupt, total)
 	}
-	return dst, nil
+	var sb strings.Builder
+	sb.Grow(int(total))
+	offs := make([]uint32, 1, l.n+1)
+	for _, c := range codes {
+		if c < uint64(len(spans)) {
+			sb.Write(data[spans[c][0]:spans[c][1]])
+		}
+		offs = append(offs, uint32(sb.Len()))
+	}
+	return StrCol{arena: sb.String(), offs: offs}, nil
 }
 
 // EncodeStrings picks between PDICT and raw+LZ for a string column chunk,
 // whichever is smaller — mirroring VectorH, which dictionary-compresses
-// repetitive strings and falls back to LZ4 for the rest.
+// repetitive strings and falls back to LZ4 for the rest. It copies vals into
+// a StrCol first (bench and tests only).
 func EncodeStrings(vals []string) []byte {
 	var e Encoder
-	return e.AppendStrings(nil, vals)
+	c := StrColOf(vals)
+	return e.AppendStrings(nil, &c)
 }
 
 // AppendStrings appends the smaller of the PDICT and raw+LZ encodings of
@@ -230,63 +291,54 @@ func EncodeStrings(vals []string) []byte {
 // either body is built, and the LZ pass gives up as soon as its output can
 // no longer come in under it — so a low-cardinality column never finishes
 // an LZ pass and a high-cardinality one never packs a dictionary block.
-func (e *Encoder) AppendStrings(out []byte, vals []string) []byte {
-	if len(vals) == 0 {
+func (e *Encoder) AppendStrings(out []byte, vals *StrCol) []byte {
+	n := vals.Len()
+	if n == 0 {
 		return append(out, tagPDict, 0)
 	}
 	dictSize, rawLen := e.planDict(vals)
-	hdr := 1 + uvarintLen(uint64(len(vals)))
+	hdr := 1 + uvarintLen(uint64(n))
 	e.raw = slices.Grow(e.raw[:0], rawLen)
-	for _, s := range vals {
-		e.raw = binary.AppendUvarint(e.raw, uint64(len(s)))
-		e.raw = append(e.raw, s...)
+	for i := range n {
+		e.raw = appendLenPrefixed(e.raw, vals.At(i))
 	}
 	var ok bool
 	if e.lz, ok = lzAppend(e.lz[:0], e.raw, dictSize-hdr); !ok {
 		return e.emitDict(out, vals)
 	}
-	out = binary.AppendUvarint(append(out, tagRawString), uint64(len(vals)))
+	out = binary.AppendUvarint(append(out, tagRawString), uint64(n))
 	return append(out, e.lz...)
 }
 
-// DecodeStrings decodes either string scheme, appending to dst.
-func DecodeStrings(data []byte, dst []string) ([]string, error) {
-	return DecodeStringsScratch(data, dst, nil)
-}
-
-// DecodeStringsScratch is DecodeStrings with caller-owned staging buffers.
-func DecodeStringsScratch(data []byte, dst []string, s *Scratch) ([]string, error) {
+// DecodeStringsScratch decodes either string scheme into a new column; the
+// scratch lends the decoder its staging buffers. A raw+LZ block costs two
+// allocations, the column's arena and offsets, whatever its value count.
+func DecodeStringsScratch(data []byte, s *Scratch) (StrCol, error) {
 	if len(data) == 0 {
-		return nil, ErrCorrupt
+		return StrCol{}, ErrCorrupt
 	}
 	switch data[0] {
 	case tagPDict:
-		return PDictDecodeScratch(data, dst, s)
+		return pdictDecode(data, s)
 	case tagRawString:
-		return rawStringDecode(data, dst)
-	default:
-		return nil, fmt.Errorf("%w: unknown string scheme %d", ErrCorrupt, data[0])
-	}
-}
-
-func rawStringDecode(data []byte, dst []string) ([]string, error) {
-	body := data[1:]
-	n, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
-	}
-	raw, err := LZDecompress(body[sz:])
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(raw)
-		if sz <= 0 || uint64(len(raw)-sz) < l {
-			return nil, ErrCorrupt
+		n, sz := binary.Uvarint(data[1:])
+		if sz <= 0 {
+			return StrCol{}, ErrCorrupt
 		}
-		raw = raw[sz:]
-		dst = append(dst, string(raw[:l]))
-		raw = raw[l:]
+		var raw []byte
+		if s != nil {
+			raw = s.raw
+		}
+		raw, err := lzDecompress(raw, data[1+sz:])
+		if err != nil {
+			return StrCol{}, err
+		}
+		if s != nil {
+			s.raw = raw
+		}
+		c, _, err := DecodeLenPrefixed(raw, n)
+		return c, err
+	default:
+		return StrCol{}, fmt.Errorf("%w: unknown string scheme %d", ErrCorrupt, data[0])
 	}
-	return dst, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Scheme tags stored as the first byte of every encoded block.
@@ -93,7 +94,7 @@ func PFORDeltaDecodeScratch(data []byte, dst []int64, s *Scratch) ([]int64, erro
 	if sz <= 0 {
 		return nil, ErrCorrupt
 	}
-	deltas, err := decodePatched(body[sz:], int(n), s.i64(int(n)), s)
+	deltas, err := decodePatched(body[sz:], int(n), s.deltaBuf(), s)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +102,7 @@ func PFORDeltaDecodeScratch(data []byte, dst []int64, s *Scratch) ([]int64, erro
 		s.deltas = deltas // keep the grown buffer for the next block
 	}
 	base := len(dst)
-	dst = append(dst, first)
+	dst = append(slices.Grow(dst, int(n)), first)
 	for i := 1; i < int(n); i++ {
 		dst = append(dst, dst[base+i-1]+deltas[i])
 	}
@@ -135,9 +136,12 @@ func decodePatched(body []byte, n int, dst []int64, s *Scratch) ([]int64, error)
 		return nil, ErrCorrupt
 	}
 	need := (n*w + 7) / 8
-	if len(body) < need {
+	// Every exception value takes at least one byte after the codes: with
+	// w == 0 nothing else bounds n, so check before sizing anything by it.
+	if len(body) < need || ne > uint64(len(body)-need) {
 		return nil, ErrCorrupt
 	}
+	dst = slices.Grow(dst, n)
 	codes := s.u64(n)
 	unpackBits(codes, body[:need], n, w)
 	body = body[need:]

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -14,6 +15,49 @@ func scratchTestVals() []int64 {
 		}
 	}
 	return vals
+}
+
+// commentStrs returns n values shaped like l_comment: four words from the
+// TPC-H comment vocabulary, unique enough that the block goes raw+LZ.
+func commentStrs(n int) []string {
+	rng := rand.New(rand.NewSource(17))
+	words := []string{"furiously", "carefully", "quickly", "blithely", "slyly", "ideas", "deposits",
+		"accounts", "packages", "requests", "instructions", "theodolites", "platelets", "excuses",
+		"pending", "final", "regular", "express", "ironic", "bold", "even", "silent", "special"}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))] + " " +
+			words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
+	}
+	return out
+}
+
+// TestRawLZDecodeAllocs pins the raw+LZ decode to two allocations per
+// block, the column's arena and its offsets, whatever the value count: the
+// decompressed bytes stage in the scratch, and no value gets a string of its
+// own.
+func TestRawLZDecodeAllocs(t *testing.T) {
+	for _, n := range []int{64, 1024, 8192} {
+		vals := commentStrs(n)
+		enc := EncodeStrings(vals)
+		if IsPDict(enc) {
+			t.Fatalf("n=%d: comment-shaped block encoded as PDICT; the test needs raw+LZ", n)
+		}
+		var s Scratch
+		c, err := DecodeStringsScratch(enc, &s) // grows the scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		eqStr(t, "raw+LZ", vals, colStrings(&c))
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeStringsScratch(enc, &s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("n=%d: raw+LZ decode allocated %.1f times per block, want <= 2", n, allocs)
+		}
+	}
 }
 
 func scratchTestStrs() []string {
@@ -60,9 +104,9 @@ func TestScratchReuseAvoidsAllocs(t *testing.T) {
 		t.Fatalf("PFOR-DELTA decode with warm scratch allocated %.1f times per op, want 0", n)
 	}
 
-	// PDICT decode must allocate string headers, but the code staging array
-	// has to come from the scratch: with it, strictly fewer allocations per
-	// block than without.
+	// PDICT decode allocates the column's arena and offsets, but the code
+	// and value-position staging arrays have to come from the scratch: with
+	// it, strictly fewer allocations per block than without.
 	encDict := PDictEncode(scratchTestStrs())
 	sdst := make([]string, 0, 2048)
 	if _, err := PDictDecodeScratch(encDict, sdst[:0], &s); err != nil {
@@ -108,6 +152,26 @@ func BenchmarkDecodeScratch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := PFORDeltaDecodeScratch(encDelta, dst[:0], &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("raw-lz", func(b *testing.B) {
+		vals := commentStrs(8192)
+		enc := EncodeStrings(vals)
+		raw := 0
+		for _, v := range vals {
+			raw += len(v)
+		}
+		var s Scratch
+		if _, err := DecodeStringsScratch(enc, &s); err != nil { // grows the scratch
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(raw))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeStringsScratch(enc, &s); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -134,11 +134,6 @@ func loadSource(t *Table, batches []*vector.Batch) (*vector.Batch, error) {
 				return nil, fmt.Errorf("core: load into %s: batch %d column %s is %s, the table stores %s",
 					t.Info.Name, bi, f.Name, k, f.Type.Kind)
 			}
-			if f.Type.Kind == vector.String {
-				// Dictionary vectors materialize on first read; do it here,
-				// not under concurrent partition writers.
-				b.Col(ci).Strings()
-			}
 		}
 		total += b.Len()
 	}
@@ -148,10 +143,8 @@ func loadSource(t *Table, batches []*vector.Batch) (*vector.Batch, error) {
 	out := vector.NewBatchForSchema(schema, total)
 	for _, b := range batches {
 		for ci, v := range out.Vecs {
-			if b.Sel != nil {
-				v.AppendGather(b.Col(ci), b.Sel)
-			} else {
-				v.AppendRange(b.Col(ci), 0, b.Col(ci).Len())
+			if err := v.AppendRowsChecked(b.Col(ci), b.Sel); err != nil {
+				return nil, fmt.Errorf("core: load into %s: column %s: %w", t.Info.Name, schema[ci].Name, err)
 			}
 		}
 	}

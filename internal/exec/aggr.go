@@ -83,19 +83,20 @@ func (a *aggAcc) grow(n int) {
 
 // update folds one batch into the groups its rows map to: args holds each
 // spec's argument column (nil for COUNT(*)), groups the row's group id.
-func (a *aggAcc) update(args []*vector.Vec, groups []int32) {
+func (a *aggAcc) update(args []*vector.Vec, groups []int32) error {
 	for ai, spec := range a.aggs {
-		if spec.Func == AggCountDistinct {
-			a.updateDistinct(ai, args[ai], groups)
-		} else {
+		if spec.Func != AggCountDistinct {
 			updateAggBatch(a.states[ai], spec, args[ai], groups)
+		} else if err := a.updateDistinct(ai, args[ai], groups); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // updateDistinct records the batch's (group, value) pairs in the spec's
 // dedup table, creating it on first use.
-func (a *aggAcc) updateDistinct(ai int, arg *vector.Vec, groups []int32) {
+func (a *aggAcc) updateDistinct(ai int, arg *vector.Vec, groups []int32) error {
 	dt := a.distinct[ai]
 	if dt == nil {
 		dt = NewHashTable([]vector.Kind{vector.Int32, arg.Kind()}, a.pool)
@@ -103,8 +104,9 @@ func (a *aggAcc) updateDistinct(ai int, arg *vector.Vec, groups []int32) {
 	}
 	n := len(groups)
 	ids := a.pool.GetSel(n)[:n]
-	dt.FindOrInsert([]*vector.Vec{vector.FromInt32(groups), arg}, n, ids)
+	err := dt.FindOrInsert([]*vector.Vec{vector.FromInt32(groups), arg}, n, ids)
 	a.pool.PutSel(ids)
+	return err
 }
 
 // foldDistinct counts the dedup tables into the states: each stored
@@ -293,12 +295,16 @@ func (h *HashAggr) consume() error {
 		argCols(h.prog, len(keyCols), h.Aggs, args)
 		groups := h.pool.GetSel(n)[:n]
 		if h.table != nil {
-			h.table.FindOrInsert(keyCols, n, groups)
+			if err := h.table.FindOrInsert(keyCols, n, groups); err != nil {
+				return err // groups goes to the collector, not the pool
+			}
 		} else {
 			clear(groups)
 		}
 		h.grow(h.numGroups())
-		h.update(args, groups)
+		if err := h.update(args, groups); err != nil {
+			return err
+		}
 		h.pool.PutSel(groups)
 	}
 	// Global aggregates emit one row even for empty input.
@@ -363,7 +369,11 @@ func (o *OrderedAggr) Next() (*vector.Batch, error) {
 			}
 			argCols(o.prog, 1, o.Aggs, o.args)
 		}
-		if o.fold() {
+		full, err := o.fold()
+		if err != nil {
+			return nil, err
+		}
+		if full {
 			return o.emit(), nil
 		}
 	}
@@ -376,7 +386,7 @@ func (o *OrderedAggr) Next() (*vector.Batch, error) {
 // fold assigns the current batch's rows from o.pos on to groups and folds
 // them, stopping at a row that starts a group when vector.MaxSize groups are
 // already held; it reports whether it stopped there.
-func (o *OrderedAggr) fold() (full bool) {
+func (o *OrderedAggr) fold() (full bool, err error) {
 	key := o.prog.Out(0)
 	groups := o.pool.GetSel(o.n - o.pos)
 	g := int32(o.keys.Len()) - 1
@@ -406,10 +416,10 @@ func (o *OrderedAggr) fold() (full bool) {
 		}
 	}
 	o.grow(int(g) + 1)
-	o.update(args, groups)
+	err = o.update(args, groups)
 	o.pool.PutSel(groups)
 	o.pos = end
-	return full
+	return full, err
 }
 
 // emit hands the held groups, all closed, downstream and holds none.
@@ -483,12 +493,11 @@ func updateAggBatch(states []aggState, spec AggSpec, arg *vector.Vec, groups []i
 			}
 		}
 	case vector.String:
-		xs := arg.Strings()
 		switch spec.Func {
 		case AggMin:
 			for r, g := range groups {
 				st := &states[g]
-				if x := xs[r]; !st.seen || x < st.str {
+				if x := arg.StrAt(r); !st.seen || x < st.str {
 					st.str = x
 				}
 				st.seen = true
@@ -496,7 +505,7 @@ func updateAggBatch(states []aggState, spec AggSpec, arg *vector.Vec, groups []i
 		case AggMax:
 			for r, g := range groups {
 				st := &states[g]
-				if x := xs[r]; !st.seen || x > st.str {
+				if x := arg.StrAt(r); !st.seen || x > st.str {
 					st.str = x
 				}
 				st.seen = true

@@ -105,28 +105,33 @@ func (t *HashTable) link(b uint64, r int32) {
 }
 
 // insertRow stores row r of keyCols under hash h and returns its id.
-func (t *HashTable) insertRow(h uint64, keyCols []*vector.Vec, r int) int32 {
+func (t *HashTable) insertRow(h uint64, keyCols []*vector.Vec, r int) (int32, error) {
+	for i, kc := range keyCols {
+		if err := t.keys[i].AppendRangeChecked(kc, r, r+1); err != nil {
+			return -1, err
+		}
+	}
 	id := int32(len(t.hashes))
 	t.hashes = append(t.hashes, h)
 	t.next = append(t.next, -1)
-	for i, kc := range keyCols {
-		t.keys[i].AppendFrom(kc, r)
-	}
 	t.link(h&t.mask, id)
-	return id
+	return id, nil
 }
 
 // InsertBatch stores all n rows of the dense key columns unconditionally
 // (join build side: duplicates become separate rows). Key values are
-// bulk-appended column-wise; only the chain linking is per-row.
-func (t *HashTable) InsertBatch(keyCols []*vector.Vec, n int) {
+// bulk-appended column-wise; only the chain linking is per-row. Its error,
+// and FindOrInsert's, is vector.ErrStringBytes; the table is then garbage.
+func (t *HashTable) InsertBatch(keyCols []*vector.Vec, n int) error {
+	for i, kc := range keyCols {
+		if err := t.keys[i].AppendRangeChecked(kc, 0, n); err != nil {
+			return err
+		}
+	}
 	base := len(t.hashes)
 	t.reserve(base + n)
 	hs := t.pool.GetHashes(n)
 	vector.HashCols(hs, keyCols)
-	for i, kc := range keyCols {
-		t.keys[i].AppendRange(kc, 0, n)
-	}
 	t.hashes = append(t.hashes, hs...)
 	for r := 0; r < n; r++ {
 		t.next = append(t.next, -1)
@@ -135,6 +140,7 @@ func (t *HashTable) InsertBatch(keyCols []*vector.Vec, n int) {
 		t.link(t.hashes[base+r]&t.mask, int32(base+r))
 	}
 	t.pool.PutHashes(hs)
+	return nil
 }
 
 // keysMatchKinds reports whether the probe key columns carry the stored key
@@ -199,19 +205,19 @@ func (t *HashTable) verify(keyCols []*vector.Vec, hs []uint64, sel, cand []int32
 			// dictionary codes, verified through the dictionary without
 			// materializing the probe vector (the hash kernels guarantee
 			// code-form and value-form hashes agree).
-			bv := t.keys[c].Strings()
+			bv := t.keys[c].StrCol()
 			if kc.IsDict() {
 				codes, vals := kc.DictCodes(), kc.Dict().Values
 				for j, r := range sel {
-					if match[j] && vals[codes[r]] != bv[cand[r]] {
+					if match[j] && !eqStr(vals[codes[r]], bv.At(int(cand[r]))) {
 						match[j] = false
 					}
 				}
 				continue
 			}
-			pv := kc.Strings()
+			pv := kc.StrCol()
 			for j, r := range sel {
-				if match[j] && pv[r] != bv[cand[r]] {
+				if match[j] && !eqStr(pv.At(int(r)), bv.At(int(cand[r]))) {
 					match[j] = false
 				}
 			}
@@ -224,6 +230,24 @@ func (t *HashTable) verify(keyCols []*vector.Vec, hs []uint64, sel, cand []int32
 			}
 		}
 	}
+}
+
+// eqStr is a == b with short strings compared inline: string == calls
+// memequal, and the call costs more than the compare for the one- to
+// four-byte keys of flag and status columns.
+func eqStr(a, b string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) <= 4 {
+		for i := 0; i < len(a); i++ {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	return a == b
 }
 
 // rowEq reports whether probe row r of keyCols equals stored row id
@@ -246,7 +270,7 @@ func (t *HashTable) rowEq(keyCols []*vector.Vec, r int, id int32) bool {
 		case vector.String:
 			// StrAt reads through a probe-side dictionary without
 			// materializing; stored keys are value-space.
-			if kc.StrAt(r) != t.keys[c].Strings()[id] {
+			if kc.StrAt(r) != t.keys[c].StrAt(int(id)) {
 				return false
 			}
 		case vector.Bool:
@@ -274,7 +298,7 @@ func (t *HashTable) findScalar(h uint64, keyCols []*vector.Vec, r int) int32 {
 // unlike probes, inserts come from the same expressions that declared the
 // table, so a mismatch is a programming error. The probe phase is batch-at-a-time; only the
 // first occurrence of each genuinely new key takes the scalar insert path.
-func (t *HashTable) FindOrInsert(keyCols []*vector.Vec, n int, out []int32) {
+func (t *HashTable) FindOrInsert(keyCols []*vector.Vec, n int, out []int32) (err error) {
 	t.reserve(t.Len() + n) // worst case all-new: chains stay valid below
 	hs := t.pool.GetHashes(n)
 	vector.HashCols(hs, keyCols)
@@ -311,13 +335,14 @@ func (t *HashTable) FindOrInsert(keyCols []*vector.Vec, n int, out []int32) {
 		}
 		if g := t.findScalar(hs[r], keyCols, r); g >= 0 {
 			out[r] = g
-		} else {
-			out[r] = t.insertRow(hs[r], keyCols, r)
+		} else if out[r], err = t.insertRow(hs[r], keyCols, r); err != nil {
+			break
 		}
 	}
 	t.pool.PutBools(match)
 	t.pool.PutSel(cand, sel)
 	t.pool.PutHashes(hs)
+	return err
 }
 
 // ProbeJoin finds all matching stored rows for each of the n probe rows and

@@ -1,9 +1,14 @@
 package exec
 
 import (
+	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"vectorh/internal/compress"
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
@@ -288,5 +293,90 @@ func TestHashJoinSelectiveProbeBatches(t *testing.T) {
 	}
 	if rows[0][2].(string) != "two" || rows[1][2].(string) != "one" {
 		t.Fatalf("rows = %v", rows)
+	}
+}
+
+// TestDictProbesMatchValueProbes probes the same string keys as dictionary
+// codes and as values, over dictionaries that change between batches (the
+// same strings under other codes, strings absent from the table) and across
+// a Reset: join pairs and group ids must agree with a table fed values.
+func TestDictProbesMatchValueProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	words := []string{"", "A", "F", "N", "O", "R", "AIR", "MAIL", "RAIL", "SHIP", "TRUCK", "REG AIR", "FOB"}
+	build := NewHashTable([]vector.Kind{vector.String}, nil)
+	byCodes := NewHashTable([]vector.Kind{vector.String, vector.Int64}, nil)
+	byValues := NewHashTable([]vector.Kind{vector.String, vector.Int64}, nil)
+	fill := func() {
+		build.Reset()
+		keys := make([]string, 40)
+		for i := range keys {
+			keys[i] = words[rng.Intn(len(words)-3)] // the last three never build
+		}
+		build.InsertBatch([]*vector.Vec{vector.FromString(keys)}, len(keys))
+	}
+	fill()
+	var ps, bs, wantPs, wantBs []int32
+	var dict *compress.StrDict
+	for round := 0; round < 60; round++ {
+		if round == 30 {
+			// Same dictionary before and after the Reset.
+			fill()
+			byCodes.Reset()
+			byValues.Reset()
+		} else {
+			dict = &compress.StrDict{}
+			for _, p := range rng.Perm(len(words))[:2+rng.Intn(len(words)-2)] {
+				dict.Values = append(dict.Values, words[p])
+			}
+		}
+		n := 1 + rng.Intn(300)
+		codes, vals, ints := make([]uint32, n), make([]string, n), make([]int64, n)
+		for i := range codes {
+			codes[i] = uint32(rng.Intn(len(dict.Values)))
+			vals[i], ints[i] = dict.Values[codes[i]], int64(rng.Intn(3))
+		}
+		coded, plain := vector.FromDictCodes(codes, dict), vector.FromString(vals)
+
+		ps, bs = build.ProbeJoin([]*vector.Vec{coded}, n, ps[:0], bs[:0], false)
+		wantPs, wantBs = build.ProbeJoin([]*vector.Vec{plain}, n, wantPs[:0], wantBs[:0], false)
+		if !slices.Equal(ps, wantPs) || !slices.Equal(bs, wantBs) {
+			t.Fatalf("round %d: join by codes matched %d pairs, by values %d", round, len(ps), len(wantPs))
+		}
+
+		got, want := make([]int32, n), make([]int32, n)
+		byCodes.FindOrInsert([]*vector.Vec{coded, vector.FromInt64(ints)}, n, got)
+		byValues.FindOrInsert([]*vector.Vec{plain, vector.FromInt64(ints)}, n, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: group ids by codes %v, by values %v", round, got, want)
+		}
+	}
+}
+
+// TestStringBytesLimitIsAnError: a join's build side and a sort's input
+// that would take a string vector past compress.MaxBytes (4 GiB) fail the
+// query with vector.ErrStringBytes; they do not panic. The string column is
+// 4096 copies of one 1 MiB value in dictionary form, 4 GiB as strings in
+// 1 MiB of memory.
+func TestStringBytesLimitIsAnError(t *testing.T) {
+	const n = 4096
+	input := func() Operator {
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = int64(i)
+		}
+		big := &compress.StrDict{Values: []string{strings.Repeat("x", 1<<20)}}
+		return &BatchSource{Batches: []*vector.Batch{
+			vector.NewBatch(vector.FromInt64(keys), vector.FromDictCodes(make([]uint32, n), big)),
+		}}
+	}
+	key := []expr.Expr{expr.Col(0, vector.Int64)}
+	ops := map[string]Operator{
+		"hash join": &HashJoin{Build: input(), Probe: src(10, 10), BuildKeys: key, ProbeKeys: key, Type: Inner},
+		"sort":      &Sort{Child: input(), Keys: []SortKey{{Expr: key[0]}}},
+	}
+	for name, op := range ops {
+		if _, err := Collect(op); !errors.Is(err, vector.ErrStringBytes) {
+			t.Errorf("%s over 4 GiB of strings: err = %v", name, err)
+		}
 	}
 }

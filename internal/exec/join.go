@@ -97,14 +97,14 @@ func (j *HashJoin) buildTable() error {
 		if err := j.buildKeys.RunInto(b, keyCols); err != nil {
 			return err
 		}
-		j.table.InsertBatch(keyCols, n)
+		if err := j.table.InsertBatch(keyCols, n); err != nil {
+			return fmt.Errorf("exec: hash join build: %w", err)
+		}
 		// Append the build columns in the same live-row order the key
 		// columns were hashed in, so table row ids index buildCols.
 		for i, v := range b.Vecs {
-			if b.Sel != nil {
-				j.buildCols[i].AppendGather(v, b.Sel)
-			} else {
-				j.buildCols[i].AppendRange(v, 0, n)
+			if err := j.buildCols[i].AppendRowsChecked(v, b.Sel); err != nil {
+				return fmt.Errorf("exec: hash join build: %w", err)
 			}
 		}
 	}
@@ -372,7 +372,9 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 			m.runKey, m.runValid, m.runPos = rk, true, 0
 			for {
 				for i, v := range m.rb.Vecs {
-					m.run.Vecs[i].AppendFrom(v, m.rpos)
+					if err := m.run.Vecs[i].AppendRangeChecked(v, m.rpos, m.rpos+1); err != nil {
+						return nil, fmt.Errorf("exec: merge join run: %w", err)
+					}
 				}
 				m.rpos++
 				if err := m.fillRight(); err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 
 	"vectorh/internal/expr"
@@ -64,8 +65,8 @@ func materializeAll(child Operator) (*vector.Batch, error) {
 			}
 		}
 		for i, v := range c.Vecs {
-			for r := 0; r < c.Len(); r++ {
-				all.Vecs[i].AppendFrom(v, r)
+			if err := all.Vecs[i].AppendRowsChecked(v, nil); err != nil {
+				return nil, fmt.Errorf("exec: sort input: %w", err)
 			}
 		}
 	}
@@ -110,8 +111,7 @@ func compareAt(v *vector.Vec, x, y int) int {
 		a, b := v.Float64s()[x], v.Float64s()[y]
 		return cmpOrdered(a, b)
 	case vector.String:
-		a, b := v.Strings()[x], v.Strings()[y]
-		return cmpOrdered(a, b)
+		return cmpOrdered(v.StrAt(x), v.StrAt(y))
 	case vector.Bool:
 		a, b := v.Bools()[x], v.Bools()[y]
 		switch {

@@ -23,6 +23,13 @@ type num interface{ int32 | int64 | float64 }
 func (p *Program) exec(in *prim, n int) error {
 	switch in.op {
 	case opConst:
+		if in.kind == vector.String { // strings append to a new arena
+			out := p.dst(in.out, 0)
+			for range n {
+				out.AppendString(in.x.s)
+			}
+			break
+		}
 		out := p.dst(in.out, n)
 		switch in.kind {
 		case vector.Bool:
@@ -33,8 +40,6 @@ func (p *Program) exec(in *prim, n int) error {
 			fill(out.Int64s(), in.x.i)
 		case vector.Float64:
 			fill(out.Float64s(), in.x.float())
-		case vector.String:
-			fill(out.Strings(), in.x.s)
 		}
 	case opAdd, opSub, opMul, opDiv, opLT, opLE, opGT, opGE, opEQ, opNE:
 		switch in.kind {
@@ -44,9 +49,9 @@ func (p *Program) exec(in *prim, n int) error {
 				p.strPred(in, l, p.dst(in.out, n).Bools())
 				break
 			}
-			ls, rs, out := l.Strings(), p.regs[in.b].Strings(), p.dst(in.out, n).Bools()
+			r, out := p.regs[in.b], p.dst(in.out, n).Bools()
 			for i := range out {
-				out[i] = cmpStr(in.op, ls[i], rs[i])
+				out[i] = cmpStr(in.op, l.StrAt(i), r.StrAt(i))
 			}
 		case vector.Float64:
 			var out []float64
@@ -112,10 +117,11 @@ func (p *Program) exec(in *prim, n int) error {
 	case opSubstr:
 		// Bounds are clamped before any arithmetic on them: start-1 and
 		// start+length overflow for operands near the int64 limits.
-		out := p.dst(in.out, n).Strings()
-		for i, s := range p.regs[in.a].Strings() {
+		src, out := p.regs[in.a], p.dst(in.out, 0)
+		for i := range n {
+			s := src.StrAt(i)
 			lo := min(max(in.x.i, 1)-1, int64(len(s)))
-			out[i] = s[lo : lo+min(max(in.y.i, 0), int64(len(s))-lo)]
+			out.AppendString(s[lo : lo+min(max(in.y.i, 0), int64(len(s))-lo)])
 		}
 	case opYear:
 		out := p.dst(in.out, n).Int32s()
@@ -123,7 +129,12 @@ func (p *Program) exec(in *prim, n int) error {
 			out[i] = vector.YearOf(d)
 		}
 	case opCase:
-		w, out := p.regs[in.a].Bools(), p.dst(in.out, n)
+		w := p.regs[in.a].Bools()
+		if in.kind == vector.String {
+			p.strBlend(in, w)
+			break
+		}
+		out := p.dst(in.out, n)
 		switch in.kind {
 		case vector.Bool:
 			blend(out.Bools(), w, p.branch(in.b), p.branch(in.c), in.x.b, in.y.b, (*vector.Vec).Bools)
@@ -133,8 +144,6 @@ func (p *Program) exec(in *prim, n int) error {
 			blend(out.Int64s(), w, p.branch(in.b), p.branch(in.c), in.x.i, in.y.i, (*vector.Vec).Int64s)
 		case vector.Float64:
 			blend(out.Float64s(), w, p.branch(in.b), p.branch(in.c), in.x.float(), in.y.float(), (*vector.Vec).Float64s)
-		case vector.String:
-			blend(out.Strings(), w, p.branch(in.b), p.branch(in.c), in.x.s, in.y.s, (*vector.Vec).Strings)
 		}
 	case opSelTrue:
 		ok, out := p.regs[in.a].Bools(), p.selBuf[:0]
@@ -442,6 +451,24 @@ func blend[T any](out []T, w []bool, tv, ev *vector.Vec, tc, ec T, vals func(*ve
 	}
 }
 
+// strBlend is blend over strings, appending each chosen value to the
+// output's arena.
+func (p *Program) strBlend(in *prim, w []bool) {
+	tv, ev, out := p.branch(in.b), p.branch(in.c), p.dst(in.out, 0)
+	for i, c := range w {
+		s := in.y.s
+		switch {
+		case c && tv != nil:
+			s = tv.StrAt(i)
+		case c:
+			s = in.x.s
+		case ev != nil:
+			s = ev.StrAt(i)
+		}
+		out.AppendString(s)
+	}
+}
+
 // --- string predicates ---
 
 // strPred evaluates the primitive's scalar string test over v. Over a code
@@ -450,8 +477,8 @@ func blend[T any](out []T, w []bool, tv, ev *vector.Vec, tc, ec T, vals func(*ve
 // for as long as batches arrive with the same dictionary.
 func (p *Program) strPred(in *prim, v *vector.Vec, out []bool) {
 	if !v.IsDict() {
-		for i, s := range v.Strings() {
-			out[i] = in.pred(s)
+		for i := range out {
+			out[i] = in.pred(v.StrAt(i))
 		}
 		return
 	}

@@ -106,7 +106,7 @@ type Writer struct {
 type pendCol struct {
 	i64 []int64
 	f64 []float64
-	str []string
+	str *vector.Vec
 }
 
 // NewWriter creates path and returns a writer for the schema.
@@ -145,7 +145,12 @@ func (w *Writer) Append(b *vector.Batch) error {
 		case vector.Float64:
 			w.pend[ci].f64 = append(w.pend[ci].f64, v.Float64s()...)
 		case vector.String:
-			w.pend[ci].str = append(w.pend[ci].str, v.Strings()...)
+			if w.pend[ci].str == nil {
+				w.pend[ci].str = vector.New(vector.String, 0)
+			}
+			if err := w.pend[ci].str.AppendRowsChecked(v, nil); err != nil {
+				return fmt.Errorf("hadoopfmt: column %s: %w", w.meta.Schema[ci].Name, err)
+			}
 		default:
 			return fmt.Errorf("hadoopfmt: unsupported kind %v", v.Kind())
 		}
@@ -185,12 +190,15 @@ func (w *Writer) flushGroup(n int) error {
 			}
 			w.pend[ci].f64 = w.pend[ci].f64[n:]
 		case vector.String:
-			vals := w.pend[ci].str[:n]
-			for _, v := range vals {
-				raw = binary.AppendUvarint(raw, uint64(len(v)))
-				raw = append(raw, v...)
+			str := w.pend[ci].str
+			for i := range n {
+				s := str.StrAt(i)
+				raw = binary.AppendUvarint(raw, uint64(len(s)))
+				raw = append(raw, s...)
 			}
-			w.pend[ci].str = w.pend[ci].str[n:]
+			// A view of the rest, as the slices above: the next Append
+			// copies what is left once, however many groups were cut.
+			w.pend[ci].str = str.Slice(n, str.Len())
 		}
 		// Chunk = header (Parquet-like embeds the stats here) + LZ body.
 		var chunk []byte

@@ -243,3 +243,29 @@ func TestLargeRandomRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkWriterAppendOneBatch appends a whole table as one batch, as the
+// Figure 5 experiment does with lineitem: the writer cuts every row group
+// off the front of what it buffered, so the cost of a cut must not grow
+// with what is left.
+func BenchmarkWriterAppendOneBatch(b *testing.B) {
+	const rows = 200_000
+	cs := vector.Schema{{Name: "k", Type: vector.TInt64}, {Name: "comment", Type: vector.TString}}
+	batch := vector.NewBatchForSchema(cs, rows)
+	for i := 0; i < rows; i++ {
+		batch.AppendRow(int64(i), fmt.Sprintf("carefully final deposits %015d", i))
+	}
+	b.ResetTimer()
+	for range b.N {
+		w, err := NewWriter(testFS(), "/f", "n1", cs, Options{Kind: ORC, RowGroupRows: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

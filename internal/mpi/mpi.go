@@ -12,9 +12,8 @@
 // sender may refill its batch as soon as it returns. DecodeBatch's result
 // shares no memory with its input, so the wire buffer can go back to its
 // exchange's free list right after the decode. Each decoded string column is
-// one allocation that all its values are substrings of: a retained string
-// keeps alive at most its own message's column, the same bytes the
-// per-value copies held before.
+// one arena that all its values are substrings of, and its offsets: a
+// retained string keeps alive at most its own message's column.
 package mpi
 
 import (
@@ -22,9 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 
+	"vectorh/internal/compress"
 	"vectorh/internal/vector"
 )
 
@@ -113,7 +112,8 @@ func AppendBatch(dst []byte, b *vector.Batch) []byte {
 				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
 			}
 		case vector.String:
-			for _, s := range v.Strings() {
+			for i := range v.Len() {
+				s := v.StrAt(i)
 				out = binary.AppendUvarint(out, uint64(len(s)))
 				out = append(out, s...)
 			}
@@ -138,8 +138,9 @@ func encodedLen(c *vector.Batch) int {
 		n++
 		switch v.Kind() {
 		case vector.String:
-			for _, s := range v.Strings() {
-				n += uvarintLen(uint64(len(s))) + len(s)
+			for i := range v.Len() {
+				l := len(v.StrAt(i))
+				n += uvarintLen(uint64(l)) + l
 			}
 		default:
 			n += v.Len() * v.Kind().Width()
@@ -151,8 +152,8 @@ func encodedLen(c *vector.Batch) int {
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeBatch inverts AppendBatch. The batch it returns shares no memory
-// with data, so the caller may reuse data at once; a string column costs one
-// allocation for all its bytes, and every value is a substring of it. It
+// with data, so the caller may reuse data at once; a string column costs two
+// allocations, an arena for all its bytes and its offsets. It
 // sizes nothing from a header before checking that the remaining bytes can
 // hold it — every column takes at least its kind byte and every value at
 // least one byte — so hostile bytes cost an error, never an allocation out of
@@ -213,12 +214,12 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 			data = data[n*8:]
 			b.Vecs[ci] = vector.FromFloat64(vals)
 		case vector.String:
-			vals, rest, err := decodeStrings(data, n)
+			vals, rest, err := compress.DecodeLenPrefixed(data, n)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("mpi: string column: %w", err)
 			}
 			data = rest
-			b.Vecs[ci] = vector.FromString(vals)
+			b.Vecs[ci] = vector.FromStrCol(vals)
 		case vector.Bool:
 			if uint64(len(data)) < n {
 				return nil, fmt.Errorf("mpi: truncated bool column")
@@ -234,33 +235,4 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 		}
 	}
 	return b, nil
-}
-
-// decodeStrings decodes a string column of n values from the front of data
-// and returns the bytes after it. A first pass checks every length against
-// the bytes present and sums them; the second copies them into one builder
-// grown once, whose String is the prefix written so far, so each value is a
-// substring of the column's one allocation.
-func decodeStrings(data []byte, n uint64) ([]string, []byte, error) {
-	total, rest := 0, data
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < l {
-			return nil, nil, fmt.Errorf("mpi: truncated string column")
-		}
-		total += int(l)
-		rest = rest[sz+int(l):]
-	}
-	vals := make([]string, n)
-	var sb strings.Builder
-	sb.Grow(total)
-	for i := range vals {
-		l, sz := binary.Uvarint(data)
-		data = data[sz:]
-		start := sb.Len()
-		sb.Write(data[:l])
-		vals[i] = sb.String()[start:]
-		data = data[l:]
-	}
-	return vals, rest, nil
 }

@@ -63,34 +63,41 @@ func (m *Merger) MergeRange(b *vector.Batch, s0 int64) (*vector.Batch, int64, er
 	for i, c := range m.cols {
 		out.Vecs[i] = vector.New(m.schema[c].Type.Kind, b.Len()+8)
 	}
-	ei := lo
-	for s := s0; s < s1; s++ {
-		// Inserts at s come before the stable tuple s.
-		for ei < len(m.entries) && m.entries[ei].Sid == s && m.entries[ei].Kind == Ins {
-			m.appendRow(out, m.entries[ei].Row)
-			ei++
-		}
-		var stable *Entry
-		if ei < len(m.entries) && m.entries[ei].Sid == s {
-			stable = &m.entries[ei]
-			ei++
-		}
-		if stable != nil && stable.Kind == Del {
+	// Entries are ordered by (Sid, Seq): the inserts at a stable row come
+	// before the row's own Del or Mod. The stable rows between entries are
+	// copied in bulk, column by column.
+	copied := s0 // stable rows below it are in out or deleted
+	for ei := lo; ei < len(m.entries) && m.entries[ei].Sid < s1; ei++ {
+		e := &m.entries[ei]
+		appendStable(out, b, int(copied-s0), int(e.Sid-s0))
+		copied = e.Sid
+		switch e.Kind {
+		case Ins:
+			m.appendRow(out, e.Row)
 			continue
-		}
-		row := int(s - s0)
-		for i := range m.cols {
-			v := b.Col(i)
-			if stable != nil && stable.Kind == Mod {
-				if mv, ok := m.modValue(stable, m.cols[i]); ok {
+		case Mod:
+			row := int(e.Sid - s0)
+			for i, c := range m.cols {
+				if mv, ok := m.modValue(e, c); ok {
 					out.Vecs[i].AppendAny(mv)
-					continue
+				} else {
+					out.Vecs[i].AppendFrom(b.Col(i), row)
 				}
 			}
-			out.Vecs[i].AppendFrom(v, row)
+		}
+		copied = e.Sid + 1
+	}
+	appendStable(out, b, int(copied-s0), b.Len())
+	return out, m.t.firstRidOfSid(s0), nil
+}
+
+// appendStable appends the stable rows [lo, hi) of b to out.
+func appendStable(out, b *vector.Batch, lo, hi int) {
+	if lo < hi {
+		for i, v := range out.Vecs {
+			v.AppendRange(b.Col(i), lo, hi)
 		}
 	}
-	return out, m.t.firstRidOfSid(s0), nil
 }
 
 func (m *Merger) modValue(e *Entry, fullCol int) (any, bool) {

@@ -7,10 +7,11 @@ import "vectorh/internal/compress"
 // dictionary handle instead of materialized strings. Operators that
 // understand codes (scan predicate kernels, the hash layer, hash-table
 // verification) read them directly; everything else transparently falls
-// back — any access through Strings() or a string mutator materializes the
-// vector in place, so correctness never depends on an operator being
-// code-aware. The PDT-delta merge path relies on exactly this: merging
-// appends value-space strings, which forces re-materialization first.
+// back — every reader goes through StrAt, which looks the code up, and a
+// string mutator materializes the vector in place, so correctness never
+// depends on an operator being code-aware. The PDT-delta merge path relies
+// on exactly this: merging appends value-space strings, which forces
+// re-materialization first.
 
 // FromDictCodes wraps a code slice and its dictionary as a String vector
 // without copying or materializing. Every code must index dict.Values.
@@ -38,18 +39,23 @@ func (v *Vec) StrAt(i int) string {
 	if v.dict != nil {
 		return v.dict.Values[v.codes[i]]
 	}
-	return v.str[i]
+	return v.str.At(i)
 }
 
-// materialize converts a dictionary vector to plain strings in place. The
-// headers share the dictionary's string bytes, so this allocates one
-// header array and no byte copies.
-func (v *Vec) materialize() {
-	vals := v.dict.Values
-	out := make([]string, v.n)
-	for i, c := range v.codes[:v.n] {
-		out[i] = vals[c]
+// StrCol returns a plain String vector's values as a read-only column: At
+// on a local copy is StrAt without the dictionary test, for long loops.
+func (v *Vec) StrCol() compress.StrCol {
+	v.check(String)
+	if v.dict != nil {
+		panic("vector: StrCol on a dictionary vector")
 	}
-	v.str = out
-	v.codes, v.dict = nil, nil
+	return v.str
+}
+
+// materialize converts a dictionary vector to plain strings in place,
+// copying each value's bytes into a new arena.
+func (v *Vec) materialize() {
+	src := FromDictCodes(v.codes[:v.n], v.dict)
+	v.codes, v.dict, v.n, v.str = nil, nil, 0, compress.StrCol{}
+	v.AppendRange(src, 0, src.n)
 }

@@ -26,13 +26,22 @@ func TestDictVecAccessAndMaterialize(t *testing.T) {
 	if v.IsDict() != true {
 		t.Fatal("StrAt must not materialize")
 	}
-	got := v.Strings() // fallback path materializes
-	if v.IsDict() {
-		t.Fatal("Strings must materialize")
+	got := v.Strings() // a fresh slice: the vector keeps its codes
+	if !v.IsDict() {
+		t.Fatal("Strings must not materialize")
 	}
 	for i, w := range want {
 		if got[i] != w {
 			t.Fatalf("row %d: %q != %q", i, got[i], w)
+		}
+	}
+	v.AppendString("teal") // a mutator materializes
+	if v.IsDict() || v.Len() != 6 {
+		t.Fatalf("AppendString must materialize: dict=%v len=%d", v.IsDict(), v.Len())
+	}
+	for i, w := range append(want, "teal") {
+		if v.StrAt(i) != w {
+			t.Fatalf("materialized row %d: %q != %q", i, v.StrAt(i), w)
 		}
 	}
 }

@@ -76,8 +76,9 @@ func HashCol(dst []uint64, v *Vec) {
 			}
 			break
 		}
-		for i, s := range v.Strings() {
-			dst[i] = hashMix(hashSeed, HashString(s))
+		s := v.str
+		for i := range v.n {
+			dst[i] = hashMix(hashSeed, HashString(s.At(i)))
 		}
 	case Bool:
 		for i, b := range v.Bools() {
@@ -116,8 +117,9 @@ func RehashCol(dst []uint64, v *Vec) {
 			}
 			break
 		}
-		for i, s := range v.Strings() {
-			dst[i] = hashMix(dst[i], HashString(s))
+		s := v.str
+		for i := range v.n {
+			dst[i] = hashMix(dst[i], HashString(s.At(i)))
 		}
 	case Bool:
 		for i, b := range v.Bools() {

@@ -17,7 +17,7 @@ type Vec struct {
 	i32 []int32
 	i64 []int64
 	f64 []float64
-	str []string
+	str compress.StrCol // one arena and offsets: no header per value
 
 	// Dictionary-code form of a String vector (see dict.go): when dict is
 	// non-nil, values are dict.Values[codes[i]] and str is unset until the
@@ -43,7 +43,7 @@ func New(kind Kind, capHint int) *Vec {
 	case Float64:
 		v.f64 = make([]float64, 0, capHint)
 	case String:
-		v.str = make([]string, 0, capHint)
+		v.str.Reserve(capHint, 0)
 	default:
 		panic(fmt.Sprintf("vector: New with kind %v", kind))
 	}
@@ -62,8 +62,16 @@ func FromInt64(vals []int64) *Vec { return &Vec{kind: Int64, n: len(vals), i64: 
 // FromFloat64 wraps an existing slice without copying.
 func FromFloat64(vals []float64) *Vec { return &Vec{kind: Float64, n: len(vals), f64: vals} }
 
-// FromString wraps an existing slice without copying.
-func FromString(vals []string) *Vec { return &Vec{kind: String, n: len(vals), str: vals} }
+// FromString copies vals into a new String vector's arena.
+func FromString(vals []string) *Vec {
+	return &Vec{kind: String, n: len(vals), str: compress.StrColOf(vals)}
+}
+
+// FromStrCol wraps a string column without copying, as a view: an append
+// to the vector moves it to an arena of its own.
+func FromStrCol(c compress.StrCol) *Vec {
+	return &Vec{kind: String, n: c.Len(), str: c.Slice(0, c.Len())}
+}
 
 // Const returns a vector of n copies of the given value (Go value must match
 // the kind: bool, int32, int64, float64 or string).
@@ -81,15 +89,16 @@ func (v *Vec) Kind() Kind { return v.kind }
 // Len returns the number of values.
 func (v *Vec) Len() int { return v.n }
 
-// Reset truncates the vector to zero length, keeping capacity. A
-// dictionary vector resets to a plain (empty) string vector.
+// Reset truncates the vector to zero length, keeping capacity. A string
+// vector starts a new arena, so strings already read from it keep their
+// values; a dictionary vector resets to a plain (empty) string vector.
 func (v *Vec) Reset() {
 	v.n = 0
 	v.b = v.b[:0]
 	v.i32 = v.i32[:0]
 	v.i64 = v.i64[:0]
 	v.f64 = v.f64[:0]
-	v.str = v.str[:0]
+	v.str.Reset()
 	v.codes, v.dict = nil, nil
 }
 
@@ -98,7 +107,8 @@ func (v *Vec) Reset() {
 // Together with GatherFrom it is how operator-owned scratch vectors (the
 // registers of an expr.Program) are refilled batch after batch without
 // allocating. Only for vectors the caller created with New and has not handed
-// downstream.
+// downstream. A string vector starts a new arena holding n empty strings:
+// its values are appended, never overwritten.
 func (v *Vec) Resize(n int) {
 	switch v.kind {
 	case Bool:
@@ -110,7 +120,10 @@ func (v *Vec) Resize(n int) {
 	case Float64:
 		v.f64 = resize(v.f64, n)
 	case String:
-		v.str = resize(v.str, n)
+		v.str.Reset()
+		for range n {
+			v.str.Append("")
+		}
 	default:
 		panic("vector: Resize on invalid vector")
 	}
@@ -135,6 +148,11 @@ func (v *Vec) GatherFrom(src *Vec, sel []int32) {
 		gather(v.codes, src.codes, sel)
 		return
 	}
+	if v.kind == String {
+		v.Reset()
+		v.AppendGather(src, sel)
+		return
+	}
 	v.Resize(len(sel))
 	switch v.kind {
 	case Bool:
@@ -145,8 +163,6 @@ func (v *Vec) GatherFrom(src *Vec, sel []int32) {
 		gather(v.i64, src.i64, sel)
 	case Float64:
 		gather(v.f64, src.f64, sel)
-	case String:
-		gather(v.str, src.str, sel)
 	}
 }
 
@@ -168,15 +184,15 @@ func (v *Vec) Int64s() []int64 { v.check(Int64); return v.i64[:v.n] }
 // Float64s returns the backing slice of a Float64 vector.
 func (v *Vec) Float64s() []float64 { v.check(Float64); return v.f64[:v.n] }
 
-// Strings returns the backing slice of a String vector, materializing a
-// dictionary vector first — the universal fallback for operators that are
-// not code-aware.
+// Strings returns the values of a String vector as a new slice, which the
+// vector does not keep (bench and tests only: operators read StrAt).
 func (v *Vec) Strings() []string {
 	v.check(String)
-	if v.dict != nil {
-		v.materialize()
+	out := make([]string, v.n)
+	for i := range out {
+		out[i] = v.StrAt(i)
 	}
-	return v.str[:v.n]
+	return out
 }
 
 func (v *Vec) check(k Kind) {
@@ -204,7 +220,7 @@ func (v *Vec) AppendString(x string) {
 	if v.dict != nil {
 		v.materialize()
 	}
-	v.str = append(v.str, x)
+	v.str.Append(x)
 	v.n++
 }
 
@@ -279,18 +295,46 @@ func (v *Vec) AppendRange(src *Vec, lo, hi int) {
 		if v.dict != nil {
 			v.materialize()
 		}
-		if src.dict != nil {
-			vals := src.dict.Values
-			for _, c := range src.codes[lo:hi] {
-				v.str = append(v.str, vals[c])
-			}
-		} else {
-			v.str = append(v.str, src.str[lo:hi]...)
+		if src.dict == nil {
+			v.str.AppendRange(&src.str, lo, hi)
+			break
+		}
+		v.str.Reserve(hi-lo, src.rangeBytes(lo, hi))
+		for _, c := range src.codes[lo:hi] {
+			v.str.Append(src.dict.Values[c])
 		}
 	default:
 		panic("vector: AppendRange on invalid vector")
 	}
 	v.n += hi - lo
+}
+
+// ErrStringBytes: a string vector holds at most compress.MaxBytes (4 GiB).
+var ErrStringBytes = fmt.Errorf("vector: a string vector holds at most %d bytes", compress.MaxBytes)
+
+// AppendRangeChecked is AppendRange for a vector that gathers a whole input
+// (a join's build side, a sort's input, a hash table's keys, a load): where
+// a string vector would pass compress.MaxBytes it appends nothing and
+// returns ErrStringBytes. A vector holding a batch or a few appends unchecked.
+func (v *Vec) AppendRangeChecked(src *Vec, lo, hi int) error {
+	if v.kind == String && !v.str.Fits(src.rangeBytes(lo, hi)) {
+		return ErrStringBytes
+	}
+	v.AppendRange(src, lo, hi)
+	return nil
+}
+
+// AppendRowsChecked appends a batch column's live rows, those sel selects
+// or all for a nil sel, under AppendRangeChecked's check.
+func (v *Vec) AppendRowsChecked(src *Vec, sel []int32) error {
+	if sel == nil {
+		return v.AppendRangeChecked(src, 0, src.n)
+	}
+	if v.kind == String && !v.str.Fits(src.strBytes(sel)) {
+		return ErrStringBytes
+	}
+	v.AppendGather(src, sel)
+	return nil
 }
 
 // AppendGather appends src[sel[i]] for every position of sel, column-wise.
@@ -333,22 +377,12 @@ func (v *Vec) AppendGather(src *Vec, sel []int32) {
 		if v.dict != nil {
 			v.materialize()
 		}
-		if src.dict != nil {
-			vals, codes := src.dict.Values, src.codes
-			for _, i := range sel {
-				if i < 0 {
-					v.str = append(v.str, "")
-				} else {
-					v.str = append(v.str, vals[codes[i]])
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if i < 0 {
-					v.str = append(v.str, "")
-				} else {
-					v.str = append(v.str, src.str[i])
-				}
+		v.str.Reserve(len(sel), src.strBytes(sel))
+		for _, i := range sel {
+			if i < 0 {
+				v.str.Append("")
+			} else {
+				v.str.Append(src.StrAt(int(i)))
 			}
 		}
 	default:
@@ -410,43 +444,62 @@ func (v *Vec) Slice(lo, hi int) *Vec {
 	case Float64:
 		out.f64 = v.f64[lo:hi]
 	case String:
-		out.str = v.str[lo:hi]
+		out.str = v.str.Slice(lo, hi)
 	}
 	return out
 }
+
+// strWidth is what Bytes charges a string value beyond its bytes: its
+// offset in the arena.
+const strWidth = 4
 
 // GatherBytes estimates the payload bytes of the elements sel selects —
 // what AppendGather(src, sel) would add to a destination, under the same
 // accounting as Bytes. Negative (padding) indices count as zero values.
 func (v *Vec) GatherBytes(sel []int32) int {
-	if v.kind == String {
-		if v.dict != nil {
-			// Codes stay codes through a gather: 4 bytes per value, the
-			// dictionary is shared and not duplicated by the gather.
-			return len(sel) * 4
-		}
-		total := 0
-		for _, i := range sel {
-			if i >= 0 {
-				total += len(v.str[i])
-			}
-		}
-		return total + len(sel)*16
+	if v.kind != String {
+		return len(sel) * v.kind.Width()
 	}
-	return len(sel) * v.kind.Width()
+	if v.dict != nil {
+		// Codes stay codes through a gather: 4 bytes per value, the
+		// dictionary is shared and not duplicated by the gather.
+		return len(sel) * 4
+	}
+	return v.strBytes(sel) + len(sel)*strWidth
+}
+
+// strBytes sums the lengths of the string values sel selects; negative
+// indices select "".
+func (v *Vec) strBytes(sel []int32) int {
+	total := 0
+	for _, i := range sel {
+		if i >= 0 {
+			total += len(v.StrAt(int(i)))
+		}
+	}
+	return total
+}
+
+// rangeBytes sums the lengths of string values [lo, hi).
+func (v *Vec) rangeBytes(lo, hi int) int {
+	if v.dict == nil {
+		r := v.str.Slice(lo, hi)
+		return r.ValueBytes()
+	}
+	total := 0
+	for _, c := range v.codes[lo:hi] {
+		total += len(v.dict.Values[c])
+	}
+	return total
 }
 
 // Bytes returns an estimate of the in-memory payload size.
 func (v *Vec) Bytes() int {
-	if v.kind == String {
-		if v.dict != nil {
-			return v.n * 4
-		}
-		total := 0
-		for _, s := range v.str[:v.n] {
-			total += len(s)
-		}
-		return total + v.n*16
+	if v.kind != String {
+		return v.n * v.kind.Width()
 	}
-	return v.n * v.kind.Width()
+	if v.dict != nil {
+		return v.n * 4
+	}
+	return v.str.ValueBytes() + v.n*strWidth
 }
