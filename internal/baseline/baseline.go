@@ -119,10 +119,7 @@ func (e *Engine) InsertRows(name string, b *vector.Batch) error {
 	if !ok {
 		return fmt.Errorf("baseline: unknown table %q", name)
 	}
-	c := b.Compact()
-	for i := 0; i < c.Len(); i++ {
-		t.inserted = append(t.inserted, c.Row(i))
-	}
+	t.inserted = vector.BoxRows(t.inserted, b)
 	return nil
 }
 

@@ -19,6 +19,7 @@ import (
 	"vectorh/internal/core"
 	"vectorh/internal/plan"
 	"vectorh/internal/tpch"
+	"vectorh/internal/vector"
 )
 
 // queryRows runs a plan on the one query path with default options.
@@ -219,7 +220,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // TestRunContract pins Engine.Run, the one query path: a nil yield collects
-// into Rows; a non-nil yield receives every row and leaves Rows nil; a yield
+// into Rows; a non-nil yield receives every root batch and leaves Rows nil; a yield
 // error and a cancelled context both surface as the returned error, with the
 // root closed (no exchange goroutine outlives the call).
 func TestRunContract(t *testing.T) {
@@ -241,16 +242,16 @@ func TestRunContract(t *testing.T) {
 	cases := []struct {
 		name     string
 		ctx      context.Context
-		yield    func(rows [][]any) error
+		yield    func(*vector.Batch) error
 		wantErr  error
 		wantRows int // len(res.Rows)
 		wantSeen int // rows delivered to yield
 	}{
 		{"nil yield collects", context.Background(), nil, nil, len(want), 0},
 		{"yield streams and Rows stays nil", context.Background(),
-			func(rows [][]any) error { streamed += len(rows); return nil }, nil, 0, len(want)},
+			func(b *vector.Batch) error { streamed += b.Len(); return nil }, nil, 0, len(want)},
 		{"yield error surfaces", context.Background(),
-			func([][]any) error { return errConsumer }, errConsumer, 0, 0},
+			func(*vector.Batch) error { return errConsumer }, errConsumer, 0, 0},
 		{"cancelled context surfaces", cancelled, nil, context.Canceled, 0, 0},
 	}
 	for _, tc := range cases {

@@ -12,6 +12,7 @@ import (
 	"vectorh/internal/obs"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
+	"vectorh/internal/vector"
 )
 
 // QueryOptions tune one query execution (rule ablation, profiling).
@@ -52,14 +53,16 @@ type QueryResult struct {
 // stops the scans, local exchange producers and DXchg senders at batch
 // granularity, releasing their goroutines and storage snapshots.
 //
-// Result rows are delivered to yield as the root produces them (the serving
-// layer's streamed `rows` frames) and res.Rows stays nil; a non-nil error
-// from yield cancels the execution. A nil yield collects into res.Rows.
-func (e *Engine) Run(ctx context.Context, q plan.Node, qo QueryOptions, yield func(rows [][]any) error) (*QueryResult, error) {
+// Each root batch is delivered to yield as the root produces it (the
+// serving layer encodes it into its `rows` frames) and res.Rows stays nil;
+// the batch, its vectors and its strings are valid until yield returns. A
+// non-nil error from yield cancels the execution. A nil yield boxes the rows
+// into res.Rows with vector.BoxRows.
+func (e *Engine) Run(ctx context.Context, q plan.Node, qo QueryOptions, yield func(*vector.Batch) error) (*QueryResult, error) {
 	res := &QueryResult{}
 	if yield == nil {
-		yield = func(rows [][]any) error {
-			res.Rows = append(res.Rows, rows...)
+		yield = func(b *vector.Batch) error {
+			res.Rows = vector.BoxRows(res.Rows, b)
 			return nil
 		}
 	}
@@ -129,11 +132,7 @@ func (e *Engine) Run(ctx context.Context, q plan.Node, qo QueryOptions, yield fu
 		if b == nil {
 			break
 		}
-		rows := make([][]any, b.Len())
-		for i := 0; i < b.Len(); i++ {
-			rows[i] = b.Row(i)
-		}
-		if err := yield(rows); err != nil {
+		if err := yield(b); err != nil {
 			root.Close()
 			return nil, err
 		}

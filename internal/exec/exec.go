@@ -248,8 +248,6 @@ func Collect(op Operator) ([][]any, error) {
 		if b == nil {
 			return rows, nil
 		}
-		for i := 0; i < b.Len(); i++ {
-			rows = append(rows, b.Row(i))
-		}
+		rows = vector.BoxRows(rows, b)
 	}
 }

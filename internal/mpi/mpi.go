@@ -159,33 +159,55 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // least one byte — so hostile bytes cost an error, never an allocation out of
 // proportion to len(data).
 func DecodeBatch(data []byte) (*vector.Batch, error) {
+	b, _, err := decodeBatch(data)
+	return b, err
+}
+
+// DecodeBatches decodes batches that AppendBatch appended back to back, up to
+// the last byte of data, with DecodeBatch's guarantees for each.
+func DecodeBatches(data []byte) ([]*vector.Batch, error) {
+	var out []*vector.Batch
+	for len(data) > 0 {
+		b, rest, err := decodeBatch(data)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
+		data = rest
+	}
+	return out, nil
+}
+
+// decodeBatch decodes one batch from the front of data and returns the bytes
+// after it.
+func decodeBatch(data []byte) (*vector.Batch, []byte, error) {
 	nc, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, fmt.Errorf("mpi: bad batch header")
+		return nil, nil, fmt.Errorf("mpi: bad batch header")
 	}
 	data = data[sz:]
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, fmt.Errorf("mpi: bad batch header")
+		return nil, nil, fmt.Errorf("mpi: bad batch header")
 	}
 	data = data[sz:]
 	if nc > uint64(len(data)) {
-		return nil, fmt.Errorf("mpi: batch header claims %d columns in %d bytes", nc, len(data))
+		return nil, nil, fmt.Errorf("mpi: batch header claims %d columns in %d bytes", nc, len(data))
 	}
 	b := &vector.Batch{Vecs: make([]*vector.Vec, nc)}
 	for ci := uint64(0); ci < nc; ci++ {
 		if len(data) < 1 {
-			return nil, fmt.Errorf("mpi: truncated batch")
+			return nil, nil, fmt.Errorf("mpi: truncated batch")
 		}
 		kind := vector.Kind(data[0])
 		data = data[1:]
 		if n > uint64(len(data)) {
-			return nil, fmt.Errorf("mpi: batch header claims %d rows in %d bytes", n, len(data))
+			return nil, nil, fmt.Errorf("mpi: batch header claims %d rows in %d bytes", n, len(data))
 		}
 		switch kind {
 		case vector.Int64:
 			if uint64(len(data)) < n*8 {
-				return nil, fmt.Errorf("mpi: truncated int64 column")
+				return nil, nil, fmt.Errorf("mpi: truncated int64 column")
 			}
 			vals := make([]int64, n)
 			for i := range vals {
@@ -195,7 +217,7 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 			b.Vecs[ci] = vector.FromInt64(vals)
 		case vector.Int32:
 			if uint64(len(data)) < n*4 {
-				return nil, fmt.Errorf("mpi: truncated int32 column")
+				return nil, nil, fmt.Errorf("mpi: truncated int32 column")
 			}
 			vals := make([]int32, n)
 			for i := range vals {
@@ -205,7 +227,7 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 			b.Vecs[ci] = vector.FromInt32(vals)
 		case vector.Float64:
 			if uint64(len(data)) < n*8 {
-				return nil, fmt.Errorf("mpi: truncated float column")
+				return nil, nil, fmt.Errorf("mpi: truncated float column")
 			}
 			vals := make([]float64, n)
 			for i := range vals {
@@ -216,13 +238,13 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 		case vector.String:
 			vals, rest, err := compress.DecodeLenPrefixed(data, n)
 			if err != nil {
-				return nil, fmt.Errorf("mpi: string column: %w", err)
+				return nil, nil, fmt.Errorf("mpi: string column: %w", err)
 			}
 			data = rest
 			b.Vecs[ci] = vector.FromStrCol(vals)
 		case vector.Bool:
 			if uint64(len(data)) < n {
-				return nil, fmt.Errorf("mpi: truncated bool column")
+				return nil, nil, fmt.Errorf("mpi: truncated bool column")
 			}
 			vals := make([]bool, n)
 			for i := range vals {
@@ -231,8 +253,8 @@ func DecodeBatch(data []byte) (*vector.Batch, error) {
 			data = data[n:]
 			b.Vecs[ci] = vector.FromBool(vals)
 		default:
-			return nil, fmt.Errorf("mpi: unknown column kind %d", kind)
+			return nil, nil, fmt.Errorf("mpi: unknown column kind %d", kind)
 		}
 	}
-	return b, nil
+	return b, data, nil
 }

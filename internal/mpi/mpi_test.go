@@ -177,6 +177,39 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// TestDecodeBatchesBackToBack: batches appended into one message decode
+// back in order, and a message cut anywhere but between two batches is an
+// error, not fewer rows.
+func TestDecodeBatchesBackToBack(t *testing.T) {
+	src, sel := fuzzBatch([]byte("0123456789abcdef\x01\x02\x03\x04\x05\x06\x07\x08"))
+	selected := &vector.Batch{Vecs: src.Vecs, Sel: sel}
+	batches := []*vector.Batch{src, selected, src}
+	var msg []byte
+	ends := map[int]int{0: 0} // message length -> whole batches in it
+	for i, b := range batches {
+		msg = AppendBatch(msg, b)
+		ends[len(msg)] = i + 1
+	}
+	for cut := 0; cut <= len(msg); cut++ {
+		got, err := DecodeBatches(msg[:cut])
+		whole, boundary := ends[cut]
+		if !boundary {
+			if err == nil {
+				t.Fatalf("cut at %d of %d bytes decoded %d batches", cut, len(msg), len(got))
+			}
+			continue
+		}
+		if err != nil || len(got) != whole {
+			t.Fatalf("cut at %d: %d batches, %v; want %d", cut, len(got), err, whole)
+		}
+		for i, b := range got {
+			if !sameRows(b, batches[i]) {
+				t.Fatalf("cut at %d: batch %d differs", cut, i)
+			}
+		}
+	}
+}
+
 // overwrite fills b with a byte no encoding of the fuzz batches relies on.
 func overwrite(b []byte) {
 	for i := range b {

@@ -1,13 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,13 +67,28 @@ func (c *Client) Close() error {
 	}
 	err := c.conn.Close()
 	<-c.done // reader drained; every pending channel is closed
+	if errors.Is(err, net.ErrClosed) {
+		err = nil // the reader closed it on a bad frame
+	}
 	return err
 }
 
+// readLoop reads every frame of the connection into one reused buffer and
+// routes it to its request. A frame it cannot attribute to a request ends the
+// session: dropping it could silently shorten a result that then reports
+// success.
 func (c *Client) readLoop() {
 	defer close(c.done)
+	var buf []byte
 	for {
-		payload, err := ReadFrame(c.conn, 0)
+		var resp *Response
+		var err error
+		if buf, err = AppendFrame(buf[:0], c.conn, 0); err == nil {
+			if resp, err = decodeResponse(buf); err != nil {
+				err = fmt.Errorf("server: bad response frame: %w", err)
+				c.conn.Close()
+			}
+		}
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
@@ -87,10 +99,6 @@ func (c *Client) readLoop() {
 			c.mu.Unlock()
 			return
 		}
-		var resp Response
-		if err := unmarshalStrictNumbers(payload, &resp); err != nil {
-			continue // mis-framed response; the terminal error surfaces via readErr on disconnect
-		}
 		c.mu.Lock()
 		ch := c.pending[resp.ID]
 		if ch != nil && (resp.Type == RespDone || resp.Type == RespError) {
@@ -100,7 +108,7 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- &resp
+			ch <- resp
 			if resp.Type == RespDone || resp.Type == RespError {
 				close(ch)
 			}
@@ -325,8 +333,8 @@ func (c *Client) collect(ctx context.Context, req *Request) (*Result, error) {
 }
 
 // query is the one consumer of a query's frames. The schema frame is
-// yielded with nil rows; each rows frame is decoded in place into the
-// engine-identical types the schema names and yielded; the done frame is
+// yielded with nil rows; each rows frame, decoded by the read loop, is
+// checked against the schema, boxed and yielded; the done frame is
 // returned.
 func (c *Client) query(ctx context.Context, req *Request, yield func(schema []ColDesc, rows [][]any) error) (*Response, error) {
 	var desc []ColDesc
@@ -345,12 +353,11 @@ func (c *Client) query(ctx context.Context, req *Request, yield func(schema []Co
 			if schema == nil {
 				return errors.New("server: rows frame before schema frame")
 			}
-			for _, row := range resp.Rows {
-				if err := decodeRow(row, schema); err != nil {
-					return err
-				}
+			rows, err := boxRows(resp.batches, schema)
+			if err != nil {
+				return err
 			}
-			return yield(desc, resp.Rows)
+			return yield(desc, rows)
 		case RespDone:
 			done = resp
 		}
@@ -396,7 +403,11 @@ func (c *Client) run(ctx context.Context, req *Request, onFrame func(*Response) 
 			case RespDone:
 				return onFrame(resp)
 			default:
-				if err := onFrame(resp); err != nil {
+				err := resp.decodeErr
+				if err == nil {
+					err = onFrame(resp)
+				}
+				if err != nil {
 					// The consumer bailed: cancel server-side, then drain
 					// to the terminal frame so the session stays usable.
 					if !cancelSent {
@@ -435,63 +446,4 @@ func (c *Client) drain(ch chan *Response) {
 			return
 		}
 	}
-}
-
-// decodeRow converts JSON-decoded values (json.Number, string, bool) in
-// place into the engine-identical dynamic types the schema dictates, so
-// results fetched over the wire compare row-identical against in-process
-// execution.
-func decodeRow(row []any, schema vector.Schema) error {
-	if len(row) != len(schema) {
-		return fmt.Errorf("server: row has %d values, schema %d", len(row), len(schema))
-	}
-	for i, v := range row {
-		num, isNum := v.(json.Number)
-		switch schema[i].Type.Kind {
-		case vector.Int32:
-			if !isNum {
-				return fmt.Errorf("server: column %d: %T is not a number", i, v)
-			}
-			x, err := strconv.ParseInt(num.String(), 10, 32)
-			if err != nil {
-				return err
-			}
-			row[i] = int32(x)
-		case vector.Int64:
-			if !isNum {
-				return fmt.Errorf("server: column %d: %T is not a number", i, v)
-			}
-			x, err := num.Int64()
-			if err != nil {
-				return err
-			}
-			row[i] = x
-		case vector.Float64:
-			if !isNum {
-				return fmt.Errorf("server: column %d: %T is not a number", i, v)
-			}
-			x, err := num.Float64()
-			if err != nil {
-				return err
-			}
-			row[i] = x
-		case vector.String:
-			if _, ok := v.(string); !ok {
-				return fmt.Errorf("server: column %d: %T is not a string", i, v)
-			}
-		case vector.Bool:
-			if _, ok := v.(bool); !ok {
-				return fmt.Errorf("server: column %d: %T is not a bool", i, v)
-			}
-		}
-	}
-	return nil
-}
-
-// newNumberDecoder returns a json.Decoder that preserves integer precision
-// (numbers decode as json.Number, not float64).
-func newNumberDecoder(data []byte) *json.Decoder {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	return dec
 }

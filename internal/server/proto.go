@@ -4,26 +4,36 @@
 // interactive, multi-user MPP SQL engine, §1) and the axis on which the
 // SQL-on-Hadoop systems it compares against differentiate under concurrency.
 //
-// The wire protocol is deliberately small: length-prefixed JSON frames. A
+// The wire protocol is deliberately small: length-prefixed frames. A
 // request is one frame; a response is a sequence of frames sharing the
-// request id — for a query, `schema`, zero or more streamed `rows` batches,
+// request id — for a query, `schema`, zero or more streamed rows frames,
 // and a terminal `done` (or `error` at any point). Sessions are
 // per-connection; multiple requests may be in flight on one session (that
 // is what makes `cancel` reachable while a query runs).
+//
+// Every frame but the rows frame is JSON. A rows frame is binary: the tag
+// byte rowsFrameTag (no JSON text starts with it), the request id as a
+// uvarint, then the query's root batches back to back in the PAX-like
+// layout the distributed exchanges send between nodes (mpi.AppendBatch).
+// The server cuts a frame once it holds at least rowsPerFrame rows; the
+// client checks each batch's column kinds against the schema frame before
+// it boxes the rows.
 package server
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 
+	"vectorh/internal/mpi"
 	"vectorh/internal/vector"
 )
 
-// Frame format: a 4-byte big-endian payload length followed by a JSON
-// payload. Zero-length and oversized frames are protocol errors.
+// Frame format: a 4-byte big-endian payload length followed by the payload.
+// Zero-length and oversized frames are protocol errors.
 const (
 	// DefaultMaxFrameBytes bounds a single frame; it is both a parser
 	// sanity limit and a defense against a misbehaving peer committing the
@@ -31,6 +41,10 @@ const (
 	DefaultMaxFrameBytes = 8 << 20
 
 	frameHeaderLen = 4
+
+	// rowsFrameTag opens a binary rows frame. JSON text starts with '{' or
+	// white space, never with a control byte.
+	rowsFrameTag = 0x01
 )
 
 // Request ops.
@@ -70,9 +84,8 @@ type Request struct {
 	Params    []any  `json:"params,omitempty"`     // execute: positional values for the template's '?' markers
 }
 
-// ColDesc describes one result column (the client needs the physical kind
-// and the logical type to decode JSON numbers back into engine-identical
-// values).
+// ColDesc describes one result column: its physical kind, which the client
+// checks every rows frame against, and its logical type.
 type ColDesc struct {
 	Name    string `json:"name"`
 	Kind    string `json:"kind"`              // int32|int64|float64|string|bool
@@ -133,7 +146,7 @@ type Response struct {
 	ID        int64      `json:"id"`
 	Type      string     `json:"type"`
 	Schema    []ColDesc  `json:"schema,omitempty"`
-	Rows      [][]any    `json:"rows,omitempty"`
+	Rows      [][]any    `json:"rows,omitempty"` // never sent: rows travel in binary rows frames
 	Affected  int64      `json:"affected,omitempty"`
 	ElapsedUs int64      `json:"elapsed_us,omitempty"`
 	QueueUs   int64      `json:"queue_us,omitempty"` // done: admission queue wait
@@ -142,6 +155,11 @@ type Response struct {
 	Metrics   string     `json:"metrics,omitempty"` // metrics: Prometheus text
 	Err       *WireError `json:"err,omitempty"`
 	NumParams int        `json:"num_params,omitempty"` // stmt: '?' count in the template
+
+	// A rows frame as the client's read loop decoded it: its batches, or
+	// the error that stopped the decode.
+	batches   []*vector.Batch
+	decodeErr error
 }
 
 // WriteFrame marshals v and writes one frame.
@@ -166,26 +184,94 @@ func WriteFrame(w io.Writer, v any) error {
 // frames (maxBytes <= 0 means DefaultMaxFrameBytes). A truncated frame —
 // the peer vanished mid-payload — surfaces as io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, maxBytes int) ([]byte, error) {
+	return AppendFrame(nil, r, maxBytes)
+}
+
+// AppendFrame is ReadFrame appending the payload to dst, so a reader can
+// reuse one buffer for every frame of a connection. On an error it returns
+// dst at its old length.
+func AppendFrame(dst []byte, r io.Reader, maxBytes int) ([]byte, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxFrameBytes
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF at a frame boundary is a clean disconnect
+	// The header is read into dst's spare capacity, where the payload will
+	// go: a header array of its own would escape to the heap.
+	dst = slices.Grow(dst, frameHeaderLen)
+	hdr := dst[len(dst) : len(dst)+frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return dst, err // io.EOF at a frame boundary is a clean disconnect
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
-		return nil, fmt.Errorf("server: zero-length frame")
+		return dst, fmt.Errorf("server: zero-length frame")
 	}
 	if int64(n) > int64(maxBytes) {
-		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, maxBytes)
+		return dst, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, maxBytes)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	out := slices.Grow(dst, int(n))[:len(dst)+int(n)]
+	if _, err := io.ReadFull(r, out[len(dst):]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return dst, err
 	}
-	return payload, nil
+	return out, nil
+}
+
+// appendRowsHeader appends the start of a rows frame for request id to dst:
+// room for the length header, the tag and the id. The root batches follow,
+// appended by mpi.AppendBatch, and sealFrame finishes the frame.
+func appendRowsHeader(dst []byte, id int64) []byte {
+	dst = append(dst, 0, 0, 0, 0, rowsFrameTag)
+	return binary.AppendUvarint(dst, uint64(id))
+}
+
+// sealFrame fills in the length header of a frame built in place.
+func sealFrame(frame []byte) error {
+	n := len(frame) - frameHeaderLen
+	if n > DefaultMaxFrameBytes {
+		return fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, DefaultMaxFrameBytes)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// decodeResponse parses one response payload: a JSON frame, or a rows frame
+// decoded into batches that share no memory with payload. A rows frame whose
+// id parses but whose batches do not comes back with that id and the error
+// in decodeErr, so the failure reaches its request; any other frame that
+// does not parse is an error, since no request can be told about it.
+func decodeResponse(payload []byte) (*Response, error) {
+	if len(payload) == 0 || payload[0] != rowsFrameTag {
+		resp := &Response{}
+		if err := unmarshalStrictNumbers(payload, resp); err != nil {
+			return nil, err
+		}
+		return resp, nil
+	}
+	id, n := binary.Uvarint(payload[1:])
+	if n <= 0 {
+		return nil, errors.New("server: rows frame without a request id")
+	}
+	resp := &Response{ID: int64(id), Type: RespRows}
+	if resp.batches, resp.decodeErr = mpi.DecodeBatches(payload[1+n:]); resp.decodeErr != nil {
+		resp.decodeErr = fmt.Errorf("server: bad rows frame: %w", resp.decodeErr)
+	}
+	return resp, nil
+}
+
+// boxRows checks a rows frame's batches against the query's schema and
+// boxes their rows, as slices of one []any backing for the frame.
+func boxRows(batches []*vector.Batch, schema vector.Schema) ([][]any, error) {
+	for _, b := range batches {
+		if len(b.Vecs) != len(schema) {
+			return nil, fmt.Errorf("server: rows frame has %d columns, schema %d", len(b.Vecs), len(schema))
+		}
+		for i, v := range b.Vecs {
+			if v.Kind() != schema[i].Type.Kind {
+				return nil, fmt.Errorf("server: column %d is %s in a rows frame, %s in the schema", i, v.Kind(), schema[i].Type.Kind)
+			}
+		}
+	}
+	return vector.BoxRows(nil, batches...), nil
 }

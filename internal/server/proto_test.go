@@ -9,6 +9,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vectorh/internal/mpi"
+	"vectorh/internal/vector"
 )
 
 // TestFrameGoldenEncode pins the wire format: 4-byte big-endian length +
@@ -41,34 +44,45 @@ func TestFrameGoldenEncode(t *testing.T) {
 }
 
 // TestResponseRoundTrip exercises every response shape through one frame
-// buffer in order.
+// buffer in order, as the client's read loop meets them: JSON control
+// frames around a binary rows frame.
 func TestResponseRoundTrip(t *testing.T) {
 	responses := []Response{
 		{ID: 1, Type: RespSchema, Schema: []ColDesc{{Name: "k", Kind: "int64"}, {Name: "d", Kind: "int32", Logical: "date"}}},
-		{ID: 1, Type: RespRows, Rows: [][]any{{int64(1), int32(9131)}, {int64(1 << 60), int32(0)}}},
+		{ID: 1, Type: RespRows},
 		{ID: 1, Type: RespDone, ElapsedUs: 1234},
 		{ID: 2, Type: RespError, Err: &WireError{Line: 3, Col: 14, Msg: "unknown column"}},
 		{ID: 3, Type: RespMetrics, Metrics: "# TYPE vectorh_sessions_active gauge\nvectorh_sessions_active 2\n"},
 	}
+	rows := vector.NewBatch(vector.FromInt64([]int64{1, 1 << 60}), vector.FromInt32([]int32{9131, 0}))
 	var buf bytes.Buffer
 	for i := range responses {
+		if responses[i].Type == RespRows {
+			buf.Write(rowsFrameOf(t, responses[i].ID, rows))
+			continue
+		}
 		if err := WriteFrame(&buf, &responses[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var schema vector.Schema
 	for i, want := range responses {
 		payload, err := ReadFrame(&buf, 0)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		var got Response
-		if err := unmarshalStrictNumbers(payload, &got); err != nil {
+		got, err := decodeResponse(payload)
+		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.ID != want.ID || got.Type != want.Type {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
 		switch want.Type {
+		case RespSchema:
+			if schema, err = Schema(got.Schema); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
 		case RespError:
 			if got.Err == nil || *got.Err != *want.Err {
 				t.Fatalf("frame %d error: got %+v want %+v", i, got.Err, want.Err)
@@ -78,15 +92,10 @@ func TestResponseRoundTrip(t *testing.T) {
 				t.Fatalf("frame %d metrics: got %q want %q", i, got.Metrics, want.Metrics)
 			}
 		case RespRows:
-			// Values decode as json.Number until the schema-aware client
-			// converts them; check the int64 survived with full precision.
-			n, ok := got.Rows[1][0].(interface{ Int64() (int64, error) })
-			if !ok {
-				t.Fatalf("frame %d: row value is %T, want json.Number", i, got.Rows[1][0])
-			}
-			x, err := n.Int64()
-			if err != nil || x != 1<<60 {
-				t.Fatalf("frame %d: int64 round trip got %d err=%v", i, x, err)
+			// The int64 keeps its full precision and the date its kind.
+			boxed, err := boxRows(got.batches, schema)
+			if err != nil || !reflect.DeepEqual(boxed, [][]any{{int64(1), int32(9131)}, {int64(1 << 60), int32(0)}}) {
+				t.Fatalf("frame %d: rows %v, %v", i, boxed, err)
 			}
 		}
 	}
@@ -109,6 +118,10 @@ func TestWriteFrameRejectsOversized(t *testing.T) {
 	huge := Response{Type: RespRows, Rows: [][]any{{strings.Repeat("x", DefaultMaxFrameBytes)}}}
 	if err := WriteFrame(&buf, &huge); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("err = %v", err)
+	}
+	rows := mpi.AppendBatch(appendRowsHeader(nil, 1), vector.NewBatch(vector.FromString([]string{strings.Repeat("x", DefaultMaxFrameBytes)})))
+	if err := sealFrame(rows); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("rows frame: err = %v", err)
 	}
 }
 

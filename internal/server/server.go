@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,8 +16,10 @@ import (
 
 	"vectorh"
 	"vectorh/internal/core"
+	"vectorh/internal/mpi"
 	"vectorh/internal/obs"
 	"vectorh/internal/sql"
+	"vectorh/internal/vector"
 )
 
 // Options tune a serving instance.
@@ -53,7 +57,9 @@ func (o *Options) fill() {
 	}
 }
 
-// rowsPerFrame bounds the row count of one streamed `rows` frame.
+// rowsPerFrame is the row count at which a rows frame is cut: a frame holds
+// whole root batches, so it carries at least this many rows unless it is a
+// query's last.
 const rowsPerFrame = 512
 
 // metrics is the server's atomic counter block.
@@ -471,6 +477,14 @@ func (ss *session) send(r *Response) error {
 	return WriteFrame(ss.conn, r)
 }
 
+// write sends one encoded frame, header included, in one Write.
+func (ss *session) write(frame []byte) error {
+	ss.writeMu.Lock()
+	defer ss.writeMu.Unlock()
+	_, err := ss.conn.Write(frame)
+	return err
+}
+
 // startWork runs a query/exec/explain request in its own worker goroutine,
 // so the read loop stays responsive to `cancel` (and further pipelined
 // requests) while it executes.
@@ -633,24 +647,32 @@ func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Dur
 		return nil, err
 	}
 	start := time.Now()
-	var pending [][]any
-	var served int64
+	// One buffer per query holds each rows frame; the header stays in place.
+	frame := appendRowsHeader(nil, req.ID)
+	header := len(frame)
+	var rows, served int64
 	flush := func() error {
-		if len(pending) == 0 {
+		if rows == 0 {
 			return nil
 		}
-		n := int64(len(pending))
-		if err := ss.send(&Response{ID: req.ID, Type: RespRows, Rows: pending}); err != nil {
+		err := sealFrame(frame)
+		if err == nil {
+			err = ss.write(frame)
+		}
+		if err != nil {
 			return err
 		}
-		ss.srv.m.rowsServed.Add(n)
-		served += n
-		pending = pending[:0]
+		ss.srv.m.rowsServed.Add(rows)
+		served += rows
+		frame, rows = frame[:header], 0
 		return nil
 	}
-	_, err = db.Run(ctx, node, core.QueryOptions{Profile: slow.Enabled(), Trace: tr}, func(rows [][]any) error {
-		pending = append(pending, rows...)
-		if len(pending) >= rowsPerFrame {
+	_, err = db.Run(ctx, node, core.QueryOptions{Profile: slow.Enabled(), Trace: tr}, func(b *vector.Batch) error {
+		if b.Len() == 0 {
+			return nil
+		}
+		frame = mpi.AppendBatch(frame, b)
+		if rows += int64(b.Len()); rows >= rowsPerFrame {
 			return flush()
 		}
 		return nil
@@ -679,15 +701,22 @@ func (ss *session) runQuery(ctx context.Context, req Request, queueWait time.Dur
 }
 
 // runProfile executes a SELECT under EXPLAIN ANALYZE (full execution with
-// per-operator profiling, rows discarded) and sends the rendered analysis
-// as a plan frame.
+// per-operator profiling, batches discarded unboxed) and sends the rendered
+// analysis as a plan frame.
 func (ss *session) runProfile(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
-	p, err := ss.srv.db.QueryStreamProfileSQL(ctx, req.SQL, func(rows [][]any) error { return nil })
+	tr := obs.NewTrace()
+	node, _, err := ss.srv.db.CompileSQL(req.SQL, tr)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ss.srv.db.Run(ctx, node, core.QueryOptions{Profile: true, Trace: tr},
+		func(*vector.Batch) error { return nil })
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
+	p := &vectorh.QueryProfile{Analyzed: res.Analyzed, Phases: tr.Phases(), CacheHit: tr.CacheHit(), Scan: res.Scan}
 	if err := ss.send(&Response{ID: req.ID, Type: RespPlan, Plan: p.Render()}); err != nil {
 		return nil, err
 	}
@@ -709,9 +738,11 @@ func toWireError(err error) *WireError {
 }
 
 // unmarshalStrictNumbers decodes JSON rejecting trailing garbage (a frame
-// carries exactly one value).
+// carries exactly one value), with numbers as json.Number so that execute
+// parameters keep their integer precision.
 func unmarshalStrictNumbers(data []byte, v any) error {
-	dec := newNumberDecoder(data)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
@@ -168,14 +169,14 @@ func rowsAt(perSF int, sf float64) int {
 }
 
 func comment(rng *rand.Rand, nwords int) string {
-	out := ""
+	var sb strings.Builder
 	for i := 0; i < nwords; i++ {
 		if i > 0 {
-			out += " "
+			sb.WriteByte(' ')
 		}
-		out += words[rng.Intn(len(words))]
+		sb.WriteString(words[rng.Intn(len(words))])
 	}
-	return out
+	return sb.String()
 }
 
 func phone(rng *rand.Rand, nation int64) string {

@@ -1,6 +1,9 @@
 package vector
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Batch is a horizontal slice of a table: a set of equally long vectors plus
 // an optional selection vector. When Sel is non-nil, only the positions it
@@ -72,6 +75,39 @@ func (b *Batch) Row(i int) []any {
 		row[c] = v.Get(phys)
 	}
 	return row
+}
+
+// BoxRows appends the live rows of bs to dst as dynamically typed values
+// and returns the extended slice. The rows of one call are slices of one
+// []any backing (capped, so appending to a row never reaches the next), and
+// the values copy out of the batches, so they stay valid after the batches
+// are reused. It is where result batches become [][]any rows.
+func BoxRows(dst [][]any, bs ...*Batch) [][]any {
+	rows, cells := 0, 0
+	for _, b := range bs {
+		rows += b.Len()
+		cells += b.Len() * len(b.Vecs)
+	}
+	vals := make([]any, cells)
+	dst = slices.Grow(dst, rows)
+	for _, b := range bs {
+		n, nc := b.Len(), len(b.Vecs)
+		first := len(dst)
+		for r := range n {
+			dst = append(dst, vals[r*nc:(r+1)*nc:(r+1)*nc])
+		}
+		for c, v := range b.Vecs {
+			for r, row := range dst[first:] {
+				i := r
+				if b.Sel != nil {
+					i = int(b.Sel[r])
+				}
+				row[c] = v.Get(i)
+			}
+		}
+		vals = vals[n*nc:]
+	}
+	return dst
 }
 
 // AppendRow appends dynamically typed values to a dense batch.

@@ -2,9 +2,12 @@ package vector
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"vectorh/internal/compress"
 )
 
 func TestKindStringAndWidth(t *testing.T) {
@@ -279,5 +282,30 @@ func TestGatherPreservesValuesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBoxRowsMatchesRow: BoxRows boxes what Row returns, row for row,
+// through selections and dictionary codes and across several batches, and
+// a boxed row is capped so that appending to it leaves the next row alone.
+func TestBoxRowsMatchesRow(t *testing.T) {
+	dict := &compress.StrDict{Values: []string{"x", "yy"}}
+	plain := NewBatch(FromInt64([]int64{1, 2, 3}), FromString([]string{"a", "", "c"}))
+	coded := NewBatch(FromInt64([]int64{4, 5, 6}), FromDictCodes([]uint32{1, 0, 1}, dict))
+	coded.Sel = []int32{2, 0}
+	var want [][]any
+	for _, b := range []*Batch{plain, coded} {
+		for i := range b.Len() {
+			want = append(want, b.Row(i))
+		}
+	}
+	head := [][]any{{"kept"}}
+	got := BoxRows(head, plain, coded)
+	if !reflect.DeepEqual(got[1:], want) || got[0][0] != "kept" {
+		t.Fatalf("BoxRows = %v, want %v after the kept row", got, want)
+	}
+	_ = append(got[1], "appended")
+	if !reflect.DeepEqual(got[2], want[1]) {
+		t.Fatalf("appending to row 0 changed row 1 to %v", got[2])
 	}
 }

@@ -153,7 +153,8 @@ func (p *QueryProfile) Render() string {
 
 // run is the façade's one SQL query path: compile through the plan cache,
 // then Engine.Run. The four exported Query*SQL methods differ only in whether
-// they profile and whether they stream.
+// they profile and whether they stream; a streaming yield receives each root
+// batch boxed by vector.BoxRows.
 func (db *DB) run(ctx context.Context, query string, profile bool, yield func(rows [][]any) error) (*QueryProfile, error) {
 	var tr *obs.Trace
 	if profile {
@@ -163,7 +164,11 @@ func (db *DB) run(ctx context.Context, query string, profile bool, yield func(ro
 	if err != nil {
 		return nil, err
 	}
-	res, err := db.Run(ctx, n, core.QueryOptions{Profile: profile, Trace: tr}, yield)
+	var batches func(*vector.Batch) error
+	if yield != nil {
+		batches = func(b *vector.Batch) error { return yield(vector.BoxRows(nil, b)) }
+	}
+	res, err := db.Run(ctx, n, core.QueryOptions{Profile: profile, Trace: tr}, batches)
 	if err != nil {
 		return nil, err
 	}
