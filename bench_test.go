@@ -1,9 +1,9 @@
-// Benchmarks regenerating the paper's evaluation artifacts; each testing.B
-// target corresponds to one table or figure — EXPERIMENTS.md maps every
-// benchmark to its paper artifact and explains which measured shapes are
-// expected to match. Run with:
+// Benchmarks for measuring while you work: the §5 ablation's times, bulk
+// load, each TPC-H query and the cost of profiling. The paper's claims are
+// asserted by tests, not printed by benchmarks; EXPERIMENTS.md's index names
+// the test that holds each artifact. Run with:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench=. -benchmem .
 package vectorh_test
 
 import (
@@ -12,41 +12,12 @@ import (
 	"testing"
 
 	"vectorh"
-	"vectorh/internal/baseline"
 	"vectorh/internal/core"
 	"vectorh/internal/experiments"
 	"vectorh/internal/tpch"
 )
 
 const benchSF = 0.01
-
-// BenchmarkFig1QueryTime regenerates Figure 1 (a+b): hot scan time and data
-// read under varying selectivity across formats.
-func BenchmarkFig1QueryTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(benchSF)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Report())
-		}
-	}
-}
-
-// BenchmarkFig2Affinity regenerates Figure 2: min-cost re-replication and
-// responsibility reassignment after a node failure.
-func BenchmarkFig2Affinity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Fig2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + rep)
-		}
-	}
-}
 
 // BenchmarkFig5Ablation regenerates the §5 rewrite-rule ablation (paper:
 // 5.02 / 5.64 / 5.67 / 25.51 / 26.14 seconds on their cluster).
@@ -64,27 +35,10 @@ func BenchmarkFig5Ablation(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadPaths regenerates the §7 load comparison: vwload remote vs
-// tweaked-local vs Spark connector.
-func BenchmarkLoadPaths(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.LoadPaths(9, 4000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range res {
-				b.Logf("%-24s %v local=%dKB remote=%dKB", r.Name, r.Elapsed, r.LocalBytes/1024, r.RemoteBytes/1024)
-			}
-		}
-	}
-}
-
-// BenchmarkLoad measures the real bulk-load path (§7's vwload, not the
-// simulation above): create the eight TPC-H tables and Engine.Load them into
-// a fresh 3-node × 2-thread, 6-partition engine per iteration. Generation
-// stays outside the timer; rows/s and allocations per load are the numbers
-// EXPERIMENTS.md records.
+// BenchmarkLoad measures the real bulk-load path (§7's vwload): create the
+// eight TPC-H tables and Engine.Load them into a fresh 3-node × 2-thread,
+// 6-partition engine per iteration. Generation stays outside the timer;
+// rows/s and allocations per load are the numbers EXPERIMENTS.md records.
 func BenchmarkLoad(b *testing.B) {
 	d := tpch.Generate(benchSF, 9)
 	rows := 0
@@ -105,24 +59,8 @@ func BenchmarkLoad(b *testing.B) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkTPCH regenerates the Figure 7 table: all 22 queries on VectorH
-// versus the baseline personalities.
-func BenchmarkTPCH(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TPCH(benchSF, 3,
-			[]baseline.Flavor{baseline.HAWQ, baseline.SparkSQL, baseline.Impala, baseline.Hive})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Report())
-		}
-	}
-}
-
 // BenchmarkTPCHPerQuery runs each query as its own benchmark target on the
-// VectorH engine only, reporting allocations — for measuring while you work;
+// VectorH engine, reporting allocations — for measuring while you work;
 // the recorded per-query trajectory is bench/history.jsonl (see
 // bench/README.md).
 func BenchmarkTPCHPerQuery(b *testing.B) {
@@ -148,23 +86,6 @@ func BenchmarkTPCHPerQuery(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkUpdateImpact regenerates the bottom block of Figure 7: RF1/RF2
-// times and the GeoDiff of query performance after updates (paper: VectorH
-// 102.8% vs Hive 138.2%).
-func BenchmarkUpdateImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.UpdateImpact(benchSF, 3, []int{1, 3, 6, 12, 14})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range res {
-				b.Logf("%-8s RF1=%v RF2=%v GeoDiff=%.1f%%", r.System, r.RF1, r.RF2, r.GeoDiff*100)
-			}
-		}
 	}
 }
 
@@ -217,17 +138,4 @@ func BenchmarkTPCHProfileOverhead(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkProfileQ1 regenerates the Appendix per-operator profile of Q1.
-func BenchmarkProfileQ1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.ProfileQ1(benchSF, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + rep)
-		}
-	}
 }

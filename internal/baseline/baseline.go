@@ -1,21 +1,12 @@
-// Package baseline implements the comparison systems of §8 as one
-// tuple-at-a-time SQL engine over the simulated Parquet/ORC-like formats,
-// with per-system "personality" knobs modelling the differences the paper
-// attributes the performance gap to:
-//
-//   - value-at-a-time decoding of generally-compressed chunks (all flavors);
-//   - row-at-a-time expression interpretation (batch size 1 for Impala- and
-//     Hive-like, small batches for HAWQ/SparkSQL-like, which the paper finds
-//     "a bit faster than the other competitors");
-//   - MinMax usage: none for Impala-like ("does not do MinMax skipping at
-//     all"), stats-after-read for the Parquet-based flavors, footer-based
-//     IO skipping for the ORC-based Hive-like flavor;
-//   - Hive-like is the only flavor accepting updates, which it serves by
-//     merging delta lists into every subsequent scan — the §8 GeoDiff
-//     degradation.
+// Package baseline is the paper's Hive-like comparison system (§8) as a
+// tuple-at-a-time SQL engine over the simulated ORC-like format: every chunk
+// is generally compressed and decoded value at a time, expressions run one
+// row per program run, row groups are skipped on the footer's MinMax
+// statistics, and updates are delta lists merged into every subsequent scan.
 //
 // The engine executes the exact same logical plans (plan.Node) as VectorH,
-// so result sets are comparable row for row.
+// so result sets are comparable row for row; it is the independent oracle
+// the TPC-H answer and refresh tests compare the engine against.
 package baseline
 
 import (
@@ -29,36 +20,11 @@ import (
 	"vectorh/internal/vector"
 )
 
-// Flavor selects a personality.
+// Flavor names the system a baseline engine models.
 type Flavor string
 
-// The four evaluated systems.
-const (
-	HAWQ     Flavor = "hawq"
-	SparkSQL Flavor = "sparksql"
-	Impala   Flavor = "impala"
-	Hive     Flavor = "hive"
-)
-
-type props struct {
-	kind      hadoopfmt.Kind
-	skip      hadoopfmt.SkipMode
-	batchRows int
-	updatable bool
-}
-
-func flavorProps(f Flavor) props {
-	switch f {
-	case HAWQ:
-		return props{kind: hadoopfmt.Parquet, skip: hadoopfmt.SkipCPU, batchRows: 64}
-	case SparkSQL:
-		return props{kind: hadoopfmt.Parquet, skip: hadoopfmt.SkipCPU, batchRows: 8}
-	case Impala:
-		return props{kind: hadoopfmt.Parquet, skip: hadoopfmt.NoSkip, batchRows: 1}
-	default: // Hive
-		return props{kind: hadoopfmt.ORC, skip: hadoopfmt.SkipIO, batchRows: 1, updatable: true}
-	}
-}
+// Hive is the one modelled system.
+const Hive Flavor = "hive"
 
 type storedTable struct {
 	schema vector.Schema
@@ -70,33 +36,25 @@ type storedTable struct {
 
 // Engine is one baseline system instance.
 type Engine struct {
-	flavor Flavor
-	p      props
 	fs     *hdfs.Cluster
 	tables map[string]*storedTable
 }
 
-// New creates a baseline engine of the given flavor over its own simulated
-// single-node HDFS.
-func New(flavor Flavor) *Engine {
+// New creates a baseline engine over its own simulated single-node HDFS.
+func New(Flavor) *Engine {
 	return &Engine{
-		flavor: flavor,
-		p:      flavorProps(flavor),
 		fs:     hdfs.NewCluster([]string{"bn1"}, hdfs.Config{BlockSize: 1 << 20, Replication: 1}),
 		tables: make(map[string]*storedTable),
 	}
 }
-
-// Flavor returns the personality name.
-func (e *Engine) Flavor() Flavor { return e.flavor }
 
 // FS exposes the engine's HDFS for IO accounting.
 func (e *Engine) FS() *hdfs.Cluster { return e.fs }
 
 // Load writes a table into the engine's columnar format.
 func (e *Engine) Load(name string, schema vector.Schema, b *vector.Batch) error {
-	path := "/" + name + "." + e.p.kind.String()
-	w, err := hadoopfmt.NewWriter(e.fs, path, "bn1", schema, hadoopfmt.Options{Kind: e.p.kind, RowGroupRows: 4096})
+	path := "/" + name + "." + hadoopfmt.ORC.String()
+	w, err := hadoopfmt.NewWriter(e.fs, path, "bn1", schema, hadoopfmt.Options{Kind: hadoopfmt.ORC, RowGroupRows: 4096})
 	if err != nil {
 		return err
 	}
@@ -110,11 +68,8 @@ func (e *Engine) Load(name string, schema vector.Schema, b *vector.Batch) error 
 	return nil
 }
 
-// InsertRows appends delta rows (Hive-like only).
+// InsertRows appends delta rows.
 func (e *Engine) InsertRows(name string, b *vector.Batch) error {
-	if !e.p.updatable {
-		return fmt.Errorf("baseline: %s does not support updates", e.flavor)
-	}
 	t, ok := e.tables[name]
 	if !ok {
 		return fmt.Errorf("baseline: unknown table %q", name)
@@ -123,12 +78,9 @@ func (e *Engine) InsertRows(name string, b *vector.Batch) error {
 	return nil
 }
 
-// DeleteByKey records key deletions in the delta (Hive-like only). Keys
-// refer to the table's first column.
+// DeleteByKey records key deletions in the delta. Keys refer to the table's
+// first column.
 func (e *Engine) DeleteByKey(name string, keys []int64) error {
-	if !e.p.updatable {
-		return fmt.Errorf("baseline: %s does not support updates", e.flavor)
-	}
 	t, ok := e.tables[name]
 	if !ok {
 		return fmt.Errorf("baseline: unknown table %q", name)
@@ -201,7 +153,7 @@ func (e *Engine) eval(n plan.Node) (*relation, error) {
 // filter's predicate implies — the bounds VectorH's own scans skip on.
 func (e *Engine) evalFilterChild(n *plan.FilterNode) (*relation, error) {
 	scan, ok := n.Child.(*plan.ScanNode)
-	if !ok || e.p.skip == hadoopfmt.NoSkip {
+	if !ok {
 		return e.eval(n.Child)
 	}
 	schema, err := scan.Schema(e)
@@ -254,7 +206,7 @@ func (e *Engine) evalScan(n *plan.ScanNode, pred *hadoopfmt.RangePred) (*relatio
 	if err != nil {
 		return nil, err
 	}
-	it, err := r.Scan(projCols, pred, e.p.skip)
+	it, err := r.Scan(projCols, pred, hadoopfmt.SkipIO)
 	if err != nil {
 		return nil, err
 	}
@@ -303,8 +255,8 @@ func (e *Engine) evalScan(n *plan.ScanNode, pred *hadoopfmt.RangePred) (*relatio
 	return rel, nil
 }
 
-// evalExprs evaluates bound expressions over rows in flavor-sized
-// mini-batches (batch size 1 = genuine tuple-at-a-time interpretation).
+// evalExprs evaluates bound expressions tuple at a time: one row per
+// program run.
 func (e *Engine) evalExprs(rel *relation, exprs []plan.Expr) ([][]any, error) {
 	bound := make([]expr.Expr, len(exprs))
 	for i, pe := range exprs {
@@ -319,24 +271,15 @@ func (e *Engine) evalExprs(rel *relation, exprs []plan.Expr) ([][]any, error) {
 		return nil, err
 	}
 	out := make([][]any, len(rel.rows))
-	bs := e.p.batchRows
-	for lo := 0; lo < len(rel.rows); lo += bs {
-		hi := lo + bs
-		if hi > len(rel.rows) {
-			hi = len(rel.rows)
-		}
-		batch := vector.NewBatchForSchema(rel.schema, hi-lo)
-		for _, row := range rel.rows[lo:hi] {
-			batch.AppendRow(row...)
-		}
+	for r, row := range rel.rows {
+		batch := vector.NewBatchForSchema(rel.schema, 1)
+		batch.AppendRow(row...)
 		if err := prog.Run(batch); err != nil {
 			return nil, err
 		}
-		for r := lo; r < hi; r++ {
-			out[r] = make([]any, len(exprs))
-			for c := range exprs {
-				out[r][c] = prog.Out(c).Get(r - lo)
-			}
+		out[r] = make([]any, len(exprs))
+		for c := range exprs {
+			out[r][c] = prog.Out(c).Get(0)
 		}
 	}
 	return out, nil

@@ -13,9 +13,9 @@ var schema = vector.Schema{
 	{Name: "v", Type: vector.TFloat64},
 }
 
-func loaded(t *testing.T, f Flavor) *Engine {
+func loaded(t *testing.T) *Engine {
 	t.Helper()
-	e := New(f)
+	e := New(Hive)
 	b := vector.NewBatchForSchema(schema, 1000)
 	for i := 0; i < 1000; i++ {
 		b.AppendRow(int64(i), []string{"a", "b"}[i%2], float64(i))
@@ -27,29 +27,27 @@ func loaded(t *testing.T, f Flavor) *Engine {
 }
 
 func TestScanFilterAggregate(t *testing.T) {
-	for _, f := range []Flavor{HAWQ, SparkSQL, Impala, Hive} {
-		e := loaded(t, f)
-		q := plan.Aggregate(
-			plan.Filter(plan.Scan("t"), plan.LT(plan.Col("k"), plan.Int(100))),
-			[]string{"g"},
-			plan.A("s", plan.Sum, plan.Col("v")), plan.AStar("n"))
-		rows, err := e.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if len(rows) != 2 {
-			t.Fatalf("%s: groups = %d", f, len(rows))
-		}
-		for _, r := range rows {
-			if r[2].(int64) != 50 {
-				t.Fatalf("%s: group %v", f, r)
-			}
+	e := loaded(t)
+	q := plan.Aggregate(
+		plan.Filter(plan.Scan("t"), plan.LT(plan.Col("k"), plan.Int(100))),
+		[]string{"g"},
+		plan.A("s", plan.Sum, plan.Col("v")), plan.AStar("n"))
+	rows, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("groups = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r[2].(int64) != 50 {
+			t.Fatalf("group %v", r)
 		}
 	}
 }
 
 func TestJoinAndOrderBy(t *testing.T) {
-	e := loaded(t, Hive)
+	e := loaded(t)
 	dim := vector.NewBatchForSchema(vector.Schema{
 		{Name: "dk", Type: vector.TString}, {Name: "label", Type: vector.TString},
 	}, 2)
@@ -72,20 +70,8 @@ func TestJoinAndOrderBy(t *testing.T) {
 	}
 }
 
-func TestOnlyHiveAcceptsUpdates(t *testing.T) {
-	for _, f := range []Flavor{HAWQ, SparkSQL, Impala} {
-		e := loaded(t, f)
-		if err := e.InsertRows("t", vector.NewBatchForSchema(schema, 0)); err == nil {
-			t.Fatalf("%s should reject inserts", f)
-		}
-		if err := e.DeleteByKey("t", []int64{1}); err == nil {
-			t.Fatalf("%s should reject deletes", f)
-		}
-	}
-}
-
 func TestHiveDeltaMergeInScans(t *testing.T) {
-	e := loaded(t, Hive)
+	e := loaded(t)
 	nb := vector.NewBatchForSchema(schema, 2)
 	nb.AppendRow(int64(5000), "a", 1.0)
 	nb.AppendRow(int64(5001), "b", 2.0)
@@ -112,7 +98,7 @@ func TestHiveDeltaMergeInScans(t *testing.T) {
 }
 
 func TestSemiAntiOuterJoins(t *testing.T) {
-	e := loaded(t, Hive)
+	e := loaded(t)
 	sub := vector.NewBatchForSchema(vector.Schema{{Name: "sk", Type: vector.TInt64}}, 3)
 	sub.AppendRow(int64(1))
 	sub.AppendRow(int64(2))

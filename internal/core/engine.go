@@ -802,8 +802,9 @@ func (p *placementPolicy) ChooseTarget(path, writer string, replicas int, exclud
 	return out
 }
 
-// PartitionMetaForTest exposes a partition's storage metadata for benchmarks
-// and reports (e.g. the Figure-1 compressed-size chart).
+// PartitionMetaForTest exposes a partition's storage metadata to tests,
+// experiments and the benchmark (e.g. the stored column sizes Figure 1c
+// compares).
 func (e *Engine) PartitionMetaForTest(table string, part int) *colstore.PartitionMeta {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -1,8 +1,8 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index is the table at the top of
-// EXPERIMENTS.md). Each experiment returns a plain-text report in the shape
-// of the corresponding paper artifact; bench_test.go wraps them as
-// benchmarks.
+// Package experiments computes the counts behind the paper's evaluation
+// artifacts (the per-artifact index is the table at the top of
+// EXPERIMENTS.md). Each experiment returns exact counts — bytes read, bytes
+// sent between nodes, rows validated — and a test in this package states the
+// paper's claim as a relation over them.
 package experiments
 
 import (
@@ -10,19 +10,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
-	"vectorh/internal/affinity"
-	"vectorh/internal/baseline"
 	"vectorh/internal/colstore"
 	"vectorh/internal/core"
 	"vectorh/internal/hadoopfmt"
 	"vectorh/internal/hdfs"
-	"vectorh/internal/obs"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
-	"vectorh/internal/spark"
 	"vectorh/internal/sql"
 	"vectorh/internal/tpch"
 	"vectorh/internal/vector"
@@ -70,30 +65,33 @@ func benchConfig(nodes, threads int) core.Config {
 	}
 }
 
-// --- E1: Figure 1 — data format micro-benchmarks ---
+// --- Figure 1 — bytes read per data format ---
 
-// Fig1Row is one point of the Figure-1 series.
-type Fig1Row struct {
-	System      string
-	Selectivity float64
-	HotTime     time.Duration
-	BytesRead   int64
+// Fig1Selectivities are the fractions of lineitem's l_shipdate range the
+// Figure-1 query selects.
+var Fig1Selectivities = []float64{0.1, 0.3, 0.6, 0.9}
+
+// Fig1Series is one format's Figure-1 counts.
+type Fig1Series struct {
+	Format string
+	// BytesRead is the hdfs bytes one run of the query reads, per entry of
+	// Fig1Selectivities (Figure 1b).
+	BytesRead []int64
+	// ColumnBytes is the stored size of the seven Figure-1c columns.
+	ColumnBytes int64
 }
 
-// Fig1Result aggregates the three Figure-1 charts.
-type Fig1Result struct {
-	Rows  []Fig1Row
-	Sizes map[string]map[string]int64 // system -> column -> bytes
-}
+var fig1Columns = []string{"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_shipdate", "l_returnflag"}
 
-// Fig1 reproduces the SELECT max(l_linenumber) WHERE l_shipdate < X
-// micro-benchmark over a lineitem sorted on l_shipdate, comparing the
-// VectorH format against the Parquet-like and ORC-like readers under their
-// respective skipping abilities.
-func Fig1(sf float64) (*Fig1Result, error) {
+// Fig1 counts the bytes SELECT max(l_linenumber) WHERE l_shipdate < X reads
+// over a lineitem sorted on l_shipdate, in four series: the VectorH format
+// (MinMax skipping on a clustered table, decoded-block cache off so every
+// run reads from hdfs), the ORC-like format skipping row groups on footer
+// statistics, the ORC-like format reading every chunk, and the Parquet-like
+// format, whose statistics sit in the chunk headers.
+func Fig1(sf float64) ([]Fig1Series, error) {
 	d := tpch.Generate(sf, 1)
 	li := d.Tables["lineitem"]
-	// Sort lineitem on l_shipdate, as in the paper's setup.
 	shipIdx := tpch.LineitemSchema.Index("l_shipdate")
 	perm := make([]int32, li.Len())
 	for i := range perm {
@@ -102,13 +100,13 @@ func Fig1(sf float64) (*Fig1Result, error) {
 	ship := li.Col(shipIdx).Int32s()
 	sort.SliceStable(perm, func(a, b int) bool { return ship[perm[a]] < ship[perm[b]] })
 	sorted := (&vector.Batch{Vecs: li.Vecs, Sel: perm}).Compact()
-
-	res := &Fig1Result{Sizes: map[string]map[string]int64{}}
 	minDate, maxDate := ship[perm[0]], ship[perm[len(perm)-1]]
-	cutoffs := []float64{0.1, 0.3, 0.6, 0.9}
+	cutoffs := make([]int32, len(Fig1Selectivities))
+	for i, sel := range Fig1Selectivities {
+		cutoffs[i] = minDate + int32(float64(maxDate-minDate)*sel)
+	}
 
-	// VectorH format: a single-node engine with a clustered table.
-	eng, err := NewEngine(1, 2, 1)
+	eng, err := NewEngineNoCache(1, 2, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -121,53 +119,44 @@ func Fig1(sf float64) (*Fig1Result, error) {
 	if err := eng.Load("lineitem", []*vector.Batch{sorted}); err != nil {
 		return nil, err
 	}
-	run := runOn(eng)
-	for _, sel := range cutoffs {
-		x := minDate + int32(float64(maxDate-minDate)*sel)
+	vh := Fig1Series{Format: "vectorh"}
+	for _, x := range cutoffs {
 		q, err := sql.Compile(fmt.Sprintf("select max(l_linenumber) as m from lineitem where l_shipdate < date '%s'",
 			vector.FormatDate(x)), eng)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := run(q); err != nil { // warm
-			return nil, err
-		}
 		eng.FS().ResetStats()
-		start := time.Now()
-		if _, err := run(q); err != nil {
+		if _, err := runOn(eng)(q); err != nil {
 			return nil, err
 		}
 		st := eng.FS().Stats()
-		res.Rows = append(res.Rows, Fig1Row{"vectorh", sel, time.Since(start), st.LocalBytesRead + st.RemoteBytesRead})
+		vh.BytesRead = append(vh.BytesRead, st.LocalBytesRead+st.RemoteBytesRead)
 	}
-	// Column size chart for VectorH.
-	res.Sizes["vectorh"] = map[string]int64{}
-	tInfo, _ := eng.Table("lineitem")
-	_ = tInfo
-	for _, col := range []string{"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_shipdate", "l_returnflag"} {
-		var total int64
-		meta := enginePartMeta(eng, "lineitem")
-		if c, err := meta.Col(col); err == nil {
-			for _, b := range c.Blocks {
-				total += int64(b.Bytes)
-			}
+	meta := eng.PartitionMetaForTest("lineitem", 0)
+	for _, col := range fig1Columns {
+		c, err := meta.Col(col)
+		if err != nil {
+			return nil, err
 		}
-		res.Sizes["vectorh"][col] = total
+		for _, b := range c.Blocks {
+			vh.ColumnBytes += int64(b.Bytes)
+		}
 	}
+	out := []Fig1Series{vh}
 
-	// Hadoop formats, value-at-a-time, per Fig-1 system personalities.
-	systems := []struct {
+	formats := []struct {
 		name string
 		kind hadoopfmt.Kind
 		mode hadoopfmt.SkipMode
 	}{
-		{"impala(parquet)", hadoopfmt.Parquet, hadoopfmt.NoSkip},
-		{"presto(parquet)", hadoopfmt.Parquet, hadoopfmt.SkipCPU},
-		{"presto(orc)", hadoopfmt.ORC, hadoopfmt.SkipCPU},
+		{"orc-like footer skip", hadoopfmt.ORC, hadoopfmt.SkipIO},
+		{"orc-like read-all", hadoopfmt.ORC, hadoopfmt.SkipCPU},
+		{"parquet-like", hadoopfmt.Parquet, hadoopfmt.SkipCPU},
 	}
-	for _, sys := range systems {
+	for _, f := range formats {
 		fs := hdfs.NewCluster([]string{"b1"}, hdfs.Config{BlockSize: 1 << 20, Replication: 1})
-		w, err := hadoopfmt.NewWriter(fs, "/li", "b1", tpch.LineitemSchema, hadoopfmt.Options{Kind: sys.kind, RowGroupRows: 4096})
+		w, err := hadoopfmt.NewWriter(fs, "/li", "b1", tpch.LineitemSchema, hadoopfmt.Options{Kind: f.kind, RowGroupRows: 4096})
 		if err != nil {
 			return nil, err
 		}
@@ -181,150 +170,39 @@ func Fig1(sf float64) (*Fig1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, ok := res.Sizes[sys.name]; !ok {
-			res.Sizes[sys.name] = map[string]int64{}
-			for _, col := range []string{"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_shipdate", "l_returnflag"} {
-				n, _ := r.ColumnBytes(col)
-				res.Sizes[sys.name][col] = n
+		s := Fig1Series{Format: f.name}
+		for _, col := range fig1Columns {
+			n, err := r.ColumnBytes(col)
+			if err != nil {
+				return nil, err
 			}
+			s.ColumnBytes += n
 		}
-		for _, sel := range cutoffs {
-			x := int64(minDate) + int64(float64(maxDate-minDate)*sel)
-			run := func() error {
-				it, err := r.Scan([]string{"l_linenumber", "l_shipdate"},
-					&hadoopfmt.RangePred{Col: "l_shipdate", Lo: math.MinInt32, Hi: x - 1}, sys.mode)
-				if err != nil {
-					return err
-				}
-				maxLN := int32(math.MinInt32)
-				for {
-					row, err := it.Next()
-					if err != nil {
-						return err
-					}
-					if row == nil {
-						return nil
-					}
-					if v := row[0].(int32); v > maxLN {
-						maxLN = v
-					}
-				}
-			}
-			if err := run(); err != nil { // warm
-				return nil, err
-			}
+		for _, x := range cutoffs {
 			fs.ResetStats()
-			start := time.Now()
-			if err := run(); err != nil {
+			it, err := r.Scan([]string{"l_linenumber", "l_shipdate"},
+				&hadoopfmt.RangePred{Col: "l_shipdate", Lo: math.MinInt32, Hi: int64(x) - 1}, f.mode)
+			if err != nil {
 				return nil, err
+			}
+			for {
+				row, err := it.Next()
+				if err != nil {
+					return nil, err
+				}
+				if row == nil {
+					break
+				}
 			}
 			st := fs.Stats()
-			res.Rows = append(res.Rows, Fig1Row{sys.name, sel, time.Since(start), st.LocalBytesRead + st.RemoteBytesRead})
+			s.BytesRead = append(s.BytesRead, st.LocalBytesRead+st.RemoteBytesRead)
 		}
+		out = append(out, s)
 	}
-	return res, nil
+	return out, nil
 }
 
-func enginePartMeta(e *core.Engine, table string) *colstore.PartitionMeta {
-	// Benchmark-only helper: peek at partition 0's metadata via a scan of
-	// zero columns is not possible, so experiments reach through a small
-	// accessor added for reporting.
-	return e.PartitionMetaForTest(table, 0)
-}
-
-// Report renders the three Figure-1 charts as text.
-func (r *Fig1Result) Report() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 1a) hot query time by selectivity\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "  %-18s sel=%.1f  time=%8.2fms\n", row.System, row.Selectivity, float64(row.HotTime.Microseconds())/1000)
-	}
-	sb.WriteString("Figure 1b) data read by selectivity\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "  %-18s sel=%.1f  read=%8.1fKB\n", row.System, row.Selectivity, float64(row.BytesRead)/1024)
-	}
-	sb.WriteString("Figure 1c) compressed column sizes\n")
-	var systems []string
-	for s := range r.Sizes {
-		systems = append(systems, s)
-	}
-	sort.Strings(systems)
-	for _, s := range systems {
-		var total int64
-		for _, b := range r.Sizes[s] {
-			total += b
-		}
-		fmt.Fprintf(&sb, "  %-18s total=%8.1fKB", s, float64(total)/1024)
-		var cols []string
-		for c := range r.Sizes[s] {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		for _, c := range cols {
-			fmt.Fprintf(&sb, "  %s=%.0fKB", strings.TrimPrefix(c, "l_"), float64(r.Sizes[s][c])/1024)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// --- E2/E3: Figure 2 — affinity before/after node failure ---
-
-// Fig2 reproduces the partition-affinity walkthrough: 12 partitions on 4
-// nodes with R=3, then a failure of node4 with min-cost re-replication and
-// responsibility reassignment.
-func Fig2() (string, error) {
-	workers := []string{"node1", "node2", "node3", "node4"}
-	var parts []string
-	for i := 1; i <= 12; i++ {
-		parts = append(parts, fmt.Sprintf("R%02d", i))
-	}
-	var sb strings.Builder
-	initial := affinity.InitialMapping(parts, workers, 3)
-	sb.WriteString("initial affinity (partition: primary, copies):\n")
-	for _, p := range parts {
-		fmt.Fprintf(&sb, "  %s: %v\n", p, initial[p])
-	}
-	survivors := workers[:3]
-	isLocal := func(part, node string) bool {
-		if node == "node4" {
-			return false
-		}
-		for _, n := range initial[part] {
-			if n == node {
-				return true
-			}
-		}
-		return false
-	}
-	next, err := affinity.ComputeAffinity(parts, survivors, 3, isLocal)
-	if err != nil {
-		return "", err
-	}
-	resp, err := affinity.ComputeResponsibility(parts, survivors, func(p, n string) bool {
-		for _, x := range next[p] {
-			if x == n {
-				return true
-			}
-		}
-		return false
-	})
-	if err != nil {
-		return "", err
-	}
-	moves := affinity.Moves(initial, next)
-	fmt.Fprintf(&sb, "after node4 failure: %d partition copies re-replicated: %v\n", len(moves), moves)
-	sb.WriteString("responsibility assignment:\n")
-	counts := map[string]int{}
-	for _, p := range parts {
-		fmt.Fprintf(&sb, "  %s -> %s\n", p, resp[p])
-		counts[resp[p]]++
-	}
-	fmt.Fprintf(&sb, "balance: %v\n", counts)
-	return sb.String(), nil
-}
-
-// --- E4: Figure 5 / §5 — rewrite-rule ablation ---
+// --- §5 — rewrite-rule ablation ---
 
 // AblationResult holds one rule configuration's best time (paper: 5.02 /
 // 5.64 / 5.67 / 25.51 / 26.14 seconds) and the bytes one run sends between
@@ -398,328 +276,4 @@ func Fig5Ablation(sf float64, nodes int) ([]AblationResult, error) {
 		out = append(out, AblationResult{cfg.name, best, eng.Net().Stats().RemoteBytes / 3})
 	}
 	return out, nil
-}
-
-// --- E5: §7 — load paths ---
-
-// LoadPathResult is one load strategy's outcome.
-type LoadPathResult struct {
-	Name        string
-	Elapsed     time.Duration
-	LocalBytes  int64
-	RemoteBytes int64
-}
-
-// LoadPaths reproduces the §7 comparison: plain vwload (master reads
-// everything), locality-tweaked vwload, and the Spark connector.
-func LoadPaths(files, rowsPerFile int) ([]LoadPathResult, error) {
-	schema := vector.Schema{
-		{Name: "k", Type: vector.TInt64}, {Name: "a", Type: vector.TInt64},
-		{Name: "b", Type: vector.TInt64}, {Name: "c", Type: vector.TInt64},
-	}
-	setup := func() (*core.Engine, []string, error) {
-		eng, err := core.New(core.Config{
-			Nodes: []string{"node1", "node2", "node3"}, Replication: 1,
-			BlockSize: 1 << 18, Format: colstore.Format{BlockSize: 32 << 10, BlocksPerChunk: 64},
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := eng.CreateTable(rewriter.TableInfo{
-			Name: "t", Schema: schema, PartitionKey: "k", Partitions: 3,
-		}); err != nil {
-			return nil, nil, err
-		}
-		nodes := eng.Nodes()
-		var paths []string
-		id := 0
-		for f := 0; f < files; f++ {
-			var sb strings.Builder
-			for r := 0; r < rowsPerFile; r++ {
-				fmt.Fprintf(&sb, "%d|%d|%d|%d\n", id, id*2, id*3, id*5)
-				id++
-			}
-			p := fmt.Sprintf("/csv/in%02d.tbl", f)
-			if err := eng.FS().WriteFile(p, nodes[f%len(nodes)], []byte(sb.String())); err != nil {
-				return nil, nil, err
-			}
-			paths = append(paths, p)
-		}
-		return eng, paths, nil
-	}
-	var out []LoadPathResult
-	run := func(name string, load func(e *core.Engine, paths []string) error) error {
-		eng, paths, err := setup()
-		if err != nil {
-			return err
-		}
-		eng.FS().ResetStats()
-		start := time.Now()
-		if err := load(eng, paths); err != nil {
-			return err
-		}
-		st := eng.FS().Stats()
-		out = append(out, LoadPathResult{name, time.Since(start), st.LocalBytesRead, st.RemoteBytesRead})
-		return nil
-	}
-	if err := run("vwload (remote reads)", func(e *core.Engine, paths []string) error {
-		return spark.VWLoad(e, "t", paths)
-	}); err != nil {
-		return nil, err
-	}
-	if err := run("vwload (tweaked local)", func(e *core.Engine, paths []string) error {
-		return spark.VWLoadLocal(e, "t", paths)
-	}); err != nil {
-		return nil, err
-	}
-	if err := run("spark connector", func(e *core.Engine, paths []string) error {
-		rdd, err := spark.TextFileRDD(e.FS(), paths)
-		if err != nil {
-			return err
-		}
-		_, err = spark.ConnectorLoad(e, "t", rdd)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// --- E6/E7: Figure 7 — TPC-H comparison ---
-
-// TPCHResult holds per-query timings for every system.
-type TPCHResult struct {
-	Queries []int
-	Times   map[string][]time.Duration // system -> per-query
-}
-
-// TPCH runs the 22 queries on VectorH and the chosen baseline flavors.
-func TPCH(sf float64, nodes int, flavors []baseline.Flavor) (*TPCHResult, error) {
-	d := tpch.Generate(sf, 9)
-	eng, err := NewEngine(nodes, 2, 2*nodes)
-	if err != nil {
-		return nil, err
-	}
-	if err := tpch.LoadIntoEngine(eng, d, 2*nodes); err != nil {
-		return nil, err
-	}
-	res := &TPCHResult{Times: map[string][]time.Duration{}}
-	for q := 1; q <= tpch.NumQueries; q++ {
-		res.Queries = append(res.Queries, q)
-	}
-	runAll := func(name string, cat plan.Catalog, run func(plan.Node) ([][]any, error)) error {
-		for _, q := range res.Queries {
-			p, err := tpch.BuildQuery(q, cat)
-			if err != nil {
-				return fmt.Errorf("%s Q%d compile: %w", name, q, err)
-			}
-			start := time.Now()
-			if _, err := run(p); err != nil {
-				return fmt.Errorf("%s Q%d: %w", name, q, err)
-			}
-			res.Times[name] = append(res.Times[name], time.Since(start))
-		}
-		return nil
-	}
-	if err := runAll("VectorH", eng, runOn(eng)); err != nil {
-		return nil, err
-	}
-	for _, f := range flavors {
-		be := baseline.New(f)
-		if err := tpch.LoadIntoBaseline(be, d); err != nil {
-			return nil, err
-		}
-		if err := runAll(string(f), be, be.Query); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// Report renders the Figure-7 table plus the speedup chart rows.
-func (r *TPCHResult) Report() string {
-	var sb strings.Builder
-	var systems []string
-	for s := range r.Times {
-		if s != "VectorH" {
-			systems = append(systems, s)
-		}
-	}
-	sort.Strings(systems)
-	systems = append([]string{"VectorH"}, systems...)
-	sb.WriteString("TPC-H results (milliseconds):\n        ")
-	for _, q := range r.Queries {
-		fmt.Fprintf(&sb, "%8s", fmt.Sprintf("Q%d", q))
-	}
-	sb.WriteByte('\n')
-	for _, s := range systems {
-		fmt.Fprintf(&sb, "%-8s", s)
-		for i := range r.Queries {
-			fmt.Fprintf(&sb, "%8.1f", float64(r.Times[s][i].Microseconds())/1000)
-		}
-		sb.WriteByte('\n')
-	}
-	sb.WriteString("how many times faster is VectorH:\n        ")
-	for _, q := range r.Queries {
-		fmt.Fprintf(&sb, "%8s", fmt.Sprintf("Q%d", q))
-	}
-	sb.WriteByte('\n')
-	for _, s := range systems[1:] {
-		fmt.Fprintf(&sb, "%-8s", s)
-		for i := range r.Queries {
-			ratio := float64(r.Times[s][i]) / float64(r.Times["VectorH"][i])
-			fmt.Fprintf(&sb, "%8.1f", ratio)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// GeoMean computes the geometric mean of durations.
-func GeoMean(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, d := range ds {
-		sum += math.Log(float64(d))
-	}
-	return time.Duration(math.Exp(sum / float64(len(ds))))
-}
-
-// --- E8: update impact (RF1/RF2 + GeoDiff) ---
-
-// UpdateImpactResult is the bottom block of Figure 7.
-type UpdateImpactResult struct {
-	System  string
-	RF1     time.Duration
-	RF2     time.Duration
-	GeoDiff float64 // geomean(after)/geomean(before), 1.0 = unaffected
-}
-
-// UpdateImpact measures query performance before/after the refresh
-// functions on VectorH (PDTs) and the Hive-like baseline (delta merge).
-func UpdateImpact(sf float64, nodes int, queries []int) ([]UpdateImpactResult, error) {
-	d := tpch.Generate(sf, 13)
-	rf1Orders, rf1Items := tpch.RF1(d, int(1500*sf), 21)
-	rf2 := tpch.RF2Keys(d, int(1500*sf), 22)
-
-	var out []UpdateImpactResult
-
-	runQueries := func(cat plan.Catalog, run func(plan.Node) ([][]any, error)) ([]time.Duration, error) {
-		var ds []time.Duration
-		for _, q := range queries {
-			p, err := tpch.BuildQuery(q, cat)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if _, err := run(p); err != nil {
-				return nil, err
-			}
-			ds = append(ds, time.Since(start))
-		}
-		return ds, nil
-	}
-
-	// VectorH.
-	eng, err := NewEngine(nodes, 2, 2*nodes)
-	if err != nil {
-		return nil, err
-	}
-	if err := tpch.LoadIntoEngine(eng, d, 2*nodes); err != nil {
-		return nil, err
-	}
-	before, err := runQueries(eng, runOn(eng))
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	t0 := time.Now()
-	if err := eng.InsertRows(ctx, "orders", rf1Orders); err != nil {
-		return nil, err
-	}
-	if err := eng.InsertRows(ctx, "lineitem", rf1Items); err != nil {
-		return nil, err
-	}
-	rf1Time := time.Since(t0)
-	t0 = time.Now()
-	if _, err := eng.DeleteWhere(ctx, "orders", plan.InInt(plan.Col("o_orderkey"), rf2...)); err != nil {
-		return nil, err
-	}
-	if _, err := eng.DeleteWhere(ctx, "lineitem", plan.InInt(plan.Col("l_orderkey"), rf2...)); err != nil {
-		return nil, err
-	}
-	rf2Time := time.Since(t0)
-	after, err := runQueries(eng, runOn(eng))
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, UpdateImpactResult{
-		System: "VectorH", RF1: rf1Time, RF2: rf2Time,
-		GeoDiff: float64(GeoMean(after)) / float64(GeoMean(before)),
-	})
-
-	// Hive-like.
-	be := baseline.New(baseline.Hive)
-	if err := tpch.LoadIntoBaseline(be, d); err != nil {
-		return nil, err
-	}
-	before, err = runQueries(be, be.Query)
-	if err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	if err := be.InsertRows("orders", rf1Orders); err != nil {
-		return nil, err
-	}
-	if err := be.InsertRows("lineitem", rf1Items); err != nil {
-		return nil, err
-	}
-	rf1Time = time.Since(t0)
-	t0 = time.Now()
-	if err := be.DeleteByKey("orders", rf2); err != nil {
-		return nil, err
-	}
-	if err := be.DeleteByKey("lineitem", rf2); err != nil {
-		return nil, err
-	}
-	rf2Time = time.Since(t0)
-	after, err = runQueries(be, be.Query)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, UpdateImpactResult{
-		System: "Hive", RF1: rf1Time, RF2: rf2Time,
-		GeoDiff: float64(GeoMean(after)) / float64(GeoMean(before)),
-	})
-	return out, nil
-}
-
-// --- E9: Appendix — Q1 profile ---
-
-// ProfileQ1 runs TPC-H Q1 with per-operator profiling and renders the
-// Appendix-style report.
-func ProfileQ1(sf float64, nodes int) (string, error) {
-	d := tpch.Generate(sf, 17)
-	eng, err := NewEngine(nodes, 2, 2*nodes)
-	if err != nil {
-		return "", err
-	}
-	if err := tpch.LoadIntoEngine(eng, d, 2*nodes); err != nil {
-		return "", err
-	}
-	p, err := tpch.BuildQuery(1, eng)
-	if err != nil {
-		return "", err
-	}
-	res, err := eng.Run(context.Background(), p, core.QueryOptions{Profile: true}, nil)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "TPC-H Q1 wall clock: %v\n", res.Elapsed)
-	sb.WriteString(res.Explain)
-	sb.WriteString(obs.FormatOps(res.Operators, 24))
-	return sb.String(), nil
 }

@@ -52,12 +52,10 @@ func (k Kind) String() string {
 type SkipMode int
 
 const (
-	// NoSkip ignores statistics entirely (Impala in the paper).
-	NoSkip SkipMode = iota
 	// SkipCPU reads every chunk but skips decompression of disqualified
 	// row groups (Presto per footnote 2; the only option on Parquet-like
 	// files, whose stats sit inside the chunk).
-	SkipCPU
+	SkipCPU SkipMode = iota
 	// SkipIO skips both the read and the decompression using footer
 	// statistics (only possible on the ORC-like format).
 	SkipIO

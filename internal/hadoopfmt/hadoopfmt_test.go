@@ -75,7 +75,7 @@ func TestRoundTripBothKinds(t *testing.T) {
 			if r.Rows() != 5000 || r.Kind() != kind {
 				t.Fatalf("rows=%d kind=%v", r.Rows(), r.Kind())
 			}
-			it, err := r.Scan([]string{"k", "qty", "price", "flag"}, nil, NoSkip)
+			it, err := r.Scan([]string{"k", "qty", "price", "flag"}, nil, SkipCPU)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,13 +123,8 @@ func TestORCSkipIOReadsLess(t *testing.T) {
 	}
 	ioSkip := read(SkipIO)
 	cpuSkip := read(SkipCPU)
-	noSkip := read(NoSkip)
 	if !(ioSkip < cpuSkip) {
 		t.Fatalf("SkipIO (%d) should read less than SkipCPU (%d)", ioSkip, cpuSkip)
-	}
-	// SkipCPU reads all chunks, like NoSkip: same IO, less CPU.
-	if cpuSkip != noSkip {
-		t.Fatalf("SkipCPU IO (%d) should equal NoSkip IO (%d)", cpuSkip, noSkip)
 	}
 }
 
@@ -173,10 +168,10 @@ func TestScanErrors(t *testing.T) {
 	fs := testFS()
 	writeFile(t, fs, "/f", ORC, 100, 50)
 	r, _ := Open(fs, "/f", "n1")
-	if _, err := r.Scan([]string{"ghost"}, nil, NoSkip); err == nil {
+	if _, err := r.Scan([]string{"ghost"}, nil, SkipCPU); err == nil {
 		t.Fatal("unknown column should fail")
 	}
-	if _, err := r.Scan([]string{"qty"}, &RangePred{Col: "k", Lo: 0, Hi: 1}, NoSkip); err == nil {
+	if _, err := r.Scan([]string{"qty"}, &RangePred{Col: "k", Lo: 0, Hi: 1}, SkipCPU); err == nil {
 		t.Fatal("predicate column outside projection should fail")
 	}
 	if _, err := Open(fs, "/missing", "n1"); err == nil {
@@ -230,7 +225,7 @@ func TestLargeRandomRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := Open(fs, "/f", "n1")
-	it, _ := r.Scan([]string{"k", "qty", "price", "flag"}, nil, NoSkip)
+	it, _ := r.Scan([]string{"k", "qty", "price", "flag"}, nil, SkipCPU)
 	rows := readAll(t, it)
 	if len(rows) != 3000 {
 		t.Fatalf("rows = %d", len(rows))

@@ -201,29 +201,6 @@ func VWLoad(e *core.Engine, table string, paths []string) error {
 	return e.Load(table, batches)
 }
 
-// VWLoadLocal is vwload with hand-tuned parameter order so each worker reads
-// only its local files (the 1237s → 850s tweak of §7). Files whose blocks
-// are not local anywhere still incur remote reads.
-func VWLoadLocal(e *core.Engine, table string, paths []string) error {
-	info, err := e.Table(table)
-	if err != nil {
-		return err
-	}
-	var batches []*vector.Batch
-	for _, p := range paths {
-		reader := e.Nodes()[0]
-		if locs, err := e.FS().BlockLocations(p); err == nil && len(locs) > 0 && len(locs[0]) > 0 {
-			reader = locs[0][0]
-		}
-		b, err := readAndParse(e.FS(), p, reader, info.Schema)
-		if err != nil {
-			return err
-		}
-		batches = append(batches, b)
-	}
-	return e.Load(table, batches)
-}
-
 // ConnectorLoad ingests an RDD through the Spark–VectorH connector: RDD
 // partitions are assigned to ExternalScan operators with affinity, each
 // executor reads and parses its partition locally, and the parsed batches

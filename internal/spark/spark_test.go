@@ -3,6 +3,7 @@ package spark
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,12 +99,27 @@ func TestVWLoadAndQuery(t *testing.T) {
 }
 
 func TestConnectorLoadIsMoreLocalThanVWLoad(t *testing.T) {
-	// The §7 experiment shape: vwload from the master reads ~2/3 of the
-	// input remotely; the connector's affinity assignment reads ~all
-	// input locally.
-	run := func(connector bool) (local, remote int64) {
+	// The §7 experiment as counts: vwload on the master reads every file
+	// that has no block there across the network, byte for byte; the
+	// connector's affinity assignment reads all input locally.
+	run := func(connector bool) (local, remote, total, offMaster int64) {
 		e := newEngine(t)
 		paths := writeCSVFiles(t, e, 9, 200)
+		master := e.Nodes()[0]
+		for _, p := range paths {
+			size, err := e.FS().Size(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locs, err := e.FS().BlockLocations(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += size
+			if !slices.ContainsFunc(locs, func(nodes []string) bool { return slices.Contains(nodes, master) }) {
+				offMaster += size
+			}
+		}
 		e.FS().ResetStats()
 		if connector {
 			rdd, err := TextFileRDD(e.FS(), paths)
@@ -119,18 +135,15 @@ func TestConnectorLoadIsMoreLocalThanVWLoad(t *testing.T) {
 			}
 		}
 		s := e.FS().Stats()
-		return s.LocalBytesRead, s.RemoteBytesRead
+		return s.LocalBytesRead, s.RemoteBytesRead, total, offMaster
 	}
-	_, vwRemote := run(false)
-	connLocal, connRemote := run(true)
-	if vwRemote == 0 {
-		t.Fatal("vwload should read some input remotely")
+	_, vwRemote, _, offMaster := run(false)
+	if offMaster == 0 || vwRemote != offMaster {
+		t.Fatalf("vwload read %d bytes remotely, want the %d bytes of the files with no block on the master", vwRemote, offMaster)
 	}
-	if connRemote >= vwRemote {
-		t.Fatalf("connector remote reads (%d) should be far below vwload (%d)", connRemote, vwRemote)
-	}
-	if connLocal == 0 {
-		t.Fatal("connector should read input locally")
+	connLocal, connRemote, total, _ := run(true)
+	if connRemote != 0 || connLocal != total {
+		t.Fatalf("connector read %d bytes locally and %d remotely, want all %d local", connLocal, connRemote, total)
 	}
 }
 

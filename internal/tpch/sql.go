@@ -20,7 +20,7 @@ func BuildQuery(q int, cat plan.Catalog) (plan.Node, error) {
 }
 
 // SQLQueries is the 22-query TPC-H workload as SQL text, the one statement of
-// each query: the engine, the baseline flavors and the benchmark all run
+// each query: the engine, the Hive-like baseline and the benchmark all run
 // these texts, and testdata/answers.golden pins their answers at SF 0.01.
 //
 // Two texts deviate from the specification's wording on purpose. Q15 compares

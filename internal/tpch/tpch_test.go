@@ -142,7 +142,8 @@ func TestRefreshFunctions(t *testing.T) {
 
 func TestUpdateImpactShape(t *testing.T) {
 	// Miniature §8 update-impact run: apply RF1+RF2 on both engines and
-	// verify Q1 answers still agree (the perf GeoDiff is a benchmark).
+	// verify Q1 and Q6 answers still agree (the GeoDiff is a time, not
+	// asserted: EXPERIMENTS.md).
 	d := Generate(0.002, 11)
 	eng := newEngine(t)
 	if err := LoadIntoEngine(eng, d, 6); err != nil {
