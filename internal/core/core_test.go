@@ -150,7 +150,7 @@ func TestColocatedJoinQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(explain, "MergeJoin[co-located]") {
+	if !strings.Contains(explain, "MergeJoin[0,co-located]") {
 		t.Fatalf("expected co-located merge join:\n%s", explain)
 	}
 	rows, err := queryRows(e, q)

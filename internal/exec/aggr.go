@@ -330,6 +330,7 @@ type OrderedAggr struct {
 	pool   vector.Pool
 	keys   *vector.Vec   // one per held group; the last is the open group
 	last   int64         // the open group's key
+	kvals  []int64       // the current input batch's keys
 	args   []*vector.Vec // the current input batch's argument columns, by spec
 	pos, n int           // its next row to fold, and its row count
 	done   bool
@@ -368,6 +369,7 @@ func (o *OrderedAggr) Next() (*vector.Batch, error) {
 				return nil, err
 			}
 			argCols(o.prog, 1, o.Aggs, o.args)
+			o.kvals = appendKeys(o.kvals[:0], o.prog.Out(0), nil)
 		}
 		full, err := o.fold()
 		if err != nil {
@@ -392,7 +394,7 @@ func (o *OrderedAggr) fold() (full bool, err error) {
 	g := int32(o.keys.Len()) - 1
 	end := o.n
 	for r := o.pos; r < o.n; r++ {
-		if k := int64At(key, r); g < 0 || k != o.last {
+		if k := o.kvals[r]; g < 0 || k != o.last {
 			if vector.DebugAsserts {
 				checkAscending("ordered aggregation", o.last, k)
 			}

@@ -1,7 +1,7 @@
 // Package exec implements the vectorized query operators of the engine
 // (§2, §5 of the paper): Select with selection vectors, Project, hash
-// aggregation (partial and final), hash joins (inner, left outer, semi,
-// anti), merge join for co-ordered clustered tables, sort, top-N, and the
+// aggregation (partial and final), hash joins and, for co-ordered clustered
+// tables, merge joins (inner, left outer, semi, anti), sort, top-N, and the
 // local Xchg operator family that encapsulates multi-core parallelism so
 // every other operator can stay parallelism-unaware (the Volcano model the
 // paper builds its MPP parallelism on).

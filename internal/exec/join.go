@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
@@ -32,6 +33,10 @@ type HashJoin struct {
 	BuildKeys []expr.Expr
 	ProbeKeys []expr.Expr
 	Type      JoinType
+	// BuildKinds are the build columns' kinds, from the plan, so that a
+	// build side without rows still has its columns; nil takes them from
+	// the first build batch.
+	BuildKinds []vector.Kind
 
 	buildKeys, probeKeys *expr.Program
 	built                bool
@@ -44,9 +49,7 @@ type HashJoin struct {
 // Open implements Operator.
 func (j *HashJoin) Open() (err error) {
 	j.built = false
-	j.table = nil
-	j.buildCols = nil
-	j.keyCols = nil
+	j.keyCols = make([]*vector.Vec, len(j.ProbeKeys))
 	if j.buildKeys, err = expr.Compile(j.BuildKeys...); err != nil {
 		return err
 	}
@@ -60,13 +63,25 @@ func (j *HashJoin) Open() (err error) {
 }
 
 // Close implements Operator.
-func (j *HashJoin) Close() error {
-	err1 := j.Build.Close()
-	err2 := j.Probe.Close()
-	if err1 != nil {
-		return err1
+func (j *HashJoin) Close() error { return closeBoth(j.Build, j.Probe) }
+
+// newCols returns one empty vector per kind. With nil kinds (a join built
+// without a plan, as tests build them) it takes the kinds of b's columns,
+// and returns nil for a nil b.
+func newCols(kinds []vector.Kind, b *vector.Batch) []*vector.Vec {
+	if kinds == nil {
+		if b == nil {
+			return nil
+		}
+		for _, v := range b.Vecs {
+			kinds = append(kinds, v.Kind())
+		}
 	}
-	return err2
+	cols := make([]*vector.Vec, len(kinds))
+	for i, k := range kinds {
+		cols[i] = vector.New(k, 0)
+	}
+	return cols
 }
 
 func (j *HashJoin) buildTable() error {
@@ -75,6 +90,7 @@ func (j *HashJoin) buildTable() error {
 		kinds[i] = k.Kind()
 	}
 	j.table = NewHashTable(kinds, &j.pool)
+	j.buildCols = newCols(j.BuildKinds, nil)
 	keyCols := make([]*vector.Vec, len(j.BuildKeys))
 	for {
 		b, err := j.Build.Next()
@@ -89,10 +105,7 @@ func (j *HashJoin) buildTable() error {
 			continue
 		}
 		if j.buildCols == nil {
-			j.buildCols = make([]*vector.Vec, len(b.Vecs))
-			for i, v := range b.Vecs {
-				j.buildCols[i] = vector.New(v.Kind(), n)
-			}
+			j.buildCols = newCols(nil, b)
 		}
 		if err := j.buildKeys.RunInto(b, keyCols); err != nil {
 			return err
@@ -118,9 +131,6 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		}
 		j.built = true
 	}
-	if j.keyCols == nil {
-		j.keyCols = make([]*vector.Vec, len(j.ProbeKeys))
-	}
 	for {
 		b, err := j.Probe.Next()
 		if err != nil || b == nil {
@@ -133,104 +143,96 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		if err := j.probeKeys.RunInto(b, j.keyCols); err != nil {
 			return nil, err
 		}
-		switch j.Type {
-		case Semi, Anti:
-			sel := j.table.ProbeExists(j.keyCols, n, j.Type == Semi, j.pool.GetSel(n))
-			if len(sel) == 0 {
-				j.pool.PutSel(sel)
-				continue
-			}
-			// The output shares the probe vectors under a fresh selection
-			// (mapped to physical positions); it is handed downstream, so
-			// it must not come from the pool.
-			outSel := make([]int32, len(sel))
-			if b.Sel != nil {
-				for i, r := range sel {
-					outSel[i] = b.Sel[r]
-				}
-			} else {
-				copy(outSel, sel)
-			}
-			j.pool.PutSel(sel)
-			return &vector.Batch{Vecs: b.Vecs, Sel: outSel}, nil
+		var ps, bs []int32
+		if j.Type == Semi || j.Type == Anti {
+			ps = j.table.ProbeExists(j.keyCols, n, j.Type == Semi, j.pool.GetSel(n))
+		} else {
+			ps, bs = j.table.ProbeJoin(j.keyCols, n,
+				j.pool.GetSel(n), j.pool.GetSel(n), j.Type == LeftOuter)
 		}
-		// Inner / LeftOuter: batched probe emitting (probe, build) pairs.
-		ps, bs := j.table.ProbeJoin(j.keyCols, n,
-			j.pool.GetSel(n), j.pool.GetSel(n), j.Type == LeftOuter)
-		if len(ps) == 0 {
-			j.pool.PutSel(ps, bs)
-			continue
-		}
-		// Resolve probe pair indices to physical row positions for gathering.
-		phys := ps
-		if b.Sel != nil {
-			phys = j.pool.GetSel(len(ps))[:len(ps)]
-			for i, r := range ps {
-				phys[i] = b.Sel[r]
-			}
-		}
-		out := &vector.Batch{Vecs: make([]*vector.Vec, 0, len(b.Vecs)+len(j.buildCols)+1)}
-		for _, v := range b.Vecs {
-			out.Vecs = append(out.Vecs, v.Gather(phys, len(phys)))
-		}
-		for _, bv := range j.buildCols {
-			g := vector.New(bv.Kind(), len(bs))
-			g.AppendGather(bv, bs) // negative ids pad with zero values
-			out.Vecs = append(out.Vecs, g)
-		}
-		if j.Type == LeftOuter {
-			m := vector.New(vector.Bool, len(bs))
-			for _, br := range bs {
-				m.AppendBool(br >= 0)
-			}
-			out.Vecs = append(out.Vecs, m)
-		}
-		if b.Sel != nil {
-			j.pool.PutSel(phys)
-		}
+		out := joinOutput(j.Type, b, ps, bs, j.buildCols, &j.pool)
 		j.pool.PutSel(ps, bs)
-		return out, nil
+		if out != nil {
+			return out, nil
+		}
 	}
 }
 
-// NumBuildCols reports the build side's column count after the build phase;
-// planners use the static schema instead, this is a testing aid.
-func (j *HashJoin) NumBuildCols() int { return len(j.buildCols) }
+// joinOutput assembles a join's output batch from probe batch b and the
+// pairs a join found for it, or returns nil when there are none. ps holds
+// probe live-row indices. Semi and Anti emit those probe rows themselves,
+// under a selection of their physical positions. Inner and LeftOuter gather
+// them, then the build rows bs names from build (a negative id pads with
+// zero values), then, for LeftOuter, the matched flag. The batch leaves the
+// operator, so nothing in it comes from the pool.
+func joinOutput(jt JoinType, b *vector.Batch, ps, bs []int32, build []*vector.Vec, pool *vector.Pool) *vector.Batch {
+	if len(ps) == 0 {
+		return nil
+	}
+	phys := ps
+	if b.Sel != nil {
+		phys = pool.GetSel(len(ps))[:len(ps)]
+		for i, r := range ps {
+			phys[i] = b.Sel[r]
+		}
+		defer pool.PutSel(phys)
+	}
+	if jt == Semi || jt == Anti {
+		return &vector.Batch{Vecs: b.Vecs, Sel: slices.Clone(phys)}
+	}
+	out := &vector.Batch{Vecs: make([]*vector.Vec, 0, len(b.Vecs)+len(build)+1)}
+	for _, v := range b.Vecs {
+		out.Vecs = append(out.Vecs, v.Gather(phys, len(phys)))
+	}
+	for _, bv := range build {
+		g := vector.New(bv.Kind(), len(bs))
+		g.AppendGather(bv, bs)
+		out.Vecs = append(out.Vecs, g)
+	}
+	if jt == LeftOuter {
+		m := vector.New(vector.Bool, len(bs))
+		for _, br := range bs {
+			m.AppendBool(br >= 0)
+		}
+		out.Vecs = append(out.Vecs, m)
+	}
+	return out
+}
 
-// MergeJoin joins two inputs ordered on an int64 key, where the right
-// (referenced) side has unique keys — the co-ordered clustered-index case
-// of §2 (lineitem⋈orders, partsupp⋈part) that needs no hash table and no
-// network when partitions are co-located. Output: left columns then right
-// columns.
+// MergeJoin joins two inputs ordered on an integer key without a hash table:
+// the co-ordered clustered-index case of §2 (lineitem⋈orders, partsupp⋈part),
+// which needs no network when partitions are co-located. It works a left
+// batch at a time: the right rows whose keys the batch holds are copied into
+// a window, one pass over the two key vectors pairs them, and joinOutput
+// assembles the result as HashJoin's, the left side as the probe and the
+// right as the build, for every join type. Keys may repeat on both sides.
 type MergeJoin struct {
 	Left     Operator
 	Right    Operator
 	LeftKey  int // column index of the left join key
 	RightKey int // column index of the right join key
+	Type     JoinType
+	// RightKinds are the right columns' kinds, from the plan, so that a
+	// right side without rows still has its columns; nil takes them from
+	// the first right batch.
+	RightKinds []vector.Kind
 
-	lb, rb *vector.Batch
-	lpos   int
-	rpos   int
-	ldone  bool
-	rdone  bool
-
-	// Equal-key runs on the right side make the join many-to-many: the run
-	// of right rows sharing runKey is buffered in run so every left row with
-	// that key replays it, even when the run spans right batch boundaries.
-	run      *vector.Batch
-	runKey   int64
-	runValid bool
-	runPos   int   // resume point when an output batch fills mid-run
-	lastL    int64 // last key read per side, for the vectorh_debug order check
-	lastR    int64
+	win          []*vector.Vec // the window: right rows, live from wlo on
+	wkeys        []int64
+	wlo          int
+	rb           *vector.Batch // the right batch being read
+	rkeys        []int64       // its live rows' keys, rpos the next to read
+	rpos         int
+	rdone        bool
+	lkeys        []int64 // the current left batch's live keys
+	lastL, lastR int64   // last key read per side, for the vectorh_debug order check
+	pool         vector.Pool
 }
 
 // Open implements Operator.
 func (m *MergeJoin) Open() error {
-	m.lb, m.rb = nil, nil
-	m.lpos, m.rpos = 0, 0
-	m.ldone, m.rdone = false, false
-	m.run, m.runValid, m.runPos = nil, false, 0
+	m.win, m.wkeys, m.wlo = newCols(m.RightKinds, nil), m.wkeys[:0], 0
+	m.rb, m.rkeys, m.rpos, m.rdone = nil, m.rkeys[:0], 0, false
 	m.lastL, m.lastR = math.MinInt64, math.MinInt64
 	if err := m.Left.Open(); err != nil {
 		return err
@@ -239,155 +241,175 @@ func (m *MergeJoin) Open() error {
 }
 
 // Close implements Operator.
-func (m *MergeJoin) Close() error {
-	err1 := m.Left.Close()
-	err2 := m.Right.Close()
+func (m *MergeJoin) Close() error { return closeBoth(m.Left, m.Right) }
+
+// closeBoth closes a and b and returns the first error.
+func closeBoth(a, b Operator) error {
+	err1, err2 := a.Close(), b.Close()
 	if err1 != nil {
 		return err1
 	}
 	return err2
 }
 
-func (m *MergeJoin) fillLeft() error {
-	for !m.ldone && (m.lb == nil || m.lpos >= m.lb.Len()) {
-		b, err := m.Left.Next()
-		if err != nil {
-			return err
+// checkAscending returns the last of keys, or prev for none, and panics when
+// a key follows a larger one, prev included, on an input the plan relies on
+// being ordered; callers guard it with vector.DebugAsserts.
+func checkAscending(what string, prev int64, keys ...int64) int64 {
+	for _, k := range keys {
+		if k < prev {
+			panic(fmt.Sprintf("exec: %s key %d after %d: input not in key order", what, k, prev))
 		}
-		if b == nil {
-			m.ldone = true
-			m.lb = nil
-			return nil
-		}
-		m.lb, m.lpos = b.Compact(), 0
+		prev = k
 	}
-	return nil
+	return prev
 }
 
-func (m *MergeJoin) fillRight() error {
-	for !m.rdone && (m.rb == nil || m.rpos >= m.rb.Len()) {
-		b, err := m.Right.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			m.rdone = true
-			m.rb = nil
-			return nil
-		}
-		m.rb, m.rpos = b.Compact(), 0
-	}
-	return nil
-}
-
-// checkAscending returns k, or panics when k follows a larger prev on an input
-// the plan relies on being ordered; callers guard it with vector.DebugAsserts.
-func checkAscending(what string, prev, k int64) int64 {
-	if k < prev {
-		panic(fmt.Sprintf("exec: %s key %d after %d: input not in key order", what, k, prev))
-	}
-	return k
-}
-
-func int64At(v *vector.Vec, i int) int64 {
+// appendKeys appends to dst the values of an Int32 or Int64 key column at the
+// live rows sel selects (all rows for a nil sel).
+func appendKeys(dst []int64, v *vector.Vec, sel []int32) []int64 {
 	if v.Kind() == vector.Int32 {
-		return int64(v.Int32s()[i])
+		return appendLive(dst, v.Int32s(), sel)
 	}
-	return v.Int64s()[i]
+	return appendLive(dst, v.Int64s(), sel)
+}
+
+func appendLive[T int32 | int64](dst []int64, ks []T, sel []int32) []int64 {
+	if sel == nil {
+		for _, k := range ks {
+			dst = append(dst, int64(k))
+		}
+		return dst
+	}
+	for _, r := range sel {
+		dst = append(dst, int64(ks[r]))
+	}
+	return dst
 }
 
 // Next implements Operator.
 func (m *MergeJoin) Next() (*vector.Batch, error) {
-	var out *vector.Batch
-	emitted := 0
-	for emitted < vector.MaxSize {
-		if err := m.fillLeft(); err != nil {
+	for {
+		// With the right side spent and the window empty, no later left
+		// row matches (a filter following the key order spends it early).
+		if m.rdone && m.wlo == len(m.wkeys) && (m.Type == Inner || m.Type == Semi) {
+			return nil, nil
+		}
+		b, err := m.Left.Next()
+		if err != nil || b == nil {
 			return nil, err
 		}
-		if m.lb == nil {
-			break
-		}
-		lk := int64At(m.lb.Col(m.LeftKey), m.lpos)
-		if vector.DebugAsserts {
-			m.lastL = checkAscending("merge join left", m.lastL, lk)
-		}
-		// Replay the buffered run for every left row sharing its key; this
-		// also drains left duplicates after the right side is exhausted.
-		if m.runValid && lk == m.runKey {
-			if out == nil {
-				out = &vector.Batch{}
-				for _, v := range m.lb.Vecs {
-					out.Vecs = append(out.Vecs, vector.New(v.Kind(), vector.MaxSize))
-				}
-				for _, v := range m.run.Vecs {
-					out.Vecs = append(out.Vecs, vector.New(v.Kind(), vector.MaxSize))
-				}
-			}
-			nl := len(m.lb.Vecs)
-			for m.runPos < m.run.Len() && emitted < vector.MaxSize {
-				for i, v := range m.lb.Vecs {
-					out.Vecs[i].AppendFrom(v, m.lpos)
-				}
-				for i, v := range m.run.Vecs {
-					out.Vecs[nl+i].AppendFrom(v, m.runPos)
-				}
-				m.runPos++
-				emitted++
-			}
-			if m.runPos < m.run.Len() {
-				break // output full mid-run; resume this left row next call
-			}
-			m.runPos = 0
-			m.lpos++
+		n := b.Len()
+		if n == 0 {
 			continue
 		}
-		if err := m.fillRight(); err != nil {
+		m.lkeys = appendKeys(m.lkeys[:0], b.Col(m.LeftKey), b.Sel)
+		if vector.DebugAsserts {
+			m.lastL = checkAscending("merge join left", m.lastL, m.lkeys...)
+		}
+		if err := m.window(); err != nil {
 			return nil, err
 		}
-		if m.rb == nil {
-			break
+		ps, bs := m.pairs(m.pool.GetSel(n), m.pool.GetSel(n))
+		out := joinOutput(m.Type, b, ps, bs, m.win, &m.pool)
+		m.pool.PutSel(ps, bs)
+		if out != nil {
+			return out, nil
 		}
-		rk := int64At(m.rb.Col(m.RightKey), m.rpos)
-		if vector.DebugAsserts {
-			m.lastR = checkAscending("merge join right", m.lastR, rk)
+	}
+}
+
+// window readies the window for the left batch: it retires the rows with
+// keys below the batch's first, then reads right rows up to the first key
+// above its last and copies in those whose key a left row holds. Past
+// vector.MaxSize retired rows the window becomes a view of the rest, which
+// the next append moves to storage of its own.
+func (m *MergeJoin) window() error {
+	for m.wlo < len(m.wkeys) && m.wkeys[m.wlo] < m.lkeys[0] {
+		m.wlo++
+	}
+	if m.wlo >= vector.MaxSize {
+		for i, v := range m.win {
+			m.win[i] = v.Slice(m.wlo, v.Len())
+		}
+		m.wkeys, m.wlo = m.wkeys[m.wlo:], 0
+	}
+	last := m.lkeys[len(m.lkeys)-1]
+	for {
+		if m.rpos == len(m.rkeys) {
+			if m.rdone {
+				return nil
+			}
+			b, err := m.Right.Next()
+			if err != nil {
+				return err
+			}
+			if m.rdone = b == nil; m.rdone {
+				return nil
+			}
+			if m.win == nil {
+				m.win = newCols(nil, b)
+			}
+			m.rb, m.rkeys, m.rpos = b, appendKeys(m.rkeys[:0], b.Col(m.RightKey), b.Sel), 0
+			if vector.DebugAsserts {
+				m.lastR = checkAscending("merge join right", m.lastR, m.rkeys...)
+			}
+			continue
+		}
+		sel := m.pool.GetSel(len(m.rkeys) - m.rpos)
+		for li := 0; m.rpos < len(m.rkeys) && m.rkeys[m.rpos] <= last; m.rpos++ {
+			k := m.rkeys[m.rpos]
+			for li < len(m.lkeys) && m.lkeys[li] < k {
+				li++
+			}
+			if li < len(m.lkeys) && m.lkeys[li] == k {
+				r := int32(m.rpos)
+				if m.rb.Sel != nil {
+					r = m.rb.Sel[r]
+				}
+				sel, m.wkeys = append(sel, r), append(m.wkeys, k)
+			}
+		}
+		var err error
+		for i, v := range m.rb.Vecs {
+			if err == nil {
+				err = m.win[i].AppendRowsChecked(v, sel)
+			}
+		}
+		m.pool.PutSel(sel)
+		if err != nil {
+			return fmt.Errorf("exec: merge join window: %w", err)
+		}
+		if m.rpos < len(m.rkeys) {
+			return nil
+		}
+	}
+}
+
+// pairs appends to ps and bs, for every left row in order, its live index
+// and each window row with its key; a LeftOuter row without one pairs with
+// -1. Semi and Anti append to ps alone the rows with and without one.
+func (m *MergeJoin) pairs(ps, bs []int32) ([]int32, []int32) {
+	j, e := m.wlo, m.wlo // the window rows with the current left key
+	for i, k := range m.lkeys {
+		if i == 0 || k != m.lkeys[i-1] {
+			for j = e; j < len(m.wkeys) && m.wkeys[j] < k; j++ {
+			}
+			for e = j; e < len(m.wkeys) && m.wkeys[e] == k; e++ {
+			}
 		}
 		switch {
-		case lk < rk:
-			m.lpos++
-		case lk > rk:
-			m.rpos++
-		default:
-			// New run: buffer every right row with this key (the run may
-			// cross right batch boundaries), then loop to replay it.
-			if m.run == nil {
-				m.run = &vector.Batch{}
-				for _, v := range m.rb.Vecs {
-					m.run.Vecs = append(m.run.Vecs, vector.New(v.Kind(), 0))
-				}
-			} else {
-				for _, v := range m.run.Vecs {
-					v.Reset()
-				}
+		case m.Type == Semi || m.Type == Anti:
+			if (e > j) == (m.Type == Semi) {
+				ps = append(ps, int32(i))
 			}
-			m.runKey, m.runValid, m.runPos = rk, true, 0
-			for {
-				for i, v := range m.rb.Vecs {
-					if err := m.run.Vecs[i].AppendRangeChecked(v, m.rpos, m.rpos+1); err != nil {
-						return nil, fmt.Errorf("exec: merge join run: %w", err)
-					}
-				}
-				m.rpos++
-				if err := m.fillRight(); err != nil {
-					return nil, err
-				}
-				if m.rb == nil || int64At(m.rb.Col(m.RightKey), m.rpos) != rk {
-					break
-				}
+		case e > j:
+			for r := j; r < e; r++ {
+				ps, bs = append(ps, int32(i)), append(bs, int32(r))
 			}
+		case m.Type == LeftOuter:
+			ps, bs = append(ps, int32(i)), append(bs, -1)
 		}
 	}
-	if out == nil || out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
+	return ps, bs
 }

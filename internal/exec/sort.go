@@ -57,15 +57,11 @@ func materializeAll(child Operator) (*vector.Batch, error) {
 		if b == nil {
 			return all, nil
 		}
-		c := b.Compact()
 		if all == nil {
-			all = &vector.Batch{Vecs: make([]*vector.Vec, len(c.Vecs))}
-			for i, v := range c.Vecs {
-				all.Vecs[i] = vector.New(v.Kind(), c.Len())
-			}
+			all = &vector.Batch{Vecs: newCols(nil, b)}
 		}
-		for i, v := range c.Vecs {
-			if err := all.Vecs[i].AppendRowsChecked(v, nil); err != nil {
+		for i, v := range b.Vecs {
+			if err := all.Vecs[i].AppendRowsChecked(v, b.Sel); err != nil {
 				return nil, fmt.Errorf("exec: sort input: %w", err)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"vectorh/internal/baseline"
 	"vectorh/internal/core"
@@ -18,39 +17,17 @@ import (
 // VectorH compared row-for-row against the expected result recomputed over
 // the refreshed data by the independent tuple-at-a-time baseline engine.
 type RefreshQuery struct {
-	Q       int
-	Rows    int
-	Match   bool
-	Elapsed time.Duration
+	Q     int
+	Rows  int
+	Match bool
 }
 
 // RefreshResult holds the RF1/RF2-as-SQL experiment outcome.
 type RefreshResult struct {
-	SF                   float64
 	RF1Orders, RF1Items  int64 // rows inserted by RF1
 	RF2Orders, RF2Items  int64 // rows deleted by RF2
-	RF1Time, RF2Time     time.Duration
-	Statements           int
 	PropagatedPartitions int
 	Queries              []RefreshQuery
-}
-
-// Report renders the experiment as text.
-func (r *RefreshResult) Report() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "TPC-H refresh streams as SQL (sf=%g, %d statements):\n", r.SF, r.Statements)
-	fmt.Fprintf(&sb, "  RF1 insert  %6d orders + %6d lineitems  %v\n", r.RF1Orders, r.RF1Items, r.RF1Time)
-	fmt.Fprintf(&sb, "  RF2 delete  %6d orders + %6d lineitems  %v\n", r.RF2Orders, r.RF2Items, r.RF2Time)
-	fmt.Fprintf(&sb, "  update propagation ran on %d partitions\n", r.PropagatedPartitions)
-	sb.WriteString("  post-refresh validation vs recomputed expected results:\n")
-	for _, q := range r.Queries {
-		status := "OK"
-		if !q.Match {
-			status = "MISMATCH"
-		}
-		fmt.Fprintf(&sb, "    Q%02d %6d rows %-8s %v\n", q.Q, q.Rows, status, q.Elapsed)
-	}
-	return sb.String()
 }
 
 // Refresh reproduces the paper's §8 "Impact of Updates" workload end to end
@@ -84,24 +61,21 @@ func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 		return nil, err
 	}
 
-	res := &RefreshResult{SF: sf}
+	res := &RefreshResult{}
 
 	// RF1: inserts as SQL. The rendered statements reproduce the RF1
 	// batches exactly (same generator, same seed).
 	rf1Stmts := append(tpch.InsertSQL("orders", tpch.OrdersSchema, rf1Orders, 500),
 		tpch.InsertSQL("lineitem", tpch.LineitemSchema, rf1Items, 500)...)
-	t0 := time.Now()
 	for _, s := range rf1Stmts {
 		if _, err := sql.Exec(context.Background(), s, eng); err != nil {
 			return nil, fmt.Errorf("RF1: %w", err)
 		}
 	}
-	res.RF1Time = time.Since(t0)
 	res.RF1Orders = int64(rf1Orders.Len())
 	res.RF1Items = int64(rf1Items.Len())
 
 	// RF2: deletes as SQL.
-	t0 = time.Now()
 	for _, s := range tpch.RF2SQL(rf2) {
 		n, err := sql.Exec(context.Background(), s, eng)
 		if err != nil {
@@ -113,8 +87,6 @@ func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 			res.RF2Items = n
 		}
 	}
-	res.RF2Time = time.Since(t0)
-	res.Statements = len(rf1Stmts) + 2
 
 	// Count partitions whose deltas were flushed back into the column
 	// store (generation bump = rewrite; empty PDTs + rows beyond the load
@@ -156,7 +128,6 @@ func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("Q%d baseline: %w", q, err)
 		}
-		t0 = time.Now()
 		n, err := tpch.BuildQuery(q, eng)
 		if err != nil {
 			return nil, fmt.Errorf("Q%d compile: %w", q, err)
@@ -166,8 +137,7 @@ func Refresh(sf float64, nodes int) (*RefreshResult, error) {
 			return nil, fmt.Errorf("Q%d: %w", q, err)
 		}
 		res.Queries = append(res.Queries, RefreshQuery{
-			Q: q, Rows: len(got), Elapsed: time.Since(t0),
-			Match: rowsEqual(got, want),
+			Q: q, Rows: len(got), Match: rowsEqual(got, want),
 		})
 	}
 	return res, nil

@@ -30,5 +30,4 @@ func TestRefreshSQLValidates(t *testing.T) {
 	if len(res.Queries) < 8 {
 		t.Fatalf("validated only %d queries", len(res.Queries))
 	}
-	t.Log("\n" + res.Report())
 }

@@ -304,7 +304,10 @@ func mapStreams(in [][]exec.Operator, f func(exec.Operator) exec.Operator) [][]e
 
 // --- joins ---
 
-type physHashJoin struct {
+// physJoin joins probe streams with build streams: a HashJoin each, or with
+// merge a MergeJoin of co-located partitions ordered on the one key (columns
+// lkey and rkey), the probe as its left side and the build as its right.
+type physJoin struct {
 	build, probe Phys
 	buildKeys    []expr.Expr
 	probeKeys    []expr.Expr
@@ -314,20 +317,24 @@ type physHashJoin struct {
 	// streams — a replicated scan or a DXchgBroadcast — that is locally
 	// replicated to every probe stream (replicated build rule).
 	broadcastBuild bool
+	merge          bool
+	lkey, rkey     int
 }
 
-func (p *physHashJoin) OutSchema() vector.Schema { return p.schema }
-func (p *physHashJoin) children() []Phys         { return []Phys{p.probe, p.build} }
+func (p *physJoin) OutSchema() vector.Schema { return p.schema }
+func (p *physJoin) children() []Phys         { return []Phys{p.probe, p.build} }
 
-func (p *physHashJoin) label() string {
-	mode := "paired"
-	if p.broadcastBuild {
-		mode = "replicated-build"
+func (p *physJoin) label() string {
+	switch {
+	case p.merge:
+		return fmt.Sprintf("MergeJoin[%v,co-located]", p.jt)
+	case p.broadcastBuild:
+		return fmt.Sprintf("HashJoin[%v,replicated-build]", p.jt)
 	}
-	return fmt.Sprintf("HashJoin[%v,%s]", p.jt, mode)
+	return fmt.Sprintf("HashJoin[%v,paired]", p.jt)
 }
 
-func (p *physHashJoin) instantiate(e *Env) ([][]exec.Operator, error) {
+func (p *physJoin) instantiate(e *Env) ([][]exec.Operator, error) {
 	probe, err := e.instantiate(p.probe)
 	if err != nil {
 		return nil, err
@@ -335,6 +342,10 @@ func (p *physHashJoin) instantiate(e *Env) ([][]exec.Operator, error) {
 	build, err := e.instantiate(p.build)
 	if err != nil {
 		return nil, err
+	}
+	var kinds []vector.Kind
+	for _, f := range p.build.OutSchema() {
+		kinds = append(kinds, f.Type.Kind)
 	}
 	out := make([][]exec.Operator, e.Nodes)
 	for n := 0; n < e.Nodes; n++ {
@@ -353,43 +364,15 @@ func (p *physHashJoin) instantiate(e *Env) ([][]exec.Operator, error) {
 				n, len(bstreams), len(probe[n]))
 		}
 		for s := range probe[n] {
-			out[n] = append(out[n], &exec.HashJoin{
+			var op exec.Operator = &exec.HashJoin{
 				Build: bstreams[s], Probe: probe[n][s],
-				BuildKeys: p.buildKeys, ProbeKeys: p.probeKeys, Type: p.jt,
-			})
-		}
-	}
-	return out, nil
-}
-
-type physMergeJoin struct {
-	left, right Phys
-	lkey, rkey  int
-	schema      vector.Schema
-}
-
-func (p *physMergeJoin) OutSchema() vector.Schema { return p.schema }
-func (p *physMergeJoin) children() []Phys         { return []Phys{p.left, p.right} }
-func (p *physMergeJoin) label() string            { return "MergeJoin[co-located]" }
-
-func (p *physMergeJoin) instantiate(e *Env) ([][]exec.Operator, error) {
-	left, err := e.instantiate(p.left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := e.instantiate(p.right)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]exec.Operator, e.Nodes)
-	for n := 0; n < e.Nodes; n++ {
-		if len(left[n]) != len(right[n]) {
-			return nil, fmt.Errorf("rewriter: merge join stream mismatch on node %d", n)
-		}
-		for s := range left[n] {
-			out[n] = append(out[n], &exec.MergeJoin{
-				Left: left[n][s], Right: right[n][s], LeftKey: p.lkey, RightKey: p.rkey,
-			})
+				BuildKeys: p.buildKeys, ProbeKeys: p.probeKeys, Type: p.jt, BuildKinds: kinds,
+			}
+			if p.merge {
+				op = &exec.MergeJoin{Left: probe[n][s], Right: bstreams[s],
+					LeftKey: p.lkey, RightKey: p.rkey, Type: p.jt, RightKinds: kinds}
+			}
+			out[n] = append(out[n], op)
 		}
 	}
 	return out, nil

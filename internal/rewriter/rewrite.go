@@ -380,7 +380,7 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	join := &physHashJoin{build: right.phys, probe: left.phys,
+	join := &physJoin{build: right.phys, probe: left.phys,
 		buildKeys: bk, probeKeys: pk, jt: jt, schema: outSchema}
 	out := result{phys: join, schema: outSchema, rows: joinRows(jt, left, right), maxRows: -1}
 	switch {
@@ -389,13 +389,10 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 		left.partCount == right.partCount &&
 		keyAligned(n.LeftKeys, n.RightKeys, left, right):
 		// Co-ordered clustered tables merge-join without hashing.
-		if jt == exec.Inner && len(n.LeftKeys) == 1 &&
+		if len(n.LeftKeys) == 1 &&
 			left.orderedBy == n.LeftKeys[0] && right.orderedBy == n.RightKeys[0] {
-			out.phys = &physMergeJoin{
-				left: left.phys, right: right.phys,
-				lkey: left.schema.Index(n.LeftKeys[0]), rkey: right.schema.Index(n.RightKeys[0]),
-				schema: outSchema,
-			}
+			join.merge = true
+			join.lkey, join.rkey = left.schema.Index(n.LeftKeys[0]), right.schema.Index(n.RightKeys[0])
 			out.orderedBy = left.orderedBy
 		}
 		out.coPart, out.partCount = true, left.partCount

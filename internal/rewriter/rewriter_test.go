@@ -214,7 +214,7 @@ func TestRewriteColocatedMergeJoin(t *testing.T) {
 	if len(rows) != 4000 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if !strings.Contains(explain, "MergeJoin[co-located]") {
+	if !strings.Contains(explain, "MergeJoin[0,co-located]") {
 		t.Fatalf("expected a co-located merge join:\n%s", explain)
 	}
 	if strings.Contains(explain, "DXchgHashSplit") {
@@ -334,7 +334,7 @@ func TestRewriteOrderedAggregation(t *testing.T) {
 		plan.As("k", plan.Col("f_ok")), plan.As("n", plan.Col("n")))
 	q := plan.Join(plan.InnerJoin, plan.Scan("head", "h_ok", "h_date"), counts, []string{"h_ok"}, []string{"k"})
 	rows, _, explain := run(t, q, DefaultOptions(2, 2))
-	if !strings.Contains(explain, "Aggr(ordered)") || !strings.Contains(explain, "MergeJoin[co-located]") ||
+	if !strings.Contains(explain, "Aggr(ordered)") || !strings.Contains(explain, "MergeJoin[0,co-located]") ||
 		strings.Contains(explain, "DXchgHashSplit") {
 		t.Fatalf("expected an ordered aggregation under a merge join:\n%s", explain)
 	}
