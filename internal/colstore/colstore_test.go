@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vectorh/internal/hdfs"
@@ -440,7 +441,9 @@ func TestAbsentMinMaxAlwaysQualifies(t *testing.T) {
 
 // TestScannerSpanAPI exercises the late-materialization primitives: spans
 // clamped on a lead column, dense decode, selective gather, and the IO
-// counters that prove untouched columns stay untouched.
+// counters that prove untouched columns stay untouched. GatherCol is then
+// held to ColVec over the same rows for every column kind, in value and
+// code form, on spans and on selections that straddle a block boundary.
 func TestScannerSpanAPI(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})
@@ -510,5 +513,119 @@ func TestScannerSpanAPI(t *testing.T) {
 	if full.Stats().BlocksRead <= st.BlocksRead {
 		t.Fatalf("never-touched columns must not be decoded: subset=%d blocks, full=%d blocks",
 			st.BlocksRead, full.Stats().BlocksRead)
+	}
+
+	// Every kind, with blocks small enough that each column has boundaries.
+	multi := NewPartitionMeta("t", 1, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8, MaxRowsPerBlock: 300})
+	writeRows(t, fs, multi, 0, 4000)
+	cols := []string{"d", "k", "flag", "price"}
+	for _, codeExec := range []bool{false, true} {
+		s, err := NewScanner(fs, multi, "node1", cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCodeExec(codeExec)
+		check := func(i int, start int64, n int, sel []int32) {
+			t.Helper()
+			got, err := s.GatherCol(i, start, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.ColVec(i, start, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Kind() != want.Kind() || got.Len() != len(sel) {
+				t.Fatalf("%s: gathered %d %v values, want %d %v", cols[i], got.Len(), got.Kind(), len(sel), want.Kind())
+			}
+			for j, rel := range sel {
+				if g, w := got.Get(j), want.Get(int(rel)); g != w {
+					t.Fatalf("%s (codeExec=%v) row %d: gathered %v, ColVec %v", cols[i], codeExec, start+int64(rel), g, w)
+				}
+			}
+		}
+		for {
+			start, n, err := s.NextSpan([]int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			var sel []int32
+			for j := 3; j < n; j += 7 {
+				sel = append(sel, int32(j))
+			}
+			for i := range cols {
+				check(i, start, n, sel)
+			}
+		}
+		for i, name := range cols {
+			ci := slices.IndexFunc(multi.Cols, func(c ColumnMeta) bool { return c.Name == name })
+			if len(multi.Cols[ci].Blocks) < 2 {
+				t.Fatalf("%s has one block; no boundary to straddle", name)
+			}
+			boundary := multi.Cols[ci].Blocks[1].RowStart
+			check(i, boundary-5, 10, []int32{0, 4, 5, 9})
+		}
+	}
+}
+
+// TestSpanValueBoundsReadsNoPayload holds SpanValueBounds to the block's
+// MinMax summary: the bounds cover every value of the block, a block
+// without a summary or a non-integer slot gives ok=false, and no call reads
+// or decodes a payload.
+func TestSpanValueBoundsReadsNoPayload(t *testing.T) {
+	fs := testFS()
+	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8, MaxRowsPerBlock: 300})
+	writeRows(t, fs, meta, 0, 4000)
+	cols := []string{"k", "d", "price", "flag"}
+	fs.ResetStats()
+	s, err := NewScanner(fs, meta, "node1", cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := []func(row int64) int64{
+		func(row int64) int64 { return row },      // k
+		func(row int64) int64 { return row / 10 }, // d
+	}
+	for row := int64(0); row < 4000; row += 37 {
+		for i, v := range value {
+			lo, hi, ok := s.SpanValueBounds(i, row)
+			if !ok {
+				t.Fatalf("%s row %d: no bounds from a summarised block", cols[i], row)
+			}
+			b, err := s.blockFor(i, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo != b.NumMin || hi != b.NumMax {
+				t.Fatalf("%s row %d: bounds [%d,%d], summary [%d,%d]", cols[i], row, lo, hi, b.NumMin, b.NumMax)
+			}
+			for r := b.RowStart; r < b.RowStart+int64(b.Rows); r++ {
+				if x := v(r); x < lo || x > hi {
+					t.Fatalf("%s row %d: value %d outside bounds [%d,%d]", cols[i], r, x, lo, hi)
+				}
+			}
+		}
+		for i := 2; i < len(cols); i++ {
+			if _, _, ok := s.SpanValueBounds(i, row); ok {
+				t.Fatalf("%s: bounds on a non-integer slot", cols[i])
+			}
+		}
+	}
+	b, err := s.blockFor(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.HasMinMax = false
+	if _, _, ok := s.SpanValueBounds(0, 0); ok {
+		t.Fatal("bounds from a block without a summary")
+	}
+	if st := fs.Stats(); st.LocalBytesRead+st.RemoteBytesRead != 0 {
+		t.Fatalf("SpanValueBounds read hdfs: %+v", st)
+	}
+	if st := s.Stats(); st.BlocksRead != 0 || st.BytesDecoded != 0 {
+		t.Fatalf("SpanValueBounds decoded a block: %+v", st)
 	}
 }

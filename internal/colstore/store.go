@@ -617,7 +617,9 @@ func readPayloadInto(fs *hdfs.Cluster, m *PartitionMeta, node string, b BlockMet
 // (NextSpan / ColVec / GatherCol) decouples cursor advancement from column
 // decode, so a late-materializing scan can decode only its predicate
 // columns for a span, and fetch the payload columns — possibly only the
-// surviving rows — afterwards, or not at all.
+// surviving rows — afterwards, or not at all. Every column read goes through
+// loadBlock: a block is decoded whole, once, and shared through the
+// decoded-block cache when one is attached.
 type Scanner struct {
 	fs     *hdfs.Cluster
 	meta   *PartitionMeta
@@ -651,9 +653,9 @@ type ScanStats struct {
 	CacheHits    int64 // blocks served from the shared decoded-block cache
 
 	// BytesSkipped is the compressed bytes of the projection this scan never
-	// decoded — blocks outside the qualifying ranges (MinMax skipping), spans
-	// it partially decoded, and PDICT code streams it never unpacked —
-	// relative to a naive full decode of every projected block.
+	// decoded — blocks outside the qualifying ranges (MinMax skipping), blocks
+	// no span asked for, and PDICT code streams it never unpacked — relative
+	// to a naive full decode of every projected block.
 	BytesSkipped int64
 	// BytesMaterialized is the estimated in-memory bytes of values this scan
 	// produced. Code vectors stay in the compressed domain and do not count;
@@ -760,7 +762,7 @@ func (s *Scanner) NextSpan(lead []int) (int64, int, error) {
 	}
 	// Clamping needs only block boundaries, never decoded data — decode is
 	// deferred until ColVec/GatherCol actually asks for a column, so a span
-	// the predicate verdicts kill (SpanDict miss, frame bounds disjoint)
+	// the predicate verdicts kill (SpanDict miss, block MinMax disjoint)
 	// skips its blocks entirely.
 	clamp := func(slot int) error {
 		b, err := s.blockFor(slot, s.cursor)
@@ -900,16 +902,16 @@ func (s *Scanner) blockStrings(cb *cachedBlock) (*compress.StrCol, error) {
 	return &cb.data.str, nil
 }
 
-// GatherCol decodes only the rows start+sel[j] of projection slot i (sel
+// GatherCol copies only the rows start+sel[j] of projection slot i (sel
 // ascending) — the payload half of a late-materializing scan: columns of
 // rows the predicate already rejected are copied never, and blocks whose
-// every row was rejected are not even decoded.
+// every row was rejected are not even read.
 func (s *Scanner) GatherCol(i int, start int64, sel []int32) (*vector.Vec, error) {
 	if len(sel) == 0 {
 		return vector.New(s.kinds[i], 0), nil
 	}
 	last := start + int64(sel[len(sel)-1])
-	cb, err := s.ensureRows(i, start+int64(sel[0]), last)
+	cb, err := s.ensureBlock(i, start+int64(sel[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -936,7 +938,7 @@ func (s *Scanner) GatherCol(i int, start int64, sel []int32) (*vector.Vec, error
 	for _, rel := range sel {
 		row := start + int64(rel)
 		if row < cb.lo || row >= cb.hi {
-			if cb, err = s.ensureRows(i, row, last); err != nil {
+			if cb, err = s.ensureBlock(i, row); err != nil {
 				return nil, err
 			}
 			if s.kinds[i] == vector.String {
@@ -958,62 +960,6 @@ func (s *Scanner) GatherCol(i int, start int64, sel []int32) (*vector.Vec, error
 		}
 	}
 	return out, nil
-}
-
-// ensureRows makes rows [row, min(maxRow, block end)] of slot i servable.
-// For a sparse request into an undecoded plain-PFOR block (the selected
-// span covers under a quarter of the block) it decodes only that row range
-// per-vector instead of inflating the whole block.
-func (s *Scanner) ensureRows(i int, row, maxRow int64) (*cachedBlock, error) {
-	cb := &s.cache[i]
-	if row >= cb.lo && row < cb.hi {
-		return cb, nil
-	}
-	if k := s.kinds[i]; k != vector.Int64 && k != vector.Int32 {
-		return s.ensureBlock(i, row)
-	}
-	b, err := s.blockFor(i, row)
-	if err != nil {
-		return nil, err
-	}
-	end := b.RowStart + int64(b.Rows)
-	if maxRow >= end {
-		maxRow = end - 1
-	}
-	span := int(maxRow - row + 1)
-	if span <= 0 || span*4 > b.Rows {
-		return s.loadBlock(i, b)
-	}
-	if s.bc != nil {
-		if d, ok := s.bc.get(s.keyOf(b)); ok {
-			s.stats.CacheHits++
-			s.hitBytes += int64(b.Bytes)
-			cb.lo, cb.hi, cb.data, cb.codesCharged = b.RowStart, end, d, true
-			return cb, nil
-		}
-	}
-	payload, err := readPayloadInto(s.fs, s.meta, s.node, *b, s.payloadBuf)
-	if err != nil {
-		return nil, err
-	}
-	s.payloadBuf = payload
-	if !compress.IsPFOR(payload) {
-		return s.loadBlock(i, b) // delta frames need the running sum: full decode
-	}
-	rowLo := int(row - b.RowStart)
-	dst, err := compress.PFORDecodeRange(payload, rowLo, rowLo+span, make([]int64, 0, span), &s.scratch)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.BlocksRead++
-	charge := int64(b.Bytes) * int64(span) / int64(b.Rows)
-	if charge == 0 {
-		charge = 1
-	}
-	s.stats.BytesDecoded += charge
-	s.stats.BytesMaterialized += int64(span) * 8
-	cb.lo, cb.hi, cb.data, cb.codesCharged = row, maxRow+1, colData{i64: dst}, false
-	return cb, nil
 }
 
 // Close releases the scanner's cached decoded blocks and terminates the
@@ -1139,25 +1085,16 @@ func (s *Scanner) SpanDict(i int, row int64) (*compress.StrDict, error) {
 	return cb.data.pd.Dict, nil
 }
 
-// SpanValueBounds returns a conservative [lo, hi] value range for the whole
-// block covering row of integer slot i, without decoding it: the MinMax
-// summary when present, else the PFOR frame base/width widened by the
-// trailing exceptions. ok is false when no bound is available.
+// SpanValueBounds returns the [lo, hi] value range of the block covering
+// row of integer slot i from its MinMax summary, without reading the block.
+// ok is false when the block carries no summary.
 func (s *Scanner) SpanValueBounds(i int, row int64) (lo, hi int64, ok bool) {
 	if k := s.kinds[i]; k != vector.Int64 && k != vector.Int32 {
 		return 0, 0, false
 	}
 	b, err := s.blockFor(i, row)
-	if err != nil {
+	if err != nil || !b.HasMinMax {
 		return 0, 0, false
 	}
-	if b.HasMinMax {
-		return b.NumMin, b.NumMax, true
-	}
-	payload, err := readPayloadInto(s.fs, s.meta, s.node, *b, s.payloadBuf)
-	if err != nil {
-		return 0, 0, false
-	}
-	s.payloadBuf = payload
-	return compress.PFORBounds(payload)
+	return b.NumMin, b.NumMax, true
 }

@@ -166,49 +166,6 @@ func unpackOne(src []byte, idx, width int) uint64 {
 	return v
 }
 
-// unpackBitsRange unpacks values [lo, hi) of a packed stream into
-// dst[0:hi-lo] — the phase-one loop of per-vector (sub-block) decode.
-func unpackBitsRange(dst []uint64, src []byte, lo, hi, width int) {
-	n := hi - lo
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			dst[i] = 0
-		}
-		return
-	}
-	if width <= 56 {
-		mask := uint64(1)<<uint(width) - 1
-		startBit := lo * width
-		pos := startBit >> 3
-		skip := startBit & 7
-		var acc uint64
-		nbits := 0
-		if skip > 0 && pos < len(src) {
-			acc = uint64(src[pos]) >> uint(skip)
-			nbits = 8 - skip
-			pos++
-		} else if skip > 0 {
-			nbits = 8 - skip
-		}
-		for i := 0; i < n; i++ {
-			for nbits < width {
-				if pos < len(src) {
-					acc |= uint64(src[pos]) << uint(nbits)
-					pos++
-				}
-				nbits += 8
-			}
-			dst[i] = acc & mask
-			acc >>= uint(width)
-			nbits -= width
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = unpackOne(src, lo+i, width)
-	}
-}
-
 // bitsFor returns the minimal width able to represent v (0 for v == 0).
 func bitsFor(v uint64) int {
 	w := 0

@@ -1,14 +1,13 @@
 package compress
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 )
 
 // This file is the execution-on-compressed-data surface of the package:
-// accessors that expose the compressed representation itself — dictionary
-// codes, frame bounds, sub-block ranges — so the scan and the operators
+// accessors that expose the compressed representation itself — a block's
+// scheme, its dictionary and its codes — so the scan and the operators
 // above it can run on codes instead of materialized values (§4 of the
 // VectorH paper: the schemes are cheap enough to skip decoding entirely
 // when execution can run on codes).
@@ -148,11 +147,6 @@ func (b *PDictBlock) CodeBytes() int { return b.codeBytes }
 // (as opposed to raw+LZ) and can therefore surface a code vector.
 func IsPDict(data []byte) bool { return len(data) > 0 && data[0] == tagPDict }
 
-// IsPFOR reports whether an encoded integer block uses plain PFOR (as
-// opposed to PFOR-DELTA), and therefore supports frame bounds and ranged
-// decode.
-func IsPFOR(data []byte) bool { return len(data) > 0 && data[0] == tagPFOR }
-
 // IsPFORDelta reports whether an encoded integer block uses PFOR-DELTA, whose
 // values only exist as a running sum over the whole block.
 func IsPFORDelta(data []byte) bool { return len(data) > 0 && data[0] == tagPFORDelta }
@@ -251,146 +245,4 @@ func (b *PDictBlock) Materialize() (StrCol, error) {
 		col.Append(b.Dict.Values[c])
 	}
 	return col, nil
-}
-
-// PFORBounds computes a conservative value range [lo, hi] for a PFOR block
-// from the frame base/width and the trailing exception values alone,
-// without unpacking the code stream. ok is false when the block is not
-// plain PFOR (delta frames bound deltas, not values), is empty, or the
-// frame arithmetic would wrap.
-func PFORBounds(data []byte) (lo, hi int64, ok bool) {
-	if len(data) < 2 || data[0] != tagPFOR {
-		return 0, 0, false
-	}
-	body := data[1:]
-	n, sz := binary.Uvarint(body)
-	if sz <= 0 || n == 0 {
-		return 0, 0, false
-	}
-	body = body[sz:]
-	ref, sz := binary.Varint(body)
-	if sz <= 0 {
-		return 0, 0, false
-	}
-	body = body[sz:]
-	if len(body) < 1 {
-		return 0, 0, false
-	}
-	w := int(body[0])
-	body = body[1:]
-	if w >= 64 {
-		return 0, 0, false
-	}
-	if _, sz = binary.Uvarint(body); sz <= 0 { // firstExc
-		return 0, 0, false
-	}
-	body = body[sz:]
-	ne, sz := binary.Uvarint(body)
-	if sz <= 0 || ne > n {
-		return 0, 0, false
-	}
-	body = body[sz:]
-	// Overflow-safe size check: a hostile row count must not wrap the
-	// packed-size arithmetic into a negative reslice.
-	if w > 0 && n > uint64(len(body))*8/uint64(w) {
-		return 0, 0, false
-	}
-	body = body[(int(n)*w+7)/8:]
-
-	lo = ref
-	hi = ref + (int64(1)<<uint(w) - 1)
-	if hi < lo { // frame wraps int64: codes are modulo-2^64 offsets
-		return 0, 0, false
-	}
-	for i := uint64(0); i < ne; i++ {
-		v, sz := binary.Varint(body)
-		if sz <= 0 {
-			return 0, 0, false
-		}
-		body = body[sz:]
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi, true
-}
-
-// PFORDecodeRange appends rows [lo, hi) of a PFOR block to dst without
-// inflating the rest of the block — the per-vector decode the two-phase
-// scan uses so late materialization skips decompression for pruned spans.
-func PFORDecodeRange(data []byte, lo, hi int, dst []int64, s *Scratch) ([]int64, error) {
-	if len(data) < 2 || data[0] != tagPFOR {
-		return nil, fmt.Errorf("%w: expected PFOR", ErrCorrupt)
-	}
-	body := data[1:]
-	n64, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
-	}
-	body = body[sz:]
-	n := int(n64)
-	if lo < 0 || hi > n || lo > hi {
-		return nil, fmt.Errorf("%w: range [%d,%d) outside %d rows", ErrCorrupt, lo, hi, n)
-	}
-	if lo == hi {
-		return dst, nil
-	}
-	ref, sz := binary.Varint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
-	}
-	body = body[sz:]
-	if len(body) < 1 {
-		return nil, ErrCorrupt
-	}
-	w := int(body[0])
-	body = body[1:]
-	fe, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
-	}
-	body = body[sz:]
-	ne, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, ErrCorrupt
-	}
-	body = body[sz:]
-	if w > 64 || fe > uint64(n) {
-		return nil, ErrCorrupt
-	}
-	// Overflow-safe size check (see PFORBounds): reject before n*w can wrap.
-	if w > 0 && uint64(n) > uint64(len(body))*8/uint64(w) {
-		return nil, ErrCorrupt
-	}
-	need := (n*w + 7) / 8
-	packed := body[:need]
-	body = body[need:]
-
-	codes := s.u64(hi - lo)
-	unpackBitsRange(codes, packed, lo, hi, w)
-	base := len(dst)
-	for _, c := range codes {
-		dst = append(dst, int64(uint64(ref)+c))
-	}
-	// Walk the exception chain from its head; positions are ascending, so
-	// the walk stops as soon as it passes the requested range.
-	cur := int(fe)
-	for i := uint64(0); i < ne && cur < hi; i++ {
-		v, sz := binary.Varint(body)
-		if sz <= 0 {
-			return nil, ErrCorrupt
-		}
-		body = body[sz:]
-		if cur >= n {
-			return nil, ErrCorrupt
-		}
-		if cur >= lo {
-			dst[base+cur-lo] = v
-		}
-		cur += int(unpackOne(packed, cur, w)) + 1
-	}
-	return dst, nil
 }

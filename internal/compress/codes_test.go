@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -81,73 +80,6 @@ func TestStrDictLookupAndHashes(t *testing.T) {
 	}
 	if &hs[0] != &d.CodeHashes(fn)[0] {
 		t.Fatal("hashes not memoized")
-	}
-}
-
-func TestPFORBounds(t *testing.T) {
-	cases := [][]int64{
-		{1, 2, 3, 4, 5},
-		{100, 100, 100},
-		{-5, 0, 5, math.MaxInt64, math.MinInt64}, // wide outliers become exceptions
-		{0},
-	}
-	rng := rand.New(rand.NewSource(11))
-	dense := make([]int64, 4000)
-	for i := range dense {
-		dense[i] = int64(rng.Intn(1000)) + 50
-		if rng.Intn(211) == 0 {
-			dense[i] = int64(rng.Intn(2000000)) - 1000000
-		}
-	}
-	cases = append(cases, dense)
-
-	for ci, vals := range cases {
-		enc := PFOREncode(vals)
-		lo, hi, ok := PFORBounds(enc)
-		if !ok {
-			continue // conservative bail-out is always allowed
-		}
-		for i, v := range vals {
-			if v < lo || v > hi {
-				t.Fatalf("case %d: value %d at %d outside bounds [%d,%d]", ci, v, i, lo, hi)
-			}
-		}
-	}
-	if _, _, ok := PFORBounds(PFORDeltaEncode([]int64{1, 2, 3})); ok {
-		t.Fatal("bounds must not apply to delta blocks")
-	}
-	if _, _, ok := PFORBounds(PFOREncode(nil)); ok {
-		t.Fatal("bounds on empty block")
-	}
-}
-
-func TestPFORDecodeRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vals := make([]int64, 5000)
-	for i := range vals {
-		vals[i] = int64(rng.Intn(500))
-		if rng.Intn(37) == 0 {
-			vals[i] = rng.Int63() - rng.Int63()
-		}
-	}
-	enc := PFOREncode(vals)
-	var s Scratch
-	for _, r := range [][2]int{{0, 5000}, {0, 1}, {4999, 5000}, {1024, 2048}, {17, 4990}, {2000, 2000}} {
-		got, err := PFORDecodeRange(enc, r[0], r[1], nil, &s)
-		if err != nil {
-			t.Fatalf("range %v: %v", r, err)
-		}
-		if len(got) != r[1]-r[0] {
-			t.Fatalf("range %v: got %d values", r, len(got))
-		}
-		for i, v := range got {
-			if v != vals[r[0]+i] {
-				t.Fatalf("range %v row %d: %d != %d", r, i, v, vals[r[0]+i])
-			}
-		}
-	}
-	if _, err := PFORDecodeRange(enc, 10, 5001, nil, nil); err == nil {
-		t.Fatal("out-of-range decode must fail")
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // Two properties are enforced:
 //
 //  1. encode→decode is the identity — for PFOR and PFOR-DELTA over the
-//     derived integers (eager and ranged decodes, and the frame bounds must
-//     bracket every encoded value), and for PDICT over the derived strings
+//     derived integers, and for PDICT over the derived strings
 //     (both the eager decoder and the lazy PDictOpen/Codes/Materialize
 //     path the code-form scanner uses);
 //  2. decoding arbitrarily mutated bytes, and the input itself taken as a
@@ -58,22 +57,6 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			t.Fatalf("PFOR decode of own encoding: %v", err)
 		}
 		eqI64(t, "PFOR", vals, got)
-		if lo, hi, ok := PFORBounds(encPFOR); ok {
-			for _, v := range vals {
-				if v < lo || v > hi {
-					t.Fatalf("PFORBounds [%d,%d] excludes encoded value %d", lo, hi, v)
-				}
-			}
-			rl, rh := n/3, 2*n/3+1
-			if rh > n {
-				rh = n
-			}
-			part, err := PFORDecodeRange(encPFOR, rl, rh, nil, &s)
-			if err != nil {
-				t.Fatalf("PFORDecodeRange [%d,%d): %v", rl, rh, err)
-			}
-			eqI64(t, "PFOR range", vals[rl:rh], part)
-		}
 
 		encDelta := PFORDeltaEncode(vals)
 		if !bytes.Equal(encDelta, refPFORDeltaEncode(vals)) {
@@ -170,10 +153,6 @@ func decodeEverything(blk []byte) (out int) {
 	}
 	if c, err := DecodeStringsScratch(blk, &s); err == nil {
 		out += c.ValueBytes() + 4*c.Len()
-	}
-	_, _, _ = PFORBounds(blk)
-	if v, err := PFORDecodeRange(blk, 0, 1, nil, &s); err == nil {
-		out += 8 * len(v)
 	}
 	if pb, err := PDictOpen(blk); err == nil {
 		if codes, err := pb.Codes(); err == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"vectorh/internal/plan"
@@ -176,5 +177,66 @@ func TestLateMaterializationPrunesIO(t *testing.T) {
 	}
 	if pruned := s1.SpansPruned - s0.SpansPruned; pruned == 0 {
 		t.Fatalf("every span should have been pruned before payload decode (on=%dB off=%dB)", onBytes, offBytes)
+	}
+}
+
+// TestSelectiveGatherFillsBlockCache holds the scanner to one block read
+// path: a payload column gathered for a few surviving rows is decoded as a
+// whole block into the shared block cache, so running the same selective
+// query again reads nothing from HDFS and decodes no block. The payload
+// holds unsorted integers (plain PFOR, not PFOR-DELTA) and the survivors of
+// each partition sit inside a quarter of one block: the sparsest gather a
+// scan makes must still be served by a whole-block decode.
+func TestSelectiveGatherFillsBlockCache(t *testing.T) {
+	e := testEngine(t, 3)
+	schema := vector.Schema{
+		{Name: "key", Type: vector.TInt64},
+		{Name: "v", Type: vector.TInt64},
+	}
+	if err := e.CreateTable(rewriter.TableInfo{
+		Name: "events", Schema: schema, PartitionKey: "key", Partitions: 4,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(38))
+	want := make([]int64, 20000)
+	b := vector.NewBatchForSchema(schema, len(want))
+	for i := range want {
+		want[i] = rng.Int63n(1 << 20)
+		b.AppendRow(int64(i), want[i])
+	}
+	if err := e.Load("events", []*vector.Batch{b}); err != nil {
+		t.Fatal(err)
+	}
+	pred := plan.And(
+		plan.GE(plan.Col("key"), plan.Int(1000)),
+		plan.LE(plan.Col("key"), plan.Int(1009)))
+	q := plan.OrderBy(plan.Filter(plan.Scan("events", "key", "v"), pred), plan.Asc(plan.Col("key")))
+
+	run := func() (hdfsBytes, blocks int64) {
+		t.Helper()
+		fs0, s0 := e.FS().Stats(), e.ScanStats()
+		r, err := e.Run(context.Background(), q, QueryOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs1, s1 := e.FS().Stats(), e.ScanStats()
+		if len(r.Rows) != 10 {
+			t.Fatalf("got %d rows, want 10", len(r.Rows))
+		}
+		for j, row := range r.Rows {
+			k := 1000 + j
+			if row[0] != int64(k) || row[1] != want[k] {
+				t.Fatalf("row %d = %v, want [%d %d]", j, row, k, want[k])
+			}
+		}
+		hdfsBytes = fs1.LocalBytesRead + fs1.RemoteBytesRead - fs0.LocalBytesRead - fs0.RemoteBytesRead
+		return hdfsBytes, s1.BlocksRead - s0.BlocksRead
+	}
+	if bytes, blocks := run(); bytes == 0 || blocks == 0 {
+		t.Fatalf("cold run read %d hdfs bytes, %d blocks; the cache cannot have been empty", bytes, blocks)
+	}
+	if bytes, blocks := run(); bytes != 0 || blocks != 0 {
+		t.Fatalf("warm run read %d hdfs bytes and %d blocks; every block the cold run decoded should be cached", bytes, blocks)
 	}
 }

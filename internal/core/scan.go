@@ -506,12 +506,12 @@ func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int) (sel []int32, all
 	return m.sel, all, nil
 }
 
-// verdictSpan decides what it can of a span on compression metadata alone,
-// before any code stream is unpacked: a part whose integer interval misses
-// the block's value bounds (MinMax summary, else PFOR frame bounds) or that
-// no value of the block's dictionary satisfies makes the span dead; one whose
-// exact interval covers the bounds, or that every dictionary value satisfies,
-// is marked in m.pass and its kernel elided. Intervals go first — they read
+// verdictSpan decides what it can of a span on block metadata alone, before
+// any code stream is unpacked: a part whose integer interval misses the
+// block's MinMax summary or that no value of the block's dictionary
+// satisfies makes the span dead; one whose exact interval covers the
+// summary, or that every dictionary value satisfies, is marked in m.pass and
+// its kernel elided. Intervals go first — they read
 // only metadata — so a span dead on one never opens a string block's
 // dictionary.
 func (m *mscan) verdictSpan(start int64) (dead bool, err error) {

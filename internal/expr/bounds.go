@@ -12,8 +12,8 @@ import (
 // This file is everything that inspects a bound predicate instead of
 // evaluating it: its top-level conjuncts, the columns it reads, and the
 // per-column value bounds it implies. A storage scan prunes IO with the
-// bounds — MinMax summaries, PFOR frame bounds — and decides rows with the
-// predicate itself (Filter), so a bound that is too wide costs a block read
+// bounds against block MinMax summaries and decides rows with the predicate
+// itself (Filter), so a bound that is too wide costs a block read
 // and can never cost a row. A bound that is too narrow would, which is why
 // this is the only place bounds are derived (bounds_test.go holds it to
 // "satisfies ⇒ inside" on generated conjuncts and values). The planner

@@ -55,7 +55,7 @@ const (
 	ScanPushdown
 	// CompressedExec executes on compressed data (ScanSpec.Codes): scans serve
 	// PDICT string blocks as dictionary-code vectors and decide spans against
-	// block dictionaries and frame bounds before any unpack. Off, scans
+	// block dictionaries and MinMax summaries before any unpack. Off, scans
 	// materialize every string block and predicates run in value space.
 	CompressedExec
 )

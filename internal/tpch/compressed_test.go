@@ -14,7 +14,7 @@ import (
 // TestCompressedExecParityTPCH is the acceptance gate of the
 // execute-on-compressed-data path: every TPC-H query with SQL text must
 // return rows identical with compressed-domain execution on (dictionary
-// verdicts, code-space sieves and join/group keys, frame-bounds skips) and
+// verdicts, code-space sieves and join/group keys, block-MinMax skips) and
 // off (fully materialized value-space pipeline), on clean storage and again
 // after the RF1/RF2 refresh streams have pushed tail inserts and deletes
 // through the PDT layers and forced update propagation — so the value-space
