@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 
+	"vectorh/internal/compress"
 	"vectorh/internal/vector"
 )
 
@@ -22,6 +23,17 @@ import (
 // pre-filter and the column-wise verify separates them. Row ids are stable
 // (insertion order), so they double as group ids for aggregation and build
 // row ids for joins.
+//
+// Dense group ids: FindOrInsert first tries to give every key column a small
+// local domain for the batch (a bool, an integer's offset from the batch
+// minimum, a dictionary code, or an index into a local dictionary of at most
+// denseMaxStrings strings). When the product of the domains is at most
+// 1/denseRowsPerSlot of the batch's rows, each row's key becomes one array
+// slot; only the first row of each slot is hashed (vector.HashRow) and
+// resolved through the chains, and every row takes its slot's id. Group ids,
+// emission order and errors are exactly those of the hashed path, and both
+// paths share one table. Group-bys over flags, statuses, modes and years
+// take it; keys such as order keys and names fall through after one pass.
 type HashTable struct {
 	pool *vector.Pool
 
@@ -33,10 +45,19 @@ type HashTable struct {
 	mask    uint64
 
 	singleI64 bool // exactly one Int64 key: skip the generic verify dispatch
+
+	memo []int32 // dense path: id per slot, -1 until the slot's first row resolves
 }
 
 // minBuckets is the initial directory size (power of two).
 const minBuckets = 64
+
+// Dense-path thresholds (see HashTable).
+const (
+	denseMinRows     = 64 // smaller batches take the hashed path
+	denseRowsPerSlot = 8  // at most one slot per this many rows of the batch
+	denseMaxStrings  = 16 // a materialized string column gives up at the 17th distinct value
+)
 
 // NewHashTable returns an empty table for keys of the given kinds. A nil
 // pool allocates a private one; passing the operator's pool shares scratch
@@ -296,9 +317,161 @@ func (t *HashTable) findScalar(h uint64, keyCols []*vector.Vec, r int) int32 {
 // its key, inserting unseen keys (group-by: out[r] is row r's group id).
 // out must have length n, and keyCols must carry the table's key kinds —
 // unlike probes, inserts come from the same expressions that declared the
-// table, so a mismatch is a programming error. The probe phase is batch-at-a-time; only the
-// first occurrence of each genuinely new key takes the scalar insert path.
-func (t *HashTable) FindOrInsert(keyCols []*vector.Vec, n int, out []int32) (err error) {
+// table, so a mismatch is a programming error. A batch whose keys fit a
+// small dense domain resolves each distinct key once (findOrInsertDense);
+// otherwise the probe phase is batch-at-a-time and only the first
+// occurrence of each genuinely new key takes the scalar insert path.
+func (t *HashTable) FindOrInsert(keyCols []*vector.Vec, n int, out []int32) error {
+	if n >= denseMinRows {
+		slot := t.pool.GetSel(n)[:n]
+		if slots := denseSlots(keyCols, slot, n/denseRowsPerSlot); slots > 0 {
+			err := t.findOrInsertDense(keyCols, slot, slots, out)
+			t.pool.PutSel(slot)
+			return err
+		}
+		t.pool.PutSel(slot)
+	}
+	return t.findOrInsertHashed(keyCols, n, out)
+}
+
+// findOrInsertDense resolves a batch whose rows denseSlots numbered: the
+// first row of each slot, in row order, is found or inserted through the
+// chains — so ids are assigned exactly as the hashed path assigns them —
+// and every row takes its slot's id.
+func (t *HashTable) findOrInsertDense(keyCols []*vector.Vec, slot []int32, slots int, out []int32) error {
+	t.reserve(t.Len() + slots) // at most one new key per slot
+	if cap(t.memo) < slots {
+		t.memo = make([]int32, max(slots, vector.MaxSize/denseRowsPerSlot))
+	}
+	memo := t.memo[:slots]
+	for i := range memo {
+		memo[i] = -1
+	}
+	for r, s := range slot {
+		id := memo[s]
+		if id < 0 {
+			h := vector.HashRow(keyCols, r)
+			if id = t.findScalar(h, keyCols, r); id < 0 {
+				var err error
+				if id, err = t.insertRow(h, keyCols, r); err != nil {
+					return err
+				}
+			}
+			memo[s] = id
+		}
+		out[r] = id
+	}
+	return nil
+}
+
+// denseSlots numbers every row's key with a slot in [0, slots), the key's
+// mixed-radix number over per-column domains local to this batch, and
+// returns slots; it returns 0, leaving slot garbage, when no such numbering
+// stays within limit slots.
+func denseSlots(keyCols []*vector.Vec, slot []int32, limit int) int {
+	clear(slot)
+	stride := 1 // product of the domains of the columns before this one
+	for _, kc := range keyCols {
+		budget := limit / stride // the most values this column may take
+		var d int
+		switch kc.Kind() {
+		case vector.Bool:
+			if d = 2; budget < d {
+				return 0
+			}
+			st := int32(stride)
+			for r, b := range kc.Bools()[:len(slot)] {
+				if b {
+					slot[r] += st
+				}
+			}
+		case vector.Int64:
+			if d = intSlots(kc.Int64s()[:len(slot)], slot, stride, budget); d == 0 {
+				return 0
+			}
+		case vector.Int32:
+			if d = intSlots(kc.Int32s()[:len(slot)], slot, stride, budget); d == 0 {
+				return 0
+			}
+		case vector.String:
+			if kc.IsDict() {
+				if d = kc.Dict().Len(); d > budget {
+					return 0
+				}
+				st := uint32(stride)
+				for r, c := range kc.DictCodes()[:len(slot)] {
+					slot[r] += int32(c * st)
+				}
+			} else if d = localDictSlots(kc.StrCol(), slot, stride, min(budget, denseMaxStrings)); d == 0 {
+				return 0
+			}
+		default: // Float64 keys always hash
+			return 0
+		}
+		stride *= d
+	}
+	return stride
+}
+
+// intSlots adds stride times each value's offset from the batch minimum to
+// slot and returns the number of values in [min, max], or 0 when that
+// exceeds budget.
+func intSlots[T int32 | int64](vs []T, slot []int32, stride, budget int) int {
+	lo, hi := vs[0], vs[0]
+	for _, v := range vs {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	// The distance in uint64 (sign-extended) is exact for any lo <= hi, so
+	// MinInt64 and MaxInt64 in one batch cannot wrap into a small domain.
+	span := uint64(hi) - uint64(lo)
+	if span >= uint64(budget) {
+		return 0
+	}
+	st, base := int32(stride), uint64(lo)
+	for r, v := range vs {
+		slot[r] += int32(uint64(v)-base) * st
+	}
+	return int(span) + 1
+}
+
+// localDictSlots adds stride times each value's index in a dictionary local
+// to the batch, built in first-occurrence order, to slot, and returns the
+// dictionary's size, or 0 once a value would be entry maxD+1. A table
+// indexed by the value's first byte and length names the entry to try
+// first, so a value costs one compare of its remaining bytes, none for a
+// one-byte flag; only a miss scans the entries.
+func localDictSlots(sc compress.StrCol, slot []int32, stride, maxD int) int {
+	var local [denseMaxStrings]string
+	var byHead [8 << 8]uint8 // 1 + the index of the last entry seen with this head; 0: none
+	d := 0
+	for r := range slot {
+		s := sc.At(r)
+		h := 0
+		if len(s) > 0 {
+			h = len(s)&7<<8 | int(s[0])
+		}
+		i := int(byHead[h]) - 1
+		// A hit shares s's first byte and length modulo 8.
+		if i < 0 || len(local[i]) != len(s) || len(s) > 1 && local[i][1:] != s[1:] {
+			for i = 0; i < d && local[i] != s; i++ {
+			}
+			if i == d {
+				if d == maxD {
+					return 0
+				}
+				local[d] = s
+				d++
+			}
+			byHead[h] = uint8(i + 1)
+		}
+		slot[r] += int32(i * stride)
+	}
+	return d
+}
+
+// findOrInsertHashed is FindOrInsert's general path: hash every row, probe
+// batch-at-a-time, insert the unresolved rows one by one.
+func (t *HashTable) findOrInsertHashed(keyCols []*vector.Vec, n int, out []int32) (err error) {
 	t.reserve(t.Len() + n) // worst case all-new: chains stay valid below
 	hs := t.pool.GetHashes(n)
 	vector.HashCols(hs, keyCols)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -352,11 +353,15 @@ func TestDictProbesMatchValueProbes(t *testing.T) {
 	}
 }
 
-// TestStringBytesLimitIsAnError: a join's build side and a sort's input
-// that would take a string vector past compress.MaxBytes (4 GiB) fail the
-// query with vector.ErrStringBytes; they do not panic. The string column is
-// 4096 copies of one 1 MiB value in dictionary form, 4 GiB as strings in
-// 1 MiB of memory.
+// TestStringBytesLimitIsAnError: a join's build side, a sort's input and a
+// group-by's keys that would take a string vector past compress.MaxBytes
+// (4 GiB) fail the query with vector.ErrStringBytes; they do not panic. For
+// the join and the sort the string column is 4096 copies of one 1 MiB value
+// in dictionary form, 4 GiB as strings in 1 MiB of memory. The group-by's
+// key has one value, so every batch takes the dense group-id path, and that
+// value is MaxBytes+1 bytes of mapped, never-read memory; its dictionary
+// hash is memoized up front (a stand-in: the dictionary meets no other
+// table), so the insert is reached without reading it.
 func TestStringBytesLimitIsAnError(t *testing.T) {
 	const n = 4096
 	input := func() Operator {
@@ -374,9 +379,241 @@ func TestStringBytesLimitIsAnError(t *testing.T) {
 		"hash join": &HashJoin{Build: input(), Probe: src(10, 10), BuildKeys: key, ProbeKeys: key, Type: Inner},
 		"sort":      &Sort{Child: input(), Keys: []SortKey{{Expr: key[0]}}},
 	}
+	if value, ok := hugeString(t, compress.MaxBytes+1); ok {
+		huge := &compress.StrDict{Values: []string{value}}
+		huge.CodeHashes(func(string) uint64 { return 1 })
+		ops["hash aggr, small-domain key"] = &HashAggr{
+			Child: &BatchSource{Batches: []*vector.Batch{vector.NewBatch(vector.FromDictCodes(make([]uint32, vector.MaxSize), huge))}},
+			Keys:  []expr.Expr{expr.Col(0, vector.String)},
+			Aggs:  []AggSpec{{Func: AggCountStar}},
+		}
+	}
 	for name, op := range ops {
 		if _, err := Collect(op); !errors.Is(err, vector.ErrStringBytes) {
 			t.Errorf("%s over 4 GiB of strings: err = %v", name, err)
 		}
 	}
+}
+
+// TestDenseFindOrInsert: batches of Q01's, S3's and a 7-group integer key,
+// and of strings that look alike to the local dictionary's first probe, take
+// the dense path, whose ids equal a hashed table's, and a warm table
+// resolves one with zero allocations.
+func TestDenseFindOrInsert(t *testing.T) {
+	const n = vector.MaxSize
+	flags, statuses, modes := make([]string, n), make([]string, n), make([]string, n)
+	years, groups := make([]int32, n), make([]int64, n)
+	codes := make([]uint32, n)
+	// Values sharing a first byte and a length modulo 8 with another.
+	alike := make([]string, n)
+	for i := range n {
+		flags[i], statuses[i] = []string{"A", "N", "R"}[i/7%3], []string{"F", "O"}[i/5%2]
+		modes[i] = []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}[i*5%7]
+		years[i], groups[i], codes[i] = int32(1992+i%7), int64(i%7)-3, uint32(i%3)
+		alike[i] = []string{"A", "AAAAAAAAA", "", "Ab", "Ac", "Abxxxxxxxx"}[i%6]
+	}
+	flagDict := &compress.StrDict{Values: []string{"N", "R", "A"}}
+	for name, cols := range map[string][]*vector.Vec{
+		"Q01 materialized":  {vector.FromString(flags), vector.FromString(statuses)},
+		"Q01 dictionary":    {vector.FromDictCodes(codes, flagDict), vector.FromString(statuses)},
+		"S3":                {vector.FromString(modes), vector.FromInt32(years)},
+		"7 groups":          {vector.FromInt64(groups)},
+		"look-alike values": {vector.FromString(alike)},
+	} {
+		if denseSlots(cols, make([]int32, n), n/denseRowsPerSlot) == 0 {
+			t.Errorf("%s: batch does not take the dense path", name)
+			continue
+		}
+		kinds := make([]vector.Kind, len(cols))
+		for i, c := range cols {
+			kinds[i] = c.Kind()
+		}
+		dense, hashed := NewHashTable(kinds, nil), NewHashTable(kinds, nil)
+		got, want := make([]int32, n), make([]int32, n)
+		if err := dense.FindOrInsert(cols, n, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := hashed.findOrInsertHashed(cols, n, want); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: dense ids differ from hashed ids", name)
+		}
+		if a := testing.AllocsPerRun(20, func() { _ = dense.FindOrInsert(cols, n, got) }); a != 0 {
+			t.Errorf("%s: a warm dense FindOrInsert allocates %.1f objects", name, a)
+		}
+	}
+}
+
+// findOrInsertLayouts are FuzzFindOrInsert's key layouts: Q01's two strings,
+// S3's string and year, a COUNT(DISTINCT) table's group and value, and more.
+var findOrInsertLayouts = [][]vector.Kind{
+	{vector.String},
+	{vector.Int64},
+	{vector.String, vector.String},
+	{vector.String, vector.Int32},
+	{vector.Int32, vector.Int64, vector.Bool},
+	{vector.Bool, vector.String, vector.Int64},
+	{vector.Int32, vector.Float64},
+}
+
+// fuzzKeyCol generates one batch's key column of the given kind. mode picks
+// the case: for strings a fresh small dictionary, at most 16 distinct
+// materialized values, more than 16, or a large dictionary; for integers a
+// narrow range, a range straddling the dense threshold, values at the ends
+// of the kind's range (both ends, or one end and zero, in one batch, or one
+// end only), or a wide range; for bools one constant or random values;
+// floats always hash.
+func fuzzKeyCol(rng *rand.Rand, kind vector.Kind, mode, n int) *vector.Vec {
+	// "", one-byte words, and words sharing their first byte and their
+	// length modulo 8 with others: "A" and "AAAAAAAAA", "Ab" and "Abxxxxxxxx".
+	words := make([]string, 40)
+	for i := range words {
+		switch {
+		case i == 0:
+		case i == 25:
+			words[i] = strings.Repeat("A", 9)
+		case i < 25:
+			words[i] = string(rune('A' + i - 1))
+		default:
+			words[i] = string(rune('A'+i%3)) + string(rune('a'+i%5)) + strings.Repeat("x", i%2*8)
+		}
+	}
+	pick := func(width int) func() int64 { // a small base shared across batches, plus [0, width)
+		base := int64(rng.Intn(7) - 3)
+		return func() int64 { return base + int64(rng.Intn(max(width, 1))) }
+	}
+	switch kind {
+	case vector.String:
+		if mode == 0 || mode == 3 {
+			dict := &compress.StrDict{}
+			size := 1 + rng.Intn(8)
+			if mode == 3 {
+				size = len(words)
+			}
+			for _, p := range rng.Perm(len(words))[:size] {
+				dict.Values = append(dict.Values, words[p])
+			}
+			codes := make([]uint32, n)
+			for i := range codes {
+				codes[i] = uint32(rng.Intn(size))
+			}
+			return vector.FromDictCodes(codes, dict)
+		}
+		distinct := 1 + rng.Intn(16)
+		if mode == 2 {
+			distinct = 17 + rng.Intn(len(words)-16)
+		}
+		pool := rng.Perm(len(words))[:distinct]
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = words[pool[rng.Intn(distinct)]]
+			if i > 0 && rng.Intn(2) == 0 {
+				vals[i] = vals[i-1] // runs
+			}
+		}
+		return vector.FromString(vals)
+	case vector.Int64, vector.Int32:
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if kind == vector.Int32 {
+			lo, hi = math.MinInt32, math.MaxInt32
+		}
+		var next func() int64
+		switch mode {
+		case 0:
+			next = pick(1 + rng.Intn(8))
+		case 1:
+			next = pick(n/denseRowsPerSlot + rng.Intn(5) - 2)
+		case 2:
+			ends := [][]int64{{lo, lo + 1, hi - 1, hi}, {lo, 0}, {lo, lo + 1, lo + 3}, {hi - 2, hi}}[rng.Intn(4)]
+			next = func() int64 { return ends[rng.Intn(len(ends))] }
+		default:
+			next = func() int64 { return lo/2 + rng.Int63n(hi) }
+		}
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = next()
+		}
+		if kind == vector.Int64 {
+			return vector.FromInt64(vals)
+		}
+		v32 := make([]int32, n)
+		for i, x := range vals {
+			v32[i] = int32(x)
+		}
+		return vector.FromInt32(v32)
+	case vector.Float64:
+		set := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, math.Inf(1)}
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = set[rng.Intn(len(set))]
+		}
+		return vector.FromFloat64(vals)
+	default:
+		c := rng.Intn(2) == 0
+		vals := make([]bool, n)
+		for i := range vals {
+			vals[i] = c
+			if mode != 0 {
+				vals[i] = rng.Intn(2) == 0
+			}
+		}
+		return vector.FromBool(vals)
+	}
+}
+
+// fuzzModelKey renders row r of cols as one comparable value.
+func fuzzModelKey(cols []*vector.Vec, r int) string {
+	var b strings.Builder
+	for _, c := range cols {
+		fmt.Fprintf(&b, "%q|", fmt.Sprint(c.Get(r)))
+	}
+	return b.String()
+}
+
+// FuzzFindOrInsert is a differential against a map of key values: every
+// row's id must be its key's first-occurrence id across all batches, and the
+// table's stored keys must be the model's. Four bytes cut each batch: its row
+// count (1 to 1100, the dense threshold on both sides), a mode per key column
+// and a value seed; one table sees every batch, so dense and hashed batches
+// insert into and find each other's keys.
+func FuzzFindOrInsert(f *testing.F) {
+	f.Add([]byte{0, 4, 5, 1, 40, 0, 0, 2, 0, 4, 9, 3}, uint8(2))
+	f.Add([]byte{0, 4, 0, 1, 0, 4, 1, 2, 0, 4, 2, 3, 30, 0, 0, 4, 0, 4, 3, 5}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, layout uint8) {
+		kinds := findOrInsertLayouts[int(layout)%len(findOrInsertLayouts)]
+		ht := NewHashTable(kinds, nil)
+		model := map[string]int32{}
+		for b := 0; b+3 < len(data) && b < 64; b += 4 {
+			n := 1 + (int(data[b])|int(data[b+1])<<8)%1100
+			rng := rand.New(rand.NewSource(int64(data[b+3])<<8 | int64(b)))
+			cols := make([]*vector.Vec, len(kinds))
+			for c, k := range kinds {
+				cols[c] = fuzzKeyCol(rng, k, int(data[b+2]>>(2*c))&3, n)
+			}
+			got := make([]int32, n)
+			if err := ht.FindOrInsert(cols, n, got); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < n; r++ {
+				key := fuzzModelKey(cols, r)
+				want, ok := model[key]
+				if !ok {
+					want = int32(len(model))
+					model[key] = want
+				}
+				if got[r] != want {
+					t.Fatalf("batch at byte %d, row %d of %d, key %s: id %d, first-occurrence id %d", b, r, n, key, got[r], want)
+				}
+			}
+		}
+		if ht.Len() != len(model) {
+			t.Fatalf("table holds %d keys, model %d", ht.Len(), len(model))
+		}
+		for key, id := range model {
+			if stored := fuzzModelKey(ht.Keys(), int(id)); stored != key {
+				t.Fatalf("id %d stores %s, model %s", id, stored, key)
+			}
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"vectorh/internal/compress"
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
@@ -87,6 +88,45 @@ func TestHashAggrAllocationsDoNotGrowWithBatches(t *testing.T) {
 	few, many := run(batches[:8]), run(batches)
 	if many > few+8 {
 		t.Errorf("HashAggr over 64 batches allocated %d objects, over 8 batches %d: per-batch allocation is back", many, few)
+	}
+}
+
+// TestHashAggrStringKeyAllocationsDoNotGrowWithBatches is the check above
+// for Q01's two string keys, l_returnflag and l_linestatus, once as
+// dictionary codes and once materialized: both take the dense group-id path.
+func TestHashAggrStringKeyAllocationsDoNotGrowWithBatches(t *testing.T) {
+	flags := &compress.StrDict{Values: []string{"A", "N", "R"}}
+	statuses := &compress.StrDict{Values: []string{"F", "O"}}
+	for _, form := range []string{"dictionary", "materialized"} {
+		batches := make([]*vector.Batch, 64)
+		for b := range batches {
+			fc, sc, vals := make([]uint32, 1024), make([]uint32, 1024), make([]float64, 1024)
+			for i := range fc {
+				fc[i], sc[i], vals[i] = uint32((b*1024+i)/7%3), uint32((b*1024+i)/5%2), float64(i)
+			}
+			f, s := vector.FromDictCodes(fc, flags), vector.FromDictCodes(sc, statuses)
+			if form == "materialized" {
+				f, s = vector.FromString(f.Strings()), vector.FromString(s.Strings())
+			}
+			batches[b] = vector.NewBatch(f, s, vector.FromFloat64(vals))
+		}
+		run := func(bs []*vector.Batch) uint64 {
+			val := expr.Col(2, vector.Float64)
+			op := &HashAggr{Child: &BatchSource{Batches: bs},
+				Keys: []expr.Expr{expr.Col(0, vector.String), expr.Col(1, vector.String)},
+				Aggs: []AggSpec{{Func: AggSum, Arg: val}, {Func: AggAvg, Arg: val}, {Func: AggCountStar}}}
+			return mallocsOf(func() {
+				rows, err := Collect(op)
+				if err != nil || len(rows) != 6 {
+					t.Fatalf("%s keys: %d groups, err %v", form, len(rows), err)
+				}
+			})
+		}
+		run(batches[:8])
+		few, many := run(batches[:8]), run(batches)
+		if many > few+8 {
+			t.Errorf("%s keys: HashAggr over 64 batches allocated %d objects, over 8 batches %d: per-batch allocation is back", form, many, few)
+		}
 	}
 }
 

@@ -101,9 +101,24 @@ func FormatDecimal(v int64) string {
 	return fmt.Sprintf("%s%d.%02d", sign, u/100, u%100)
 }
 
-// YearOf returns the civil year of the date.
+// yearShiftEras is the number of 400-year eras (146097 days each) YearOf
+// adds so that every int32 date counts non-negative days: its divisions
+// then need no floor correction.
+const yearShiftEras = 14700
+
+// YearOf returns the civil year of the date: YMDFromDate's year of era
+// without the month and day, whose only use here is that January and
+// February (day of a March-based year >= 306) close the previous civil year.
 func YearOf(days int32) int32 {
-	y, _, _ := YMDFromDate(days)
+	z := uint64(int64(days) + 719468 + yearShiftEras*146097)
+	era := z / 146097
+	doe := z - era*146097
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	y := int64(yoe) + (int64(era)-yearShiftEras)*400
+	if doy >= 306 {
+		y++
+	}
 	return int32(y)
 }
 

@@ -145,3 +145,35 @@ func HashCols(dst []uint64, cols []*Vec) {
 		RehashCol(dst, c)
 	}
 }
+
+// HashRow returns row r's entry of HashCols(dst, cols): the scalar entry
+// point for a caller that hashes one representative row per distinct key
+// instead of every row.
+func HashRow(cols []*Vec, r int) uint64 {
+	h := hashSeed
+	for _, v := range cols {
+		var x uint64
+		switch v.kind {
+		case Int64:
+			x = uint64(v.i64[r])
+		case Int32:
+			x = uint64(int64(v.i32[r]))
+		case Float64:
+			x = math.Float64bits(v.f64[r])
+		case String:
+			if v.dict != nil {
+				x = v.dict.CodeHashes(HashString)[v.codes[r]]
+			} else {
+				x = HashString(v.str.At(r))
+			}
+		case Bool:
+			if v.b[r] {
+				x = 1
+			}
+		default:
+			continue
+		}
+		h = hashMix(h, x)
+	}
+	return h
+}

@@ -1,6 +1,11 @@
 package vector
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"vectorh/internal/compress"
+)
 
 func TestHashColAgreesWithScalarHash(t *testing.T) {
 	vals := []int64{0, 1, -1, 42, 1 << 40, -(1 << 40)}
@@ -77,6 +82,56 @@ func TestHashColKinds(t *testing.T) {
 		if re[0] == dst[0] {
 			t.Fatalf("%v rehash did not fold", v.Kind())
 		}
+	}
+}
+
+// TestHashRowMatchesHashCols: the scalar row hash equals the batch kernels'
+// hash for every kind, for strings in dictionary and in value form, and for
+// one-, two- and three-column keys, so a table can mix keys inserted row by
+// row with keys probed batch-at-a-time.
+func TestHashRowMatchesHashCols(t *testing.T) {
+	dict := &compress.StrDict{Values: []string{"", "R", "AIR", "REG AIR", "TRUCK"}}
+	codes := []uint32{3, 0, 4, 1, 1, 2}
+	strs := make([]string, len(codes))
+	for i, c := range codes {
+		strs[i] = dict.Values[c]
+	}
+	cols := map[string]*Vec{
+		"int64":  FromInt64([]int64{math.MinInt64, -1, 0, 1, 7, math.MaxInt64}),
+		"int32":  FromInt32([]int32{math.MinInt32, -1, 0, 1, 7, math.MaxInt32}),
+		"float":  FromFloat64([]float64{math.Inf(-1), -0.0, 0, 1.5, math.NaN(), 1e300}),
+		"bool":   FromBool([]bool{true, false, false, true, true, false}),
+		"dict":   FromDictCodes(codes, dict),
+		"string": FromString(strs),
+	}
+	keys := [][]string{
+		{"int64"}, {"int32"}, {"float"}, {"bool"}, {"dict"}, {"string"},
+		{"dict", "int64"}, {"string", "string"}, {"bool", "float"},
+		{"int32", "dict", "bool"}, {"string", "float", "int64"},
+	}
+	for _, names := range keys {
+		key := make([]*Vec, len(names))
+		for i, name := range names {
+			key[i] = cols[name]
+		}
+		want := make([]uint64, len(codes))
+		HashCols(want, key)
+		for r, h := range want {
+			if got := HashRow(key, r); got != h {
+				t.Errorf("%v row %d: HashRow = %x, HashCols = %x", names, r, got, h)
+			}
+		}
+	}
+	// Dictionary and value forms of one string hash alike row by row too.
+	for r := range codes {
+		if HashRow([]*Vec{cols["dict"]}, r) != HashRow([]*Vec{cols["string"]}, r) {
+			t.Errorf("row %d: dictionary and value forms of %q hash apart", r, strs[r])
+		}
+	}
+	var seed [1]uint64
+	HashCols(seed[:], nil)
+	if HashRow(nil, 0) != seed[0] {
+		t.Error("zero key columns: HashRow differs from HashCols")
 	}
 }
 

@@ -251,6 +251,30 @@ func TestAddMonthsClamping(t *testing.T) {
 	}
 }
 
+// TestYearOfMatchesYMDFromDate compares YearOf with YMDFromDate's year for
+// every day in [-800000, 800000] (about 220 BC to AD 4160: every leap and
+// century boundary of the proleptic calendar in that span, the 400-year
+// ones included) and at the ends of the int32 range.
+func TestYearOfMatchesYMDFromDate(t *testing.T) {
+	check := func(d int32) {
+		if y, _, _ := YMDFromDate(d); YearOf(d) != int32(y) {
+			t.Fatalf("YearOf(%d) = %d, YMDFromDate year %d", d, YearOf(d), y)
+		}
+	}
+	for d := int32(-800000); d <= 800000; d++ {
+		check(d)
+	}
+	for _, d := range []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32 - 1, math.MaxInt32} {
+		check(d)
+	}
+	for date, want := range map[string]int32{"1900-02-28": 1900, "1900-03-01": 1900, "2000-02-29": 2000,
+		"1999-12-31": 1999, "2000-01-01": 2000, "1970-01-01": 1970, "1969-12-31": 1969} {
+		if got := YearOf(MustDate(date)); got != want {
+			t.Errorf("YearOf(%s) = %d, want %d", date, got, want)
+		}
+	}
+}
+
 func TestDateRoundTripProperty(t *testing.T) {
 	f := func(off int16) bool {
 		days := int32(off) // ~±89 years around epoch
