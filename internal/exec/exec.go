@@ -5,6 +5,14 @@
 // local Xchg operator family that encapsulates multi-core parallelism so
 // every other operator can stay parallelism-unaware (the Volcano model the
 // paper builds its MPP parallelism on).
+//
+// Batches alias. The output of Select, Limit and every join may hold its
+// input's vectors (a join's its probe batch's, under a selection), so no
+// operator writes into a vector it received: what it makes goes into vectors
+// of its own. An operator that keeps a batch past its producer's next Next
+// (a sort, a hash build, a merge join's window, a queueing Xchg port) copies
+// it, or owns it by contract: a producer never changes a batch it handed
+// downstream. TestOperatorsLeaveInputsUnwritten checks the rule.
 package exec
 
 import (

@@ -26,7 +26,9 @@ const (
 // build columns (Inner/LeftOuter); LeftOuter appends a trailing Bool
 // "matched" column and pads unmatched build columns with zero values (the
 // engine has no NULLs; aggregation over outer joins tests the matched flag,
-// which is how Q13 counts empty groups).
+// which is how Q13 counts empty groups). A probe batch whose rows each match
+// at most one build row, densely enough, comes out as itself under a
+// selection, with the build columns placed at its rows (joinOutput).
 type HashJoin struct {
 	Build     Operator
 	Probe     Operator
@@ -158,13 +160,29 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 	}
 }
 
+// passThroughDensity bounds how sparse an Inner or LeftOuter batch may be and
+// still pass its probe side through: its emitted rows times this must reach
+// its physical rows, since every physical row then costs a build cell. One
+// pass of join_heavy's eight statements (SF 0.05, 3 nodes × 2 threads)
+// copies 9.63 M probe cells when every batch gathers. With 4 it copies 175 k
+// and writes 2.70 M build cells; with no bound it writes 7.78 M, with 16
+// 3.61 M for 123 k probe cells, and from 2 to 8 the sum of both stays
+// within 2.87–2.88 M (EXPERIMENTS.md, "Joins pass the probe side through").
+const passThroughDensity = 4
+
 // joinOutput assembles a join's output batch from probe batch b and the
 // pairs a join found for it, or returns nil when there are none. ps holds
 // probe live-row indices. Semi and Anti emit those probe rows themselves,
-// under a selection of their physical positions. Inner and LeftOuter gather
-// them, then the build rows bs names from build (a negative id pads with
-// zero values), then, for LeftOuter, the matched flag. The batch leaves the
-// operator, so nothing in it comes from the pool.
+// under a selection of their physical positions. Inner and LeftOuter do the
+// same when each probe row is emitted at most once, in order, and densely
+// enough (passThroughDensity): the output then holds b's own vectors, the
+// emitted rows as its selection (none when that is every row), and the
+// build rows bs names placed at those physical rows, zero values at the
+// others. Otherwise they gather the probe rows, then the build rows (a
+// negative id pads with zero values). LeftOuter adds the matched flag. The
+// batch leaves the operator: its selection and the vectors it makes are
+// fresh, never the pool's, and the probe vectors it passes through stay b's,
+// which no operator writes into (the package doc's aliasing rule).
 func joinOutput(jt JoinType, b *vector.Batch, ps, bs []int32, build []*vector.Vec, pool *vector.Pool) *vector.Batch {
 	if len(ps) == 0 {
 		return nil
@@ -181,8 +199,24 @@ func joinOutput(jt JoinType, b *vector.Batch, ps, bs []int32, build []*vector.Ve
 		return &vector.Batch{Vecs: b.Vecs, Sel: slices.Clone(phys)}
 	}
 	out := &vector.Batch{Vecs: make([]*vector.Vec, 0, len(b.Vecs)+len(build)+1)}
-	for _, v := range b.Vecs {
-		out.Vecs = append(out.Vecs, v.Gather(phys, len(phys)))
+	if n := b.Col(0).Len(); len(phys)*passThroughDensity >= n && increasing(phys) {
+		out.Vecs = append(out.Vecs, b.Vecs...)
+		if len(phys) < n {
+			out.Sel = slices.Clone(phys)
+		}
+		at := pool.GetSel(n)[:n] // the build row placed at each physical row
+		for i := range at {
+			at[i] = -1
+		}
+		for i, r := range phys {
+			at[r] = bs[i]
+		}
+		defer pool.PutSel(at)
+		bs = at
+	} else {
+		for _, v := range b.Vecs {
+			out.Vecs = append(out.Vecs, v.Gather(phys, len(phys)))
+		}
 	}
 	for _, bv := range build {
 		g := vector.New(bv.Kind(), len(bs))
@@ -197,6 +231,16 @@ func joinOutput(jt JoinType, b *vector.Batch, ps, bs []int32, build []*vector.Ve
 		out.Vecs = append(out.Vecs, m)
 	}
 	return out
+}
+
+// increasing reports whether rows is strictly increasing.
+func increasing(rows []int32) bool {
+	for i := 1; i < len(rows); i++ {
+		if rows[i] <= rows[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // MergeJoin joins two inputs ordered on an integer key without a hash table:

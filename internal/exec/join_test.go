@@ -1,0 +1,119 @@
+package exec
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"vectorh/internal/vector"
+)
+
+// TestJoinPassesProbeThrough: an Inner or LeftOuter output batch that emits
+// each probe row at most once, in order, and at least one physical row in
+// passThroughDensity holds the probe batch's own vectors under a selection of
+// the emitted rows, none when that is every row; a repeated probe row or a
+// sparser batch gathers. HashJoin and MergeJoin both emit through joinOutput.
+func TestJoinPassesProbeThrough(t *testing.T) {
+	const n = 64
+	keys := func(step int64, extra ...int64) [][]mergeRow {
+		var rows []mergeRow
+		for k := int64(0); k < n; k += step {
+			rows = append(rows, mergeRow{k, k % 5})
+			if slices.Contains(extra, k) {
+				rows = append(rows, mergeRow{k, k%5 + 1})
+			}
+		}
+		return [][]mergeRow{rows}
+	}
+	for _, tc := range []struct {
+		name    string
+		jt      JoinType
+		right   [][]mergeRow
+		through bool // for a probe batch without a selection
+		live    int  // the output's live rows
+	}{
+		{"unique build, every row matches", Inner, keys(1), true, n},
+		{"unique build, at the density bound", Inner, keys(passThroughDensity), true, n / passThroughDensity},
+		{"unique build, below the density bound", Inner, keys(passThroughDensity * 2), false, n / passThroughDensity / 2},
+		{"a repeated probe row", Inner, keys(1, 7), false, n + 1},
+		{"left outer, half matched", LeftOuter, keys(2), true, n},
+		{"left outer, nothing to match", LeftOuter, [][]mergeRow{nil}, true, n},
+	} {
+		for _, merge := range []bool{false, true} {
+			for _, sel := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/merge=%v/sel=%v", tc.name, merge, sel), func(t *testing.T) {
+					left := mergeInput{batches: keys(1), sel: sel}
+					right := mergeInput{batches: tc.right}
+					probe := &keepingSource{Operator: left.source()}
+					op := newJoin(merge, tc.jt, probe, right.source(), false)
+					if err := op.Open(); err != nil {
+						t.Fatal(err)
+					}
+					defer op.Close()
+					out, err := op.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkLengths(t, out)
+					if out.Len() != tc.live {
+						t.Fatalf("%d live rows, want %d", out.Len(), tc.live)
+					}
+					// A selection-bearing probe batch holds a dead row before
+					// each live one, which halves its density.
+					through := tc.through && (!sel || tc.live*passThroughDensity >= 2*n)
+					in := probe.emitted[0]
+					for i, v := range in.Vecs {
+						if (out.Vecs[i] == v) != through {
+							t.Fatalf("probe column %d passed through: %v, want %v", i, out.Vecs[i] == v, through)
+						}
+					}
+					if through && tc.jt == LeftOuter && (out.Sel == nil) != (in.Sel == nil) {
+						t.Fatalf("left outer over every probe row: Sel %v, probe Sel %v", out.Sel, in.Sel)
+					}
+					if through && tc.live == n && !sel && out.Sel != nil {
+						t.Fatalf("every physical row emitted, yet Sel = %v", out.Sel)
+					}
+					checkJoin(t, merge, tc.jt, left, right)
+				})
+			}
+		}
+	}
+}
+
+// FuzzHashJoin: one byte triple per row picks its side and key, in any
+// order, its value, and whether its batch ends after it, followed by an
+// empty one; the fuzzer also picks the join type, whether build keys may
+// repeat (a unique build drops a row whose key it holds) and selections on
+// either side. HashJoin's live rows must equal the nested loops', in probe
+// order. Keys span 0–127, so a batch's matches fall on either side of
+// passThroughDensity. The committed corpus holds a unique build with dense
+// and with sparse matches, a duplicated build, a LeftOuter join matching
+// nothing and an empty build side.
+func FuzzHashJoin(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, jt uint8, key32, dup, lsel, rsel bool) {
+		sides := [2]mergeInput{
+			{batches: [][]mergeRow{nil}, key32: key32, sel: lsel},
+			{batches: [][]mergeRow{nil}, key32: key32, sel: rsel},
+		}
+		built := map[int64]bool{}
+		for i := 0; i+2 < len(data) && i < 12*vector.MaxSize; i += 3 {
+			side, k := data[i]&1, int64(data[i]>>1)
+			if side == 1 && !dup {
+				if built[k] {
+					continue
+				}
+				built[k] = true
+			}
+			s := &sides[side]
+			last := len(s.batches) - 1
+			s.batches[last] = append(s.batches[last], mergeRow{k, int64(data[i+1])})
+			switch data[i+2] % 8 {
+			case 0:
+				s.batches = append(s.batches, nil)
+			case 1:
+				s.batches = append(s.batches, nil, nil)
+			}
+		}
+		checkJoin(t, false, JoinType(jt%4), sides[0], sides[1])
+	})
+}

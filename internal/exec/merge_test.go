@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"testing"
 
+	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
 
-// MergeJoin is checked against the join's definition run as nested loops
-// over the live rows: every join type, Int32 and Int64 keys, keys repeating
-// on both sides, runs crossing batch boundaries, empty and fully filtered
-// batches and selection-bearing inputs.
+// MergeJoin and HashJoin are checked against the join's definition run as
+// nested loops over the live rows: every join type, Int32 and Int64 keys,
+// keys repeating on both sides, runs crossing batch boundaries, empty and
+// fully filtered batches and selection-bearing inputs.
 
 // mergeRow is one live input row: its key and a value its payload columns
 // derive from.
@@ -114,20 +115,68 @@ func nestedLoopJoin(jt JoinType, left, right mergeInput) []string {
 	return out
 }
 
-func checkMergeJoin(t testing.TB, jt JoinType, left, right mergeInput) {
-	t.Helper()
-	got, err := Collect(&MergeJoin{Left: left.source(), Right: right.source(), Type: jt,
-		RightKinds: mergeKinds(right.key32)})
-	if err != nil {
-		t.Fatal(err)
+// newJoin joins probe with build on their keys, of one kind: a MergeJoin
+// with probe as its left side, or a HashJoin.
+func newJoin(merge bool, jt JoinType, probe, build Operator, key32 bool) Operator {
+	kinds := mergeKinds(key32)
+	if merge {
+		return &MergeJoin{Left: probe, Right: build, Type: jt, RightKinds: kinds}
 	}
+	key := []expr.Expr{expr.Col(0, kinds[0])}
+	return &HashJoin{Probe: probe, Build: build, ProbeKeys: key, BuildKeys: key, Type: jt, BuildKinds: kinds}
+}
+
+// checkJoin runs the join of left and right, MergeJoin or HashJoin, and
+// compares its rows with the nested loops' in order.
+func checkJoin(t testing.TB, merge bool, jt JoinType, left, right mergeInput) {
+	t.Helper()
+	got := collectChecked(t, newJoin(merge, jt, left.source(), right.source(), left.key32))
 	want := nestedLoopJoin(jt, left, right)
+	name := map[bool]string{false: "hash", true: "merge"}[merge]
 	if len(got) != len(want) {
-		t.Fatalf("join type %d: merge join gave %d rows, nested loops %d", jt, len(got), len(want))
+		t.Fatalf("join type %d: %s join gave %d rows, nested loops %d", jt, name, len(got), len(want))
 	}
 	for i := range got {
 		if g := fmt.Sprint(got[i]); g != want[i] {
-			t.Fatalf("join type %d: row %d differs:\n merge  %s\n nested %s", jt, i, g, want[i])
+			t.Fatalf("join type %d: row %d differs:\n %-6s %s\n nested %s", jt, i, name, g, want[i])
+		}
+	}
+}
+
+// collectChecked is Collect that also checks every output batch's lengths.
+func collectChecked(t testing.TB, op Operator) [][]any {
+	t.Helper()
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	var rows [][]any
+	for {
+		b, err := op.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return rows
+		}
+		checkLengths(t, b)
+		rows = vector.BoxRows(rows, b)
+	}
+}
+
+// checkLengths fails when b's vectors differ in length or its selection
+// points past them.
+func checkLengths(t testing.TB, b *vector.Batch) {
+	t.Helper()
+	n := b.Col(0).Len()
+	for i, v := range b.Vecs {
+		if v.Len() != n {
+			t.Fatalf("output column %d holds %d rows, column 0 %d", i, v.Len(), n)
+		}
+	}
+	for _, r := range b.Sel {
+		if int(r) >= n {
+			t.Fatalf("selection row %d past %d rows", r, n)
 		}
 	}
 }
@@ -170,7 +219,8 @@ func TestMergeJoinMatchesNestedLoops(t *testing.T) {
 					left := mergeInput{batches: tc.left, key32: key32, sel: sel}
 					right := mergeInput{batches: tc.right, key32: key32, sel: !sel}
 					t.Run(fmt.Sprintf("%s/type=%d/key32=%v/leftsel=%v", tc.name, jt, key32, sel), func(t *testing.T) {
-						checkMergeJoin(t, jt, left, right)
+						checkJoin(t, true, jt, left, right)
+						checkJoin(t, false, jt, left, right)
 					})
 				}
 			}
@@ -203,6 +253,6 @@ func FuzzMergeJoin(f *testing.F) {
 				s.batches = append(s.batches, nil, nil)
 			}
 		}
-		checkMergeJoin(t, JoinType(jt%4), sides[0], sides[1])
+		checkJoin(t, true, JoinType(jt%4), sides[0], sides[1])
 	})
 }

@@ -89,7 +89,7 @@ type result struct {
 	partCount     int      // partition count for coPart alignment
 	replicated    bool     // every node holds a full copy (1 stream/node)
 	gathered      bool     // single stream at the master
-	orderedBy     string   // streams ordered on this column ("" = no)
+	orderedBy     []string // streams ordered on these columns, equal on every row (nil = no)
 	rows          int64    // cardinality estimate
 	maxRows       int64    // upper bound on rows no estimate can undercut; -1 = none (a join's output)
 }
@@ -148,7 +148,7 @@ func (c *rewriteCtx) gather(r result) result {
 	r.gathered = true
 	r.partitionedBy, r.partEq = nil, nil
 	r.coPart = false
-	r.orderedBy = ""
+	r.orderedBy = nil
 	return r
 }
 
@@ -227,7 +227,7 @@ func (c *rewriteCtx) recScan(n *plan.ScanNode) (result, error) {
 		}
 	}
 	if info.ClusteredOn != "" && schema.Index(info.ClusteredOn) >= 0 {
-		r.orderedBy = info.ClusteredOn
+		r.orderedBy = []string{info.ClusteredOn}
 		scan.Ordered = true
 	}
 	return r, nil
@@ -282,7 +282,8 @@ func (c *rewriteCtx) recProject(n *plan.ProjectNode) (result, error) {
 		schema[i] = vector.Field{Name: ne.Name, Type: t}
 	}
 	// Partitioning survives only for pass-through bare columns; a single
-	// partition column survives through any column equal to it.
+	// partition column survives through any column equal to it, and so does
+	// the order.
 	passed := func(cols []string) []string {
 		var out []string
 		for _, pc := range cols {
@@ -302,18 +303,10 @@ func (c *rewriteCtx) recProject(n *plan.ProjectNode) (result, error) {
 	if len(newPart) != len(child.partitionedBy) {
 		newPart = nil
 	}
-	ordered := ""
-	if child.orderedBy != "" {
-		for _, ne := range n.Exprs {
-			if ne.Expr.Name == child.orderedBy {
-				ordered = ne.Name
-			}
-		}
-	}
 	child.phys = &physProject{child: child.phys, exprs: exprs, schema: schema}
 	child.schema = schema
 	child.partitionedBy, child.partEq = newPart, newEq
-	child.orderedBy = ordered
+	child.orderedBy = passed(child.orderedBy)
 	return child, nil
 }
 
@@ -388,9 +381,10 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 	case c.opts.on(LocalJoin) && left.coPart && right.coPart &&
 		left.partCount == right.partCount &&
 		keyAligned(n.LeftKeys, n.RightKeys, left, right):
-		// Co-ordered clustered tables merge-join without hashing.
+		// Co-ordered clustered tables merge-join without hashing, on the
+		// order column or any column equal to it.
 		if len(n.LeftKeys) == 1 &&
-			left.orderedBy == n.LeftKeys[0] && right.orderedBy == n.RightKeys[0] {
+			slices.Contains(left.orderedBy, n.LeftKeys[0]) && slices.Contains(right.orderedBy, n.RightKeys[0]) {
 			join.merge = true
 			join.lkey, join.rkey = left.schema.Index(n.LeftKeys[0]), right.schema.Index(n.RightKeys[0])
 			out.orderedBy = left.orderedBy
@@ -434,11 +428,15 @@ func (c *rewriteCtx) recJoin(n *plan.JoinNode) (result, error) {
 		out.partitionedBy = n.LeftKeys
 	}
 	// An inner join's key pairs are equal on every output row, so a build
-	// key paired with the partition column is another name for it.
+	// key paired with the partition or the order column is another name for
+	// it.
 	if jt == exec.Inner {
 		for i, k := range n.LeftKeys {
 			if slices.Contains(out.partCols(), k) {
 				out.partEq = append(slices.Clip(out.partEq), n.RightKeys[i])
+			}
+			if slices.Contains(out.orderedBy, k) {
+				out.orderedBy = append(slices.Clip(out.orderedBy), n.RightKeys[i])
 			}
 		}
 	}
@@ -470,7 +468,7 @@ func (c *rewriteCtx) exchangeOn(r result, keys []string) (result, error) {
 	r.coPart = false
 	r.replicated = false
 	r.gathered = false
-	r.orderedBy = ""
+	r.orderedBy = nil
 	return r, nil
 }
 
@@ -570,10 +568,11 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 		// Streams ordered on the one group key aggregate in that order, with
 		// no hash table, and the result keeps the order.
 		kind := "direct"
-		if len(n.GroupBy) == 1 && n.GroupBy[0] == child.orderedBy {
+		if len(n.GroupBy) == 1 && slices.Contains(child.orderedBy, n.GroupBy[0]) {
 			kind = "ordered"
+			child.orderedBy = n.GroupBy[:1:1]
 		} else {
-			child.orderedBy = ""
+			child.orderedBy = nil
 		}
 		child.phys = &physAggr{child: child.phys, keys: keys, aggs: aggs, schema: outSchema, kind: kind}
 		child.schema = outSchema
@@ -617,7 +616,7 @@ func (c *rewriteCtx) recAggregate(n *plan.AggregateNode) (result, error) {
 	}
 	child.phys = &physAggr{child: child.phys, keys: pKeys, aggs: pAggs, schema: partialSchema, kind: "partial"}
 	child.schema = partialSchema
-	child.orderedBy = ""
+	child.orderedBy = nil
 
 	var ex result
 	if len(n.GroupBy) == 0 {
@@ -818,7 +817,7 @@ func (c *rewriteCtx) recOrderBy(n *plan.OrderByNode) (result, error) {
 	} else {
 		g.phys = &physSort{child: g.phys, keys: keys}
 	}
-	g.orderedBy = ""
+	g.orderedBy = nil
 	return g, nil
 }
 

@@ -357,6 +357,43 @@ func TestRewriteOrderedAggregation(t *testing.T) {
 	}
 }
 
+// TestRewriteMergesOnJoinedEqualKey: an inner merge join makes its right key
+// another name for the order column, so a join above it on that key merges
+// too (Q02's and Q18's shape), through a rename; a left outer join's right
+// key is no such name.
+func TestRewriteMergesOnJoinedEqualKey(t *testing.T) {
+	keys := plan.Project(
+		plan.Filter(plan.Aggregate(plan.Scan("fact", "f_ok"), []string{"f_ok"}, plan.AStar("n")),
+			plan.LT(plan.Col("f_ok"), plan.Int(100))),
+		plan.As("k", plan.Col("f_ok")))
+	for _, tc := range []struct {
+		kind  plan.JoinKind
+		key   string
+		merge bool
+	}{
+		{plan.InnerJoin, "h_ok", true},
+		{plan.InnerJoin, "x_ok", true},
+		{plan.LeftOuterJoin, "x_ok", false},
+	} {
+		facts := plan.Join(tc.kind, plan.Scan("fact", "f_ok", "f_val"), plan.Scan("head", "h_ok", "h_date"),
+			[]string{"f_ok"}, []string{"h_ok"})
+		renamed := plan.Project(facts, plan.As("x_ok", plan.Col("h_ok")), plan.As("f_val", plan.Col("f_val")))
+		var left plan.Node = facts
+		if tc.key == "x_ok" {
+			left = renamed
+		}
+		q := plan.Join(plan.SemiJoin, left, keys, []string{tc.key}, []string{"k"})
+		rows, _, explain := run(t, q, DefaultOptions(2, 2))
+		if strings.Contains(explain, "MergeJoin[2,co-located]") != tc.merge ||
+			strings.Contains(explain, "DXchgHashSplit") == tc.merge {
+			t.Fatalf("join type %d, semi join on %s: merged = %v expected:\n%s", tc.kind, tc.key, tc.merge, explain)
+		}
+		if len(rows) != 400 {
+			t.Fatalf("join type %d, semi join on %s: rows = %d, want 400", tc.kind, tc.key, len(rows))
+		}
+	}
+}
+
 // TestRewriteReorderedInputHashes: a gather interleaves the partitions and a
 // sort or top-N puts rows in another key's order, so an aggregate on the
 // clustered key above either hashes.
