@@ -1,26 +1,33 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
 
-// AggFunc enumerates aggregate functions.
+// AggFunc enumerates aggregate functions. The engine has no NULLs, so
+// COUNT(x) is COUNT(*). The rewriter splits a distributed aggregate into a
+// partial phase of SUM, COUNT(*), MIN and MAX, with AVG as SUM over COUNT(*)
+// in a projection; AggAvg serves single-phase plans.
 type AggFunc uint8
 
-// Aggregate functions. Avg is decomposed by the planner into Sum/Count for
-// distributed plans but supported directly for local ones.
+// Aggregate functions.
 const (
 	AggSum AggFunc = iota
-	AggCount
 	AggCountStar
 	AggMin
 	AggMax
 	AggAvg
 	AggCountDistinct
 )
+
+func (f AggFunc) String() string {
+	return [...]string{"SUM", "COUNT(*)", "MIN", "MAX", "AVG", "COUNT(DISTINCT)"}[f]
+}
 
 // AggSpec is one aggregate: a function over an argument expression (nil for
 // COUNT(*)).
@@ -29,64 +36,201 @@ type AggSpec struct {
 	Arg  expr.Expr
 }
 
-// resultKind returns the output kind of the aggregate.
-func (a AggSpec) resultKind() vector.Kind {
-	switch a.Func {
-	case AggCount, AggCountStar, AggCountDistinct:
-		return vector.Int64
-	case AggAvg:
-		return vector.Float64
+// accum is one aggregate's state: typed columns indexed by group id.
+type accum interface {
+	// grow zero-extends the state to n groups.
+	grow(n int)
+	// fold adds a batch's rows to their groups. Ids from next on are groups
+	// the batch starts; each first appears after every smaller new id.
+	fold(arg *vector.Vec, groups []int32, next int32)
+	// result returns the aggregate of groups [lo, hi) in a new vector.
+	result(lo, hi int) *vector.Vec
+	// reset drops every group, keeping the columns' capacity.
+	reset()
+}
+
+// newAccum builds the state of one spec: COUNT(*) and COUNT(DISTINCT) count,
+// SUM adds into int64 over integers and float64 over floats, AVG keeps SUM's
+// column and a count, MIN/MAX keep values of their argument's kind.
+func newAccum(a AggSpec) (accum, error) {
+	if a.Func == AggCountStar || a.Func == AggCountDistinct {
+		return &counts{}, nil
+	}
+	switch k := a.Arg.Kind(); {
+	case k == vector.Int32:
+		return numAccum[int32, int64](a.Func, (*vector.Vec).Int32s), nil
+	case k == vector.Int64:
+		return numAccum[int64, int64](a.Func, (*vector.Vec).Int64s), nil
+	case k == vector.Float64:
+		return numAccum[float64, float64](a.Func, (*vector.Vec).Float64s), nil
+	case k == vector.String && (a.Func == AggMin || a.Func == AggMax):
+		return &extremes[string]{get: (*vector.Vec).Strings, max: a.Func == AggMax}, nil
 	default:
-		if a.Arg == nil {
-			return vector.Int64
-		}
-		k := a.Arg.Kind()
-		if k == vector.Int32 && a.Func == AggSum {
-			return vector.Int64 // sums widen int32; min/max keep their argument's kind
-		}
-		return k
+		return nil, fmt.Errorf("exec: %v over %v in %s", a.Func, k, a.Arg)
 	}
 }
 
-// aggState is one group's accumulator for one aggregate.
-type aggState struct {
-	i64   int64
-	f64   float64
-	str   string
-	seen  bool
-	count int64
+func numAccum[T number, S int64 | float64](f AggFunc, get func(*vector.Vec) []T) accum {
+	switch f {
+	case AggSum:
+		return &sums[T, S]{get: get}
+	case AggAvg:
+		return &avgs[T, S]{sums: sums[T, S]{get: get}}
+	default:
+		return &extremes[T]{get: get, max: f == AggMax}
+	}
 }
 
+// number and value are the kinds of state column: sums are numbers, MIN and
+// MAX values.
+type (
+	number interface{ int32 | int64 | float64 }
+	value  interface{ number | string }
+)
+
+// grown zero-extends s to n elements.
+func grown[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// vecOf copies a state column into a new vector of its kind.
+func vecOf[T value](xs []T) *vector.Vec {
+	switch xs := any(slices.Clone(xs)).(type) {
+	case []int32:
+		return vector.FromInt32(xs)
+	case []int64:
+		return vector.FromInt64(xs)
+	case []float64:
+		return vector.FromFloat64(xs)
+	default:
+		return vector.FromString(xs.([]string))
+	}
+}
+
+// counts is COUNT(*)'s state, and COUNT(DISTINCT)'s, which aggAcc fills.
+type counts struct{ n []int64 }
+
+func (a *counts) grow(n int) { a.n = grown(a.n, n) }
+func (a *counts) fold(_ *vector.Vec, groups []int32, _ int32) {
+	for _, g := range groups {
+		a.n[g]++
+	}
+}
+func (a *counts) result(lo, hi int) *vector.Vec { return vecOf(a.n[lo:hi]) }
+func (a *counts) reset()                        { a.n = a.n[:0] }
+
+// sums is SUM's state: T arguments added as S.
+type sums[T number, S int64 | float64] struct {
+	s   []S
+	get func(*vector.Vec) []T
+}
+
+func (a *sums[T, S]) grow(n int) { a.s = grown(a.s, n) }
+func (a *sums[T, S]) fold(arg *vector.Vec, groups []int32, _ int32) {
+	s, xs := a.s, a.get(arg)
+	for r, g := range groups {
+		s[g] += S(xs[r])
+	}
+}
+func (a *sums[T, S]) result(lo, hi int) *vector.Vec { return vecOf(a.s[lo:hi]) }
+func (a *sums[T, S]) reset()                        { a.s = a.s[:0] }
+
+// avgs is AVG's state: SUM's column and a count. AVG over no rows is 0, not
+// NaN: the engine has no NULLs (TestHashAggrAvgEmptyInput).
+type avgs[T number, S int64 | float64] struct {
+	sums[T, S]
+	counts
+}
+
+func (a *avgs[T, S]) grow(n int) { a.sums.grow(n); a.counts.grow(n) }
+func (a *avgs[T, S]) fold(arg *vector.Vec, groups []int32, _ int32) {
+	s, n, xs := a.s, a.n, a.get(arg)
+	for r, g := range groups {
+		s[g] += S(xs[r])
+		n[g]++
+	}
+}
+func (a *avgs[T, S]) result(lo, hi int) *vector.Vec {
+	out := make([]float64, hi-lo)
+	for i := range out {
+		if c := a.n[lo+i]; c != 0 {
+			out[i] = float64(a.s[lo+i]) / float64(c)
+		}
+	}
+	return vector.FromFloat64(out)
+}
+func (a *avgs[T, S]) reset() { a.sums.reset(); a.counts.reset() }
+
+// extremes is MIN's or MAX's state. A group starts from its first row, the
+// first with an id from next on, so no value stands in for "none yet" and no
+// flag says whether one came.
+type extremes[T value] struct {
+	v   []T
+	get func(*vector.Vec) []T
+	max bool
+}
+
+func (a *extremes[T]) grow(n int) { a.v = grown(a.v, n) }
+func (a *extremes[T]) fold(arg *vector.Vec, groups []int32, next int32) {
+	v, xs := a.v, a.get(arg)
+	for r, g := range groups {
+		switch x := xs[r]; {
+		case g >= next:
+			if vector.DebugAsserts && g != next {
+				panic(fmt.Sprintf("exec: new group %d before group %d", g, next))
+			}
+			v[g], next = x, g+1
+		case a.max && x > v[g], !a.max && x < v[g]:
+			v[g] = x
+		}
+	}
+}
+func (a *extremes[T]) result(lo, hi int) *vector.Vec { return vecOf(a.v[lo:hi]) }
+func (a *extremes[T]) reset()                        { a.v = a.v[:0] }
+
 // aggAcc is what both aggregation operators do once a row has its group id:
-// states[agg][group], plus a (group, value) dedup table per COUNT(DISTINCT)
-// spec, created on first use so other aggregations never pay for it.
+// one accum per spec over n groups, plus a (group, value) dedup table per
+// COUNT(DISTINCT) spec, created on first use so other aggregations never pay
+// for it.
 type aggAcc struct {
 	aggs     []AggSpec
-	states   [][]aggState // indexed [agg][group]
+	accs     []accum
+	n        int          // groups held
 	distinct []*HashTable // (group, value) tables, by agg
 	pool     *vector.Pool // the owning operator's pool
 }
 
-func (a *aggAcc) init(aggs []AggSpec, pool *vector.Pool) {
-	a.aggs, a.pool = aggs, pool
-	a.states, a.distinct = make([][]aggState, len(aggs)), make([]*HashTable, len(aggs))
-}
-
-// grow extends every per-agg state column to n groups.
-func (a *aggAcc) grow(n int) {
-	for ai := range a.states {
-		for len(a.states[ai]) < n {
-			a.states[ai] = append(a.states[ai], aggState{})
+func (a *aggAcc) init(aggs []AggSpec, pool *vector.Pool) (err error) {
+	a.aggs, a.pool, a.n = aggs, pool, 0
+	a.accs, a.distinct = make([]accum, len(aggs)), make([]*HashTable, len(aggs))
+	for i, spec := range aggs {
+		if a.accs[i], err = newAccum(spec); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// update folds one batch into the groups its rows map to: args holds each
-// spec's argument column (nil for COUNT(*)), groups the row's group id.
-func (a *aggAcc) update(args []*vector.Vec, groups []int32) error {
+// grow zero-extends every state to n groups.
+func (a *aggAcc) grow(n int) {
+	for _, acc := range a.accs {
+		acc.grow(n)
+	}
+	a.n = n
+}
+
+// update folds one batch into the groups its rows map to, n groups in all
+// after it: args holds each spec's argument column (nil for COUNT(*)),
+// groups the row's group id, new ids first appearing in increasing order.
+func (a *aggAcc) update(args []*vector.Vec, groups []int32, n int) error {
+	next := int32(a.n)
+	a.grow(n)
 	for ai, spec := range a.aggs {
 		if spec.Func != AggCountDistinct {
-			updateAggBatch(a.states[ai], spec, args[ai], groups)
+			a.accs[ai].fold(args[ai], groups, next)
 		} else if err := a.updateDistinct(ai, args[ai], groups); err != nil {
 			return err
 		}
@@ -116,58 +260,30 @@ func (a *aggAcc) foldDistinct() {
 		if dt == nil {
 			continue
 		}
-		states := a.states[ai]
+		c := a.accs[ai].(*counts)
 		for _, g := range dt.Keys()[0].Int32s() {
-			states[g].count++
+			c.n[g]++
 		}
 	}
 }
 
-// reset drops every group, keeping the state columns and dedup tables for
-// the next ones.
+// reset drops every group, keeping the states and dedup tables for the
+// next ones.
 func (a *aggAcc) reset() {
-	for ai := range a.states {
-		a.states[ai] = a.states[ai][:0]
+	for ai, acc := range a.accs {
+		acc.reset()
 		if dt := a.distinct[ai]; dt != nil {
 			dt.Reset()
 		}
 	}
+	a.n = 0
 }
 
 // results fills out[ai] with aggregate ai's result column over groups
 // [lo, hi).
 func (a *aggAcc) results(lo, hi int, out []*vector.Vec) {
-	for ai, spec := range a.aggs {
-		v := vector.New(spec.resultKind(), hi-lo)
-		for g := lo; g < hi; g++ {
-			st := &a.states[ai][g]
-			switch spec.Func {
-			case AggCount, AggCountStar, AggCountDistinct:
-				v.AppendInt64(st.count)
-			case AggAvg:
-				if st.count == 0 {
-					// AVG over zero rows: the engine has no NULLs, so the
-					// empty (global) group deliberately emits 0 rather
-					// than NaN from 0/0. Tested by
-					// TestHashAggrAvgEmptyInput.
-					v.AppendFloat64(0)
-				} else {
-					v.AppendFloat64(st.f64 / float64(st.count))
-				}
-			case AggSum, AggMin, AggMax:
-				switch spec.resultKind() {
-				case vector.Float64:
-					v.AppendFloat64(st.f64)
-				case vector.String:
-					v.AppendString(st.str)
-				case vector.Int32:
-					v.AppendInt32(int32(st.i64))
-				default:
-					v.AppendInt64(st.i64)
-				}
-			}
-		}
-		out[ai] = v
+	for ai, acc := range a.accs {
+		out[ai] = acc.result(lo, hi)
 	}
 }
 
@@ -190,11 +306,15 @@ func argCols(prog *expr.Program, nKeys int, aggs []AggSpec, dst []*vector.Vec) {
 // second (group, value)-keyed table instead of per-group map[string] sets.
 // It consumes the child fully on the first Next, then emits result batches:
 // key columns followed by one column per aggregate. With no keys it emits
-// exactly one global row.
+// one global row, over no input too unless it is a partial phase.
 type HashAggr struct {
 	Child Operator
 	Keys  []expr.Expr
 	Aggs  []AggSpec
+	// Partial marks the phase below an exchange. Without keys, over no
+	// input, it emits no row: a final phase takes every row it gets as
+	// values, and MIN/MAX would take the global row's zeros.
+	Partial bool
 
 	aggAcc
 	prog     *expr.Program // keys, then every non-nil aggregate argument
@@ -207,7 +327,8 @@ type HashAggr struct {
 // AggExprs lists the expressions an aggregation evaluates per batch, in the
 // order of its program's outputs: the keys, then every non-nil argument.
 // Compiling them together is what lets aggregates over overlapping
-// expressions (Q01's eleven over five) share their common primitives.
+// expressions (Q01's five sums over four decimal columns) share their common
+// primitives.
 func AggExprs(keys []expr.Expr, aggs []AggSpec) []expr.Expr {
 	out := append(make([]expr.Expr, 0, len(keys)+len(aggs)), keys...)
 	for _, a := range aggs {
@@ -226,19 +347,14 @@ func (h *HashAggr) Open() (err error) {
 	if h.prog, err = expr.Compile(AggExprs(h.Keys, h.Aggs)...); err != nil {
 		return err
 	}
+	if err := h.init(h.Aggs, &h.pool); err != nil {
+		return err
+	}
 	return h.Child.Open()
 }
 
 // Close implements Operator.
 func (h *HashAggr) Close() error { return h.Child.Close() }
-
-// numGroups returns the group count: the table's, or the one global group.
-func (h *HashAggr) numGroups() int {
-	if h.table != nil {
-		return h.table.Len()
-	}
-	return 1
-}
 
 // Next implements Operator.
 func (h *HashAggr) Next() (*vector.Batch, error) {
@@ -248,12 +364,11 @@ func (h *HashAggr) Next() (*vector.Batch, error) {
 		}
 		h.consumed = true
 	}
-	n := h.numGroups()
-	if h.emitted >= n {
+	if h.emitted >= h.n {
 		return nil, nil
 	}
 	lo := h.emitted
-	hi := min(lo+vector.MaxSize, n)
+	hi := min(lo+vector.MaxSize, h.n)
 	h.emitted = hi
 	out := &vector.Batch{Vecs: make([]*vector.Vec, len(h.Keys)+len(h.Aggs))}
 	for i := range h.Keys {
@@ -264,7 +379,6 @@ func (h *HashAggr) Next() (*vector.Batch, error) {
 }
 
 func (h *HashAggr) consume() error {
-	h.init(h.Aggs, &h.pool)
 	if len(h.Keys) > 0 {
 		kinds := make([]vector.Kind, len(h.Keys))
 		for i, k := range h.Keys {
@@ -293,22 +407,23 @@ func (h *HashAggr) consume() error {
 			return err
 		}
 		argCols(h.prog, len(keyCols), h.Aggs, args)
-		groups := h.pool.GetSel(n)[:n]
+		groups, ng := h.pool.GetSel(n)[:n], 1
 		if h.table != nil {
 			if err := h.table.FindOrInsert(keyCols, n, groups); err != nil {
 				return err // groups goes to the collector, not the pool
 			}
+			ng = h.table.Len()
 		} else {
 			clear(groups)
 		}
-		h.grow(h.numGroups())
-		if err := h.update(args, groups); err != nil {
+		if err := h.update(args, groups, ng); err != nil {
 			return err
 		}
 		h.pool.PutSel(groups)
 	}
-	// Global aggregates emit one row even for empty input.
-	h.grow(h.numGroups())
+	if h.table == nil && !h.Partial {
+		h.grow(1) // the global row of no input: zeros
+	}
 	h.foldDistinct()
 	return nil
 }
@@ -341,7 +456,9 @@ func (o *OrderedAggr) Open() (err error) {
 	if o.prog, err = expr.Compile(AggExprs([]expr.Expr{o.Key}, o.Aggs)...); err != nil {
 		return err
 	}
-	o.init(o.Aggs, &o.pool)
+	if err := o.init(o.Aggs, &o.pool); err != nil {
+		return err
+	}
 	o.keys, o.args = vector.New(o.Key.Kind(), vector.MaxSize), make([]*vector.Vec, len(o.Aggs))
 	o.last, o.pos, o.n, o.done = math.MinInt64, 0, 0, false
 	return o.Child.Open()
@@ -417,8 +534,7 @@ func (o *OrderedAggr) fold() (full bool, err error) {
 			}
 		}
 	}
-	o.grow(int(g) + 1)
-	err = o.update(args, groups)
+	err = o.update(args, groups, int(g)+1)
 	o.pool.PutSel(groups)
 	o.pos = end
 	return full, err
@@ -433,137 +549,4 @@ func (o *OrderedAggr) emit() *vector.Batch {
 	o.keys = vector.New(o.Key.Kind(), vector.MaxSize)
 	o.reset()
 	return out
-}
-
-// updateAggBatch folds one batch of argument values into the per-group
-// states, hoisting the function/kind dispatch out of the row loop.
-func updateAggBatch(states []aggState, spec AggSpec, arg *vector.Vec, groups []int32) {
-	switch spec.Func {
-	case AggCountStar, AggCount:
-		for _, g := range groups {
-			states[g].count++
-		}
-		return
-	case AggAvg:
-		switch arg.Kind() {
-		case vector.Float64:
-			for r, g := range groups {
-				st := &states[g]
-				st.f64 += arg.Float64s()[r]
-				st.count++
-			}
-		case vector.Int64:
-			for r, g := range groups {
-				st := &states[g]
-				st.f64 += float64(arg.Int64s()[r])
-				st.count++
-			}
-		case vector.Int32:
-			for r, g := range groups {
-				st := &states[g]
-				st.f64 += float64(arg.Int32s()[r])
-				st.count++
-			}
-		}
-		return
-	}
-	switch arg.Kind() {
-	case vector.Float64:
-		xs := arg.Float64s()
-		switch spec.Func {
-		case AggSum:
-			for r, g := range groups {
-				st := &states[g]
-				st.f64 += xs[r]
-				st.seen = true
-			}
-		case AggMin:
-			for r, g := range groups {
-				st := &states[g]
-				if x := xs[r]; !st.seen || x < st.f64 {
-					st.f64 = x
-				}
-				st.seen = true
-			}
-		case AggMax:
-			for r, g := range groups {
-				st := &states[g]
-				if x := xs[r]; !st.seen || x > st.f64 {
-					st.f64 = x
-				}
-				st.seen = true
-			}
-		}
-	case vector.String:
-		switch spec.Func {
-		case AggMin:
-			for r, g := range groups {
-				st := &states[g]
-				if x := arg.StrAt(r); !st.seen || x < st.str {
-					st.str = x
-				}
-				st.seen = true
-			}
-		case AggMax:
-			for r, g := range groups {
-				st := &states[g]
-				if x := arg.StrAt(r); !st.seen || x > st.str {
-					st.str = x
-				}
-				st.seen = true
-			}
-		}
-	case vector.Int32:
-		xs := arg.Int32s()
-		switch spec.Func {
-		case AggSum:
-			for r, g := range groups {
-				st := &states[g]
-				st.i64 += int64(xs[r])
-				st.seen = true
-			}
-		case AggMin:
-			for r, g := range groups {
-				st := &states[g]
-				if x := int64(xs[r]); !st.seen || x < st.i64 {
-					st.i64 = x
-				}
-				st.seen = true
-			}
-		case AggMax:
-			for r, g := range groups {
-				st := &states[g]
-				if x := int64(xs[r]); !st.seen || x > st.i64 {
-					st.i64 = x
-				}
-				st.seen = true
-			}
-		}
-	default:
-		xs := arg.Int64s()
-		switch spec.Func {
-		case AggSum:
-			for r, g := range groups {
-				st := &states[g]
-				st.i64 += xs[r]
-				st.seen = true
-			}
-		case AggMin:
-			for r, g := range groups {
-				st := &states[g]
-				if x := xs[r]; !st.seen || x < st.i64 {
-					st.i64 = x
-				}
-				st.seen = true
-			}
-		case AggMax:
-			for r, g := range groups {
-				st := &states[g]
-				if x := xs[r]; !st.seen || x > st.i64 {
-					st.i64 = x
-				}
-				st.seen = true
-			}
-		}
-	}
 }

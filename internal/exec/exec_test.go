@@ -124,6 +124,17 @@ func TestHashAggrGlobalAndEmpty(t *testing.T) {
 	if err != nil || len(rows) != 1 || rows[0][0].(int64) != 0 {
 		t.Fatalf("empty global = %v err=%v", rows, err)
 	}
+	// A partial phase over empty input yields none: the final phase would
+	// take its zeros as a stream's MIN and MAX.
+	minMax := []AggSpec{{Func: AggMin, Arg: expr.Col(0, vector.Int64)}, {Func: AggMax, Arg: expr.Col(0, vector.Int64)}}
+	op = &HashAggr{Child: &BatchSource{}, Aggs: minMax, Partial: true}
+	if rows, err = Collect(op); err != nil || len(rows) != 0 {
+		t.Fatalf("empty partial = %v err=%v", rows, err)
+	}
+	op = &HashAggr{Child: src(10, 2), Aggs: minMax, Partial: true}
+	if rows, err = Collect(op); err != nil || len(rows) != 1 || rows[0][0].(int64) != 0 || rows[0][1].(int64) != 9 {
+		t.Fatalf("partial min/max = %v err=%v", rows, err)
+	}
 }
 
 func TestHashAggrCountDistinct(t *testing.T) {

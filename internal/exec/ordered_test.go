@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 	"vectorh/internal/vector"
 )
 
-// OrderedAggr is checked against HashAggr on the same sorted input: the two
-// must agree row for row, and the ordered one must emit its groups in key
-// order, at most one output batch at a time.
+// OrderedAggr and HashAggr are checked on the same sorted input against a
+// plain-Go model of every aggregate: both must agree with it row for row,
+// and the ordered one must emit its groups in key order, at most one output
+// batch at a time.
 
 var words = []string{"ash", "birch", "cedar", "elm", "fir", "oak", "yew"}
 
@@ -49,9 +51,9 @@ func (in orderedInput) batches() []*vector.Batch {
 	var codes []uint32
 	var sel []int32
 	row := func(k, v int64) {
-		keys, i32, i64 = append(keys, k), append(i32, int32(v)), append(i64, v*1000+k)
-		dates, f64 = append(dates, int32(9000+v%400)), append(f64, float64(v)/4)
-		strs, codes = append(strs, words[v%int64(len(words))]), append(codes, uint32((v+3)%int64(len(words))))
+		keys, i32, i64 = append(keys, k), append(i32, cell(colI32, k, v).(int32)), append(i64, cell(colI64, k, v).(int64))
+		dates, f64 = append(dates, cell(colDate, k, v).(int32)), append(f64, cell(colF64, k, v).(float64))
+		strs, codes = append(strs, cell(colStr, k, v).(string)), append(codes, uint32((v+3)%int64(len(words))))
 	}
 	flush := func() {
 		kv := vector.FromInt64(keys)
@@ -86,6 +88,24 @@ func (in orderedInput) batches() []*vector.Batch {
 	return out
 }
 
+// cell is the value of column col in the row of key k and value v.
+func cell(col int, k, v int64) any {
+	switch col {
+	case colI32:
+		return int32(v)
+	case colI64:
+		return v*1000 + k
+	case colDate:
+		return int32(9000 + v%400)
+	case colF64:
+		return float64(v) / 4
+	case colStr:
+		return words[v%int64(len(words))]
+	default: // colDict
+		return words[(v+3)%int64(len(words))]
+	}
+}
+
 func (in orderedInput) key() expr.Expr {
 	if in.key32 {
 		return expr.Col(colKey, vector.Int32)
@@ -98,12 +118,12 @@ func allAggs() []AggSpec {
 	aggs := []AggSpec{{Func: AggCountStar}}
 	for _, arg := range []expr.Expr{expr.Col(colI32, vector.Int32), expr.Col(colI64, vector.Int64),
 		expr.Col(colDate, vector.Int32), expr.Col(colF64, vector.Float64)} {
-		for _, f := range []AggFunc{AggSum, AggCount, AggMin, AggMax, AggAvg, AggCountDistinct} {
+		for _, f := range []AggFunc{AggSum, AggMin, AggMax, AggAvg, AggCountDistinct} {
 			aggs = append(aggs, AggSpec{Func: f, Arg: arg})
 		}
 	}
 	for _, arg := range []expr.Expr{expr.Col(colStr, vector.String), expr.Col(colDict, vector.String)} {
-		for _, f := range []AggFunc{AggCount, AggMin, AggMax, AggCountDistinct} {
+		for _, f := range []AggFunc{AggMin, AggMax, AggCountDistinct} {
 			aggs = append(aggs, AggSpec{Func: f, Arg: arg})
 		}
 	}
@@ -117,7 +137,95 @@ func keyOf(row []any) int64 {
 	return row[0].(int64)
 }
 
-// checkOrderedAggr runs both operators over in and fails on any difference.
+// model aggregates in's live rows with maps and plain loops, a row per key
+// in key order: SUM adds integers as int64 and floats as float64, AVG
+// divides that sum by the count (0 for none), MIN/MAX keep the argument's
+// type.
+func model(in orderedInput, aggs []AggSpec) [][]any {
+	var out [][]any
+	for lo, hi := 0, 0; lo < len(in.keys); lo = hi {
+		for hi = lo; hi < len(in.keys) && in.keys[hi] == in.keys[lo]; hi++ {
+		}
+		row := []any{in.keys[lo]}
+		if in.key32 {
+			row[0] = int32(in.keys[lo])
+		}
+		for _, a := range aggs {
+			var xs []any
+			if a.Arg != nil {
+				col := expr.Columns(a.Arg)[0]
+				for r := lo; r < hi; r++ {
+					xs = append(xs, cell(col, in.keys[r], in.vals[r]))
+				}
+			}
+			row = append(row, modelAgg(a.Func, xs, hi-lo))
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+func modelAgg(f AggFunc, xs []any, n int) any {
+	less := func(a, b any) bool {
+		switch a := a.(type) {
+		case int32:
+			return a < b.(int32)
+		case int64:
+			return a < b.(int64)
+		case float64:
+			return a < b.(float64)
+		default:
+			return a.(string) < b.(string)
+		}
+	}
+	var isum int64
+	var fsum float64
+	for _, x := range xs {
+		switch x := x.(type) {
+		case int32:
+			isum += int64(x)
+		case int64:
+			isum += x
+		case float64:
+			fsum += x
+		}
+	}
+	isFloat := false
+	if len(xs) > 0 {
+		_, isFloat = xs[0].(float64)
+	}
+	switch f {
+	case AggCountStar:
+		return int64(n)
+	case AggCountDistinct:
+		set := map[any]bool{}
+		for _, x := range xs {
+			set[x] = true
+		}
+		return int64(len(set))
+	case AggMin, AggMax:
+		best := xs[0]
+		for _, x := range xs[1:] {
+			if f == AggMin && less(x, best) || f == AggMax && less(best, x) {
+				best = x
+			}
+		}
+		return best
+	case AggSum:
+		if isFloat {
+			return fsum
+		}
+		return isum
+	default: // AggAvg
+		if isFloat {
+			return fsum / float64(n)
+		}
+		return float64(isum) / float64(n)
+	}
+}
+
+// checkOrderedAggr runs both operators over in and fails on any difference
+// from the model, in value or in type.
 func checkOrderedAggr(t testing.TB, in orderedInput) *OrderedAggr {
 	t.Helper()
 	aggs := allAggs()
@@ -144,17 +252,23 @@ func checkOrderedAggr(t testing.TB, in orderedInput) *OrderedAggr {
 	if err := op.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Collect(&HashAggr{Child: &BatchSource{Batches: in.batches()}, Keys: []expr.Expr{in.key()}, Aggs: aggs})
+	hashed, err := Collect(&HashAggr{Child: &BatchSource{Batches: in.batches()}, Keys: []expr.Expr{in.key()}, Aggs: aggs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(want, func(i, j int) bool { return keyOf(want[i]) < keyOf(want[j]) })
-	if len(got) != len(want) {
-		t.Fatalf("ordered aggregation gave %d groups, hash aggregation %d", len(got), len(want))
-	}
-	for i := range got {
-		if g, w := fmt.Sprint(got[i]), fmt.Sprint(want[i]); g != w {
-			t.Fatalf("group %d differs:\n ordered %s\n hash    %s", i, g, w)
+	sort.Slice(hashed, func(i, j int) bool { return keyOf(hashed[i]) < keyOf(hashed[j]) })
+	want := model(in, aggs)
+	typed := func(x any) string { return fmt.Sprintf("%T %v", x, x) }
+	for name, got := range map[string][][]any{"ordered": got, "hash": hashed} {
+		if len(got) != len(want) {
+			t.Fatalf("%s aggregation gave %d groups, the model %d", name, len(got), len(want))
+		}
+		for i := range got {
+			for c := range got[i] {
+				if g, w := typed(got[i][c]), typed(want[i][c]); g != w {
+					t.Fatalf("%s aggregation, group %d, column %d (%v): %s, the model %s", name, i, c, aggs[max(c-1, 0)], g, w)
+				}
+			}
 		}
 	}
 	return op
@@ -228,9 +342,9 @@ func TestOrderedAggrStateBounded(t *testing.T) {
 		in.cuts[r] = true
 	}
 	op := checkOrderedAggr(t, in)
-	for ai, s := range op.states {
-		if cap(s) > 2*vector.MaxSize {
-			t.Fatalf("aggregate %d holds state for %d groups", ai, cap(s))
+	for ai, acc := range op.accs {
+		if c := stateCap(reflect.ValueOf(acc)); c > 2*vector.MaxSize {
+			t.Fatalf("aggregate %d holds state for %d groups", ai, c)
 		}
 	}
 	for ai, dt := range op.distinct {
@@ -240,8 +354,23 @@ func TestOrderedAggrStateBounded(t *testing.T) {
 	}
 }
 
+// stateCap is the largest capacity among the state columns in v.
+func stateCap(v reflect.Value) (c int) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		return stateCap(v.Elem())
+	case reflect.Slice:
+		return v.Cap()
+	case reflect.Struct:
+		for i := range v.NumField() {
+			c = max(c, stateCap(v.Field(i)))
+		}
+	}
+	return c
+}
+
 // FuzzOrderedAggr: key steps, values and batch cuts from the fuzzer, one
-// byte triple per row; the result must equal HashAggr's.
+// byte triple per row; both aggregations must equal the model.
 func FuzzOrderedAggr(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 3, 0, 3, 5, 2, 4, 0}, false, false)
 	f.Add([]byte{1, 9, 5, 0, 9, 5, 0, 9, 5, 1, 1, 0}, true, true)

@@ -29,13 +29,15 @@ func TestCompileErrorsSurfaceFromOpen(t *testing.T) {
 		"project":         &Project{Child: child(), Exprs: []expr.Expr{i64, bad}},
 		"aggr key":        &HashAggr{Child: child(), Keys: []expr.Expr{bad}},
 		"aggr arg":        &HashAggr{Child: child(), Aggs: []AggSpec{{Func: AggSum, Arg: bad}}},
+		"aggr sum string": &HashAggr{Child: child(), Aggs: []AggSpec{{Func: AggSum, Arg: str}}},
 		"join build":      &HashJoin{Build: child(), Probe: child(), BuildKeys: []expr.Expr{bad}, ProbeKeys: []expr.Expr{i64}},
 		"join probe":      &HashJoin{Build: child(), Probe: child(), BuildKeys: []expr.Expr{i64}, ProbeKeys: []expr.Expr{bad}},
 		"sort":            &Sort{Child: child(), Keys: []SortKey{{Expr: bad}}},
 		"topn":            &TopN{Child: child(), Keys: []SortKey{{Expr: bad}}, N: 1},
 	} {
 		err := op.Open()
-		if err == nil || !(strings.Contains(err.Error(), "($0 + 1)") || strings.Contains(err.Error(), "not bool")) {
+		if err == nil || !(strings.Contains(err.Error(), "($0 + 1)") || strings.Contains(err.Error(), "not bool") ||
+			strings.Contains(err.Error(), "SUM over string in $0")) {
 			t.Errorf("%s: Open = %v, want a compile error naming the sub-expression", name, err)
 		}
 	}

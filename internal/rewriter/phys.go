@@ -404,7 +404,7 @@ func (p *physAggr) instantiate(e *Env) ([][]exec.Operator, error) {
 		if p.kind == "ordered" {
 			return &exec.OrderedAggr{Child: op, Key: p.keys[0], Aggs: p.aggs}
 		}
-		return &exec.HashAggr{Child: op, Keys: p.keys, Aggs: p.aggs}
+		return &exec.HashAggr{Child: op, Keys: p.keys, Aggs: p.aggs, Partial: p.kind == "partial"}
 	}), nil
 }
 

@@ -656,37 +656,38 @@ func directAggs(n *plan.AggregateNode, s vector.Schema) ([]expr.Expr, []exec.Agg
 	}
 	aggs := make([]exec.AggSpec, len(n.Aggs))
 	for i, a := range n.Aggs {
-		spec := exec.AggSpec{}
-		switch a.Func {
-		case plan.Sum:
-			spec.Func = exec.AggSum
-		case plan.Count:
-			spec.Func = exec.AggCount
-		case plan.CountStar:
-			spec.Func = exec.AggCountStar
-		case plan.Min:
-			spec.Func = exec.AggMin
-		case plan.Max:
-			spec.Func = exec.AggMax
-		case plan.Avg:
-			spec.Func = exec.AggAvg
-		case plan.CountDistinct:
-			spec.Func = exec.AggCountDistinct
-		default:
-			return nil, nil, fmt.Errorf("rewriter: unknown aggregate %q", a.Func)
+		if aggs[i], err = bindAgg(a, s); err != nil {
+			return nil, nil, err
 		}
-		if a.Func != plan.CountStar {
-			if spec.Arg, err = a.Arg.Bind(s); err != nil {
-				return nil, nil, err
-			}
-		}
-		aggs[i] = spec
 	}
 	return keys, aggs, nil
 }
 
-// decomposeAggs lowers logical aggregates into a partial phase, a combining
-// final phase and a projection restoring the logical output.
+// aggFuncs maps each logical aggregate to its exec function. The engine has
+// no NULLs, so COUNT(x) is COUNT(*) and its argument is not evaluated.
+var aggFuncs = map[plan.AggFuncName]exec.AggFunc{
+	plan.Sum: exec.AggSum, plan.Count: exec.AggCountStar, plan.CountStar: exec.AggCountStar,
+	plan.Min: exec.AggMin, plan.Max: exec.AggMax, plan.Avg: exec.AggAvg, plan.CountDistinct: exec.AggCountDistinct,
+}
+
+// bindAgg binds one logical aggregate over s.
+func bindAgg(a plan.AggItem, s vector.Schema) (spec exec.AggSpec, err error) {
+	f, ok := aggFuncs[a.Func]
+	if !ok {
+		return spec, fmt.Errorf("rewriter: unknown aggregate %q", a.Func)
+	}
+	spec.Func = f
+	if f != exec.AggCountStar {
+		spec.Arg, err = a.Arg.Bind(s)
+	}
+	return spec, err
+}
+
+// decomposeAggs lowers logical aggregates into a partial phase with one
+// aggregate per distinct (function, argument), a final phase combining each
+// (counts and sums add up, MIN and MAX repeat) and a projection restoring
+// the logical output. AVG is its argument's SUM over the COUNT(*) there, 0
+// over no rows as the single-phase AVG is.
 func decomposeAggs(n *plan.AggregateNode, childSchema, outSchema vector.Schema) (
 	partialSchema vector.Schema, pKeys []expr.Expr, pAggs []exec.AggSpec,
 	finAggs []exec.AggSpec, finProj []expr.Expr, err error) {
@@ -695,101 +696,66 @@ func decomposeAggs(n *plan.AggregateNode, childSchema, outSchema vector.Schema) 
 	if err != nil {
 		return
 	}
-	partialSchema = make(vector.Schema, 0, len(n.GroupBy)+len(n.Aggs)+2)
-	for _, g := range n.GroupBy {
+	partialSchema = make(vector.Schema, 0, len(n.GroupBy)+len(n.Aggs)+1)
+	for i, g := range n.GroupBy {
 		f, ferr := childSchema.Field(g)
 		if ferr != nil {
 			err = ferr
 			return
 		}
 		partialSchema = append(partialSchema, f)
+		finProj = append(finProj, expr.Col(i, f.Type.Kind))
 	}
-	// For each logical agg: its partial columns, the combine spec(s), and
-	// the projection expression over the combined schema.
-	type slot struct {
-		cols []int // positions in partialSchema
-		fn   plan.AggFuncName
+	// partial returns the combined column of f(arg), adding it on first use.
+	type partialKey struct {
+		f    exec.AggFunc
+		arg  string
+		kind vector.Kind
 	}
-	var slots []slot
-	addPartial := func(name string, t vector.Type, spec exec.AggSpec, fin exec.AggSpec) int {
-		pos := len(partialSchema)
+	cols := map[partialKey]expr.Expr{}
+	partial := func(name string, t vector.Type, f exec.AggFunc, arg expr.Expr) expr.Expr {
+		k := partialKey{f: f}
+		if arg != nil {
+			k.arg, k.kind = arg.String(), arg.Kind()
+		}
+		if col, ok := cols[k]; ok {
+			return col
+		}
+		col := expr.Col(len(partialSchema), t.Kind)
 		partialSchema = append(partialSchema, vector.Field{Name: name, Type: t})
-		pAggs = append(pAggs, spec)
-		finAggs = append(finAggs, fin)
-		return pos
+		pAggs = append(pAggs, exec.AggSpec{Func: f, Arg: arg})
+		fin := exec.AggSum
+		if f == exec.AggMin || f == exec.AggMax {
+			fin = f
+		}
+		finAggs = append(finAggs, exec.AggSpec{Func: fin, Arg: col})
+		cols[k] = col
+		return col
 	}
 	for i, a := range n.Aggs {
-		var arg expr.Expr
-		if a.Func != plan.CountStar {
-			if arg, err = a.Arg.Bind(childSchema); err != nil {
-				return
-			}
-		}
-		switch a.Func {
-		case plan.Sum:
-			t := outSchema[len(n.GroupBy)+i].Type
-			pos := addPartial(a.Name, t,
-				exec.AggSpec{Func: exec.AggSum, Arg: arg},
-				exec.AggSpec{Func: exec.AggSum})
-			slots = append(slots, slot{cols: []int{pos}, fn: plan.Sum})
-		case plan.Count, plan.CountStar:
-			pos := addPartial(a.Name, vector.TInt64,
-				exec.AggSpec{Func: exec.AggCountStar},
-				exec.AggSpec{Func: exec.AggSum})
-			slots = append(slots, slot{cols: []int{pos}, fn: plan.Count})
-		case plan.Min:
-			t := outSchema[len(n.GroupBy)+i].Type
-			pos := addPartial(a.Name, t,
-				exec.AggSpec{Func: exec.AggMin, Arg: arg},
-				exec.AggSpec{Func: exec.AggMin})
-			slots = append(slots, slot{cols: []int{pos}, fn: plan.Min})
-		case plan.Max:
-			t := outSchema[len(n.GroupBy)+i].Type
-			pos := addPartial(a.Name, t,
-				exec.AggSpec{Func: exec.AggMax, Arg: arg},
-				exec.AggSpec{Func: exec.AggMax})
-			slots = append(slots, slot{cols: []int{pos}, fn: plan.Max})
-		case plan.Avg:
-			sumPos := addPartial(a.Name+"$sum", vector.TFloat64,
-				exec.AggSpec{Func: exec.AggSum, Arg: toFloat(arg)},
-				exec.AggSpec{Func: exec.AggSum})
-			cntPos := addPartial(a.Name+"$cnt", vector.TInt64,
-				exec.AggSpec{Func: exec.AggCountStar},
-				exec.AggSpec{Func: exec.AggSum})
-			slots = append(slots, slot{cols: []int{sumPos, cntPos}, fn: plan.Avg})
-		default:
-			err = fmt.Errorf("rewriter: aggregate %q cannot be decomposed", a.Func)
+		var spec exec.AggSpec
+		if spec, err = bindAgg(a, childSchema); err != nil {
 			return
 		}
-	}
-	// Combine-phase argument binding: finAggs[j] aggregates partial column
-	// (len(groupBy)+j) of the exchanged partial rows.
-	for j := range finAggs {
-		pos := len(n.GroupBy) + j
-		finAggs[j].Arg = expr.Col(pos, partialSchema[pos].Type.Kind)
-	}
-	// Final projection to the logical schema.
-	for i := range n.GroupBy {
-		finProj = append(finProj, expr.Col(i, partialSchema[i].Type.Kind))
-	}
-	for _, sl := range slots {
-		if sl.fn == plan.Avg {
-			finProj = append(finProj, expr.Div(
-				expr.Col(sl.cols[0], vector.Float64),
-				expr.Col(sl.cols[1], vector.Int64)))
-		} else {
-			finProj = append(finProj, expr.Col(sl.cols[0], partialSchema[sl.cols[0]].Type.Kind))
+		var col expr.Expr
+		switch spec.Func {
+		case exec.AggAvg:
+			st := vector.TFloat64
+			if spec.Arg.Kind() != vector.Float64 {
+				st = vector.TInt64
+			}
+			sum := partial(a.Name+"$sum", st, exec.AggSum, spec.Arg)
+			cnt := partial(a.Name+"$cnt", vector.TInt64, exec.AggCountStar, nil)
+			col = expr.Case(expr.EQ(cnt, expr.ConstInt64(0)), expr.ConstFloat(0), expr.Div(sum, cnt))
+		case exec.AggCountDistinct:
+			err = fmt.Errorf("rewriter: aggregate %q cannot be decomposed", a.Func)
+			return
+		default:
+			col = partial(a.Name, outSchema[len(n.GroupBy)+i].Type, spec.Func, spec.Arg)
 		}
+		finProj = append(finProj, col)
 	}
 	return
-}
-
-// toFloat widens an argument for float partial sums.
-func toFloat(e expr.Expr) expr.Expr {
-	if e.Kind() == vector.Float64 {
-		return e
-	}
-	return expr.Scaled(e, 1)
 }
 
 func (c *rewriteCtx) recOrderBy(n *plan.OrderByNode) (result, error) {

@@ -70,7 +70,7 @@ func TestExplainShowsProgramSizes(t *testing.T) {
 	from lineitem
 	group by l_shipmode, ship_year`
 	for _, c := range []struct{ name, sql, want string }{
-		{"Q01", SQLQueries[1], "Aggr(partial)[2 keys,11 aggs,8 prims]"},
+		{"Q01", SQLQueries[1], "Aggr(partial)[2 keys,6 aggs,8 prims]"},
 		{"S3", s3, "Project[4 exprs,10 prims]"},
 	} {
 		ex, err := db.ExplainSQL(c.sql)
