@@ -167,12 +167,15 @@ type scanIOReporter interface{ ScanIOStats() ScanIO }
 // buildAnalyzed aggregates the profiled streams of each plan node and
 // renders the EXPLAIN ANALYZE tree: the cost model's ~N estimate next to the
 // measured rows, batches, peak batch size and cumulative wall time, plus
-// blocks/bytes/pruned-spans for scans. It also returns the flat per-node
-// aggregates (heaviest first) and the query's total scan IO.
+// blocks/bytes/pruned-spans for scans and, for hash joins, the rows built
+// into their tables and how many distinct tables there were. It also
+// returns the flat per-node aggregates (heaviest first) and the query's
+// total scan IO.
 func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewriter.Profile) (string, []obs.OpProfile, ScanIO) {
 	type agg struct {
 		op    obs.OpProfile
 		hasIO bool
+		sides map[*exec.BuildSide]bool // a hash join's distinct tables
 	}
 	byPhys := make(map[rewriter.Phys]*agg, len(prof.Streams))
 	order := make([]rewriter.Phys, 0, len(prof.Streams))
@@ -208,6 +211,14 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 			total.BytesSkipped += io.BytesSkipped
 			total.BytesMaterialized += io.BytesMaterialized
 		}
+		if j, ok := sp.Prof.Child.(*exec.HashJoin); ok && !a.sides[j.Build] {
+			if a.sides == nil {
+				a.sides = map[*exec.BuildSide]bool{}
+			}
+			a.sides[j.Build] = true
+			a.op.BuildRows += j.Build.BuiltRows()
+			a.op.BuildTables++
+		}
 	}
 	analyzed := rewriter.ExplainFunc(phys, func(p rewriter.Phys) string {
 		a := byPhys[p]
@@ -226,6 +237,9 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 				fmt.Fprintf(&sb, " blocks=%d bytes=%d pruned=%d cached=%d skipped=%d materialized=%d",
 					a.op.BlocksRead, a.op.BytesDecoded, a.op.SpansPruned, a.op.CacheHits,
 					a.op.BytesSkipped, a.op.BytesMaterialized)
+			}
+			if a.sides != nil {
+				fmt.Fprintf(&sb, " built=%d rows in %d tables", a.op.BuildRows, a.op.BuildTables)
 			}
 			sb.WriteByte(')')
 		}

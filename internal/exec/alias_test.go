@@ -66,7 +66,7 @@ func TestOperatorsLeaveInputsUnwritten(t *testing.T) {
 		},
 		"join": func(j, third Operator) Operator {
 			key := []expr.Expr{i64(0)}
-			return &HashJoin{Probe: j, Build: third, ProbeKeys: key, BuildKeys: key, Type: Inner}
+			return &HashJoin{Probe: j, Build: NewBuildSide(third, key, nil, 1), ProbeKeys: key, Type: Inner}
 		},
 	}
 	left := mergeInput{batches: mergeRuns(300, 1, 100, 0, 1)}

@@ -46,3 +46,26 @@ func TestOrderAssertions(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildSideClosedOncePerUser: after its last user closes, a build side
+// holds no table and no build columns, and under vectorh_debug one close
+// more than it has users panics, as releasing a scan pin below zero does.
+func TestBuildSideClosedOncePerUser(t *testing.T) {
+	build := mergeInput{batches: mergeRuns(100, 1, 30, 0, 1)}
+	probes := []mergeInput{{batches: mergeRuns(50, 1, 20, 0, 1)}, {batches: mergeRuns(50, 1, 20, 0, 1)}}
+	joins, side, _ := sharedJoins(Inner, build, probes, -1, nil)
+	for _, j := range joins {
+		if _, err := drain(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if side.tab != nil || side.cols != nil {
+		t.Fatal("table kept after the last Close")
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "closed by more than its 2 users") {
+			t.Fatalf("panic %q, want one naming the extra close", msg)
+		}
+	}()
+	side.close()
+}

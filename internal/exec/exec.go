@@ -13,6 +13,14 @@
 // (a sort, a hash build, a merge join's window, a queueing Xchg port) copies
 // it, or owns it by contract: a producer never changes a batch it handed
 // downstream. TestOperatorsLeaveInputsUnwritten checks the rule.
+//
+// One exception to parallelism-unawareness is shared on purpose: a hash
+// join's table. It belongs to a BuildSide, not to a join; the HashJoins of a
+// replicated build on one node are its users. The first user's Next builds
+// it while the others wait; from then until the last user's Close it is
+// frozen, every user probes it at once with scratch of its own, and none
+// writes it. The last Close closes the build operator and drops the table
+// and the build columns. A paired join's BuildSide has one user.
 package exec
 
 import (

@@ -198,8 +198,7 @@ func buildProbe() (Operator, Operator) {
 
 func TestHashJoinInner(t *testing.T) {
 	b, p := buildProbe()
-	j := &HashJoin{Build: b, Probe: p,
-		BuildKeys: []expr.Expr{expr.Col(0, vector.Int64)},
+	j := &HashJoin{Build: NewBuildSide(b, []expr.Expr{expr.Col(0, vector.Int64)}, nil, 1), Probe: p,
 		ProbeKeys: []expr.Expr{expr.Col(0, vector.Int64)}, Type: Inner}
 	rows, err := Collect(j)
 	if err != nil {
@@ -216,8 +215,7 @@ func TestHashJoinInner(t *testing.T) {
 
 func TestHashJoinLeftOuter(t *testing.T) {
 	b, p := buildProbe()
-	j := &HashJoin{Build: b, Probe: p,
-		BuildKeys: []expr.Expr{expr.Col(0, vector.Int64)},
+	j := &HashJoin{Build: NewBuildSide(b, []expr.Expr{expr.Col(0, vector.Int64)}, nil, 1), Probe: p,
 		ProbeKeys: []expr.Expr{expr.Col(0, vector.Int64)}, Type: LeftOuter}
 	rows, err := Collect(j)
 	if err != nil {
@@ -239,8 +237,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 
 func TestHashJoinSemiAnti(t *testing.T) {
 	b, p := buildProbe()
-	j := &HashJoin{Build: b, Probe: p,
-		BuildKeys: []expr.Expr{expr.Col(0, vector.Int64)},
+	j := &HashJoin{Build: NewBuildSide(b, []expr.Expr{expr.Col(0, vector.Int64)}, nil, 1), Probe: p,
 		ProbeKeys: []expr.Expr{expr.Col(0, vector.Int64)}, Type: Semi}
 	rows, err := Collect(j)
 	if err != nil || len(rows) != 3 {
@@ -250,8 +247,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		t.Fatalf("semi keeps probe cols only: %v", rows[0])
 	}
 	b2, p2 := buildProbe()
-	j = &HashJoin{Build: b2, Probe: p2,
-		BuildKeys: []expr.Expr{expr.Col(0, vector.Int64)},
+	j = &HashJoin{Build: NewBuildSide(b2, []expr.Expr{expr.Col(0, vector.Int64)}, nil, 1), Probe: p2,
 		ProbeKeys: []expr.Expr{expr.Col(0, vector.Int64)}, Type: Anti}
 	rows, err = Collect(j)
 	if err != nil || len(rows) != 1 || rows[0][0].(int64) != 4 {
@@ -266,9 +262,8 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	)
 	probe := vector.NewBatch(vector.FromInt64([]int64{7}))
 	j := &HashJoin{
-		Build:     &BatchSource{Batches: []*vector.Batch{build}},
+		Build:     NewBuildSide(&BatchSource{Batches: []*vector.Batch{build}}, []expr.Expr{expr.Col(0, vector.Int64)}, nil, 1),
 		Probe:     &BatchSource{Batches: []*vector.Batch{probe}},
-		BuildKeys: []expr.Expr{expr.Col(0, vector.Int64)},
 		ProbeKeys: []expr.Expr{expr.Col(0, vector.Int64)}, Type: Inner}
 	rows, err := Collect(j)
 	if err != nil || len(rows) != 2 {
@@ -449,27 +444,6 @@ func TestXchgHashSplitPartitionsCompletely(t *testing.T) {
 			if c != consumers[0] {
 				t.Fatalf("key %d split across consumers %v", k, consumers)
 			}
-		}
-	}
-}
-
-func TestXchgBroadcast(t *testing.T) {
-	ports := XchgBroadcast(context.Background(), []Operator{src(50, 2)}, 3)
-	counts := make([]int, 3)
-	done := make(chan struct{}, 3)
-	for i, p := range ports {
-		go func(i int, p Operator) {
-			rows, _ := Collect(p)
-			counts[i] = len(rows)
-			done <- struct{}{}
-		}(i, p)
-	}
-	for range ports {
-		<-done
-	}
-	for i, c := range counts {
-		if c != 50 {
-			t.Fatalf("consumer %d got %d rows", i, c)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 
 	"vectorh/internal/compress"
 	"vectorh/internal/vector"
@@ -34,6 +35,11 @@ import (
 // emission order and errors are exactly those of the hashed path, and both
 // paths share one table. Group-bys over flags, statuses, modes and years
 // take it; keys such as order keys and names fall through after one pass.
+//
+// Ownership: a group-by table belongs to its one operator. A join's table
+// belongs to its BuildSide: one goroutine builds it, after which it is
+// frozen and only read, so every stream of the join probes it at once, each
+// drawing its probe scratch from its own pool (probeJoin, probeExists).
 type HashTable struct {
 	pool *vector.Pool
 
@@ -63,19 +69,30 @@ const (
 // pool allocates a private one; passing the operator's pool shares scratch
 // buffers between the table and its owner.
 func NewHashTable(kinds []vector.Kind, pool *vector.Pool) *HashTable {
+	return newHashTable(kinds, pool, 0)
+}
+
+// newHashTable is NewHashTable with room for rows rows: the directory,
+// hashes, next and the fixed-width key columns take them without growing.
+// A join build, which knows its exact row count before it inserts, sizes
+// its table once this way.
+func newHashTable(kinds []vector.Kind, pool *vector.Pool, rows int) *HashTable {
 	if pool == nil {
 		pool = &vector.Pool{}
 	}
+	nb := bucketsFor(rows)
 	t := &HashTable{
 		pool:      pool,
 		singleI64: len(kinds) == 1 && kinds[0] == vector.Int64,
-		buckets:   make([]int32, minBuckets),
-		tails:     make([]int32, minBuckets),
-		mask:      minBuckets - 1,
+		hashes:    make([]uint64, 0, rows),
+		next:      make([]int32, 0, rows),
+		buckets:   make([]int32, nb),
+		tails:     make([]int32, nb),
+		mask:      uint64(nb - 1),
 	}
 	t.keys = make([]*vector.Vec, len(kinds))
 	for i, k := range kinds {
-		t.keys[i] = vector.New(k, vector.MaxSize)
+		t.keys[i] = vector.New(k, rows)
 	}
 	return t
 }
@@ -96,13 +113,20 @@ func (t *HashTable) Reset() {
 	clear(t.buckets)
 }
 
-// reserve grows the bucket directory so n rows stay under a 3/4 load factor,
-// rebuilding the chains (in insertion order) from the stored hashes.
-func (t *HashTable) reserve(n int) {
-	nb := len(t.buckets)
+// bucketsFor is the directory size that keeps n rows under a 3/4 load
+// factor: a power of two, at least minBuckets.
+func bucketsFor(n int) int {
+	nb := minBuckets
 	for n >= nb*3/4 {
 		nb <<= 1
 	}
+	return nb
+}
+
+// reserve grows the bucket directory so n rows stay under a 3/4 load factor,
+// rebuilding the chains (in insertion order) from the stored hashes.
+func (t *HashTable) reserve(n int) {
+	nb := max(bucketsFor(n), len(t.buckets))
 	if nb == len(t.buckets) {
 		return
 	}
@@ -141,8 +165,10 @@ func (t *HashTable) insertRow(h uint64, keyCols []*vector.Vec, r int) (int32, er
 
 // InsertBatch stores all n rows of the dense key columns unconditionally
 // (join build side: duplicates become separate rows). Key values are
-// bulk-appended column-wise; only the chain linking is per-row. Its error,
-// and FindOrInsert's, is vector.ErrStringBytes; the table is then garbage.
+// bulk-appended column-wise and hashed straight into the stored hashes;
+// only the chain linking is per-row. In a table sized for its rows
+// (newHashTable) nothing grows. Its error, and FindOrInsert's, is
+// vector.ErrStringBytes; the table is then garbage.
 func (t *HashTable) InsertBatch(keyCols []*vector.Vec, n int) error {
 	for i, kc := range keyCols {
 		if err := t.keys[i].AppendRangeChecked(kc, 0, n); err != nil {
@@ -151,16 +177,13 @@ func (t *HashTable) InsertBatch(keyCols []*vector.Vec, n int) error {
 	}
 	base := len(t.hashes)
 	t.reserve(base + n)
-	hs := t.pool.GetHashes(n)
-	vector.HashCols(hs, keyCols)
-	t.hashes = append(t.hashes, hs...)
-	for r := 0; r < n; r++ {
-		t.next = append(t.next, -1)
+	t.hashes = slices.Grow(t.hashes, n)[:base+n]
+	vector.HashCols(t.hashes[base:], keyCols)
+	t.next = slices.Grow(t.next, n)[:base+n]
+	for r := base; r < base+n; r++ {
+		t.next[r] = -1
+		t.link(t.hashes[r]&t.mask, int32(r))
 	}
-	for r := 0; r < n; r++ {
-		t.link(t.hashes[base+r]&t.mask, int32(base+r))
-	}
-	t.pool.PutHashes(hs)
 	return nil
 }
 
@@ -523,8 +546,17 @@ func (t *HashTable) findOrInsertHashed(keyCols []*vector.Vec, n int, out []int32
 // in ascending order with matches in insertion order — the emission order of
 // the former row-at-a-time implementation. When outer is true, probe rows
 // without a match contribute one (row, -1) pair (left outer padding). ps and
-// bs must be empty; the grown slices are returned.
+// bs must be empty; the grown slices are returned. Its scratch comes from the
+// table's pool, so one goroutine probes at a time; probeJoin is the same
+// probe with the caller's pool.
 func (t *HashTable) ProbeJoin(keyCols []*vector.Vec, n int, ps, bs []int32, outer bool) ([]int32, []int32) {
+	return t.probeJoin(t.pool, keyCols, n, ps, bs, outer)
+}
+
+// probeJoin is ProbeJoin drawing its scratch from pool. It only reads the
+// table, so the streams of a join probe one table at once, each with its
+// own pool.
+func (t *HashTable) probeJoin(pool *vector.Pool, keyCols []*vector.Vec, n int, ps, bs []int32, outer bool) ([]int32, []int32) {
 	if t.Len() == 0 || !t.keysMatchKinds(keyCols) {
 		if !outer {
 			return ps, bs
@@ -535,11 +567,11 @@ func (t *HashTable) ProbeJoin(keyCols []*vector.Vec, n int, ps, bs []int32, oute
 		}
 		return ps, bs
 	}
-	hs := t.pool.GetHashes(n)
+	hs := pool.GetHashes(n)
 	vector.HashCols(hs, keyCols)
-	cand := t.pool.GetSel(n)[:n]
-	sel := t.pool.GetSel(n)
-	counts := t.pool.GetSel(n)[:n]
+	cand := pool.GetSel(n)[:n]
+	sel := pool.GetSel(n)
+	counts := pool.GetSel(n)[:n]
 	for r := 0; r < n; r++ {
 		counts[r] = 0
 		cand[r] = t.buckets[hs[r]&t.mask] - 1
@@ -549,9 +581,9 @@ func (t *HashTable) ProbeJoin(keyCols []*vector.Vec, n int, ps, bs []int32, oute
 	}
 	// Chase every chain to its end, collecting raw pairs round-wise: round k
 	// emits each still-active row's k-th chain position if it matches.
-	rawP := t.pool.GetSel(n)
-	rawB := t.pool.GetSel(n)
-	match := t.pool.GetBools(n)
+	rawP := pool.GetSel(n)
+	rawB := pool.GetSel(n)
+	match := pool.GetBools(n)
 	for len(sel) > 0 {
 		t.verify(keyCols, hs, sel, cand, match)
 		live := sel[:0]
@@ -602,16 +634,17 @@ func (t *HashTable) ProbeJoin(keyCols []*vector.Vec, n int, ps, bs []int32, oute
 		off[r] = o + 1
 		ps[o], bs[o] = r, rawB[i]
 	}
-	t.pool.PutBools(match)
-	t.pool.PutSel(sel, counts, rawP, rawB, off)
-	t.pool.PutHashes(hs)
+	pool.PutBools(match)
+	pool.PutSel(sel, counts, rawP, rawB, off)
+	pool.PutHashes(hs)
 	return ps, bs
 }
 
-// ProbeExists appends to sel, in row order, the probe rows that do
+// probeExists appends to sel, in row order, the probe rows that do
 // (want=true: semi join) or do not (want=false: anti join) have a matching
-// stored row; chains stop chasing at the first match.
-func (t *HashTable) ProbeExists(keyCols []*vector.Vec, n int, want bool, sel []int32) []int32 {
+// stored row; chains stop chasing at the first match. Like probeJoin it only
+// reads the table and takes its scratch from pool.
+func (t *HashTable) probeExists(pool *vector.Pool, keyCols []*vector.Vec, n int, want bool, sel []int32) []int32 {
 	if t.Len() == 0 || !t.keysMatchKinds(keyCols) {
 		if !want {
 			for r := 0; r < n; r++ {
@@ -620,18 +653,18 @@ func (t *HashTable) ProbeExists(keyCols []*vector.Vec, n int, want bool, sel []i
 		}
 		return sel
 	}
-	hs := t.pool.GetHashes(n)
+	hs := pool.GetHashes(n)
 	vector.HashCols(hs, keyCols)
-	cand := t.pool.GetSel(n)[:n]
-	active := t.pool.GetSel(n)
+	cand := pool.GetSel(n)[:n]
+	active := pool.GetSel(n)
 	for r := 0; r < n; r++ {
 		cand[r] = t.buckets[hs[r]&t.mask] - 1
 		if cand[r] >= 0 {
 			active = append(active, int32(r))
 		}
 	}
-	found := t.pool.GetBools(n)
-	match := t.pool.GetBools(n)
+	found := pool.GetBools(n)
+	match := pool.GetBools(n)
 	for len(active) > 0 {
 		t.verify(keyCols, hs, active, cand, match)
 		live := active[:0]
@@ -650,10 +683,10 @@ func (t *HashTable) ProbeExists(keyCols []*vector.Vec, n int, want bool, sel []i
 			sel = append(sel, int32(r))
 		}
 	}
-	t.pool.PutBools(found)
-	t.pool.PutBools(match)
-	t.pool.PutSel(cand, active)
-	t.pool.PutHashes(hs)
+	pool.PutBools(found)
+	pool.PutBools(match)
+	pool.PutSel(cand, active)
+	pool.PutHashes(hs)
 	return sel
 }
 

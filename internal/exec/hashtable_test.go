@@ -112,10 +112,10 @@ func TestHashTableEmptyBuildAndProbe(t *testing.T) {
 	if len(ps) != 2 || bs[0] != -1 || bs[1] != -1 {
 		t.Fatalf("outer probe of empty table: ps=%v bs=%v", ps, bs)
 	}
-	if sel := ht.ProbeExists(probe, 2, true, nil); len(sel) != 0 {
+	if sel := ht.probeExists(ht.pool, probe, 2, true, nil); len(sel) != 0 {
 		t.Fatalf("semi on empty table: %v", sel)
 	}
-	if sel := ht.ProbeExists(probe, 2, false, nil); len(sel) != 2 {
+	if sel := ht.probeExists(ht.pool, probe, 2, false, nil); len(sel) != 2 {
 		t.Fatalf("anti on empty table: %v", sel)
 	}
 	// Empty probe batches are no-ops.
@@ -156,9 +156,8 @@ func TestHashJoinKindMismatchNoMatch(t *testing.T) {
 	probeRows := []int32{1, 2, 3}
 	mk := func(jt JoinType) *HashJoin {
 		return &HashJoin{
-			Build:     &BatchSource{Batches: []*vector.Batch{build}},
+			Build:     NewBuildSide(&BatchSource{Batches: []*vector.Batch{build}}, []expr.Expr{expr.Col(0, vector.Int64)}, nil, 1),
 			Probe:     &BatchSource{Batches: []*vector.Batch{vector.NewBatch(vector.FromInt32(probeRows))}},
-			BuildKeys: []expr.Expr{expr.Col(0, vector.Int64)},
 			ProbeKeys: []expr.Expr{expr.Col(0, vector.Int32)},
 			Type:      jt,
 		}
@@ -282,9 +281,8 @@ func TestHashJoinSelectiveProbeBatches(t *testing.T) {
 		Sel:  []int32{1, 3},
 	}
 	j := &HashJoin{
-		Build:     &BatchSource{Batches: []*vector.Batch{build}},
+		Build:     NewBuildSide(&BatchSource{Batches: []*vector.Batch{build}}, []expr.Expr{expr.Col(0, vector.Int64)}, nil, 1),
 		Probe:     &BatchSource{Batches: []*vector.Batch{probe}},
-		BuildKeys: []expr.Expr{expr.Col(0, vector.Int64)},
 		ProbeKeys: []expr.Expr{expr.Col(0, vector.Int64)},
 		Type:      Inner,
 	}
@@ -376,7 +374,7 @@ func TestStringBytesLimitIsAnError(t *testing.T) {
 	}
 	key := []expr.Expr{expr.Col(0, vector.Int64)}
 	ops := map[string]Operator{
-		"hash join": &HashJoin{Build: input(), Probe: src(10, 10), BuildKeys: key, ProbeKeys: key, Type: Inner},
+		"hash join": &HashJoin{Build: NewBuildSide(input(), key, nil, 1), Probe: src(10, 10), ProbeKeys: key, Type: Inner},
 		"sort":      &Sort{Child: input(), Keys: []SortKey{{Expr: key[0]}}},
 	}
 	if value, ok := hugeString(t, compress.MaxBytes+1); ok {

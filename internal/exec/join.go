@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
@@ -21,51 +23,105 @@ const (
 	Anti
 )
 
-// HashJoin builds a hash table on the build child and streams the probe
-// child through it. Output columns are the probe columns followed by the
-// build columns (Inner/LeftOuter); LeftOuter appends a trailing Bool
-// "matched" column and pads unmatched build columns with zero values (the
-// engine has no NULLs; aggregation over outer joins tests the matched flag,
-// which is how Q13 counts empty groups). A probe batch whose rows each match
-// at most one build row, densely enough, comes out as itself under a
-// selection, with the build columns placed at its rows (joinOutput).
+// HashJoin streams the probe child through the hash table of its build
+// side. Output columns are the probe columns followed by the build columns
+// (Inner/LeftOuter); LeftOuter appends a trailing Bool "matched" column and
+// pads unmatched build columns with zero values (the engine has no NULLs;
+// aggregation over outer joins tests the matched flag, which is how Q13
+// counts empty groups). A probe batch whose rows each match at most one
+// build row, densely enough, comes out as itself under a selection, with the
+// build columns placed at its rows (joinOutput).
+//
+// The table is not the join's: it belongs to Build, which every stream of a
+// replicated build on one node shares and which a paired join holds alone.
+// The join reads the table and the build columns from its first Next to its
+// Close and never writes them.
 type HashJoin struct {
-	Build     Operator
+	Build     *BuildSide
 	Probe     Operator
-	BuildKeys []expr.Expr
 	ProbeKeys []expr.Expr
 	Type      JoinType
-	// BuildKinds are the build columns' kinds, from the plan, so that a
-	// build side without rows still has its columns; nil takes them from
-	// the first build batch.
-	BuildKinds []vector.Kind
 
-	buildKeys, probeKeys *expr.Program
-	built                bool
-	table                *HashTable
-	buildCols            []*vector.Vec
-	keyCols              []*vector.Vec // per-batch evaluated key columns (reused)
-	pool                 vector.Pool
+	probeKeys *expr.Program
+	table     *HashTable
+	buildCols []*vector.Vec
+	left      bool          // this join has counted itself out of Build
+	keyCols   []*vector.Vec // per-batch evaluated key columns (reused)
+	pool      vector.Pool   // probe scratch
 }
 
-// Open implements Operator.
+// Open implements Operator. A join whose Open fails has left its build side
+// and need not be closed; Close after it does no harm.
 func (j *HashJoin) Open() (err error) {
-	j.built = false
+	j.table, j.buildCols, j.left = nil, nil, false
 	j.keyCols = make([]*vector.Vec, len(j.ProbeKeys))
-	if j.buildKeys, err = expr.Compile(j.BuildKeys...); err != nil {
-		return err
-	}
+	defer func() {
+		if err != nil {
+			j.leave()
+		}
+	}()
 	if j.probeKeys, err = expr.Compile(j.ProbeKeys...); err != nil {
 		return err
 	}
-	if err := j.Build.Open(); err != nil {
+	if err = j.Build.open(); err != nil {
 		return err
 	}
 	return j.Probe.Open()
 }
 
 // Close implements Operator.
-func (j *HashJoin) Close() error { return closeBoth(j.Build, j.Probe) }
+func (j *HashJoin) Close() error {
+	j.table, j.buildCols = nil, nil
+	err1, err2 := j.leave(), j.Probe.Close()
+	if err1 != nil {
+		return err1
+	}
+	return err2
+}
+
+// leave counts the join out of its build side, once per Open.
+func (j *HashJoin) leave() error {
+	if j.left {
+		return nil
+	}
+	j.left = true
+	return j.Build.close()
+}
+
+// Next implements Operator.
+func (j *HashJoin) Next() (*vector.Batch, error) {
+	if j.table == nil {
+		var err error
+		if j.table, j.buildCols, err = j.Build.table(); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		b, err := j.Probe.Next()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		n := b.Len()
+		if n == 0 {
+			continue
+		}
+		if err := j.probeKeys.RunInto(b, j.keyCols); err != nil {
+			return nil, err
+		}
+		var ps, bs []int32
+		if j.Type == Semi || j.Type == Anti {
+			ps = j.table.probeExists(&j.pool, j.keyCols, n, j.Type == Semi, j.pool.GetSel(n))
+		} else {
+			ps, bs = j.table.probeJoin(&j.pool, j.keyCols, n,
+				j.pool.GetSel(n), j.pool.GetSel(n), j.Type == LeftOuter)
+		}
+		out := joinOutput(j.Type, b, ps, bs, j.buildCols, &j.pool)
+		j.pool.PutSel(ps, bs)
+		if out != nil {
+			return out, nil
+		}
+	}
+}
 
 // newCols returns one empty vector per kind. With nil kinds (a join built
 // without a plan, as tests build them) it takes the kinds of b's columns,
@@ -86,78 +142,174 @@ func newCols(kinds []vector.Kind, b *vector.Batch) []*vector.Vec {
 	return cols
 }
 
-func (j *HashJoin) buildTable() error {
-	kinds := make([]vector.Kind, len(j.BuildKeys))
-	for i, k := range j.BuildKeys {
-		kinds[i] = k.Kind()
+// BuildSide is the build of a hash join: the build operator, its compiled
+// keys, the HashTable and the build columns, shared by the users, the
+// HashJoins that probe it. On a replicated build every probe stream of a
+// node is a user, so the node builds one table; a paired join is its side's
+// one user.
+//
+// The side opens its operator at the first user's Open. The first user's
+// Next drains it into the build columns (one copy of each batch's live rows;
+// the batches themselves are not kept), sizes the table from the exact row
+// count and inserts the keys, evaluated over the columns a vector.MaxSize
+// window at a time; the other users wait for that build. The table and
+// columns are then frozen, and every user probes them at once. A build
+// error, a cancellation among them, reaches every user as the same error.
+// When the last user has closed (or failed its Open), the side closes its
+// operator and drops the table and columns; a user that closes without
+// calling Next blocks nobody. Every user must close or fail its Open, or
+// the side is never released.
+type BuildSide struct {
+	op       Operator
+	kinds    []vector.Kind
+	users    int
+	prog     *expr.Program // the compiled build keys
+	keyKinds []vector.Kind
+
+	mu      sync.Mutex
+	active  int  // users that have not left
+	opened  bool // the first user's Open has opened op
+	openErr error
+	done    chan struct{} // made by the builder, closed when the build ends
+
+	// Written by the builder before done closes, read by users after.
+	tab  *HashTable
+	cols []*vector.Vec
+	err  error
+
+	builtRows atomic.Int64
+	pool      vector.Pool // the build's scratch
+}
+
+// NewBuildSide returns the build side of users hash joins over op, keyed on
+// keys, for one execution: each user opens it once and closes it once.
+// kinds are op's column kinds, from the plan, so that a build without rows
+// still has its columns; nil takes them from the first build batch. A key
+// that does not compile fails every user's Open.
+func NewBuildSide(op Operator, keys []expr.Expr, kinds []vector.Kind, users int) *BuildSide {
+	if users < 1 {
+		panic(fmt.Sprintf("exec: build side with %d users", users))
 	}
-	j.table = NewHashTable(kinds, &j.pool)
-	j.buildCols = newCols(j.BuildKinds, nil)
-	keyCols := make([]*vector.Vec, len(j.BuildKeys))
+	s := &BuildSide{op: op, kinds: kinds, users: users, active: users}
+	for _, k := range keys {
+		s.keyKinds = append(s.keyKinds, k.Kind())
+	}
+	s.prog, s.openErr = expr.Compile(keys...)
+	return s
+}
+
+// BuiltRows is the number of rows the build inserted into the table; it
+// outlives the table, for EXPLAIN ANALYZE.
+func (s *BuildSide) BuiltRows() int64 { return s.builtRows.Load() }
+
+// open opens the build operator at the first user's Open, and reports that
+// error, or the keys' compile error, to every user.
+func (s *BuildSide) open() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if vector.DebugAsserts && s.active == 0 {
+		panic("exec: build side opened after its last user closed")
+	}
+	if !s.opened && s.openErr == nil {
+		s.opened = true
+		s.openErr = s.op.Open()
+	}
+	return s.openErr
+}
+
+// table returns the built table and build columns, building them on the
+// first call and waiting for that build on every other.
+func (s *BuildSide) table() (*HashTable, []*vector.Vec, error) {
+	if done, builder := s.claim(); builder {
+		s.tab, s.cols, s.err = s.build()
+		close(done)
+	} else {
+		<-done
+	}
+	if s.err != nil {
+		return nil, nil, s.err
+	}
+	return s.tab, s.cols, nil
+}
+
+// claim returns the channel the build closes when it ends, and whether the
+// caller is the first, which builds.
+func (s *BuildSide) claim() (done chan struct{}, builder bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done != nil {
+		return s.done, false
+	}
+	s.done = make(chan struct{})
+	return s.done, true
+}
+
+// build drains the build operator into columns and inserts their keys into a
+// table sized for them.
+func (s *BuildSide) build() (*HashTable, []*vector.Vec, error) {
+	cols := newCols(s.kinds, nil)
 	for {
-		b, err := j.Build.Next()
+		b, err := s.op.Next()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if b == nil {
-			return nil
+			break
 		}
-		n := b.Len()
-		if n == 0 {
+		if b.Len() == 0 {
 			continue
 		}
-		if j.buildCols == nil {
-			j.buildCols = newCols(nil, b)
+		if cols == nil {
+			cols = newCols(nil, b)
 		}
-		if err := j.buildKeys.RunInto(b, keyCols); err != nil {
-			return err
-		}
-		if err := j.table.InsertBatch(keyCols, n); err != nil {
-			return fmt.Errorf("exec: hash join build: %w", err)
-		}
-		// Append the build columns in the same live-row order the key
-		// columns were hashed in, so table row ids index buildCols.
 		for i, v := range b.Vecs {
-			if err := j.buildCols[i].AppendRowsChecked(v, b.Sel); err != nil {
-				return fmt.Errorf("exec: hash join build: %w", err)
+			if err := cols[i].AppendRowsChecked(v, b.Sel); err != nil {
+				return nil, nil, fmt.Errorf("exec: hash join build: %w", err)
 			}
 		}
 	}
+	n := 0
+	if len(cols) > 0 {
+		n = cols[0].Len()
+	}
+	t := newHashTable(s.keyKinds, &s.pool, n)
+	keyCols := make([]*vector.Vec, len(s.keyKinds))
+	win := &vector.Batch{Vecs: make([]*vector.Vec, len(cols))}
+	for lo := 0; lo < n; lo += vector.MaxSize {
+		hi := min(lo+vector.MaxSize, n)
+		for i, c := range cols {
+			win.Vecs[i] = c.Slice(lo, hi)
+		}
+		if err := s.prog.RunInto(win, keyCols); err != nil {
+			return nil, nil, err
+		}
+		if err := t.InsertBatch(keyCols, hi-lo); err != nil {
+			return nil, nil, fmt.Errorf("exec: hash join build: %w", err)
+		}
+	}
+	s.builtRows.Store(int64(n))
+	return t, cols, nil
 }
 
-// Next implements Operator.
-func (j *HashJoin) Next() (*vector.Batch, error) {
-	if !j.built {
-		if err := j.buildTable(); err != nil {
-			return nil, err
+// close counts one user out; the last closes the build operator and drops
+// the table and columns.
+func (s *BuildSide) close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.active == 0 {
+		if vector.DebugAsserts {
+			panic(fmt.Sprintf("exec: build side closed by more than its %d users", s.users))
 		}
-		j.built = true
+		return nil
 	}
-	for {
-		b, err := j.Probe.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		n := b.Len()
-		if n == 0 {
-			continue
-		}
-		if err := j.probeKeys.RunInto(b, j.keyCols); err != nil {
-			return nil, err
-		}
-		var ps, bs []int32
-		if j.Type == Semi || j.Type == Anti {
-			ps = j.table.ProbeExists(j.keyCols, n, j.Type == Semi, j.pool.GetSel(n))
-		} else {
-			ps, bs = j.table.ProbeJoin(j.keyCols, n,
-				j.pool.GetSel(n), j.pool.GetSel(n), j.Type == LeftOuter)
-		}
-		out := joinOutput(j.Type, b, ps, bs, j.buildCols, &j.pool)
-		j.pool.PutSel(ps, bs)
-		if out != nil {
-			return out, nil
-		}
+	if s.active--; s.active > 0 {
+		return nil
 	}
+	s.tab, s.cols = nil, nil
+	if s.opened {
+		return s.op.Close()
+	}
+	return nil
 }
 
 // passThroughDensity bounds how sparse an Inner or LeftOuter batch may be and

@@ -84,11 +84,14 @@ func TestJoinPassesProbeThrough(t *testing.T) {
 // order, its value, and whether its batch ends after it, followed by an
 // empty one; the fuzzer also picks the join type, whether build keys may
 // repeat (a unique build drops a row whose key it holds) and selections on
-// either side. HashJoin's live rows must equal the nested loops', in probe
-// order. Keys span 0–127, so a batch's matches fall on either side of
-// passThroughDensity. The committed corpus holds a unique build with dense
-// and with sparse matches, a duplicated build, a LeftOuter join matching
-// nothing and an empty build side.
+// either side. The probe batches are dealt in turn to two streams whose
+// HashJoins share one build side and run at once; each stream's live rows
+// must equal the nested loops' over its batches, in probe order, and the
+// two together the nested loops' over the whole probe input. Keys span
+// 0–127, so a batch's matches fall on either side of passThroughDensity.
+// The committed corpus holds a unique build with dense and with sparse
+// matches, a duplicated build, a LeftOuter join matching nothing, an empty
+// build side, and an inner join whose probe batches go to both streams.
 func FuzzHashJoin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, jt uint8, key32, dup, lsel, rsel bool) {
 		sides := [2]mergeInput{
@@ -114,6 +117,39 @@ func FuzzHashJoin(f *testing.F) {
 				s.batches = append(s.batches, nil, nil)
 			}
 		}
-		checkJoin(t, false, JoinType(jt%4), sides[0], sides[1])
+		checkSharedJoin(t, JoinType(jt%4), sides[0], sides[1])
 	})
+}
+
+// checkSharedJoin deals left's batches in turn to two probe streams over one
+// build side on right, drains them on their own goroutines and compares each
+// with the nested loops over its batches, in order, and their union with
+// the nested loops over all of left.
+func checkSharedJoin(t *testing.T, jt JoinType, left, right mergeInput) {
+	t.Helper()
+	parts := []mergeInput{{key32: left.key32, sel: left.sel}, {key32: left.key32, sel: left.sel}}
+	for i, b := range left.batches {
+		parts[i%2].batches = append(parts[i%2].batches, b)
+	}
+	joins, _, _ := sharedJoins(jt, right, parts, -1, nil)
+	got := make([][]string, len(parts))
+	errs := make([]error, len(parts))
+	runAll(t, len(parts), func(i int) { got[i], errs[i] = drain(joins[i]) })
+	var union []string
+	for i, part := range parts {
+		if errs[i] != nil {
+			t.Fatalf("stream %d: %v", i, errs[i])
+		}
+		if want := nestedLoopJoin(jt, part, right); !slices.Equal(got[i], want) {
+			t.Fatalf("join type %d: stream %d gave %d rows, nested loops %d:\n got  %v\n want %v",
+				jt, i, len(got[i]), len(want), got[i], want)
+		}
+		union = append(union, got[i]...)
+	}
+	want := nestedLoopJoin(jt, left, right)
+	slices.Sort(union)
+	slices.Sort(want)
+	if !slices.Equal(union, want) {
+		t.Fatalf("join type %d: the streams gave %d rows together, nested loops %d", jt, len(union), len(want))
+	}
 }

@@ -123,7 +123,7 @@ func newJoin(merge bool, jt JoinType, probe, build Operator, key32 bool) Operato
 		return &MergeJoin{Left: probe, Right: build, Type: jt, RightKinds: kinds}
 	}
 	key := []expr.Expr{expr.Col(0, kinds[0])}
-	return &HashJoin{Probe: probe, Build: build, ProbeKeys: key, BuildKeys: key, Type: jt, BuildKinds: kinds}
+	return &HashJoin{Probe: probe, Build: NewBuildSide(build, key, kinds, 1), ProbeKeys: key, Type: jt}
 }
 
 // checkJoin runs the join of left and right, MergeJoin or HashJoin, and

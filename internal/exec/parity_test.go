@@ -138,9 +138,8 @@ func TestHashJoinParityTPCH(t *testing.T) {
 			// third of customers have no orders, so Anti/LeftOuter have
 			// real work; duplicate o_custkey values exercise chains.
 			j := &exec.HashJoin{
-				Build:     chunked(customer),
+				Build:     exec.NewBuildSide(chunked(customer), []expr.Expr{expr.Col(custKey, kind)}, nil, 1),
 				Probe:     chunked(orders),
-				BuildKeys: []expr.Expr{expr.Col(custKey, kind)},
 				ProbeKeys: []expr.Expr{expr.Col(custKeyInOrders, kind)},
 				Type:      jt,
 			}

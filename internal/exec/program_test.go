@@ -30,8 +30,8 @@ func TestCompileErrorsSurfaceFromOpen(t *testing.T) {
 		"aggr key":        &HashAggr{Child: child(), Keys: []expr.Expr{bad}},
 		"aggr arg":        &HashAggr{Child: child(), Aggs: []AggSpec{{Func: AggSum, Arg: bad}}},
 		"aggr sum string": &HashAggr{Child: child(), Aggs: []AggSpec{{Func: AggSum, Arg: str}}},
-		"join build":      &HashJoin{Build: child(), Probe: child(), BuildKeys: []expr.Expr{bad}, ProbeKeys: []expr.Expr{i64}},
-		"join probe":      &HashJoin{Build: child(), Probe: child(), BuildKeys: []expr.Expr{i64}, ProbeKeys: []expr.Expr{bad}},
+		"join build":      &HashJoin{Build: NewBuildSide(child(), []expr.Expr{bad}, nil, 1), Probe: child(), ProbeKeys: []expr.Expr{i64}},
+		"join probe":      &HashJoin{Build: NewBuildSide(child(), []expr.Expr{i64}, nil, 1), Probe: child(), ProbeKeys: []expr.Expr{bad}},
 		"sort":            &Sort{Child: child(), Keys: []SortKey{{Expr: bad}}},
 		"topn":            &TopN{Child: child(), Keys: []SortKey{{Expr: bad}}, N: 1},
 	} {

@@ -300,19 +300,6 @@ func XchgHashSplit(ctx context.Context, producers []Operator, keys []expr.Expr, 
 	})
 }
 
-// XchgBroadcast replicates every producer batch to all m consumer streams
-// (used to build replicated join sides).
-func XchgBroadcast(ctx context.Context, producers []Operator, m int) []Operator {
-	return NewExchange(ctx, producers, m, stateless(func(b *vector.Batch, out Outs) error {
-		for i := 0; i < m; i++ {
-			if err := out.Send(i, b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
-}
-
 // RowHasher computes a 64-bit hash of key expressions for every live row of
 // a stream's batches. It delegates to the vector hash kernels — the same
 // column-wise functions the hash join and aggregation tables use — so joins,

@@ -32,6 +32,13 @@ type OpProfile struct {
 	CacheHits         int64 `json:"cache_hits,omitempty"`
 	BytesSkipped      int64 `json:"bytes_skipped,omitempty"`
 	BytesMaterialized int64 `json:"bytes_materialized,omitempty"`
+
+	// Hash join builds; only set for hash joins. BuildTables counts the
+	// distinct tables the operator's streams probed (one per node for a
+	// replicated build, one per stream for a paired join), BuildRows the
+	// rows inserted into them.
+	BuildRows   int64 `json:"build_rows,omitempty"`
+	BuildTables int   `json:"build_tables,omitempty"`
 }
 
 // Trace accumulates the phase spans and operator profiles of one query.

@@ -314,8 +314,9 @@ type physJoin struct {
 	jt           exec.JoinType
 	schema       vector.Schema
 	// broadcastBuild: the build side has one stream on each node with probe
-	// streams — a replicated scan or a DXchgBroadcast — that is locally
-	// replicated to every probe stream (replicated build rule).
+	// streams — a replicated scan or a DXchgBroadcast — which builds the
+	// node's one hash table, probed by every probe stream of the node
+	// (replicated build rule).
 	broadcastBuild bool
 	merge          bool
 	lkey, rkey     int
@@ -350,6 +351,9 @@ func (p *physJoin) instantiate(e *Env) ([][]exec.Operator, error) {
 	out := make([][]exec.Operator, e.Nodes)
 	for n := 0; n < e.Nodes; n++ {
 		bstreams := build[n]
+		// A replicated build is one side per node, which every probe stream
+		// of the node probes; a paired join's side has one probe stream.
+		var shared *exec.BuildSide
 		if p.broadcastBuild {
 			if len(probe[n]) == 0 {
 				continue
@@ -357,22 +361,22 @@ func (p *physJoin) instantiate(e *Env) ([][]exec.Operator, error) {
 			if len(bstreams) != 1 {
 				return nil, fmt.Errorf("rewriter: replicated build expects 1 stream, got %d", len(bstreams))
 			}
-			bstreams = exec.XchgBroadcast(e.ctx(), bstreams, len(probe[n]))
-		}
-		if len(bstreams) != len(probe[n]) {
+			shared = exec.NewBuildSide(bstreams[0], p.buildKeys, kinds, len(probe[n]))
+		} else if len(bstreams) != len(probe[n]) {
 			return nil, fmt.Errorf("rewriter: join stream mismatch on node %d: build %d vs probe %d",
 				n, len(bstreams), len(probe[n]))
 		}
 		for s := range probe[n] {
-			var op exec.Operator = &exec.HashJoin{
-				Build: bstreams[s], Probe: probe[n][s],
-				BuildKeys: p.buildKeys, ProbeKeys: p.probeKeys, Type: p.jt, BuildKinds: kinds,
-			}
 			if p.merge {
-				op = &exec.MergeJoin{Left: probe[n][s], Right: bstreams[s],
-					LeftKey: p.lkey, RightKey: p.rkey, Type: p.jt, RightKinds: kinds}
+				out[n] = append(out[n], &exec.MergeJoin{Left: probe[n][s], Right: bstreams[s],
+					LeftKey: p.lkey, RightKey: p.rkey, Type: p.jt, RightKinds: kinds})
+				continue
 			}
-			out[n] = append(out[n], op)
+			side := shared
+			if side == nil {
+				side = exec.NewBuildSide(bstreams[s], p.buildKeys, kinds, 1)
+			}
+			out[n] = append(out[n], &exec.HashJoin{Build: side, Probe: probe[n][s], ProbeKeys: p.probeKeys, Type: p.jt})
 		}
 	}
 	return out, nil

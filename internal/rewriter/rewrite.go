@@ -500,7 +500,7 @@ func joinRows(jt exec.JoinType, left, right result) int64 {
 // broadcast is costed from the build's upper bound, so an estimate that comes
 // out low cannot turn it into a disaster: that many rows ship to N−1 nodes and
 // are built once more on each of the N, where the node's probe streams share
-// the batches. A repartition moves (N−1)/N of both sides' estimated rows. A
+// one table. A repartition moves (N−1)/N of both sides' estimated rows. A
 // build without a bound, a join's output, is never broadcast.
 func (c *rewriteCtx) broadcastCheaper(probe, build result) bool {
 	if build.maxRows < 0 {

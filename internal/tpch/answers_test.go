@@ -139,23 +139,27 @@ func readAnswers(t *testing.T) (want [NumQueries + 1]string) {
 }
 
 // TestTopologyParity runs the 22 SQL texts on topologies the other gates do
-// not: one node, and 4 nodes over 3 partitions, where one node holds no
-// partition and so no probe stream of a partitioned join; and the default
-// topology without the ReplicateBuild rule. Every answer must match
-// answers.golden. Messages are small, so an exchange that sends to a port
-// nobody drains fills it and blocks; each query runs under a deadline, which
-// turns that into a failure instead of a hang.
+// not: one node; 4 nodes over 3 partitions, where one node holds no
+// partition and so no probe stream of a partitioned join; 1 and 4 threads
+// (exchange streams and partitions) per node, so a replicated build's one
+// table per node has one prober or four; and the default topology without
+// the ReplicateBuild rule. Every answer must match answers.golden. Messages
+// are small, so an exchange that sends to a port nobody drains fills it and
+// blocks; each query runs under a deadline, which turns that into a failure
+// instead of a hang.
 func TestTopologyParity(t *testing.T) {
 	d := Generate(0.01, 7)
 	want := readAnswers(t)
 	for _, tc := range []struct {
-		name         string
-		nodes, parts int
-		disable      rewriter.Rules
+		name                  string
+		nodes, parts, threads int
+		disable               rewriter.Rules
 	}{
-		{"1 node", 1, 2, 0},
-		{"4 nodes x 3 partitions", 4, 3, 0},
-		{"no replicated build", 3, 6, rewriter.ReplicateBuild},
+		{"1 node", 1, 2, 2, 0},
+		{"4 nodes x 3 partitions", 4, 3, 2, 0},
+		{"1 thread per node", 3, 3, 1, 0},
+		{"4 threads per node", 3, 12, 4, 0},
+		{"no replicated build", 3, 6, 2, rewriter.ReplicateBuild},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			names := make([]string, tc.nodes)
@@ -163,7 +167,7 @@ func TestTopologyParity(t *testing.T) {
 				names[i] = fmt.Sprintf("n%d", i+1)
 			}
 			eng, err := core.New(core.Config{
-				Nodes: names, ThreadsPerNode: 2, BlockSize: 1 << 18,
+				Nodes: names, ThreadsPerNode: tc.threads, BlockSize: 1 << 18,
 				Format:   colstore.Format{BlockSize: 16 << 10, BlocksPerChunk: 64, MaxRowsPerBlock: 128},
 				MsgBytes: 1 << 10, // small messages: more of them than a channel holds
 

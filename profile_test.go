@@ -24,6 +24,10 @@ var partScanEst = regexp.MustCompile(`MScan\[\w+\] \(partitioned\).* ~(\d+) rows
 // held to a bound: a join above a replicated probe counts every node's copy.
 var joinEst = regexp.MustCompile(`(?:Hash|Merge)Join\[[^\]]*\] ~(\d+) rows \(actual rows=(\d+) `)
 
+// hashJoinBuilt matches a hash join's kind, streams, and the rows and
+// distinct tables it built.
+var hashJoinBuilt = regexp.MustCompile(`HashJoin\[\w+,([\w-]+)\].* streams=(\d+) built=(\d+) rows in (\d+) tables\)`)
+
 // maxScanQError90 bounds the 90th-percentile q-error — max(est/actual,
 // actual/est) — of the partitioned scans' estimates over the 22 queries.
 // Estimating a filter as 1/3 per conjunct over a cached row count read 27.7
@@ -87,6 +91,21 @@ func TestExplainAnalyzeAllTPCH(t *testing.T) {
 			}
 			for _, m := range joinEst.FindAllStringSubmatch(p.Analyzed, -1) {
 				joinQerrs = append(joinQerrs, qerr(m))
+			}
+			// Every hash join reports its tables: a replicated build one per
+			// node, a paired join one per stream.
+			built := hashJoinBuilt.FindAllStringSubmatch(p.Analyzed, -1)
+			if n := strings.Count(p.Analyzed, "HashJoin["); len(built) != n {
+				t.Errorf("%d of %d hash joins report their tables:\n%s", len(built), n, p.Analyzed)
+			}
+			for _, m := range built {
+				want := m[2]
+				if m[1] == "replicated-build" {
+					want = "3"
+				}
+				if m[4] != want {
+					t.Errorf("%s join over %s streams built %s tables, want %s", m[1], m[2], m[4], want)
+				}
 			}
 			if len(p.Operators) == 0 {
 				t.Fatal("no operator profiles")
@@ -155,6 +174,27 @@ func TestExplainAnalyzeAllTPCH(t *testing.T) {
 				t.Errorf("profiled run returned %d rows, plain run %d", len(p.Rows), len(plain))
 			}
 		})
+	}
+}
+
+// TestReplicatedBuildOneTablePerNode: on 3 nodes × 2 threads, each of Q09's
+// four replicated-build joins builds one table per node, 3, which the node's
+// two probe streams share; a table per probe stream would be 6.
+func TestReplicatedBuildOneTablePerNode(t *testing.T) {
+	db, _ := openTPCH(t, 0.01)
+	p, err := db.QueryProfileSQL(context.Background(), tpch.SQLQueries[9])
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := hashJoinBuilt.FindAllStringSubmatch(p.Analyzed, -1)
+	if len(built) != 4 {
+		t.Fatalf("%d hash joins report their tables, want Q09's 4:\n%s", len(built), p.Analyzed)
+	}
+	for _, m := range built {
+		if m[1] != "replicated-build" || m[2] != "6" || m[4] != "3" || m[3] == "0" {
+			t.Errorf("%s join over %s streams built %s rows in %s tables, want a replicated build over 6 streams in 3 tables",
+				m[1], m[2], m[3], m[4])
+		}
 	}
 }
 
