@@ -40,7 +40,9 @@ func (c *countingSource) Next() (*vector.Batch, error) {
 
 func (c *countingSource) Close() error { c.closes.Add(1); return c.Operator.Close() }
 
-// drain opens, drains and closes op, returning its live rows as strings.
+// drain opens, drains and closes op, returning its live rows as strings. It
+// fails on the first batch whose vectors differ in length or whose selection
+// points past them (lengthsErr).
 func drain(op Operator) ([]string, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
@@ -54,6 +56,10 @@ func drain(op Operator) ([]string, error) {
 		}
 		if b == nil {
 			return rows, op.Close()
+		}
+		if err := lengthsErr(b); err != nil {
+			op.Close()
+			return nil, err
 		}
 		for _, r := range vector.BoxRows(nil, b) {
 			rows = append(rows, fmt.Sprint(r))

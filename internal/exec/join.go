@@ -170,9 +170,9 @@ type BuildSide struct {
 	active  int  // users that have not left
 	opened  bool // the first user's Open has opened op
 	openErr error
-	done    chan struct{} // made by the builder, closed when the build ends
 
-	// Written by the builder before done closes, read by users after.
+	// Written by the first user's Next inside once, read by users after.
+	once sync.Once
 	tab  *HashTable
 	cols []*vector.Vec
 	err  error
@@ -220,28 +220,8 @@ func (s *BuildSide) open() error {
 // table returns the built table and build columns, building them on the
 // first call and waiting for that build on every other.
 func (s *BuildSide) table() (*HashTable, []*vector.Vec, error) {
-	if done, builder := s.claim(); builder {
-		s.tab, s.cols, s.err = s.build()
-		close(done)
-	} else {
-		<-done
-	}
-	if s.err != nil {
-		return nil, nil, s.err
-	}
-	return s.tab, s.cols, nil
-}
-
-// claim returns the channel the build closes when it ends, and whether the
-// caller is the first, which builds.
-func (s *BuildSide) claim() (done chan struct{}, builder bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done != nil {
-		return s.done, false
-	}
-	s.done = make(chan struct{})
-	return s.done, true
+	s.once.Do(func() { s.tab, s.cols, s.err = s.build() })
+	return s.tab, s.cols, s.err
 }
 
 // build drains the build operator into columns and inserts their keys into a

@@ -168,17 +168,26 @@ func collectChecked(t testing.TB, op Operator) [][]any {
 // points past them.
 func checkLengths(t testing.TB, b *vector.Batch) {
 	t.Helper()
+	if err := lengthsErr(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lengthsErr is checkLengths' test as an error, for operators drained off
+// the test's goroutine.
+func lengthsErr(b *vector.Batch) error {
 	n := b.Col(0).Len()
 	for i, v := range b.Vecs {
 		if v.Len() != n {
-			t.Fatalf("output column %d holds %d rows, column 0 %d", i, v.Len(), n)
+			return fmt.Errorf("output column %d holds %d rows, column 0 %d", i, v.Len(), n)
 		}
 	}
 	for _, r := range b.Sel {
 		if int(r) >= n {
-			t.Fatalf("selection row %d past %d rows", r, n)
+			return fmt.Errorf("selection row %d past %d rows", r, n)
 		}
 	}
+	return nil
 }
 
 // mergeRuns is n rows in batches of cut rows, keys ascending from first by
