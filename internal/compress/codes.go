@@ -12,11 +12,14 @@ import (
 // VectorH paper: the schemes are cheap enough to skip decoding entirely
 // when execution can run on codes).
 
-// StrDict is a per-block string dictionary handle. Values is immutable
-// after PDictOpen returns; code c denotes Values[c]. Exception strings of
-// the block are appended after the stored dictionary entries, deduplicated,
-// so distinct strings and distinct codes are in bijection — the property
-// code-space equality relies on.
+// StrDict is a string dictionary handle: code c denotes Values[c], and
+// Values is immutable once the handle is shared. A block's (PDictOpen)
+// appends the block's exception strings after the stored dictionary
+// entries, deduplicated, so its distinct strings and distinct codes are in
+// bijection. A hash join's build column is the other kind (exec): code r is
+// build row r's value, so values repeat, and equal strings may carry unequal
+// codes. Readers of codes therefore map them through Values or their
+// hashes, and never take unequal codes for unequal strings.
 type StrDict struct {
 	Values []string
 

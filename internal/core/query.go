@@ -217,6 +217,7 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 			}
 			a.sides[j.Build] = true
 			a.op.BuildRows += j.Build.BuiltRows()
+			a.op.BuildUnique = j.Build.Unique() && (a.op.BuildTables == 0 || a.op.BuildUnique)
 			a.op.BuildTables++
 		}
 	}
@@ -240,6 +241,9 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 			}
 			if a.sides != nil {
 				fmt.Fprintf(&sb, " built=%d rows in %d tables", a.op.BuildRows, a.op.BuildTables)
+				if a.op.BuildUnique {
+					sb.WriteString(" unique")
+				}
 			}
 			sb.WriteByte(')')
 		}

@@ -44,10 +44,11 @@ func (k *keepingSource) unchanged(t *testing.T, what string) {
 }
 
 // TestOperatorsLeaveInputsUnwritten holds the package doc's aliasing rule: a
-// join's output holds its probe batch's own vectors, so nothing above it may
-// write into them. Joins whose outputs pass the probe side through (a unique
-// build) and gather it (a duplicated one) feed each kind of consumer, and
-// every batch their sources emitted must be as it was when emitted.
+// join's output holds its probe batch's own vectors, and a hash join's its
+// build side's dictionaries, so nothing above it may write into them. Joins
+// whose outputs pass the probe side through (a unique build) and gather it
+// (a duplicated one) feed each kind of consumer, and every batch their
+// sources emitted must be as it was when emitted.
 func TestOperatorsLeaveInputsUnwritten(t *testing.T) {
 	i64 := func(c int) expr.Expr { return expr.Col(c, vector.Int64) }
 	plans := map[string]func(join Operator, third Operator) Operator{
@@ -94,6 +95,81 @@ func TestOperatorsLeaveInputsUnwritten(t *testing.T) {
 						x.unchanged(t, "third input")
 					})
 				}
+			}
+		}
+	}
+
+	// Two streams share one build side, whose String column their joins
+	// emit as codes over a dictionary of the frozen build column. Consumers
+	// of every kind read it on their own goroutines; afterwards the build
+	// batches, the join outputs and the dictionary's values are unchanged.
+	str := func(c int) expr.Expr { return expr.Col(c, vector.String) }
+	shared := map[string]func(joins []Operator) []Operator{
+		"project": func(js []Operator) (roots []Operator) {
+			for _, j := range js {
+				roots = append(roots, &Project{Child: j, Exprs: []expr.Expr{str(5), expr.Add(i64(0), i64(4))}})
+			}
+			return roots
+		},
+		"sort": func(js []Operator) (roots []Operator) {
+			for _, j := range js {
+				roots = append(roots, &Sort{Child: j, Keys: []SortKey{{Expr: str(5)}, {Expr: i64(1)}}})
+			}
+			return roots
+		},
+		"hash aggregation": func(js []Operator) (roots []Operator) {
+			for _, j := range js {
+				roots = append(roots, &HashAggr{Child: j, Keys: []expr.Expr{str(5)},
+					Aggs: []AggSpec{{Func: AggSum, Arg: i64(4)}, {Func: AggCountStar}}})
+			}
+			return roots
+		},
+		"local exchange": func(js []Operator) []Operator {
+			return []Operator{XchgUnion(context.Background(), js)}
+		},
+	}
+	for name, plan := range shared {
+		for _, jt := range []JoinType{Inner, LeftOuter} {
+			for _, build := range []struct {
+				name string
+				in   mergeInput
+			}{{"unique build", mergeInput{batches: mergeRuns(150, 1, 64, 0, 2), sel: true}}, {"duplicated build", dup}} {
+				t.Run(fmt.Sprintf("shared %s/type=%d/%s", name, jt, build.name), func(t *testing.T) {
+					r := &keepingSource{Operator: build.in.source()}
+					key := []expr.Expr{i64(0)}
+					side := NewBuildSide(r, key, mergeKinds(false), 2)
+					outs := make([]*keepingSource, 2)
+					joins := make([]Operator, 2)
+					for i := range joins {
+						probe := mergeInput{batches: mergeRuns(300, 1, 100, int64(i), 1), sel: i == 1}
+						outs[i] = &keepingSource{Operator: &HashJoin{Build: side, Probe: probe.source(), ProbeKeys: key, Type: jt}}
+						joins[i] = outs[i]
+					}
+					roots := plan(joins)
+					rows := make([][]string, len(roots))
+					errs := make([]error, len(roots))
+					runAll(t, len(roots), func(i int) { rows[i], errs[i] = drain(roots[i]) })
+					for i := range roots {
+						if errs[i] != nil || len(rows[i]) == 0 {
+							t.Fatalf("stream %d: %d rows, error %v", i, len(rows[i]), errs[i])
+						}
+					}
+					r.unchanged(t, "build")
+					var want []string
+					for _, row := range build.in.rows() {
+						want = append(want, build.in.row(row)[2].(string))
+					}
+					want = append(want, "")
+					for i, o := range outs {
+						o.unchanged(t, fmt.Sprintf("stream %d join output", i))
+						if len(o.emitted) == 0 {
+							t.Fatalf("stream %d emitted nothing", i)
+						}
+						if d := o.emitted[0].Vecs[5].Dict(); d == nil || !slices.Equal(d.Values, want) {
+							t.Fatalf("stream %d: the build column's dictionary after the drain is not its %d values and the pad", i, len(want)-1)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -21,6 +21,12 @@
 // frozen, every user probes it at once with scratch of its own, and none
 // writes it. The last Close closes the build operator and drops the table
 // and the build columns. A paired join's BuildSide has one user.
+//
+// A hash join's String build columns leave it as dictionary codes: each
+// output vector's dictionary references the frozen build column's strings,
+// so the output keeps that column alive past the build side's last Close,
+// for as long as anything holds the batch. Nothing writes the dictionary
+// either.
 package exec
 
 import (

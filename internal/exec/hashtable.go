@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -51,6 +52,7 @@ type HashTable struct {
 	mask    uint64
 
 	singleI64 bool // exactly one Int64 key: skip the generic verify dispatch
+	unique    bool // no two stored rows have equal keys (setUnique)
 
 	memo []int32 // dense path: id per slot, -1 until the slot's first row resolves
 }
@@ -185,6 +187,57 @@ func (t *HashTable) InsertBatch(keyCols []*vector.Vec, n int) error {
 		t.link(t.hashes[r]&t.mask, int32(r))
 	}
 	return nil
+}
+
+// setUnique records whether no two stored rows have equal keys. Rows with
+// equal keys share a hash and so a chain, the later after the earlier: it
+// walks each row's chain past the row and compares keys only where the
+// stored hashes agree, O(rows × chain) with no second table. A join build
+// calls it once, after its last insert; probeJoin over a unique table stops
+// each probe row at its first match.
+func (t *HashTable) setUnique() {
+	t.unique = !t.hasDuplicate()
+	if vector.DebugAsserts {
+		t.checkUnique()
+	}
+}
+
+// hasDuplicate reports whether a stored row's key repeats in a later row.
+func (t *HashTable) hasDuplicate() bool {
+	for r, h := range t.hashes {
+		for id := t.next[r]; id >= 0; id = t.next[id] {
+			if t.hashes[id] == h && t.rowEq(t.keys, r, id) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkUnique panics when the unique flag disagrees with a map of the stored
+// keys; it runs under vectorh_debug.
+func (t *HashTable) checkUnique() {
+	//lint:hotpath a vectorh_debug check, compiled out of other builds
+	seen := make(map[string]bool, t.Len())
+	unique := true
+	for r := range t.hashes {
+		var key []byte
+		for _, k := range t.keys {
+			v := k.Get(r)
+			if f, ok := v.(float64); ok {
+				v = math.Float64bits(f) // the table compares floats bitwise
+			}
+			key = fmt.Appendf(key, "%#v\x00", v)
+		}
+		if seen[string(key)] {
+			unique = false
+			break
+		}
+		seen[string(key)] = true
+	}
+	if unique != t.unique {
+		panic(fmt.Sprintf("exec: hash table unique=%v, but its %d stored keys say %v", t.unique, t.Len(), unique))
+	}
 }
 
 // keysMatchKinds reports whether the probe key columns carry the stored key
@@ -555,7 +608,10 @@ func (t *HashTable) ProbeJoin(keyCols []*vector.Vec, n int, ps, bs []int32, oute
 
 // probeJoin is ProbeJoin drawing its scratch from pool. It only reads the
 // table, so the streams of a join probe one table at once, each with its
-// own pool.
+// own pool. Over a unique table (setUnique) each row chases its chain only to
+// its first match, which is its only one, and its pair is written at once,
+// in row order; otherwise every chain is chased to its end, round-wise, and
+// a counting sort puts the pairs in row order.
 func (t *HashTable) probeJoin(pool *vector.Pool, keyCols []*vector.Vec, n int, ps, bs []int32, outer bool) ([]int32, []int32) {
 	if t.Len() == 0 || !t.keysMatchKinds(keyCols) {
 		if !outer {
@@ -569,6 +625,25 @@ func (t *HashTable) probeJoin(pool *vector.Pool, keyCols []*vector.Vec, n int, p
 	}
 	hs := pool.GetHashes(n)
 	vector.HashCols(hs, keyCols)
+	if t.unique {
+		var pv, bv []int64 // one Int64 key, compared inline
+		if t.singleI64 {
+			pv, bv = keyCols[0].Int64s(), t.keys[0].Int64s()
+		}
+		for r, h := range hs[:n] {
+			id := t.buckets[h&t.mask] - 1
+			for ; id >= 0; id = t.next[id] {
+				if t.hashes[id] == h && (pv != nil && pv[r] == bv[id] || pv == nil && t.rowEq(keyCols, r, id)) {
+					break
+				}
+			}
+			if id >= 0 || outer {
+				ps, bs = append(ps, int32(r)), append(bs, id)
+			}
+		}
+		pool.PutHashes(hs)
+		return ps, bs
+	}
 	cand := pool.GetSel(n)[:n]
 	sel := pool.GetSel(n)
 	counts := pool.GetSel(n)[:n]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"vectorh/internal/compress"
 	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
@@ -30,7 +31,8 @@ const (
 // aggregation over outer joins tests the matched flag, which is how Q13
 // counts empty groups). A probe batch whose rows each match at most one
 // build row, densely enough, comes out as itself under a selection, with the
-// build columns placed at its rows (joinOutput).
+// build columns placed at its rows (joinOutput). A String build column
+// leaves as dictionary codes, the build row ids, over the frozen column.
 //
 // The table is not the join's: it belongs to Build, which every stream of a
 // replicated build on one node shares and which a paired join holds alone.
@@ -45,15 +47,16 @@ type HashJoin struct {
 	probeKeys *expr.Program
 	table     *HashTable
 	buildCols []*vector.Vec
-	left      bool          // this join has counted itself out of Build
-	keyCols   []*vector.Vec // per-batch evaluated key columns (reused)
-	pool      vector.Pool   // probe scratch
+	dicts     []*compress.StrDict // per build column: its dictionary, for a String one
+	left      bool                // this join has counted itself out of Build
+	keyCols   []*vector.Vec       // per-batch evaluated key columns (reused)
+	pool      vector.Pool         // probe scratch
 }
 
 // Open implements Operator. A join whose Open fails has left its build side
 // and need not be closed; Close after it does no harm.
 func (j *HashJoin) Open() (err error) {
-	j.table, j.buildCols, j.left = nil, nil, false
+	j.table, j.buildCols, j.dicts, j.left = nil, nil, nil, false
 	j.keyCols = make([]*vector.Vec, len(j.ProbeKeys))
 	defer func() {
 		if err != nil {
@@ -71,7 +74,7 @@ func (j *HashJoin) Open() (err error) {
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.table, j.buildCols = nil, nil
+	j.table, j.buildCols, j.dicts = nil, nil, nil
 	err1, err2 := j.leave(), j.Probe.Close()
 	if err1 != nil {
 		return err1
@@ -92,7 +95,7 @@ func (j *HashJoin) leave() error {
 func (j *HashJoin) Next() (*vector.Batch, error) {
 	if j.table == nil {
 		var err error
-		if j.table, j.buildCols, err = j.Build.table(); err != nil {
+		if j.table, j.buildCols, j.dicts, err = j.Build.table(); err != nil {
 			return nil, err
 		}
 	}
@@ -115,7 +118,7 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 			ps, bs = j.table.probeJoin(&j.pool, j.keyCols, n,
 				j.pool.GetSel(n), j.pool.GetSel(n), j.Type == LeftOuter)
 		}
-		out := joinOutput(j.Type, b, ps, bs, j.buildCols, &j.pool)
+		out := joinOutput(j.Type, b, ps, bs, j.buildCols, j.dicts, &j.pool)
 		j.pool.PutSel(ps, bs)
 		if out != nil {
 			return out, nil
@@ -152,9 +155,13 @@ func newCols(kinds []vector.Kind, b *vector.Batch) []*vector.Vec {
 // Next drains it into the build columns (one copy of each batch's live rows;
 // the batches themselves are not kept), sizes the table from the exact row
 // count and inserts the keys, evaluated over the columns a vector.MaxSize
-// window at a time; the other users wait for that build. The table and
-// columns are then frozen, and every user probes them at once. A build
-// error, a cancellation among them, reaches every user as the same error.
+// window at a time; the other users wait for that build. It records whether
+// the table's keys are unique (HashTable.setUnique) and makes each String
+// column a dictionary whose values are the column's own strings, plus a
+// trailing "" that pads LeftOuter rows, so that outputs carry the column as
+// codes. The table and columns are then frozen, and every user probes them
+// at once. A build error, a cancellation among them, reaches every user as
+// the same error.
 // When the last user has closed (or failed its Open), the side closes its
 // operator and drops the table and columns; a user that closes without
 // calling Next blocks nobody. Every user must close or fail its Open, or
@@ -172,12 +179,14 @@ type BuildSide struct {
 	openErr error
 
 	// Written by the first user's Next inside once, read by users after.
-	once sync.Once
-	tab  *HashTable
-	cols []*vector.Vec
-	err  error
+	once  sync.Once
+	tab   *HashTable
+	cols  []*vector.Vec
+	dicts []*compress.StrDict
+	err   error
 
 	builtRows atomic.Int64
+	unique    atomic.Bool
 	pool      vector.Pool // the build's scratch
 }
 
@@ -202,6 +211,10 @@ func NewBuildSide(op Operator, keys []expr.Expr, kinds []vector.Kind, users int)
 // outlives the table, for EXPLAIN ANALYZE.
 func (s *BuildSide) BuiltRows() int64 { return s.builtRows.Load() }
 
+// Unique reports whether the build found no two rows with equal keys, so
+// that every probe row matches at most one; false before the build.
+func (s *BuildSide) Unique() bool { return s.unique.Load() }
+
 // open opens the build operator at the first user's Open, and reports that
 // error, or the keys' compile error, to every user.
 func (s *BuildSide) open() error {
@@ -217,21 +230,45 @@ func (s *BuildSide) open() error {
 	return s.openErr
 }
 
-// table returns the built table and build columns, building them on the
-// first call and waiting for that build on every other.
-func (s *BuildSide) table() (*HashTable, []*vector.Vec, error) {
-	s.once.Do(func() { s.tab, s.cols, s.err = s.build() })
-	return s.tab, s.cols, s.err
+// table returns the built table, build columns and their dictionaries,
+// building them on the first call and waiting for that build on every other.
+func (s *BuildSide) table() (*HashTable, []*vector.Vec, []*compress.StrDict, error) {
+	s.once.Do(func() { s.tab, s.cols, s.dicts, s.err = s.build() })
+	return s.tab, s.cols, s.dicts, s.err
 }
 
-// build drains the build operator into columns and inserts their keys into a
-// table sized for them.
-func (s *BuildSide) build() (*HashTable, []*vector.Vec, error) {
+// buildDicts returns, per frozen build column, nil or, for a String one, a
+// dictionary whose code r is row r's value, a substring of the column's
+// arena, and whose last code is "". The dictionary keeps the arena alive as
+// long as an output batch holds it, past the build side's release.
+func buildDicts(cols []*vector.Vec) []*compress.StrDict {
+	var dicts []*compress.StrDict
+	for i, c := range cols {
+		if c.Kind() != vector.String {
+			continue
+		}
+		if dicts == nil {
+			dicts = make([]*compress.StrDict, len(cols))
+		}
+		vals := make([]string, c.Len()+1)
+		sc := c.StrCol()
+		for r := range c.Len() {
+			vals[r] = sc.At(r)
+		}
+		dicts[i] = &compress.StrDict{Values: vals}
+	}
+	return dicts
+}
+
+// build drains the build operator into columns, inserts their keys into a
+// table sized for them, records whether those keys are unique and makes the
+// String columns' dictionaries.
+func (s *BuildSide) build() (*HashTable, []*vector.Vec, []*compress.StrDict, error) {
 	cols := newCols(s.kinds, nil)
 	for {
 		b, err := s.op.Next()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if b == nil {
 			break
@@ -244,7 +281,7 @@ func (s *BuildSide) build() (*HashTable, []*vector.Vec, error) {
 		}
 		for i, v := range b.Vecs {
 			if err := cols[i].AppendRowsChecked(v, b.Sel); err != nil {
-				return nil, nil, fmt.Errorf("exec: hash join build: %w", err)
+				return nil, nil, nil, fmt.Errorf("exec: hash join build: %w", err)
 			}
 		}
 	}
@@ -261,14 +298,16 @@ func (s *BuildSide) build() (*HashTable, []*vector.Vec, error) {
 			win.Vecs[i] = c.Slice(lo, hi)
 		}
 		if err := s.prog.RunInto(win, keyCols); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if err := t.InsertBatch(keyCols, hi-lo); err != nil {
-			return nil, nil, fmt.Errorf("exec: hash join build: %w", err)
+			return nil, nil, nil, fmt.Errorf("exec: hash join build: %w", err)
 		}
 	}
+	t.setUnique()
 	s.builtRows.Store(int64(n))
-	return t, cols, nil
+	s.unique.Store(t.unique)
+	return t, cols, buildDicts(cols), nil
 }
 
 // close counts one user out; the last closes the build operator and drops
@@ -285,7 +324,7 @@ func (s *BuildSide) close() error {
 	if s.active--; s.active > 0 {
 		return nil
 	}
-	s.tab, s.cols = nil, nil
+	s.tab, s.cols, s.dicts = nil, nil, nil
 	if s.opened {
 		return s.op.Close()
 	}
@@ -311,11 +350,14 @@ const passThroughDensity = 4
 // emitted rows as its selection (none when that is every row), and the
 // build rows bs names placed at those physical rows, zero values at the
 // others. Otherwise they gather the probe rows, then the build rows (a
-// negative id pads with zero values). LeftOuter adds the matched flag. The
+// negative id pads with zero values). A build column with a dictionary in
+// dicts (nil: none has one) is not copied: it leaves as codes, the build row
+// ids, a negative id the dictionary's last code, "", and every such column
+// of the batch shares one code slice. LeftOuter adds the matched flag. The
 // batch leaves the operator: its selection and the vectors it makes are
 // fresh, never the pool's, and the probe vectors it passes through stay b's,
 // which no operator writes into (the package doc's aliasing rule).
-func joinOutput(jt JoinType, b *vector.Batch, ps, bs []int32, build []*vector.Vec, pool *vector.Pool) *vector.Batch {
+func joinOutput(jt JoinType, b *vector.Batch, ps, bs []int32, build []*vector.Vec, dicts []*compress.StrDict, pool *vector.Pool) *vector.Batch {
 	if len(ps) == 0 {
 		return nil
 	}
@@ -350,7 +392,21 @@ func joinOutput(jt JoinType, b *vector.Batch, ps, bs []int32, build []*vector.Ve
 			out.Vecs = append(out.Vecs, v.Gather(phys, len(phys)))
 		}
 	}
-	for _, bv := range build {
+	var codes []uint32
+	for i, bv := range build {
+		if dicts != nil && dicts[i] != nil {
+			if codes == nil {
+				codes = make([]uint32, len(bs))
+				pad := uint32(bv.Len())
+				for k, r := range bs {
+					if codes[k] = uint32(r); r < 0 {
+						codes[k] = pad
+					}
+				}
+			}
+			out.Vecs = append(out.Vecs, vector.FromDictCodes(codes, dicts[i]))
+			continue
+		}
 		g := vector.New(bv.Kind(), len(bs))
 		g.AppendGather(bv, bs)
 		out.Vecs = append(out.Vecs, g)
@@ -487,7 +543,7 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 			return nil, err
 		}
 		ps, bs := m.pairs(m.pool.GetSel(n), m.pool.GetSel(n))
-		out := joinOutput(m.Type, b, ps, bs, m.win, &m.pool)
+		out := joinOutput(m.Type, b, ps, bs, m.win, nil, &m.pool)
 		m.pool.PutSel(ps, bs)
 		if out != nil {
 			return out, nil

@@ -13,6 +13,8 @@ import (
 // passThroughDensity holds the probe batch's own vectors under a selection of
 // the emitted rows, none when that is every row; a repeated probe row or a
 // sparser batch gathers. HashJoin and MergeJoin both emit through joinOutput.
+// On either path a HashJoin's String build column leaves as codes over its
+// build side's dictionary; a MergeJoin's window is not frozen, so it copies.
 func TestJoinPassesProbeThrough(t *testing.T) {
 	const n = 64
 	keys := func(step int64, extra ...int64) [][]mergeRow {
@@ -73,6 +75,9 @@ func TestJoinPassesProbeThrough(t *testing.T) {
 					if through && tc.live == n && !sel && out.Sel != nil {
 						t.Fatalf("every physical row emitted, yet Sel = %v", out.Sel)
 					}
+					if hj, ok := op.(*HashJoin); ok != out.Vecs[5].IsDict() || ok && out.Vecs[5].Dict() != hj.dicts[2] {
+						t.Fatalf("build String column as codes: %v, want %v over the build side's dictionary", out.Vecs[5].IsDict(), ok)
+					}
 					checkJoin(t, merge, tc.jt, left, right)
 				})
 			}
@@ -83,28 +88,39 @@ func TestJoinPassesProbeThrough(t *testing.T) {
 // FuzzHashJoin: one byte triple per row picks its side and key, in any
 // order, its value, and whether its batch ends after it, followed by an
 // empty one; the fuzzer also picks the join type, whether build keys may
-// repeat (a unique build drops a row whose key it holds) and selections on
-// either side. The probe batches are dealt in turn to two streams whose
-// HashJoins share one build side and run at once; each stream's live rows
-// must equal the nested loops' over its batches, in probe order, and the
-// two together the nested loops' over the whole probe input. Keys span
-// 0–127, so a batch's matches fall on either side of passThroughDensity.
+// repeat (a unique build drops a row whose key it holds), selections on
+// either side and whether keys are wide. The probe batches are dealt in turn
+// to two streams whose HashJoins share one build side and run at once; each
+// stream's live rows must equal the nested loops' over its batches, in probe
+// order, and the two together the nested loops' over the whole probe input.
+// The build must call itself unique exactly when no key repeats. Keys span
+// 0–127, so a batch's matches fall on either side of passThroughDensity;
+// wide keys take five more bits from the third byte, 0–4095, so that a
+// unique build can outgrow a vector.MaxSize window. Both sides carry a
+// String column, which a hash join emits as codes over the build column.
 // The committed corpus holds a unique build with dense and with sparse
 // matches, a duplicated build, a LeftOuter join matching nothing, an empty
-// build side, and an inner join whose probe batches go to both streams.
+// build side, an inner join whose probe batches go to both streams, a
+// unique LeftOuter build whose keys share buckets, and a build repeating
+// one key past a window of distinct ones.
 func FuzzHashJoin(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte, jt uint8, key32, dup, lsel, rsel bool) {
+	f.Fuzz(func(t *testing.T, data []byte, jt uint8, key32, dup, lsel, rsel, wide bool) {
 		sides := [2]mergeInput{
 			{batches: [][]mergeRow{nil}, key32: key32, sel: lsel},
 			{batches: [][]mergeRow{nil}, key32: key32, sel: rsel},
 		}
 		built := map[int64]bool{}
+		unique := true
 		for i := 0; i+2 < len(data) && i < 12*vector.MaxSize; i += 3 {
 			side, k := data[i]&1, int64(data[i]>>1)
-			if side == 1 && !dup {
-				if built[k] {
+			if wide {
+				k |= int64(data[i+2]>>3) << 7
+			}
+			if side == 1 {
+				if built[k] && !dup {
 					continue
 				}
+				unique = unique && !built[k]
 				built[k] = true
 			}
 			s := &sides[side]
@@ -117,21 +133,23 @@ func FuzzHashJoin(f *testing.F) {
 				s.batches = append(s.batches, nil, nil)
 			}
 		}
-		checkSharedJoin(t, JoinType(jt%4), sides[0], sides[1])
+		if side := checkSharedJoin(t, JoinType(jt%4), sides[0], sides[1]); side.Unique() != unique {
+			t.Fatalf("build side unique = %v, want %v", side.Unique(), unique)
+		}
 	})
 }
 
 // checkSharedJoin deals left's batches in turn to two probe streams over one
 // build side on right, drains them on their own goroutines and compares each
 // with the nested loops over its batches, in order, and their union with
-// the nested loops over all of left.
-func checkSharedJoin(t *testing.T, jt JoinType, left, right mergeInput) {
+// the nested loops over all of left. It returns the build side.
+func checkSharedJoin(t *testing.T, jt JoinType, left, right mergeInput) *BuildSide {
 	t.Helper()
 	parts := []mergeInput{{key32: left.key32, sel: left.sel}, {key32: left.key32, sel: left.sel}}
 	for i, b := range left.batches {
 		parts[i%2].batches = append(parts[i%2].batches, b)
 	}
-	joins, _, _ := sharedJoins(jt, right, parts, -1, nil)
+	joins, side, _ := sharedJoins(jt, right, parts, -1, nil)
 	got := make([][]string, len(parts))
 	errs := make([]error, len(parts))
 	runAll(t, len(parts), func(i int) { got[i], errs[i] = drain(joins[i]) })
@@ -152,4 +170,5 @@ func checkSharedJoin(t *testing.T, jt JoinType, left, right mergeInput) {
 	if !slices.Equal(union, want) {
 		t.Fatalf("join type %d: the streams gave %d rows together, nested loops %d", jt, len(union), len(want))
 	}
+	return side
 }

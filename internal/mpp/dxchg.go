@@ -224,12 +224,14 @@ func (s *sender) ship(d int, out exec.Outs) error {
 // sendBuffer accumulates the rows bound for one consumer stream.
 type sendBuffer struct {
 	vecs  []*vector.Vec
-	bytes int
+	bytes int // what vecs hold (Vec.Bytes)
 	next  int // row capacity of new vectors: the last handoff's rows plus a quarter, at least 256
 }
 
 // append copies rows sel of b — every row when sel is nil — with one bulk
-// append per column and byte accounting per call, not per row.
+// append per column, and counts what the buffer then holds: its vectors
+// store strings, not a column's dictionary codes, so a coded column counts
+// at its values' bytes.
 func (sb *sendBuffer) append(b *vector.Batch, sel []int32) {
 	if sb.vecs == nil {
 		capHint := max(sb.next, 256)
@@ -237,14 +239,14 @@ func (sb *sendBuffer) append(b *vector.Batch, sel []int32) {
 			sb.vecs = append(sb.vecs, vector.New(v.Kind(), capHint))
 		}
 	}
+	sb.bytes = 0
 	for i, v := range b.Vecs {
 		if sel == nil {
 			sb.vecs[i].AppendRange(v, 0, v.Len())
-			sb.bytes += v.Bytes()
 		} else {
 			sb.vecs[i].AppendGather(v, sel)
-			sb.bytes += v.GatherBytes(sel)
 		}
+		sb.bytes += sb.vecs[i].Bytes()
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vectorh/internal/compress"
 	"vectorh/internal/exec"
 	"vectorh/internal/expr"
 	"vectorh/internal/mpi"
@@ -179,6 +182,82 @@ func TestDXchgBroadcastEveryRowOncePerNode(t *testing.T) {
 				t.Fatalf("%v: stream %d got %d rows, want 1500", toNode, s, len(keys))
 			}
 		}
+	}
+}
+
+// TestDXchgMessagesHoldMsgBytes: a sender counts what its buffer holds, and
+// the buffer stores strings, so a column that arrives as dictionary codes
+// over long strings still ships at MsgBytes. No message, remote or handed
+// off, holds more than MsgBytes plus the one batch whose append crossed it.
+// Counting such a column at its 4-byte codes shipped messages of 1.4 MB here.
+func TestDXchgMessagesHoldMsgBytes(t *testing.T) {
+	const msgBytes, rows, batches, width = 16 << 10, 200, 20, 1000
+	dict := &compress.StrDict{Values: []string{strings.Repeat("a", width), strings.Repeat("b", width)}}
+	coded := func(lo int) exec.Operator {
+		var bs []*vector.Batch
+		for off := 0; off < rows*batches; off += rows {
+			ks, codes := make([]int64, rows), make([]uint32, rows)
+			for i := range ks {
+				ks[i], codes[i] = int64(lo+off+i), uint32(i%2)
+			}
+			bs = append(bs, vector.NewBatch(vector.FromInt64(ks), vector.FromDictCodes(codes, dict)))
+		}
+		return &exec.BatchSource{Batches: bs}
+	}
+	bound := msgBytes + rows*(8+width+4) // a batch as the buffer stores it
+	for _, tc := range []struct {
+		name  string
+		ports func(cfg Config) ([]exec.Operator, error)
+	}{
+		{"union", func(cfg Config) ([]exec.Operator, error) {
+			u, err := DXchgUnion(cfg, [][]exec.Operator{{coded(0)}, {coded(1 << 20)}}, 1)
+			return []exec.Operator{u}, err
+		}},
+		{"hash split", func(cfg Config) ([]exec.Operator, error) {
+			ports, err := DXchgHashSplit(cfg, [][]exec.Operator{{coded(0)}, {coded(1 << 20)}}, key, []int{1, 1})
+			return slices.Concat(ports...), err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := mpi.NewNetwork(2)
+			ports, err := tc.ports(Config{Net: net, MsgBytes: msgBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var total, largest int
+			var wg sync.WaitGroup
+			for _, p := range ports {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer p.Close()
+					if err := p.Open(); err != nil {
+						t.Error(err)
+						return
+					}
+					for {
+						b, err := p.Next()
+						if err != nil {
+							t.Error(err)
+						}
+						if b == nil || err != nil {
+							return
+						}
+						mu.Lock()
+						total, largest = total+b.Len(), max(largest, b.Bytes())
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			if total != 2*rows*batches {
+				t.Fatalf("%d rows, want %d", total, 2*rows*batches)
+			}
+			if largest > bound {
+				t.Fatalf("a message holds %d bytes, want at most MsgBytes %d plus one batch, %d", largest, msgBytes, bound)
+			}
+		})
 	}
 }
 

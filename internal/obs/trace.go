@@ -36,9 +36,11 @@ type OpProfile struct {
 	// Hash join builds; only set for hash joins. BuildTables counts the
 	// distinct tables the operator's streams probed (one per node for a
 	// replicated build, one per stream for a paired join), BuildRows the
-	// rows inserted into them.
+	// rows inserted into them. BuildUnique: every one of those tables holds
+	// each key once, so each probe row matched at most one build row.
 	BuildRows   int64 `json:"build_rows,omitempty"`
 	BuildTables int   `json:"build_tables,omitempty"`
+	BuildUnique bool  `json:"build_unique,omitempty"`
 }
 
 // Trace accumulates the phase spans and operator profiles of one query.

@@ -453,21 +453,6 @@ func (v *Vec) Slice(lo, hi int) *Vec {
 // offset in the arena.
 const strWidth = 4
 
-// GatherBytes estimates the payload bytes of the elements sel selects —
-// what AppendGather(src, sel) would add to a destination, under the same
-// accounting as Bytes. Negative (padding) indices count as zero values.
-func (v *Vec) GatherBytes(sel []int32) int {
-	if v.kind != String {
-		return len(sel) * v.kind.Width()
-	}
-	if v.dict != nil {
-		// Codes stay codes through a gather: 4 bytes per value, the
-		// dictionary is shared and not duplicated by the gather.
-		return len(sel) * 4
-	}
-	return v.strBytes(sel) + len(sel)*strWidth
-}
-
 // strBytes sums the lengths of the string values sel selects; negative
 // indices select "".
 func (v *Vec) strBytes(sel []int32) int {

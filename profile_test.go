@@ -24,9 +24,13 @@ var partScanEst = regexp.MustCompile(`MScan\[\w+\] \(partitioned\).* ~(\d+) rows
 // held to a bound: a join above a replicated probe counts every node's copy.
 var joinEst = regexp.MustCompile(`(?:Hash|Merge)Join\[[^\]]*\] ~(\d+) rows \(actual rows=(\d+) `)
 
-// hashJoinBuilt matches a hash join's kind, streams, and the rows and
-// distinct tables it built.
-var hashJoinBuilt = regexp.MustCompile(`HashJoin\[\w+,([\w-]+)\].* streams=(\d+) built=(\d+) rows in (\d+) tables\)`)
+// hashJoinBuilt matches a hash join's kind, streams, the rows and distinct
+// tables it built, and whether their keys were unique.
+var hashJoinBuilt = regexp.MustCompile(`HashJoin\[(\w+),([\w-]+)\].* streams=(\d+) built=(\d+) rows in (\d+) tables( unique)?\)`)
+
+// joinHeavy are the statements of bench's join_heavy workload. Every one of
+// their joins is N:1: each hash join's build keys are unique.
+var joinHeavy = []int{3, 5, 7, 8, 9, 10, 18, 21}
 
 // maxScanQError90 bounds the 90th-percentile q-error — max(est/actual,
 // actual/est) — of the partitioned scans' estimates over the 22 queries.
@@ -99,14 +103,30 @@ func TestExplainAnalyzeAllTPCH(t *testing.T) {
 			if n := strings.Count(p.Analyzed, "HashJoin["); len(built) != n {
 				t.Errorf("%d of %d hash joins report their tables:\n%s", len(built), n, p.Analyzed)
 			}
+			leftJoins := 0
 			for _, m := range built {
-				want := m[2]
-				if m[1] == "replicated-build" {
+				want := m[3]
+				if m[2] == "replicated-build" {
 					want = "3"
 				}
-				if m[4] != want {
-					t.Errorf("%s join over %s streams built %s tables, want %s", m[1], m[2], m[4], want)
+				if m[5] != want {
+					t.Errorf("%s join over %s streams built %s tables, want %s", m[2], m[3], m[5], want)
 				}
+				// A build with unique keys says so: each of join_heavy's,
+				// and not Q13's LEFT JOIN on o_custkey, which repeats.
+				unique := m[6] != ""
+				if slices.Contains(joinHeavy, q) && !unique {
+					t.Errorf("%s: a join_heavy hash join over non-unique build keys", m[0])
+				}
+				if q == 13 && m[1] == "1" {
+					leftJoins++
+					if unique {
+						t.Errorf("%s: Q13's LEFT JOIN prints unique over repeated o_custkey", m[0])
+					}
+				}
+			}
+			if q == 13 && leftJoins != 1 {
+				t.Errorf("%d hash left joins in Q13, want 1", leftJoins)
 			}
 			// Q09's four replicated builds each run 6 probe streams (3 nodes
 			// × 2 threads) over 3 tables with rows; a table per probe
@@ -116,8 +136,8 @@ func TestExplainAnalyzeAllTPCH(t *testing.T) {
 					t.Errorf("%d hash joins report their tables, want Q09's 4", len(built))
 				}
 				for _, m := range built {
-					if m[1] != "replicated-build" || m[2] != "6" || m[3] == "0" {
-						t.Errorf("%s join over %s streams built %s rows, want a replicated build over 6 streams with rows", m[1], m[2], m[3])
+					if m[2] != "replicated-build" || m[3] != "6" || m[4] == "0" {
+						t.Errorf("%s join over %s streams built %s rows, want a replicated build over 6 streams with rows", m[2], m[3], m[4])
 					}
 				}
 			}
