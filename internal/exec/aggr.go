@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -49,24 +50,32 @@ type accum interface {
 	reset()
 }
 
-// newAccum builds the state of one spec: COUNT(*) and COUNT(DISTINCT) count,
-// SUM adds into int64 over integers and float64 over floats, AVG keeps SUM's
-// column and a count, MIN/MAX keep values of their argument's kind.
-func newAccum(a AggSpec) (accum, error) {
-	if a.Func == AggCountStar || a.Func == AggCountDistinct {
+// newAccum builds the state of one spec: COUNT(*) counts, SUM adds into
+// int64 over integers and float64 over floats, AVG keeps SUM's column and a
+// count, MIN/MAX keep values of their argument's kind. COUNT(DISTINCT)
+// counts each group's values when they arrive as one run, in an ordered
+// aggregation, and through a (group, value) table when groups interleave.
+func (a *aggAcc) newAccum(spec AggSpec, ordered bool) (accum, error) {
+	if spec.Func == AggCountStar {
 		return &counts{}, nil
 	}
-	switch k := a.Arg.Kind(); {
+	switch k := spec.Arg.Kind(); {
+	case spec.Func == AggCountDistinct && !ordered:
+		return &distinctTable{table: NewHashTable([]vector.Kind{vector.Int32, k}, a.pool), pool: a.pool, err: &a.err}, nil
+	case spec.Func == AggCountDistinct && k == vector.String:
+		return &distinctRuns[string]{load: loadStrings}, nil
+	case spec.Func == AggCountDistinct:
+		return &distinctRuns[int64]{load: loadBits}, nil
 	case k == vector.Int32:
-		return numAccum[int32, int64](a.Func, (*vector.Vec).Int32s), nil
+		return numAccum[int32, int64](spec.Func, (*vector.Vec).Int32s), nil
 	case k == vector.Int64:
-		return numAccum[int64, int64](a.Func, (*vector.Vec).Int64s), nil
+		return numAccum[int64, int64](spec.Func, (*vector.Vec).Int64s), nil
 	case k == vector.Float64:
-		return numAccum[float64, float64](a.Func, (*vector.Vec).Float64s), nil
-	case k == vector.String && (a.Func == AggMin || a.Func == AggMax):
-		return &extremes[string]{get: (*vector.Vec).Strings, max: a.Func == AggMax}, nil
+		return numAccum[float64, float64](spec.Func, (*vector.Vec).Float64s), nil
+	case k == vector.String && (spec.Func == AggMin || spec.Func == AggMax):
+		return &extremes[string]{get: (*vector.Vec).Strings, max: spec.Func == AggMax}, nil
 	default:
-		return nil, fmt.Errorf("exec: %v over %v in %s", a.Func, k, a.Arg)
+		return nil, fmt.Errorf("exec: %v over %v in %s", spec.Func, k, spec.Arg)
 	}
 }
 
@@ -110,7 +119,7 @@ func vecOf[T value](xs []T) *vector.Vec {
 	}
 }
 
-// counts is COUNT(*)'s state, and COUNT(DISTINCT)'s, which aggAcc fills.
+// counts is COUNT(*)'s state, and the counts COUNT(DISTINCT)'s states keep.
 type counts struct{ n []int64 }
 
 func (a *counts) grow(n int) { a.n = grown(a.n, n) }
@@ -191,23 +200,172 @@ func (a *extremes[T]) fold(arg *vector.Vec, groups []int32, next int32) {
 func (a *extremes[T]) result(lo, hi int) *vector.Vec { return vecOf(a.v[lo:hi]) }
 func (a *extremes[T]) reset()                        { a.v = a.v[:0] }
 
-// aggAcc is what both aggregation operators do once a row has its group id:
-// one accum per spec over n groups, plus a (group, value) dedup table per
-// COUNT(DISTINCT) spec, created on first use so other aggregations never pay
-// for it.
-type aggAcc struct {
-	aggs     []AggSpec
-	accs     []accum
-	n        int          // groups held
-	distinct []*HashTable // (group, value) tables, by agg
-	pool     *vector.Pool // the owning operator's pool
+// distinctTable is COUNT(DISTINCT)'s state in HashAggr, whose groups
+// interleave: a (group, value) table, where a row counts for its group when
+// its pair is new. fold cannot return the table's error
+// (vector.ErrStringBytes), so it keeps the first in *err, which
+// aggAcc.update returns; the table is garbage from then on.
+type distinctTable struct {
+	counts
+	table *HashTable
+	pool  *vector.Pool
+	err   *error
 }
 
-func (a *aggAcc) init(aggs []AggSpec, pool *vector.Pool) (err error) {
-	a.aggs, a.pool, a.n = aggs, pool, 0
-	a.accs, a.distinct = make([]accum, len(aggs)), make([]*HashTable, len(aggs))
+func (a *distinctTable) fold(arg *vector.Vec, groups []int32, _ int32) {
+	if *a.err != nil {
+		return
+	}
+	n := len(groups)
+	ids := a.pool.GetSel(n)[:n]
+	next := int32(a.table.Len()) // new pairs take ids from here, in order
+	if *a.err = a.table.FindOrInsert([]*vector.Vec{vector.FromInt32(groups), arg}, n, ids); *a.err == nil {
+		for r, id := range ids {
+			if id == next {
+				a.n[groups[r]]++
+				next++
+			}
+		}
+	}
+	a.pool.PutSel(ids)
+}
+func (a *distinctTable) reset() { a.counts.reset(); a.table.Reset() }
+
+// distinctRuns is COUNT(DISTINCT)'s state in OrderedAggr, whose groups are
+// runs of rows: the open group's values, as int64 (Bool as 0 or 1, Int32 and
+// Int64 widened, Float64 as its bits, so equality is the dedup table's
+// bitwise rule) or as strings (dictionary-coded or not; a value shares its
+// batch's bytes). A group's count is the number of its values once sorted
+// and deduplicated, taken when the next group starts or the groups leave.
+// Whenever the values have grown by vector.MaxSize, or by as many as the
+// last dedup kept, since that dedup, they are deduplicated in place: the
+// state is at most twice the open group's distinct values plus a batch, and
+// a value takes part in O(1) sorts, amortized.
+type distinctRuns[V cmp.Ordered] struct {
+	counts
+	vals []V // the open group's values, in arrival order after vals[:kept]
+	kept int // len(vals) after its last dedup
+	in   []V // the batch's values, as V; a group within it is sorted there
+	load func(dst []V, arg *vector.Vec) []V
+}
+
+func (a *distinctRuns[V]) fold(arg *vector.Vec, groups []int32, next int32) {
+	in := a.load(a.in[:0], arg)
+	a.in = in
+	for lo := 0; lo < len(groups); {
+		g, hi := groups[lo], lo+1
+		for hi < len(groups) && groups[hi] == g {
+			hi++
+		}
+		if g >= next { // g starts, so the open group, g-1, is complete
+			a.count(g - 1)
+			next = g + 1
+		}
+		if len(a.vals) == 0 && hi < len(groups) { // g starts and completes here
+			a.n[g] = distinct(in[lo:hi])
+		} else {
+			a.add(in[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// result counts the open group too: groups leave only once all are complete.
+func (a *distinctRuns[V]) result(lo, hi int) *vector.Vec {
+	a.count(int32(len(a.n)) - 1)
+	return a.counts.result(lo, hi)
+}
+func (a *distinctRuns[V]) reset() { a.counts.reset(); a.vals, a.kept = a.vals[:0], 0 }
+
+// add appends xs to the open group's values, deduplicating them in place
+// each time they reach their limit.
+func (a *distinctRuns[V]) add(xs []V) {
+	for len(xs) > 0 {
+		limit := a.kept + max(vector.MaxSize, a.kept)
+		m := min(len(xs), limit-len(a.vals))
+		a.vals = append(a.vals, xs[:m]...)
+		if xs = xs[m:]; len(a.vals) == limit {
+			a.dedup()
+		}
+	}
+}
+
+// count stores the open group g's count, if a group is open, and closes it.
+func (a *distinctRuns[V]) count(g int32) {
+	if len(a.vals) > 0 {
+		a.n[g] = distinct(a.vals)
+		a.vals, a.kept = a.vals[:0], 0
+	}
+}
+
+// dedup sorts the open group's values and drops the repeats.
+func (a *distinctRuns[V]) dedup() {
+	slices.Sort(a.vals)
+	a.vals = slices.Compact(a.vals)
+	a.kept = len(a.vals)
+}
+
+// distinct sorts xs, a group's values (one at least), and counts the
+// distinct ones.
+func distinct[V cmp.Ordered](xs []V) int64 {
+	slices.Sort(xs)
+	n := int64(1)
+	for i := 1; i < len(xs); i++ {
+		if xs[i] != xs[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// loadBits and loadStrings fill dst with arg's values as distinctRuns keeps
+// them.
+func loadBits(dst []int64, arg *vector.Vec) []int64 {
+	switch arg.Kind() {
+	case vector.Bool:
+		for _, x := range arg.Bools() {
+			var b int64
+			if x {
+				b = 1
+			}
+			dst = append(dst, b)
+		}
+	case vector.Int32:
+		for _, x := range arg.Int32s() {
+			dst = append(dst, int64(x))
+		}
+	case vector.Int64:
+		dst = append(dst, arg.Int64s()...)
+	default: // Float64
+		for _, x := range arg.Float64s() {
+			dst = append(dst, int64(math.Float64bits(x)))
+		}
+	}
+	return dst
+}
+
+func loadStrings(dst []string, arg *vector.Vec) []string {
+	for r := range arg.Len() {
+		dst = append(dst, arg.StrAt(r))
+	}
+	return dst
+}
+
+// aggAcc is what both aggregation operators do once a row has its group id:
+// one accum per spec over n groups.
+type aggAcc struct {
+	accs []accum
+	n    int          // groups held
+	pool *vector.Pool // the owning operator's pool
+	err  error        // a fold's error: a distinctTable's, kept for update
+}
+
+// init builds the states of aggs, for an ordered aggregation or not.
+func (a *aggAcc) init(aggs []AggSpec, ordered bool, pool *vector.Pool) (err error) {
+	a.pool, a.n, a.err = pool, 0, nil
+	a.accs = make([]accum, len(aggs))
 	for i, spec := range aggs {
-		if a.accs[i], err = newAccum(spec); err != nil {
+		if a.accs[i], err = a.newAccum(spec, ordered); err != nil {
 			return err
 		}
 	}
@@ -228,53 +386,16 @@ func (a *aggAcc) grow(n int) {
 func (a *aggAcc) update(args []*vector.Vec, groups []int32, n int) error {
 	next := int32(a.n)
 	a.grow(n)
-	for ai, spec := range a.aggs {
-		if spec.Func != AggCountDistinct {
-			a.accs[ai].fold(args[ai], groups, next)
-		} else if err := a.updateDistinct(ai, args[ai], groups); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// updateDistinct records the batch's (group, value) pairs in the spec's
-// dedup table, creating it on first use.
-func (a *aggAcc) updateDistinct(ai int, arg *vector.Vec, groups []int32) error {
-	dt := a.distinct[ai]
-	if dt == nil {
-		dt = NewHashTable([]vector.Kind{vector.Int32, arg.Kind()}, a.pool)
-		a.distinct[ai] = dt
-	}
-	n := len(groups)
-	ids := a.pool.GetSel(n)[:n]
-	err := dt.FindOrInsert([]*vector.Vec{vector.FromInt32(groups), arg}, n, ids)
-	a.pool.PutSel(ids)
-	return err
-}
-
-// foldDistinct counts the dedup tables into the states: each stored
-// (group, value) entry is one distinct value of its group.
-func (a *aggAcc) foldDistinct() {
-	for ai, dt := range a.distinct {
-		if dt == nil {
-			continue
-		}
-		c := a.accs[ai].(*counts)
-		for _, g := range dt.Keys()[0].Int32s() {
-			c.n[g]++
-		}
-	}
-}
-
-// reset drops every group, keeping the states and dedup tables for the
-// next ones.
-func (a *aggAcc) reset() {
 	for ai, acc := range a.accs {
+		acc.fold(args[ai], groups, next)
+	}
+	return a.err
+}
+
+// reset drops every group, keeping the states for the next ones.
+func (a *aggAcc) reset() {
+	for _, acc := range a.accs {
 		acc.reset()
-		if dt := a.distinct[ai]; dt != nil {
-			dt.Reset()
-		}
 	}
 	a.n = 0
 }
@@ -347,7 +468,7 @@ func (h *HashAggr) Open() (err error) {
 	if h.prog, err = expr.Compile(AggExprs(h.Keys, h.Aggs)...); err != nil {
 		return err
 	}
-	if err := h.init(h.Aggs, &h.pool); err != nil {
+	if err := h.init(h.Aggs, false, &h.pool); err != nil {
 		return err
 	}
 	return h.Child.Open()
@@ -424,7 +545,6 @@ func (h *HashAggr) consume() error {
 	if h.table == nil && !h.Partial {
 		h.grow(1) // the global row of no input: zeros
 	}
-	h.foldDistinct()
 	return nil
 }
 
@@ -432,8 +552,10 @@ func (h *HashAggr) consume() error {
 // group key, as a clustered table's key is. A group starts where the key
 // changes, so group ids come from runs, not a hash table; the rest is aggAcc.
 // Groups stay open across input batches and leave in key order once
-// vector.MaxSize are held and the next starts: state, COUNT(DISTINCT)'s
-// included, is one output batch of groups. vectorh_debug panics on a key
+// vector.MaxSize are held and the next starts: state is one output batch of
+// groups. COUNT(DISTINCT) counts each group's values from its run, sorted,
+// when the group completes, without hashing: it holds only the open group's
+// values, deduplicated in place as they grow. vectorh_debug panics on a key
 // that goes down.
 type OrderedAggr struct {
 	Child Operator
@@ -456,7 +578,7 @@ func (o *OrderedAggr) Open() (err error) {
 	if o.prog, err = expr.Compile(AggExprs([]expr.Expr{o.Key}, o.Aggs)...); err != nil {
 		return err
 	}
-	if err := o.init(o.Aggs, &o.pool); err != nil {
+	if err := o.init(o.Aggs, true, &o.pool); err != nil {
 		return err
 	}
 	o.keys, o.args = vector.New(o.Key.Kind(), vector.MaxSize), make([]*vector.Vec, len(o.Aggs))
@@ -542,7 +664,6 @@ func (o *OrderedAggr) fold() (full bool, err error) {
 
 // emit hands the held groups, all closed, downstream and holds none.
 func (o *OrderedAggr) emit() *vector.Batch {
-	o.foldDistinct()
 	out := &vector.Batch{Vecs: make([]*vector.Vec, 1+len(o.Aggs))}
 	out.Vecs[0] = o.keys
 	o.results(0, o.keys.Len(), out.Vecs[1:])

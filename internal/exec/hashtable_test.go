@@ -222,27 +222,37 @@ func TestHashAggrAvgEmptyInput(t *testing.T) {
 	}
 }
 
+// TestHashAggrDistinctStateLazy: only a COUNT(DISTINCT) spec keeps a dedup
+// table, and only in HashAggr; OrderedAggr counts the same spec from runs.
 func TestHashAggrDistinctStateLazy(t *testing.T) {
 	b := vector.NewBatch(
 		vector.FromInt64([]int64{1, 1, 2}),
 		vector.FromInt64([]int64{5, 5, 7}),
 	)
+	aggs := []AggSpec{
+		{Func: AggSum, Arg: expr.Col(1, vector.Int64)},
+		{Func: AggCountDistinct, Arg: expr.Col(1, vector.Int64)},
+	}
 	op := &HashAggr{
 		Child: &BatchSource{Batches: []*vector.Batch{b}},
 		Keys:  []expr.Expr{expr.Col(0, vector.Int64)},
-		Aggs: []AggSpec{
-			{Func: AggSum, Arg: expr.Col(1, vector.Int64)},
-			{Func: AggCountDistinct, Arg: expr.Col(1, vector.Int64)},
-		},
+		Aggs:  aggs,
 	}
 	if _, err := Collect(op); err != nil {
 		t.Fatal(err)
 	}
-	if op.distinct[0] != nil {
+	if _, ok := op.accs[0].(*distinctTable); ok {
 		t.Fatal("SUM spec allocated distinct state")
 	}
-	if op.distinct[1] == nil {
-		t.Fatal("COUNT(DISTINCT) spec did not allocate its dedup table")
+	if dt, ok := op.accs[1].(*distinctTable); !ok || dt.table.Len() != 2 {
+		t.Fatalf("COUNT(DISTINCT) spec's state is %T, want a dedup table of 2 pairs", op.accs[1])
+	}
+	ordered := &OrderedAggr{Child: &BatchSource{Batches: []*vector.Batch{b}}, Key: expr.Col(0, vector.Int64), Aggs: aggs}
+	if _, err := Collect(ordered); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ordered.accs[1].(*distinctRuns[int64]); !ok {
+		t.Fatalf("ordered COUNT(DISTINCT) spec's state is %T, want runs", ordered.accs[1])
 	}
 }
 
@@ -384,6 +394,12 @@ func TestStringBytesLimitIsAnError(t *testing.T) {
 			Child: &BatchSource{Batches: []*vector.Batch{vector.NewBatch(vector.FromDictCodes(make([]uint32, vector.MaxSize), huge))}},
 			Keys:  []expr.Expr{expr.Col(0, vector.String)},
 			Aggs:  []AggSpec{{Func: AggCountStar}},
+		}
+		ops["hash aggr, COUNT(DISTINCT)"] = &HashAggr{
+			Child: &BatchSource{Batches: []*vector.Batch{vector.NewBatch(vector.FromInt64(make([]int64, vector.MaxSize)),
+				vector.FromDictCodes(make([]uint32, vector.MaxSize), huge))}},
+			Keys: []expr.Expr{expr.Col(0, vector.Int64)},
+			Aggs: []AggSpec{{Func: AggCountDistinct, Arg: expr.Col(1, vector.String)}},
 		}
 	}
 	for name, op := range ops {

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -334,22 +336,115 @@ func TestAggrWithoutAggregates(t *testing.T) {
 }
 
 // TestOrderedAggrStateBounded: state is one output batch of groups, not the
-// group count.
+// group count, and COUNT(DISTINCT) holds the open group's values, deduplicated
+// in place as they grow, not the group's rows: one group of 20 batches over
+// 8 values buffers at most 2 × vector.MaxSize.
 func TestOrderedAggrStateBounded(t *testing.T) {
-	in := runs(20*vector.MaxSize, 2, 1)
-	in.cuts = map[int]bool{}
-	for r := 999; r < len(in.keys); r += 1000 {
-		in.cuts[r] = true
+	fewValues := runs(20*vector.MaxSize, 20*vector.MaxSize, 1)
+	for r := range fewValues.vals {
+		fewValues.vals[r] = int64(r % 8)
 	}
-	op := checkOrderedAggr(t, in)
-	for ai, acc := range op.accs {
-		if c := stateCap(reflect.ValueOf(acc)); c > 2*vector.MaxSize {
-			t.Fatalf("aggregate %d holds state for %d groups", ai, c)
+	for name, in := range map[string]orderedInput{
+		"two-row groups":          runs(20*vector.MaxSize, 2, 1),
+		"one group over 8 values": fewValues,
+	} {
+		in.cuts = map[int]bool{}
+		for r := 999; r < len(in.keys); r += 1000 {
+			in.cuts[r] = true
+		}
+		op := checkOrderedAggr(t, in)
+		for ai, acc := range op.accs {
+			if c := stateCap(reflect.ValueOf(acc)); c > 2*vector.MaxSize {
+				t.Fatalf("%s: aggregate %d holds state for %d groups", name, ai, c)
+			}
+			if op.Aggs[ai].Func != AggCountDistinct {
+				continue
+			}
+			if vals := reflect.ValueOf(acc).Elem().FieldByName("vals"); !vals.IsValid() {
+				t.Fatalf("%s: aggregate %d (%v) is a %T, not a run state", name, ai, op.Aggs[ai], acc)
+			} else if vals.Cap() > 2*vector.MaxSize {
+				t.Fatalf("%s: aggregate %d (%v) buffered %d values", name, ai, op.Aggs[ai], vals.Cap())
+			}
 		}
 	}
-	for ai, dt := range op.distinct {
-		if dt != nil && len(dt.buckets) > 8*vector.MaxSize {
-			t.Fatalf("aggregate %d's dedup table has %d buckets", ai, len(dt.buckets))
+}
+
+// TestCountDistinctEqualityParity: both operators count COUNT(DISTINCT) by
+// the dedup table's equality, which the map model cannot check: floats
+// bitwise (+0 and -0 differ, a NaN equals the same NaN), strings by value
+// whether dictionary-coded or not.
+func TestCountDistinctEqualityParity(t *testing.T) {
+	dict := &compress.StrDict{Values: []string{"oak", "elm", "ash"}}
+	for _, tc := range []struct {
+		name    string
+		kind    vector.Kind
+		batches func() []*vector.Batch
+		want    [][]any
+	}{
+		{"float64 bits", vector.Float64, func() []*vector.Batch {
+			nan := math.NaN()
+			return []*vector.Batch{vector.NewBatch(vector.FromInt64([]int64{1, 1, 1, 1, 1, 1}),
+				vector.FromFloat64([]float64{0, math.Copysign(0, -1), nan, nan, 1.5, 1.5}))}
+		}, [][]any{{int64(1), int64(4)}}},
+		{"strings coded, then materialized", vector.String, func() []*vector.Batch {
+			return []*vector.Batch{
+				vector.NewBatch(vector.FromInt64([]int64{1, 1, 1}), vector.FromDictCodes([]uint32{0, 1, 0}, dict)),
+				vector.NewBatch(vector.FromInt64([]int64{1, 1, 2}), vector.FromString([]string{"elm", "fir", "oak"})),
+			}
+		}, [][]any{{int64(1), int64(3)}, {int64(2), int64(1)}}},
+	} {
+		key, aggs := expr.Col(0, vector.Int64), []AggSpec{{Func: AggCountDistinct, Arg: expr.Col(1, tc.kind)}}
+		for _, op := range []Operator{
+			&OrderedAggr{Child: &BatchSource{Batches: tc.batches()}, Key: key, Aggs: aggs},
+			&HashAggr{Child: &BatchSource{Batches: tc.batches()}, Keys: []expr.Expr{key}, Aggs: aggs},
+		} {
+			if got, err := Collect(op); err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s, %T: %v (err %v), want %v", tc.name, op, got, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestOrderedDistinctFoldAllocs: once its buffers have grown, the run state
+// folds a further batch without allocating, groups completing, a group
+// continuing and an in-place dedup included. Run i folds groups 3i to 3i+2
+// (3i-1, left open by run i-1, completes), then a batch more of group 3i+2.
+func TestOrderedDistinctFoldAllocs(t *testing.T) {
+	const runs = 25 // AllocsPerRun(20, f) calls f 21 times
+	n := vector.MaxSize
+	i32, f64, strs, codes := make([]int32, n), make([]float64, n), make([]string, n), make([]uint32, n)
+	for r := range n {
+		i32[r], f64[r], strs[r], codes[r] = int32(r%50), float64(r%50)/4, words[r%len(words)], uint32(r%len(words))
+	}
+	var starts, continues [runs][]int32
+	for i := range runs {
+		starts[i], continues[i] = make([]int32, n), make([]int32, n)
+		for r := range n {
+			starts[i][r], continues[i][r] = int32(3*i+r*3/n), int32(3*i+2)
+		}
+	}
+	for _, arg := range []*vector.Vec{vector.FromInt32(i32), vector.FromFloat64(f64), vector.FromString(strs),
+		vector.FromDictCodes(codes, &compress.StrDict{Values: words})} {
+		want := int64(50)
+		if arg.Kind() == vector.String {
+			want = int64(len(words))
+		}
+		acc, err := (&aggAcc{}).newAccum(AggSpec{Func: AggCountDistinct, Arg: expr.Col(0, arg.Kind())}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc.grow(3 * runs)
+		i := 0
+		fold := func() {
+			acc.fold(arg, starts[i], int32(3*i))
+			acc.fold(arg, continues[i], int32(3*i+3))
+			i++
+		}
+		if a := testing.AllocsPerRun(20, fold); a != 0 {
+			t.Errorf("%v (dictionary %v): a warm fold allocates %.1f objects", arg.Kind(), arg.IsDict(), a)
+		}
+		if got := acc.result(0, 3).Int64s(); !slices.Equal(got, []int64{want, want, want}) {
+			t.Errorf("%v (dictionary %v): counts %v, want %d each", arg.Kind(), arg.IsDict(), got, want)
 		}
 	}
 }
