@@ -1,11 +1,13 @@
 package colstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"vectorh/internal/compress"
 	"vectorh/internal/hdfs"
 	"vectorh/internal/vector"
 )
@@ -627,5 +629,31 @@ func TestSpanValueBoundsReadsNoPayload(t *testing.T) {
 	}
 	if st := s.Stats(); st.BlocksRead != 0 || st.BytesDecoded != 0 {
 		t.Fatalf("SpanValueBounds decoded a block: %+v", st)
+	}
+}
+
+// TestDecodeHostileBlocks feeds the block decoder blocks no encoder writes,
+// under every column kind and both scan forms: each must fail with an
+// error, never panic. A float header claiming 2^61 rows used to wrap the
+// n*8 size check and panic in make.
+func TestDecodeHostileBlocks(t *testing.T) {
+	floatBlock := func(n uint64, body int) []byte {
+		b := binary.AppendUvarint([]byte{tagFloatRaw}, n)
+		return append(b, make([]byte, body)...)
+	}
+	blocks := map[string][]byte{
+		"float count overflow": floatBlock(1<<61, 8),
+		"truncated float body": floatBlock(3, 16),
+		"unknown tag":          {0x7f, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+		"empty block":          {},
+	}
+	for name, blk := range blocks {
+		for _, k := range []vector.Kind{vector.Bool, vector.Int32, vector.Int64, vector.Float64, vector.String} {
+			for _, codeForm := range []bool{false, true} {
+				if _, err := decodeBlockScan(k, blk, codeForm, &compress.Scratch{}); err == nil {
+					t.Errorf("%s as %v (code form %v): decoded without an error", name, k, codeForm)
+				}
+			}
+		}
 	}
 }

@@ -178,7 +178,7 @@ func decodeBlockScan(k vector.Kind, data []byte, codeForm bool, scratch *compres
 		}
 		body := data[1:]
 		n, sz := binary.Uvarint(body)
-		if sz <= 0 || uint64(len(body)-sz) < n*8 {
+		if sz <= 0 || n > uint64(len(body)-sz)/8 { // n*8 could wrap
 			return colData{}, compress.ErrCorrupt
 		}
 		body = body[sz:]

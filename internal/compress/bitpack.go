@@ -55,85 +55,32 @@ func packBits(dst []byte, vals []uint64, width int) []byte {
 	return dst
 }
 
-// unpackBits unpacks n width-bit values from src into dst (len(dst) >= n).
-// It returns the number of bytes consumed. This is the phase-one "inflate"
-// loop of patched decompression: no per-value branches on data.
-func unpackBits(dst []uint64, src []byte, n, width int) int {
+// unpackBits fills dst with the width-bit values packed in src, each plus
+// ref (modulo 2^64): the phase-one "inflate" loop of patched decompression,
+// with the frame of reference added as the codes inflate. A code of at most
+// 56 bits lies within the 8 bytes from its first one, so it is one
+// unaligned 8-byte load, a shift and a mask, with no branch on data; only
+// the last codes, whose 8 bytes would run past src, and wider codes go byte
+// by byte. Dictionary codes unpack as uint32, half the staging memory.
+func unpackBits[T uint32 | uint64 | int64](dst []T, src []byte, width int, ref uint64) {
 	if width == 0 {
-		for i := 0; i < n; i++ {
-			dst[i] = 0
-		}
-		return 0
-	}
-	if width <= 56 {
-		mask := uint64(1)<<uint(width) - 1
-		var acc uint64
-		nbits, pos := 0, 0
-		for i := 0; i < n; i++ {
-			for nbits < width {
-				if pos < len(src) {
-					acc |= uint64(src[pos]) << uint(nbits)
-					pos++
-				}
-				nbits += 8
-			}
-			dst[i] = acc & mask
-			acc >>= uint(width)
-			nbits -= width
-		}
-		return (n*width + 7) / 8
-	}
-	// Wide path (width in 57..64): byte-wise assembly.
-	bitoff := 0
-	for i := 0; i < n; i++ {
-		var v uint64
-		got, rem := 0, width
-		for rem > 0 {
-			byteIdx := bitoff >> 3
-			bitIdx := bitoff & 7
-			take := 8 - bitIdx
-			if take > rem {
-				take = rem
-			}
-			var b byte
-			if byteIdx < len(src) {
-				b = src[byteIdx]
-			}
-			bits := uint64(b>>uint(bitIdx)) & (1<<uint(take) - 1)
-			v |= bits << uint(got)
-			got += take
-			bitoff += take
-			rem -= take
-		}
-		dst[i] = v
-	}
-	return (n*width + 7) / 8
-}
-
-// unpackBits32 is unpackBits narrowed to uint32 codes (dictionary codes are
-// at most maxDictEntries plus per-block exceptions, far below 2^32): same
-// branch-free inflate, half the staging memory.
-func unpackBits32(dst []uint32, src []byte, n, width int) {
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			dst[i] = 0
+		for i := range dst {
+			dst[i] = T(ref)
 		}
 		return
 	}
-	mask := uint64(1)<<uint(width) - 1
-	var acc uint64
-	nbits, pos := 0, 0
-	for i := 0; i < n; i++ {
-		for nbits < width {
-			if pos < len(src) {
-				acc |= uint64(src[pos]) << uint(nbits)
-				pos++
-			}
-			nbits += 8
-		}
-		dst[i] = uint32(acc & mask)
-		acc >>= uint(width)
-		nbits -= width
+	fast := 0
+	if width <= 56 && len(src) >= 8 {
+		// Code i's load starts at byte i*width/8, which must be <= len(src)-8.
+		fast = min(len(dst), ((len(src)-7)*8-1)/width+1)
+	}
+	w, mask := uint(width), uint64(1)<<uint(width)-1
+	for i := range dst[:fast] {
+		bit := uint(i) * w
+		dst[i] = T(binary.LittleEndian.Uint64(src[bit>>3:])>>(bit&7)&mask + ref)
+	}
+	for i := fast; i < len(dst); i++ {
+		dst[i] = T(unpackOne(src, i, width) + ref)
 	}
 }
 

@@ -78,12 +78,11 @@ func rowsFit(n uint64, w int, body []byte) bool {
 // Scratch holds decoder-internal buffers that never escape a decode call,
 // so a long-lived caller (one colstore.Scanner) can reuse them across
 // blocks. Decode *targets* are not reusable — they are served upstream as
-// zero-copy vector views — but the code/delta staging arrays are.
+// zero-copy vector views — but the string decoders' staging arrays are.
 type Scratch struct {
-	codes  []uint64
-	deltas []int64
-	spans  [][2]int // PDICT value positions in the block
-	raw    []byte   // a raw+LZ block's decompressed values
+	codes []uint64 // PDICT codes
+	spans [][2]int // PDICT value positions in the block
+	raw   []byte   // a raw+LZ block's decompressed values
 }
 
 func (s *Scratch) u64(n int) []uint64 {
@@ -102,15 +101,6 @@ func (s *Scratch) spansOf(n int) [][2]int {
 	}
 	s.spans = grow(s.spans, n)
 	return s.spans
-}
-
-// deltaBuf returns the delta staging buffer, empty, for decodePatched to
-// grow once it has checked the block.
-func (s *Scratch) deltaBuf() []int64 {
-	if s == nil {
-		return nil
-	}
-	return s.deltas[:0]
 }
 
 // PDictBlock is an opened PDICT block: the dictionary is parsed (including
@@ -188,10 +178,10 @@ func PDictOpen(data []byte) (*PDictBlock, error) {
 		}
 		b.excPos = make([]int32, 0, l.ne)
 		b.excCode = make([]uint32, 0, l.ne)
-		cur, rest := int(l.fe), l.exc
+		cur, rest := l.fe, l.exc
 		for range l.ne {
 			v, r, ok := nextLenPrefixed(rest)
-			if !ok || cur >= l.n {
+			if !ok || cur >= uint64(l.n) {
 				return nil, ErrCorrupt
 			}
 			b.dictBytes += len(rest) - len(r)
@@ -204,7 +194,7 @@ func PDictOpen(data []byte) (*PDictBlock, error) {
 			}
 			b.excPos = append(b.excPos, int32(cur))
 			b.excCode = append(b.excCode, c)
-			cur += int(unpackOne(l.packed, cur, l.w)) + 1
+			cur += unpackOne(l.packed, int(cur), l.w) + 1 // wraps past n to a failure
 		}
 	}
 	b.Dict = &StrDict{Values: vals}
@@ -219,7 +209,7 @@ func (b *PDictBlock) Codes() ([]uint32, error) {
 			return
 		}
 		codes := make([]uint32, b.n)
-		unpackBits32(codes, b.packed, b.n, b.w)
+		unpackBits(codes, b.packed, b.w, 0)
 		for i, p := range b.excPos {
 			codes[p] = b.excCode[i]
 		}

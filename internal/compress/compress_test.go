@@ -2,34 +2,58 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// TestBitPackRoundTrip sweeps every width and value counts around the word
+// and block edges, with the packed slice exactly as long as the codes
+// (no slack to read into): packBits and unpackBits round-trip, and
+// unpackBits into uint64, into uint32 (w <= 32, PDICT's codes) and into
+// int64 with a frame reference added (PFOR's fused decode) agrees with
+// unpackOne.
 func TestBitPackRoundTrip(t *testing.T) {
-	for _, width := range []int{0, 1, 3, 7, 8, 13, 31, 32, 47, 56, 57, 63, 64} {
+	ref := uint64(0xfff0_0000_0000_1234) // wraps like a negative frame base
+	for width := 0; width <= 64; width++ {
 		rng := rand.New(rand.NewSource(int64(width)))
-		vals := make([]uint64, 300)
-		var mask uint64 = ^uint64(0)
+		mask := ^uint64(0)
 		if width < 64 {
 			mask = uint64(1)<<uint(width) - 1
 		}
-		for i := range vals {
-			vals[i] = rng.Uint64() & mask
-		}
-		packed := packBits(nil, vals, width)
-		wantBytes := (len(vals)*width + 7) / 8
-		if len(packed) != wantBytes {
-			t.Fatalf("width %d: packed %d bytes, want %d", width, len(packed), wantBytes)
-		}
-		got := make([]uint64, len(vals))
-		unpackBits(got, packed, len(vals), width)
-		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("width %d: val %d = %d, want %d", width, i, got[i], vals[i])
+		for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 1023, 8191} {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = rng.Uint64() & mask
+			}
+			packed := slices.Clip(packBits(nil, vals, width))
+			if want := (n*width + 7) / 8; len(packed) != want {
+				t.Fatalf("w=%d n=%d: packed %d bytes, want %d", width, n, len(packed), want)
+			}
+			got := make([]uint64, n)
+			unpackBits(got, packed, width, 0)
+			frame := make([]int64, n)
+			unpackBits(frame, packed, width, ref)
+			var got32 []uint32
+			if width <= 32 {
+				got32 = make([]uint32, n)
+				unpackBits(got32, packed, width, 0)
+			}
+			for i := range vals {
+				one := unpackOne(packed, i, width)
+				if one != vals[i] || got[i] != one {
+					t.Fatalf("w=%d n=%d: value %d: unpackBits %d, unpackOne %d, packed %d", width, n, i, got[i], one, vals[i])
+				}
+				if frame[i] != int64(one+ref) {
+					t.Fatalf("w=%d n=%d: value %d: fused PFOR inflate %d, want %d", width, n, i, frame[i], int64(one+ref))
+				}
+				if got32 != nil && uint64(got32[i]) != one {
+					t.Fatalf("w=%d n=%d: value %d: unpackBits into uint32 %d, want %d", width, n, i, got32[i], one)
+				}
 			}
 		}
 	}
@@ -217,6 +241,29 @@ func TestPFORDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestExceptionChainLinkPastInt: a 64-bit code slot whose chain link is at
+// least 2^63 must end the chain with an error. Added to a position as an
+// int, such a link went negative and passed the "past the last row" check:
+// PFOR's patch then indexed before its rows and panicked, and PDictOpen
+// opened the block with a wrapped exception position.
+func TestExceptionChainLinkPastInt(t *testing.T) {
+	packed := binary.LittleEndian.AppendUint64(nil, 1<<63) // row 0 links to 2^63+1
+	packed = binary.LittleEndian.AppendUint64(packed, 0)
+	pfor := append([]byte{tagPFOR, 2, 0, 64, 0, 2}, packed...) // n 2, ref 0, w 64, fe 0, ne 2
+	pfor = append(pfor, 2, 4)                                  // exception values 1, 2
+	if _, err := PFORDecode(pfor, nil); err == nil {
+		t.Error("PFOR: an exception chain past the rows decoded")
+	}
+	pdict := append([]byte{tagPDict, 2, 1, 1, 'a', 64, 0, 2}, packed...) // n 2, entry "a", w 64, fe 0, ne 2
+	pdict = append(pdict, 1, 'x', 1, 'y')
+	if _, err := PDictOpen(pdict); err == nil {
+		t.Error("PDictOpen: an exception chain past the rows opened")
+	}
+	if _, err := DecodeStringsScratch(pdict, nil); err == nil {
+		t.Error("PDICT: an exception chain past the rows decoded")
+	}
+}
+
 func TestPDictBasic(t *testing.T) {
 	vals := []string{"apple", "pear", "apple", "apple", "fig", "pear", "apple"}
 	dec, err := decodeAll(PDictEncode(vals), nil)
@@ -358,6 +405,97 @@ func TestLZRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LZDecompress(nil); err == nil {
 		t.Fatal("empty input should fail")
+	}
+}
+
+// lzLit appends a literal-run token carrying b (1 to 128 bytes).
+func lzLit(out, b []byte) []byte { return append(append(out, byte((len(b)-1)<<1)), b...) }
+
+// lzMatch appends a match token of length 4 to 131 at offset off.
+func lzMatch(out []byte, off, length int) []byte {
+	return binary.AppendUvarint(append(out, byte((length-4)<<1|1)), uint64(off))
+}
+
+// lzStream prefixes tokens with a declared decompressed length n.
+func lzStream(n int, tokens []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(n)), tokens...)
+}
+
+// lzAgree decodes stream with refLZDecompress and with lzDecompress, into
+// no buffer and into a reused one full of stale bytes, and fails unless all
+// give the same bytes or all fail. It returns the reference's error.
+func lzAgree(t *testing.T, stream []byte) error {
+	t.Helper()
+	want, wantErr := refLZDecompress(nil, stream)
+	stale := make([]byte, 1<<12)
+	for _, dst := range [][]byte{nil, stale} {
+		for i := range dst {
+			dst[i] = 0xa5
+		}
+		got, err := lzDecompress(dst, stream)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("stream %x: lzDecompress error %v, reference error %v", stream, err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("stream %x: lzDecompress gives %x, reference %x", stream, got, want)
+		}
+	}
+	return wantErr
+}
+
+// TestLZMatchesReference holds the word-wise LZ decoder to the byte-wise
+// reference on the copies' edges: every match offset from 1 to 24 (the
+// self-overlapping and the 8-byte paths) at every length, each ending
+// exactly at the declared length and followed by tokens that overwrite
+// what its words wrote past its end; literal runs ending at the declared
+// length with few or many source bytes left; streams that overrun the
+// declared length by one byte, and by more than lzSlack; and every
+// truncation of valid streams.
+func TestLZMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lit := make([]byte, 128)
+	rng.Read(lit)
+	mustDecode := func(stream []byte) {
+		t.Helper()
+		if err := lzAgree(t, stream); err != nil {
+			t.Fatalf("stream %x: %v", stream, err)
+		}
+	}
+	mustFail := func(stream []byte) {
+		t.Helper()
+		if lzAgree(t, stream) == nil {
+			t.Fatalf("stream %x decoded", stream)
+		}
+	}
+	var valid [][]byte
+	for off := 1; off <= 24; off++ {
+		for length := 4; length <= 131; length++ {
+			toks := lzMatch(lzLit(nil, lit[:24]), off, length)
+			mustDecode(lzStream(24+length, toks))
+			mustFail(lzStream(24+length-1, toks))
+			mustFail(lzStream(24, toks)) // past the slack, too
+			more := lzMatch(lzLit(toks, lit[100:103]), 7, 9)
+			mustDecode(lzStream(24+length+12, more))
+			if length%37 == 0 {
+				valid = append(valid, lzStream(24+length+12, more))
+			}
+		}
+	}
+	for _, run := range []int{1, 7, 8, 9, 15, 16, 17, 100, 128} {
+		toks := lzLit(nil, lit[:run])
+		mustDecode(lzStream(run, toks))
+		mustFail(lzStream(run-1, toks))
+		mustFail(lzStream(0, toks))
+		toks = lzLit(lzMatch(lzLit(nil, lit[:20]), 20, 20), lit[:run]) // run bytes left to read
+		mustDecode(lzStream(40+run, toks))
+		mustFail(lzStream(40+run-1, toks))
+		valid = append(valid, lzStream(40+run, toks))
+	}
+	valid = append(valid, LZCompress([]byte(strings.Join(commentStrs(64), "|"))))
+	for _, stream := range valid {
+		for k := range len(stream) {
+			lzAgree(t, stream[:k])
+		}
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 //     the values out, never to a count a header claims;
 //  3. every encoder is byte-equal to its reference in reference_test.go —
 //     the exact frame search, the size-based scheme choices and the
-//     word-wise bit packer must not change one encoded byte.
+//     word-wise bit packer must not change one encoded byte — and so is
+//     the LZ decoder's output, or both fail, on every mutated block.
 func FuzzCompressRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(0), byte(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint16(3), byte(0x80))
@@ -123,7 +124,9 @@ func FuzzCompressRoundTrip(f *testing.F) {
 
 		// Mutated bytes: every decoder over every (corrupted) encoding must
 		// fail cleanly. Values may be wrong — the mutation can land in a
-		// payload byte — but nothing may panic.
+		// payload byte — but nothing may panic. The LZ decoder must agree
+		// with its byte-wise reference on every block taken as a stream,
+		// and on a raw+LZ block's stream.
 		for _, enc := range [][]byte{encPFOR, encDelta, encDict, encAuto, data} {
 			if len(enc) == 0 {
 				continue
@@ -131,6 +134,12 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			m := bytes.Clone(enc)
 			m[int(mutPos)%len(m)] ^= mutXor
 			for _, blk := range [][]byte{m, enc} {
+				lzAgree(t, blk)
+				if blk[0] == tagRawString {
+					if _, sz := binary.Uvarint(blk[1:]); sz > 0 {
+						lzAgree(t, blk[1+sz:])
+					}
+				}
 				var out int
 				alloc := allocBytes(func() { out = decodeEverything(blk) })
 				if limit := 1<<20 + 1024*len(blk) + 8*out; alloc > uint64(limit) {

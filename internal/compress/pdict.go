@@ -233,7 +233,7 @@ func pdictDecode(data []byte, s *Scratch) (StrCol, error) {
 		return StrCol{}, err
 	}
 	codes := s.u64(l.n)
-	unpackBits(codes, l.packed, l.n, l.w)
+	unpackBits(codes, l.packed, l.w, 0)
 	// spans[c] locates value c in data: dictionary entries first, then
 	// exception k as code dn+k, patched over its chain link once read.
 	spans := s.spansOf(l.dn + int(l.ne))
@@ -336,8 +336,7 @@ func DecodeStringsScratch(data []byte, s *Scratch) (StrCol, error) {
 		if s != nil {
 			s.raw = raw
 		}
-		c, _, err := DecodeLenPrefixed(raw, n)
-		return c, err
+		return decodeLenPrefixedInPlace(raw, n) // raw has lzSlack bytes to spare
 	default:
 		return StrCol{}, fmt.Errorf("%w: unknown string scheme %d", ErrCorrupt, data[0])
 	}

@@ -40,9 +40,10 @@ func PFORDecode(data []byte, dst []int64) ([]int64, error) {
 	return PFORDecodeScratch(data, dst, nil)
 }
 
-// PFORDecodeScratch is PFORDecode with caller-owned staging buffers, so a
-// long-lived scanner stops re-allocating the code array per block.
-func PFORDecodeScratch(data []byte, dst []int64, s *Scratch) ([]int64, error) {
+// PFORDecodeScratch is PFORDecode in the scanner's decoder shape. The
+// scratch goes unused: the codes inflate straight into dst, so a decode into
+// a destination with room allocates nothing.
+func PFORDecodeScratch(data []byte, dst []int64, _ *Scratch) ([]int64, error) {
 	if len(data) < 2 || data[0] != tagPFOR {
 		return nil, fmt.Errorf("%w: expected PFOR", ErrCorrupt)
 	}
@@ -54,7 +55,7 @@ func PFORDecodeScratch(data []byte, dst []int64, s *Scratch) ([]int64, error) {
 	if n == 0 {
 		return dst, nil
 	}
-	return decodePatched(body[sz:], int(n), dst, s)
+	return decodePatched(body[sz:], int(n), dst)
 }
 
 // PFORDeltaEncode compresses integers by delta-encoding consecutive values
@@ -75,9 +76,9 @@ func PFORDeltaDecode(data []byte, dst []int64) ([]int64, error) {
 	return PFORDeltaDecodeScratch(data, dst, nil)
 }
 
-// PFORDeltaDecodeScratch is PFORDeltaDecode with caller-owned staging
-// buffers for the delta and code arrays.
-func PFORDeltaDecodeScratch(data []byte, dst []int64, s *Scratch) ([]int64, error) {
+// PFORDeltaDecodeScratch is PFORDeltaDecode in the scanner's decoder shape;
+// like PFORDecodeScratch it stages nothing.
+func PFORDeltaDecodeScratch(data []byte, dst []int64, _ *Scratch) ([]int64, error) {
 	if len(data) < 2 || data[0] != tagPFORDelta {
 		return nil, fmt.Errorf("%w: expected PFOR-DELTA", ErrCorrupt)
 	}
@@ -94,24 +95,28 @@ func PFORDeltaDecodeScratch(data []byte, dst []int64, s *Scratch) ([]int64, erro
 	if sz <= 0 {
 		return nil, ErrCorrupt
 	}
-	deltas, err := decodePatched(body[sz:], int(n), s.deltaBuf(), s)
+	// The deltas decode into their place in dst, and a running sum turns
+	// them into values there: the first delta slot holds the first value.
+	base := len(dst)
+	dst, err := decodePatched(body[sz:], int(n), dst)
 	if err != nil {
 		return nil, err
 	}
-	if s != nil {
-		s.deltas = deltas // keep the grown buffer for the next block
-	}
-	base := len(dst)
-	dst = append(slices.Grow(dst, int(n)), first)
-	for i := 1; i < int(n); i++ {
-		dst = append(dst, dst[base+i-1]+deltas[i])
+	out := dst[base:]
+	acc := first
+	out[0] = acc
+	for i := 1; i < len(out); i++ {
+		acc += out[i]
+		out[i] = acc
 	}
 	return dst, nil
 }
 
-// decodePatched performs two-phase patched decompression of n symbols.
-// s may be nil; when set, its staging buffers are reused across calls.
-func decodePatched(body []byte, n int, dst []int64, s *Scratch) ([]int64, error) {
+// decodePatched performs two-phase patched decompression of n symbols,
+// appending them to dst: phase one inflates every code straight into dst
+// with the frame reference added; phase two hops the exception chain, whose
+// links are the codes of the slots it patches (out[cur]-ref), and patches.
+func decodePatched(body []byte, n int, dst []int64) ([]int64, error) {
 	ref, sz := binary.Varint(body)
 	if sz <= 0 {
 		return nil, ErrCorrupt
@@ -141,30 +146,22 @@ func decodePatched(body []byte, n int, dst []int64, s *Scratch) ([]int64, error)
 	if len(body) < need || ne > uint64(len(body)-need) {
 		return nil, ErrCorrupt
 	}
-	dst = slices.Grow(dst, n)
-	codes := s.u64(n)
-	unpackBits(codes, body[:need], n, w)
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	out := dst[base:]
+	unpackBits(out, body[:need], w, uint64(ref))
 	body = body[need:]
 
-	// Phase 1: branch-free inflate.
-	base := len(dst)
-	for _, c := range codes {
-		dst = append(dst, int64(uint64(ref)+c))
-	}
-	// Phase 2: hop the exception chain and patch.
-	cur := int(fe)
-	out := dst[base:]
-	for i := uint64(0); i < ne; i++ {
+	cur := fe
+	for range ne {
 		v, sz := binary.Varint(body)
-		if sz <= 0 {
+		if sz <= 0 || cur >= uint64(n) {
 			return nil, ErrCorrupt
 		}
 		body = body[sz:]
-		if cur >= n {
-			return nil, ErrCorrupt
-		}
+		link := uint64(out[cur]) - uint64(ref)
 		out[cur] = v
-		cur += int(codes[cur]) + 1
+		cur += link + 1
 	}
 	return dst, nil
 }

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -10,6 +11,7 @@ import (
 // smaller kept, PDICT and raw+LZ both built and the smaller kept, byte-wise
 // bit packing — kept verbatim (only renamed) as the oracle the differential
 // tests and FuzzCompressRoundTrip hold the Encoder's output byte-equal to.
+// One reference decoder, refLZDecompress, sits at the end of the file.
 
 // refEncodeInts is colstore.encodeBlock's former integer choice.
 func refEncodeInts(vals []int64) []byte {
@@ -376,4 +378,60 @@ func refPackBits(dst []byte, vals []uint64, width int) []byte {
 		}
 	}
 	return dst
+}
+
+// refLZDecompress is the byte-at-a-time LZ decoder as it stood before the
+// word-wise lzDecompress, kept verbatim (only renamed) as the oracle the LZ
+// differential tests and FuzzCompressRoundTrip hold lzDecompress to: the
+// same bytes, or both fail.
+//
+// It appends the bytes src decompresses to to dst[:0], growing it
+// at most once.
+func refLZDecompress(dst, src []byte) ([]byte, error) {
+	const minMatch = 4
+	n, sz := binary.Uvarint(src)
+	if sz <= 0 {
+		return nil, ErrCorrupt
+	}
+	src = src[sz:]
+	// Bound the declared length before trusting it with an allocation: a
+	// match token (>=2 stream bytes) expands to at most 131 output bytes
+	// and a literal run to at most its own length, so any valid stream
+	// satisfies this. A corrupted length either fails here or at the exact
+	// check after decoding.
+	if n > uint64(len(src))*131 {
+		return nil, ErrCorrupt
+	}
+	out := slices.Grow(dst[:0], int(n))
+	for len(src) > 0 {
+		c := src[0]
+		src = src[1:]
+		if c&1 == 0 {
+			run := int(c>>1) + 1
+			if len(src) < run {
+				return nil, ErrCorrupt
+			}
+			out = append(out, src[:run]...)
+			src = src[run:]
+			continue
+		}
+		length := int(c>>1) + minMatch
+		off, sz := binary.Uvarint(src)
+		if sz <= 0 || off == 0 || off > uint64(len(out)) {
+			return nil, ErrCorrupt
+		}
+		src = src[sz:]
+		start := len(out) - int(off)
+		if int(off) >= length {
+			out = append(out, out[start:start+length]...)
+			continue
+		}
+		for j := 0; j < length; j++ { // self-overlapping: each byte may be one this match wrote
+			out = append(out, out[start+j])
+		}
+	}
+	if uint64(len(out)) != n {
+		return nil, ErrCorrupt
+	}
+	return out, nil
 }

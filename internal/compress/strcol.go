@@ -146,31 +146,92 @@ func (c *StrCol) Reset() {
 // DecodeLenPrefixed decodes n values, each a uvarint length and that many
 // bytes, from the front of data, and returns the bytes after them. It costs
 // two allocations, arena and offsets, sized only once n has been checked
-// against len(data): every value takes at least its length byte.
+// against len(data): every value takes at least its length byte. A length
+// below 128, one byte, is read inline in both passes.
 func DecodeLenPrefixed(data []byte, n uint64) (StrCol, []byte, error) {
 	if n > uint64(len(data)) {
 		return StrCol{}, nil, fmt.Errorf("%w: %d strings claimed in %d bytes", ErrCorrupt, n, len(data))
 	}
-	total, rest := uint64(0), data
+	total, p := uint64(0), 0
 	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < l {
+		l, sz := uint64(0), 1
+		if p < len(data) && data[p] < 0x80 {
+			l = uint64(data[p])
+		} else if l, sz = binary.Uvarint(data[p:]); sz <= 0 {
+			return StrCol{}, nil, fmt.Errorf("%w: truncated string %d of %d", ErrCorrupt, i, n)
+		}
+		p += sz
+		if uint64(len(data)-p) < l {
 			return StrCol{}, nil, fmt.Errorf("%w: truncated string %d of %d", ErrCorrupt, i, n)
 		}
 		total += l
-		rest = rest[sz+int(l):]
+		p += int(l)
 	}
 	if total > MaxBytes {
 		return StrCol{}, nil, fmt.Errorf("%w: %d string bytes in one column", ErrCorrupt, total)
 	}
 	var sb strings.Builder
 	sb.Grow(int(total))
-	offs := make([]uint32, 1, n+1)
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(data)
-		sb.Write(data[sz : sz+int(l)])
-		offs = append(offs, uint32(sb.Len()))
-		data = data[sz+int(l):]
+	offs := make([]uint32, n+1)
+	q := 0
+	for i := range offs[1:] {
+		l, sz := int(data[q]), 1
+		if l >= 0x80 {
+			v, vsz := binary.Uvarint(data[q:])
+			l, sz = int(v), vsz
+		}
+		q += sz
+		sb.Write(data[q : q+l])
+		q += l
+		offs[i+1] = uint32(sb.Len())
 	}
-	return StrCol{arena: sb.String(), offs: offs}, rest, nil
+	return StrCol{arena: sb.String(), offs: offs}, data[p:], nil
+}
+
+// decodeLenPrefixedInPlace is DecodeLenPrefixed, less the bytes after the
+// values, for a buffer the caller gives up that has at least 16 bytes of
+// capacity past its length. In one pass it checks each value and moves it
+// down over the length bytes before it; the arena is then one copy of the
+// moved bytes. A 1-byte value moves as a byte; once 16 length bytes lie
+// behind, a value of up to 16 bytes moves as two 8-byte words, which may run
+// past its end but stop short of the next value's unread bytes.
+func decodeLenPrefixedInPlace(buf []byte, n uint64) (StrCol, error) {
+	if n > uint64(len(buf)) {
+		return StrCol{}, fmt.Errorf("%w: %d strings claimed in %d bytes", ErrCorrupt, n, len(buf))
+	}
+	end := len(buf)
+	buf = buf[:end+16]
+	offs := make([]uint32, n+1)
+	q, o := 0, 0
+	for i := range offs[1:] {
+		l, sz := 0, 1
+		if q < end && buf[q] < 0x80 {
+			l = int(buf[q])
+		} else {
+			v, vsz := binary.Uvarint(buf[q:end])
+			if vsz <= 0 || v > uint64(end-q-vsz) {
+				return StrCol{}, fmt.Errorf("%w: truncated string %d of %d", ErrCorrupt, i, n)
+			}
+			l, sz = int(v), vsz
+		}
+		q += sz
+		switch {
+		case l > end-q:
+			return StrCol{}, fmt.Errorf("%w: truncated string %d of %d", ErrCorrupt, i, n)
+		case l == 1:
+			buf[o] = buf[q]
+		case l <= 16 && q-o >= 16:
+			binary.LittleEndian.PutUint64(buf[o:], binary.LittleEndian.Uint64(buf[q:]))
+			binary.LittleEndian.PutUint64(buf[o+8:], binary.LittleEndian.Uint64(buf[q+8:]))
+		default:
+			copy(buf[o:o+l], buf[q:q+l])
+		}
+		o += l
+		q += l
+		offs[i+1] = uint32(o)
+	}
+	if o > MaxBytes { // the offsets have wrapped
+		return StrCol{}, fmt.Errorf("%w: %d string bytes in one column", ErrCorrupt, o)
+	}
+	return StrCol{arena: string(buf[:o]), offs: offs}, nil
 }
