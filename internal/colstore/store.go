@@ -165,7 +165,7 @@ func decodeBlock(k vector.Kind, data []byte) (colData, error) {
 // decodeBlockScan is the scanner-side decode: with codeForm set, a
 // PDICT-encoded string block is merely opened (dictionary parsed, code
 // stream left packed) instead of materialized. scratch, when non-nil, lends
-// the decoder its staging buffers; decode targets are still freshly
+// the string decoder its staging buffers; decode targets are still freshly
 // allocated because they escape as zero-copy vector views.
 func decodeBlockScan(k vector.Kind, data []byte, codeForm bool, scratch *compress.Scratch) (colData, error) {
 	if len(data) == 0 {
@@ -200,9 +200,9 @@ func decodeBlockScan(k vector.Kind, data []byte, codeForm bool, scratch *compres
 			err error
 		)
 		if compress.IsPFORDelta(data) {
-			i64, err = compress.PFORDeltaDecodeScratch(data, nil, scratch)
+			i64, err = compress.PFORDeltaDecode(data, nil)
 		} else {
-			i64, err = compress.PFORDecodeScratch(data, nil, scratch)
+			i64, err = compress.PFORDecode(data, nil)
 		}
 		return colData{i64: i64}, err
 	}

@@ -194,7 +194,9 @@ func PDictOpen(data []byte) (*PDictBlock, error) {
 			}
 			b.excPos = append(b.excPos, int32(cur))
 			b.excCode = append(b.excCode, c)
-			cur += unpackOne(l.packed, int(cur), l.w) + 1 // wraps past n to a failure
+			// A link that reaches n or past it, 2^64-1 included, saturates
+			// at n+1, where a further exception fails.
+			cur += min(unpackOne(l.packed, int(cur), l.w), uint64(l.n)-cur) + 1
 		}
 	}
 	b.Dict = &StrDict{Values: vals}

@@ -245,22 +245,26 @@ func TestPFORDecodeRejectsGarbage(t *testing.T) {
 // least 2^63 must end the chain with an error. Added to a position as an
 // int, such a link went negative and passed the "past the last row" check:
 // PFOR's patch then indexed before its rows and panicked, and PDictOpen
-// opened the block with a wrapped exception position.
+// opened the block with a wrapped exception position. A link of 2^64-1
+// wrapped a uint64 position back onto itself, so the next exception
+// patched the same row again.
 func TestExceptionChainLinkPastInt(t *testing.T) {
-	packed := binary.LittleEndian.AppendUint64(nil, 1<<63) // row 0 links to 2^63+1
-	packed = binary.LittleEndian.AppendUint64(packed, 0)
-	pfor := append([]byte{tagPFOR, 2, 0, 64, 0, 2}, packed...) // n 2, ref 0, w 64, fe 0, ne 2
-	pfor = append(pfor, 2, 4)                                  // exception values 1, 2
-	if _, err := PFORDecode(pfor, nil); err == nil {
-		t.Error("PFOR: an exception chain past the rows decoded")
-	}
-	pdict := append([]byte{tagPDict, 2, 1, 1, 'a', 64, 0, 2}, packed...) // n 2, entry "a", w 64, fe 0, ne 2
-	pdict = append(pdict, 1, 'x', 1, 'y')
-	if _, err := PDictOpen(pdict); err == nil {
-		t.Error("PDictOpen: an exception chain past the rows opened")
-	}
-	if _, err := DecodeStringsScratch(pdict, nil); err == nil {
-		t.Error("PDICT: an exception chain past the rows decoded")
+	for _, link := range []uint64{1 << 63, 1<<64 - 1} {
+		packed := binary.LittleEndian.AppendUint64(nil, link) // row 0 links to row link+1
+		packed = binary.LittleEndian.AppendUint64(packed, 0)
+		pfor := append([]byte{tagPFOR, 2, 0, 64, 0, 2}, packed...) // n 2, ref 0, w 64, fe 0, ne 2
+		pfor = append(pfor, 2, 4)                                  // exception values 1, 2
+		if _, err := PFORDecode(pfor, nil); err == nil {
+			t.Errorf("PFOR, link %#x: an exception chain past the rows decoded", link)
+		}
+		pdict := append([]byte{tagPDict, 2, 1, 1, 'a', 64, 0, 2}, packed...) // n 2, entry "a", w 64, fe 0, ne 2
+		pdict = append(pdict, 1, 'x', 1, 'y')
+		if _, err := PDictOpen(pdict); err == nil {
+			t.Errorf("PDictOpen, link %#x: an exception chain past the rows opened", link)
+		}
+		if _, err := DecodeStringsScratch(pdict, nil); err == nil {
+			t.Errorf("PDICT, link %#x: an exception chain past the rows decoded", link)
+		}
 	}
 }
 

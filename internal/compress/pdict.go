@@ -250,7 +250,7 @@ func pdictDecode(data []byte, s *Scratch) (StrCol, error) {
 		}
 		spans[l.dn+k] = [2]int{len(data) - len(r) - len(v), len(data) - len(r)}
 		rest = r
-		next := cur + codes[cur] + 1
+		next := cur + min(codes[cur], uint64(l.n)-cur) + 1 // saturates past n
 		codes[cur] = uint64(l.dn + k)
 		cur = next
 	}
@@ -336,7 +336,8 @@ func DecodeStringsScratch(data []byte, s *Scratch) (StrCol, error) {
 		if s != nil {
 			s.raw = raw
 		}
-		return decodeLenPrefixedInPlace(raw, n) // raw has lzSlack bytes to spare
+		c, _, err := DecodeLenPrefixed(raw, n)
+		return c, err
 	default:
 		return StrCol{}, fmt.Errorf("%w: unknown string scheme %d", ErrCorrupt, data[0])
 	}

@@ -35,15 +35,10 @@ func PFOREncode(vals []int64) []byte {
 	return e.emitPlain(nil, vals)
 }
 
-// PFORDecode decompresses a PFOREncode block, appending to dst.
+// PFORDecode decompresses a PFOREncode block, appending to dst. The codes
+// inflate straight into dst, so a decode into a destination with room
+// allocates nothing.
 func PFORDecode(data []byte, dst []int64) ([]int64, error) {
-	return PFORDecodeScratch(data, dst, nil)
-}
-
-// PFORDecodeScratch is PFORDecode in the scanner's decoder shape. The
-// scratch goes unused: the codes inflate straight into dst, so a decode into
-// a destination with room allocates nothing.
-func PFORDecodeScratch(data []byte, dst []int64, _ *Scratch) ([]int64, error) {
 	if len(data) < 2 || data[0] != tagPFOR {
 		return nil, fmt.Errorf("%w: expected PFOR", ErrCorrupt)
 	}
@@ -56,6 +51,12 @@ func PFORDecodeScratch(data []byte, dst []int64, _ *Scratch) ([]int64, error) {
 		return dst, nil
 	}
 	return decodePatched(body[sz:], int(n), dst)
+}
+
+// PFORDecodeScratch is PFORDecode; the scratch goes unused. It stays for
+// the layer benchmark in bench/, which calls it.
+func PFORDecodeScratch(data []byte, dst []int64, _ *Scratch) ([]int64, error) {
+	return PFORDecode(data, dst)
 }
 
 // PFORDeltaEncode compresses integers by delta-encoding consecutive values
@@ -71,14 +72,9 @@ func PFORDeltaEncode(vals []int64) []byte {
 	return e.emitDelta(nil, vals)
 }
 
-// PFORDeltaDecode decompresses a PFORDeltaEncode block, appending to dst.
+// PFORDeltaDecode decompresses a PFORDeltaEncode block, appending to dst;
+// like PFORDecode it stages nothing.
 func PFORDeltaDecode(data []byte, dst []int64) ([]int64, error) {
-	return PFORDeltaDecodeScratch(data, dst, nil)
-}
-
-// PFORDeltaDecodeScratch is PFORDeltaDecode in the scanner's decoder shape;
-// like PFORDecodeScratch it stages nothing.
-func PFORDeltaDecodeScratch(data []byte, dst []int64, _ *Scratch) ([]int64, error) {
 	if len(data) < 2 || data[0] != tagPFORDelta {
 		return nil, fmt.Errorf("%w: expected PFOR-DELTA", ErrCorrupt)
 	}
@@ -110,6 +106,12 @@ func PFORDeltaDecodeScratch(data []byte, dst []int64, _ *Scratch) ([]int64, erro
 		out[i] = acc
 	}
 	return dst, nil
+}
+
+// PFORDeltaDecodeScratch is PFORDeltaDecode; the scratch goes unused. It
+// stays for the layer benchmark in bench/, which calls it.
+func PFORDeltaDecodeScratch(data []byte, dst []int64, _ *Scratch) ([]int64, error) {
+	return PFORDeltaDecode(data, dst)
 }
 
 // decodePatched performs two-phase patched decompression of n symbols,
@@ -161,7 +163,7 @@ func decodePatched(body []byte, n int, dst []int64) ([]int64, error) {
 		body = body[sz:]
 		link := uint64(out[cur]) - uint64(ref)
 		out[cur] = v
-		cur += link + 1
+		cur += min(link, uint64(n)-cur) + 1 // saturates past n, as in PDictOpen
 	}
 	return dst, nil
 }

@@ -127,28 +127,9 @@ func TestScratchReuseAvoidsAllocs(t *testing.T) {
 	}
 }
 
-// LineitemColumns returns string columns of a generated TPC-H lineitem
-// table; lineitem_test.go sets it.
-var LineitemColumns func(names ...string) [][]string
-
-// rawLZChunk returns the raw+LZ encoding of the first 8192-row chunk of a
-// column that encodes as raw+LZ, as colstore writes it.
-func rawLZChunk(tb testing.TB, vals []string) []byte {
-	for lo := 0; lo+8192 <= len(vals); lo += 8192 {
-		if enc := EncodeStrings(vals[lo : lo+8192]); !IsPDict(enc) {
-			return enc
-		}
-	}
-	tb.Fatal("no 8192-row chunk encodes as raw+LZ")
-	return nil
-}
-
 // BenchmarkDecodeScratch measures block decode with the staging buffers
 // reused across calls, the configuration the scanner runs; allocs/op is the
-// headline number (0 for the integer codecs once warm). The real-data and
-// fixed-width blocks report MB/s of decoded bytes (a string column's arena
-// and offsets, 8 bytes an integer), each beside its floor: "<case>-copy"
-// copies the same number of bytes.
+// headline number (0 for the integer codecs once warm).
 func BenchmarkDecodeScratch(b *testing.B) {
 	vals := scratchTestVals()
 	encPFOR := PFOREncode(vals)
@@ -203,64 +184,6 @@ func BenchmarkDecodeScratch(b *testing.B) {
 			if _, err := PDictDecodeScratch(encDict, dst[:0], &s); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-
-	names := []string{"l_comment", "l_returnflag", "l_linestatus"}
-	blocks := make([][]byte, len(names)) // the table itself is not kept
-	for c, vals := range LineitemColumns(names...) {
-		blocks[c] = rawLZChunk(b, vals)
-	}
-	for i, enc := range blocks {
-		var s Scratch
-		dec, err := DecodeStringsScratch(enc, &s) // grows the scratch
-		if err != nil {
-			b.Fatal(err)
-		}
-		size := dec.ValueBytes() + 4*(dec.Len()+1)
-		b.Run(names[i], func(b *testing.B) {
-			b.SetBytes(int64(size))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeStringsScratch(enc, &s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		benchCopyFloor(b, names[i], size)
-	}
-	for _, w := range []int{3, 7, 12, 20} {
-		rng := rand.New(rand.NewSource(int64(w)))
-		vals := make([]int64, 8192)
-		for i := range vals {
-			vals[i] = rng.Int63n(1 << w)
-		}
-		enc := PFOREncode(vals)
-		name := fmt.Sprintf("pfor-w%d", w)
-		b.Run(name, func(b *testing.B) {
-			var s Scratch
-			dst := make([]int64, 0, len(vals))
-			b.ResetTimer()
-			b.SetBytes(int64(8 * len(vals)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := PFORDecodeScratch(enc, dst[:0], &s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		benchCopyFloor(b, name, 8*len(vals))
-	}
-}
-
-// benchCopyFloor runs "<name>-copy": one copy of size bytes, the least a
-// decode that writes that many bytes can cost.
-func benchCopyFloor(b *testing.B, name string, size int) {
-	src, dst := make([]byte, size), make([]byte, size)
-	b.Run(name+"-copy", func(b *testing.B) {
-		b.SetBytes(int64(size))
-		for i := 0; i < b.N; i++ {
-			copy(dst, src)
 		}
 	})
 }

@@ -187,51 +187,3 @@ func DecodeLenPrefixed(data []byte, n uint64) (StrCol, []byte, error) {
 	}
 	return StrCol{arena: sb.String(), offs: offs}, data[p:], nil
 }
-
-// decodeLenPrefixedInPlace is DecodeLenPrefixed, less the bytes after the
-// values, for a buffer the caller gives up that has at least 16 bytes of
-// capacity past its length. In one pass it checks each value and moves it
-// down over the length bytes before it; the arena is then one copy of the
-// moved bytes. A 1-byte value moves as a byte; once 16 length bytes lie
-// behind, a value of up to 16 bytes moves as two 8-byte words, which may run
-// past its end but stop short of the next value's unread bytes.
-func decodeLenPrefixedInPlace(buf []byte, n uint64) (StrCol, error) {
-	if n > uint64(len(buf)) {
-		return StrCol{}, fmt.Errorf("%w: %d strings claimed in %d bytes", ErrCorrupt, n, len(buf))
-	}
-	end := len(buf)
-	buf = buf[:end+16]
-	offs := make([]uint32, n+1)
-	q, o := 0, 0
-	for i := range offs[1:] {
-		l, sz := 0, 1
-		if q < end && buf[q] < 0x80 {
-			l = int(buf[q])
-		} else {
-			v, vsz := binary.Uvarint(buf[q:end])
-			if vsz <= 0 || v > uint64(end-q-vsz) {
-				return StrCol{}, fmt.Errorf("%w: truncated string %d of %d", ErrCorrupt, i, n)
-			}
-			l, sz = int(v), vsz
-		}
-		q += sz
-		switch {
-		case l > end-q:
-			return StrCol{}, fmt.Errorf("%w: truncated string %d of %d", ErrCorrupt, i, n)
-		case l == 1:
-			buf[o] = buf[q]
-		case l <= 16 && q-o >= 16:
-			binary.LittleEndian.PutUint64(buf[o:], binary.LittleEndian.Uint64(buf[q:]))
-			binary.LittleEndian.PutUint64(buf[o+8:], binary.LittleEndian.Uint64(buf[q+8:]))
-		default:
-			copy(buf[o:o+l], buf[q:q+l])
-		}
-		o += l
-		q += l
-		offs[i+1] = uint32(o)
-	}
-	if o > MaxBytes { // the offsets have wrapped
-		return StrCol{}, fmt.Errorf("%w: %d string bytes in one column", ErrCorrupt, o)
-	}
-	return StrCol{arena: string(buf[:o]), offs: offs}, nil
-}
