@@ -189,4 +189,19 @@ func TestCodeSpaceParityAcrossDeltas(t *testing.T) {
 		}
 	}
 	runCodeBoth(t, e, q)
+
+	// A modify to a status no block dictionary holds, under a predicate
+	// equal to it: the modified span must not be put to the dictionary
+	// verdict, which would find the status nowhere and drop the span.
+	qz := plan.Node(plan.OrderBy(plan.Filter(plan.Scan("corders", "key", "status"),
+		plan.EQ(plan.Col("status"), plan.Str("zulu"))), plan.Asc(plan.Col("key"))))
+	before := runCodeBoth(t, e, qz)
+	if _, err := e.UpdateWhere(context.Background(), "corders",
+		plan.EQ(plan.Col("key"), plan.Int(100)),
+		[]string{"status"}, []plan.Expr{plan.Str("zulu")}); err != nil {
+		t.Fatal(err)
+	}
+	if after := runCodeBoth(t, e, qz); len(after) != len(before)+1 {
+		t.Fatalf("modify to a status in no dictionary: rows %d -> %d, want +1", len(before), len(after))
+	}
 }

@@ -219,6 +219,8 @@ type Engine struct {
 	scanCacheHits         atomic.Int64
 	scanBytesSkipped      atomic.Int64
 	scanBytesMaterialized atomic.Int64
+	scanDeltaSpans        atomic.Int64
+	scanDeletedRows       atomic.Int64
 
 	// catalogEpoch counts catalog- and data-changing events (DDL, DML
 	// commits, bulk loads, propagation, node failure). Plan caches key on it:
@@ -255,6 +257,8 @@ type ScanStats struct {
 	SpansPruned       int64 // row spans rejected before any payload column decode
 	BytesSkipped      int64 // compressed bytes of projected blocks never decoded
 	BytesMaterialized int64 // value bytes produced into execution memory
+	DeltaSpans        int64 // spans served with PDT deltas applied
+	DeletedRows       int64 // stable rows of those spans the deltas delete
 }
 
 // ScanStats returns a snapshot of the cumulative scan counters.
@@ -265,6 +269,8 @@ func (e *Engine) ScanStats() ScanStats {
 		SpansPruned:       e.scanSpansPruned.Load(),
 		BytesSkipped:      e.scanBytesSkipped.Load(),
 		BytesMaterialized: e.scanBytesMaterialized.Load(),
+		DeltaSpans:        e.scanDeltaSpans.Load(),
+		DeletedRows:       e.scanDeletedRows.Load(),
 	}
 }
 
@@ -372,6 +378,10 @@ func (e *Engine) registerMetrics() {
 		func() float64 { return float64(e.scanBytesSkipped.Load()) })
 	r.CounterFunc("vectorh_scan_bytes_materialized_total", "Value bytes scans produced into execution memory.",
 		func() float64 { return float64(e.scanBytesMaterialized.Load()) })
+	r.CounterFunc("vectorh_scan_delta_spans_total", "Row spans scans served with PDT deltas applied.",
+		func() float64 { return float64(e.scanDeltaSpans.Load()) })
+	r.CounterFunc("vectorh_scan_deleted_rows_total", "Stable rows of those spans the PDT deltas delete.",
+		func() float64 { return float64(e.scanDeletedRows.Load()) })
 	r.CounterFunc("vectorh_block_cache_hits_total", "Decoded-block cache hits.",
 		func() float64 { return float64(e.BlockCacheStats().Hits) })
 	r.CounterFunc("vectorh_block_cache_misses_total", "Decoded-block cache misses.",

@@ -401,6 +401,7 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 	if pt, err := pred.Type(schema); err != nil || pt.Kind != vector.Bool {
 		return 0, fmt.Errorf("core: predicate on %q is not boolean", table)
 	}
+	read := expr.Columns(bound)
 	var setIdx []int
 	var setBound []expr.Expr
 	for i, cname := range setCols {
@@ -419,6 +420,28 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 		if be.Kind() != schema[ci].Type.Kind {
 			return 0, fmt.Errorf("core: SET %s: expression kind %s does not match column kind %s",
 				cname, be.Kind(), schema[ci].Type.Kind)
+		}
+		read = append(read, expr.Columns(be)...)
+	}
+	// The scan reads only the columns the predicate and the SET expressions
+	// do, and both are bound against that projection (plan.Expr binds by
+	// name). With none, one column still counts the rows.
+	slices.Sort(read)
+	read = slices.Compact(read)
+	if len(read) == 0 {
+		read = []int{0}
+	}
+	proj := make(vector.Schema, len(read))
+	for i, c := range read {
+		proj[i] = schema[c]
+	}
+	if bound, err = pred.Bind(proj); err != nil {
+		return 0, err
+	}
+	for _, se := range setExprs {
+		be, err := se.Bind(proj)
+		if err != nil {
+			return 0, err
 		}
 		setBound = append(setBound, be)
 	}
@@ -444,7 +467,7 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 		node := nodeOf[part.Responsible]
 		// Value-space scan: the batches feed SET-expression evaluation and
 		// PDT writes, which want materialized strings anyway.
-		scan, err := e.PartitionScan(ctx, rewriter.ScanSpec{Table: table, Cols: schema.Names()}, part.CurrentMeta().Partition, node)
+		scan, err := e.PartitionScan(ctx, rewriter.ScanSpec{Table: table, Cols: proj.Names()}, part.CurrentMeta().Partition, node)
 		if err != nil {
 			tx.Abort()
 			return 0, err
@@ -453,6 +476,10 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 			tx.Abort()
 			return 0, err
 		}
+		// rid counts RIDs as rid += b.Len(): a scan batch holds the visible
+		// rows of its span in position order — a selection over the span's
+		// stable rows drops only rows the deltas delete, which have no RID,
+		// and this scan has no predicate — and Program.Out is dense over them.
 		rid := int64(0)
 		deleted := int64(0) // rows already deleted below the cursor
 		// MinMax widenings are collected during the scan and applied as one

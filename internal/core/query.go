@@ -203,6 +203,8 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 			a.op.CacheHits += io.CacheHits
 			a.op.BytesSkipped += io.BytesSkipped
 			a.op.BytesMaterialized += io.BytesMaterialized
+			a.op.DeltaSpans += io.DeltaSpans
+			a.op.DeletedRows += io.DeletedRows
 			a.hasIO = true
 			total.BlocksRead += io.BlocksRead
 			total.BytesDecoded += io.BytesDecoded
@@ -210,6 +212,8 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 			total.SpansPruned += io.SpansPruned
 			total.BytesSkipped += io.BytesSkipped
 			total.BytesMaterialized += io.BytesMaterialized
+			total.DeltaSpans += io.DeltaSpans
+			total.DeletedRows += io.DeletedRows
 		}
 		if j, ok := sp.Prof.Child.(*exec.HashJoin); ok && !a.sides[j.Build] {
 			if a.sides == nil {
@@ -238,6 +242,9 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 				fmt.Fprintf(&sb, " blocks=%d bytes=%d pruned=%d cached=%d skipped=%d materialized=%d",
 					a.op.BlocksRead, a.op.BytesDecoded, a.op.SpansPruned, a.op.CacheHits,
 					a.op.BytesSkipped, a.op.BytesMaterialized)
+				if a.op.DeltaSpans > 0 {
+					fmt.Fprintf(&sb, " deltas=%d deleted=%d", a.op.DeltaSpans, a.op.DeletedRows)
+				}
 			}
 			if a.sides != nil {
 				fmt.Fprintf(&sb, " built=%d rows in %d tables", a.op.BuildRows, a.op.BuildTables)

@@ -30,9 +30,15 @@ import (
 // left. A dead span never touches the payload columns; surviving rows gather
 // them through the scanner's column-subset API (late materialization). With
 // ScanSpec.Codes, a span is first put to a verdict on compression metadata
-// alone (verdictSpan). Spans touched by PDT deltas decode everything, merge,
-// and run the same filters over the merged rows (and over PDT tail inserts),
-// since deltas can flip a row's qualification either way.
+// alone (verdictSpan). A span PDT deltas touch takes the same path, described
+// by the partition's stacked merger without a row copied: its deleted rows
+// are left out of the starting selection, a column a modify sets is a patched
+// copy of the block view for that span alone (in value form, and exempt from
+// the dictionary verdict, since its new value need not be in the block's
+// dictionary; MinMax summaries are widened by every modify), and the span is
+// served as block views plus a selection. Inserted rows — the tail, and any a
+// transaction placed inside the stable image — are merged by copying and run
+// through the same filters as batches of their own, in position order.
 //
 // Concurrency: a scan pins one refcounted metadata generation plus the PDT
 // masters in a single critical section at Open (the same lock writers hold
@@ -116,9 +122,18 @@ type mscan struct {
 	writePDT *pdt.PDT
 
 	sc     *colstore.Scanner
-	readM  *pdt.Merger
-	writeM *pdt.Merger
-	stage  int // 0=blocks, 1=read tail, 2=write tail, 3=done
+	merger *pdt.Merger // the Read and Write layers, stacked
+	stage  int         // 0=blocks, 1=tail, 2=done
+
+	// Stage 0 serves a span in pieces when rows are inserted inside it: rest
+	// is its stable rows not served yet (restN of them), insDone that the rows
+	// in front of the first were, and pending inserted rows waiting for the
+	// predicate. deltas describes the piece being served.
+	rest    int64
+	restN   int
+	insDone bool
+	pending []*vector.Batch
+	deltas  pdt.Span
 
 	// The predicate as compiled at Open (empty without ScanSpec.Filter), and
 	// the per-span scratch of evaluating it.
@@ -129,6 +144,8 @@ type mscan struct {
 	sel   []int32       // the span's surviving candidates
 
 	spansPruned int64 // spans dropped before any payload column was decoded
+	deltaSpans  int64 // spans served with PDT deltas applied
+	deletedRows int64 // stable rows of those spans the deltas delete
 
 	sorted *exec.Sort // restores ScanSpec.Ordered over a disordered partition
 
@@ -147,6 +164,8 @@ type ScanIO struct {
 	SpansPruned       int64
 	BytesSkipped      int64 // compressed bytes never decoded (pruned blocks)
 	BytesMaterialized int64 // value bytes produced into execution memory
+	DeltaSpans        int64 // spans served with PDT deltas applied
+	DeletedRows       int64 // stable rows of those spans the deltas delete
 }
 
 // ScanIOStats returns the scan's retained IO totals; valid once the scan is
@@ -231,9 +250,8 @@ func (m *mscan) Open() (err error) {
 	}
 	m.sc.SetCache(m.eng.blockCache)
 	m.sc.SetCodeExec(m.spec.Codes)
-	m.readM = pdt.NewMerger(m.readPDT, schema, m.colIdx)
-	m.writeM = pdt.NewMerger(m.writePDT, schema, m.colIdx)
-	m.stage = 0
+	m.merger = pdt.NewStackedMerger(m.readPDT, m.writePDT, schema, m.colIdx)
+	m.stage, m.restN, m.pending = 0, 0, nil
 	// A write that broke the clustered order after the plan was made flagged
 	// the table before it committed, so before this snapshot: sort then.
 	m.sorted = nil
@@ -338,140 +356,150 @@ func (m *mscan) next() (*vector.Batch, error) {
 		if err := m.ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: scan of %s.p%d canceled: %w", m.meta.Table, m.meta.Partition, context.Cause(m.ctx))
 		}
-		switch m.stage {
-		case 0:
-			// Stage-0 clamping: only the predicate columns bound the span, so a
-			// span rejected wholesale never positions — let alone decodes — a
-			// payload block. Without a predicate (nil) every column does.
-			start, n, err := m.sc.NextSpan(m.lead)
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				m.stage = 1
-				continue
-			}
-			// A span no delta touches can be served straight off the column
-			// blocks; spans with deltas merge first and filter after, since
-			// a modify can flip a row's qualification either way.
-			needMerge := false
-			if m.readM.HasDeltas() || m.writeM.HasDeltas() {
-				if m.readM.HasDeltasIn(start, start+int64(n)) {
-					needMerge = true
-				} else {
-					rid := m.readM.FirstRid(start)
-					needMerge = m.writeM.HasDeltasIn(rid, rid+int64(n))
-				}
-			}
-			if !needMerge {
-				b, err := m.filteredSpan(start, n)
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					m.spansPruned++
-					continue
-				}
-				return b, nil
-			}
-			b, err := m.denseSpan(start, n)
-			if err != nil {
-				return nil, err
-			}
-			b1, rid1, err := m.readM.MergeRange(b, start)
-			if err != nil {
-				return nil, err
-			}
-			if b1.Len() == 0 {
-				continue
-			}
-			b2, _, err := m.writeM.MergeRange(b1, rid1)
-			if err != nil {
-				return nil, err
-			}
-			if out, err := m.filterBatch(b2); out != nil || err != nil {
+		if len(m.pending) > 0 {
+			b := m.pending[0]
+			m.pending = m.pending[1:]
+			if out, err := m.filterBatch(b); out != nil || err != nil {
 				return out, err
 			}
-		case 1:
-			m.stage = 2
-			if tail, rid := m.readM.Tail(); tail != nil {
-				b2, _, err := m.writeM.MergeRange(tail, rid)
+			continue
+		}
+		switch m.stage {
+		case 0:
+			if m.restN == 0 {
+				// Stage-0 clamping: only the predicate columns bound the span,
+				// so a span rejected wholesale never positions — let alone
+				// decodes — a payload block. Without a predicate (nil) every
+				// column does.
+				start, n, err := m.sc.NextSpan(m.lead)
 				if err != nil {
 					return nil, err
 				}
-				if out, err := m.filterBatch(b2); out != nil || err != nil {
-					return out, err
+				if n == 0 {
+					m.stage = 1
+					continue
+				}
+				m.rest, m.restN, m.insDone = start, n, false
+			}
+			start, n, d := m.rest, m.restN, &m.deltas
+			m.merger.Span(start, n, d)
+			if len(d.Ins) > 0 {
+				// Rows inserted inside the stable image end the piece in front
+				// of them, and are served next, on their own.
+				cut := n
+				for _, p := range d.Ins {
+					if p > 0 || !m.insDone {
+						cut = int(p)
+						break
+					}
+				}
+				if cut == 0 {
+					m.insDone = true
+					m.pending = m.merger.Inserted(start, m.pending[:0])
+					continue
+				}
+				if cut < n {
+					n = cut
+					m.merger.Span(start, n, d)
 				}
 			}
-		case 2:
-			m.stage = 3
-			if tail, _ := m.writeM.Tail(); tail != nil {
-				if out, err := m.filterBatch(tail); out != nil || err != nil {
-					return out, err
-				}
+			m.rest, m.restN, m.insDone = start+int64(n), m.restN-n, false
+			b, err := m.filteredSpan(start, n, d)
+			if err != nil {
+				return nil, err
 			}
+			if b == nil {
+				m.spansPruned++
+				continue
+			}
+			return b, nil
+		case 1:
+			m.stage = 2
+			m.pending = m.merger.Inserted(m.merger.StableRows(), m.pending[:0])
 		default:
 			return nil, nil
 		}
 	}
 }
 
-// denseSpan decodes all projected columns of a span as a dense batch.
-func (m *mscan) denseSpan(start int64, n int) (*vector.Batch, error) {
-	b := &vector.Batch{Vecs: make([]*vector.Vec, len(m.spec.Cols))}
-	for i := range m.spec.Cols {
-		v, err := m.sc.ColVec(i, start, n)
-		if err != nil {
-			return nil, err
-		}
-		b.Vecs[i] = v
-	}
-	return b, nil
-}
-
-// filteredSpan serves a span no delta touches: nil when no row of it
-// satisfies the predicate (decided on metadata where possible, else after
-// decoding only as many predicate columns as it took), otherwise the
-// qualifying rows of every projected column — a dense view when all qualify,
-// gathered at the survivors when some do.
-func (m *mscan) filteredSpan(start int64, n int) (*vector.Batch, error) {
+// filteredSpan serves the stable rows [start, start+n) with the deltas d
+// describes applied: nil when no row of it is visible and satisfies the
+// predicate (decided on metadata where possible, else after decoding only as
+// many predicate columns as it took). Without deltas the qualifying rows of
+// every projected column are a dense view when all qualify, gathered at the
+// survivors when some do; with deltas they are views (patched copies for the
+// modified columns) under a selection.
+func (m *mscan) filteredSpan(start int64, n int, d *pdt.Span) (*vector.Batch, error) {
 	clear(m.pass)
 	clear(m.span)
+	delta := !d.Empty()
+	if delta {
+		m.deltaSpans++
+		m.deletedRows += int64(len(d.Del))
+	}
 	if m.spec.Codes {
-		if dead, err := m.verdictSpan(start); dead || err != nil {
+		if dead, err := m.verdictSpan(start, d); dead || err != nil {
 			return nil, err
 		}
 	}
-	sel, all, err := m.narrow(m.span, start, n)
+	sel, all, err := m.narrow(m.span, start, n, d)
 	if err != nil || !all && len(sel) == 0 {
 		return nil, err
 	}
 	b := &vector.Batch{Vecs: make([]*vector.Vec, len(m.spec.Cols))}
 	for i := range m.spec.Cols {
 		switch {
-		case !all:
+		case !all && !delta:
 			b.Vecs[i], err = m.sc.GatherCol(i, start, sel)
 		case i < len(m.span) && m.span[i] != nil:
 			b.Vecs[i] = m.span[i]
 		default:
-			b.Vecs[i], err = m.sc.ColVec(i, start, n)
+			b.Vecs[i], err = m.colVec(i, start, n, d)
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
+	if !all && delta {
+		b.Sel = slices.Clone(sel)
+	}
 	vector.CheckBatch(b)
 	return b, nil
 }
 
+// colVec is rows [start, start+n) of projection slot i with the span's
+// modifies applied: the block view, or a patched copy of it.
+func (m *mscan) colVec(i int, start int64, n int, d *pdt.Span) (*vector.Vec, error) {
+	v, err := m.sc.ColVec(i, start, n)
+	if err != nil || d == nil {
+		return v, err
+	}
+	return d.Patch(v, m.colIdx[i]), nil
+}
+
 // narrow runs the parts not already proven to pass over n rows, each under
-// the candidates the previous ones left, and returns the survivors (scratch,
-// valid until the next call) or all = true. A nil entry of vecs is a column of
-// the span at start not decoded yet: it is decoded when a part first reads
-// it, so a part that leaves no candidate stops the later ones' columns from
-// being decoded at all.
-func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int) (sel []int32, all bool, err error) {
+// the candidates the previous ones left — the first under the rows d does not
+// delete — and returns the survivors (scratch, valid until the next call) or
+// all = true. A nil entry of vecs is a column of the span at start not decoded
+// yet: it is decoded (and patched by d) when a part first reads it, so a part
+// that leaves no candidate stops the later ones' columns from being decoded at
+// all. d is nil for a batch that is not a span.
+func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int, d *pdt.Span) (sel []int32, all bool, err error) {
 	b, live, all := vector.Batch{Vecs: vecs}, n, true
+	if d != nil && len(d.Del) > 0 {
+		m.sel, all = m.sel[:0], false
+		del := d.Del
+		for r := range int32(n) {
+			if len(del) > 0 && del[0] == r {
+				del = del[1:]
+				continue
+			}
+			m.sel = append(m.sel, r)
+		}
+		if b.Sel, live = m.sel, len(m.sel); live == 0 {
+			return m.sel, false, nil
+		}
+	}
 	for pi := range m.parts {
 		if m.pass[pi] {
 			continue
@@ -479,7 +507,7 @@ func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int) (sel []int32, all
 		p := &m.parts[pi]
 		for _, s := range p.slots {
 			if vecs[s] == nil {
-				if vecs[s], err = m.sc.ColVec(s, start, n); err != nil {
+				if vecs[s], err = m.colVec(s, start, n, d); err != nil {
 					return nil, false, err
 				}
 			}
@@ -513,8 +541,11 @@ func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int) (sel []int32, all
 // summary, or that every dictionary value satisfies, is marked in m.pass and
 // its kernel elided. Intervals go first — they read
 // only metadata — so a span dead on one never opens a string block's
-// dictionary.
-func (m *mscan) verdictSpan(start int64) (dead bool, err error) {
+// dictionary. The span's deltas d keep both verdicts true — a delete only
+// removes rows, and every modify widened the MinMax summaries — except the
+// dictionary's for a column a modify sets, whose new value may be in no
+// block dictionary: that part is left to its kernel.
+func (m *mscan) verdictSpan(start int64, d *pdt.Span) (dead bool, err error) {
 	for pi := range m.parts {
 		p := &m.parts[pi]
 		if p.bound == nil {
@@ -531,7 +562,7 @@ func (m *mscan) verdictSpan(start int64) (dead bool, err error) {
 	}
 	for pi := range m.parts {
 		p := &m.parts[pi]
-		if p.dictSlot < 0 {
+		if p.dictSlot < 0 || d.Modifies(m.colIdx[p.dictSlot]) {
 			continue
 		}
 		dict, err := m.sc.SpanDict(p.dictSlot, start)
@@ -558,15 +589,15 @@ func (m *mscan) verdictSpan(start int64) (dead bool, err error) {
 	return false, nil
 }
 
-// filterBatch applies the predicate to a dense merged or tail batch,
+// filterBatch applies the predicate to a dense batch of inserted rows,
 // returning nil when no row survives (callers continue the scan loop).
 // Without a predicate the batch passes through.
 func (m *mscan) filterBatch(b *vector.Batch) (*vector.Batch, error) {
 	if b.Len() == 0 {
 		return nil, nil
 	}
-	clear(m.pass) // verdicts describe stored blocks, not merged rows
-	sel, all, err := m.narrow(b.Vecs, 0, b.Len())
+	clear(m.pass) // verdicts describe stored blocks, not inserted rows
+	sel, all, err := m.narrow(b.Vecs, 0, b.Len(), nil)
 	switch {
 	case err != nil || !all && len(sel) == 0:
 		return nil, err
@@ -606,14 +637,18 @@ func (m *mscan) Close() error {
 		m.io.SpansPruned += m.spansPruned
 		m.io.BytesSkipped += st.BytesSkipped
 		m.io.BytesMaterialized += st.BytesMaterialized
-		m.spansPruned = 0
+		m.eng.scanDeltaSpans.Add(m.deltaSpans)
+		m.eng.scanDeletedRows.Add(m.deletedRows)
+		m.io.DeltaSpans += m.deltaSpans
+		m.io.DeletedRows += m.deletedRows
+		m.spansPruned, m.deltaSpans, m.deletedRows = 0, 0, 0
 		m.sc.Close()
 		m.sc = nil
 	}
-	m.readM, m.writeM = nil, nil
+	m.merger, m.pending = nil, nil
 	m.readPDT, m.writePDT = nil, nil
 	m.releaseMeta()
 	debugCheckUnpinned(m)
-	m.stage = 3
+	m.stage = 2
 	return nil
 }

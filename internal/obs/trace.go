@@ -32,6 +32,8 @@ type OpProfile struct {
 	CacheHits         int64 `json:"cache_hits,omitempty"`
 	BytesSkipped      int64 `json:"bytes_skipped,omitempty"`
 	BytesMaterialized int64 `json:"bytes_materialized,omitempty"`
+	DeltaSpans        int64 `json:"delta_spans,omitempty"`
+	DeletedRows       int64 `json:"deleted_rows,omitempty"`
 
 	// Hash join builds; only set for hash joins. BuildTables counts the
 	// distinct tables the operator's streams probed (one per node for a

@@ -110,6 +110,7 @@ func ApplyTrans(dst *PDT, entries []Entry, snapshotEpoch, commitEpoch int64) err
 			}
 		}
 	}
+	dst.touch()
 	for _, e := range entries {
 		e.Epoch = commitEpoch
 		switch e.Kind {

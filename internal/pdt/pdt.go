@@ -3,6 +3,7 @@ package pdt
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // ErrConflict is returned when commit-time serialization detects a
@@ -18,6 +19,10 @@ type PDT struct {
 	stableRows int64
 	numMod     int
 	memBytes   int
+
+	// memo is what scans derive from the entries (see memo); every
+	// mutation drops it, so only a PDT nobody writes any more keeps one.
+	memo atomic.Pointer[memo]
 }
 
 // New returns an empty PDT over a stable image of n rows.
@@ -142,6 +147,7 @@ func (t *PDT) RidToSid(rid int64) (Loc, error) {
 
 // Insert places row at position rid, shifting subsequent rows right.
 func (t *PDT) Insert(rid int64, row []any) error {
+	t.touch()
 	if rid < 0 || rid > t.Size() {
 		return fmt.Errorf("pdt: insert rid %d out of range [0,%d]", rid, t.Size())
 	}
@@ -195,6 +201,7 @@ func (t *PDT) shiftSeqs(sid int64, from int32) {
 // Append inserts a row at the end of the table (the common bulk path; §6
 // notes inserts dominate PDT volume).
 func (t *PDT) Append(row []any) {
+	t.touch()
 	sid := t.stableRows
 	_, maxSeq := t.numInsAt(sid)
 	t.add(Entry{Sid: sid, Seq: maxSeq + 1, Kind: Ins, Row: row})
@@ -204,6 +211,7 @@ func (t *PDT) Append(row []any) {
 // simply removes the insert entry; deleting a stable tuple records a Del
 // entry (superseding any Mod).
 func (t *PDT) Delete(rid int64) error {
+	t.touch()
 	loc, err := t.RidToSid(rid)
 	if err != nil {
 		return err
@@ -226,6 +234,7 @@ func (t *PDT) Delete(rid int64) error {
 // Modify sets columns of the row at position rid. Modifying an uncommitted
 // insert updates the insert in place (with copy-on-write of the row).
 func (t *PDT) Modify(rid int64, cols []int, vals []any) error {
+	t.touch()
 	loc, err := t.RidToSid(rid)
 	if err != nil {
 		return err

@@ -1,0 +1,224 @@
+package pdt
+
+import (
+	"math/rand"
+	"testing"
+
+	"vectorh/internal/vector"
+)
+
+// stackOps drives a Read- and a Write-PDT over a stable image of n rows from
+// fuzz bytes, two per operation: rid-based inserts, deletes, modifies of
+// either column and appends go to the Write layer, and a propagation replays
+// the Write layer into a copy of the Read layer and starts a new one — so the
+// Write layer's deltas land on rows the Read layer inserted, deleted around
+// or modified. It returns the layers and the plain-slice model of the image.
+func stackOps(t *testing.T, n int, ops []byte) (read, write *PDT, model [][]any) {
+	read, write = New(int64(n)), New(int64(n))
+	for i := range n {
+		model = append(model, []any{int64(i), "s" + itoa(i)})
+	}
+	next := int64(1000)
+	for k := 0; k+1 < len(ops); k += 2 {
+		size := len(model)
+		pos := int(ops[k+1])
+		switch op := ops[k] % 6; {
+		case op == 0 || (op <= 3 && size == 0):
+			rid := pos % (size + 1)
+			row := []any{next, "n" + itoa(int(next))}
+			next++
+			if err := write.Insert(int64(rid), row); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model[:rid], append([][]any{row}, model[rid:]...)...)
+		case op == 1:
+			rid := pos % size
+			if err := write.Delete(int64(rid)); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model[:rid], model[rid+1:]...)
+		case op == 2 || op == 3:
+			rid, col := pos%size, op-2
+			var v any = "m" + itoa(k)
+			if col == 0 {
+				v = int64(-k)
+			}
+			if err := write.Modify(int64(rid), []int{int(col)}, []any{v}); err != nil {
+				t.Fatal(err)
+			}
+			row := append([]any(nil), model[rid]...)
+			row[col] = v
+			model[rid] = row
+		case op == 4:
+			row := []any{next, "a" + itoa(int(next))}
+			next++
+			write.Append(row)
+			model = append(model, row)
+		default:
+			nr := read.CopyOnWrite()
+			if err := Replay(nr, write); err != nil {
+				t.Fatal(err)
+			}
+			read, write = nr, New(nr.Size())
+		}
+	}
+	return read, write, model
+}
+
+func appendBatchRows(rows [][]any, b *vector.Batch) [][]any {
+	for i := 0; i < b.Len(); i++ {
+		rows = append(rows, b.Row(i))
+	}
+	return rows
+}
+
+// checkStack compares, span by span of step rows, the stacked merger's
+// MergeRange and its Span description applied positionally — deletes
+// skipped, columns patched, inserted rows in front of their stable row —
+// against the model, and each span's first output position against the
+// rows before it.
+func checkStack(t *testing.T, read, write *PDT, model [][]any, step int) {
+	t.Helper()
+	n := int(read.StableRows())
+	img := stableImage(n)
+	m := NewStackedMerger(read, write, schema, []int{0, 1})
+	var merged, applied [][]any
+	var d Span
+	for s0 := 0; s0 < n; s0 += step {
+		s1 := min(s0+step, n)
+		in := &vector.Batch{Vecs: []*vector.Vec{img.Col(0).Slice(s0, s1), img.Col(1).Slice(s0, s1)}}
+		out, rid, err := m.MergeRange(in, int64(s0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid != int64(len(merged)) {
+			t.Fatalf("span %d: first output position %d, %d rows before it", s0, rid, len(merged))
+		}
+		merged = appendBatchRows(merged, out)
+
+		m.Span(int64(s0), s1-s0, &d)
+		cols := []*vector.Vec{d.Patch(in.Col(0), 0), d.Patch(in.Col(1), 1)}
+		ins, del := d.Ins, d.Del
+		for p := range int32(s1 - s0) {
+			if len(ins) > 0 && ins[0] == p {
+				for _, b := range m.Inserted(int64(s0)+int64(p), nil) {
+					applied = appendBatchRows(applied, b)
+				}
+				ins = ins[1:]
+			}
+			if len(del) > 0 && del[0] == p {
+				del = del[1:]
+				continue
+			}
+			applied = append(applied, []any{cols[0].Get(int(p)), cols[1].Get(int(p))})
+		}
+		if len(ins)+len(del) > 0 {
+			t.Fatalf("span %d: offsets past its end: ins %v del %v", s0, ins, del)
+		}
+	}
+	if tail, rid := m.Tail(); tail != nil {
+		if rid != int64(len(merged)) {
+			t.Fatalf("tail: first output position %d, %d rows before it", rid, len(merged))
+		}
+		merged = appendBatchRows(merged, tail)
+	}
+	for _, b := range m.Inserted(int64(n), nil) {
+		applied = appendBatchRows(applied, b)
+	}
+	for what, rows := range map[string][][]any{"MergeRange": merged, "Span": applied} {
+		if len(rows) != len(model) {
+			t.Fatalf("%s: %d rows, model %d", what, len(rows), len(model))
+		}
+		for i := range rows {
+			if rows[i][0] != model[i][0] || rows[i][1] != model[i][1] {
+				t.Fatalf("%s row %d: %v, model %v", what, i, rows[i], model[i])
+			}
+		}
+	}
+}
+
+// FuzzStackedMerge model-checks the two-layer merge: stable size, span
+// length and an operation sequence over both PDT layers from the fuzzer;
+// MergeRange and the positional application of Span must both produce the
+// slice model's image.
+func FuzzStackedMerge(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for range 16 {
+		ops := make([]byte, 2*(20+rng.Intn(200)))
+		rng.Read(ops)
+		f.Add(uint8(rng.Intn(80)), uint8(1+rng.Intn(16)), ops)
+	}
+	f.Add(uint8(0), uint8(1), []byte{0, 0, 5, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, n, step uint8, ops []byte) {
+		if step == 0 {
+			step = 1
+		}
+		read, write, model := stackOps(t, int(n), ops)
+		checkStack(t, read, write, model, int(step))
+	})
+}
+
+// TestMemoFollowsWrites checks the memo a PDT shares with its mergers: a
+// PDT still being written never serves a stale one — every kind of write
+// drops it — while scans of a PDT nobody writes share one, built at most
+// once per concurrent first use.
+func TestMemoFollowsWrites(t *testing.T) {
+	p := New(4)
+	model := [][]any{}
+	for i := range 4 {
+		model = append(model, []any{int64(i), "s" + itoa(i)})
+	}
+	check := func(what string) {
+		t.Helper()
+		rows := materialize(t, p, stableImage(4))
+		if len(rows) != len(model) {
+			t.Fatalf("after %s: %d rows, model %d", what, len(rows), len(model))
+		}
+		for i := range rows {
+			if rows[i][0] != model[i][0] || rows[i][1] != model[i][1] {
+				t.Fatalf("after %s row %d: %v, model %v", what, i, rows[i], model[i])
+			}
+		}
+	}
+	check("nothing")
+	p.Append([]any{int64(10), "a"})
+	model = append(model, []any{int64(10), "a"})
+	check("append")
+	if err := p.Insert(1, []any{int64(11), "i"}); err != nil {
+		t.Fatal(err)
+	}
+	model = append(model[:1], append([][]any{{int64(11), "i"}}, model[1:]...)...)
+	check("insert")
+	if err := p.Modify(4, []int{1}, []any{"m"}); err != nil { // the appended row
+		t.Fatal(err)
+	}
+	model[4] = []any{int64(3), "m"}
+	check("modify")
+	if err := p.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	model = model[1:]
+	check("delete")
+	next := p.CopyOnWrite()
+	if err := ApplyTrans(next, []Entry{{Sid: 4, Kind: Ins, Row: []any{int64(12), "t"}}}, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("a commit into a copy") // p itself is unchanged
+	p = next
+	model = append(model, []any{int64(12), "t"})
+	check("apply")
+
+	// Concurrent first use of a published PDT's memo.
+	done := make(chan *vector.Batch)
+	for range 4 {
+		go func() {
+			tail, _ := NewMerger(p, schema, []int{0, 1}).Tail()
+			done <- tail
+		}()
+	}
+	for range 4 {
+		if tail := <-done; tail.Len() != 2 {
+			t.Fatalf("tail has %d rows, want 2", tail.Len())
+		}
+	}
+}
