@@ -114,13 +114,14 @@ func (c *BlockCache) put(k blockKey, d colData) {
 }
 
 // approxColBytes estimates the in-memory footprint of decoded column data.
-// A code-form block is charged its dictionary plus the code stream it will
-// occupy once unpacked (codes are memoized on the shared block handle).
+// A code-form block is charged its dictionary, the packed code stream it
+// holds and the code vector it will occupy once unpacked (codes are
+// memoized on the shared block handle).
 func approxColBytes(d colData) int64 {
 	n := int64(len(d.i64))*8 + int64(len(d.f64))*8
 	n += strColBytes(&d.str)
 	if d.pd != nil {
-		n += int64(d.pd.Rows())*4 + strSliceBytes(d.pd.Dict.Values)
+		n += int64(d.pd.CodeBytes()) + int64(d.pd.Rows())*4 + strSliceBytes(d.pd.Dict.Values)
 	}
 	return n
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"vectorh/internal/compress"
@@ -442,10 +441,8 @@ func TestAbsentMinMaxAlwaysQualifies(t *testing.T) {
 }
 
 // TestScannerSpanAPI exercises the late-materialization primitives: spans
-// clamped on a lead column, dense decode, selective gather, and the IO
-// counters that prove untouched columns stay untouched. GatherCol is then
-// held to ColVec over the same rows for every column kind, in value and
-// code form, on spans and on selections that straddle a block boundary.
+// clamped on a lead column, a second column decoded for the same span, and
+// the IO counters that prove untouched columns stay untouched.
 func TestScannerSpanAPI(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})
@@ -455,7 +452,7 @@ func TestScannerSpanAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int64
-	var gatheredPrices []float64
+	var prices []float64
 	for {
 		start, n, err := s.NextSpan([]int{0}) // clamp on k only
 		if err != nil {
@@ -469,29 +466,24 @@ func TestScannerSpanAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = append(got, kv.Int64s()...)
-		// Gather price for every 10th row of the span.
-		var sel []int32
-		for i := 0; i < n; i += 10 {
-			sel = append(sel, int32(i))
-		}
-		pv, err := s.GatherCol(1, start, sel)
+		pv, err := s.ColVec(1, start, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, p := range pv.Float64s() {
-			if want := float64(start+int64(sel[i])) * 1.5; p != want {
-				t.Fatalf("gathered price %v, want %v", p, want)
+			if want := float64(start+int64(i)) * 1.5; p != want {
+				t.Fatalf("price of row %d = %v, want %v", start+int64(i), p, want)
 			}
 		}
-		gatheredPrices = append(gatheredPrices, pv.Float64s()...)
+		prices = append(prices, pv.Float64s()...)
 	}
 	for i, k := range got {
 		if k != int64(i) {
 			t.Fatalf("span scan row %d = %d", i, k)
 		}
 	}
-	if len(gatheredPrices) == 0 {
-		t.Fatal("no prices gathered")
+	if len(prices) != len(got) {
+		t.Fatalf("%d prices for %d rows", len(prices), len(got))
 	}
 	// The flag column (slot 2) was never requested: the stats must show
 	// fewer blocks than a full three-column scan would read.
@@ -517,60 +509,6 @@ func TestScannerSpanAPI(t *testing.T) {
 			st.BlocksRead, full.Stats().BlocksRead)
 	}
 
-	// Every kind, with blocks small enough that each column has boundaries.
-	multi := NewPartitionMeta("t", 1, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8, MaxRowsPerBlock: 300})
-	writeRows(t, fs, multi, 0, 4000)
-	cols := []string{"d", "k", "flag", "price"}
-	for _, codeExec := range []bool{false, true} {
-		s, err := NewScanner(fs, multi, "node1", cols, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetCodeExec(codeExec)
-		check := func(i int, start int64, n int, sel []int32) {
-			t.Helper()
-			got, err := s.GatherCol(i, start, sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := s.ColVec(i, start, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Kind() != want.Kind() || got.Len() != len(sel) {
-				t.Fatalf("%s: gathered %d %v values, want %d %v", cols[i], got.Len(), got.Kind(), len(sel), want.Kind())
-			}
-			for j, rel := range sel {
-				if g, w := got.Get(j), want.Get(int(rel)); g != w {
-					t.Fatalf("%s (codeExec=%v) row %d: gathered %v, ColVec %v", cols[i], codeExec, start+int64(rel), g, w)
-				}
-			}
-		}
-		for {
-			start, n, err := s.NextSpan([]int{0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				break
-			}
-			var sel []int32
-			for j := 3; j < n; j += 7 {
-				sel = append(sel, int32(j))
-			}
-			for i := range cols {
-				check(i, start, n, sel)
-			}
-		}
-		for i, name := range cols {
-			ci := slices.IndexFunc(multi.Cols, func(c ColumnMeta) bool { return c.Name == name })
-			if len(multi.Cols[ci].Blocks) < 2 {
-				t.Fatalf("%s has one block; no boundary to straddle", name)
-			}
-			boundary := multi.Cols[ci].Blocks[1].RowStart
-			check(i, boundary-5, 10, []int32{0, 4, 5, 9})
-		}
-	}
 }
 
 // TestSpanValueBoundsReadsNoPayload holds SpanValueBounds to the block's
@@ -633,9 +571,9 @@ func TestSpanValueBoundsReadsNoPayload(t *testing.T) {
 }
 
 // TestDecodeHostileBlocks feeds the block decoder blocks no encoder writes,
-// under every column kind and both scan forms: each must fail with an
-// error, never panic. A float header claiming 2^61 rows used to wrap the
-// n*8 size check and panic in make.
+// under every column kind: each must fail with an error, never panic. A
+// float header claiming 2^61 rows used to wrap the n*8 size check and panic
+// in make.
 func TestDecodeHostileBlocks(t *testing.T) {
 	floatBlock := func(n uint64, body int) []byte {
 		b := binary.AppendUvarint([]byte{tagFloatRaw}, n)
@@ -649,10 +587,8 @@ func TestDecodeHostileBlocks(t *testing.T) {
 	}
 	for name, blk := range blocks {
 		for _, k := range []vector.Kind{vector.Bool, vector.Int32, vector.Int64, vector.Float64, vector.String} {
-			for _, codeForm := range []bool{false, true} {
-				if _, err := decodeBlockScan(k, blk, codeForm, &compress.Scratch{}); err == nil {
-					t.Errorf("%s as %v (code form %v): decoded without an error", name, k, codeForm)
-				}
+			if _, err := decodeBlockScan(k, blk, &compress.Scratch{}); err == nil {
+				t.Errorf("%s as %v: decoded without an error", name, k)
 			}
 		}
 	}

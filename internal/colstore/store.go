@@ -16,11 +16,11 @@ import (
 const tagFloatRaw = 5
 
 // colData holds one decoded column block (one of the slices is used,
-// depending on the column kind). String blocks that were PDICT-compressed
-// may instead be held in code form: pd carries the parsed dictionary while
-// the packed code stream stays compressed until someone asks for codes or
-// values — the storage half of executing on compressed data. str may later
-// be filled in next to pd by a scanner that needed value form.
+// depending on the column kind). A PDICT-compressed string block is held in
+// code form: pd carries the parsed dictionary while the packed code stream
+// stays compressed until someone asks for codes or values — the storage
+// half of executing on compressed data. str may later be filled in next to
+// pd by a scanner that needed value form, in its own copy of the colData.
 type colData struct {
 	i64 []int64
 	f64 []float64
@@ -157,17 +157,24 @@ func encodeBlock(e *compress.Encoder, dst []byte, k vector.Kind, d colData) []by
 	}
 }
 
-// decodeBlock inverts encodeBlock, always producing value form.
+// decodeBlock inverts encodeBlock, producing value form for the appender's
+// pending buffer.
 func decodeBlock(k vector.Kind, data []byte) (colData, error) {
-	return decodeBlockScan(k, data, false, nil)
+	d, err := decodeBlockScan(k, data, nil)
+	if err != nil || d.pd == nil {
+		return d, err
+	}
+	str, err := d.pd.Materialize()
+	return colData{str: str}, err
 }
 
-// decodeBlockScan is the scanner-side decode: with codeForm set, a
-// PDICT-encoded string block is merely opened (dictionary parsed, code
-// stream left packed) instead of materialized. scratch, when non-nil, lends
-// the string decoder its staging buffers; decode targets are still freshly
-// allocated because they escape as zero-copy vector views.
-func decodeBlockScan(k vector.Kind, data []byte, codeForm bool, scratch *compress.Scratch) (colData, error) {
+// decodeBlockScan is the scanner-side decode, the one form a block is
+// cached in: a PDICT-encoded string block is merely opened (dictionary
+// parsed, code stream left packed), every other block is decoded to values.
+// Nothing decoded aliases data. scratch, when non-nil, lends the raw+LZ
+// decoder its staging buffer; decode targets are still freshly allocated
+// because they escape as zero-copy vector views.
+func decodeBlockScan(k vector.Kind, data []byte, scratch *compress.Scratch) (colData, error) {
 	if len(data) == 0 {
 		return colData{}, compress.ErrCorrupt
 	}
@@ -188,7 +195,7 @@ func decodeBlockScan(k vector.Kind, data []byte, codeForm bool, scratch *compres
 		}
 		return colData{f64: out}, nil
 	case vector.String:
-		if codeForm && compress.IsPDict(data) {
+		if compress.IsPDict(data) {
 			pd, err := compress.PDictOpen(data)
 			return colData{pd: pd}, err
 		}
@@ -576,17 +583,12 @@ func (a *Appender) Close() error {
 
 // readPayload fetches a block's compressed bytes.
 func (a *Appender) readPayload(b BlockMeta) ([]byte, error) {
-	return readPayload(a.fs, a.meta, a.node, b)
-}
-
-func readPayload(fs *hdfs.Cluster, m *PartitionMeta, node string, b BlockMeta) ([]byte, error) {
-	return readPayloadInto(fs, m, node, b, nil)
+	return readPayloadInto(a.fs, a.meta, a.node, b, nil)
 }
 
 // readPayloadInto fetches a block's compressed bytes, reusing buf when it
-// has the capacity. Callers may only pass a reusable buffer when the decode
-// they feed it to copies everything out — PDictOpen retains sub-slices of
-// the payload, so code-form string reads must pass nil.
+// has the capacity: every block decoder, PDictOpen included, copies out
+// what it keeps, so a scanner reads each block into one reused buffer.
 func readPayloadInto(fs *hdfs.Cluster, m *PartitionMeta, node string, b BlockMeta, buf []byte) ([]byte, error) {
 	var path string
 	var off int64
@@ -614,12 +616,14 @@ func readPayloadInto(fs *hdfs.Cluster, m *PartitionMeta, node string, b BlockMet
 // Scanner reads a projection of a partition over a set of row ranges,
 // producing vectors of up to vector.MaxSize rows. Blocks outside the ranges
 // are never touched — the IO half of MinMax skipping. The span API
-// (NextSpan / ColVec / GatherCol) decouples cursor advancement from column
-// decode, so a late-materializing scan can decode only its predicate
-// columns for a span, and fetch the payload columns — possibly only the
-// surviving rows — afterwards, or not at all. Every column read goes through
-// loadBlock: a block is decoded whole, once, and shared through the
-// decoded-block cache when one is attached.
+// (NextSpan / ColVec) decouples cursor advancement from column decode, so a
+// late-materializing scan can decode only its predicate columns for a span,
+// and fetch the payload columns afterwards, or not at all. Every column
+// read goes through loadBlock: a block is decoded whole, once, into its one
+// cached form (a PDICT string block opened, not materialized) and shared
+// through the decoded-block cache when one is attached. Whether a string
+// column leaves as codes or values is the scan's choice (SetCodeExec);
+// value form is materialized scanner-local and never cached.
 type Scanner struct {
 	fs     *hdfs.Cluster
 	meta   *PartitionMeta
@@ -637,7 +641,7 @@ type Scanner struct {
 	codeExec bool // serve PDICT string blocks as dictionary-code vectors
 
 	// Decode scratch reused across blocks: the compressed-payload read buffer
-	// and the decoder staging arrays. Decode targets are never reused — they
+	// and the raw+LZ staging bytes. Decode targets are never reused — they
 	// escape upstream as zero-copy vector views.
 	scratch    compress.Scratch
 	payloadBuf []byte
@@ -679,7 +683,9 @@ func (s *Scanner) SetCache(bc *BlockCache) { s.bc = bc }
 
 // SetCodeExec toggles execution on compressed data for this scan: when on,
 // PDICT string blocks surface dictionary-code vectors (and their
-// dictionaries via SpanDict) instead of materialized strings.
+// dictionaries via SpanDict) instead of materialized strings. It decides
+// what the scan returns, not what the block cache holds: every scan caches
+// and finds a PDICT block in code form.
 func (s *Scanner) SetCodeExec(on bool) { s.codeExec = on }
 
 type cachedBlock struct {
@@ -744,7 +750,7 @@ func (s *Scanner) Next() (*vector.Batch, int64, error) {
 // rows inside the qualifying ranges and returns its start row and length
 // (n == 0 at end of scan). The span is clamped so every lead column
 // (projection slots; nil = all columns) can serve it from a single cached
-// block; other columns stitch across block boundaries in ColVec/GatherCol.
+// block; other columns stitch across block boundaries in ColVec.
 // No column is decoded for slots the caller never asks about.
 func (s *Scanner) NextSpan(lead []int) (int64, int, error) {
 	for s.ri < len(s.ranges) && s.cursor >= s.ranges[s.ri].End {
@@ -761,7 +767,7 @@ func (s *Scanner) NextSpan(lead []int) (int64, int, error) {
 		n = vector.MaxSize
 	}
 	// Clamping needs only block boundaries, never decoded data — decode is
-	// deferred until ColVec/GatherCol actually asks for a column, so a span
+	// deferred until ColVec actually asks for a column, so a span
 	// the predicate verdicts kill (SpanDict miss, block MinMax disjoint)
 	// skips its blocks entirely.
 	clamp := func(slot int) error {
@@ -902,66 +908,6 @@ func (s *Scanner) blockStrings(cb *cachedBlock) (*compress.StrCol, error) {
 	return &cb.data.str, nil
 }
 
-// GatherCol copies only the rows start+sel[j] of projection slot i (sel
-// ascending) — the payload half of a late-materializing scan: columns of
-// rows the predicate already rejected are copied never, and blocks whose
-// every row was rejected are not even read.
-func (s *Scanner) GatherCol(i int, start int64, sel []int32) (*vector.Vec, error) {
-	if len(sel) == 0 {
-		return vector.New(s.kinds[i], 0), nil
-	}
-	last := start + int64(sel[len(sel)-1])
-	cb, err := s.ensureBlock(i, start+int64(sel[0]))
-	if err != nil {
-		return nil, err
-	}
-	if s.kinds[i] == vector.String && s.codeExec && cb.data.pd != nil && last < cb.hi {
-		// Every selected row lands in one code-form block: gather codes and
-		// stay in the compressed domain.
-		codes, err := s.blockCodes(cb)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]uint32, len(sel))
-		for k, rel := range sel {
-			out[k] = codes[int(start+int64(rel)-cb.lo)]
-		}
-		return vector.FromDictCodes(out, cb.data.pd.Dict), nil
-	}
-	out := vector.New(s.kinds[i], len(sel))
-	var str *compress.StrCol
-	if s.kinds[i] == vector.String {
-		if str, err = s.blockStrings(cb); err != nil {
-			return nil, err
-		}
-	}
-	for _, rel := range sel {
-		row := start + int64(rel)
-		if row < cb.lo || row >= cb.hi {
-			if cb, err = s.ensureBlock(i, row); err != nil {
-				return nil, err
-			}
-			if s.kinds[i] == vector.String {
-				if str, err = s.blockStrings(cb); err != nil {
-					return nil, err
-				}
-			}
-		}
-		j := int(row - cb.lo)
-		switch s.kinds[i] {
-		case vector.Float64:
-			out.AppendFloat64(cb.data.f64[j])
-		case vector.String:
-			out.AppendString(str.At(j))
-		case vector.Int32:
-			out.AppendInt32(int32(cb.data.i64[j]))
-		default:
-			out.AppendInt64(cb.data.i64[j])
-		}
-	}
-	return out, nil
-}
-
 // Close releases the scanner's cached decoded blocks and terminates the
 // scan: a subsequent Next reports end-of-scan.
 func (s *Scanner) Close() {
@@ -1010,10 +956,10 @@ func (s *Scanner) keyOf(b *BlockMeta) blockKey {
 }
 
 // loadBlock fetches and decodes one whole block into slot i's cache, via
-// the shared cache when attached. In code-exec mode a PDICT string block is
-// only opened: its dictionary is parsed and charged as decoded, while the
-// packed code stream stays compressed until blockCodes/blockStrings first
-// needs it (and blocks pruned through SpanDict never do).
+// the shared cache when attached. A PDICT string block is only opened: its
+// dictionary is parsed and charged as decoded, while the packed code stream
+// stays compressed until blockCodes/blockStrings first needs it (and blocks
+// pruned through SpanDict never do).
 func (s *Scanner) loadBlock(i int, b *BlockMeta) (*cachedBlock, error) {
 	cb := &s.cache[i]
 	kind := s.kinds[i]
@@ -1029,23 +975,12 @@ func (s *Scanner) loadBlock(i int, b *BlockMeta) (*cachedBlock, error) {
 			return cb, nil
 		}
 	}
-	codeForm := s.codeExec && kind == vector.String
-	var payload []byte
-	var err error
-	if codeForm {
-		// PDictOpen retains sub-slices of the payload; it must not come from
-		// the reusable read buffer.
-		payload, err = readPayload(s.fs, s.meta, s.node, *b)
-	} else {
-		payload, err = readPayloadInto(s.fs, s.meta, s.node, *b, s.payloadBuf)
-		if err == nil {
-			s.payloadBuf = payload
-		}
-	}
+	payload, err := readPayloadInto(s.fs, s.meta, s.node, *b, s.payloadBuf)
 	if err != nil {
 		return nil, err
 	}
-	d, err := decodeBlockScan(kind, payload, codeForm, &s.scratch)
+	s.payloadBuf = payload
+	d, err := decodeBlockScan(kind, payload, &s.scratch)
 	if err != nil {
 		return nil, err
 	}

@@ -61,8 +61,8 @@ func packBits(dst []byte, vals []uint64, width int) []byte {
 // 56 bits lies within the 8 bytes from its first one, so it is one
 // unaligned 8-byte load, a shift and a mask, with no branch on data; only
 // the last codes, whose 8 bytes would run past src, and wider codes go byte
-// by byte. Dictionary codes unpack as uint32, half the staging memory.
-func unpackBits[T uint32 | uint64 | int64](dst []T, src []byte, width int, ref uint64) {
+// by byte. Dictionary codes unpack as uint32.
+func unpackBits[T uint32 | int64](dst []T, src []byte, width int, ref uint64) {
 	if width == 0 {
 		for i := range dst {
 			dst[i] = T(ref)

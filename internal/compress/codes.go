@@ -1,7 +1,9 @@
 package compress
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -78,36 +80,17 @@ func rowsFit(n uint64, w int, body []byte) bool {
 // Scratch holds decoder-internal buffers that never escape a decode call,
 // so a long-lived caller (one colstore.Scanner) can reuse them across
 // blocks. Decode *targets* are not reusable — they are served upstream as
-// zero-copy vector views — but the string decoders' staging arrays are.
+// zero-copy vector views — but the raw+LZ decoder's staging bytes are.
 type Scratch struct {
-	codes []uint64 // PDICT codes
-	spans [][2]int // PDICT value positions in the block
-	raw   []byte   // a raw+LZ block's decompressed values
-}
-
-func (s *Scratch) u64(n int) []uint64 {
-	if s == nil {
-		return make([]uint64, n)
-	}
-	if cap(s.codes) < n {
-		s.codes = make([]uint64, n)
-	}
-	return s.codes[:n]
-}
-
-func (s *Scratch) spansOf(n int) [][2]int {
-	if s == nil {
-		return make([][2]int, n)
-	}
-	s.spans = grow(s.spans, n)
-	return s.spans
+	raw []byte // a raw+LZ block's decompressed values
 }
 
 // PDictBlock is an opened PDICT block: the dictionary is parsed (including
 // exception strings, deduplicated into the dictionary) but the code stream
 // is not unpacked. A scan that prunes the block via the dictionary alone —
 // the pushed literal is absent, or every entry fails the predicate — never
-// touches the packed codes.
+// touches the packed codes. The block owns its bytes: nothing in it aliases
+// the payload it was opened from.
 type PDictBlock struct {
 	Dict *StrDict
 
@@ -145,9 +128,11 @@ func IsPDict(data []byte) bool { return len(data) > 0 && data[0] == tagPDict }
 func IsPFORDelta(data []byte) bool { return len(data) > 0 && data[0] == tagPFORDelta }
 
 // PDictOpen parses the dictionary and exception chain of a PDICT block
-// without unpacking the code stream. Exception values become additional
-// dictionary entries (deduplicated), so the returned dictionary covers
-// every string in the block and codes are canonical.
+// without unpacking the code stream: the one parser of the format.
+// Exception values become additional dictionary entries (deduplicated), so
+// the returned dictionary covers every string in the block and codes are
+// canonical. The packed code stream is copied, so data may be reused once
+// PDictOpen returns.
 func PDictOpen(data []byte) (*PDictBlock, error) {
 	l, err := parsePDict(data)
 	if err != nil {
@@ -156,15 +141,18 @@ func PDictOpen(data []byte) (*PDictBlock, error) {
 	if l.n == 0 {
 		return &PDictBlock{Dict: &StrDict{}}, nil
 	}
+	// The entries are substrings of one copy of the dictionary section.
+	arena := string(l.dict[:l.dictSz])
 	vals := make([]string, l.dn, l.dn+4)
 	for i, rest := 0, l.dict; i < l.dn; i++ {
 		v, r, _ := nextLenPrefixed(rest)
-		vals[i], rest = string(v), r
+		end := len(l.dict) - len(r)
+		vals[i], rest = arena[end-len(v):end], r
 	}
 	b := &PDictBlock{
 		n:         l.n,
 		w:         l.w,
-		packed:    l.packed,
+		packed:    bytes.Clone(l.packed),
 		dictBytes: l.dictSz,
 		codeBytes: len(l.packed),
 	}
@@ -228,16 +216,27 @@ func (b *PDictBlock) Codes() ([]uint32, error) {
 }
 
 // Materialize returns the block's values as a new column, going through
-// the code vector — the PDT-delta merge path uses this to re-materialize
-// before merging deltas, which only exist in value space.
+// the code vector: the one value decoder of a PDICT block. The arena is
+// sized once, from the values the codes select, before any is copied.
 func (b *PDictBlock) Materialize() (StrCol, error) {
 	codes, err := b.Codes()
-	if err != nil {
+	if err != nil || b.n == 0 {
 		return StrCol{}, err
 	}
-	var col StrCol
+	vals := b.Dict.Values
+	total := uint64(0)
 	for _, c := range codes {
-		col.Append(b.Dict.Values[c])
+		total += uint64(len(vals[c]))
 	}
-	return col, nil
+	if total > MaxBytes {
+		return StrCol{}, fmt.Errorf("%w: %d string bytes in one block", ErrCorrupt, total)
+	}
+	var sb strings.Builder
+	sb.Grow(int(total))
+	offs := make([]uint32, 1, b.n+1)
+	for _, c := range codes {
+		sb.WriteString(vals[c])
+		offs = append(offs, uint32(sb.Len()))
+	}
+	return StrCol{arena: sb.String(), offs: offs}, nil
 }

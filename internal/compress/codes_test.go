@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -26,9 +27,19 @@ func TestPDictOpenCodes(t *testing.T) {
 
 	for ci, vals := range cases {
 		enc := PDictEncode(vals)
+		want, err := decodeAll(enc, nil)
+		if err != nil {
+			t.Fatalf("case %d: decode: %v", ci, err)
+		}
+		eqStr(t, fmt.Sprintf("case %d: decode", ci), vals, want)
 		b, err := PDictOpen(enc)
 		if err != nil {
 			t.Fatalf("case %d: open: %v", ci, err)
+		}
+		// An opened block owns its bytes: a scanner reads every block into
+		// one reused buffer, so the payload is overwritten after the open.
+		for i := range enc {
+			enc[i] = 0xa5
 		}
 		if b.Rows() != len(vals) {
 			t.Fatalf("case %d: rows %d != %d", ci, b.Rows(), len(vals))
@@ -36,10 +47,6 @@ func TestPDictOpenCodes(t *testing.T) {
 		codes, err := b.Codes()
 		if err != nil {
 			t.Fatalf("case %d: codes: %v", ci, err)
-		}
-		want, err := decodeAll(enc, nil)
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", ci, err)
 		}
 		seen := map[string]uint32{}
 		for i := range vals {

@@ -34,7 +34,7 @@ func TestBitPackRoundTrip(t *testing.T) {
 			if want := (n*width + 7) / 8; len(packed) != want {
 				t.Fatalf("w=%d n=%d: packed %d bytes, want %d", width, n, len(packed), want)
 			}
-			got := make([]uint64, n)
+			got := make([]int64, n)
 			unpackBits(got, packed, width, 0)
 			frame := make([]int64, n)
 			unpackBits(frame, packed, width, ref)
@@ -45,7 +45,7 @@ func TestBitPackRoundTrip(t *testing.T) {
 			}
 			for i := range vals {
 				one := unpackOne(packed, i, width)
-				if one != vals[i] || got[i] != one {
+				if one != vals[i] || uint64(got[i]) != one {
 					t.Fatalf("w=%d n=%d: value %d: unpackBits %d, unpackOne %d, packed %d", width, n, i, got[i], one, vals[i])
 				}
 				if frame[i] != int64(one+ref) {

@@ -11,9 +11,9 @@ import (
 // Two properties are enforced:
 //
 //  1. encode→decode is the identity — for PFOR and PFOR-DELTA over the
-//     derived integers, and for PDICT over the derived strings
-//     (both the eager decoder and the lazy PDictOpen/Codes/Materialize
-//     path the code-form scanner uses);
+//     derived integers, and for PDICT over the derived strings through
+//     both public entry points (DecodeStringsScratch, and the
+//     PDictOpen/Codes/Materialize path the scanner uses);
 //  2. decoding arbitrarily mutated bytes, and the input itself taken as a
 //     block, must fail cleanly — an error or wrong values, never a panic or
 //     out-of-bounds access — and allocate in proportion to the bytes in and

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // maxDictEntries caps the PDICT dictionary; values beyond the cap (or runs of
@@ -224,58 +223,6 @@ func nextLenPrefixed(b []byte) (v, rest []byte, ok bool) {
 	return b[sz : sz+int(l)], b[sz+int(l):], true
 }
 
-// pdictDecode decodes a PDICT block into value form: the codes unpack into
-// the scratch, every dictionary entry and exception becomes a span of the
-// block's bytes, and the values are copied into one arena.
-func pdictDecode(data []byte, s *Scratch) (StrCol, error) {
-	l, err := parsePDict(data)
-	if err != nil || l.n == 0 {
-		return StrCol{}, err
-	}
-	codes := s.u64(l.n)
-	unpackBits(codes, l.packed, l.w, 0)
-	// spans[c] locates value c in data: dictionary entries first, then
-	// exception k as code dn+k, patched over its chain link once read.
-	spans := s.spansOf(l.dn + int(l.ne))
-	for i, rest := 0, l.dict; i < l.dn; i++ {
-		v, r, _ := nextLenPrefixed(rest)
-		spans[i] = [2]int{len(data) - len(r) - len(v), len(data) - len(r)}
-		rest = r
-	}
-	cur, rest := l.fe, l.exc
-	for k := range int(l.ne) {
-		v, r, ok := nextLenPrefixed(rest)
-		if !ok || cur >= uint64(l.n) {
-			return StrCol{}, ErrCorrupt
-		}
-		spans[l.dn+k] = [2]int{len(data) - len(r) - len(v), len(data) - len(r)}
-		rest = r
-		next := cur + min(codes[cur], uint64(l.n)-cur) + 1 // saturates past n
-		codes[cur] = uint64(l.dn + k)
-		cur = next
-	}
-	// Codes past the dictionary that no exception patched stand for "".
-	total := uint64(0)
-	for _, c := range codes {
-		if c < uint64(len(spans)) {
-			total += uint64(spans[c][1] - spans[c][0])
-		}
-	}
-	if total > MaxBytes {
-		return StrCol{}, fmt.Errorf("%w: %d string bytes in one block", ErrCorrupt, total)
-	}
-	var sb strings.Builder
-	sb.Grow(int(total))
-	offs := make([]uint32, 1, l.n+1)
-	for _, c := range codes {
-		if c < uint64(len(spans)) {
-			sb.Write(data[spans[c][0]:spans[c][1]])
-		}
-		offs = append(offs, uint32(sb.Len()))
-	}
-	return StrCol{arena: sb.String(), offs: offs}, nil
-}
-
 // EncodeStrings picks between PDICT and raw+LZ for a string column chunk,
 // whichever is smaller — mirroring VectorH, which dictionary-compresses
 // repetitive strings and falls back to LZ4 for the rest. It copies vals into
@@ -311,15 +258,20 @@ func (e *Encoder) AppendStrings(out []byte, vals *StrCol) []byte {
 }
 
 // DecodeStringsScratch decodes either string scheme into a new column; the
-// scratch lends the decoder its staging buffers. A raw+LZ block costs two
-// allocations, the column's arena and offsets, whatever its value count.
+// scratch lends the raw+LZ decoder its staging buffer. A raw+LZ block costs
+// two allocations, the column's arena and offsets, whatever its value count;
+// a PDICT block is opened and materialized (PDictOpen, Materialize).
 func DecodeStringsScratch(data []byte, s *Scratch) (StrCol, error) {
 	if len(data) == 0 {
 		return StrCol{}, ErrCorrupt
 	}
 	switch data[0] {
 	case tagPDict:
-		return pdictDecode(data, s)
+		b, err := PDictOpen(data)
+		if err != nil {
+			return StrCol{}, err
+		}
+		return b.Materialize()
 	case tagRawString:
 		n, sz := binary.Uvarint(data[1:])
 		if sz <= 0 {

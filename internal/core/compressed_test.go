@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vectorh/internal/colstore"
+	"vectorh/internal/expr"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
@@ -203,5 +204,80 @@ func TestCodeSpaceParityAcrossDeltas(t *testing.T) {
 	}
 	if after := runCodeBoth(t, e, qz); len(after) != len(before)+1 {
 		t.Fatalf("modify to a status in no dictionary: rows %d -> %d, want +1", len(before), len(after))
+	}
+}
+
+// TestValueScanKeepsCodeForm holds the shared block cache to one form per
+// PDICT block: a value-space scan (a DML scan, or CompressedExec disabled)
+// run first on one cache must not cost a later code-space scan its
+// dictionaries: SpanDict finds one on every span of the code-space scan, and
+// the scan prunes as many spans as on a fresh cache.
+func TestValueScanKeepsCodeForm(t *testing.T) {
+	e := testEngine(t, 3)
+	schema := vector.Schema{
+		{Name: "key", Type: vector.TInt64},
+		{Name: "status", Type: vector.TString},
+	}
+	if err := e.CreateTable(rewriter.TableInfo{
+		Name: "vforms", Schema: schema, PartitionKey: "key", Partitions: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Statuses in no period LZ could exploit, so every block is PDICT.
+	states := []string{"open", "paid", "void", "held"}
+	b := vector.NewBatchForSchema(schema, 4000)
+	for i := 0; i < 4000; i++ {
+		b.AppendRow(int64(i), states[uint32(i)*2654435761>>29%4])
+	}
+	if err := e.Load("vforms", []*vector.Batch{b}); err != nil {
+		t.Fatal(err)
+	}
+	// "mint" lies inside every block's [StrMin, StrMax] and in no
+	// dictionary: only the dictionary verdict prunes its spans.
+	pred, err := plan.EQ(plan.Col("status"), plan.Str("mint")).Bind(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := e.tables["vforms"].Parts[0]
+	scan := func(codes bool) (pruned int64) {
+		t.Helper()
+		before := e.ScanStats().SpansPruned
+		spec := rewriter.ScanSpec{Table: "vforms", Cols: schema.Names(), Filter: pred, Skip: expr.Bounds(pred), Codes: codes}
+		if rows := drainScan(t, e, part, spec); len(rows) != 0 {
+			t.Fatalf("codes=%v: %d phantom rows", codes, len(rows))
+		}
+		return e.ScanStats().SpansPruned - before
+	}
+	fresh := scan(true)
+	if fresh == 0 {
+		t.Fatal("no span pruned on a fresh cache; test data broken")
+	}
+
+	e.blockCache = colstore.NewBlockCache(64 << 20)
+	scan(false)
+	if got := scan(true); got != fresh {
+		t.Fatalf("after a value-space scan, the code-space scan pruned %d spans, %d on a fresh cache", got, fresh)
+	}
+	sc, err := colstore.NewScanner(e.fs, part.CurrentMeta(), part.Responsible, []string{"status"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	sc.SetCache(e.blockCache)
+	sc.SetCodeExec(true)
+	for spans := 0; ; spans++ {
+		start, n, err := sc.NextSpan(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			if spans == 0 {
+				t.Fatal("no span scanned")
+			}
+			break
+		}
+		if d, err := sc.SpanDict(0, start); err != nil || d == nil {
+			t.Fatalf("span at row %d: no dictionary from the shared cache (err %v)", start, err)
+		}
 	}
 }

@@ -27,18 +27,21 @@ import (
 // around them: the predicate is split into its top-level conjuncts, conjuncts
 // over the same columns are compiled as one filter, and each span decodes only
 // the columns the next filter reads, under the candidates the previous ones
-// left. A dead span never touches the payload columns; surviving rows gather
-// them through the scanner's column-subset API (late materialization). With
-// ScanSpec.Codes, a span is first put to a verdict on compression metadata
-// alone (verdictSpan). A span PDT deltas touch takes the same path, described
-// by the partition's stacked merger without a row copied: its deleted rows
-// are left out of the starting selection, a column a modify sets is a patched
-// copy of the block view for that span alone (in value form, and exempt from
-// the dictionary verdict, since its new value need not be in the block's
-// dictionary; MinMax summaries are widened by every modify), and the span is
-// served as block views plus a selection. Inserted rows — the tail, and any a
-// transaction placed inside the stable image — are merged by copying and run
-// through the same filters as batches of their own, in position order.
+// left. A dead span never touches the payload columns (late
+// materialization). A span with survivors leaves one way: every projected
+// column as the span's block view, the decoded predicate columns reused,
+// under a selection of the survivors when some rows are rejected — no row is
+// copied out of a block. With ScanSpec.Codes, a span is first put to a
+// verdict on compression metadata alone (verdictSpan), and its string columns
+// leave as dictionary codes where the block is PDICT. A span PDT deltas touch
+// takes the same path, described by the partition's stacked merger without a
+// row copied: its deleted rows are left out of the starting selection, and a
+// column a modify sets is a patched copy of the block view for that span
+// alone (in value form, and exempt from the dictionary verdict, since its new
+// value need not be in the block's dictionary; MinMax summaries are widened
+// by every modify). Inserted rows — the tail, and any a transaction placed
+// inside the stable image — are merged by copying and run through the same
+// filters as batches of their own, in position order.
 //
 // Concurrency: a scan pins one refcounted metadata generation plus the PDT
 // masters in a single critical section at Open (the same lock writers hold
@@ -425,15 +428,15 @@ func (m *mscan) next() (*vector.Batch, error) {
 // filteredSpan serves the stable rows [start, start+n) with the deltas d
 // describes applied: nil when no row of it is visible and satisfies the
 // predicate (decided on metadata where possible, else after decoding only as
-// many predicate columns as it took). Without deltas the qualifying rows of
-// every projected column are a dense view when all qualify, gathered at the
-// survivors when some do; with deltas they are views (patched copies for the
-// modified columns) under a selection.
+// many predicate columns as it took). Otherwise every projected column leaves
+// as the span's block view (a patched copy for a column a modify sets; the
+// predicate columns already decoded are reused), under a selection of the
+// surviving rows when some are rejected — clean span or not, the shape
+// Select emits.
 func (m *mscan) filteredSpan(start int64, n int, d *pdt.Span) (*vector.Batch, error) {
 	clear(m.pass)
 	clear(m.span)
-	delta := !d.Empty()
-	if delta {
+	if !d.Empty() {
 		m.deltaSpans++
 		m.deletedRows += int64(len(d.Del))
 	}
@@ -448,19 +451,13 @@ func (m *mscan) filteredSpan(start int64, n int, d *pdt.Span) (*vector.Batch, er
 	}
 	b := &vector.Batch{Vecs: make([]*vector.Vec, len(m.spec.Cols))}
 	for i := range m.spec.Cols {
-		switch {
-		case !all && !delta:
-			b.Vecs[i], err = m.sc.GatherCol(i, start, sel)
-		case i < len(m.span) && m.span[i] != nil:
+		if i < len(m.span) && m.span[i] != nil {
 			b.Vecs[i] = m.span[i]
-		default:
-			b.Vecs[i], err = m.colVec(i, start, n, d)
-		}
-		if err != nil {
+		} else if b.Vecs[i], err = m.colVec(i, start, n, d); err != nil {
 			return nil, err
 		}
 	}
-	if !all && delta {
+	if !all {
 		b.Sel = slices.Clone(sel)
 	}
 	vector.CheckBatch(b)
