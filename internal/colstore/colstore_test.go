@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vectorh/internal/compress"
@@ -198,6 +199,22 @@ func TestIntersectRanges(t *testing.T) {
 	}
 }
 
+func TestUnionRanges(t *testing.T) {
+	a := []RowRange{{0, 10}, {20, 30}, {50, 60}}
+	b := []RowRange{{5, 12}, {12, 13}, {30, 31}, {40, 41}, {70, 71}}
+	got := UnionRanges(a, b)
+	want := []RowRange{{0, 13}, {20, 31}, {40, 41}, {50, 60}, {70, 71}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("union = %v, want %v", got, want)
+	}
+	if got := UnionRanges(nil, b[:2]); !slices.Equal(got, []RowRange{{5, 13}}) {
+		t.Fatalf("union with empty = %v", got)
+	}
+	if got := UnionRanges(a, a); !slices.Equal(got, a) {
+		t.Fatalf("union with itself = %v", got)
+	}
+}
+
 func TestMetaMarshalRoundTrip(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 3, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})
@@ -220,23 +237,6 @@ func TestMetaMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalPartitionMeta([]byte("{")); err == nil {
 		t.Fatal("bad json should fail")
-	}
-}
-
-func TestWidenMinMax(t *testing.T) {
-	fs := testFS()
-	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 2048, BlocksPerChunk: 8})
-	writeRows(t, fs, meta, 0, 5000)
-	before, _ := meta.QualifyingRanges("k", Int64RangePred(1000000, 2000000))
-	if RangesRows(before) != 0 {
-		t.Fatal("value range should not qualify before widening")
-	}
-	if err := meta.Widen("k", 2500, 1500000, 0, ""); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := meta.QualifyingRanges("k", Int64RangePred(1000000, 2000000))
-	if RangesRows(after) == 0 {
-		t.Fatal("widened block should qualify")
 	}
 }
 
@@ -429,14 +429,6 @@ func TestAbsentMinMaxAlwaysQualifies(t *testing.T) {
 	rows := scanAll(t, fs, meta, []string{"k"}, ranges)
 	if len(rows) != 3000 {
 		t.Fatalf("scan over absent-summary ranges returned %d rows, want 3000", len(rows))
-	}
-	// Widening an absent summary must keep it absent (a [v,v] summary would
-	// wrongly exclude the block's other, unknown values).
-	if err := meta.Widen("k", 10, 42, 0, ""); err != nil {
-		t.Fatal(err)
-	}
-	if c.Blocks[0].HasMinMax {
-		t.Fatal("Widen invented a summary for a block whose extremes are unknown")
 	}
 }
 

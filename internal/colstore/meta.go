@@ -10,7 +10,6 @@ package colstore
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"vectorh/internal/hdfs"
 	"vectorh/internal/vector"
@@ -299,6 +298,26 @@ func IntersectRanges(a, b []RowRange) []RowRange {
 	return out
 }
 
+// UnionRanges merges two sorted range lists into one, overlapping and
+// adjacent ranges joined (disjunction).
+func UnionRanges(a, b []RowRange) []RowRange {
+	out := make([]RowRange, 0, len(a)+len(b))
+	for len(a)+len(b) > 0 {
+		var r RowRange
+		if len(b) == 0 || len(a) > 0 && a[0].Start <= b[0].Start {
+			r, a = a[0], a[1:]
+		} else {
+			r, b = b[0], b[1:]
+		}
+		if n := len(out); n > 0 && r.Start <= out[n-1].End {
+			out[n-1].End = max64(out[n-1].End, r.End)
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // RangesRows sums the row count covered by the ranges.
 func RangesRows(rs []RowRange) int64 {
 	var n int64
@@ -306,54 +325,6 @@ func RangesRows(rs []RowRange) int64 {
 		n += r.End - r.Start
 	}
 	return n
-}
-
-// Widen grows the MinMax summary of the block covering row sid with a new
-// value, implementing the paper's cheap maintenance rule: "for inserts and
-// modifies the Min and Max extremes can just be widened using the new
-// values, without need to scan the old values".
-func (m *PartitionMeta) Widen(col string, sid int64, numVal int64, floatVal float64, strVal string) error {
-	c, err := m.Col(col)
-	if err != nil {
-		return err
-	}
-	i := sort.Search(len(c.Blocks), func(i int) bool {
-		return c.Blocks[i].RowStart+int64(c.Blocks[i].Rows) > sid
-	})
-	if i >= len(c.Blocks) || c.Blocks[i].RowStart > sid {
-		return nil // row not in any block (e.g. still PDT-resident)
-	}
-	b := &c.Blocks[i]
-	if !b.HasMinMax {
-		// Never-computed summary: widening would invent a [v,v] extreme that
-		// excludes the block's actual (unknown) values. Leave it absent; the
-		// block already qualifies for every predicate.
-		return nil
-	}
-	switch c.Type.Kind {
-	case vector.Int32, vector.Int64:
-		if numVal < b.NumMin {
-			b.NumMin = numVal
-		}
-		if numVal > b.NumMax {
-			b.NumMax = numVal
-		}
-	case vector.Float64:
-		if floatVal < b.FloatMin {
-			b.FloatMin = floatVal
-		}
-		if floatVal > b.FloatMax {
-			b.FloatMax = floatVal
-		}
-	case vector.String:
-		if strVal < b.StrMin {
-			b.StrMin = strVal
-		}
-		if strVal > b.StrMax {
-			b.StrMax = strVal
-		}
-	}
-	return nil
 }
 
 // DeleteFiles removes every data file of the partition from HDFS.

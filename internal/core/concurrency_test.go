@@ -91,7 +91,8 @@ func TestConcurrentReadersWithDMLWriter(t *testing.T) {
 	}
 
 	// The DML writer: RF1 inserts new orders/lineitems, an UPDATE touches
-	// priorities (widening MinMax), RF2 deletes the inserted keys again.
+	// priorities (PDT modifies the scans merge), RF2 deletes the inserted
+	// keys again.
 	writerDone := make(chan struct{})
 	wg.Add(1)
 	go func() {

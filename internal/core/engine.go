@@ -88,9 +88,9 @@ func (t *Table) place(p int, k int64) {
 }
 
 // Partition is one table partition's storage and delta state. Its metadata
-// is copy-on-write: writers (bulk load, update propagation, MinMax widening)
-// build a clone and publish it with a pointer swap, while every open scan
-// holds a refcounted reference to the generation it started on. A file that a
+// is copy-on-write: writers (bulk load, update propagation) build a clone
+// and publish it with a pointer swap, while every open scan holds a
+// refcounted reference to the generation it started on. A file that a
 // publish dropped is deleted only once no generation at or before the one
 // that dropped it is pinned, so concurrent readers never observe a
 // half-mutated block directory or a vanished chunk file — however many
@@ -631,7 +631,9 @@ func (e *Engine) TableRows(name string) (int64, error) {
 
 // ColumnRange folds the MinMax block summaries of an integer-backed column
 // (ints, dates and decimals, in storage units) into a single [lo, hi] value
-// range across all partitions. ok is false when the table or column is
+// range across all partitions. It summarises the stable image only — rows
+// inserted or modified in the PDTs are not in it — and feeds estimates
+// only, never a skip decision. ok is false when the table or column is
 // unknown or no block carries a summary — expr.Selectivity then charges the
 // column's conjuncts its 1/3 guess instead of trusting a zero range.
 func (e *Engine) ColumnRange(table, col string) (lo, hi int64, ok bool) {

@@ -17,8 +17,8 @@ import (
 // on; the files of that generation must stay until it closes, however many
 // generations are published meanwhile and whether or not the ones in between
 // were ever pinned — and must be gone once it has closed. Deterministic: no
-// goroutines, no luck (TestConcurrentReadersWithDMLWriter lost a file to the
-// first two of these about once in sixty runs).
+// goroutines, no luck (TestConcurrentReadersWithDMLWriter used to lose a file
+// to such a sequence about once in sixty runs).
 func TestPinnedScanOutlivesLaterPublishes(t *testing.T) {
 	ctx := context.Background()
 	schema := vector.Schema{{Name: "k", Type: vector.TInt64}, {Name: "v", Type: vector.TInt64}}
@@ -31,45 +31,52 @@ func TestPinnedScanOutlivesLaterPublishes(t *testing.T) {
 	}
 	// Two full blocks and a partial one: a partial-chunk file exists.
 	const loaded = 5000
-	// update publishes a MinMax widening, which drops no file.
-	update := func(t *testing.T, e *core.Engine) {
+	// A step is an engine call and the metadata generations it publishes:
+	// rewrites (a propagation that rewrites every chunk file, Gen+1) and
+	// appends (new blocks, superseding the partial-chunk file). DML
+	// publishes nothing: its deltas wait in the PDTs.
+	type step struct {
+		do                func(t *testing.T, e *core.Engine)
+		rewrites, appends int
+	}
+	update := step{do: func(t *testing.T, e *core.Engine) {
 		if n, err := e.UpdateWhere(ctx, "t", plan.EQ(plan.Col("k"), plan.Int(3)),
 			[]string{"v"}, []plan.Expr{plan.Int(1000)}); err != nil || n != 1 {
 			t.Fatalf("update: %d rows, %v", n, err)
 		}
-	}
-	propagate := func(t *testing.T, e *core.Engine) {
-		if err := e.PropagatePartition(ctx, "t", 0); err != nil {
+	}}
+	insert := step{do: func(t *testing.T, e *core.Engine) {
+		if err := e.InsertRows(ctx, "t", rows(loaded, 100)[0]); err != nil {
 			t.Fatal(err)
 		}
+	}}
+	del := step{do: func(t *testing.T, e *core.Engine) {
+		if _, err := e.DeleteWhere(ctx, "t", plan.EQ(plan.Col("k"), plan.Int(7))); err != nil {
+			t.Fatal(err)
+		}
+	}}
+	propagate := func(rewrites, appends int) step {
+		return step{func(t *testing.T, e *core.Engine) {
+			if err := e.PropagatePartition(ctx, "t", 0); err != nil {
+				t.Fatal(err)
+			}
+		}, rewrites, appends}
 	}
+	// A load over pending deltas propagates them first, then appends.
+	load := step{func(t *testing.T, e *core.Engine) {
+		if err := e.Load("t", rows(loaded, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}, 1, 1}
 	for _, c := range []struct {
-		name      string
-		publishes func(t *testing.T, e *core.Engine)
+		name  string
+		steps []step
 	}{
-		{"widen then append", func(t *testing.T, e *core.Engine) {
-			update(t, e)
-			// The append supersedes the partial-chunk file. (That Load drops
-			// the update still in the PDTs is ROADMAP item 7's to fix; only
-			// the files matter here.)
-			if err := e.Load("t", rows(loaded, 100)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"widen then rewrite", func(t *testing.T, e *core.Engine) {
-			update(t, e)
-			propagate(t, e) // a modify is not a tail insert: rewrites every chunk file
-		}},
-		{"append then rewrite", func(t *testing.T, e *core.Engine) {
-			if err := e.InsertRows(ctx, "t", rows(loaded, 100)[0]); err != nil {
-				t.Fatal(err)
-			}
-			propagate(t, e) // tail inserts only: appends, superseding the partial-chunk file
-			if _, err := e.DeleteWhere(ctx, "t", plan.EQ(plan.Col("k"), plan.Int(7))); err != nil {
-				t.Fatal(err)
-			}
-			propagate(t, e) // rewrites the chunk files the first two generations share
-		}},
+		{"rewrite then append", []step{update, load}},
+		{"rewrite then rewrite", []step{update, propagate(1, 0), update, propagate(1, 0)}},
+		// Tail inserts alone propagate as an append; the delete's rewrite
+		// drops the chunk files the first two generations share.
+		{"append then rewrite", []step{insert, propagate(0, 1), del, propagate(1, 0)}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e, err := core.New(core.Config{
@@ -101,7 +108,20 @@ func TestPinnedScanOutlivesLaterPublishes(t *testing.T) {
 			}
 			got := first.Len()
 
-			c.publishes(t, e)
+			publishes := 0
+			for i, st := range c.steps {
+				before := e.PartitionMetaForTest("t", 0)
+				st.do(t, e)
+				after := e.PartitionMetaForTest("t", 0)
+				if (after != before) != (st.rewrites+st.appends > 0) || after.Gen-before.Gen != st.rewrites {
+					t.Fatalf("step %d: generation %p (Gen %d) → %p (Gen %d), want %d rewrites and %d appends published",
+						i, before, before.Gen, after, after.Gen, st.rewrites, st.appends)
+				}
+				publishes += st.rewrites + st.appends
+			}
+			if publishes != 2 {
+				t.Fatalf("%d publishes while the scan was held, want 2", publishes)
+			}
 
 			for _, f := range pinned {
 				if !e.FS().Exists(f) {

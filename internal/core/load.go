@@ -377,12 +377,6 @@ func (e *Engine) UpdateWhere(ctx context.Context, table string, pred plan.Expr, 
 	return e.updateWhere(ctx, table, pred, setCols, setExprs)
 }
 
-// widenOp is one deferred MinMax widening (see updateWhere).
-type widenOp struct {
-	cols []int
-	vals []any
-}
-
 func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, setCols []string, setExprs []plan.Expr) (int64, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -482,11 +476,6 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 		// and this scan has no predicate — and Program.Out is dense over them.
 		rid := int64(0)
 		deleted := int64(0) // rows already deleted below the cursor
-		// MinMax widenings are collected during the scan and applied as one
-		// copy-on-write metadata publish afterwards: the scan itself pins
-		// the current metadata generation, so widening in place would race
-		// with it (and every other concurrent reader).
-		var widens []widenOp
 		for {
 			b, err := scan.Next()
 			if err != nil {
@@ -547,19 +536,12 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 						tx.Abort()
 						return 0, err
 					}
-					widens = append(widens, widenOp{cols: setIdx, vals: vals})
 				}
 			}
 			total += int64(nmatch)
 			rid += int64(b.Len())
 		}
 		scan.Close()
-		// Widen MinMax so block skipping stays correct (§6), published
-		// before commit: once the modify is visible, no scan may skip a
-		// block whose new value lies outside the old summary.
-		if len(widens) > 0 {
-			e.applyWidens(part, widens)
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		tx.Abort()
@@ -578,52 +560,6 @@ func (e *Engine) updateWhere(ctx context.Context, table string, pred plan.Expr, 
 		return total, fmt.Errorf("core: %d rows committed, but post-commit flush failed: %w", total, err)
 	}
 	return total, nil
-}
-
-// applyWidens publishes a metadata generation whose MinMax summaries cover
-// the given modified values (conservatively: every block of the column,
-// because a modify addresses rows by RID whose SID is unknown here).
-func (e *Engine) applyWidens(part *Partition, widens []widenOp) {
-	newMeta := part.CurrentMeta().Clone()
-	schema := newMeta.Schema()
-	for _, w := range widens {
-		for i, ci := range w.cols {
-			f := schema[ci]
-			switch f.Type.Kind {
-			case vector.Int32:
-				if x, ok := w.vals[i].(int32); ok {
-					widenAll(newMeta, f.Name, int64(x), 0, "")
-				}
-			case vector.Int64:
-				if x, ok := w.vals[i].(int64); ok {
-					widenAll(newMeta, f.Name, x, 0, "")
-				}
-			case vector.Float64:
-				if x, ok := w.vals[i].(float64); ok {
-					widenAll(newMeta, f.Name, 0, x, "")
-				}
-			case vector.String:
-				if x, ok := w.vals[i].(string); ok {
-					widenAll(newMeta, f.Name, 0, 0, x)
-				}
-			}
-		}
-	}
-	part.mu.Lock()
-	part.publishLocked(newMeta, nil)
-	part.mu.Unlock()
-	e.bumpEpoch()
-}
-
-func widenAll(m *colstore.PartitionMeta, col string, n int64, f float64, s string) {
-	c, err := m.Col(col)
-	if err != nil {
-		return
-	}
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		m.Widen(col, b.RowStart, n, f, s)
-	}
 }
 
 // maybePropagate runs update propagation for partitions whose PDT layers

@@ -263,4 +263,52 @@ func TestStackedDeltaScanParity(t *testing.T) {
 	if len(zulu) != 100 {
 		t.Fatalf("status = 'zulu' selected %d rows, want 100", len(zulu))
 	}
+
+	// Modifies through Txn.Modify that move qty out of every block's MinMax
+	// summary ([0, 49]): 500 in the Read layer, -3 in the Write layer. The
+	// summaries still describe the stable image, so an interval verdict
+	// would drop the first row under qty >= 100 (dead) and keep it under
+	// qty < 50 without running the kernel (pass).
+	qty := stackedSchema.Index("qty")
+	modify := func(rid, v int64) {
+		t.Helper()
+		tx := e.mgr.Begin()
+		for _, part := range tab.Parts {
+			if err := tx.Modify(part.Key, rid, []int{qty}, []any{v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	modify(300, 500)
+	for _, part := range tab.Parts {
+		if err := e.mgr.PropagateWriteToRead(part.Key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	modify(700, -3)
+	for _, part := range tab.Parts {
+		ref := mergedReference(t, e, part)
+		name := fmt.Sprintf("p%d", part.CurrentMeta().Partition)
+		for _, p := range []plan.Expr{
+			plan.GE(plan.Col("qty"), plan.Int(100)),
+			plan.LT(plan.Col("qty"), plan.Int(50)),
+			plan.LT(plan.Col("qty"), plan.Int(0)),
+		} {
+			pred, err := p.Bind(stackedSchema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := filterRows(t, ref, pred)
+			if len(want) == 0 {
+				t.Fatalf("%s %s: the reference holds no row", name, pred)
+			}
+			for _, codes := range []bool{false, true} {
+				spec := rewriter.ScanSpec{Table: "stacked", Cols: stackedSchema.Names(), Filter: pred, Skip: expr.Bounds(pred), Codes: codes}
+				sameRows(t, fmt.Sprintf("%s %s codes=%v", name, pred, codes), drainScan(t, e, part, spec), want)
+			}
+		}
+	}
 }

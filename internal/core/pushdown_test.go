@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vectorh/internal/colstore"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
@@ -238,5 +239,61 @@ func TestSelectiveGatherFillsBlockCache(t *testing.T) {
 	}
 	if bytes, blocks := run(); bytes != 0 || blocks != 0 {
 		t.Fatalf("warm run read %d hdfs bytes and %d blocks; every block the cold run decoded should be cached", bytes, blocks)
+	}
+}
+
+// TestUpdateSkipsUntouchedBlocks moves one row's value far outside every
+// block's MinMax summary. The UPDATE publishes no metadata generation, and a
+// range query over the new value afterwards reads the blocks it read before
+// plus the one block holding the modified row — its span is the only one
+// whose deltas set the column — and finds that row.
+func TestUpdateSkipsUntouchedBlocks(t *testing.T) {
+	e, err := New(Config{
+		Nodes:           []string{"node1"},
+		Format:          colstore.Format{BlockSize: 4096, BlocksPerChunk: 16, MaxRowsPerBlock: 256},
+		BlockCacheBytes: -1, // every block read counts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := vector.Schema{{Name: "k", Type: vector.TInt64}, {Name: "d", Type: vector.TInt64}}
+	if err := e.CreateTable(rewriter.TableInfo{Name: "t", Schema: schema, PartitionKey: "k", Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b := vector.NewBatchForSchema(schema, 10000)
+	for i := range 10000 {
+		b.AppendRow(int64(i), int64(i))
+	}
+	if err := e.Load("t", []*vector.Batch{b}); err != nil {
+		t.Fatal(err)
+	}
+	q := plan.Aggregate(plan.Filter(plan.Scan("t", "d"), plan.And(
+		plan.GE(plan.Col("d"), plan.Int(5000)), plan.LT(plan.Col("d"), plan.Int(5100)))),
+		nil, plan.A("n", plan.CountStar, plan.Int(1)))
+	count := func() (n, blocks int64) {
+		t.Helper()
+		s0 := e.ScanStats()
+		rows, err := queryRows(e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows[0][0].(int64), e.ScanStats().BlocksRead - s0.BlocksRead
+	}
+	n0, blocks0 := count()
+	if n0 != 100 || blocks0 == 0 {
+		t.Fatalf("before the update: %d rows from %d blocks", n0, blocks0)
+	}
+
+	meta := e.PartitionMetaForTest("t", 0)
+	if n, err := e.UpdateWhere(context.Background(), "t", plan.EQ(plan.Col("k"), plan.Int(200)),
+		[]string{"d"}, []plan.Expr{plan.Int(5050)}); err != nil || n != 1 {
+		t.Fatalf("update: %d rows, %v", n, err)
+	}
+	if e.PartitionMetaForTest("t", 0) != meta {
+		t.Fatal("the UPDATE published a metadata generation")
+	}
+	if n, blocks := count(); n != n0+1 || blocks != blocks0+1 {
+		t.Fatalf("after the update: %d rows from %d blocks, want %d from %d (the blocks read before plus the modified row's)",
+			n, blocks, n0+1, blocks0+1)
 	}
 }

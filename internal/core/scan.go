@@ -37,11 +37,13 @@ import (
 // takes the same path, described by the partition's stacked merger without a
 // row copied: its deleted rows are left out of the starting selection, and a
 // column a modify sets is a patched copy of the block view for that span
-// alone (in value form, and exempt from the dictionary verdict, since its new
-// value need not be in the block's dictionary; MinMax summaries are widened
-// by every modify). Inserted rows — the tail, and any a transaction placed
-// inside the stable image — are merged by copying and run through the same
-// filters as batches of their own, in position order.
+// alone (in value form, and exempt from both metadata verdicts, since its new
+// value need not be in the block's dictionary or inside its MinMax summary;
+// for the same reason Open keeps every row in which a modify sets a
+// skip-bounded column in the qualifying ranges). Inserted rows — the tail,
+// and any a transaction placed inside the stable image — are merged by
+// copying and run through the same filters as batches of their own, in
+// position order.
 //
 // Concurrency: a scan pins one refcounted metadata generation plus the PDT
 // masters in a single critical section at Open (the same lock writers hold
@@ -210,8 +212,8 @@ func (m *mscan) snapshotAndPin() (read, write *pdt.PDT, err error) {
 // generation and snapshots the PDT masters atomically: writers publish new
 // block directories and reset PDTs under the same partition lock, so the
 // two images always agree on which rows live where. The skip bounds are
-// intersected into the qualifying row ranges here, and the predicate is
-// compiled.
+// intersected into the qualifying row ranges here, each widened by the rows
+// in which a modify sets its column, and the predicate is compiled.
 func (m *mscan) Open() (err error) {
 	read, write, err := m.snapshotAndPin()
 	if err != nil {
@@ -225,6 +227,7 @@ func (m *mscan) Open() (err error) {
 	m.meta = m.gen.meta
 	m.readPDT, m.writePDT = read, write
 	schema := m.meta.Schema()
+	m.merger = pdt.NewStackedMerger(m.readPDT, m.writePDT, schema, m.colIdx)
 
 	ranges := m.meta.FullRange()
 	for _, b := range m.spec.Skip {
@@ -241,6 +244,15 @@ func (m *mscan) Open() (err error) {
 		if err != nil {
 			return err
 		}
+		// The summaries describe the stable image: a row in which a modify
+		// sets the column qualifies whatever its block's summary says.
+		if mod := m.merger.Modified(m.colIdx[b.Col]); len(mod) > 0 {
+			rows := make([]colstore.RowRange, len(mod))
+			for i, s := range mod {
+				rows[i] = colstore.RowRange{Start: s, End: s + 1}
+			}
+			qr = colstore.UnionRanges(qr, rows)
+		}
 		ranges = colstore.IntersectRanges(ranges, qr)
 	}
 	if m.spec.Filter != nil {
@@ -253,7 +265,6 @@ func (m *mscan) Open() (err error) {
 	}
 	m.sc.SetCache(m.eng.blockCache)
 	m.sc.SetCodeExec(m.spec.Codes)
-	m.merger = pdt.NewStackedMerger(m.readPDT, m.writePDT, schema, m.colIdx)
 	m.stage, m.restN, m.pending = 0, 0, nil
 	// A write that broke the clustered order after the plan was made flagged
 	// the table before it committed, so before this snapshot: sort then.
@@ -538,14 +549,15 @@ func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int, d *pdt.Span) (sel
 // summary, or that every dictionary value satisfies, is marked in m.pass and
 // its kernel elided. Intervals go first — they read
 // only metadata — so a span dead on one never opens a string block's
-// dictionary. The span's deltas d keep both verdicts true — a delete only
-// removes rows, and every modify widened the MinMax summaries — except the
-// dictionary's for a column a modify sets, whose new value may be in no
-// block dictionary: that part is left to its kernel.
+// dictionary. The block metadata describes the stable image, and the span's
+// deltas d keep a verdict true where they only remove rows. A modify does
+// not: its new value may lie outside the block's summary and in no block
+// dictionary, so a part on a column a modify of the span sets gets neither
+// verdict and is left to its kernel.
 func (m *mscan) verdictSpan(start int64, d *pdt.Span) (dead bool, err error) {
 	for pi := range m.parts {
 		p := &m.parts[pi]
-		if p.bound == nil {
+		if p.bound == nil || d.Modifies(m.colIdx[p.bound.Col]) {
 			continue
 		}
 		lo, hi, ok := m.sc.SpanValueBounds(p.bound.Col, start)

@@ -3,6 +3,7 @@ package pdt
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -10,14 +11,15 @@ import (
 )
 
 // memo is what every scan of a PDT derives from its entries, built once and
-// shared read-only: the entry list in key order, its running row shift, and
-// the tail inserts as a typed batch. Published masters are immutable
-// (txn.Manager.Snapshot), so a master keeps its memo for its whole life; a
-// PDT that is still being written drops it at every mutation (touch), so it
-// never sees a stale one.
+// shared read-only: the entry list in key order, its running row shift, the
+// columns its modifies set, and the tail inserts as a typed batch. Published
+// masters are immutable (txn.Manager.Snapshot), so a master keeps its memo
+// for its whole life; a PDT that is still being written drops it at every
+// mutation (touch), so it never sees a stale one.
 type memo struct {
 	entries []Entry
 	net     []int64 // net[i]: inserts minus deletes among entries[:i]
+	modCols []int   // the full-schema columns some Mod entry sets
 	tail    atomic.Pointer[tailBatch]
 }
 
@@ -45,6 +47,12 @@ func (t *PDT) memoized() *memo {
 			mm.net[i+1]++
 		case Del:
 			mm.net[i+1]--
+		case Mod:
+			for _, c := range mm.entries[i].Cols {
+				if !slices.Contains(mm.modCols, c) {
+					mm.modCols = append(mm.modCols, c)
+				}
+			}
 		}
 	}
 	t.memo.Store(mm)
@@ -122,6 +130,28 @@ func (m *Merger) HasDeltas() bool {
 
 // StableRows returns the size of the stable image the merger reads over.
 func (m *Merger) StableRows() int64 { return m.t.stableRows }
+
+// Modified returns the stable rows, ascending, whose merged row has
+// full-schema column col set by a modify of either layer: the rows whose value
+// a summary of the stable image does not describe. A modify of an inserted or
+// deleted row is not among them. It returns nil at once when neither layer
+// holds a modify of col, and otherwise reads Span over the whole stable image.
+func (m *Merger) Modified(col int) []int64 {
+	if !slices.Contains(m.tm.modCols, col) && (m.wm == nil || !slices.Contains(m.wm.modCols, col)) {
+		return nil
+	}
+	var d Span
+	var out []int64
+	for s0 := int64(0); s0 < m.t.stableRows; s0 += math.MaxInt32 { // Span's offsets are int32
+		m.Span(s0, int(min(m.t.stableRows-s0, math.MaxInt32)), &d)
+		for i := range d.mods {
+			if _, ok := d.mods[i].value(col); ok {
+				out = append(out, s0+int64(d.mods[i].Pos))
+			}
+		}
+	}
+	return out
+}
 
 // firstRid returns the output position of the first row a merge from stable
 // row s0 emits.

@@ -2,6 +2,7 @@ package pdt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vectorh/internal/vector"
@@ -12,11 +13,13 @@ import (
 // either column and appends go to the Write layer, and a propagation replays
 // the Write layer into a copy of the Read layer and starts a new one — so the
 // Write layer's deltas land on rows the Read layer inserted, deleted around
-// or modified. It returns the layers and the plain-slice model of the image.
-func stackOps(t *testing.T, n int, ops []byte) (read, write *PDT, model [][]any) {
+// or modified. It returns the layers, the plain-slice model of the image and,
+// parallel to it, where each model row came from.
+func stackOps(t *testing.T, n int, ops []byte) (read, write *PDT, model [][]any, from []origin) {
 	read, write = New(int64(n)), New(int64(n))
 	for i := range n {
 		model = append(model, []any{int64(i), "s" + itoa(i)})
+		from = append(from, origin{sid: int64(i)})
 	}
 	next := int64(1000)
 	for k := 0; k+1 < len(ops); k += 2 {
@@ -31,12 +34,14 @@ func stackOps(t *testing.T, n int, ops []byte) (read, write *PDT, model [][]any)
 				t.Fatal(err)
 			}
 			model = append(model[:rid], append([][]any{row}, model[rid:]...)...)
+			from = slices.Insert(from, rid, origin{sid: -1})
 		case op == 1:
 			rid := pos % size
 			if err := write.Delete(int64(rid)); err != nil {
 				t.Fatal(err)
 			}
 			model = append(model[:rid], model[rid+1:]...)
+			from = slices.Delete(from, rid, rid+1)
 		case op == 2 || op == 3:
 			rid, col := pos%size, op-2
 			var v any = "m" + itoa(k)
@@ -49,11 +54,13 @@ func stackOps(t *testing.T, n int, ops []byte) (read, write *PDT, model [][]any)
 			row := append([]any(nil), model[rid]...)
 			row[col] = v
 			model[rid] = row
+			from[rid].mods |= 1 << col
 		case op == 4:
 			row := []any{next, "a" + itoa(int(next))}
 			next++
 			write.Append(row)
 			model = append(model, row)
+			from = append(from, origin{sid: -1})
 		default:
 			nr := read.CopyOnWrite()
 			if err := Replay(nr, write); err != nil {
@@ -62,7 +69,14 @@ func stackOps(t *testing.T, n int, ops []byte) (read, write *PDT, model [][]any)
 			read, write = nr, New(nr.Size())
 		}
 	}
-	return read, write, model
+	return read, write, model, from
+}
+
+// origin is where a model row came from: its stable row (-1 for an inserted
+// row) and the columns a modify set, as bits.
+type origin struct {
+	sid  int64
+	mods uint8
 }
 
 func appendBatchRows(rows [][]any, b *vector.Batch) [][]any {
@@ -76,14 +90,17 @@ func appendBatchRows(rows [][]any, b *vector.Batch) [][]any {
 // MergeRange and its Span description applied positionally — deletes
 // skipped, columns patched, inserted rows in front of their stable row —
 // against the model, and each span's first output position against the
-// rows before it.
-func checkStack(t *testing.T, read, write *PDT, model [][]any, step int) {
+// rows before it. Per column, Modified must list the stable rows those Spans
+// report a modify of, which are the model's surviving stable rows a modify
+// set: none deleted by either layer, none inserted.
+func checkStack(t *testing.T, read, write *PDT, model [][]any, from []origin, step int) {
 	t.Helper()
 	n := int(read.StableRows())
 	img := stableImage(n)
 	m := NewStackedMerger(read, write, schema, []int{0, 1})
 	var merged, applied [][]any
 	var d Span
+	var spanMods [2][]int64
 	for s0 := 0; s0 < n; s0 += step {
 		s1 := min(s0+step, n)
 		in := &vector.Batch{Vecs: []*vector.Vec{img.Col(0).Slice(s0, s1), img.Col(1).Slice(s0, s1)}}
@@ -97,6 +114,11 @@ func checkStack(t *testing.T, read, write *PDT, model [][]any, step int) {
 		merged = appendBatchRows(merged, out)
 
 		m.Span(int64(s0), s1-s0, &d)
+		for _, md := range d.mods {
+			for _, c := range md.Cols {
+				spanMods[c] = append(spanMods[c], int64(s0)+int64(md.Pos))
+			}
+		}
 		cols := []*vector.Vec{d.Patch(in.Col(0), 0), d.Patch(in.Col(1), 1)}
 		ins, del := d.Ins, d.Del
 		for p := range int32(s1 - s0) {
@@ -135,6 +157,18 @@ func checkStack(t *testing.T, read, write *PDT, model [][]any, step int) {
 			}
 		}
 	}
+	for c := range 2 {
+		var want []int64
+		for _, o := range from {
+			if o.sid >= 0 && o.mods&(1<<c) != 0 {
+				want = append(want, o.sid)
+			}
+		}
+		got := m.Modified(c)
+		if !slices.Equal(got, spanMods[c]) || !slices.Equal(got, want) {
+			t.Fatalf("Modified(%d) = %v; Spans report %v, model %v", c, got, spanMods[c], want)
+		}
+	}
 }
 
 // FuzzStackedMerge model-checks the two-layer merge: stable size, span
@@ -149,12 +183,16 @@ func FuzzStackedMerge(f *testing.F) {
 		f.Add(uint8(rng.Intn(80)), uint8(1+rng.Intn(16)), ops)
 	}
 	f.Add(uint8(0), uint8(1), []byte{0, 0, 5, 0, 1, 0})
+	// A Read-layer modify of a row the Write layer deletes, a Write-layer
+	// modify of a row the Read layer inserted, and one of a stable row:
+	// Modified reports only the last.
+	f.Add(uint8(4), uint8(2), []byte{2, 1, 0, 0, 5, 0, 1, 2, 3, 0, 2, 2})
 	f.Fuzz(func(t *testing.T, n, step uint8, ops []byte) {
 		if step == 0 {
 			step = 1
 		}
-		read, write, model := stackOps(t, int(n), ops)
-		checkStack(t, read, write, model, int(step))
+		read, write, model, from := stackOps(t, int(n), ops)
+		checkStack(t, read, write, model, from, int(step))
 	})
 }
 

@@ -128,8 +128,10 @@ func TestSQLDMLParityWithEngineAPI(t *testing.T) {
 
 // TestUpdateWidensMinMax moves a MinMax-indexed date column far outside its
 // block's range and checks that a subsequent range query — whose derived
-// skip hint would otherwise discard the block — still sees the new values:
-// the cheap §6 widening rule in action.
+// skip hint discards every block by its summary — still sees the new values:
+// §6's claim that skipping stays correct under updates. The summaries
+// describe the stable image; the scan keeps the rows a modify sets the
+// column of, and decides their spans by the kernel, not the summary.
 func TestUpdateWidensMinMax(t *testing.T) {
 	d := Generate(0.002, 7)
 	db := newDB(t)
@@ -144,13 +146,13 @@ func TestUpdateWidensMinMax(t *testing.T) {
 		t.Fatal("update matched no rows")
 	}
 	// Sanity: the query's skip hint reaches the scan (generated data ends
-	// in 1998, so without widening every block would be skipped).
+	// in 1998, so every block's summary excludes it).
 	rows, err := db.QuerySQL("select count(*) as n from lineitem where l_shipdate >= date '2098-12-31'")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rows[0][0].(int64); got != n {
-		t.Fatalf("range query found %d rows after update, want %d (MinMax not widened?)", got, n)
+		t.Fatalf("range query found %d rows after update, want %d (a modified row skipped by its block's MinMax summary?)", got, n)
 	}
 }
 
