@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -318,6 +319,47 @@ func TestPDictCompressionOnLowCardinality(t *testing.T) {
 	for i := range vals {
 		if dec[i] != vals[i] {
 			t.Fatalf("[%d] mismatch", i)
+		}
+	}
+}
+
+// TestSmallDomainIsPDICT: an 8192-row block of l_linestatus' or
+// l_returnflag's values in long runs — where raw+LZ is the smaller form —
+// is stored as PDICT, and so is any block of at most smallDomain distinct
+// values; one more distinct value in the same runs is left to the sizes.
+func TestSmallDomainIsPDICT(t *testing.T) {
+	runs := func(domain []string) []string { // len(domain) runs of 8192/len(domain) rows
+		vals := make([]string, 8192)
+		for i := range vals {
+			vals[i] = domain[i*len(domain)/len(vals)]
+		}
+		return vals
+	}
+	words := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("mode %02d", i)
+		}
+		return out
+	}
+	for name, c := range map[string]struct {
+		vals []string
+		tag  byte
+	}{
+		"F,O":                 {runs([]string{"F", "O"}), tagPDict},
+		"A,N,R":               {runs([]string{"A", "N", "R"}), tagPDict},
+		"smallDomain values":  {runs(words(smallDomain)), tagPDict},
+		"one value more":      {runs(words(smallDomain + 1)), tagRawString},
+		"one value, 1 row":    {[]string{"x"}, tagPDict},
+		"empty strings, runs": {make([]string, 8192), tagPDict},
+	} {
+		enc := EncodeStrings(c.vals)
+		if enc[0] != c.tag {
+			t.Errorf("%s: tag %d, want %d", name, enc[0], c.tag)
+		}
+		dec, err := decodeAll(enc, nil)
+		if err != nil || !slices.Equal(dec, c.vals) {
+			t.Errorf("%s: round trip: %v", name, err)
 		}
 	}
 }

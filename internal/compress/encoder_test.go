@@ -170,6 +170,13 @@ func TestEncoderMatchesReferenceStrings(t *testing.T) {
 	}
 	check("empty", nil)
 	check("empty_strings", make([]string, 100))
+	for _, distinct := range []int{2, smallDomain, smallDomain + 1} { // runs: raw+LZ is smaller
+		runs := make([]string, 8192)
+		for i := range runs {
+			runs[i] = fmt.Sprintf("v%d", i*distinct/len(runs))
+		}
+		check(fmt.Sprintf("runs_of_%d", distinct), runs)
+	}
 	check("incompressible", func() []string {
 		rng := rand.New(rand.NewSource(1))
 		out := make([]string, 500)

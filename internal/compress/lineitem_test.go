@@ -25,30 +25,37 @@ func lineitemColumns(names ...string) [][]string {
 	return cols
 }
 
-// rawLZChunk returns the raw+LZ encoding of the first 8192-row chunk of a
-// column that encodes as raw+LZ, as colstore writes it.
-func rawLZChunk(tb testing.TB, vals []string) []byte {
-	for lo := 0; lo+8192 <= len(vals); lo += 8192 {
-		if enc := compress.EncodeStrings(vals[lo : lo+8192]); !compress.IsPDict(enc) {
-			return enc
-		}
-	}
-	tb.Fatal("no 8192-row chunk encodes as raw+LZ")
-	return nil
-}
-
-// BenchmarkDecodeScratchThroughput decodes real raw+LZ lineitem chunks and
-// fixed-width PFOR blocks with the staging buffers reused, as the scanner
-// does, in MB/s of decoded bytes (a string column's arena and offsets, 8
-// bytes an integer). Each case runs beside its floor: "<case>-copy" copies
-// the same number of bytes.
+// BenchmarkDecodeScratchThroughput decodes the first 8192-row chunk of
+// lineitem string columns as colstore writes them — l_comment's raw+LZ into
+// strings with the staging buffers reused, as the scanner does, and the
+// small-domain flags' PDICT into the codes a scan hands to execution — and
+// fixed-width PFOR blocks, in MB/s of decoded bytes (a string column's arena
+// and offsets, 4 bytes a code, 8 an integer). Each case runs beside its
+// floor: "<case>-copy" copies the same number of bytes.
 func BenchmarkDecodeScratchThroughput(b *testing.B) {
 	names := []string{"l_comment", "l_returnflag", "l_linestatus"}
 	blocks := make([][]byte, len(names)) // the table itself is not kept
 	for c, vals := range lineitemColumns(names...) {
-		blocks[c] = rawLZChunk(b, vals)
+		blocks[c] = compress.EncodeStrings(vals[:8192])
 	}
 	for i, enc := range blocks {
+		if compress.IsPDict(enc) {
+			b.Run(names[i], func(b *testing.B) {
+				b.SetBytes(4 * 8192)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pd, err := compress.PDictOpen(enc)
+					if err == nil {
+						_, err = pd.Codes()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			benchCopyFloor(b, names[i], 4*8192)
+			continue
+		}
 		var s compress.Scratch
 		dec, err := compress.DecodeStringsScratch(enc, &s) // grows the scratch
 		if err != nil {

@@ -11,6 +11,14 @@ import (
 // values too rare to be worth a slot) become patched exceptions.
 const maxDictEntries = 1 << 16
 
+// smallDomain is the most distinct values a string block may hold and always
+// be stored as PDICT: codes of at most 4 bits, which a scan hands to
+// execution as they are. Raw+LZ can be smaller for such a block — long runs
+// of one value — by up to about 1 KiB per code bit per 8192 rows, but
+// decoding it costs a value copy per row and leaves group-bys and filters on
+// strings. Above it, the smaller encoding wins. EXPERIMENTS.md has the sweep.
+const smallDomain = 16
+
 // dictIndex maps a block's distinct values to entry ids — the one
 // string-keyed map of the encode path: one lookup per value, and the map is
 // reused across an Encoder's blocks.
@@ -223,18 +231,19 @@ func nextLenPrefixed(b []byte) (v, rest []byte, ok bool) {
 	return b[sz : sz+int(l)], b[sz+int(l):], true
 }
 
-// EncodeStrings picks between PDICT and raw+LZ for a string column chunk,
-// whichever is smaller — mirroring VectorH, which dictionary-compresses
-// repetitive strings and falls back to LZ4 for the rest. It copies vals into
-// a StrCol first (bench and tests only).
+// EncodeStrings picks between PDICT and raw+LZ for a string column chunk:
+// PDICT for a small domain, otherwise whichever is smaller — mirroring
+// VectorH, which dictionary-compresses repetitive strings and falls back to
+// LZ4 for the rest. It copies vals into a StrCol first (bench and tests only).
 func EncodeStrings(vals []string) []byte {
 	var e Encoder
 	c := StrColOf(vals)
 	return e.AppendStrings(nil, &c)
 }
 
-// AppendStrings appends the smaller of the PDICT and raw+LZ encodings of
-// vals (PDICT on a tie) to out. PDICT's size is computed exactly before
+// AppendStrings appends vals to out as PDICT when they hold at most
+// smallDomain distinct values, and otherwise as the smaller of the PDICT and
+// raw+LZ encodings (PDICT on a tie). PDICT's size is computed exactly before
 // either body is built, and the LZ pass gives up as soon as its output can
 // no longer come in under it — so a low-cardinality column never finishes
 // an LZ pass and a high-cardinality one never packs a dictionary block.
@@ -244,6 +253,9 @@ func (e *Encoder) AppendStrings(out []byte, vals *StrCol) []byte {
 		return append(out, tagPDict, 0)
 	}
 	dictSize, rawLen := e.planDict(vals)
+	if len(e.entries) <= smallDomain {
+		return e.emitDict(out, vals)
+	}
 	hdr := 1 + uvarintLen(uint64(n))
 	e.raw = slices.Grow(e.raw[:0], rawLen)
 	for i := range n {

@@ -257,11 +257,19 @@ func refPDictEncode(vals []string) []byte {
 	return out
 }
 
-// refEncodeStrings picks between PDICT and raw+LZ for a string column chunk,
-// whichever is smaller — mirroring VectorH, which dictionary-compresses
-// repetitive strings and falls back to LZ4 for the rest.
+// refEncodeStrings picks between PDICT and raw+LZ for a string column chunk:
+// PDICT for at most smallDomain distinct values, otherwise whichever is
+// smaller — mirroring VectorH, which dictionary-compresses repetitive
+// strings and falls back to LZ4 for the rest.
 func refEncodeStrings(vals []string) []byte {
 	dict := refPDictEncode(vals)
+	distinct := map[string]bool{}
+	for _, v := range vals {
+		distinct[v] = true
+	}
+	if len(distinct) <= smallDomain {
+		return dict
+	}
 	raw := refRawStringEncode(vals)
 	if len(dict) <= len(raw) {
 		return dict

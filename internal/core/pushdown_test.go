@@ -297,3 +297,44 @@ func TestUpdateSkipsUntouchedBlocks(t *testing.T) {
 			n, blocks, n0+1, blocks0+1)
 	}
 }
+
+// TestEmptySkipIntersectionReadsNothing: a float bound no block's summary
+// admits leaves no qualifying range, and the scan reads no block — in code
+// form and in value form alike — rather than taking the empty range list for
+// the whole partition.
+func TestEmptySkipIntersectionReadsNothing(t *testing.T) {
+	e, err := New(Config{
+		Nodes:           []string{"node1"},
+		Format:          colstore.Format{BlockSize: 4096, BlocksPerChunk: 16, MaxRowsPerBlock: 256},
+		BlockCacheBytes: -1, // every block read counts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := vector.Schema{{Name: "k", Type: vector.TInt64}, {Name: "d", Type: vector.TFloat64}}
+	if err := e.CreateTable(rewriter.TableInfo{Name: "t", Schema: schema, PartitionKey: "k", Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b := vector.NewBatchForSchema(schema, 10000)
+	for i := range 10000 {
+		b.AppendRow(int64(i), float64(i))
+	}
+	if err := e.Load("t", []*vector.Batch{b}); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := e.PartitionMetaForTest("t", 0).Col("d"); err != nil || len(c.Blocks) != 40 {
+		t.Fatalf("d is stored in %d blocks, want 40 (%v)", len(c.Blocks), err)
+	}
+	q := plan.Aggregate(plan.Filter(plan.Scan("t", "d"), plan.GE(plan.Col("d"), plan.Float(20000))),
+		nil, plan.A("n", plan.CountStar, plan.Int(1)))
+	for _, disable := range []rewriter.Rules{0, rewriter.CompressedExec} {
+		s0 := e.ScanStats()
+		res, err := e.Run(context.Background(), q, QueryOptions{Disable: disable}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, blocks := res.Rows[0][0].(int64), e.ScanStats().BlocksRead-s0.BlocksRead; n != 0 || blocks != 0 {
+			t.Errorf("Disable %v: %d rows from %d blocks, want 0 from 0", disable, n, blocks)
+		}
+	}
+}

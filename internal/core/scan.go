@@ -213,7 +213,8 @@ func (m *mscan) snapshotAndPin() (read, write *pdt.PDT, err error) {
 // block directories and reset PDTs under the same partition lock, so the
 // two images always agree on which rows live where. The skip bounds are
 // intersected into the qualifying row ranges here, each widened by the rows
-// in which a modify sets its column, and the predicate is compiled.
+// in which a modify sets its column to a value it admits, and the predicate
+// is compiled.
 func (m *mscan) Open() (err error) {
 	read, write, err := m.snapshotAndPin()
 	if err != nil {
@@ -245,8 +246,10 @@ func (m *mscan) Open() (err error) {
 			return err
 		}
 		// The summaries describe the stable image: a row in which a modify
-		// sets the column qualifies whatever its block's summary says.
-		if mod := m.merger.Modified(m.colIdx[b.Col]); len(mod) > 0 {
+		// sets the column to a value the bound admits qualifies whatever its
+		// block's summary says.
+		admits := func(v any) bool { s := oneValueSummary(v); return bp(&s) }
+		if mod := m.merger.Modified(m.colIdx[b.Col], admits); len(mod) > 0 {
 			rows := make([]colstore.RowRange, len(mod))
 			for i, s := range mod {
 				rows[i] = colstore.RowRange{Start: s, End: s + 1}
@@ -266,6 +269,12 @@ func (m *mscan) Open() (err error) {
 	m.sc.SetCache(m.eng.blockCache)
 	m.sc.SetCodeExec(m.spec.Codes)
 	m.stage, m.restN, m.pending = 0, 0, nil
+	if len(ranges) == 0 {
+		// No stable row qualifies (or there is none): the scanner, for which
+		// nil ranges mean the whole partition, is never advanced, and only
+		// the rows inserted behind the stable image are served.
+		m.stage = 1
+	}
 	// A write that broke the clustered order after the plan was made flagged
 	// the table before it committed, so before this snapshot: sort then.
 	m.sorted = nil
@@ -290,6 +299,23 @@ func blockPredicate(b expr.Bound, k vector.Kind) colstore.BlockPredicate {
 		return colstore.StrRangePred(b.StrLo, b.StrHi, true, b.HasStrHi)
 	}
 	return nil
+}
+
+// oneValueSummary is the MinMax summary of a block holding only v, a value a
+// PDT modify sets; a value of no summarized kind gets no summary, which every
+// BlockPredicate admits.
+func oneValueSummary(v any) colstore.BlockMeta {
+	switch x := v.(type) {
+	case int32:
+		return colstore.BlockMeta{HasMinMax: true, NumMin: int64(x), NumMax: int64(x)}
+	case int64:
+		return colstore.BlockMeta{HasMinMax: true, NumMin: x, NumMax: x}
+	case float64:
+		return colstore.BlockMeta{HasMinMax: true, FloatMin: x, FloatMax: x}
+	case string:
+		return colstore.BlockMeta{HasMinMax: true, StrMin: x, StrMax: x}
+	}
+	return colstore.BlockMeta{}
 }
 
 // predPart is the conjuncts of the scan's predicate that read one set of

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"vectorh/internal/compress"
 	"vectorh/internal/vector"
 )
 
@@ -28,14 +27,15 @@ import (
 //
 // Dense group ids: FindOrInsert first tries to give every key column a small
 // local domain for the batch (a bool, an integer's offset from the batch
-// minimum, a dictionary code, or an index into a local dictionary of at most
-// denseMaxStrings strings). When the product of the domains is at most
+// minimum, or a dictionary code). When the product of the domains is at most
 // 1/denseRowsPerSlot of the batch's rows, each row's key becomes one array
 // slot; only the first row of each slot is hashed (vector.HashRow) and
 // resolved through the chains, and every row takes its slot's id. Group ids,
 // emission order and errors are exactly those of the hashed path, and both
 // paths share one table. Group-bys over flags, statuses, modes and years
-// take it; keys such as order keys and names fall through after one pass.
+// take it — a small-domain string column is stored as PDICT and reaches the
+// table as codes; keys such as order keys and names, and materialized
+// strings, take the hashed path.
 //
 // Ownership: a group-by table belongs to its one operator. A join's table
 // belongs to its BuildSide: one goroutine builds it, after which it is
@@ -64,7 +64,6 @@ const minBuckets = 64
 const (
 	denseMinRows     = 64 // smaller batches take the hashed path
 	denseRowsPerSlot = 8  // at most one slot per this many rows of the batch
-	denseMaxStrings  = 16 // a materialized string column gives up at the 17th distinct value
 )
 
 // NewHashTable returns an empty table for keys of the given kinds. A nil
@@ -470,16 +469,15 @@ func denseSlots(keyCols []*vector.Vec, slot []int32, limit int) int {
 				return 0
 			}
 		case vector.String:
-			if kc.IsDict() {
-				if d = kc.Dict().Len(); d > budget {
-					return 0
-				}
-				st := uint32(stride)
-				for r, c := range kc.DictCodes()[:len(slot)] {
-					slot[r] += int32(c * st)
-				}
-			} else if d = localDictSlots(kc.StrCol(), slot, stride, min(budget, denseMaxStrings)); d == 0 {
+			if !kc.IsDict() {
 				return 0
+			}
+			if d = kc.Dict().Len(); d > budget {
+				return 0
+			}
+			st := uint32(stride)
+			for r, c := range kc.DictCodes()[:len(slot)] {
+				slot[r] += int32(c * st)
 			}
 		default: // Float64 keys always hash
 			return 0
@@ -508,41 +506,6 @@ func intSlots[T int32 | int64](vs []T, slot []int32, stride, budget int) int {
 		slot[r] += int32(uint64(v)-base) * st
 	}
 	return int(span) + 1
-}
-
-// localDictSlots adds stride times each value's index in a dictionary local
-// to the batch, built in first-occurrence order, to slot, and returns the
-// dictionary's size, or 0 once a value would be entry maxD+1. A table
-// indexed by the value's first byte and length names the entry to try
-// first, so a value costs one compare of its remaining bytes, none for a
-// one-byte flag; only a miss scans the entries.
-func localDictSlots(sc compress.StrCol, slot []int32, stride, maxD int) int {
-	var local [denseMaxStrings]string
-	var byHead [8 << 8]uint8 // 1 + the index of the last entry seen with this head; 0: none
-	d := 0
-	for r := range slot {
-		s := sc.At(r)
-		h := 0
-		if len(s) > 0 {
-			h = len(s)&7<<8 | int(s[0])
-		}
-		i := int(byHead[h]) - 1
-		// A hit shares s's first byte and length modulo 8.
-		if i < 0 || len(local[i]) != len(s) || len(s) > 1 && local[i][1:] != s[1:] {
-			for i = 0; i < d && local[i] != s; i++ {
-			}
-			if i == d {
-				if d == maxD {
-					return 0
-				}
-				local[d] = s
-				d++
-			}
-			byHead[h] = uint8(i + 1)
-		}
-		slot[r] += int32(i * stride)
-	}
-	return d
 }
 
 // findOrInsertHashed is FindOrInsert's general path: hash every row, probe

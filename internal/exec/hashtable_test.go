@@ -409,30 +409,33 @@ func TestStringBytesLimitIsAnError(t *testing.T) {
 	}
 }
 
-// TestDenseFindOrInsert: batches of Q01's, S3's and a 7-group integer key,
-// and of strings that look alike to the local dictionary's first probe, take
-// the dense path, whose ids equal a hashed table's, and a warm table
-// resolves one with zero allocations.
+// TestDenseFindOrInsert: batches of Q01's and S3's keys, dictionary-coded
+// as a scan of their PDICT blocks leaves them, and of a 7-group integer key
+// take the dense path, whose ids equal a hashed table's, and a warm table
+// resolves one with zero allocations. Materialized strings take the hashed
+// path.
 func TestDenseFindOrInsert(t *testing.T) {
 	const n = vector.MaxSize
-	flags, statuses, modes := make([]string, n), make([]string, n), make([]string, n)
+	flags, statuses, modes := make([]uint32, n), make([]uint32, n), make([]uint32, n)
 	years, groups := make([]int32, n), make([]int64, n)
-	codes := make([]uint32, n)
-	// Values sharing a first byte and a length modulo 8 with another.
-	alike := make([]string, n)
 	for i := range n {
-		flags[i], statuses[i] = []string{"A", "N", "R"}[i/7%3], []string{"F", "O"}[i/5%2]
-		modes[i] = []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}[i*5%7]
-		years[i], groups[i], codes[i] = int32(1992+i%7), int64(i%7)-3, uint32(i%3)
-		alike[i] = []string{"A", "AAAAAAAAA", "", "Ab", "Ac", "Abxxxxxxxx"}[i%6]
+		flags[i], statuses[i], modes[i] = uint32(i/7%3), uint32(i/5%2), uint32(i*5%7)
+		years[i], groups[i] = int32(1992+i%7), int64(i%7)-3
 	}
 	flagDict := &compress.StrDict{Values: []string{"N", "R", "A"}}
+	statusDict := &compress.StrDict{Values: []string{"F", "O"}}
+	modeDict := &compress.StrDict{Values: []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}}
+	materialized := make([]string, n)
+	for i, c := range statuses {
+		materialized[i] = statusDict.Values[c]
+	}
+	if denseSlots([]*vector.Vec{vector.FromString(materialized)}, make([]int32, n), n/denseRowsPerSlot) != 0 {
+		t.Error("a materialized string key takes the dense path")
+	}
 	for name, cols := range map[string][]*vector.Vec{
-		"Q01 materialized":  {vector.FromString(flags), vector.FromString(statuses)},
-		"Q01 dictionary":    {vector.FromDictCodes(codes, flagDict), vector.FromString(statuses)},
-		"S3":                {vector.FromString(modes), vector.FromInt32(years)},
-		"7 groups":          {vector.FromInt64(groups)},
-		"look-alike values": {vector.FromString(alike)},
+		"Q01":      {vector.FromDictCodes(flags, flagDict), vector.FromDictCodes(statuses, statusDict)},
+		"S3":       {vector.FromDictCodes(modes, modeDict), vector.FromInt32(years)},
+		"7 groups": {vector.FromInt64(groups)},
 	} {
 		if denseSlots(cols, make([]int32, n), n/denseRowsPerSlot) == 0 {
 			t.Errorf("%s: batch does not take the dense path", name)

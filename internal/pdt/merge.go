@@ -132,11 +132,12 @@ func (m *Merger) HasDeltas() bool {
 func (m *Merger) StableRows() int64 { return m.t.stableRows }
 
 // Modified returns the stable rows, ascending, whose merged row has
-// full-schema column col set by a modify of either layer: the rows whose value
-// a summary of the stable image does not describe. A modify of an inserted or
-// deleted row is not among them. It returns nil at once when neither layer
-// holds a modify of col, and otherwise reads Span over the whole stable image.
-func (m *Merger) Modified(col int) []int64 {
+// full-schema column col set by a modify of either layer to a value keep
+// accepts: the rows whose value a summary of the stable image does not
+// describe. A modify of an inserted or deleted row is not among them. It
+// returns nil at once when neither layer holds a modify of col, and
+// otherwise reads Span over the whole stable image.
+func (m *Merger) Modified(col int, keep func(v any) bool) []int64 {
 	if !slices.Contains(m.tm.modCols, col) && (m.wm == nil || !slices.Contains(m.wm.modCols, col)) {
 		return nil
 	}
@@ -145,7 +146,7 @@ func (m *Merger) Modified(col int) []int64 {
 	for s0 := int64(0); s0 < m.t.stableRows; s0 += math.MaxInt32 { // Span's offsets are int32
 		m.Span(s0, int(min(m.t.stableRows-s0, math.MaxInt32)), &d)
 		for i := range d.mods {
-			if _, ok := d.mods[i].value(col); ok {
+			if v, ok := d.mods[i].value(col); ok && keep(v) {
 				out = append(out, s0+int64(d.mods[i].Pos))
 			}
 		}

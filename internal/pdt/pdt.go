@@ -319,13 +319,3 @@ func (t *PDT) Entries() []Entry {
 func (t *PDT) CopyOnWrite() *PDT {
 	return &PDT{root: t.root.clone(), stableRows: t.stableRows, numMod: t.numMod, memBytes: t.memBytes}
 }
-
-// MergeInto serializes the entries of trans into dst (typically a
-// copy-on-write of the master Write-PDT), stamping them with commitEpoch.
-// Both PDTs must be keyed in the same underlying position space. A Del or
-// Mod in trans conflicts when dst carries a Del or Mod on the same tuple
-// committed after snapshotEpoch. It is a convenience wrapper around
-// ApplyTrans for PDTs built from scratch (not via CopyOnWrite+Diff).
-func MergeInto(dst, trans *PDT, snapshotEpoch, commitEpoch int64) error {
-	return ApplyTrans(dst, trans.Entries(), snapshotEpoch, commitEpoch)
-}

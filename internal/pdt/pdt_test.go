@@ -239,25 +239,25 @@ func TestCopyOnWriteIndependence(t *testing.T) {
 	}
 }
 
-func TestMergeIntoAndConflicts(t *testing.T) {
+func TestApplyTransConflicts(t *testing.T) {
 	master := New(10)
 	// Transaction A modifies tuple 3 (snapshot epoch 0) and commits at 1.
 	txA := New(10)
 	txA.Modify(3, []int{1}, []any{"A"})
-	if err := MergeInto(master, txA, 0, 1); err != nil {
+	if err := ApplyTrans(master, txA.Entries(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Transaction B (snapshot 0, i.e. before A committed) also touches 3.
 	txB := New(10)
 	txB.Modify(3, []int{1}, []any{"B"})
-	err := MergeInto(master, txB, 0, 2)
+	err := ApplyTrans(master, txB.Entries(), 0, 2)
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("want conflict, got %v", err)
 	}
 	// Transaction C with a fresh snapshot (epoch 1) succeeds.
 	txC := New(10)
 	txC.Modify(3, []int{0}, []any{int64(-3)})
-	if err := MergeInto(master, txC, 1, 2); err != nil {
+	if err := ApplyTrans(master, txC.Entries(), 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	rows := materialize(t, master, stableImage(10))
@@ -268,10 +268,10 @@ func TestMergeIntoAndConflicts(t *testing.T) {
 	txD, txE := New(10), New(10)
 	txD.Append([]any{int64(100), "d"})
 	txE.Append([]any{int64(101), "e"})
-	if err := MergeInto(master, txD, 0, 3); err != nil {
+	if err := ApplyTrans(master, txD.Entries(), 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := MergeInto(master, txE, 0, 4); err != nil {
+	if err := ApplyTrans(master, txE.Entries(), 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	if master.Size() != 12 {
@@ -283,13 +283,13 @@ func TestDeleteDeleteMerge(t *testing.T) {
 	master := New(5)
 	tx1 := New(5)
 	tx1.Delete(2)
-	if err := MergeInto(master, tx1, 0, 1); err != nil {
+	if err := ApplyTrans(master, tx1.Entries(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// A later snapshot deleting a *different* tuple is fine.
 	tx2 := New(5)
 	tx2.Delete(3) // in tx2's image (pre-commit of tx1) rid 3 = sid 3
-	if err := MergeInto(master, tx2, 1, 2); err != nil {
+	if err := ApplyTrans(master, tx2.Entries(), 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	rows := materialize(t, master, stableImage(5))

@@ -164,7 +164,7 @@ func checkStack(t *testing.T, read, write *PDT, model [][]any, from []origin, st
 				want = append(want, o.sid)
 			}
 		}
-		got := m.Modified(c)
+		got := m.Modified(c, func(any) bool { return true })
 		if !slices.Equal(got, spanMods[c]) || !slices.Equal(got, want) {
 			t.Fatalf("Modified(%d) = %v; Spans report %v, model %v", c, got, spanMods[c], want)
 		}

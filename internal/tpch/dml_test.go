@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vectorh"
+	"vectorh/internal/colstore"
 	"vectorh/internal/plan"
 	"vectorh/internal/vector"
 )
@@ -153,6 +154,50 @@ func TestUpdateWidensMinMax(t *testing.T) {
 	}
 	if got := rows[0][0].(int64); got != n {
 		t.Fatalf("range query found %d rows after update, want %d (a modified row skipped by its block's MinMax summary?)", got, n)
+	}
+}
+
+// TestUpdateKeepsSkippedBlocksSkipped moves three rows' l_shipdate to 2099,
+// outside every block's summary, and counts January 1994 with the block cache
+// off: the count reads the blocks it read before the UPDATE, no more. A
+// modified row's new value is held against the skip bound, and 2099 is
+// outside January 1994, so the blocks holding the rows stay skipped.
+func TestUpdateKeepsSkippedBlocksSkipped(t *testing.T) {
+	db, err := vectorh.Open(vectorh.Config{ // newDB's, without the block cache
+		Nodes:           []string{"n1", "n2", "n3"},
+		ThreadsPerNode:  2,
+		BlockSize:       1 << 18,
+		Format:          colstore.Format{BlockSize: 16 << 10, BlocksPerChunk: 64, MaxRowsPerBlock: 2048},
+		MsgBytes:        16 << 10,
+		BlockCacheBytes: -1, // every block read counts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadIntoEngine(db.Engine, Generate(0.01, 7), 6); err != nil {
+		t.Fatal(err)
+	}
+	count := func() (n, blocks int64) {
+		t.Helper()
+		s0 := db.Engine.ScanStats()
+		rows, err := db.QuerySQL("select count(*) as n from lineitem where l_shipdate >= date '1994-01-01' and l_shipdate < date '1994-02-01'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows[0][0].(int64), db.Engine.ScanStats().BlocksRead - s0.BlocksRead
+	}
+	n0, blocks0 := count()
+	if n0 == 0 || blocks0 == 0 {
+		t.Fatalf("before the update: %d rows from %d blocks", n0, blocks0)
+	}
+	n, err := db.ExecSQL(context.Background(), "update lineitem set l_shipdate = date '2099-01-01' where l_orderkey = 5")
+	if err != nil || n != 3 {
+		t.Fatalf("update: %d rows, %v", n, err)
+	}
+	n1, blocks1 := count()
+	t.Logf("January 1994: %d rows from %d blocks before the update, %d rows from %d blocks after", n0, blocks0, n1, blocks1)
+	if n1 > n0 || blocks1 != blocks0 {
+		t.Errorf("after the update: %d rows from %d blocks, before it %d rows from %d blocks", n1, blocks1, n0, blocks0)
 	}
 }
 

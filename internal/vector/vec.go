@@ -391,24 +391,6 @@ func (v *Vec) AppendGather(src *Vec, sel []int32) {
 	v.n += len(sel)
 }
 
-// AppendZero appends the kind's zero value.
-func (v *Vec) AppendZero() {
-	switch v.kind {
-	case Bool:
-		v.AppendBool(false)
-	case Int32:
-		v.AppendInt32(0)
-	case Int64:
-		v.AppendInt64(0)
-	case Float64:
-		v.AppendFloat64(0)
-	case String:
-		v.AppendString("")
-	default:
-		panic("vector: AppendZero on invalid vector")
-	}
-}
-
 // Gather returns a new dense vector with the values at the given positions.
 // A nil sel returns a copy of the first n values. Gathering a dictionary
 // vector gathers codes and keeps the dictionary handle, so selection and

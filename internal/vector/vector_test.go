@@ -133,14 +133,10 @@ func TestVecStringBytes(t *testing.T) {
 	}
 }
 
-func TestConstAndAppendZero(t *testing.T) {
+func TestConst(t *testing.T) {
 	v := Const(String, "x", 3)
 	if v.Len() != 3 || v.Strings()[2] != "x" {
 		t.Fatalf("Const = %v", v.Strings())
-	}
-	v.AppendZero()
-	if v.Strings()[3] != "" {
-		t.Fatal("AppendZero on string should append empty string")
 	}
 	b := Const(Bool, true, 2)
 	if !b.Bools()[1] {
