@@ -97,7 +97,7 @@ func TestAppenderLayoutGolden(t *testing.T) {
 		t.Fatalf("layout digest %s, recorded %s (%d rows, %d chunks)", got, golden, meta.Rows, len(meta.Chunks))
 	}
 	// The digest pins bytes; the data must still read back.
-	rows := scanAll(t, fs, meta, []string{"key", "one"}, nil)
+	rows := scanAll(t, fs, meta, []string{"key", "one"})
 	if int64(len(rows)) != meta.Rows {
 		t.Fatalf("scan returned %d rows, meta says %d", len(rows), meta.Rows)
 	}

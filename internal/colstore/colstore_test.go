@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"vectorh/internal/compress"
@@ -61,9 +60,9 @@ func writeRows(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, start, n int
 	}
 }
 
-func scanAll(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string, ranges []RowRange) [][]any {
+func scanAll(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string) [][]any {
 	t.Helper()
-	s, err := NewScanner(fs, meta, "node1", cols, ranges)
+	s, err := NewScanner(fs, meta, "node1", cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +81,44 @@ func scanAll(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string,
 	}
 }
 
+// scanSkipping scans cols the way a skipping scan does: spans clamped on the
+// first column, and a span whose block of it pred rejects dropped on the
+// block's directory entry before anything is decoded. It returns the rows of
+// the spans kept and the scanner's counters.
+func scanSkipping(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string, pred BlockPredicate) ([][]any, ScanStats) {
+	t.Helper()
+	s, err := NewScanner(fs, meta, "node1", cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]any
+	for {
+		start, n, err := s.NextSpan([]int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return rows, s.Stats()
+		}
+		b := s.SpanMeta(0, start)
+		if b == nil || b.Rows == 0 || start < b.RowStart || start+int64(n) > b.RowStart+int64(b.Rows) {
+			t.Fatalf("span [%d,%d) is not inside one block of %s: %+v", start, start+int64(n), cols[0], b)
+		}
+		if !pred(b) {
+			continue
+		}
+		batch := &vector.Batch{Vecs: make([]*vector.Vec, len(cols))}
+		for i := range cols {
+			if batch.Vecs[i], err = s.ColVec(i, start, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range n {
+			rows = append(rows, batch.Row(i))
+		}
+	}
+}
+
 func TestAppendScanRoundTrip(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})
@@ -89,7 +126,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	if meta.Rows != 5000 {
 		t.Fatalf("Rows = %d", meta.Rows)
 	}
-	rows := scanAll(t, fs, meta, []string{"k", "d", "price", "flag"}, nil)
+	rows := scanAll(t, fs, meta, []string{"k", "d", "price", "flag"})
 	if len(rows) != 5000 {
 		t.Fatalf("scanned %d rows", len(rows))
 	}
@@ -116,7 +153,7 @@ func TestMultipleAppendsMergePartialBlocks(t *testing.T) {
 	if fs.Exists(meta.PartialPath(firstGen)) {
 		t.Fatal("old partial chunk file should be deleted")
 	}
-	rows := scanAll(t, fs, meta, []string{"k"}, nil)
+	rows := scanAll(t, fs, meta, []string{"k"})
 	if len(rows) != 1400 {
 		t.Fatalf("scanned %d rows", len(rows))
 	}
@@ -132,10 +169,10 @@ func TestProjectionReadsOnlyRequestedColumns(t *testing.T) {
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})
 	writeRows(t, fs, meta, 0, 3000)
 	fs.ResetStats()
-	scanAll(t, fs, meta, []string{"k"}, nil)
+	scanAll(t, fs, meta, []string{"k"})
 	one := fs.Stats().LocalBytesRead + fs.Stats().RemoteBytesRead
 	fs.ResetStats()
-	scanAll(t, fs, meta, []string{"k", "d", "price", "flag"}, nil)
+	scanAll(t, fs, meta, []string{"k", "d", "price", "flag"})
 	all := fs.Stats().LocalBytesRead + fs.Stats().RemoteBytesRead
 	if one*2 >= all {
 		t.Fatalf("projection should read far less: 1 col=%dB, 4 cols=%dB", one, all)
@@ -146,16 +183,12 @@ func TestMinMaxSkippingReducesIO(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 2048, BlocksPerChunk: 8, MaxRowsPerBlock: 1024})
 	writeRows(t, fs, meta, 0, 20000) // column k is sorted 0..19999
-	ranges, err := meta.QualifyingRanges("k", Int64RangePred(0, 999))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RangesRows(ranges); got < 1000 || got > 4000 {
-		t.Fatalf("qualifying rows = %d, want ~1000 (block granularity)", got)
-	}
 	fs.ResetStats()
-	rows := scanAll(t, fs, meta, []string{"k", "price"}, ranges)
+	rows, _ := scanSkipping(t, fs, meta, []string{"k", "price"}, Int64RangePred(0, 999))
 	skipped := fs.Stats().LocalBytesRead + fs.Stats().RemoteBytesRead
+	if got := len(rows); got < 1000 || got > 4000 {
+		t.Fatalf("rows of kept spans = %d, want ~1000 (block granularity)", got)
+	}
 	found := 0
 	for _, r := range rows {
 		if r[0].(int64) <= 999 {
@@ -166,52 +199,10 @@ func TestMinMaxSkippingReducesIO(t *testing.T) {
 		t.Fatalf("found %d qualifying rows", found)
 	}
 	fs.ResetStats()
-	scanAll(t, fs, meta, []string{"k", "price"}, nil)
+	scanAll(t, fs, meta, []string{"k", "price"})
 	full := fs.Stats().LocalBytesRead + fs.Stats().RemoteBytesRead
 	if skipped*3 >= full {
 		t.Fatalf("skipping should save >3x IO: skipped=%dB full=%dB", skipped, full)
-	}
-}
-
-func TestQualifyingRangesMergesAdjacentBlocks(t *testing.T) {
-	fs := testFS()
-	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 2048, BlocksPerChunk: 8})
-	writeRows(t, fs, meta, 0, 10000)
-	ranges, err := meta.QualifyingRanges("k", Int64RangePred(0, 9999999))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranges) != 1 || ranges[0] != (RowRange{0, 10000}) {
-		t.Fatalf("ranges = %v, want one merged full range", ranges)
-	}
-}
-
-func TestIntersectRanges(t *testing.T) {
-	a := []RowRange{{0, 10}, {20, 30}}
-	b := []RowRange{{5, 25}}
-	got := IntersectRanges(a, b)
-	want := []RowRange{{5, 10}, {20, 25}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("intersect = %v", got)
-	}
-	if out := IntersectRanges(a, nil); out != nil {
-		t.Fatalf("intersect with empty = %v", out)
-	}
-}
-
-func TestUnionRanges(t *testing.T) {
-	a := []RowRange{{0, 10}, {20, 30}, {50, 60}}
-	b := []RowRange{{5, 12}, {12, 13}, {30, 31}, {40, 41}, {70, 71}}
-	got := UnionRanges(a, b)
-	want := []RowRange{{0, 13}, {20, 31}, {40, 41}, {50, 60}, {70, 71}}
-	if !slices.Equal(got, want) {
-		t.Fatalf("union = %v, want %v", got, want)
-	}
-	if got := UnionRanges(nil, b[:2]); !slices.Equal(got, []RowRange{{5, 13}}) {
-		t.Fatalf("union with empty = %v", got)
-	}
-	if got := UnionRanges(a, a); !slices.Equal(got, a) {
-		t.Fatalf("union with itself = %v", got)
 	}
 }
 
@@ -231,7 +222,7 @@ func TestMetaMarshalRoundTrip(t *testing.T) {
 		t.Fatal("meta round trip mismatch")
 	}
 	// And the reloaded meta must drive a correct scan.
-	rows := scanAll(t, fs, back, []string{"k"}, nil)
+	rows := scanAll(t, fs, back, []string{"k"})
 	if len(rows) != 2500 {
 		t.Fatalf("scan with reloaded meta: %d rows", len(rows))
 	}
@@ -309,23 +300,6 @@ func TestChunkFileRotation(t *testing.T) {
 	}
 }
 
-func TestDeleteFiles(t *testing.T) {
-	fs := testFS()
-	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})
-	writeRows(t, fs, meta, 0, 2000)
-	if len(meta.Files()) == 0 {
-		t.Fatal("no files recorded")
-	}
-	if err := meta.DeleteFiles(fs); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range meta.Files() {
-		if fs.Exists(f) {
-			t.Fatalf("file %s survived DeleteFiles", f)
-		}
-	}
-}
-
 func TestAppenderWritesLandOnWriterNode(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})
@@ -343,7 +317,7 @@ func TestAppenderWritesLandOnWriterNode(t *testing.T) {
 	}
 	// Therefore a scan from node1 is fully short-circuit.
 	fs.ResetStats()
-	scanAll(t, fs, meta, []string{"k", "price"}, nil)
+	scanAll(t, fs, meta, []string{"k", "price"})
 	if s := fs.Stats(); s.RemoteBytesRead != 0 || s.LocalBytesRead == 0 {
 		t.Fatalf("scan from writer should be fully local: %+v", s)
 	}
@@ -368,14 +342,10 @@ func TestPerKindMinMaxRecordedAndSkipping(t *testing.T) {
 		}
 	}
 	// Float skipping: price = row*1.5, so [1500, 3000) covers rows 1000..2000.
-	ranges, err := meta.QualifyingRanges("price", Float64RangePred(1500, 3000))
-	if err != nil {
-		t.Fatal(err)
+	rows, _ := scanSkipping(t, fs, meta, []string{"price"}, Float64RangePred(1500, 3000))
+	if n := len(rows); n == 0 || n >= 5000 {
+		t.Fatalf("float MinMax should narrow the scan: %d of 5000 rows kept", n)
 	}
-	if n := RangesRows(ranges); n == 0 || n >= 5000 {
-		t.Fatalf("float MinMax should narrow the scan: %d of 5000 rows qualify", n)
-	}
-	rows := scanAll(t, fs, meta, []string{"price"}, ranges)
 	covered := make(map[float64]bool, len(rows))
 	for _, r := range rows {
 		covered[r[0].(float64)] = true
@@ -387,12 +357,49 @@ func TestPerKindMinMaxRecordedAndSkipping(t *testing.T) {
 	}
 	// String skipping: flag cycles A/N/R in every block, so ["A","A"] can
 	// prune nothing — but a range above "R" must prune everything.
-	ranges, err = meta.QualifyingRanges("flag", StrRangePred("S", "Z", true, true))
-	if err != nil {
-		t.Fatal(err)
+	rows, st := scanSkipping(t, fs, meta, []string{"flag"}, StrRangePred("S", "Z", true, true))
+	if len(rows) != 0 || st.BlocksRead != 0 {
+		t.Fatalf("string range beyond the data should skip all blocks, got %d rows from %d blocks", len(rows), st.BlocksRead)
 	}
-	if RangesRows(ranges) != 0 {
-		t.Fatalf("string range beyond the data should skip all blocks, got %d rows", RangesRows(ranges))
+}
+
+// TestBlockPredicates holds each kind's MinMax test to its summary: a block
+// qualifies when its [min, max] meets the closed bound, an unbounded string
+// side never rejects, and a block whose summary was never computed qualifies
+// under every predicate, whatever its zero-valued extremes say.
+func TestBlockPredicates(t *testing.T) {
+	ints := &BlockMeta{HasMinMax: true, NumMin: 10, NumMax: 20}
+	floats := &BlockMeta{HasMinMax: true, FloatMin: 1.5, FloatMax: 3}
+	strs := &BlockMeta{HasMinMax: true, StrMin: "B", StrMax: "M"}
+	absent := &BlockMeta{Rows: 100}
+	cases := []struct {
+		name string
+		pred BlockPredicate
+		b    *BlockMeta
+		want bool
+	}{
+		{"int inside", Int64RangePred(12, 15), ints, true},
+		{"int touches max", Int64RangePred(20, 30), ints, true},
+		{"int below", Int64RangePred(0, 9), ints, false},
+		{"int above", Int64RangePred(21, 30), ints, false},
+		{"float touches min", Float64RangePred(0, 1.5), floats, true},
+		{"float inside", Float64RangePred(2, 2.5), floats, true},
+		{"float below", Float64RangePred(0, 1.4), floats, false},
+		{"float above", Float64RangePred(3.1, 9), floats, false},
+		{"string inside", StrRangePred("C", "D", true, true), strs, true},
+		{"string touches max", StrRangePred("M", "Z", true, true), strs, true},
+		{"string above", StrRangePred("N", "Z", true, true), strs, false},
+		{"string below", StrRangePred("", "A", false, true), strs, false},
+		{"string open above", StrRangePred("L", "", true, false), strs, true},
+		{"string open below", StrRangePred("", "", false, false), strs, true},
+		{"absent int", Int64RangePred(1000, 2000), absent, true},
+		{"absent float", Float64RangePred(1000, 2000), absent, true},
+		{"absent string", StrRangePred("S", "Z", true, true), absent, true},
+	}
+	for _, c := range cases {
+		if got := c.pred(c.b); got != c.want {
+			t.Errorf("%s: qualifies = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -401,7 +408,7 @@ func TestPerKindMinMaxRecordedAndSkipping(t *testing.T) {
 // legacy metadata (no mm flag) has zero-valued extremes that look like a
 // real [0,0] summary, and a predicate like k in [lo,hi] with lo > 0 used
 // to skip such blocks — dropping their rows. It also plants a zero-row
-// tail block in the directory, which must neither qualify rows nor break
+// tail block in the directory, which must neither become a span nor break
 // the scan.
 func TestAbsentMinMaxAlwaysQualifies(t *testing.T) {
 	fs := testFS()
@@ -419,16 +426,21 @@ func TestAbsentMinMaxAlwaysQualifies(t *testing.T) {
 	}
 	// Zero-row tail block (e.g. from a hand-built or truncated directory).
 	c.Blocks = append(c.Blocks, BlockMeta{Chunk: -1, Slot: 0, RowStart: 3000, Rows: 0})
-	ranges, err := meta.QualifyingRanges("k", Int64RangePred(1000, 2000))
+	rows, _ := scanSkipping(t, fs, meta, []string{"k"}, Int64RangePred(1000, 2000))
+	if len(rows) != 3000 {
+		t.Fatalf("absent summaries must keep every (non-empty) block: %d of 3000 rows", len(rows))
+	}
+	for i, r := range rows {
+		if r[0] != int64(i) {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+	s, err := NewScanner(fs, meta, "node1", []string{"k"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := RangesRows(ranges); n != 3000 {
-		t.Fatalf("absent summaries must qualify every (non-empty) block: %d of 3000 rows", n)
-	}
-	rows := scanAll(t, fs, meta, []string{"k"}, ranges)
-	if len(rows) != 3000 {
-		t.Fatalf("scan over absent-summary ranges returned %d rows, want 3000", len(rows))
+	if b := s.SpanMeta(0, 3000); b != nil {
+		t.Fatalf("the zero-row tail block covers row 3000: %+v", b)
 	}
 }
 
@@ -503,11 +515,12 @@ func TestScannerSpanAPI(t *testing.T) {
 
 }
 
-// TestSpanValueBoundsReadsNoPayload holds SpanValueBounds to the block's
-// MinMax summary: the bounds cover every value of the block, a block
-// without a summary or a non-integer slot gives ok=false, and no call reads
-// or decodes a payload.
-func TestSpanValueBoundsReadsNoPayload(t *testing.T) {
+// TestSpanMetaReadsNoPayload holds SpanMeta to the block directory: the
+// entry it returns is the block covering the row, its summary covers every
+// value of the block in each kind, a block without a summary is returned as
+// it is, a row no block covers gets nil, and no call reads or decodes a
+// payload.
+func TestSpanMetaReadsNoPayload(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8, MaxRowsPerBlock: 300})
 	writeRows(t, fs, meta, 0, 4000)
@@ -517,48 +530,50 @@ func TestSpanValueBoundsReadsNoPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	value := []func(row int64) int64{
-		func(row int64) int64 { return row },      // k
-		func(row int64) int64 { return row / 10 }, // d
+	inside := []func(b *BlockMeta, row int64) bool{
+		func(b *BlockMeta, row int64) bool { return b.NumMin <= row && row <= b.NumMax },                          // k
+		func(b *BlockMeta, row int64) bool { return b.NumMin <= row/10 && row/10 <= b.NumMax },                    // d
+		func(b *BlockMeta, row int64) bool { v := float64(row) * 1.5; return b.FloatMin <= v && v <= b.FloatMax }, // price
+		func(b *BlockMeta, row int64) bool {
+			v := []string{"A", "N", "R"}[row%3]
+			return b.StrMin <= v && v <= b.StrMax
+		}, // flag
 	}
 	for row := int64(0); row < 4000; row += 37 {
-		for i, v := range value {
-			lo, hi, ok := s.SpanValueBounds(i, row)
-			if !ok {
-				t.Fatalf("%s row %d: no bounds from a summarised block", cols[i], row)
-			}
-			b, err := s.blockFor(i, row)
+		for i, in := range inside {
+			b := s.SpanMeta(i, row)
+			want, err := s.blockFor(i, row)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lo != b.NumMin || hi != b.NumMax {
-				t.Fatalf("%s row %d: bounds [%d,%d], summary [%d,%d]", cols[i], row, lo, hi, b.NumMin, b.NumMax)
+			if b != want {
+				t.Fatalf("%s row %d: entry %+v, directory %+v", cols[i], row, b, want)
+			}
+			if !b.HasMinMax || row < b.RowStart || row >= b.RowStart+int64(b.Rows) {
+				t.Fatalf("%s row %d: entry %+v does not cover it with a summary", cols[i], row, b)
 			}
 			for r := b.RowStart; r < b.RowStart+int64(b.Rows); r++ {
-				if x := v(r); x < lo || x > hi {
-					t.Fatalf("%s row %d: value %d outside bounds [%d,%d]", cols[i], r, x, lo, hi)
+				if !in(b, r) {
+					t.Fatalf("%s row %d: value outside the summary %+v", cols[i], r, b)
 				}
 			}
 		}
-		for i := 2; i < len(cols); i++ {
-			if _, _, ok := s.SpanValueBounds(i, row); ok {
-				t.Fatalf("%s: bounds on a non-integer slot", cols[i])
-			}
+	}
+	b := s.SpanMeta(0, 0)
+	b.HasMinMax = false
+	if got := s.SpanMeta(0, 0); got != b || got.HasMinMax {
+		t.Fatalf("a block without a summary: %+v", got)
+	}
+	for i := range cols {
+		if b := s.SpanMeta(i, 4000); b != nil {
+			t.Fatalf("%s: an entry for a row past the partition: %+v", cols[i], b)
 		}
 	}
-	b, err := s.blockFor(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.HasMinMax = false
-	if _, _, ok := s.SpanValueBounds(0, 0); ok {
-		t.Fatal("bounds from a block without a summary")
-	}
 	if st := fs.Stats(); st.LocalBytesRead+st.RemoteBytesRead != 0 {
-		t.Fatalf("SpanValueBounds read hdfs: %+v", st)
+		t.Fatalf("SpanMeta read hdfs: %+v", st)
 	}
 	if st := s.Stats(); st.BlocksRead != 0 || st.BytesDecoded != 0 {
-		t.Fatalf("SpanValueBounds decoded a block: %+v", st)
+		t.Fatalf("SpanMeta decoded a block: %+v", st)
 	}
 }
 

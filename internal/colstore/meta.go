@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"vectorh/internal/hdfs"
 	"vectorh/internal/vector"
 )
 
@@ -251,104 +250,4 @@ func StrRangePred(lo, hi string, hasLo, hasHi bool) BlockPredicate {
 		}
 		return true
 	}
-}
-
-// QualifyingRanges returns the merged row ranges of the blocks of col whose
-// MinMax summary passes pred — the data-skipping step of every MScan.
-func (m *PartitionMeta) QualifyingRanges(col string, pred BlockPredicate) ([]RowRange, error) {
-	c, err := m.Col(col)
-	if err != nil {
-		return nil, err
-	}
-	var out []RowRange
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		if b.Rows == 0 || !pred(b) {
-			continue
-		}
-		r := RowRange{b.RowStart, b.RowStart + int64(b.Rows)}
-		if n := len(out); n > 0 && out[n-1].End >= r.Start {
-			if r.End > out[n-1].End {
-				out[n-1].End = r.End
-			}
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// IntersectRanges intersects two sorted range lists (conjunction of
-// predicates on different columns).
-func IntersectRanges(a, b []RowRange) []RowRange {
-	var out []RowRange
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		lo := max64(a[i].Start, b[j].Start)
-		hi := min64(a[i].End, b[j].End)
-		if lo < hi {
-			out = append(out, RowRange{lo, hi})
-		}
-		if a[i].End < b[j].End {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
-// UnionRanges merges two sorted range lists into one, overlapping and
-// adjacent ranges joined (disjunction).
-func UnionRanges(a, b []RowRange) []RowRange {
-	out := make([]RowRange, 0, len(a)+len(b))
-	for len(a)+len(b) > 0 {
-		var r RowRange
-		if len(b) == 0 || len(a) > 0 && a[0].Start <= b[0].Start {
-			r, a = a[0], a[1:]
-		} else {
-			r, b = b[0], b[1:]
-		}
-		if n := len(out); n > 0 && r.Start <= out[n-1].End {
-			out[n-1].End = max64(out[n-1].End, r.End)
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// RangesRows sums the row count covered by the ranges.
-func RangesRows(rs []RowRange) int64 {
-	var n int64
-	for _, r := range rs {
-		n += r.End - r.Start
-	}
-	return n
-}
-
-// DeleteFiles removes every data file of the partition from HDFS.
-func (m *PartitionMeta) DeleteFiles(fs *hdfs.Cluster) error {
-	for _, f := range m.Files() {
-		if fs.Exists(f) {
-			if err := fs.Delete(f); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -614,16 +614,17 @@ func readPayloadInto(fs *hdfs.Cluster, m *PartitionMeta, node string, b BlockMet
 }
 
 // Scanner reads a projection of a partition over a set of row ranges,
-// producing vectors of up to vector.MaxSize rows. Blocks outside the ranges
-// are never touched — the IO half of MinMax skipping. The span API
-// (NextSpan / ColVec) decouples cursor advancement from column decode, so a
-// late-materializing scan can decode only its predicate columns for a span,
-// and fetch the payload columns afterwards, or not at all. Every column
-// read goes through loadBlock: a block is decoded whole, once, into its one
-// cached form (a PDICT string block opened, not materialized) and shared
-// through the decoded-block cache when one is attached. Whether a string
-// column leaves as codes or values is the scan's choice (SetCodeExec);
-// value form is materialized scanner-local and never cached.
+// producing vectors of up to vector.MaxSize rows. The span API (NextSpan /
+// SpanMeta / ColVec) decouples cursor advancement from column decode, so a
+// late-materializing scan can judge a span on its blocks' directory entries
+// (MinMax skipping: a block no span decodes is never read), decode only its
+// predicate columns, and fetch the payload columns afterwards, or not at
+// all. Every column read goes through loadBlock: a block is decoded whole,
+// once, into its one cached form (a PDICT string block opened, not
+// materialized) and shared through the decoded-block cache when one is
+// attached. Whether a string column leaves as codes or values is the scan's
+// choice (SetCodeExec); value form is materialized scanner-local and never
+// cached.
 type Scanner struct {
 	fs     *hdfs.Cluster
 	meta   *PartitionMeta
@@ -657,9 +658,10 @@ type ScanStats struct {
 	CacheHits    int64 // blocks served from the shared decoded-block cache
 
 	// BytesSkipped is the compressed bytes of the projection this scan never
-	// decoded — blocks outside the qualifying ranges (MinMax skipping), blocks
-	// no span asked for, and PDICT code streams it never unpacked — relative
-	// to a naive full decode of every projected block.
+	// decoded — blocks no span asked for (those of spans pruned on their
+	// MinMax summaries or dictionaries among them), and PDICT code streams it
+	// never unpacked — relative to a naive full decode of every projected
+	// block.
 	BytesSkipped int64
 	// BytesMaterialized is the estimated in-memory bytes of values this scan
 	// produced. Code vectors stay in the compressed domain and do not count;
@@ -747,7 +749,7 @@ func (s *Scanner) Next() (*vector.Batch, int64, error) {
 }
 
 // NextSpan advances the cursor to the next span of up to vector.MaxSize
-// rows inside the qualifying ranges and returns its start row and length
+// rows inside the scan's row ranges and returns its start row and length
 // (n == 0 at end of scan). The span is clamped so every lead column
 // (projection slots; nil = all columns) can serve it from a single cached
 // block; other columns stitch across block boundaries in ColVec.
@@ -1020,16 +1022,13 @@ func (s *Scanner) SpanDict(i int, row int64) (*compress.StrDict, error) {
 	return cb.data.pd.Dict, nil
 }
 
-// SpanValueBounds returns the [lo, hi] value range of the block covering
-// row of integer slot i from its MinMax summary, without reading the block.
-// ok is false when the block carries no summary.
-func (s *Scanner) SpanValueBounds(i int, row int64) (lo, hi int64, ok bool) {
-	if k := s.kinds[i]; k != vector.Int64 && k != vector.Int32 {
-		return 0, 0, false
-	}
+// SpanMeta returns the directory entry — row range and MinMax summary — of
+// the block covering row of slot i, nil when no block does. It reads the
+// block directory only: no IO, no decode.
+func (s *Scanner) SpanMeta(i int, row int64) *BlockMeta {
 	b, err := s.blockFor(i, row)
-	if err != nil || !b.HasMinMax {
-		return 0, 0, false
+	if err != nil {
+		return nil
 	}
-	return b.NumMin, b.NumMax, true
+	return b
 }

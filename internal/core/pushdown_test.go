@@ -338,3 +338,61 @@ func TestEmptySkipIntersectionReadsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipBoundPrunesEverySpanOfRejectedBlocks: the skip bound is judged on
+// each span's block summary, so every span of a block the bound rejects is
+// read as a span and pruned — in code form and in value form alike — and
+// only the admitted block is decoded.
+func TestSkipBoundPrunesEverySpanOfRejectedBlocks(t *testing.T) {
+	e, err := New(Config{
+		Nodes:           []string{"node1"},
+		Format:          colstore.Format{BlockSize: 4096, BlocksPerChunk: 16, MaxRowsPerBlock: 256},
+		BlockCacheBytes: -1, // every block read counts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := vector.Schema{{Name: "k", Type: vector.TInt64}, {Name: "d", Type: vector.TInt64}}
+	if err := e.CreateTable(rewriter.TableInfo{Name: "t", Schema: schema, PartitionKey: "k", Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b := vector.NewBatchForSchema(schema, 10000)
+	for i := range 10000 {
+		b.AppendRow(int64(i), int64(i))
+	}
+	if err := e.Load("t", []*vector.Batch{b}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := e.PartitionMetaForTest("t", 0).Col("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	admits := colstore.Int64RangePred(5000, 5099)
+	var rejected, rejectedSpans, admitted int64
+	for i := range c.Blocks {
+		if admits(&c.Blocks[i]) {
+			admitted++
+			continue
+		}
+		rejected++
+		rejectedSpans += int64((c.Blocks[i].Rows + vector.MaxSize - 1) / vector.MaxSize)
+	}
+	if rejected == 0 || admitted != 1 {
+		t.Fatalf("d is stored in %d blocks, %d of them admitted; want one admitted among several", len(c.Blocks), admitted)
+	}
+	q := plan.Aggregate(plan.Filter(plan.Scan("t", "d"), plan.And(
+		plan.GE(plan.Col("d"), plan.Int(5000)), plan.LT(plan.Col("d"), plan.Int(5100)))),
+		nil, plan.A("n", plan.CountStar, plan.Int(1)))
+	for _, disable := range []rewriter.Rules{0, rewriter.CompressedExec} {
+		s0 := e.ScanStats()
+		res, err := e.Run(context.Background(), q, QueryOptions{Disable: disable}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1 := e.ScanStats()
+		if n, blocks, pruned := res.Rows[0][0].(int64), s1.BlocksRead-s0.BlocksRead, s1.SpansPruned-s0.SpansPruned; n != 100 || blocks != admitted || pruned != rejectedSpans {
+			t.Errorf("Disable %v: %d rows from %d blocks, %d spans pruned; want 100 from %d, %d pruned (every span of the %d rejected blocks)",
+				disable, n, blocks, pruned, admitted, rejectedSpans, rejected)
+		}
+	}
+}

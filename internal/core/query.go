@@ -18,9 +18,9 @@ import (
 // QueryOptions tune one query execution (rule ablation, profiling).
 type QueryOptions struct {
 	// Disable switches rewrite rules off for this query; the zero value runs
-	// every rule. Only the §5 ablation, the selectivity/compression
-	// experiments and the parity gates (ScanPushdown and CompressedExec off
-	// are their reference paths) disable anything.
+	// every rule. Only the §5 ablation, the colocated example and the parity
+	// gates (ScanPushdown and CompressedExec off are their reference paths)
+	// disable anything.
 	Disable rewriter.Rules
 	// Profile enables the per-operator profile of the Appendix and the
 	// EXPLAIN ANALYZE rendering (Analyzed/Operators on the result). The off

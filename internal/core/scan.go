@@ -22,28 +22,29 @@ import (
 // One predicate, one evaluator: when a filter sat directly on the scan the
 // rewriter hands over its whole bound predicate (ScanSpec.Filter) and the
 // per-column bounds derived from it (ScanSpec.Skip). The bounds only ever
-// prune — qualifying row ranges from MinMax summaries at Open — and every row
-// is decided by expr.Filter, the kernels Select runs. The scan's own work is
-// around them: the predicate is split into its top-level conjuncts, conjuncts
-// over the same columns are compiled as one filter, and each span decodes only
-// the columns the next filter reads, under the candidates the previous ones
-// left. A dead span never touches the payload columns (late
-// materialization). A span with survivors leaves one way: every projected
-// column as the span's block view, the decoded predicate columns reused,
-// under a selection of the survivors when some rows are rejected — no row is
-// copied out of a block. With ScanSpec.Codes, a span is first put to a
-// verdict on compression metadata alone (verdictSpan), and its string columns
-// leave as dictionary codes where the block is PDICT. A span PDT deltas touch
-// takes the same path, described by the partition's stacked merger without a
-// row copied: its deleted rows are left out of the starting selection, and a
-// column a modify sets is a patched copy of the block view for that span
-// alone (in value form, and exempt from both metadata verdicts, since its new
-// value need not be in the block's dictionary or inside its MinMax summary;
-// for the same reason Open keeps every row in which a modify sets a
-// skip-bounded column in the qualifying ranges). Inserted rows — the tail,
-// and any a transaction placed inside the stable image — are merged by
-// copying and run through the same filters as batches of their own, in
-// position order.
+// prune — a span whose block's MinMax summary a bound rejects is dead — and
+// every row is decided by expr.Filter, the kernels Select runs. The scan's
+// own work is around them: the predicate is split into its top-level
+// conjuncts, conjuncts over the same columns are compiled as one filter, and
+// each span decodes only the columns the next filter reads, under the
+// candidates the previous ones left. Every span is first put to a verdict on
+// block metadata alone (verdictSpan, the one place MinMax summaries are
+// read): the skip bounds, the exact intervals of the predicate parts and,
+// with ScanSpec.Codes, the block dictionaries. A dead span never touches the
+// payload columns (late materialization). A span with survivors leaves one
+// way: every projected column as the span's block view, the decoded predicate
+// columns reused, under a selection of the survivors when some rows are
+// rejected — no row is copied out of a block. With ScanSpec.Codes its string
+// columns leave as dictionary codes where the block is PDICT. A span PDT
+// deltas touch takes the same path, described by the partition's stacked
+// merger without a row copied: its deleted rows are left out of the starting
+// selection, and a column a modify sets is a patched copy of the block view
+// for that span alone (in value form, since its new value need not be in the
+// block's dictionary). The metadata describes the stable image, so a verdict
+// on a column a modify of the span sets is taken on the span's own deltas
+// too. Inserted rows — the tail, and any a transaction placed inside the
+// stable image — are merged by copying and run through the same filters as
+// batches of their own, in position order.
 //
 // Concurrency: a scan pins one refcounted metadata generation plus the PDT
 // masters in a single critical section at Open (the same lock writers hold
@@ -109,7 +110,7 @@ func (e *Engine) ReplicatedScan(ctx context.Context, spec rewriter.ScanSpec, nod
 }
 
 // mscan streams one partition: column blocks merged through the Read- and
-// Write-PDT layers, with MinMax-skipped ranges, scan-side predicate
+// Write-PDT layers, with MinMax-skipped spans, scan-side predicate
 // filtering, and the PDT tail inserts.
 type mscan struct {
 	eng    *Engine
@@ -140,8 +141,10 @@ type mscan struct {
 	pending []*vector.Batch
 	deltas  pdt.Span
 
-	// The predicate as compiled at Open (empty without ScanSpec.Filter), and
-	// the per-span scratch of evaluating it.
+	// The skip bounds and the predicate as compiled at Open (empty without
+	// ScanSpec.Skip and ScanSpec.Filter), and the per-span scratch of
+	// evaluating them.
+	skip  []skipBound
 	parts []predPart
 	lead  []int         // predicate column slots: the only columns stage 0 clamps spans on
 	pass  []bool        // per part: proven to hold for every row of the span, kernel elided
@@ -211,10 +214,8 @@ func (m *mscan) snapshotAndPin() (read, write *pdt.PDT, err error) {
 // Open implements exec.Operator. It pins the partition's storage metadata
 // generation and snapshots the PDT masters atomically: writers publish new
 // block directories and reset PDTs under the same partition lock, so the
-// two images always agree on which rows live where. The skip bounds are
-// intersected into the qualifying row ranges here, each widened by the rows
-// in which a modify sets its column to a value it admits, and the predicate
-// is compiled.
+// two images always agree on which rows live where. The skip bounds and the
+// predicate are compiled here; spans are judged on them as they are read.
 func (m *mscan) Open() (err error) {
 	read, write, err := m.snapshotAndPin()
 	if err != nil {
@@ -230,51 +231,20 @@ func (m *mscan) Open() (err error) {
 	schema := m.meta.Schema()
 	m.merger = pdt.NewStackedMerger(m.readPDT, m.writePDT, schema, m.colIdx)
 
-	ranges := m.meta.FullRange()
-	for _, b := range m.spec.Skip {
-		// A bound on a column the scan does not project is a malformed plan —
-		// surface it instead of silently scanning everything.
-		if b.Col < 0 || b.Col >= len(m.spec.Cols) {
-			return fmt.Errorf("core: skip bound on column %d of a %d-column scan of %s", b.Col, len(m.spec.Cols), m.meta.Table)
-		}
-		bp := blockPredicate(b, schema[m.colIdx[b.Col]].Type.Kind)
-		if bp == nil {
-			continue // no summary of that shape: skipping is best-effort
-		}
-		qr, err := m.meta.QualifyingRanges(m.spec.Cols[b.Col], bp)
-		if err != nil {
-			return err
-		}
-		// The summaries describe the stable image: a row in which a modify
-		// sets the column to a value the bound admits qualifies whatever its
-		// block's summary says.
-		admits := func(v any) bool { s := oneValueSummary(v); return bp(&s) }
-		if mod := m.merger.Modified(m.colIdx[b.Col], admits); len(mod) > 0 {
-			rows := make([]colstore.RowRange, len(mod))
-			for i, s := range mod {
-				rows[i] = colstore.RowRange{Start: s, End: s + 1}
-			}
-			qr = colstore.UnionRanges(qr, rows)
-		}
-		ranges = colstore.IntersectRanges(ranges, qr)
-	}
 	if m.spec.Filter != nil {
 		if err := m.compilePredicate(schema); err != nil {
 			return err
 		}
 	}
-	if m.sc, err = colstore.NewScanner(m.eng.fs, m.meta, m.node, m.spec.Cols, ranges); err != nil {
+	if err := m.compileSkip(schema); err != nil {
+		return err
+	}
+	if m.sc, err = colstore.NewScanner(m.eng.fs, m.meta, m.node, m.spec.Cols, nil); err != nil {
 		return err
 	}
 	m.sc.SetCache(m.eng.blockCache)
 	m.sc.SetCodeExec(m.spec.Codes)
 	m.stage, m.restN, m.pending = 0, 0, nil
-	if len(ranges) == 0 {
-		// No stable row qualifies (or there is none): the scanner, for which
-		// nil ranges mean the whole partition, is never advanced, and only
-		// the rows inserted behind the stable image are served.
-		m.stage = 1
-	}
 	// A write that broke the clustered order after the plan was made flagged
 	// the table before it committed, so before this snapshot: sort then.
 	m.sorted = nil
@@ -297,6 +267,37 @@ func blockPredicate(b expr.Bound, k vector.Kind) colstore.BlockPredicate {
 		return colstore.Float64RangePred(b.FloatLo, b.FloatHi)
 	case b.Kind == vector.String && k == vector.String:
 		return colstore.StrRangePred(b.StrLo, b.StrHi, true, b.HasStrHi)
+	}
+	return nil
+}
+
+// skipBound is a skip bound compiled for verdictSpan: the MinMax test of the
+// projection slot's blocks, and the same test of one value a modify sets.
+type skipBound struct {
+	slot   int
+	pred   colstore.BlockPredicate
+	admits func(v any) bool
+}
+
+// compileSkip compiles each skip bound that has a summary of its shape to
+// test against; skipping is best-effort, so the others are dropped. A skip
+// bound's column is one the predicate reads (ScanSpec.Skip is derived from
+// ScanSpec.Filter) or, without a predicate, is clamped on like every column:
+// either way one block of it covers each span.
+func (m *mscan) compileSkip(schema vector.Schema) error {
+	m.skip = m.skip[:0]
+	for _, b := range m.spec.Skip {
+		// A bound on a column the scan does not project is a malformed plan —
+		// surface it instead of silently scanning everything.
+		if b.Col < 0 || b.Col >= len(m.spec.Cols) {
+			return fmt.Errorf("core: skip bound on column %d of a %d-column scan of %s", b.Col, len(m.spec.Cols), m.meta.Table)
+		}
+		bp := blockPredicate(b, schema[m.colIdx[b.Col]].Type.Kind)
+		if bp == nil {
+			continue
+		}
+		admits := func(v any) bool { s := oneValueSummary(v); return bp(&s) }
+		m.skip = append(m.skip, skipBound{slot: b.Col, pred: bp, admits: admits})
 	}
 	return nil
 }
@@ -324,8 +325,8 @@ func oneValueSummary(v any) colstore.BlockMeta {
 type predPart struct {
 	filter *expr.Filter
 	slots  []int
-	// bound is the integer interval the part implies for its column, held
-	// against the block's value bounds; nil when it implies none.
+	// bound is the exact integer interval the part implies for its column,
+	// held against the block's MinMax summary; nil when it implies none.
 	bound *expr.Bound
 	// dictSlot is the part's one column when that is a string column (else
 	// -1): the part is then a function of the value alone, and running its
@@ -368,7 +369,7 @@ conjuncts:
 				m.lead = append(m.lead, s)
 			}
 		}
-		if bs := expr.Bounds(pred); len(bs) == 1 && bs[0].Kind == vector.Int64 {
+		if bs := expr.Bounds(pred); len(bs) == 1 && bs[0].Kind == vector.Int64 && bs[0].Exact {
 			p.bound = &bs[0]
 		}
 		if len(p.slots) == 1 && schema[m.colIdx[p.slots[0]]].Type.Kind == vector.String {
@@ -477,10 +478,8 @@ func (m *mscan) filteredSpan(start int64, n int, d *pdt.Span) (*vector.Batch, er
 		m.deltaSpans++
 		m.deletedRows += int64(len(d.Del))
 	}
-	if m.spec.Codes {
-		if dead, err := m.verdictSpan(start, d); dead || err != nil {
-			return nil, err
-		}
+	if dead, err := m.verdictSpan(start, d); dead || err != nil {
+		return nil, err
 	}
 	sel, all, err := m.narrow(m.span, start, n, d)
 	if err != nil || !all && len(sel) == 0 {
@@ -569,35 +568,39 @@ func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int, d *pdt.Span) (sel
 }
 
 // verdictSpan decides what it can of a span on block metadata alone, before
-// any code stream is unpacked: a part whose integer interval misses the
-// block's MinMax summary or that no value of the block's dictionary
-// satisfies makes the span dead; one whose exact interval covers the
-// summary, or that every dictionary value satisfies, is marked in m.pass and
-// its kernel elided. Intervals go first — they read
-// only metadata — so a span dead on one never opens a string block's
-// dictionary. The block metadata describes the stable image, and the span's
-// deltas d keep a verdict true where they only remove rows. A modify does
-// not: its new value may lie outside the block's summary and in no block
-// dictionary, so a part on a column a modify of the span sets gets neither
-// verdict and is left to its kernel.
+// anything is decoded, in three steps. A skip bound that rejects the MinMax
+// summary of the span's block makes the span dead. A part whose exact
+// interval covers the summary is marked in m.pass and its kernel elided (one
+// whose interval misses the summary needs no step of its own: the skip bound
+// of its column is inside that interval and has rejected the span already).
+// With ScanSpec.Codes, a part that no value of the block's dictionary
+// satisfies makes the span dead, and one that every value satisfies is
+// marked in m.pass. Summaries go first — they read only the block directory
+// — so a span dead on one never opens a string block's dictionary. The block
+// metadata describes the stable image, and the span's deltas d keep a
+// verdict true where they only remove rows. A modify does not: its new value
+// may lie outside the block's summary and in no block dictionary. So a skip
+// bound spares a span in which a modify sets its column to a value it
+// admits, and a part on a column a modify of the span sets gets no verdict
+// and is left to its kernel.
 func (m *mscan) verdictSpan(start int64, d *pdt.Span) (dead bool, err error) {
-	for pi := range m.parts {
-		p := &m.parts[pi]
-		if p.bound == nil || d.Modifies(m.colIdx[p.bound.Col]) {
-			continue
-		}
-		lo, hi, ok := m.sc.SpanValueBounds(p.bound.Col, start)
-		if !ok {
-			continue
-		}
-		if lo > p.bound.IntHi || hi < p.bound.IntLo {
+	for _, sb := range m.skip {
+		if b := m.sc.SpanMeta(sb.slot, start); b != nil && !sb.pred(b) && !d.Sets(m.colIdx[sb.slot], sb.admits) {
 			return true, nil
 		}
-		m.pass[pi] = p.bound.Exact && lo >= p.bound.IntLo && hi <= p.bound.IntHi
 	}
 	for pi := range m.parts {
 		p := &m.parts[pi]
-		if p.dictSlot < 0 || d.Modifies(m.colIdx[p.dictSlot]) {
+		if p.bound == nil || d.Sets(m.colIdx[p.bound.Col], nil) {
+			continue
+		}
+		if b := m.sc.SpanMeta(p.bound.Col, start); b != nil && b.HasMinMax {
+			m.pass[pi] = b.NumMin >= p.bound.IntLo && b.NumMax <= p.bound.IntHi
+		}
+	}
+	for pi := range m.parts {
+		p := &m.parts[pi]
+		if p.dictSlot < 0 || d.Sets(m.colIdx[p.dictSlot], nil) {
 			continue
 		}
 		dict, err := m.sc.SpanDict(p.dictSlot, start)

@@ -30,9 +30,6 @@ func New(n int) *Graph {
 	return &Graph{n: n, heads: heads}
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddEdge adds a directed edge u->v with the given capacity and cost, plus
 // the implicit residual reverse edge. It returns the edge index, usable with
 // Flow after solving.

@@ -211,16 +211,6 @@ func (c *Cluster) ResetStats() {
 	c.stats = Stats{}
 }
 
-// AddNode registers a new alive datanode.
-func (c *Cluster) AddNode(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, known := c.alive[name]; !known {
-		c.order = append(c.order, name)
-	}
-	c.alive[name] = true
-}
-
 // KillNode marks a datanode dead, drops its replicas and queues affected
 // blocks for re-replication (run ReReplicate to process the queue, as the
 // namenode would in the background).

@@ -273,20 +273,6 @@ func TestIsLocal(t *testing.T) {
 	}
 }
 
-func TestAddNodeParticipates(t *testing.T) {
-	c := newTestCluster(2, 64)
-	c.AddNode("fresh")
-	found := false
-	for _, n := range c.Nodes() {
-		if n == "fresh" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("added node missing from Nodes()")
-	}
-}
-
 func TestNoAliveNodesWriteFails(t *testing.T) {
 	c := newTestCluster(1, 64)
 	c.KillNode("node1")

@@ -3,7 +3,6 @@ package pdt
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 
@@ -11,15 +10,14 @@ import (
 )
 
 // memo is what every scan of a PDT derives from its entries, built once and
-// shared read-only: the entry list in key order, its running row shift, the
-// columns its modifies set, and the tail inserts as a typed batch. Published
-// masters are immutable (txn.Manager.Snapshot), so a master keeps its memo
-// for its whole life; a PDT that is still being written drops it at every
-// mutation (touch), so it never sees a stale one.
+// shared read-only: the entry list in key order, its running row shift, and
+// the tail inserts as a typed batch. Published masters are immutable
+// (txn.Manager.Snapshot), so a master keeps its memo for its whole life; a
+// PDT that is still being written drops it at every mutation (touch), so it
+// never sees a stale one.
 type memo struct {
 	entries []Entry
 	net     []int64 // net[i]: inserts minus deletes among entries[:i]
-	modCols []int   // the full-schema columns some Mod entry sets
 	tail    atomic.Pointer[tailBatch]
 }
 
@@ -47,12 +45,6 @@ func (t *PDT) memoized() *memo {
 			mm.net[i+1]++
 		case Del:
 			mm.net[i+1]--
-		case Mod:
-			for _, c := range mm.entries[i].Cols {
-				if !slices.Contains(mm.modCols, c) {
-					mm.modCols = append(mm.modCols, c)
-				}
-			}
 		}
 	}
 	t.memo.Store(mm)
@@ -131,29 +123,6 @@ func (m *Merger) HasDeltas() bool {
 // StableRows returns the size of the stable image the merger reads over.
 func (m *Merger) StableRows() int64 { return m.t.stableRows }
 
-// Modified returns the stable rows, ascending, whose merged row has
-// full-schema column col set by a modify of either layer to a value keep
-// accepts: the rows whose value a summary of the stable image does not
-// describe. A modify of an inserted or deleted row is not among them. It
-// returns nil at once when neither layer holds a modify of col, and
-// otherwise reads Span over the whole stable image.
-func (m *Merger) Modified(col int, keep func(v any) bool) []int64 {
-	if !slices.Contains(m.tm.modCols, col) && (m.wm == nil || !slices.Contains(m.wm.modCols, col)) {
-		return nil
-	}
-	var d Span
-	var out []int64
-	for s0 := int64(0); s0 < m.t.stableRows; s0 += math.MaxInt32 { // Span's offsets are int32
-		m.Span(s0, int(min(m.t.stableRows-s0, math.MaxInt32)), &d)
-		for i := range d.mods {
-			if v, ok := d.mods[i].value(col); ok && keep(v) {
-				out = append(out, s0+int64(d.mods[i].Pos))
-			}
-		}
-	}
-	return out
-}
-
 // firstRid returns the output position of the first row a merge from stable
 // row s0 emits.
 func (m *Merger) firstRid(s0 int64) int64 {
@@ -196,7 +165,7 @@ func (md *rowMod) under(w *rowMod) rowMod {
 // Span describes what a merger's deltas do to stable rows [s0, s0+n), as
 // offsets from s0, without copying a row: Del says which of them are
 // deleted, Ins in front of which of them rows are inserted
-// (Merger.Inserted returns those rows), and Modifies and Patch what the
+// (Merger.Inserted returns those rows), and Sets and Patch what the
 // modifies set. A Span is reused from span to span; its modifies alias the
 // PDT entries.
 type Span struct {
@@ -208,10 +177,11 @@ type Span struct {
 // Empty reports whether no delta touches the span.
 func (d *Span) Empty() bool { return len(d.Del)+len(d.mods)+len(d.Ins) == 0 }
 
-// Modifies reports whether a modify of the span sets full-schema column col.
-func (d *Span) Modifies(col int) bool {
+// Sets reports whether a modify of the span sets full-schema column col to
+// a value keep accepts; a nil keep accepts every value.
+func (d *Span) Sets(col int, keep func(v any) bool) bool {
 	for i := range d.mods {
-		if _, ok := d.mods[i].value(col); ok {
+		if v, ok := d.mods[i].value(col); ok && (keep == nil || keep(v)) {
 			return true
 		}
 	}
@@ -224,7 +194,7 @@ func (d *Span) Modifies(col int) bool {
 // patched string column is in value form, since a new value need not be in
 // the block's dictionary.
 func (d *Span) Patch(v *vector.Vec, col int) *vector.Vec {
-	if !d.Modifies(col) {
+	if !d.Sets(col, nil) {
 		return v
 	}
 	n := v.Len()

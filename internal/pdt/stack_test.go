@@ -90,9 +90,9 @@ func appendBatchRows(rows [][]any, b *vector.Batch) [][]any {
 // MergeRange and its Span description applied positionally — deletes
 // skipped, columns patched, inserted rows in front of their stable row —
 // against the model, and each span's first output position against the
-// rows before it. Per column, Modified must list the stable rows those Spans
-// report a modify of, which are the model's surviving stable rows a modify
-// set: none deleted by either layer, none inserted.
+// rows before it. Per column, the values Span.Sets offers keep must be the
+// model's values of the span's surviving stable rows a modify set, in row
+// order: none of a row deleted by either layer, none of an inserted row.
 func checkStack(t *testing.T, read, write *PDT, model [][]any, from []origin, step int) {
 	t.Helper()
 	n := int(read.StableRows())
@@ -100,7 +100,17 @@ func checkStack(t *testing.T, read, write *PDT, model [][]any, from []origin, st
 	m := NewStackedMerger(read, write, schema, []int{0, 1})
 	var merged, applied [][]any
 	var d Span
-	var spanMods [2][]int64
+	var modVals [2]map[int64]any // stable row -> the model's value a modify set
+	for c := range modVals {
+		modVals[c] = map[int64]any{}
+	}
+	for i, o := range from {
+		for c := range modVals {
+			if o.sid >= 0 && o.mods&(1<<c) != 0 {
+				modVals[c][o.sid] = model[i][c]
+			}
+		}
+	}
 	for s0 := 0; s0 < n; s0 += step {
 		s1 := min(s0+step, n)
 		in := &vector.Batch{Vecs: []*vector.Vec{img.Col(0).Slice(s0, s1), img.Col(1).Slice(s0, s1)}}
@@ -114,9 +124,26 @@ func checkStack(t *testing.T, read, write *PDT, model [][]any, from []origin, st
 		merged = appendBatchRows(merged, out)
 
 		m.Span(int64(s0), s1-s0, &d)
-		for _, md := range d.mods {
-			for _, c := range md.Cols {
-				spanMods[c] = append(spanMods[c], int64(s0)+int64(md.Pos))
+		for c := range modVals {
+			var want, got []any
+			for s := int64(s0); s < int64(s1); s++ {
+				if v, ok := modVals[c][s]; ok {
+					want = append(want, v)
+				}
+			}
+			if d.Sets(c, func(v any) bool { got = append(got, v); return false }) {
+				t.Fatalf("span %d: Sets(%d) with a keep that accepts nothing", s0, c)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("span %d: Sets(%d) offers %v, model %v", s0, c, got, want)
+			}
+			if set := d.Sets(c, nil); set != (len(want) > 0) {
+				t.Fatalf("span %d: Sets(%d, nil) = %v, model %v", s0, c, set, want)
+			}
+			for _, w := range want {
+				if !d.Sets(c, func(v any) bool { return v == w }) {
+					t.Fatalf("span %d: Sets(%d) does not find %v", s0, c, w)
+				}
 			}
 		}
 		cols := []*vector.Vec{d.Patch(in.Col(0), 0), d.Patch(in.Col(1), 1)}
@@ -157,18 +184,6 @@ func checkStack(t *testing.T, read, write *PDT, model [][]any, from []origin, st
 			}
 		}
 	}
-	for c := range 2 {
-		var want []int64
-		for _, o := range from {
-			if o.sid >= 0 && o.mods&(1<<c) != 0 {
-				want = append(want, o.sid)
-			}
-		}
-		got := m.Modified(c, func(any) bool { return true })
-		if !slices.Equal(got, spanMods[c]) || !slices.Equal(got, want) {
-			t.Fatalf("Modified(%d) = %v; Spans report %v, model %v", c, got, spanMods[c], want)
-		}
-	}
 }
 
 // FuzzStackedMerge model-checks the two-layer merge: stable size, span
@@ -185,7 +200,7 @@ func FuzzStackedMerge(f *testing.F) {
 	f.Add(uint8(0), uint8(1), []byte{0, 0, 5, 0, 1, 0})
 	// A Read-layer modify of a row the Write layer deletes, a Write-layer
 	// modify of a row the Read layer inserted, and one of a stable row:
-	// Modified reports only the last.
+	// Sets reports only the last.
 	f.Add(uint8(4), uint8(2), []byte{2, 1, 0, 0, 5, 0, 1, 2, 3, 0, 2, 2})
 	f.Fuzz(func(t *testing.T, n, step uint8, ops []byte) {
 		if step == 0 {

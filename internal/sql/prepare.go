@@ -90,9 +90,6 @@ func (p *Prepared) NumParams() int { return p.numParams }
 // IsSelect reports whether the template is a SELECT (vs DML).
 func (p *Prepared) IsSelect() bool { return p.isSelect }
 
-// Src returns the original template text.
-func (p *Prepared) Src() string { return p.src }
-
 // Bind renders the template with the given parameter values spliced in as
 // literals, returning normalized single-statement SQL text. Accepted value
 // types: integers, float64, json.Number and string (booleans and NULL have
