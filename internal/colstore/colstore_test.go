@@ -206,6 +206,32 @@ func TestMinMaxSkippingReducesIO(t *testing.T) {
 	}
 }
 
+// TestAdmittingBoundKeepsEveryBlock: a bound every block summary admits
+// drops no span, so a skipping scan returns every row in order, decodes as
+// many blocks as a plain scan and reports nothing skipped.
+func TestAdmittingBoundKeepsEveryBlock(t *testing.T) {
+	fs := testFS()
+	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 2048, BlocksPerChunk: 8})
+	writeRows(t, fs, meta, 0, 10000)
+	rows, st := scanSkipping(t, fs, meta, []string{"k"}, Int64RangePred(0, 9999999))
+	if len(rows) != 10000 {
+		t.Fatalf("scanned %d rows, want 10000", len(rows))
+	}
+	for i, r := range rows {
+		if r[0] != int64(i) {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+	c, err := meta.Col("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Blocks) < 2 || st.BlocksRead != int64(len(c.Blocks)) || st.BytesSkipped != 0 {
+		t.Fatalf("read %d of %d blocks, skipped %d bytes; want every block of several, none skipped",
+			st.BlocksRead, len(c.Blocks), st.BytesSkipped)
+	}
+}
+
 func TestMetaMarshalRoundTrip(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 3, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"vectorh/internal/colstore"
+	"vectorh/internal/expr"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
@@ -393,6 +395,202 @@ func TestSkipBoundPrunesEverySpanOfRejectedBlocks(t *testing.T) {
 		if n, blocks, pruned := res.Rows[0][0].(int64), s1.BlocksRead-s0.BlocksRead, s1.SpansPruned-s0.SpansPruned; n != 100 || blocks != admitted || pruned != rejectedSpans {
 			t.Errorf("Disable %v: %d rows from %d blocks, %d spans pruned; want 100 from %d, %d pruned (every span of the %d rejected blocks)",
 				disable, n, blocks, pruned, admitted, rejectedSpans, rejected)
+		}
+	}
+}
+
+// TestTwoSkipBoundsReadOnlySpansBothAdmit: skip bounds on two columns —
+// a float and a string one here — are judged span by span on the blocks of
+// each, so a span is read only when both bounds admit its blocks, in code
+// form and in value form alike, and the rows are those of the predicate.
+func TestTwoSkipBoundsReadOnlySpansBothAdmit(t *testing.T) {
+	e, err := New(Config{
+		Nodes:           []string{"node1"},
+		Format:          colstore.Format{BlockSize: 4096, BlocksPerChunk: 16, MaxRowsPerBlock: 256},
+		BlockCacheBytes: -1, // every block read counts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := vector.Schema{{Name: "k", Type: vector.TInt64}, {Name: "d", Type: vector.TFloat64}, {Name: "s", Type: vector.TString}}
+	if err := e.CreateTable(rewriter.TableInfo{Name: "t", Schema: schema, PartitionKey: "k", Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b := vector.NewBatchForSchema(schema, 10000)
+	for i := range 10000 {
+		b.AppendRow(int64(i), float64(i), fmt.Sprintf("%05d", i))
+	}
+	if err := e.Load("t", []*vector.Batch{b}); err != nil {
+		t.Fatal(err)
+	}
+	meta := e.PartitionMetaForTest("t", 0)
+	dc, err := meta.Col("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := meta.Col("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dc.Blocks) != len(sc.Blocks) {
+		t.Fatalf("d is stored in %d blocks, s in %d; the test wants them aligned", len(dc.Blocks), len(sc.Blocks))
+	}
+	dAdmits, sAdmits := colstore.Float64RangePred(3000, math.Inf(1)), colstore.StrRangePred("", "05100", false, true)
+	var both, dOnly, sOnly int64
+	for i := range dc.Blocks {
+		if dc.Blocks[i].RowStart != sc.Blocks[i].RowStart || dc.Blocks[i].Rows != sc.Blocks[i].Rows {
+			t.Fatalf("block %d of d and of s cover different rows; the test wants them aligned", i)
+		}
+		d, s := dAdmits(&dc.Blocks[i]), sAdmits(&sc.Blocks[i])
+		switch {
+		case d && s:
+			both++
+		case d:
+			dOnly++
+		case s:
+			sOnly++
+		}
+	}
+	if both == 0 || dOnly == 0 || sOnly == 0 {
+		t.Fatalf("blocks admitted: %d by both bounds, %d by d's alone, %d by s's alone; want some of each", both, dOnly, sOnly)
+	}
+	q := plan.Aggregate(plan.Filter(plan.Scan("t", "d", "s"), plan.And(
+		plan.GE(plan.Col("d"), plan.Float(3000)), plan.LT(plan.Col("s"), plan.Str("05100")))),
+		nil, plan.A("n", plan.CountStar, plan.Int(1)))
+	for _, disable := range []rewriter.Rules{0, rewriter.CompressedExec} {
+		s0 := e.ScanStats()
+		res, err := e.Run(context.Background(), q, QueryOptions{Disable: disable}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, blocks := res.Rows[0][0].(int64), e.ScanStats().BlocksRead-s0.BlocksRead; n != 2100 || blocks != 2*both {
+			t.Errorf("Disable %v: %d rows from %d blocks, want 2100 from %d (d's and s's of the %d blocks both bounds admit)",
+				disable, n, blocks, 2*both, both)
+		}
+	}
+}
+
+// TestUpdateIntoBoundSparesRejectedSpan: an UPDATE publishes no summary, so
+// a span whose block a float skip bound rejects is read only when its own
+// deltas set the column to a value the bound admits — one more block for a
+// row moved into the bound, none for a row moved further out — in code form
+// and in value form alike.
+func TestUpdateIntoBoundSparesRejectedSpan(t *testing.T) {
+	e, err := New(Config{
+		Nodes:           []string{"node1"},
+		Format:          colstore.Format{BlockSize: 4096, BlocksPerChunk: 16, MaxRowsPerBlock: 256},
+		BlockCacheBytes: -1, // every block read counts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := vector.Schema{{Name: "k", Type: vector.TInt64}, {Name: "d", Type: vector.TFloat64}}
+	if err := e.CreateTable(rewriter.TableInfo{Name: "t", Schema: schema, PartitionKey: "k", Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b := vector.NewBatchForSchema(schema, 10000)
+	for i := range 10000 {
+		b.AppendRow(int64(i), float64(i))
+	}
+	if err := e.Load("t", []*vector.Batch{b}); err != nil {
+		t.Fatal(err)
+	}
+	q := plan.Aggregate(plan.Filter(plan.Scan("t", "d"), plan.And(
+		plan.GE(plan.Col("d"), plan.Float(5000)), plan.LT(plan.Col("d"), plan.Float(5100)))),
+		nil, plan.A("n", plan.CountStar, plan.Int(1)))
+	forms := []rewriter.Rules{0, rewriter.CompressedExec}
+	count := func(disable rewriter.Rules) (n, blocks int64) {
+		t.Helper()
+		s0 := e.ScanStats()
+		res, err := e.Run(context.Background(), q, QueryOptions{Disable: disable}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].(int64), e.ScanStats().BlocksRead - s0.BlocksRead
+	}
+	var blocks0 [2]int64
+	for i, disable := range forms {
+		var n int64
+		if n, blocks0[i] = count(disable); n != 100 || blocks0[i] == 0 {
+			t.Fatalf("Disable %v before the updates: %d rows from %d blocks", disable, n, blocks0[i])
+		}
+	}
+	for _, u := range []struct {
+		k    int64
+		d    float64
+		what string
+	}{
+		{200, 5050, "a row moved into the bound"},
+		{300, 20000, "a row moved further out"},
+	} {
+		if n, err := e.UpdateWhere(context.Background(), "t", plan.EQ(plan.Col("k"), plan.Int(u.k)),
+			[]string{"d"}, []plan.Expr{plan.Float(u.d)}); err != nil || n != 1 {
+			t.Fatalf("update of k=%d: %d rows, %v", u.k, n, err)
+		}
+		for i, disable := range forms {
+			if n, blocks := count(disable); n != 101 || blocks != blocks0[i]+1 {
+				t.Errorf("Disable %v after %s: %d rows from %d blocks, want 101 from %d",
+					disable, u.what, n, blocks, blocks0[i]+1)
+			}
+		}
+	}
+}
+
+// TestSkipBoundAdmitsOneValue holds the test verdictSpan puts to a value a
+// modify sets — the skip bound's block predicate over a summary of that one
+// value — to the bound's closed interval, for each column kind a bound
+// applies to: a date's int32 against an integer bound, floats to ±Inf,
+// strings with an open end. A value of no summarized kind is admitted, and
+// a bound whose kind does not match the column's compiles to no test.
+func TestSkipBoundAdmitsOneValue(t *testing.T) {
+	ints := expr.Bound{Kind: vector.Int64, IntLo: 10, IntHi: 20}
+	none := expr.Bound{Kind: vector.Int64, IntLo: 1, IntHi: 0}
+	floats := expr.Bound{Kind: vector.Float64, FloatLo: 1.5, FloatHi: math.Inf(1)}
+	strs := expr.Bound{Kind: vector.String, StrLo: "B", StrHi: "M", HasStrHi: true}
+	openStrs := expr.Bound{Kind: vector.String, StrLo: "B"}
+	cases := []struct {
+		b    expr.Bound
+		col  vector.Kind
+		v    any
+		want bool
+	}{
+		{ints, vector.Int32, int32(10), true},
+		{ints, vector.Int32, int32(20), true},
+		{ints, vector.Int32, int32(9), false},
+		{ints, vector.Int32, int32(21), false},
+		{ints, vector.Int64, int64(15), true},
+		{ints, vector.Int64, int64(math.MinInt64), false},
+		{ints, vector.Int64, int64(math.MaxInt64), false},
+		{none, vector.Int64, int64(0), false},
+		{floats, vector.Float64, 1.5, true},
+		{floats, vector.Float64, math.MaxFloat64, true},
+		{floats, vector.Float64, 1.4, false},
+		{floats, vector.Float64, math.Inf(-1), false},
+		{strs, vector.String, "B", true},
+		{strs, vector.String, "M", true},
+		{strs, vector.String, "Ma", false},
+		{strs, vector.String, "A", false},
+		{strs, vector.String, "", false},
+		{openStrs, vector.String, "zzz", true},
+		{openStrs, vector.String, "A", false},
+		{ints, vector.Int64, nil, true},
+	}
+	for _, c := range cases {
+		pred := blockPredicate(c.b, c.col)
+		if pred == nil {
+			t.Fatalf("%+v on a %v column compiles to no test", c.b, c.col)
+		}
+		s := oneValueSummary(c.v)
+		if got := pred(&s); got != c.want {
+			t.Errorf("%+v on a %v column admits %#v = %v, want %v", c.b, c.col, c.v, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		b   expr.Bound
+		col vector.Kind
+	}{{floats, vector.Int64}, {strs, vector.Int64}, {ints, vector.Float64}, {ints, vector.String}, {floats, vector.String}} {
+		if blockPredicate(c.b, c.col) != nil {
+			t.Errorf("a %v bound on a %v column compiles to a test", c.b.Kind, c.col)
 		}
 	}
 }

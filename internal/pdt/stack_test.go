@@ -275,3 +275,60 @@ func TestMemoFollowsWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanSetsComposesLayers: Span.Sets offers the value a stacked merger
+// reads for each surviving stable row a modify set — the Write layer's where
+// both layers set the column, the Read layer's where only it does — and
+// nothing of a row the Write layer deleted or of a span no modify touches.
+func TestSpanSetsComposesLayers(t *testing.T) {
+	read, write := New(10), New(10)
+	for _, m := range []struct {
+		p   *PDT
+		rid int64
+		col int
+		v   any
+	}{
+		{read, 5, 0, int64(100)},
+		{read, 6, 1, "r"},
+		{read, 8, 0, int64(300)},
+		{write, 5, 0, int64(200)},
+		{write, 7, 1, "w"},
+	} {
+		if err := m.p.Modify(m.rid, []int{m.col}, []any{m.v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := write.Delete(8); err != nil {
+		t.Fatal(err)
+	}
+	m := NewStackedMerger(read, write, schema, []int{0, 1})
+	is := func(want any) func(any) bool { return func(v any) bool { return v == want } }
+	var d Span
+	m.Span(0, 10, &d)
+	for _, c := range []struct {
+		what string
+		col  int
+		keep func(any) bool
+		want bool
+	}{
+		{"the Write layer's value", 0, is(int64(200)), true},
+		{"the Read layer's value under the Write layer's", 0, is(int64(100)), false},
+		{"a deleted row's value", 0, is(int64(300)), false},
+		{"the Read layer's value alone", 1, is("r"), true},
+		{"the Write layer's value alone", 1, is("w"), true},
+		{"any value of k", 0, nil, true},
+		{"a value no modify set", 1, is("s7"), false},
+	} {
+		if got := d.Sets(c.col, c.keep); got != c.want {
+			t.Errorf("span [0,10): Sets(%d) for %s = %v, want %v", c.col, c.what, got, c.want)
+		}
+	}
+	m.Span(0, 5, &d)
+	if d.Sets(0, nil) || d.Sets(1, nil) {
+		t.Error("span [0,5): Sets reports a modify of a span no delta touches")
+	}
+	m.Span(8, 2, &d)
+	if d.Sets(0, nil) {
+		t.Error("span [8,10): Sets reports the modify of a row the Write layer deleted")
+	}
+}
