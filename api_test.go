@@ -197,10 +197,10 @@ func TestOneCardinalityModel(t *testing.T) {
 
 // TestOnePredicateOneEvaluator guards the single statement of a scan filter:
 // a logical filter is a child and a predicate, nothing restating the
-// predicate beside it; a scan is asked for a table, columns, that predicate,
-// the skip bounds derived from it, code vectors or not, and clustered order or
-// not; and the scan does
-// not evaluate — no function under internal/core turns a vector into a
+// predicate beside it; a scan is asked for a table, columns, that predicate
+// (the intervals it skips on are derived from it in the scan, never stated
+// beside it), code vectors or not, and clustered order or not; and the scan
+// does not evaluate — no function under internal/core turns a vector into a
 // selection, that is expr.Filter's job.
 func TestOnePredicateOneEvaluator(t *testing.T) {
 	fields := func(typ reflect.Type) []string {
@@ -213,7 +213,7 @@ func TestOnePredicateOneEvaluator(t *testing.T) {
 	if got, want := fields(reflect.TypeOf(plan.FilterNode{})), []string{"Child", "Pred"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("plan.FilterNode fields = %v, want %v", got, want)
 	}
-	if got, want := fields(reflect.TypeOf(rewriter.ScanSpec{})), []string{"Table", "Cols", "Filter", "Skip", "Codes", "Ordered"}; !reflect.DeepEqual(got, want) {
+	if got, want := fields(reflect.TypeOf(rewriter.ScanSpec{})), []string{"Table", "Cols", "Filter", "Codes", "Ordered"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("rewriter.ScanSpec fields = %v, want %v", got, want)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vectorh/internal/compress"
+	"vectorh/internal/expr"
 	"vectorh/internal/hdfs"
 	"vectorh/internal/vector"
 )
@@ -81,11 +82,25 @@ func scanAll(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string)
 	}
 }
 
+// intBound, floatBound and strBound are intervals of each kind expr.Bounds
+// derives; hasHi false leaves a string interval open above.
+func intBound(lo, hi int64) expr.Bound {
+	return expr.Bound{Kind: vector.Int64, IntLo: lo, IntHi: hi}
+}
+
+func floatBound(lo, hi float64) expr.Bound {
+	return expr.Bound{Kind: vector.Float64, FloatLo: lo, FloatHi: hi}
+}
+
+func strBound(lo, hi string, hasHi bool) expr.Bound {
+	return expr.Bound{Kind: vector.String, StrLo: lo, StrHi: hi, HasStrHi: hasHi}
+}
+
 // scanSkipping scans cols the way a skipping scan does: spans clamped on the
-// first column, and a span whose block of it pred rejects dropped on the
-// block's directory entry before anything is decoded. It returns the rows of
-// the spans kept and the scanner's counters.
-func scanSkipping(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string, pred BlockPredicate) ([][]any, ScanStats) {
+// first column, and a span whose block of it does not admit bd dropped on
+// the block's directory entry before anything is decoded. It returns the
+// rows of the spans kept and the scanner's counters.
+func scanSkipping(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string, bd expr.Bound) ([][]any, ScanStats) {
 	t.Helper()
 	s, err := NewScanner(fs, meta, "node1", cols, nil)
 	if err != nil {
@@ -104,7 +119,7 @@ func scanSkipping(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []st
 		if b == nil || b.Rows == 0 || start < b.RowStart || start+int64(n) > b.RowStart+int64(b.Rows) {
 			t.Fatalf("span [%d,%d) is not inside one block of %s: %+v", start, start+int64(n), cols[0], b)
 		}
-		if !pred(b) {
+		if !b.Admits(bd) {
 			continue
 		}
 		batch := &vector.Batch{Vecs: make([]*vector.Vec, len(cols))}
@@ -184,7 +199,7 @@ func TestMinMaxSkippingReducesIO(t *testing.T) {
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 2048, BlocksPerChunk: 8, MaxRowsPerBlock: 1024})
 	writeRows(t, fs, meta, 0, 20000) // column k is sorted 0..19999
 	fs.ResetStats()
-	rows, _ := scanSkipping(t, fs, meta, []string{"k", "price"}, Int64RangePred(0, 999))
+	rows, _ := scanSkipping(t, fs, meta, []string{"k", "price"}, intBound(0, 999))
 	skipped := fs.Stats().LocalBytesRead + fs.Stats().RemoteBytesRead
 	if got := len(rows); got < 1000 || got > 4000 {
 		t.Fatalf("rows of kept spans = %d, want ~1000 (block granularity)", got)
@@ -213,7 +228,7 @@ func TestAdmittingBoundKeepsEveryBlock(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 2048, BlocksPerChunk: 8})
 	writeRows(t, fs, meta, 0, 10000)
-	rows, st := scanSkipping(t, fs, meta, []string{"k"}, Int64RangePred(0, 9999999))
+	rows, st := scanSkipping(t, fs, meta, []string{"k"}, intBound(0, 9999999))
 	if len(rows) != 10000 {
 		t.Fatalf("scanned %d rows, want 10000", len(rows))
 	}
@@ -368,7 +383,7 @@ func TestPerKindMinMaxRecordedAndSkipping(t *testing.T) {
 		}
 	}
 	// Float skipping: price = row*1.5, so [1500, 3000) covers rows 1000..2000.
-	rows, _ := scanSkipping(t, fs, meta, []string{"price"}, Float64RangePred(1500, 3000))
+	rows, _ := scanSkipping(t, fs, meta, []string{"price"}, floatBound(1500, 3000))
 	if n := len(rows); n == 0 || n >= 5000 {
 		t.Fatalf("float MinMax should narrow the scan: %d of 5000 rows kept", n)
 	}
@@ -383,59 +398,68 @@ func TestPerKindMinMaxRecordedAndSkipping(t *testing.T) {
 	}
 	// String skipping: flag cycles A/N/R in every block, so ["A","A"] can
 	// prune nothing — but a range above "R" must prune everything.
-	rows, st := scanSkipping(t, fs, meta, []string{"flag"}, StrRangePred("S", "Z", true, true))
+	rows, st := scanSkipping(t, fs, meta, []string{"flag"}, strBound("S", "Z", true))
 	if len(rows) != 0 || st.BlocksRead != 0 {
 		t.Fatalf("string range beyond the data should skip all blocks, got %d rows from %d blocks", len(rows), st.BlocksRead)
 	}
 }
 
-// TestBlockPredicates holds each kind's MinMax test to its summary: a block
-// qualifies when its [min, max] meets the closed bound, an unbounded string
-// side never rejects, and a block whose summary was never computed qualifies
-// under every predicate, whatever its zero-valued extremes say.
-func TestBlockPredicates(t *testing.T) {
+// TestBlockAdmits holds the MinMax test to each kind's summary: a block
+// admits a bound when its [min, max] meets the closed interval, an unbounded
+// string side never rejects, and a block whose summary was never computed —
+// or a nil one — admits every bound, whatever its zero-valued extremes say.
+// An interval that holds no value is admitted by no block, with a summary
+// that meets both its ends or without one.
+func TestBlockAdmits(t *testing.T) {
 	ints := &BlockMeta{HasMinMax: true, NumMin: 10, NumMax: 20}
 	floats := &BlockMeta{HasMinMax: true, FloatMin: 1.5, FloatMax: 3}
 	strs := &BlockMeta{HasMinMax: true, StrMin: "B", StrMax: "M"}
 	absent := &BlockMeta{Rows: 100}
 	cases := []struct {
 		name string
-		pred BlockPredicate
+		bd   expr.Bound
 		b    *BlockMeta
 		want bool
 	}{
-		{"int inside", Int64RangePred(12, 15), ints, true},
-		{"int touches max", Int64RangePred(20, 30), ints, true},
-		{"int below", Int64RangePred(0, 9), ints, false},
-		{"int above", Int64RangePred(21, 30), ints, false},
-		{"float touches min", Float64RangePred(0, 1.5), floats, true},
-		{"float inside", Float64RangePred(2, 2.5), floats, true},
-		{"float below", Float64RangePred(0, 1.4), floats, false},
-		{"float above", Float64RangePred(3.1, 9), floats, false},
-		{"string inside", StrRangePred("C", "D", true, true), strs, true},
-		{"string touches max", StrRangePred("M", "Z", true, true), strs, true},
-		{"string above", StrRangePred("N", "Z", true, true), strs, false},
-		{"string below", StrRangePred("", "A", false, true), strs, false},
-		{"string open above", StrRangePred("L", "", true, false), strs, true},
-		{"string open below", StrRangePred("", "", false, false), strs, true},
-		{"absent int", Int64RangePred(1000, 2000), absent, true},
-		{"absent float", Float64RangePred(1000, 2000), absent, true},
-		{"absent string", StrRangePred("S", "Z", true, true), absent, true},
+		{"int inside", intBound(12, 15), ints, true},
+		{"int touches max", intBound(20, 30), ints, true},
+		{"int below", intBound(0, 9), ints, false},
+		{"int above", intBound(21, 30), ints, false},
+		{"float touches min", floatBound(0, 1.5), floats, true},
+		{"float inside", floatBound(2, 2.5), floats, true},
+		{"float below", floatBound(0, 1.4), floats, false},
+		{"float above", floatBound(3.1, 9), floats, false},
+		{"string inside", strBound("C", "D", true), strs, true},
+		{"string touches max", strBound("M", "Z", true), strs, true},
+		{"string above", strBound("N", "Z", true), strs, false},
+		{"string below", strBound("", "A", true), strs, false},
+		{"string open above", strBound("L", "", false), strs, true},
+		{"string open below", strBound("", "", false), strs, true},
+		{"absent int", intBound(1000, 2000), absent, true},
+		{"absent float", floatBound(1000, 2000), absent, true},
+		{"absent string", strBound("S", "Z", true), absent, true},
+		{"nil int", intBound(1000, 2000), nil, true},
+		{"empty int", intBound(15, 12), ints, false},
+		{"empty float", floatBound(2.5, 2), floats, false},
+		{"empty string", strBound("D", "C", true), strs, false},
+		{"absent empty int", intBound(15, 12), absent, false},
+		{"absent empty float", floatBound(2.5, 2), absent, false},
+		{"absent empty string", strBound("D", "C", true), absent, false},
+		{"nil empty int", intBound(15, 12), nil, false},
 	}
 	for _, c := range cases {
-		if got := c.pred(c.b); got != c.want {
-			t.Errorf("%s: qualifies = %v, want %v", c.name, got, c.want)
+		if got := c.b.Admits(c.bd); got != c.want {
+			t.Errorf("%s: admits = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
 // TestAbsentMinMaxAlwaysQualifies is the regression test for silently
-// skipping blocks whose MinMax summary was never computed or widened:
-// legacy metadata (no mm flag) has zero-valued extremes that look like a
-// real [0,0] summary, and a predicate like k in [lo,hi] with lo > 0 used
-// to skip such blocks — dropping their rows. It also plants a zero-row
-// tail block in the directory, which must neither become a span nor break
-// the scan.
+// skipping blocks whose MinMax summary was never computed: legacy metadata
+// (no mm flag) has zero-valued extremes that look like a real [0,0]
+// summary, and a predicate like k in [lo,hi] with lo > 0 used to skip such
+// blocks — dropping their rows. It also plants a zero-row tail block in the
+// directory, which must neither become a span nor break the scan.
 func TestAbsentMinMaxAlwaysQualifies(t *testing.T) {
 	fs := testFS()
 	meta := NewPartitionMeta("t", 0, testSchema, Format{BlockSize: 4096, BlocksPerChunk: 8})
@@ -452,7 +476,7 @@ func TestAbsentMinMaxAlwaysQualifies(t *testing.T) {
 	}
 	// Zero-row tail block (e.g. from a hand-built or truncated directory).
 	c.Blocks = append(c.Blocks, BlockMeta{Chunk: -1, Slot: 0, RowStart: 3000, Rows: 0})
-	rows, _ := scanSkipping(t, fs, meta, []string{"k"}, Int64RangePred(1000, 2000))
+	rows, _ := scanSkipping(t, fs, meta, []string{"k"}, intBound(1000, 2000))
 	if len(rows) != 3000 {
 		t.Fatalf("absent summaries must keep every (non-empty) block: %d of 3000 rows", len(rows))
 	}

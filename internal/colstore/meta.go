@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"vectorh/internal/expr"
 	"vectorh/internal/vector"
 )
 
@@ -47,10 +48,10 @@ type BlockMeta struct {
 
 	// MinMax summary; the fields used depend on the column kind. HasMinMax
 	// records that the summary was actually computed: blocks without it
-	// (legacy metadata, zero-row blocks, hand-built directories) must be
-	// treated as always-qualifying by every BlockPredicate — a zero-valued
-	// summary is indistinguishable from a real [0,0] one, and skipping on
-	// it silently drops rows.
+	// (legacy metadata, zero-row blocks, hand-built directories) admit every
+	// bound that holds a value (Admits) — a zero-valued summary is
+	// indistinguishable from a real [0,0] one, and skipping on it silently
+	// drops rows.
 	HasMinMax bool    `json:"mm,omitempty"`
 	NumMin    int64   `json:"numMin,omitempty"`
 	NumMax    int64   `json:"numMax,omitempty"`
@@ -210,44 +211,27 @@ func (m *PartitionMeta) FullRange() []RowRange {
 	return []RowRange{{0, m.Rows}}
 }
 
-// BlockPredicate decides from a block's MinMax summary whether the block may
-// contain qualifying rows. Every predicate must qualify blocks whose summary
-// was never computed (HasMinMax false): their zero-valued extremes carry no
-// information, and skipping on them would silently drop rows.
-type BlockPredicate func(b *BlockMeta) bool
-
-// Int64RangePred returns a predicate for lo <= col <= hi on integer-backed
-// columns (plain ints, dates, decimals).
-func Int64RangePred(lo, hi int64) BlockPredicate {
-	return func(b *BlockMeta) bool {
-		return !b.HasMinMax || (b.NumMax >= lo && b.NumMin <= hi)
-	}
-}
-
-// Float64RangePred returns a predicate for lo <= col <= hi on float64
-// columns. Bounds are treated inclusively even for strict predicates — the
-// summary can only prove absence, never row membership, so the slack is
-// merely a block read, never a wrong result.
-func Float64RangePred(lo, hi float64) BlockPredicate {
-	return func(b *BlockMeta) bool {
-		return !b.HasMinMax || (b.FloatMax >= lo && b.FloatMin <= hi)
-	}
-}
-
-// StrRangePred returns a predicate for lo <= col <= hi on string columns;
-// hasLo/hasHi leave a side unbounded (strings have no maximum value to use
-// as a sentinel).
-func StrRangePred(lo, hi string, hasLo, hasHi bool) BlockPredicate {
-	return func(b *BlockMeta) bool {
-		if !b.HasMinMax {
-			return true
-		}
-		if hasLo && b.StrMax < lo {
+// Admits reports whether the block may hold a value inside bd, a bound on
+// its column (integer-backed, float or string, in the column's kind): false
+// when bd's interval holds no value, or when the MinMax summary lies wholly
+// outside it. A nil block or one whose summary was never computed
+// (HasMinMax false) admits every interval that holds a value: its
+// zero-valued extremes carry no information, and skipping on them would
+// silently drop rows. The interval is closed even where the predicate was
+// strict — a summary can only prove absence, so the slack costs a block
+// read, never a row.
+func (m *BlockMeta) Admits(bd expr.Bound) bool {
+	summary := m != nil && m.HasMinMax
+	switch bd.Kind {
+	case vector.Int64:
+		return bd.IntLo <= bd.IntHi && (!summary || m.NumMax >= bd.IntLo && m.NumMin <= bd.IntHi)
+	case vector.Float64:
+		return bd.FloatLo <= bd.FloatHi && (!summary || m.FloatMax >= bd.FloatLo && m.FloatMin <= bd.FloatHi)
+	case vector.String:
+		if bd.HasStrHi && bd.StrLo > bd.StrHi {
 			return false
 		}
-		if hasHi && b.StrMin > hi {
-			return false
-		}
-		return true
+		return !summary || m.StrMax >= bd.StrLo && (!bd.HasStrHi || m.StrMin <= bd.StrHi)
 	}
+	return true
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vectorh/internal/colstore"
-	"vectorh/internal/expr"
 	"vectorh/internal/plan"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
@@ -242,7 +241,7 @@ func TestValueScanKeepsCodeForm(t *testing.T) {
 	scan := func(codes bool) (pruned int64) {
 		t.Helper()
 		before := e.ScanStats().SpansPruned
-		spec := rewriter.ScanSpec{Table: "vforms", Cols: schema.Names(), Filter: pred, Skip: expr.Bounds(pred), Codes: codes}
+		spec := rewriter.ScanSpec{Table: "vforms", Cols: schema.Names(), Filter: pred, Codes: codes}
 		if rows := drainScan(t, e, part, spec); len(rows) != 0 {
 			t.Fatalf("codes=%v: %d phantom rows", codes, len(rows))
 		}

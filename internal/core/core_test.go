@@ -549,43 +549,35 @@ func TestQueryAfterInsertKeepsPerformance(t *testing.T) {
 }
 
 // TestMalformedScanRequests checks the scan entry points return errors —
-// not panics — on out-of-range partitions and bogus MinMax skip hints.
+// not panics — on out-of-range partitions and a predicate past the
+// projection, and that a closed scan stays closed.
 func TestMalformedScanRequests(t *testing.T) {
 	e := testEngine(t, 3)
 	setupTables(t, e, 100)
 
 	ctx := context.Background()
-	spec := func(table string, skip []expr.Bound, cols ...string) rewriter.ScanSpec {
-		return rewriter.ScanSpec{Table: table, Cols: cols, Skip: skip, Codes: true}
+	spec := func(table string, cols ...string) rewriter.ScanSpec {
+		return rewriter.ScanSpec{Table: table, Cols: cols, Codes: true}
 	}
-	if _, err := e.PartitionScan(ctx, spec("orders", nil, "o_orderkey"), -1, 0); err == nil {
+	if _, err := e.PartitionScan(ctx, spec("orders", "o_orderkey"), -1, 0); err == nil {
 		t.Fatal("PartitionScan(-1) did not error")
 	}
-	if _, err := e.PartitionScan(ctx, spec("orders", nil, "o_orderkey"), 99, 0); err == nil {
+	if _, err := e.PartitionScan(ctx, spec("orders", "o_orderkey"), 99, 0); err == nil {
 		t.Fatal("PartitionScan(99) did not error")
 	}
-	if _, err := e.PartitionScan(ctx, spec("nosuch", nil, "x"), 0, 0); err == nil {
+	if _, err := e.PartitionScan(ctx, spec("nosuch", "x"), 0, 0); err == nil {
 		t.Fatal("PartitionScan on unknown table did not error")
 	}
-	if _, err := e.ReplicatedScan(ctx, spec("nosuch", nil, "x"), 0); err == nil {
+	if _, err := e.ReplicatedScan(ctx, spec("nosuch", "x"), 0); err == nil {
 		t.Fatal("ReplicatedScan on unknown table did not error")
 	}
 	if err := e.PropagatePartition(context.Background(), "orders", 99); err == nil {
 		t.Fatal("PropagatePartition(99) did not error")
 	}
 
-	// A bound on a column the scan does not project is a malformed plan and
-	// must surface at Open, not scan everything; so must a predicate reading
-	// one.
-	scan, err := e.PartitionScan(ctx, spec("orders",
-		[]expr.Bound{{Col: 1, Kind: vector.Int64, IntLo: 0, IntHi: 10}}, "o_orderkey"), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := scan.Open(); err == nil || !strings.Contains(err.Error(), "column 1") {
-		t.Fatalf("Open with a bound past the projection: err=%v, want column-out-of-range", err)
-	}
-	scan, err = e.PartitionScan(ctx, rewriter.ScanSpec{Table: "orders", Cols: []string{"o_orderkey"},
+	// A predicate reading a column the scan does not project is a malformed
+	// plan and must surface at Open, not scan everything.
+	scan, err := e.PartitionScan(ctx, rewriter.ScanSpec{Table: "orders", Cols: []string{"o_orderkey"},
 		Filter: expr.LT(expr.Col(3, vector.Int64), expr.ConstInt64(5))}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -593,15 +585,12 @@ func TestMalformedScanRequests(t *testing.T) {
 	if err := scan.Open(); err == nil || !strings.Contains(err.Error(), "column 3") {
 		t.Fatalf("Open with a predicate past the projection: err=%v, want column-out-of-range", err)
 	}
-	// An integer bound on a string column has no MinMax index of that shape
-	// to use — the scan must still run, just without skipping.
-	scan, err = e.PartitionScan(ctx, spec("supplier",
-		[]expr.Bound{{Col: 1, Kind: vector.Int64, IntLo: 0, IntHi: 10}}, "s_suppkey", "s_name"), 0, 0)
+	scan, err = e.PartitionScan(ctx, spec("supplier", "s_suppkey", "s_name"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := scan.Open(); err != nil {
-		t.Fatalf("Open with string-column skip hint: %v", err)
+		t.Fatal(err)
 	}
 	n := 0
 	for {

@@ -249,7 +249,7 @@ func TestStackedDeltaScanParity(t *testing.T) {
 			}
 			want := filterRows(t, ref, pred)
 			for _, codes := range []bool{false, true} { // value form first: it must not cost the code form its dictionaries
-				spec := rewriter.ScanSpec{Table: "stacked", Cols: stackedSchema.Names(), Filter: pred, Skip: expr.Bounds(pred), Codes: codes}
+				spec := rewriter.ScanSpec{Table: "stacked", Cols: stackedSchema.Names(), Filter: pred, Codes: codes}
 				sameRows(t, fmt.Sprintf("%s %s codes=%v", name, pred, codes), drainScan(t, e, part, spec), want)
 			}
 		}
@@ -306,7 +306,7 @@ func TestStackedDeltaScanParity(t *testing.T) {
 				t.Fatalf("%s %s: the reference holds no row", name, pred)
 			}
 			for _, codes := range []bool{false, true} {
-				spec := rewriter.ScanSpec{Table: "stacked", Cols: stackedSchema.Names(), Filter: pred, Skip: expr.Bounds(pred), Codes: codes}
+				spec := rewriter.ScanSpec{Table: "stacked", Cols: stackedSchema.Names(), Filter: pred, Codes: codes}
 				sameRows(t, fmt.Sprintf("%s %s codes=%v", name, pred, codes), drainScan(t, e, part, spec), want)
 			}
 		}

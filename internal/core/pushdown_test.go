@@ -301,9 +301,9 @@ func TestUpdateSkipsUntouchedBlocks(t *testing.T) {
 }
 
 // TestEmptySkipIntersectionReadsNothing: a float bound no block's summary
-// admits leaves no qualifying range, and the scan reads no block — in code
-// form and in value form alike — rather than taking the empty range list for
-// the whole partition.
+// admits reads no block, and neither does an interval that holds no value —
+// d > 30 and d < 20, k > 30 and k < 20 — though every summary meets both its
+// ends; in code form and in value form alike.
 func TestEmptySkipIntersectionReadsNothing(t *testing.T) {
 	e, err := New(Config{
 		Nodes:           []string{"node1"},
@@ -327,16 +327,26 @@ func TestEmptySkipIntersectionReadsNothing(t *testing.T) {
 	if c, err := e.PartitionMetaForTest("t", 0).Col("d"); err != nil || len(c.Blocks) != 40 {
 		t.Fatalf("d is stored in %d blocks, want 40 (%v)", len(c.Blocks), err)
 	}
-	q := plan.Aggregate(plan.Filter(plan.Scan("t", "d"), plan.GE(plan.Col("d"), plan.Float(20000))),
-		nil, plan.A("n", plan.CountStar, plan.Int(1)))
-	for _, disable := range []rewriter.Rules{0, rewriter.CompressedExec} {
-		s0 := e.ScanStats()
-		res, err := e.Run(context.Background(), q, QueryOptions{Disable: disable}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, blocks := res.Rows[0][0].(int64), e.ScanStats().BlocksRead-s0.BlocksRead; n != 0 || blocks != 0 {
-			t.Errorf("Disable %v: %d rows from %d blocks, want 0 from 0", disable, n, blocks)
+	for _, c := range []struct {
+		name string
+		col  string
+		pred plan.Expr
+	}{
+		{"d >= 20000", "d", plan.GE(plan.Col("d"), plan.Float(20000))},
+		{"d > 30 and d < 20", "d", plan.And(plan.GT(plan.Col("d"), plan.Float(30)), plan.LT(plan.Col("d"), plan.Float(20)))},
+		{"k > 30 and k < 20", "k", plan.And(plan.GT(plan.Col("k"), plan.Int(30)), plan.LT(plan.Col("k"), plan.Int(20)))},
+	} {
+		q := plan.Aggregate(plan.Filter(plan.Scan("t", c.col), c.pred),
+			nil, plan.A("n", plan.CountStar, plan.Int(1)))
+		for _, disable := range []rewriter.Rules{0, rewriter.CompressedExec} {
+			s0 := e.ScanStats()
+			res, err := e.Run(context.Background(), q, QueryOptions{Disable: disable}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, blocks := res.Rows[0][0].(int64), e.ScanStats().BlocksRead-s0.BlocksRead; n != 0 || blocks != 0 {
+				t.Errorf("%s, Disable %v: %d rows from %d blocks, want 0 from 0", c.name, disable, n, blocks)
+			}
 		}
 	}
 }
@@ -369,10 +379,10 @@ func TestSkipBoundPrunesEverySpanOfRejectedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admits := colstore.Int64RangePred(5000, 5099)
+	bd := expr.Bound{Kind: vector.Int64, IntLo: 5000, IntHi: 5099}
 	var rejected, rejectedSpans, admitted int64
 	for i := range c.Blocks {
-		if admits(&c.Blocks[i]) {
+		if c.Blocks[i].Admits(bd) {
 			admitted++
 			continue
 		}
@@ -435,13 +445,14 @@ func TestTwoSkipBoundsReadOnlySpansBothAdmit(t *testing.T) {
 	if len(dc.Blocks) != len(sc.Blocks) {
 		t.Fatalf("d is stored in %d blocks, s in %d; the test wants them aligned", len(dc.Blocks), len(sc.Blocks))
 	}
-	dAdmits, sAdmits := colstore.Float64RangePred(3000, math.Inf(1)), colstore.StrRangePred("", "05100", false, true)
+	dBound := expr.Bound{Kind: vector.Float64, FloatLo: 3000, FloatHi: math.Inf(1)}
+	sBound := expr.Bound{Kind: vector.String, StrHi: "05100", HasStrHi: true}
 	var both, dOnly, sOnly int64
 	for i := range dc.Blocks {
 		if dc.Blocks[i].RowStart != sc.Blocks[i].RowStart || dc.Blocks[i].Rows != sc.Blocks[i].Rows {
 			t.Fatalf("block %d of d and of s cover different rows; the test wants them aligned", i)
 		}
-		d, s := dAdmits(&dc.Blocks[i]), sAdmits(&sc.Blocks[i])
+		d, s := dc.Blocks[i].Admits(dBound), sc.Blocks[i].Admits(sBound)
 		switch {
 		case d && s:
 			both++
@@ -532,65 +543,6 @@ func TestUpdateIntoBoundSparesRejectedSpan(t *testing.T) {
 				t.Errorf("Disable %v after %s: %d rows from %d blocks, want 101 from %d",
 					disable, u.what, n, blocks, blocks0[i]+1)
 			}
-		}
-	}
-}
-
-// TestSkipBoundAdmitsOneValue holds the test verdictSpan puts to a value a
-// modify sets — the skip bound's block predicate over a summary of that one
-// value — to the bound's closed interval, for each column kind a bound
-// applies to: a date's int32 against an integer bound, floats to ±Inf,
-// strings with an open end. A value of no summarized kind is admitted, and
-// a bound whose kind does not match the column's compiles to no test.
-func TestSkipBoundAdmitsOneValue(t *testing.T) {
-	ints := expr.Bound{Kind: vector.Int64, IntLo: 10, IntHi: 20}
-	none := expr.Bound{Kind: vector.Int64, IntLo: 1, IntHi: 0}
-	floats := expr.Bound{Kind: vector.Float64, FloatLo: 1.5, FloatHi: math.Inf(1)}
-	strs := expr.Bound{Kind: vector.String, StrLo: "B", StrHi: "M", HasStrHi: true}
-	openStrs := expr.Bound{Kind: vector.String, StrLo: "B"}
-	cases := []struct {
-		b    expr.Bound
-		col  vector.Kind
-		v    any
-		want bool
-	}{
-		{ints, vector.Int32, int32(10), true},
-		{ints, vector.Int32, int32(20), true},
-		{ints, vector.Int32, int32(9), false},
-		{ints, vector.Int32, int32(21), false},
-		{ints, vector.Int64, int64(15), true},
-		{ints, vector.Int64, int64(math.MinInt64), false},
-		{ints, vector.Int64, int64(math.MaxInt64), false},
-		{none, vector.Int64, int64(0), false},
-		{floats, vector.Float64, 1.5, true},
-		{floats, vector.Float64, math.MaxFloat64, true},
-		{floats, vector.Float64, 1.4, false},
-		{floats, vector.Float64, math.Inf(-1), false},
-		{strs, vector.String, "B", true},
-		{strs, vector.String, "M", true},
-		{strs, vector.String, "Ma", false},
-		{strs, vector.String, "A", false},
-		{strs, vector.String, "", false},
-		{openStrs, vector.String, "zzz", true},
-		{openStrs, vector.String, "A", false},
-		{ints, vector.Int64, nil, true},
-	}
-	for _, c := range cases {
-		pred := blockPredicate(c.b, c.col)
-		if pred == nil {
-			t.Fatalf("%+v on a %v column compiles to no test", c.b, c.col)
-		}
-		s := oneValueSummary(c.v)
-		if got := pred(&s); got != c.want {
-			t.Errorf("%+v on a %v column admits %#v = %v, want %v", c.b, c.col, c.v, got, c.want)
-		}
-	}
-	for _, c := range []struct {
-		b   expr.Bound
-		col vector.Kind
-	}{{floats, vector.Int64}, {strs, vector.Int64}, {ints, vector.Float64}, {ints, vector.String}, {floats, vector.String}} {
-		if blockPredicate(c.b, c.col) != nil {
-			t.Errorf("a %v bound on a %v column compiles to a test", c.b.Kind, c.col)
 		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 type QueryOptions struct {
 	// Disable switches rewrite rules off for this query; the zero value runs
 	// every rule. Only the §5 ablation, the colocated example and the parity
-	// gates (ScanPushdown and CompressedExec off are their reference paths)
-	// disable anything.
+	// gates disable anything: ScanPushdown off (a scan with no predicate,
+	// reading every block, under a Select) and CompressedExec off are their
+	// reference paths.
 	Disable rewriter.Rules
 	// Profile enables the per-operator profile of the Appendix and the
 	// EXPLAIN ANALYZE rendering (Analyzed/Operators on the result). The off

@@ -20,17 +20,18 @@ import (
 // committed state without the scan touching keys (§6).
 //
 // One predicate, one evaluator: when a filter sat directly on the scan the
-// rewriter hands over its whole bound predicate (ScanSpec.Filter) and the
-// per-column bounds derived from it (ScanSpec.Skip). The bounds only ever
-// prune — a span whose block's MinMax summary a bound rejects is dead — and
-// every row is decided by expr.Filter, the kernels Select runs. The scan's
-// own work is around them: the predicate is split into its top-level
-// conjuncts, conjuncts over the same columns are compiled as one filter, and
-// each span decodes only the columns the next filter reads, under the
-// candidates the previous ones left. Every span is first put to a verdict on
-// block metadata alone (verdictSpan, the one place MinMax summaries are
-// read): the skip bounds, the exact intervals of the predicate parts and,
-// with ScanSpec.Codes, the block dictionaries. A dead span never touches the
+// rewriter hands over its whole bound predicate (ScanSpec.Filter), and every
+// row is decided by expr.Filter, the kernels Select runs. The scan's own work
+// is around it: the predicate is split into its top-level conjuncts,
+// conjuncts over the same columns are compiled as one filter with the one
+// interval they imply for their column (expr.Bounds), and each span decodes
+// only the columns the next filter reads, under the candidates the previous
+// ones left. Every span is first put to a verdict on block metadata alone
+// (verdictSpan, the one place MinMax summaries are read): each part's
+// interval against its column's block summary — outside it the span is dead,
+// and an exact interval that covers it elides the part's kernel — and, with
+// ScanSpec.Codes, the block dictionaries. An interval only ever prunes or
+// elides; a row is never decided on it. A dead span never touches the
 // payload columns (late materialization). A span with survivors leaves one
 // way: every projected column as the span's block view, the decoded predicate
 // columns reused, under a selection of the survivors when some rows are
@@ -44,7 +45,8 @@ import (
 // on a column a modify of the span sets is taken on the span's own deltas
 // too. Inserted rows — the tail, and any a transaction placed inside the
 // stable image — are merged by copying and run through the same filters as
-// batches of their own, in position order.
+// batches of their own, in position order. Without a predicate the scan
+// reads every block.
 //
 // Concurrency: a scan pins one refcounted metadata generation plus the PDT
 // masters in a single critical section at Open (the same lock writers hold
@@ -141,10 +143,8 @@ type mscan struct {
 	pending []*vector.Batch
 	deltas  pdt.Span
 
-	// The skip bounds and the predicate as compiled at Open (empty without
-	// ScanSpec.Skip and ScanSpec.Filter), and the per-span scratch of
-	// evaluating them.
-	skip  []skipBound
+	// The predicate as compiled at Open (empty without ScanSpec.Filter), and
+	// the per-span scratch of evaluating it.
 	parts []predPart
 	lead  []int         // predicate column slots: the only columns stage 0 clamps spans on
 	pass  []bool        // per part: proven to hold for every row of the span, kernel elided
@@ -214,8 +214,8 @@ func (m *mscan) snapshotAndPin() (read, write *pdt.PDT, err error) {
 // Open implements exec.Operator. It pins the partition's storage metadata
 // generation and snapshots the PDT masters atomically: writers publish new
 // block directories and reset PDTs under the same partition lock, so the
-// two images always agree on which rows live where. The skip bounds and the
-// predicate are compiled here; spans are judged on them as they are read.
+// two images always agree on which rows live where. The predicate is
+// compiled here; spans are judged on it as they are read.
 func (m *mscan) Open() (err error) {
 	read, write, err := m.snapshotAndPin()
 	if err != nil {
@@ -236,9 +236,6 @@ func (m *mscan) Open() (err error) {
 			return err
 		}
 	}
-	if err := m.compileSkip(schema); err != nil {
-		return err
-	}
 	if m.sc, err = colstore.NewScanner(m.eng.fs, m.meta, m.node, m.spec.Cols, nil); err != nil {
 		return err
 	}
@@ -257,76 +254,15 @@ func (m *mscan) Open() (err error) {
 	return nil
 }
 
-// blockPredicate is the MinMax test of a skip bound on a column of kind k,
-// nil when the two do not match.
-func blockPredicate(b expr.Bound, k vector.Kind) colstore.BlockPredicate {
-	switch {
-	case b.Kind == vector.Int64 && (k == vector.Int32 || k == vector.Int64):
-		return colstore.Int64RangePred(b.IntLo, b.IntHi)
-	case b.Kind == vector.Float64 && k == vector.Float64:
-		return colstore.Float64RangePred(b.FloatLo, b.FloatHi)
-	case b.Kind == vector.String && k == vector.String:
-		return colstore.StrRangePred(b.StrLo, b.StrHi, true, b.HasStrHi)
-	}
-	return nil
-}
-
-// skipBound is a skip bound compiled for verdictSpan: the MinMax test of the
-// projection slot's blocks, and the same test of one value a modify sets.
-type skipBound struct {
-	slot   int
-	pred   colstore.BlockPredicate
-	admits func(v any) bool
-}
-
-// compileSkip compiles each skip bound that has a summary of its shape to
-// test against; skipping is best-effort, so the others are dropped. A skip
-// bound's column is one the predicate reads (ScanSpec.Skip is derived from
-// ScanSpec.Filter) or, without a predicate, is clamped on like every column:
-// either way one block of it covers each span.
-func (m *mscan) compileSkip(schema vector.Schema) error {
-	m.skip = m.skip[:0]
-	for _, b := range m.spec.Skip {
-		// A bound on a column the scan does not project is a malformed plan —
-		// surface it instead of silently scanning everything.
-		if b.Col < 0 || b.Col >= len(m.spec.Cols) {
-			return fmt.Errorf("core: skip bound on column %d of a %d-column scan of %s", b.Col, len(m.spec.Cols), m.meta.Table)
-		}
-		bp := blockPredicate(b, schema[m.colIdx[b.Col]].Type.Kind)
-		if bp == nil {
-			continue
-		}
-		admits := func(v any) bool { s := oneValueSummary(v); return bp(&s) }
-		m.skip = append(m.skip, skipBound{slot: b.Col, pred: bp, admits: admits})
-	}
-	return nil
-}
-
-// oneValueSummary is the MinMax summary of a block holding only v, a value a
-// PDT modify sets; a value of no summarized kind gets no summary, which every
-// BlockPredicate admits.
-func oneValueSummary(v any) colstore.BlockMeta {
-	switch x := v.(type) {
-	case int32:
-		return colstore.BlockMeta{HasMinMax: true, NumMin: int64(x), NumMax: int64(x)}
-	case int64:
-		return colstore.BlockMeta{HasMinMax: true, NumMin: x, NumMax: x}
-	case float64:
-		return colstore.BlockMeta{HasMinMax: true, FloatMin: x, FloatMax: x}
-	case string:
-		return colstore.BlockMeta{HasMinMax: true, StrMin: x, StrMax: x}
-	}
-	return colstore.BlockMeta{}
-}
-
 // predPart is the conjuncts of the scan's predicate that read one set of
 // columns, compiled as one filter, together with what can decide a whole
 // span for it before anything is unpacked.
 type predPart struct {
 	filter *expr.Filter
 	slots  []int
-	// bound is the exact integer interval the part implies for its column,
-	// held against the block's MinMax summary; nil when it implies none.
+	// bound is the interval the part implies for its one column
+	// (expr.Bounds), held against the block's MinMax summary; nil when it
+	// implies none.
 	bound *expr.Bound
 	// dictSlot is the part's one column when that is a string column (else
 	// -1): the part is then a function of the value alone, and running its
@@ -369,7 +305,7 @@ conjuncts:
 				m.lead = append(m.lead, s)
 			}
 		}
-		if bs := expr.Bounds(pred); len(bs) == 1 && bs[0].Kind == vector.Int64 && bs[0].Exact {
+		if bs := expr.Bounds(pred); len(bs) == 1 {
 			p.bound = &bs[0]
 		}
 		if len(p.slots) == 1 && schema[m.colIdx[p.slots[0]]].Type.Kind == vector.String {
@@ -568,33 +504,33 @@ func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int, d *pdt.Span) (sel
 }
 
 // verdictSpan decides what it can of a span on block metadata alone, before
-// anything is decoded, in three steps. A skip bound that rejects the MinMax
-// summary of the span's block makes the span dead. A part whose exact
-// interval covers the summary is marked in m.pass and its kernel elided (one
-// whose interval misses the summary needs no step of its own: the skip bound
-// of its column is inside that interval and has rejected the span already).
-// With ScanSpec.Codes, a part that no value of the block's dictionary
-// satisfies makes the span dead, and one that every value satisfies is
-// marked in m.pass. Summaries go first — they read only the block directory
-// — so a span dead on one never opens a string block's dictionary. The block
-// metadata describes the stable image, and the span's deltas d keep a
-// verdict true where they only remove rows. A modify does not: its new value
-// may lie outside the block's summary and in no block dictionary. So a skip
-// bound spares a span in which a modify sets its column to a value it
-// admits, and a part on a column a modify of the span sets gets no verdict
-// and is left to its kernel.
+// anything is decoded. Each part's interval is held against the MinMax
+// summary of its column's block: a summary the interval does not admit (or
+// an interval that holds no value) makes the span dead, and an exact
+// interval that covers the summary marks the part in m.pass and elides its
+// kernel. With ScanSpec.Codes, a part that no value of the block's
+// dictionary satisfies then makes the span dead, and one that every value
+// satisfies is marked in m.pass. Summaries go first — they read only the
+// block directory — so a span dead on one never opens a string block's
+// dictionary. The block metadata describes the stable image, and the span's
+// deltas d keep a verdict true where they only remove rows. A modify does
+// not: its new value may lie outside the block's summary and in no block
+// dictionary. So a span is spared when a modify of it sets the part's column
+// to a value inside the interval, and a part on a column a modify of the
+// span sets gets no other verdict and is left to its kernel.
 func (m *mscan) verdictSpan(start int64, d *pdt.Span) (dead bool, err error) {
-	for _, sb := range m.skip {
-		if b := m.sc.SpanMeta(sb.slot, start); b != nil && !sb.pred(b) && !d.Sets(m.colIdx[sb.slot], sb.admits) {
-			return true, nil
-		}
-	}
 	for pi := range m.parts {
 		p := &m.parts[pi]
-		if p.bound == nil || d.Sets(m.colIdx[p.bound.Col], nil) {
+		if p.bound == nil {
 			continue
 		}
-		if b := m.sc.SpanMeta(p.bound.Col, start); b != nil && b.HasMinMax {
+		b, col := m.sc.SpanMeta(p.bound.Col, start), m.colIdx[p.bound.Col]
+		switch {
+		case !b.Admits(*p.bound):
+			if !d.Sets(col, p.bound.Contains) {
+				return true, nil
+			}
+		case p.bound.Exact && b != nil && b.HasMinMax && !d.Sets(col, nil):
 			m.pass[pi] = b.NumMin >= p.bound.IntLo && b.NumMax <= p.bound.IntHi
 		}
 	}

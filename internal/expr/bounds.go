@@ -100,6 +100,23 @@ func (b Bound) String() string {
 	return "[" + lo + "," + hi + "]"
 }
 
+// Contains reports whether v, a value of the bound's column, lies inside
+// the interval. A value of no summarized kind is inside: a bound only ever
+// rules values out.
+func (b Bound) Contains(v any) bool {
+	switch x := v.(type) {
+	case int32:
+		return b.IntLo <= int64(x) && int64(x) <= b.IntHi
+	case int64:
+		return b.IntLo <= x && x <= b.IntHi
+	case float64:
+		return b.FloatLo <= x && x <= b.FloatHi
+	case string:
+		return b.StrLo <= x && (!b.HasStrHi || x <= b.StrHi)
+	}
+	return true
+}
+
 // Bounds derives the bounds e implies, at most one per column, in order of
 // first mention. Conjuncts of the shapes column ⋚ literal (either way
 // round), scaled(column, f) ⋚ literal, column IN (list) and column LIKE

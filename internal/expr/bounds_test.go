@@ -327,3 +327,47 @@ func FuzzScanBounds(f *testing.F) {
 			valI: valI, valF: valF, valS: valS}.check(t)
 	})
 }
+
+// TestBoundContains holds the test a scan puts to a value a modify sets to
+// the bound's closed interval, for each column kind a bound applies to: a
+// date's int32 against an integer bound, floats to ±Inf, strings with an
+// open end, and no value inside an interval that holds none. A value of no
+// summarized kind is inside.
+func TestBoundContains(t *testing.T) {
+	ints := Bound{Kind: vector.Int64, IntLo: 10, IntHi: 20}
+	none := Bound{Kind: vector.Int64, IntLo: 1, IntHi: 0}
+	floats := Bound{Kind: vector.Float64, FloatLo: 1.5, FloatHi: math.Inf(1)}
+	strs := Bound{Kind: vector.String, StrLo: "B", StrHi: "M", HasStrHi: true}
+	openStrs := Bound{Kind: vector.String, StrLo: "B"}
+	cases := []struct {
+		b    Bound
+		v    any
+		want bool
+	}{
+		{ints, int32(10), true},
+		{ints, int32(20), true},
+		{ints, int32(9), false},
+		{ints, int32(21), false},
+		{ints, int64(15), true},
+		{ints, int64(math.MinInt64), false},
+		{ints, int64(math.MaxInt64), false},
+		{none, int64(0), false},
+		{floats, 1.5, true},
+		{floats, math.MaxFloat64, true},
+		{floats, 1.4, false},
+		{floats, math.Inf(-1), false},
+		{strs, "B", true},
+		{strs, "M", true},
+		{strs, "Ma", false},
+		{strs, "A", false},
+		{strs, "", false},
+		{openStrs, "zzz", true},
+		{openStrs, "A", false},
+		{ints, nil, true},
+	}
+	for _, c := range cases {
+		if got := c.b.Contains(c.v); got != c.want {
+			t.Errorf("%+v contains %#v = %v, want %v", c.b, c.v, got, c.want)
+		}
+	}
+}

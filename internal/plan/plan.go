@@ -59,8 +59,8 @@ func (n *ScanNode) Schema(cat Catalog) (vector.Schema, error) {
 
 // FilterNode applies a predicate, and the predicate is all a client states:
 // when the child is a scan, the rewriter hands the bound predicate to the
-// scan — which evaluates it itself and late-materializes the other columns —
-// together with the MinMax skip bounds it derives from it (expr.Bounds).
+// scan, which skips blocks on the MinMax intervals it implies (expr.Bounds),
+// evaluates it itself and late-materializes the other columns.
 type FilterNode struct {
 	Child Node
 	Pred  Expr

@@ -29,14 +29,11 @@ type ScanSpec struct {
 	Cols  []string
 	// Filter is the filter's whole predicate, bound against Cols. The provider
 	// MUST return exactly the rows satisfying it — there is no Select above
-	// the scan to re-check. Nil when there was no filter or the ScanPushdown
-	// rule is off (the Select then stays above the scan).
+	// the scan to re-check — and may skip blocks on the per-column intervals
+	// it implies (expr.Bounds), which never decide a row. Nil when there was
+	// no filter or the ScanPushdown rule is off (the Select then stays above
+	// the scan).
 	Filter expr.Expr
-	// Skip are the per-column bounds the predicate implies (expr.Bounds; Col
-	// indexes Cols): best-effort pruning of blocks no qualifying row can be
-	// in. They are derived from the predicate, never stated beside it, and
-	// never decide a row.
-	Skip []expr.Bound
 	// Codes asks for PDICT string blocks as dictionary-code vectors, and for
 	// spans to be decided on compression metadata before anything is
 	// unpacked; unset when the CompressedExec rule is off.
@@ -204,13 +201,13 @@ func (p *physScan) label() string {
 			parts = append(parts, c.String())
 		}
 		s += fmt.Sprintf(" filter(%s)", strings.Join(parts, " and "))
-	}
-	if len(p.Skip) > 0 {
-		var parts []string
-		for _, b := range p.Skip {
-			parts = append(parts, fmt.Sprintf("%s in %s", p.Cols[b.Col], b))
+		if bs := expr.Bounds(p.Filter); len(bs) > 0 {
+			skip := make([]string, len(bs))
+			for i, b := range bs {
+				skip[i] = fmt.Sprintf("%s in %s", p.Cols[b.Col], b)
+			}
+			s += fmt.Sprintf(" skip(%s)", strings.Join(skip, " & "))
 		}
-		s += fmt.Sprintf(" skip(%s)", strings.Join(parts, " & "))
 	}
 	return s
 }

@@ -47,11 +47,11 @@ const (
 	// PartialAgg aggregates locally before exchanging.
 	PartialAgg
 	// ScanPushdown hands the predicate of a filter that sits directly on a
-	// scan to the scan (ScanSpec.Filter): the scan evaluates it over the
-	// predicate columns and late-materializes the rest, and no Select is
-	// planned above it. Off, the scan receives only the skip bounds derived
-	// from the predicate and the Select stays — the parity gates' reference
-	// path.
+	// scan to the scan (ScanSpec.Filter): the scan skips blocks on the
+	// intervals it implies, evaluates it over the predicate columns and
+	// late-materializes the rest, and no Select is planned above it. Off, the
+	// scan receives no predicate and reads every block, and the Select stays
+	// — the parity gates' reference path.
 	ScanPushdown
 	// CompressedExec executes on compressed data (ScanSpec.Codes): scans serve
 	// PDICT string blocks as dictionary-code vectors and decide spans against
@@ -250,15 +250,12 @@ func (c *rewriteCtx) recFilter(n *plan.FilterNode) (result, error) {
 		}
 	}
 	child.rows = scaleRows(child.rows, expr.Selectivity(pred, colRange))
-	// A filter directly on a scan: the scan skips on the bounds the predicate
-	// implies (the "derive scan ranges" rule of the Appendix rewriter profile)
-	// and, with ScanPushdown on, evaluates the predicate itself.
-	if scan, ok := child.phys.(*physScan); ok && scan.Filter == nil {
-		scan.Skip = expr.Bounds(pred)
-		if c.opts.on(ScanPushdown) {
-			scan.Filter = pred
-			return child, nil
-		}
+	// A filter directly on a scan, with ScanPushdown on: the scan evaluates
+	// the predicate itself and skips on the intervals it implies (the "derive
+	// scan ranges" rule of the Appendix rewriter profile).
+	if scan, ok := child.phys.(*physScan); ok && scan.Filter == nil && c.opts.on(ScanPushdown) {
+		scan.Filter = pred
+		return child, nil
 	}
 	child.phys = &physFilter{child: child.phys, pred: pred}
 	return child, nil

@@ -12,9 +12,8 @@ import (
 // statements for orders and lineitem, RF2 becomes DELETE FROM … WHERE
 // o_orderkey IN (…) statements over a picked key set. The experiments
 // package replays them through DB.ExecSQL and the vectorh-sql REPL over the
-// wire, driving
-// the whole update stack — parser, binder, transactions, Write-PDTs,
-// MinMax maintenance and update propagation — from SQL text.
+// wire, driving the whole update stack — parser, binder, transactions,
+// Write-PDTs, merge on read and update propagation — from SQL text.
 
 // SQLLiteral renders one value of the given column type as a SQL literal:
 // dates as DATE 'YYYY-MM-DD', decimals with two digits, strings quoted with
