@@ -10,6 +10,7 @@
 package baseline
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -655,16 +656,16 @@ func compareAny(a, b any) int {
 	switch x := a.(type) {
 	case int64:
 		y := b.(int64)
-		return cmp(x, y)
+		return cmp.Compare(x, y)
 	case int32:
 		y := b.(int32)
-		return cmp(x, y)
+		return cmp.Compare(x, y)
 	case float64:
 		y := b.(float64)
-		return cmp(x, y)
+		return cmp.Compare(x, y)
 	case string:
 		y := b.(string)
-		return cmp(x, y)
+		return cmp.Compare(x, y)
 	case bool:
 		y := b.(bool)
 		if x == y {
@@ -676,17 +677,6 @@ func compareAny(a, b any) int {
 		return 1
 	}
 	return 0
-}
-
-func cmp[T int32 | int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // catalogAdapter exposes the engine as a plan.Catalog.

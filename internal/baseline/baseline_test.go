@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"vectorh/internal/plan"
@@ -67,6 +69,30 @@ func TestJoinAndOrderBy(t *testing.T) {
 	}
 	if len(rows) != 3 || rows[0][0].(int64) != 999 || rows[0][4].(string) != "Beta" {
 		t.Fatalf("rows = %v", rows)
+	}
+}
+
+// TestOrderByNaNFirst: the oracle orders floats as the engine does, NaN
+// before every other value, and the other values stay sorted around it.
+func TestOrderByNaNFirst(t *testing.T) {
+	e := New(Hive)
+	b := vector.NewBatchForSchema(schema, 5)
+	for i, v := range []float64{2, 1, math.NaN(), 0, -1} {
+		b.AppendRow(int64(i), "a", v)
+	}
+	if err := e.Load("t", schema, b); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := e.Query(plan.OrderBy(plan.Scan("t"), plan.Asc(plan.Col("v"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, r := range rows {
+		got = append(got, r[2].(float64))
+	}
+	if s := fmt.Sprint(got); s != "[NaN -1 0 1 2]" {
+		t.Fatalf("order by v = %s", s)
 	}
 }
 

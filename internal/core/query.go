@@ -189,7 +189,7 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 			byPhys[sp.Phys] = a
 			order = append(order, sp.Phys)
 		}
-		a.op.Nanos += time.Duration(atomic.LoadInt64(&sp.Prof.NanosSelf))
+		a.op.Nanos += time.Duration(atomic.LoadInt64(&sp.Prof.Nanos))
 		a.op.Rows += atomic.LoadInt64(&sp.Prof.TuplesOut)
 		a.op.Batches += atomic.LoadInt64(&sp.Prof.Batches)
 		if pb := atomic.LoadInt64(&sp.Prof.PeakBatch); pb > a.op.PeakBatch {

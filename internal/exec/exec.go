@@ -219,7 +219,10 @@ func (l *Limit) Close() error { return l.Child.Close() }
 type Profiled struct {
 	Child Operator
 
-	NanosSelf int64
+	// Nanos is the wall time spent in Child's Open and Next: inclusive of
+	// every operator below Child, not a self time. EXPLAIN ANALYZE sums it
+	// over an operator's streams.
+	Nanos     int64
 	TuplesOut int64
 	Batches   int64
 	PeakBatch int64
@@ -229,7 +232,7 @@ type Profiled struct {
 func (p *Profiled) Open() error {
 	t0 := time.Now()
 	err := p.Child.Open()
-	atomic.AddInt64(&p.NanosSelf, int64(time.Since(t0)))
+	atomic.AddInt64(&p.Nanos, int64(time.Since(t0)))
 	return err
 }
 
@@ -237,7 +240,7 @@ func (p *Profiled) Open() error {
 func (p *Profiled) Next() (*vector.Batch, error) {
 	t0 := time.Now()
 	b, err := p.Child.Next()
-	atomic.AddInt64(&p.NanosSelf, int64(time.Since(t0)))
+	atomic.AddInt64(&p.Nanos, int64(time.Since(t0)))
 	if b != nil {
 		n := int64(b.Len())
 		atomic.AddInt64(&p.TuplesOut, n)

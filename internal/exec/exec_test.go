@@ -519,8 +519,8 @@ func TestProfiledCountsTuples(t *testing.T) {
 	if err != nil || len(rows) != 250 {
 		t.Fatal(err)
 	}
-	if p.TuplesOut != 250 || p.NanosSelf <= 0 {
-		t.Fatalf("profile: tuples=%d nanos=%d", p.TuplesOut, p.NanosSelf)
+	if p.TuplesOut != 250 || p.Nanos <= 0 {
+		t.Fatalf("profile: tuples=%d nanos=%d", p.TuplesOut, p.Nanos)
 	}
 }
 
