@@ -9,6 +9,7 @@ import (
 	"vectorh/internal/compress"
 	"vectorh/internal/expr"
 	"vectorh/internal/hdfs"
+	"vectorh/internal/obs"
 	"vectorh/internal/vector"
 )
 
@@ -100,7 +101,7 @@ func strBound(lo, hi string, hasHi bool) expr.Bound {
 // first column, and a span whose block of it does not admit bd dropped on
 // the block's directory entry before anything is decoded. It returns the
 // rows of the spans kept and the scanner's counters.
-func scanSkipping(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string, bd expr.Bound) ([][]any, ScanStats) {
+func scanSkipping(t *testing.T, fs *hdfs.Cluster, meta *PartitionMeta, cols []string, bd expr.Bound) ([][]any, obs.ScanIO) {
 	t.Helper()
 	s, err := NewScanner(fs, meta, "node1", cols, nil)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"vectorh/internal/compress"
 	"vectorh/internal/hdfs"
+	"vectorh/internal/obs"
 	"vectorh/internal/vector"
 )
 
@@ -637,7 +638,7 @@ type Scanner struct {
 	cursor int64
 	cache  []cachedBlock
 	bc     *BlockCache // optional shared decoded-block cache
-	stats  ScanStats
+	stats  obs.ScanIO
 
 	codeExec bool // serve PDICT string blocks as dictionary-code vectors
 
@@ -651,26 +652,11 @@ type Scanner struct {
 	hitBytes   int64 // compressed bytes served from the shared cache
 }
 
-// ScanStats counts the physical work a scanner performed.
-type ScanStats struct {
-	BlocksRead   int64 // column blocks fetched and decompressed
-	BytesDecoded int64 // compressed payload bytes decoded
-	CacheHits    int64 // blocks served from the shared decoded-block cache
-
-	// BytesSkipped is the compressed bytes of the projection this scan never
-	// decoded — blocks no span asked for (those of spans pruned on their
-	// MinMax summaries or dictionaries among them), and PDICT code streams it
-	// never unpacked — relative to a naive full decode of every projected
-	// block.
-	BytesSkipped int64
-	// BytesMaterialized is the estimated in-memory bytes of values this scan
-	// produced. Code vectors stay in the compressed domain and do not count;
-	// their dictionaries (and any fallback materialization) do.
-	BytesMaterialized int64
-}
-
-// Stats returns the scanner's cumulative counters.
-func (s *Scanner) Stats() ScanStats {
+// Stats returns the scanner's cumulative counters. The scanner fills the
+// block counters — BlocksRead, BytesDecoded, CacheHits, BytesSkipped and
+// BytesMaterialized; its caller, which judges and merges the spans, counts
+// SpansPruned, DeltaSpans and DeletedRows.
+func (s *Scanner) Stats() obs.ScanIO {
 	st := s.stats
 	if skipped := s.totalBytes - st.BytesDecoded - s.hitBytes; skipped > 0 {
 		st.BytesSkipped = skipped

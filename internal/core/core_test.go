@@ -388,7 +388,7 @@ func TestLogShippingForReplicatedTables(t *testing.T) {
 	if err := e.InsertRows(context.Background(), "supplier", nb); err != nil {
 		t.Fatal(err)
 	}
-	if e.ShippedEntries == 0 {
+	if e.shippedEntries.Load() == 0 {
 		t.Fatal("replicated-table commit should ship log entries")
 	}
 	rows, err := queryRows(e, plan.Scan("supplier"))

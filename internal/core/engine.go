@@ -208,19 +208,10 @@ type Engine struct {
 	active []string // current worker set, in node-index order
 	tables map[string]*Table
 
-	// ShippedEntries counts log-shipping deliveries for replicated tables
-	// (§6 "Log Shipping").
-	ShippedEntries int64
-
-	// Engine-wide scan IO counters, folded in when each MScan closes.
-	scanBlocksRead        atomic.Int64
-	scanBytesDecoded      atomic.Int64
-	scanSpansPruned       atomic.Int64
-	scanCacheHits         atomic.Int64
-	scanBytesSkipped      atomic.Int64
-	scanBytesMaterialized atomic.Int64
-	scanDeltaSpans        atomic.Int64
-	scanDeletedRows       atomic.Int64
+	// scanIO is the engine-wide scan work since startup, folded in when each
+	// scan closes.
+	scanMu sync.Mutex
+	scanIO obs.ScanIO
 
 	// catalogEpoch counts catalog- and data-changing events (DDL, DML
 	// commits, bulk loads, propagation, node failure). Plan caches key on it:
@@ -231,6 +222,9 @@ type Engine struct {
 	// PDT flush propagation counters (§5 "Update Propagation").
 	pdtFlushes      atomic.Int64
 	pdtFlushEntries atomic.Int64
+	// shippedEntries counts log-shipping deliveries for replicated tables
+	// (§6 "Log Shipping").
+	shippedEntries atomic.Int64
 
 	// Bulk-write counters, bumped once per Load or propagation append: rows
 	// and wall-clock taken, raw value bytes in and encoded bytes out.
@@ -248,30 +242,20 @@ type Engine struct {
 	reg *obs.Registry
 }
 
-// ScanStats is the engine-wide physical scan work since startup. Experiments
-// diff two snapshots around a query to attribute blocks read, compressed
-// bytes decoded, and spans dropped by scan-side predicates.
-type ScanStats struct {
-	BlocksRead        int64 // column blocks fetched and decompressed
-	BytesDecoded      int64 // compressed payload bytes decoded
-	SpansPruned       int64 // row spans rejected before any payload column decode
-	BytesSkipped      int64 // compressed bytes of projected blocks never decoded
-	BytesMaterialized int64 // value bytes produced into execution memory
-	DeltaSpans        int64 // spans served with PDT deltas applied
-	DeletedRows       int64 // stable rows of those spans the deltas delete
+// ScanStats returns the engine-wide physical scan work since startup.
+// Experiments diff two snapshots around a query to attribute blocks read,
+// compressed bytes decoded, and spans dropped by scan-side predicates.
+func (e *Engine) ScanStats() obs.ScanIO {
+	e.scanMu.Lock()
+	defer e.scanMu.Unlock()
+	return e.scanIO
 }
 
-// ScanStats returns a snapshot of the cumulative scan counters.
-func (e *Engine) ScanStats() ScanStats {
-	return ScanStats{
-		BlocksRead:        e.scanBlocksRead.Load(),
-		BytesDecoded:      e.scanBytesDecoded.Load(),
-		SpansPruned:       e.scanSpansPruned.Load(),
-		BytesSkipped:      e.scanBytesSkipped.Load(),
-		BytesMaterialized: e.scanBytesMaterialized.Load(),
-		DeltaSpans:        e.scanDeltaSpans.Load(),
-		DeletedRows:       e.scanDeletedRows.Load(),
-	}
+// addScanIO folds one closed scan's work into the engine-wide record.
+func (e *Engine) addScanIO(io obs.ScanIO) {
+	e.scanMu.Lock()
+	e.scanIO.Add(io)
+	e.scanMu.Unlock()
 }
 
 // CatalogEpoch returns the current catalog epoch. Every DDL statement, DML
@@ -296,7 +280,9 @@ func (e *Engine) BlockCacheStats() colstore.BlockCacheStats {
 // one call reads everything the serving layer reports, instead of each
 // stats request taking Engine.mu once per counter.
 type EngineStats struct {
-	Scan         ScanStats
+	Scan obs.ScanIO
+	// ScanCacheHit repeats Scan.CacheHits for bench/trace.go, which reads
+	// it under this name.
 	ScanCacheHit int64
 	CatalogEpoch int64
 	BlockCache   colstore.BlockCacheStats
@@ -304,15 +290,17 @@ type EngineStats struct {
 	Workers      int
 }
 
-// Stats returns a batched engine stats snapshot. The counters are atomics;
-// only the catalog sizes take the (shared) engine lock, once.
+// Stats returns a batched engine stats snapshot. The scan record takes its
+// own lock and the other counters are atomics; only the catalog sizes take
+// the (shared) engine lock, once.
 func (e *Engine) Stats() EngineStats {
 	e.mu.RLock()
 	tables, workers := len(e.tables), len(e.active)
 	e.mu.RUnlock()
+	scan := e.ScanStats()
 	return EngineStats{
-		Scan:         e.ScanStats(),
-		ScanCacheHit: e.scanCacheHits.Load(),
+		Scan:         scan,
+		ScanCacheHit: scan.CacheHits,
 		CatalogEpoch: e.CatalogEpoch(),
 		BlockCache:   e.BlockCacheStats(),
 		Tables:       tables,
@@ -361,27 +349,27 @@ func (e *Engine) TableStorage() []TableStorage {
 // system shares one exposition endpoint.
 func (e *Engine) Obs() *obs.Registry { return e.reg }
 
-// registerMetrics binds the engine's pre-existing atomics into the registry
-// as scrape-time callbacks; nothing is double-counted and the hot paths keep
-// writing the same atomics they always did.
+// registerMetrics binds the engine's own counters — its scan record and its
+// atomics — into the registry as scrape-time callbacks; nothing is
+// double-counted and the hot paths write only those counters.
 func (e *Engine) registerMetrics() {
 	r := e.reg
 	r.CounterFunc("vectorh_scan_blocks_read_total", "Column blocks fetched and decompressed.",
-		func() float64 { return float64(e.scanBlocksRead.Load()) })
+		func() float64 { return float64(e.ScanStats().BlocksRead) })
 	r.CounterFunc("vectorh_scan_bytes_decoded_total", "Compressed payload bytes decoded by scans.",
-		func() float64 { return float64(e.scanBytesDecoded.Load()) })
+		func() float64 { return float64(e.ScanStats().BytesDecoded) })
 	r.CounterFunc("vectorh_scan_spans_pruned_total", "Row spans rejected before any payload column decode.",
-		func() float64 { return float64(e.scanSpansPruned.Load()) })
+		func() float64 { return float64(e.ScanStats().SpansPruned) })
 	r.CounterFunc("vectorh_scan_cache_hits_total", "Scan block reads served by the decoded-block cache.",
-		func() float64 { return float64(e.scanCacheHits.Load()) })
+		func() float64 { return float64(e.ScanStats().CacheHits) })
 	r.CounterFunc("vectorh_scan_bytes_skipped_total", "Compressed bytes of projected blocks scans never decoded.",
-		func() float64 { return float64(e.scanBytesSkipped.Load()) })
+		func() float64 { return float64(e.ScanStats().BytesSkipped) })
 	r.CounterFunc("vectorh_scan_bytes_materialized_total", "Value bytes scans produced into execution memory.",
-		func() float64 { return float64(e.scanBytesMaterialized.Load()) })
+		func() float64 { return float64(e.ScanStats().BytesMaterialized) })
 	r.CounterFunc("vectorh_scan_delta_spans_total", "Row spans scans served with PDT deltas applied.",
-		func() float64 { return float64(e.scanDeltaSpans.Load()) })
+		func() float64 { return float64(e.ScanStats().DeltaSpans) })
 	r.CounterFunc("vectorh_scan_deleted_rows_total", "Stable rows of those spans the PDT deltas delete.",
-		func() float64 { return float64(e.scanDeletedRows.Load()) })
+		func() float64 { return float64(e.ScanStats().DeletedRows) })
 	r.CounterFunc("vectorh_block_cache_hits_total", "Decoded-block cache hits.",
 		func() float64 { return float64(e.BlockCacheStats().Hits) })
 	r.CounterFunc("vectorh_block_cache_misses_total", "Decoded-block cache misses.",
@@ -403,11 +391,7 @@ func (e *Engine) registerMetrics() {
 	r.CounterFunc("vectorh_load_encoded_bytes_total", "Encoded block bytes loads added to storage.",
 		func() float64 { return float64(e.loadEncodedBytes.Load()) })
 	r.CounterFunc("vectorh_log_shipped_entries_total", "Log-shipping deliveries for replicated tables.",
-		func() float64 {
-			e.mu.RLock()
-			defer e.mu.RUnlock()
-			return float64(e.ShippedEntries)
-		})
+		func() float64 { return float64(e.shippedEntries.Load()) })
 	r.GaugeFunc("vectorh_catalog_epoch", "Catalog epoch (bumped by DDL, DML commits, loads, topology changes).",
 		func() float64 { return float64(e.CatalogEpoch()) })
 	r.GaugeFunc("vectorh_tables", "Tables in the catalog.",
@@ -457,11 +441,11 @@ func New(cfg Config) (*Engine, error) {
 		// single-process simulation all workers share the master PDT
 		// state, so shipping reduces to accounting.
 		table := strings.SplitN(string(part), "/", 2)[0]
-		e.mu.Lock()
+		e.mu.RLock()
 		if t, ok := e.tables[table]; ok && t.Replicated() {
-			e.ShippedEntries += int64(len(entries)) * int64(len(e.active)-1)
+			e.shippedEntries.Add(int64(len(entries)) * int64(len(e.active)-1))
 		}
-		e.mu.Unlock()
+		e.mu.RUnlock()
 	}
 	return e, nil
 }

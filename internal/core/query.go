@@ -45,7 +45,7 @@ type QueryResult struct {
 	// summed from the retained counters of its scan operators.
 	Analyzed  string
 	Operators []obs.OpProfile
-	Scan      ScanIO
+	Scan      obs.ScanIO
 }
 
 // Run is the engine's one query path: rewrite the logical plan, instantiate
@@ -163,7 +163,7 @@ func (e *Engine) Run(ctx context.Context, q plan.Node, qo QueryOptions, yield fu
 
 // scanIOReporter is implemented by scan operators that retain their IO
 // totals past Close for per-operator attribution.
-type scanIOReporter interface{ ScanIOStats() ScanIO }
+type scanIOReporter interface{ ScanIOStats() obs.ScanIO }
 
 // buildAnalyzed aggregates the profiled streams of each plan node and
 // renders the EXPLAIN ANALYZE tree: the cost model's ~N estimate next to the
@@ -172,7 +172,7 @@ type scanIOReporter interface{ ScanIOStats() ScanIO }
 // into their tables and how many distinct tables there were. It also
 // returns the flat per-node aggregates (heaviest first) and the query's
 // total scan IO.
-func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewriter.Profile) (string, []obs.OpProfile, ScanIO) {
+func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewriter.Profile) (string, []obs.OpProfile, obs.ScanIO) {
 	type agg struct {
 		op    obs.OpProfile
 		hasIO bool
@@ -180,7 +180,7 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 	}
 	byPhys := make(map[rewriter.Phys]*agg, len(prof.Streams))
 	order := make([]rewriter.Phys, 0, len(prof.Streams))
-	var total ScanIO
+	var total obs.ScanIO
 	for _, sp := range prof.Streams {
 		a := byPhys[sp.Phys]
 		if a == nil {
@@ -198,23 +198,9 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 		a.op.Streams++
 		if r, ok := sp.Prof.Child.(scanIOReporter); ok {
 			io := r.ScanIOStats()
-			a.op.BlocksRead += io.BlocksRead
-			a.op.BytesDecoded += io.BytesDecoded
-			a.op.SpansPruned += io.SpansPruned
-			a.op.CacheHits += io.CacheHits
-			a.op.BytesSkipped += io.BytesSkipped
-			a.op.BytesMaterialized += io.BytesMaterialized
-			a.op.DeltaSpans += io.DeltaSpans
-			a.op.DeletedRows += io.DeletedRows
+			a.op.Add(io)
+			total.Add(io)
 			a.hasIO = true
-			total.BlocksRead += io.BlocksRead
-			total.BytesDecoded += io.BytesDecoded
-			total.CacheHits += io.CacheHits
-			total.SpansPruned += io.SpansPruned
-			total.BytesSkipped += io.BytesSkipped
-			total.BytesMaterialized += io.BytesMaterialized
-			total.DeltaSpans += io.DeltaSpans
-			total.DeletedRows += io.DeletedRows
 		}
 		if j, ok := sp.Prof.Child.(*exec.HashJoin); ok && !a.sides[j.Build] {
 			if a.sides == nil {

@@ -9,6 +9,7 @@ import (
 	"vectorh/internal/compress"
 	"vectorh/internal/exec"
 	"vectorh/internal/expr"
+	"vectorh/internal/obs"
 	"vectorh/internal/pdt"
 	"vectorh/internal/rewriter"
 	"vectorh/internal/vector"
@@ -151,34 +152,23 @@ type mscan struct {
 	span  []*vector.Vec // by slot: the predicate columns of the span decoded so far
 	sel   []int32       // the span's surviving candidates
 
-	spansPruned int64 // spans dropped before any payload column was decoded
-	deltaSpans  int64 // spans served with PDT deltas applied
-	deletedRows int64 // stable rows of those spans the deltas delete
+	// cur is the current Open's scan work: spans pruned, spans served with
+	// deltas and the rows they delete are counted into it as they happen;
+	// Close adds the scanner's block counters and folds it into io and the
+	// engine's record.
+	cur obs.ScanIO
 
 	sorted *exec.Sort // restores ScanSpec.Ordered over a disordered partition
 
 	// IO totals retained at Close (after folding into the engine-wide
 	// counters) so EXPLAIN ANALYZE can attribute blocks and bytes to this
 	// scan operator after the query has finished.
-	io ScanIO
-}
-
-// ScanIO is the per-scan-operator IO attribution reported by EXPLAIN
-// ANALYZE: what this one scan read, decoded, skipped and hit in cache.
-type ScanIO struct {
-	BlocksRead        int64
-	BytesDecoded      int64
-	CacheHits         int64
-	SpansPruned       int64
-	BytesSkipped      int64 // compressed bytes never decoded (pruned blocks)
-	BytesMaterialized int64 // value bytes produced into execution memory
-	DeltaSpans        int64 // spans served with PDT deltas applied
-	DeletedRows       int64 // stable rows of those spans the deltas delete
+	io obs.ScanIO
 }
 
 // ScanIOStats returns the scan's retained IO totals; valid once the scan is
 // closed (the engine closes every operator before reading profiles).
-func (m *mscan) ScanIOStats() ScanIO { return m.io }
+func (m *mscan) ScanIOStats() obs.ScanIO { return m.io }
 
 func (e *Engine) newMScan(ctx context.Context, t *Table, part *Partition, spec rewriter.ScanSpec, node string) (exec.Operator, error) {
 	schema := t.Info.Schema
@@ -386,7 +376,7 @@ func (m *mscan) next() (*vector.Batch, error) {
 				return nil, err
 			}
 			if b == nil {
-				m.spansPruned++
+				m.cur.SpansPruned++
 				continue
 			}
 			return b, nil
@@ -411,8 +401,8 @@ func (m *mscan) filteredSpan(start int64, n int, d *pdt.Span) (*vector.Batch, er
 	clear(m.pass)
 	clear(m.span)
 	if !d.Empty() {
-		m.deltaSpans++
-		m.deletedRows += int64(len(d.Del))
+		m.cur.DeltaSpans++
+		m.cur.DeletedRows += int64(len(d.Del))
 	}
 	if dead, err := m.verdictSpan(start, d); dead || err != nil {
 		return nil, err
@@ -598,24 +588,10 @@ func (m *mscan) releaseMeta() {
 // counters into the engine-wide scan statistics.
 func (m *mscan) Close() error {
 	if m.sc != nil {
-		st := m.sc.Stats()
-		m.eng.scanBlocksRead.Add(st.BlocksRead)
-		m.eng.scanBytesDecoded.Add(st.BytesDecoded)
-		m.eng.scanCacheHits.Add(st.CacheHits)
-		m.eng.scanSpansPruned.Add(m.spansPruned)
-		m.eng.scanBytesSkipped.Add(st.BytesSkipped)
-		m.eng.scanBytesMaterialized.Add(st.BytesMaterialized)
-		m.io.BlocksRead += st.BlocksRead
-		m.io.BytesDecoded += st.BytesDecoded
-		m.io.CacheHits += st.CacheHits
-		m.io.SpansPruned += m.spansPruned
-		m.io.BytesSkipped += st.BytesSkipped
-		m.io.BytesMaterialized += st.BytesMaterialized
-		m.eng.scanDeltaSpans.Add(m.deltaSpans)
-		m.eng.scanDeletedRows.Add(m.deletedRows)
-		m.io.DeltaSpans += m.deltaSpans
-		m.io.DeletedRows += m.deletedRows
-		m.spansPruned, m.deltaSpans, m.deletedRows = 0, 0, 0
+		m.cur.Add(m.sc.Stats())
+		m.io.Add(m.cur)
+		m.eng.addScanIO(m.cur)
+		m.cur = obs.ScanIO{}
 		m.sc.Close()
 		m.sc = nil
 	}

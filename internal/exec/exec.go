@@ -172,7 +172,8 @@ func (p *Project) Close() error { return p.Child.Close() }
 
 // --- limit ---
 
-// Limit passes through the first N rows.
+// Limit passes through the first N rows. The batch that crosses N leaves
+// cut: its selection truncated, or a dense batch's vectors sliced.
 type Limit struct {
 	Child Operator
 	N     int64
@@ -198,9 +199,11 @@ func (l *Limit) Next() (*vector.Batch, error) {
 	}
 	take := int(l.N - l.seen)
 	l.seen = l.N
-	c := b.Compact()
-	out := &vector.Batch{Vecs: make([]*vector.Vec, len(c.Vecs))}
-	for i, v := range c.Vecs {
+	if b.Sel != nil {
+		return &vector.Batch{Vecs: b.Vecs, Sel: b.Sel[:take]}, nil
+	}
+	out := &vector.Batch{Vecs: make([]*vector.Vec, len(b.Vecs))}
+	for i, v := range b.Vecs {
 		out.Vecs[i] = v.Slice(0, take)
 	}
 	return out, nil

@@ -384,8 +384,8 @@ func TestSortEmpty(t *testing.T) {
 	}
 }
 
-func TestTopN(t *testing.T) {
-	op := &TopN{Child: src(1000, 3), N: 5, Keys: []SortKey{{Expr: expr.Col(0, vector.Int64), Desc: true}}}
+func TestLimitOverSort(t *testing.T) {
+	op := &Limit{Child: &Sort{Child: src(1000, 3), Keys: []SortKey{{Expr: expr.Col(0, vector.Int64), Desc: true}}}, N: 5}
 	rows, err := Collect(op)
 	if err != nil || len(rows) != 5 {
 		t.Fatalf("rows=%d err=%v", len(rows), err)

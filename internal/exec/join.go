@@ -145,6 +145,35 @@ func newCols(kinds []vector.Kind, b *vector.Batch) []*vector.Vec {
 	return cols
 }
 
+// drainCols copies the live rows of every batch child produces into one
+// column per kind, for the operators that keep their whole input (Sort and
+// a hash join's build). Nil kinds take the first nonempty batch's, and an
+// input with no rows then gives nil columns. what names the operator in a
+// copy's error.
+func drainCols(child Operator, kinds []vector.Kind, what string) ([]*vector.Vec, error) {
+	cols := newCols(kinds, nil)
+	for {
+		b, err := child.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return cols, nil
+		}
+		if b.Len() == 0 {
+			continue
+		}
+		if cols == nil {
+			cols = newCols(nil, b)
+		}
+		for i, v := range b.Vecs {
+			if err := cols[i].AppendRowsChecked(v, b.Sel); err != nil {
+				return nil, fmt.Errorf("exec: %s: %w", what, err)
+			}
+		}
+	}
+}
+
 // BuildSide is the build of a hash join: the build operator, its compiled
 // keys, the HashTable and the build columns, shared by the users, the
 // HashJoins that probe it. On a replicated build every probe stream of a
@@ -264,26 +293,9 @@ func buildDicts(cols []*vector.Vec) []*compress.StrDict {
 // table sized for them, records whether those keys are unique and makes the
 // String columns' dictionaries.
 func (s *BuildSide) build() (*HashTable, []*vector.Vec, []*compress.StrDict, error) {
-	cols := newCols(s.kinds, nil)
-	for {
-		b, err := s.op.Next()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if b == nil {
-			break
-		}
-		if b.Len() == 0 {
-			continue
-		}
-		if cols == nil {
-			cols = newCols(nil, b)
-		}
-		for i, v := range b.Vecs {
-			if err := cols[i].AppendRowsChecked(v, b.Sel); err != nil {
-				return nil, nil, nil, fmt.Errorf("exec: hash join build: %w", err)
-			}
-		}
+	cols, err := drainCols(s.op, s.kinds, "hash join build")
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	n := 0
 	if len(cols) > 0 {

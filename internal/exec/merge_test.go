@@ -91,9 +91,10 @@ func nestedLoopJoin(jt JoinType, left, right mergeInput) []string {
 	if right.key32 {
 		zero[0] = int32(0)
 	}
+	rights := right.rows()
 	for _, l := range left.rows() {
 		matched := false
-		for _, r := range right.rows() {
+		for _, r := range rights {
 			if l.key != r.key {
 				continue
 			}

@@ -33,7 +33,6 @@ func TestCompileErrorsSurfaceFromOpen(t *testing.T) {
 		"join build":      &HashJoin{Build: NewBuildSide(child(), []expr.Expr{bad}, nil, 1), Probe: child(), ProbeKeys: []expr.Expr{i64}},
 		"join probe":      &HashJoin{Build: NewBuildSide(child(), []expr.Expr{i64}, nil, 1), Probe: child(), ProbeKeys: []expr.Expr{bad}},
 		"sort":            &Sort{Child: child(), Keys: []SortKey{{Expr: bad}}},
-		"topn":            &TopN{Child: child(), Keys: []SortKey{{Expr: bad}}, N: 1},
 	} {
 		err := op.Open()
 		if err == nil || !(strings.Contains(err.Error(), "($0 + 1)") || strings.Contains(err.Error(), "not bool") ||

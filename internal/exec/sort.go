@@ -16,7 +16,9 @@ type SortKey struct {
 }
 
 // Sort materializes its child and emits it ordered by the keys, stably:
-// rows whose keys tie leave in the order they arrived.
+// rows whose keys tie leave in the order they arrived. ORDER BY ... LIMIT n
+// (the paper's TopN, partial per stream and final above the union) is a
+// Sort under a Limit.
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
@@ -47,28 +49,6 @@ func compileSortKeys(keys []SortKey) (*expr.Program, error) {
 
 // Close implements Operator.
 func (s *Sort) Close() error { return s.Child.Close() }
-
-// materializeAll drains the child into one big dense batch.
-func materializeAll(child Operator) (*vector.Batch, error) {
-	var all *vector.Batch
-	for {
-		b, err := child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return all, nil
-		}
-		if all == nil {
-			all = &vector.Batch{Vecs: newCols(nil, b)}
-		}
-		for i, v := range b.Vecs {
-			if err := all.Vecs[i].AppendRowsChecked(v, b.Sel); err != nil {
-				return nil, fmt.Errorf("exec: sort input: %w", err)
-			}
-		}
-	}
-}
 
 // sortPerm computes the permutation ordering the batch by keys, evaluated by
 // prog (compileSortKeys of the same keys). The order is stable: rows whose
@@ -203,16 +183,16 @@ func merge(dst, a, b []int32, compare rowCmp) {
 // Next implements Operator.
 func (s *Sort) Next() (*vector.Batch, error) {
 	if !s.done {
-		all, err := materializeAll(s.Child)
+		cols, err := drainCols(s.Child, nil, "sort input")
 		if err != nil {
 			return nil, err
 		}
 		s.done = true
-		if all == nil {
+		if cols == nil {
 			return nil, nil
 		}
-		s.perm, err = sortPerm(all, s.Keys, s.prog)
-		if err != nil {
+		all := &vector.Batch{Vecs: cols}
+		if s.perm, err = sortPerm(all, s.Keys, s.prog); err != nil {
 			return nil, err
 		}
 		s.sorted = all
@@ -227,55 +207,4 @@ func (s *Sort) Next() (*vector.Batch, error) {
 	}
 	s.emitted = hi
 	return &vector.Batch{Vecs: s.sorted.Vecs, Sel: s.perm[lo:hi]}, nil
-}
-
-// TopN emits the first N rows of the sorted order (ORDER BY ... LIMIT n /
-// the paper's TopN operator with partial/final flavors around a
-// DXchgUnion). It drains its whole input into one batch, sorts all of it
-// as Sort does and emits the first N rows of the permutation.
-type TopN struct {
-	Child Operator
-	Keys  []SortKey
-	N     int
-
-	prog *expr.Program
-	out  Operator
-	init bool
-}
-
-// Open implements Operator.
-func (t *TopN) Open() (err error) {
-	t.out, t.init = nil, false
-	if t.prog, err = compileSortKeys(t.Keys); err != nil {
-		return err
-	}
-	return t.Child.Open()
-}
-
-// Close implements Operator.
-func (t *TopN) Close() error { return t.Child.Close() }
-
-// Next implements Operator.
-func (t *TopN) Next() (*vector.Batch, error) {
-	if !t.init {
-		all, err := materializeAll(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		t.init = true
-		if all == nil {
-			t.out = &BatchSource{}
-		} else {
-			perm, err := sortPerm(all, t.Keys, t.prog)
-			if err != nil {
-				return nil, err
-			}
-			if len(perm) > t.N {
-				perm = perm[:t.N]
-			}
-			t.out = &BatchSource{Batches: []*vector.Batch{{Vecs: all.Vecs, Sel: perm}}}
-		}
-		t.out.Open()
-	}
-	return t.out.Next()
 }

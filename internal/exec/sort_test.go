@@ -12,7 +12,7 @@ import (
 	"vectorh/internal/vector"
 )
 
-// Sort and TopN are checked against a plain stable sort of boxed rows with
+// Sort, and Limit over Sort, are checked against a plain stable sort of boxed rows with
 // cmp.Compare per key: every key kind, descending keys, NaN, ±0 and ±Inf,
 // shared string prefixes, input cut into batches with and without a
 // selection, and presorted, reversed, interleaved-run and all-tie arrival
@@ -39,13 +39,13 @@ func TestSortOrdersNaNFirst(t *testing.T) {
 	}
 }
 
-// TestSortWithoutKeys: with no key every row ties, so Sort and TopN keep
-// the arrival order.
+// TestSortWithoutKeys: with no key every row ties, so Sort, and Limit over
+// Sort, keep the arrival order.
 func TestSortWithoutKeys(t *testing.T) {
 	in := func() Operator {
 		return &BatchSource{Batches: []*vector.Batch{vector.NewBatch(vector.FromInt64([]int64{3, 1, 2}))}}
 	}
-	for want, op := range map[string]Operator{"[[3] [1] [2]]": &Sort{Child: in()}, "[[3] [1]]": &TopN{Child: in(), N: 2}} {
+	for want, op := range map[string]Operator{"[[3] [1] [2]]": &Sort{Child: in()}, "[[3] [1]]": &Limit{Child: &Sort{Child: in()}, N: 2}} {
 		rows, err := Collect(op)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func sortBatches(kinds []vector.Kind, rows [][]any, cuts []byte, sel bool) []*ve
 // FuzzSort: nkeys, kinds and desc pick 1–3 keys, their kinds and
 // directions; n rows take their key bytes cyclically from data, shape
 // rearranges them, and data also cuts the batches. Sort's rows must equal
-// the model's and TopN's its first top rows.
+// the model's and Limit(top) over Sort's its first top rows.
 func FuzzSort(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, uint8(0), uint16(2), uint8(0), uint8(asDrawn), uint16(40), uint16(7), false)
 	f.Add([]byte{0, 9, 4, 4, 2, 7, 1, 0}, uint8(2), uint16(2+5*3+25*0), uint8(5), uint8(reversed), uint16(300), uint16(299), true)
@@ -229,12 +229,12 @@ func FuzzSort(f *testing.F) {
 			t.Fatalf("Sort:\n got %s\nwant %s", g, want)
 		}
 		topN := int(top) % (len(rows) + 2)
-		got, err = Collect(&TopN{Child: &BatchSource{Batches: batches}, Keys: keys, N: topN})
+		got, err = Collect(&Limit{Child: &Sort{Child: &BatchSource{Batches: batches}, Keys: keys}, N: int64(topN)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g, w := fmt.Sprint(got), fmt.Sprint(rows[:min(topN, len(rows))]); g != w {
-			t.Fatalf("TopN(%d):\n got %s\nwant %s", topN, g, w)
+			t.Fatalf("Limit(%d) over Sort:\n got %s\nwant %s", topN, g, w)
 		}
 	})
 }

@@ -15,6 +15,44 @@ type Phase struct {
 	Nanos time.Duration `json:"nanos"`
 }
 
+// ScanIO is the physical work of scans: what they read, decoded, skipped,
+// materialized and found in cache, and the spans they pruned or served with
+// PDT deltas. One record serves every layer that counts it — a scanner, one
+// scan operator in EXPLAIN ANALYZE, a query's total and the engine's
+// cumulative counters behind EngineStats and /metrics.
+type ScanIO struct {
+	BlocksRead   int64 `json:"blocks_read,omitempty"`   // column blocks fetched and decompressed
+	BytesDecoded int64 `json:"bytes_decoded,omitempty"` // compressed payload bytes decoded
+	SpansPruned  int64 `json:"spans_pruned,omitempty"`  // row spans rejected before any payload column decode
+	CacheHits    int64 `json:"cache_hits,omitempty"`    // blocks served from the shared decoded-block cache
+
+	// BytesSkipped is the compressed bytes of the projection a scan never
+	// decoded — blocks no span asked for (those of spans pruned on their
+	// MinMax summaries or dictionaries among them), and PDICT code streams it
+	// never unpacked — relative to a naive full decode of every projected
+	// block.
+	BytesSkipped int64 `json:"bytes_skipped,omitempty"`
+	// BytesMaterialized is the estimated in-memory bytes of values a scan
+	// produced. Code vectors stay in the compressed domain and do not count;
+	// their dictionaries (and any fallback materialization) do.
+	BytesMaterialized int64 `json:"bytes_materialized,omitempty"`
+
+	DeltaSpans  int64 `json:"delta_spans,omitempty"`  // spans served with PDT deltas applied
+	DeletedRows int64 `json:"deleted_rows,omitempty"` // stable rows of those spans the deltas delete
+}
+
+// Add adds o's counters to s.
+func (s *ScanIO) Add(o ScanIO) {
+	s.BlocksRead += o.BlocksRead
+	s.BytesDecoded += o.BytesDecoded
+	s.SpansPruned += o.SpansPruned
+	s.CacheHits += o.CacheHits
+	s.BytesSkipped += o.BytesSkipped
+	s.BytesMaterialized += o.BytesMaterialized
+	s.DeltaSpans += o.DeltaSpans
+	s.DeletedRows += o.DeletedRows
+}
+
 // OpProfile is the per-operator execution profile of one plan node,
 // aggregated across the operator's parallel streams.
 type OpProfile struct {
@@ -26,14 +64,7 @@ type OpProfile struct {
 	Streams   int           `json:"streams,omitempty"`
 
 	// Scan IO attribution; only set for scan operators.
-	BlocksRead        int64 `json:"blocks_read,omitempty"`
-	BytesDecoded      int64 `json:"bytes_decoded,omitempty"`
-	SpansPruned       int64 `json:"spans_pruned,omitempty"`
-	CacheHits         int64 `json:"cache_hits,omitempty"`
-	BytesSkipped      int64 `json:"bytes_skipped,omitempty"`
-	BytesMaterialized int64 `json:"bytes_materialized,omitempty"`
-	DeltaSpans        int64 `json:"delta_spans,omitempty"`
-	DeletedRows       int64 `json:"deleted_rows,omitempty"`
+	ScanIO
 
 	// Hash join builds; only set for hash joins. BuildTables counts the
 	// distinct tables the operator's streams probed (one per node for a

@@ -501,7 +501,7 @@ func (p *physTopN) instantiate(e *Env) ([][]exec.Operator, error) {
 		return nil, err
 	}
 	return mapStreams(in, func(op exec.Operator) exec.Operator {
-		return &exec.TopN{Child: op, Keys: p.keys, N: int(p.n)}
+		return &exec.Limit{Child: &exec.Sort{Child: op, Keys: p.keys}, N: p.n}
 	}), nil
 }
 

@@ -135,7 +135,7 @@ type QueryProfile struct {
 	Phases    []obs.Phase
 	CacheHit  bool
 	Operators []obs.OpProfile
-	Scan      core.ScanIO
+	Scan      obs.ScanIO
 	Elapsed   time.Duration
 }
 
