@@ -643,7 +643,7 @@ func (e *Engine) evalOrderBy(n *plan.OrderByNode) (*relation, error) {
 	})
 	out := &relation{schema: rel.schema}
 	limit := len(perm)
-	if n.Limit > 0 && int(n.Limit) < limit {
+	if n.Limit >= 0 && int(n.Limit) < limit {
 		limit = int(n.Limit)
 	}
 	for _, pi := range perm[:limit] {

@@ -72,6 +72,28 @@ type ColumnMeta struct {
 	RawBytes int64 `json:"rawBytes,omitempty"`
 }
 
+// NumRange folds the MinMax summaries of an integer-backed column's blocks
+// into one [lo, hi] value range; ok is false when the column is of another
+// kind or no block carries a summary.
+func (c *ColumnMeta) NumRange() (lo, hi int64, ok bool) {
+	if c.Type.Kind != vector.Int32 && c.Type.Kind != vector.Int64 {
+		return 0, 0, false // NumMin/NumMax only summarize integer kinds
+	}
+	for _, b := range c.Blocks {
+		if !b.HasMinMax {
+			continue
+		}
+		if !ok || b.NumMin < lo {
+			lo = b.NumMin
+		}
+		if !ok || b.NumMax > hi {
+			hi = b.NumMax
+		}
+		ok = true
+	}
+	return lo, hi, ok
+}
+
 // ChunkMeta describes one chunk file.
 type ChunkMeta struct {
 	ID    int `json:"id"`

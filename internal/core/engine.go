@@ -632,20 +632,13 @@ func (e *Engine) ColumnRange(table, col string) (lo, hi int64, ok bool) {
 		if err != nil {
 			return 0, 0, false
 		}
-		if cm.Type.Kind != vector.Int32 && cm.Type.Kind != vector.Int64 {
-			return 0, 0, false // NumMin/NumMax only summarize integer kinds
-		}
-		for _, b := range cm.Blocks {
-			if !b.HasMinMax {
-				continue
-			}
-			if !ok || b.NumMin < lo {
-				lo = b.NumMin
-			}
-			if !ok || b.NumMax > hi {
-				hi = b.NumMax
-			}
-			ok = true
+		plo, phi, pok := cm.NumRange()
+		switch {
+		case !pok:
+		case !ok:
+			lo, hi, ok = plo, phi, true
+		default:
+			lo, hi = min(lo, plo), max(hi, phi)
 		}
 	}
 	return lo, hi, ok

@@ -162,8 +162,12 @@ func (e *Engine) Run(ctx context.Context, q plan.Node, qo QueryOptions, yield fu
 }
 
 // scanIOReporter is implemented by scan operators that retain their IO
-// totals past Close for per-operator attribution.
-type scanIOReporter interface{ ScanIOStats() obs.ScanIO }
+// totals and their predicate parts' rows past Close for per-operator
+// attribution.
+type scanIOReporter interface {
+	ScanIOStats() obs.ScanIO
+	PredParts() []obs.PartRows
+}
 
 // buildAnalyzed aggregates the profiled streams of each plan node and
 // renders the EXPLAIN ANALYZE tree: the cost model's ~N estimate next to the
@@ -201,6 +205,9 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 			a.op.Add(io)
 			total.Add(io)
 			a.hasIO = true
+			for _, w := range r.PredParts() {
+				a.op.Parts = obs.AddPart(a.op.Parts, w)
+			}
 		}
 		if j, ok := sp.Prof.Child.(*exec.HashJoin); ok && !a.sides[j.Build] {
 			if a.sides == nil {
@@ -231,6 +238,16 @@ func buildAnalyzed(phys rewriter.Phys, est map[rewriter.Phys]int64, prof *rewrit
 					a.op.BytesSkipped, a.op.BytesMaterialized)
 				if a.op.DeltaSpans > 0 {
 					fmt.Fprintf(&sb, " deltas=%d deleted=%d", a.op.DeltaSpans, a.op.DeletedRows)
+				}
+				for i, w := range a.op.Parts {
+					sep := " parts=["
+					if i > 0 {
+						sep = "; "
+					}
+					fmt.Fprintf(&sb, "%s%s %d->%d", sep, w.Pred, w.In, w.Out)
+				}
+				if len(a.op.Parts) > 0 {
+					sb.WriteByte(']')
 				}
 			}
 			if a.sides != nil {

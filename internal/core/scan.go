@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"vectorh/internal/colstore"
 	"vectorh/internal/compress"
@@ -25,9 +27,11 @@ import (
 // row is decided by expr.Filter, the kernels Select runs. The scan's own work
 // is around it: the predicate is split into its top-level conjuncts,
 // conjuncts over the same columns are compiled as one filter with the one
-// interval they imply for their column (expr.Bounds), and each span decodes
-// only the columns the next filter reads, under the candidates the previous
-// ones left. Every span is first put to a verdict on block metadata alone
+// interval they imply for their column (expr.Bounds), and the parts run
+// cheapest first (compilePredicate's rank). Each part's selection primitives
+// read its columns in the span's own vectors at the candidates the parts
+// before it kept, and a span decodes a column only when the first part that
+// reads it runs. Every span is first put to a verdict on block metadata alone
 // (verdictSpan, the one place MinMax summaries are read): each part's
 // interval against its column's block summary — outside it the span is dead,
 // and an exact interval that covers it elides the part's kernel — and, with
@@ -144,8 +148,8 @@ type mscan struct {
 	pending []*vector.Batch
 	deltas  pdt.Span
 
-	// The predicate as compiled at Open (empty without ScanSpec.Filter), and
-	// the per-span scratch of evaluating it.
+	// The predicate as compiled at Open (empty without ScanSpec.Filter), in
+	// evaluation order, and the per-span scratch of evaluating it.
 	parts []predPart
 	lead  []int         // predicate column slots: the only columns stage 0 clamps spans on
 	pass  []bool        // per part: proven to hold for every row of the span, kernel elided
@@ -160,15 +164,20 @@ type mscan struct {
 
 	sorted *exec.Sort // restores ScanSpec.Ordered over a disordered partition
 
-	// IO totals retained at Close (after folding into the engine-wide
-	// counters) so EXPLAIN ANALYZE can attribute blocks and bytes to this
-	// scan operator after the query has finished.
-	io obs.ScanIO
+	// IO totals and the predicate parts' rows, retained at Close (after
+	// folding the IO into the engine-wide counters) so EXPLAIN ANALYZE can
+	// attribute them to this scan operator after the query has finished.
+	io   obs.ScanIO
+	work []obs.PartRows
 }
 
 // ScanIOStats returns the scan's retained IO totals; valid once the scan is
 // closed (the engine closes every operator before reading profiles).
 func (m *mscan) ScanIOStats() obs.ScanIO { return m.io }
+
+// PredParts returns the rows each predicate part read and kept, in
+// evaluation order; valid once the scan is closed.
+func (m *mscan) PredParts() []obs.PartRows { return m.work }
 
 func (e *Engine) newMScan(ctx context.Context, t *Table, part *Partition, spec rewriter.ScanSpec, node string) (exec.Operator, error) {
 	schema := t.Info.Schema
@@ -246,8 +255,10 @@ func (m *mscan) Open() (err error) {
 
 // predPart is the conjuncts of the scan's predicate that read one set of
 // columns, compiled as one filter, together with what can decide a whole
-// span for it before anything is unpacked.
+// span for it before anything is unpacked, and the rows its kernels read and
+// kept (PartRows.Pred is the part's text).
 type predPart struct {
+	obs.PartRows
 	filter *expr.Filter
 	slots  []int
 	// bound is the interval the part implies for its one column
@@ -264,38 +275,70 @@ type predPart struct {
 	dictPass int
 }
 
-// compilePredicate splits the predicate into its top-level conjuncts and
-// compiles those over the same columns together, in order of first mention.
+// compilePredicate splits the predicate into its top-level conjuncts, groups
+// those over the same columns into one part, and orders the conjuncts of a
+// part and the parts by rank: the expected cost of a verdict per input row,
+// cost / (1 − pass rate). The cost is expr.Cost's (with ScanSpec.Codes string
+// point tests are code lookups), the pass rate the planner's expr.Selectivity
+// over the partition's MinMax value ranges. Equal ranks order by text, so the
+// order is a function of the predicate set, not of how it was written.
 func (m *mscan) compilePredicate(schema vector.Schema) error {
-	conj := expr.Conjuncts(m.spec.Filter)
-	preds := make([]expr.Expr, 0, len(conj))
-	m.parts, m.lead = make([]predPart, 0, len(conj)), make([]int, 0, len(m.spec.Cols))
+	colRange := func(slot int) (lo, hi int64, ok bool) {
+		if slot >= len(m.colIdx) {
+			return 0, 0, false
+		}
+		return m.meta.Cols[m.colIdx[slot]].NumRange()
+	}
+	type ranked struct {
+		e     expr.Expr
+		slots []int
+		rank  float64
+	}
+	rank := func(e expr.Expr, slots []int) ranked {
+		return ranked{e, slots, expr.Cost(e, m.spec.Codes) / (1 - expr.Selectivity(e, colRange))}
+	}
+	byRank := func(x, y ranked) int {
+		if c := cmp.Compare(x.rank, y.rank); c != 0 {
+			return c
+		}
+		return strings.Compare(x.e.String(), y.e.String())
+	}
+	var conj, groups []ranked
+	for _, c := range expr.Conjuncts(m.spec.Filter) {
+		conj = append(conj, rank(c, expr.Columns(c)))
+	}
+	slices.SortFunc(conj, byRank)
 conjuncts:
 	for _, c := range conj {
-		cols := expr.Columns(c)
-		for i := range m.parts {
-			if slices.Equal(m.parts[i].slots, cols) {
-				preds[i] = expr.And(preds[i], c)
+		for i := range groups {
+			if slices.Equal(groups[i].slots, c.slots) {
+				groups[i].e = expr.And(groups[i].e, c.e)
 				continue conjuncts
 			}
 		}
-		preds, m.parts = append(preds, c), append(m.parts, predPart{slots: cols, dictSlot: -1})
+		groups = append(groups, c)
 	}
-	for i, pred := range preds {
+	for i, g := range groups {
+		groups[i] = rank(g.e, g.slots)
+	}
+	slices.SortFunc(groups, byRank)
+	m.parts, m.lead = make([]predPart, len(groups)), make([]int, 0, len(m.spec.Cols))
+	for i, g := range groups {
 		p := &m.parts[i]
+		*p = predPart{PartRows: obs.PartRows{Pred: g.e.String()}, slots: g.slots, dictSlot: -1}
 		var err error
-		if p.filter, err = expr.CompileFilter(pred); err != nil {
+		if p.filter, err = expr.CompileFilter(g.e); err != nil {
 			return err
 		}
 		for _, s := range p.slots {
 			if s >= len(m.spec.Cols) {
-				return fmt.Errorf("core: predicate %s reads column %d of a %d-column scan of %s", pred, s, len(m.spec.Cols), m.meta.Table)
+				return fmt.Errorf("core: predicate %s reads column %d of a %d-column scan of %s", g.e, s, len(m.spec.Cols), m.meta.Table)
 			}
 			if !slices.Contains(m.lead, s) {
 				m.lead = append(m.lead, s)
 			}
 		}
-		if bs := expr.Bounds(pred); len(bs) == 1 {
+		if bs := expr.Bounds(g.e); len(bs) == 1 {
 			p.bound = &bs[0]
 		}
 		if len(p.slots) == 1 && schema[m.colIdx[p.slots[0]]].Type.Kind == vector.String {
@@ -475,17 +518,11 @@ func (m *mscan) narrow(vecs []*vector.Vec, start int64, n int, d *pdt.Span) (sel
 		if err != nil {
 			return nil, false, err
 		}
+		p.In, p.Out = p.In+int64(live), p.Out+int64(len(out))
 		if len(out) == live {
 			continue
 		}
-		if all {
-			m.sel, all = append(m.sel[:0], out...), false
-		} else {
-			for k, pos := range out {
-				m.sel[k] = m.sel[pos]
-			}
-			m.sel = m.sel[:len(out)]
-		}
+		m.sel, all = append(m.sel[:0], out...), false
 		if b.Sel, live = m.sel, len(m.sel); live == 0 {
 			break
 		}
@@ -588,6 +625,9 @@ func (m *mscan) releaseMeta() {
 // counters into the engine-wide scan statistics.
 func (m *mscan) Close() error {
 	if m.sc != nil {
+		for _, p := range m.parts {
+			m.work = obs.AddPart(m.work, p.PartRows)
+		}
 		m.cur.Add(m.sc.Stats())
 		m.io.Add(m.cur)
 		m.eng.addScanIO(m.cur)

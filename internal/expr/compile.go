@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,11 +30,14 @@ type Program struct {
 	kinds []vector.Kind // per register
 	regs  []*vector.Vec // value of every register after Run
 	own   []*vector.Vec // the program's buffers; nil where none is needed or it was taken
+	phys  []*vector.Vec // filter programs' column registers: the batch's own vector, read in place
 
-	// Filter state: the candidate list successive conjuncts narrow (positions
-	// among the batch's live rows), its buffer, and the identity list 0..n-1
-	// of a batch longer than the shared one.
-	cand, selBuf, ident []int32
+	// Filter state: the candidate list successive conjuncts narrow (physical
+	// positions in the batch's vectors), its buffer, the identity list 0..n-1
+	// of a batch longer than the shared one, the batch's selection, and the
+	// buffer a bool register computed over that selection is scattered into.
+	cand, selBuf, ident, live []int32
+	okBuf                     []bool
 }
 
 // identity is 0..MaxSize-1, the candidate list every filter starts from. It is
@@ -51,6 +55,10 @@ type colRef struct {
 	idx  int
 	kind vector.Kind
 	reg  int32
+	// gather: a register-writing primitive reads the column, so under a
+	// selection bind gathers its live values. A column only selection
+	// primitives read is read in place and never copied.
+	gather bool
 }
 
 // sig is what a primitive computes: an opcode, the domain its kernel works
@@ -69,7 +77,11 @@ type sig struct {
 // prim is one primitive of a program.
 type prim struct {
 	sig
-	sel bool  // filter programs: narrows the candidate list, writes no register
+	// sel: a filter program's selection primitive. It narrows the candidate
+	// list and writes no register; its operands a and b are column registers
+	// (read in the batch's own vectors) or, for opSelTrue only, a computed
+	// bool register.
+	sel bool
 	out int32 // destination register
 
 	// String predicates (LIKE, IN, comparison with a literal) are set up once
@@ -103,13 +115,35 @@ func Compile(exprs ...Expr) (*Program, error) {
 // (join, exchange and group keys) — has n of each and costs four small
 // allocations; expression-heavy ones grow from there.
 func newProgram(nOut, nReg int) *Program {
-	return &Program{cols: make([]colRef, 0, nReg), outs: make([]int32, 0, nOut),
-		kinds: make([]vector.Kind, 0, nReg), regs: make([]*vector.Vec, 0, nReg), own: make([]*vector.Vec, 0, nReg)}
+	return &Program{cols: make([]colRef, 0, nReg), outs: make([]int32, 0, nOut), kinds: make([]vector.Kind, 0, nReg),
+		regs: make([]*vector.Vec, 0, nReg), own: make([]*vector.Vec, 0, nReg), phys: make([]*vector.Vec, 0, nReg)}
 }
 
 func (p *Program) newReg(k vector.Kind) int32 {
-	p.kinds, p.regs, p.own = append(p.kinds, k), append(p.regs, nil), append(p.own, nil)
+	p.kinds, p.regs, p.own, p.phys = append(p.kinds, k), append(p.regs, nil), append(p.own, nil), append(p.phys, nil)
 	return int32(len(p.kinds) - 1)
+}
+
+// col returns the register of column reference n, marking the column
+// gathered when a register-writing primitive reads it.
+func (p *Program) col(n *node, gather bool) int32 {
+	for i := range p.cols {
+		if c := &p.cols[i]; c.idx == int(n.x.i) && c.kind == n.kind {
+			c.gather = c.gather || gather
+			return c.reg
+		}
+	}
+	r := p.newReg(n.kind)
+	p.cols = append(p.cols, colRef{int(n.x.i), n.kind, r, gather})
+	return r
+}
+
+// bareCol returns e when it is a column reference, else nil.
+func bareCol(e Expr) *node {
+	if n, ok := e.(*node); ok && n.op == opCol {
+		return n
+	}
+	return nil
 }
 
 // emit appends a register-writing primitive unless an equal one exists
@@ -163,14 +197,7 @@ func (p *Program) reg(e Expr) (int32, error) {
 	var err error
 	switch n.op {
 	case opCol:
-		for _, col := range p.cols {
-			if col.idx == int(n.x.i) && col.kind == n.kind {
-				return col.reg, nil
-			}
-		}
-		r := p.newReg(n.kind)
-		p.cols = append(p.cols, colRef{int(n.x.i), n.kind, r})
-		return r, nil
+		return p.col(n, true), nil
 	case opConst:
 		in.x = n.x
 	case opAdd, opSub, opMul, opDiv:
@@ -191,8 +218,18 @@ func (p *Program) reg(e Expr) (int32, error) {
 		in.op, in.x = opMul, n.x
 		err = unary(isNumeric(k0))
 	case opLT, opLE, opGT, opGE, opEQ, opNE:
-		if err = p.cmp(n, &in); err != nil {
+		l, r, err := cmpSig(n, &in)
+		if err != nil {
 			return 0, err
+		}
+		if in.a, err = p.reg(l); err != nil {
+			return 0, err
+		}
+		if in.b, in.x, err = p.operand(r); err != nil {
+			return 0, err
+		}
+		if in.kind == vector.String && in.b < 0 {
+			in.strCmp()
 		}
 		return p.emit(&in, vector.Bool), nil
 	case opAnd, opOr, opNot:
@@ -212,20 +249,9 @@ func (p *Program) reg(e Expr) (int32, error) {
 	case opToScaled:
 		in.x = n.x
 		err = unary(isNumeric(k0))
-	case opLike:
-		in.x, in.list, in.pred = imm{b: n.x.b}, fmt.Sprintf("%q, negate=%v", n.x.s, n.x.b), likePred(n.x.s, n.x.b)
-		err = unary(k0 == vector.String)
-	case opInStr:
-		set := slices.Clone(n.strs)
-		slices.Sort(set)
-		in.list = fmt.Sprintf("%q", set)
-		in.pred = func(s string) bool { _, ok := slices.BinarySearch(set, s); return ok }
-		err = unary(k0 == vector.String)
-	case opInInt:
-		in.ints = slices.Clone(n.ints)
-		slices.Sort(in.ints)
-		in.list = fmt.Sprint(in.ints)
-		err = unary(isInt)
+	case opLike, opInStr, opInInt:
+		in.test(n)
+		err = unary(testsKind(n.op, k0))
 	case opSubstr:
 		in.x, in.y = n.x, n.y
 		err = unary(k0 == vector.String)
@@ -254,10 +280,49 @@ func (p *Program) reg(e Expr) (int32, error) {
 	return p.emit(&in, in.kind), nil
 }
 
-// cmp builds a comparison primitive: left operand a register, right operand a
-// register or an immediate (literal ⊕ column is mirrored), both compared as
-// strings, as float64 when either side is, as int64 otherwise.
-func (p *Program) cmp(n *node, in *prim) error {
+// test prepares the scalar test of a LIKE or IN primitive once: the
+// pattern's pieces, or the sorted list.
+func (in *prim) test(n *node) {
+	switch n.op {
+	case opLike:
+		in.x, in.list, in.pred = imm{b: n.x.b}, fmt.Sprintf("%q, negate=%v", n.x.s, n.x.b), likePred(n.x.s, n.x.b)
+	case opInStr:
+		set := slices.Clone(n.strs)
+		slices.Sort(set)
+		in.list = fmt.Sprintf("%q", set)
+		in.pred = func(s string) bool {
+			if len(set) <= shortList {
+				return slices.Contains(set, s)
+			}
+			_, ok := slices.BinarySearch(set, s)
+			return ok
+		}
+	case opInInt:
+		in.ints = slices.Clone(n.ints)
+		slices.Sort(in.ints)
+		in.list = fmt.Sprint(in.ints)
+	}
+}
+
+// testsKind reports whether a LIKE or IN primitive applies to operand kind k.
+func testsKind(op opcode, k vector.Kind) bool {
+	if op == opInInt {
+		return isInt(k)
+	}
+	return k == vector.String
+}
+
+// strCmp prepares a string comparison with the literal in.x as a scalar test.
+func (in *prim) strCmp() {
+	op, lit := in.op, in.x.s
+	in.pred = func(s string) bool { return cmpOne(op, s, lit) }
+}
+
+// cmpSig sets up a comparison primitive's signature and returns its
+// operands left to right: both compared as strings, as float64 when either
+// side is, as int64 otherwise; a literal left operand is mirrored to the
+// right.
+func cmpSig(n *node, in *prim) (l, r Expr, err error) {
 	l, r, op := n.args[0], n.args[1], n.op
 	lk, rk := l.Kind(), r.Kind()
 	in.sig = sig{op: op, kind: vector.Int64, a: -1, b: -1, c: -1}
@@ -265,7 +330,7 @@ func (p *Program) cmp(n *node, in *prim) error {
 	case lk == vector.String && rk == vector.String:
 		in.kind = vector.String
 	case !isNumeric(lk) || !isNumeric(rk):
-		return fmt.Errorf("expr: compare %v with %v in %s", lk, rk, n)
+		return nil, nil, fmt.Errorf("expr: compare %v with %v in %s", lk, rk, n)
 	case lk == vector.Float64 || rk == vector.Float64:
 		in.kind = vector.Float64
 	}
@@ -273,25 +338,19 @@ func (p *Program) cmp(n *node, in *prim) error {
 		l, r = r, l
 		in.op = mirror[op]
 	}
-	var err error
-	if in.a, err = p.reg(l); err != nil {
-		return err
-	}
-	if in.b, in.x, err = p.operand(r); err != nil {
-		return err
-	}
-	if in.kind == vector.String && in.b < 0 {
-		op, lit := in.op, in.x.s
-		in.pred = func(s string) bool { return cmpStr(op, s, lit) }
-	}
-	return nil
+	return l, r, nil
 }
 
 // Filter is a predicate compiled for Select: its top-level conjuncts narrow
-// one candidate list in turn. A numeric comparison with a literal is a
-// selection-producing kernel; any other conjunct (OR, NOT, LIKE, IN, string
-// and column-to-column comparisons, a bool column) is evaluated into a bool
-// register and applied in one pass.
+// one candidate list in turn, in the order given. A conjunct that tests bare
+// columns is a selection primitive that reads the batch's own vectors at the
+// candidates alone: a bool column; a numeric column (or a scaled decimal
+// column) against a literal, or against another numeric column; LIKE, IN or a
+// comparison of a string column with literals (over dictionary codes, one
+// verdict per dictionary value); an integer column IN a list. Any other
+// conjunct (OR, NOT, CASE, arithmetic, casts, SUBSTRING) is evaluated into a
+// bool register over exactly the batch's live rows, gathered under its
+// selection, and applied by one more selection primitive.
 type Filter struct{ p *Program }
 
 // CompileFilter compiles a boolean predicate; Compile's errors apply, and a
@@ -318,18 +377,157 @@ func (p *Program) conjunct(e Expr) error {
 		}
 		return p.conjunct(n.args[1])
 	}
-	if n != nil && n.op.isCmp() && isNumeric(n.args[0].Kind()) && isNumeric(n.args[1].Kind()) &&
-		isLiteral(n.args[0]) != isLiteral(n.args[1]) {
-		in := prim{sel: true}
-		if err := p.cmp(n, &in); err != nil {
-			return err
-		}
+	if in, ok := p.selPrim(n); ok {
 		p.prims = append(p.prims, in)
 		return nil
 	}
 	r, err := p.reg(e)
 	p.prims = append(p.prims, prim{sig: sig{op: opSelTrue, kind: vector.Bool, a: r, b: -1, c: -1}, sel: true})
 	return err
+}
+
+// selPrim compiles conjunct n as a selection primitive over bare columns (see
+// Filter); ok is false for a conjunct of any other shape, which the caller
+// compiles into a bool register — reporting whatever error it has.
+func (p *Program) selPrim(n *node) (in prim, ok bool) {
+	if n == nil {
+		return prim{}, false
+	}
+	in = prim{sig: sig{op: n.op, kind: n.kind, a: -1, b: -1, c: -1}, sel: true}
+	switch {
+	case n.op == opCol:
+		in.op, in.a = opSelTrue, p.col(n, false)
+		return in, true
+	case n.op == opLike || n.op == opInStr || n.op == opInInt:
+		c := bareCol(n.args[0])
+		if c == nil || !testsKind(n.op, c.kind) {
+			return prim{}, false
+		}
+		in.test(n)
+		in.a = p.col(c, false)
+		return in, true
+	case !n.op.isCmp():
+		return prim{}, false
+	}
+	l, r, err := cmpSig(n, &in)
+	if err != nil {
+		return prim{}, false
+	}
+	if col, f := storageCol(l); col != nil && f != 0 && isLiteral(r) {
+		// float64(x)*f ⋚ c is monotone in the integer x: an integer compare
+		// on the stored value decides exactly the same rows.
+		if in.op, in.x, ok = scaledCut(in.op, f, r.(*node).x.float()); !ok {
+			return prim{}, false
+		}
+		in.kind, l, r = vector.Int64, col, nil
+	}
+	lc, rc := bareCol(l), bareCol(r)
+	switch {
+	case lc == nil, r != nil && rc == nil && !isLiteral(r), rc != nil && in.kind == vector.String:
+		return prim{}, false
+	case r != nil && rc == nil:
+		in.x = r.(*node).x
+	}
+	in.a = p.col(lc, false)
+	if rc != nil {
+		in.b = p.col(rc, false)
+	}
+	if in.kind == vector.String {
+		in.strCmp()
+	}
+	return in, true
+}
+
+// The kernel kinds a conjunct's test runs on, cheapest first, and their cost
+// per input row relative to a fixed-width compare, from BenchmarkExprProgram's
+// Filter.Match cases and their string siblings (2-vCPU Xeon, per candidate: a
+// code lookup 0.94 ns, a compare passing half the rows 1.0 ns, a string = or
+// IN 6–13 ns, a LIKE of one infix over 30-byte strings 16–20 ns).
+const (
+	kernCode  = iota // a verdict looked up by dictionary code
+	kernFixed        // a fixed-width compare, or any other numeric primitive
+	kernStr          // a string compare or IN test
+	kernLike         // a LIKE match
+)
+
+var kernelCost = [...]float64{kernCode: 0.9, kernFixed: 1, kernStr: 8, kernLike: 20}
+
+// shortList is the longest IN list tested by a scan rather than a binary
+// search.
+const shortList = 16
+
+// Cost estimates what a Filter compiled from pred spends per input row,
+// relative to one fixed-width compare: every primitive charged by its kernel
+// kind. A decimal column's scale is free, as a compare with a literal folds
+// it into an integer cut (scaledCut). With codes, string columns arrive as
+// dictionary codes, on which a point test (=, <> or IN against literals) of a
+// column is a code lookup.
+func Cost(pred Expr, codes bool) float64 {
+	n, ok := pred.(*node)
+	if col, _ := storageCol(pred); !ok || col != nil || n.op == opConst {
+		return 0
+	}
+	c := 0.0
+	for _, a := range n.args {
+		c += Cost(a, codes)
+	}
+	str := len(n.args) > 0 && n.args[0].Kind() == vector.String
+	switch {
+	case n.op == opLike:
+		return c + kernelCost[kernLike]
+	case codes && str && pointTest(n):
+		return c + kernelCost[kernCode]
+	case str:
+		return c + kernelCost[kernStr]
+	}
+	return c + kernelCost[kernFixed]
+}
+
+// pointTest reports whether n tests a bare column for (in)equality with
+// literals: a test decided once per dictionary value.
+func pointTest(n *node) bool {
+	switch n.op {
+	case opInStr:
+		return bareCol(n.args[0]) != nil
+	case opEQ, opNE:
+		l, r := n.args[0], n.args[1]
+		return bareCol(l) != nil && isLiteral(r) || isLiteral(l) && bareCol(r) != nil
+	}
+	return false
+}
+
+// scaledCut turns float64(x)*f ⋚ c, for an integer x and a finite f > 0, into
+// the integer comparison of x with a cut point that holds for exactly the
+// same x: the product is monotone in x, so the rows that pass form a prefix or
+// a suffix of the integers, and a binary search under the float comparison
+// itself finds its end. ok is false for = and <>, which pass an interval.
+func scaledCut(op opcode, f, c float64) (opcode, imm, bool) {
+	holds := func(x int64) bool { return cmpOne(op, float64(x)*f, c) }
+	up := op == opGT || op == opGE // the passing x are a suffix
+	if !up && op != opLT && op != opLE {
+		return 0, imm{}, false
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	switch {
+	case holds(lo) && holds(hi):
+		return opGE, immInt(math.MinInt64), true // every x
+	case !holds(lo) && !holds(hi):
+		return opLT, immInt(math.MinInt64), true // none
+	}
+	// holds(lo) != holds(hi): narrow [lo, hi] to the adjacent pair where the
+	// verdict flips.
+	for uint64(hi)-uint64(lo) > 1 {
+		mid := lo + int64((uint64(hi)-uint64(lo))/2)
+		if holds(mid) == holds(lo) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if up {
+		return opGE, immInt(hi), true
+	}
+	return opLE, immInt(lo), true
 }
 
 // NumPrims is the program size: the number of primitives executed per batch
@@ -363,7 +561,8 @@ func (p *Program) dst(r int32, n int) *vector.Vec {
 
 // bind points the column registers at b: the batch's own vectors when it has
 // no selection, otherwise the selected values gathered into program-owned
-// buffers — once per distinct column, however often it is referenced.
+// buffers — once per distinct column, however often it is referenced, and
+// only for the columns a register-writing primitive reads.
 func (p *Program) bind(b *vector.Batch) error {
 	for _, c := range p.cols {
 		if c.idx >= len(b.Vecs) {
@@ -373,9 +572,10 @@ func (p *Program) bind(b *vector.Batch) error {
 		if v.Kind() != c.kind {
 			return fmt.Errorf("expr: column $%d is %v, expected %v", c.idx, v.Kind(), c.kind)
 		}
-		if b.Sel == nil {
+		switch {
+		case b.Sel == nil:
 			p.regs[c.reg] = v
-		} else {
+		case c.gather:
 			p.scratch(c.reg, v.Len()).GatherFrom(v, b.Sel) // sized for any selection of v
 		}
 	}
@@ -421,8 +621,9 @@ func (p *Program) Take(i int) *vector.Vec {
 	return v
 }
 
-// Match evaluates the predicate over the n live rows of b and returns the
-// positions among them (ascending, in 0..n-1) that satisfy it: the filter's
+// Match evaluates the predicate over the n live rows of b and returns those
+// that satisfy it as physical positions in b's vectors, in b's order: a
+// subsequence of b.Sel, or of 0..n-1 without one. The result is the filter's
 // scratch, read-only and valid until its next call. b needs to hold only the
 // columns the predicate reads, which is how a scan decides a span before it
 // has decoded the others.
@@ -431,19 +632,28 @@ func (f *Filter) Match(b *vector.Batch, n int) ([]int32, error) {
 	if err := p.bind(b); err != nil {
 		return nil, err
 	}
-	ident := identity
-	if n > len(ident) {
-		for len(p.ident) < n {
-			p.ident = append(p.ident, int32(len(p.ident)))
-		}
-		ident = p.ident
+	for _, c := range p.cols {
+		p.phys[c.reg] = b.Vecs[c.idx] // what selection primitives read, in place
 	}
 	if cap(p.selBuf) < n {
 		p.selBuf = make([]int32, max(n, vector.MaxSize))
 	}
-	p.cand = ident[:n]
+	p.live, p.cand = b.Sel, b.Sel
+	if b.Sel == nil {
+		p.cand = identity
+		if n > len(identity) {
+			for len(p.ident) < n {
+				p.ident = append(p.ident, int32(len(p.ident)))
+			}
+			p.cand = p.ident
+		}
+		p.cand = p.cand[:n]
+	}
 	for i := range p.prims {
-		if err := p.exec(&p.prims[i], n); err != nil {
+		in := &p.prims[i]
+		if in.sel {
+			p.narrow(in)
+		} else if err := p.exec(in, n); err != nil {
 			return nil, err
 		}
 	}
@@ -461,15 +671,7 @@ func (f *Filter) Select(b *vector.Batch) (*vector.Batch, error) {
 	case len(cand) == b.Len():
 		return b, nil
 	}
-	sel := make([]int32, len(cand))
-	if b.Sel == nil {
-		copy(sel, cand)
-	} else {
-		for i, r := range cand {
-			sel[i] = b.Sel[r]
-		}
-	}
-	return &vector.Batch{Vecs: b.Vecs, Sel: sel}, nil
+	return &vector.Batch{Vecs: b.Vecs, Sel: slices.Clone(cand)}, nil
 }
 
 var kindNames = [...]string{vector.Bool: "bool", vector.Int32: "i32", vector.Int64: "i64",

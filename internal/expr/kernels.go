@@ -51,7 +51,7 @@ func (p *Program) exec(in *prim, n int) error {
 			}
 			r, out := p.regs[in.b], p.dst(in.out, n).Bools()
 			for i := range out {
-				out[i] = cmpStr(in.op, l.StrAt(i), r.StrAt(i))
+				out[i] = cmpOne(in.op, l.StrAt(i), r.StrAt(i))
 			}
 		case vector.Float64:
 			var out []float64
@@ -145,14 +145,6 @@ func (p *Program) exec(in *prim, n int) error {
 		case vector.Float64:
 			blend(out.Float64s(), w, p.branch(in.b), p.branch(in.c), in.x.float(), in.y.float(), (*vector.Vec).Float64s)
 		}
-	case opSelTrue:
-		ok, out := p.regs[in.a].Bools(), p.selBuf[:0]
-		for _, r := range p.cand {
-			if ok[r] {
-				out = append(out, r)
-			}
-		}
-		p.cand = out
 	}
 	return nil
 }
@@ -209,8 +201,6 @@ func binaryK[D, L, R num](p *Program, in *prim, n int, out []D, l []L, r []R, c 
 		arithVC(in.op, out, l, c)
 	case in.op.isArith():
 		arithVV(in.op, out, l, r)
-	case in.sel:
-		p.cand = selVC(in.op, p.selBuf, p.cand, l, c)
 	case in.b < 0:
 		cmpVC(in.op, p.dst(in.out, n).Bools(), l, c)
 	default:
@@ -344,49 +334,9 @@ func cmpVC[D, L num](op opcode, out []bool, l []L, c D) {
 	}
 }
 
-// selVC is the selection-producing comparison with a literal: it keeps the
-// candidates that satisfy it, writing into dst — which may be the candidate
-// list's own buffer, since the write index never passes the read index.
-func selVC[D, L num](op opcode, dst, cand []int32, l []L, c D) []int32 {
-	k := 0
-	keep := func(i int32, ok bool) {
-		if ok {
-			dst[k] = i
-			k++
-		}
-	}
-	switch op {
-	case opLT:
-		for _, i := range cand {
-			keep(i, D(l[i]) < c)
-		}
-	case opLE:
-		for _, i := range cand {
-			keep(i, D(l[i]) <= c)
-		}
-	case opGT:
-		for _, i := range cand {
-			keep(i, D(l[i]) > c)
-		}
-	case opGE:
-		for _, i := range cand {
-			keep(i, D(l[i]) >= c)
-		}
-	case opEQ:
-		for _, i := range cand {
-			keep(i, D(l[i]) == c)
-		}
-	case opNE:
-		for _, i := range cand {
-			keep(i, D(l[i]) != c)
-		}
-	}
-	return dst[:k]
-}
-
-// cmpStr applies one comparison to a pair of strings (per value, or once per
+// cmpOne applies one comparison to a pair of values (per value, or once per
 // dictionary entry).
-func cmpStr(op opcode, a, b string) bool {
+func cmpOne[T int64 | float64 | string](op opcode, a, b T) bool {
 	switch op {
 	case opLT:
 		return a < b
@@ -401,6 +351,223 @@ func cmpStr(op opcode, a, b string) bool {
 	default:
 		return a != b
 	}
+}
+
+// --- selection primitives ---
+//
+// A selection primitive narrows the candidate list p.cand — physical
+// positions in the batch's vectors — into p.selBuf, which may be the list's
+// own buffer: the write index never passes the read index. The loops are
+// branch-free: each writes the candidate and advances the write index by the
+// verdict, so no jump depends on the data (go tool objdump shows SETcc and an
+// add, and only the loop's own and the bounds checks' jumps).
+
+// b2i is 1 for true, 0 for false; the compiler emits it without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// narrow runs one selection primitive.
+func (p *Program) narrow(in *prim) {
+	dst := p.selBuf
+	switch {
+	case in.op == opSelTrue:
+		p.cand = selTrue(dst, p.cand, p.truth(in.a))
+	case in.op == opLike || in.op == opInStr || in.kind == vector.String:
+		p.cand = p.selStr(in, dst)
+	case in.op == opInInt:
+		if l := p.phys[in.a]; l.Kind() == vector.Int32 {
+			p.cand = selIn(dst, p.cand, l.Int32s(), in.ints)
+		} else {
+			p.cand = selIn(dst, p.cand, l.Int64s(), in.ints)
+		}
+	case in.kind == vector.Float64:
+		p.cand = selL(p, in, dst, in.x.float())
+	default:
+		p.cand = selL(p, in, dst, in.x.i)
+	}
+}
+
+// truth returns bool register r indexed by physical position: a bool column
+// as it is, a register computed over the batch's live rows scattered to their
+// positions when the batch has a selection.
+func (p *Program) truth(r int32) []bool {
+	if v := p.phys[r]; v != nil {
+		return v.Bools()
+	}
+	ok := p.regs[r].Bools()
+	if p.live == nil {
+		return ok
+	}
+	n := 0
+	for _, i := range p.live {
+		n = max(n, int(i)+1)
+	}
+	if cap(p.okBuf) < n {
+		p.okBuf = make([]bool, max(n, vector.MaxSize))
+	}
+	buf := p.okBuf[:n]
+	for j, i := range p.live {
+		buf[i] = ok[j]
+	}
+	return buf
+}
+
+func selTrue(dst, cand []int32, ok []bool) []int32 {
+	k := 0
+	for _, i := range cand {
+		dst[k] = i
+		k += b2i(ok[i])
+	}
+	return dst[:k]
+}
+
+// selStr is a string test against literals: over dictionary codes a lookup
+// of the verdict of the row's dictionary value, over strings the test itself.
+func (p *Program) selStr(in *prim, dst []int32) []int32 {
+	v, k := p.phys[in.a], 0
+	if v.IsDict() {
+		verdicts, codes := in.verdictsOf(v), v.DictCodes()
+		for _, i := range p.cand {
+			dst[k] = i
+			k += b2i(verdicts[codes[i]])
+		}
+		return dst[:k]
+	}
+	col := v.StrCol()
+	for _, i := range p.cand {
+		dst[k] = i
+		k += b2i(in.pred(col.At(int(i))))
+	}
+	return dst[:k]
+}
+
+// selIn is an integer IN list: a branch-free scan of a short list, a binary
+// search of a long one.
+func selIn[L int32 | int64](dst, cand []int32, l []L, set []int64) []int32 {
+	k := 0
+	if len(set) > shortList {
+		for _, i := range cand {
+			dst[k] = i
+			_, ok := slices.BinarySearch(set, int64(l[i]))
+			k += b2i(ok)
+		}
+		return dst[:k]
+	}
+	for _, i := range cand {
+		dst[k] = i
+		x, hit := int64(l[i]), 0
+		for _, v := range set {
+			hit |= b2i(x == v)
+		}
+		k += hit
+	}
+	return dst[:k]
+}
+
+// selL and selR resolve a numeric comparison's column kinds once per batch,
+// as binaryL/R do, and call selVC (column ⋚ literal) or selVV (column ⋚
+// column) instantiated for them; D is the domain compared in.
+func selL[D num](p *Program, in *prim, dst []int32, c D) []int32 {
+	switch l := p.phys[in.a]; l.Kind() {
+	case vector.Int32:
+		return selR(p, in, dst, l.Int32s(), c)
+	case vector.Int64:
+		return selR(p, in, dst, l.Int64s(), c)
+	default:
+		return selR(p, in, dst, l.Float64s(), c)
+	}
+}
+
+func selR[D, L num](p *Program, in *prim, dst []int32, l []L, c D) []int32 {
+	if in.b < 0 {
+		return selVC(in.op, dst, p.cand, l, c)
+	}
+	switch r := p.phys[in.b]; r.Kind() {
+	case vector.Int32:
+		return selVV[D](in.op, dst, p.cand, l, r.Int32s())
+	case vector.Int64:
+		return selVV[D](in.op, dst, p.cand, l, r.Int64s())
+	default:
+		return selVV[D](in.op, dst, p.cand, l, r.Float64s())
+	}
+}
+
+func selVC[D, L num](op opcode, dst, cand []int32, l []L, c D) []int32 {
+	k := 0
+	switch op {
+	case opLT:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) < c)
+		}
+	case opLE:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) <= c)
+		}
+	case opGT:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) > c)
+		}
+	case opGE:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) >= c)
+		}
+	case opEQ:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) == c)
+		}
+	case opNE:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) != c)
+		}
+	}
+	return dst[:k]
+}
+
+func selVV[D, L, R num](op opcode, dst, cand []int32, l []L, r []R) []int32 {
+	k := 0
+	switch op {
+	case opLT:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) < D(r[i]))
+		}
+	case opLE:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) <= D(r[i]))
+		}
+	case opGT:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) > D(r[i]))
+		}
+	case opGE:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) >= D(r[i]))
+		}
+	case opEQ:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) == D(r[i]))
+		}
+	case opNE:
+		for _, i := range cand {
+			dst[k] = i
+			k += b2i(D(l[i]) != D(r[i]))
+		}
+	}
+	return dst[:k]
 }
 
 func toScaled[L num](out []int64, l []L, scale float64) {
@@ -473,8 +640,7 @@ func (p *Program) strBlend(in *prim, w []bool) {
 
 // strPred evaluates the primitive's scalar string test over v. Over a code
 // vector it runs once per dictionary entry and maps the verdicts through the
-// codes — no string materialization, no per-row test; the verdicts are kept
-// for as long as batches arrive with the same dictionary.
+// codes — no string materialization, no per-row test.
 func (p *Program) strPred(in *prim, v *vector.Vec, out []bool) {
 	if !v.IsDict() {
 		for i := range out {
@@ -482,15 +648,22 @@ func (p *Program) strPred(in *prim, v *vector.Vec, out []bool) {
 		}
 		return
 	}
+	verdicts := in.verdictsOf(v)
+	for i, c := range v.DictCodes() {
+		out[i] = verdicts[c]
+	}
+}
+
+// verdictsOf returns the test's verdict on every value of code vector v's
+// dictionary, kept for as long as vectors arrive with the same dictionary.
+func (in *prim) verdictsOf(v *vector.Vec) []bool {
 	if d := v.Dict(); d != in.dict {
 		in.dict, in.verdicts = d, in.verdicts[:0]
 		for _, s := range d.Values {
 			in.verdicts = append(in.verdicts, in.pred(s))
 		}
 	}
-	for i, c := range v.DictCodes() {
-		out[i] = in.verdicts[c]
-	}
+	return in.verdicts
 }
 
 // likePred prepares a LIKE pattern: the pieces between % wildcards and

@@ -286,11 +286,14 @@ func (s batchSpec) make() *vector.Batch {
 
 func (g *gen) batch() batchSpec {
 	s := batchSpec{rows: []int{1024, 1, 7, 0, 300}[g.pick(5)], seed: g.rng.Int63()}
-	switch g.pick(4) {
-	case 1: // sparse selection
+	switch c := g.pick(5); c {
+	case 1, 3: // sparse selection; shuffled, not increasing, in case 3
 		s.sel = []int32{}
 		for r := g.rng.Intn(3); r < s.rows; r += 1 + g.rng.Intn(5) {
 			s.sel = append(s.sel, int32(r))
+		}
+		if c == 3 {
+			g.rng.Shuffle(len(s.sel), func(i, j int) { s.sel[i], s.sel[j] = s.sel[j], s.sel[i] })
 		}
 	case 2: // empty selection
 		s.sel = []int32{}
@@ -433,6 +436,37 @@ func FuzzExprProgram(f *testing.F) {
 	})
 }
 
+// TestScaledCompareIsAnIntegerCut holds scaledCut to the float comparison it
+// replaces, at the cut point it finds, next to it and at the int64 limits.
+func TestScaledCompareIsAnIntegerCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, f := range []float64{0.01, 100, 3.7, 1e-300, 1e300, 0.5} {
+		for _, c := range []float64{0.05, 24, -12.5, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+			92233720368547760, 1e19, -1e19, 1e-310, rng.NormFloat64() * 1e6} {
+			for _, op := range []opcode{opLT, opLE, opGT, opGE} {
+				cop, cut, ok := scaledCut(op, f, c)
+				if !ok {
+					t.Fatalf("scaledCut(%s, %g, %g) declined", opNames[op], f, c)
+				}
+				xs := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64, rng.Int63(), -rng.Int63()}
+				for d := int64(-2); d <= 2; d++ {
+					xs = append(xs, cut.i+d)
+				}
+				for _, x := range xs {
+					if want, got := cmpOne(op, float64(x)*f, c), cmpOne(cop, x, cut.i); got != want {
+						t.Fatalf("%d*%g %s %g is %v, the cut %s %d says %v", x, f, opNames[op], c, want, opNames[cop], cut.i, got)
+					}
+				}
+			}
+		}
+	}
+	for _, op := range []opcode{opEQ, opNE} {
+		if _, _, ok := scaledCut(op, 0.01, 5); ok {
+			t.Errorf("scaledCut(%s) cut an interval", opNames[op])
+		}
+	}
+}
+
 // --- compile-time errors ---
 
 func TestCompileErrorsNameTheSubExpression(t *testing.T) {
@@ -562,13 +596,14 @@ out $4:str, $5:str, r3, r5, r9, r13, r3, r3, r5, r5, r7, r7
 	if err != nil {
 		t.Fatal(err)
 	}
+	// scaled(qty, 0.01) < 24 is the integer compare qty <= 2399 on storage
+	// units; the OR is the one conjunct evaluated into a bool register.
 	const wantFilter = `sel = ge.i64 $7:i32, 8766
-r2 = mul.f64 $0:i64, 0.01
-sel = lt.f64 r2, 24
-r4 = like.bool $6:str, "%AIR", negate=false
-r6 = eq.str $4:str, "R"
-r7 = or.bool r4, r6
-sel = true.bool r7
+sel = le.i64 $0:i64, 2399
+r3 = like.bool $6:str, "%AIR", negate=false
+r5 = eq.str $4:str, "R"
+r6 = or.bool r3, r5
+sel = true.bool r6
 `
 	if got := f.String(); got != wantFilter {
 		t.Errorf("filter program:\n%s\nwant:\n%s", got, wantFilter)
@@ -679,6 +714,45 @@ func BenchmarkExprProgram(b *testing.B) {
 				}
 			}
 			values(b, batch.Len())
+		})
+	}
+	// Filter.Match under a sparse selection (every third row): a selection
+	// primitive reads the batch's own vectors at the candidates, so nothing
+	// is gathered and nothing allocated. The IN reads dictionary codes, the
+	// LIKE plain strings (column 8), the compare passes half the rows.
+	sparse := lineitemBatch(1024, 8)
+	words := []string{"carefully", "regular", "deposits", "furiously", "ironic", "packages", "quickly", "final", "requests"}
+	comments, rng := make([]string, 1024), rand.New(rand.NewSource(8))
+	for i := range comments {
+		comments[i] = words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
+	}
+	sparse.Vecs = append(sparse.Vecs, vector.FromString(comments))
+	for i := int32(0); i < 1024; i += 3 {
+		sparse.Sel = append(sparse.Sel, i)
+	}
+	for _, c := range []struct {
+		name string
+		pred Expr
+	}{
+		{"in_codes_sel", InStr(Col(lMode, vector.String), "MAIL", "SHIP", "RAIL")},
+		{"like_sel", Like(Col(8, vector.String), "%regular%")},
+		{"cmp50_sel", LT(Col(lDate, vector.Int32), ConstInt32(8036+1250))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f, err := CompileFilter(c.pred)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := f.Match(sparse, sparse.Len())
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += len(out)
+			}
+			values(b, sparse.Len())
 		})
 	}
 	b.Run("cmp_and_sel", func(b *testing.B) {

@@ -53,6 +53,28 @@ func (s *ScanIO) Add(o ScanIO) {
 	s.DeletedRows += o.DeletedRows
 }
 
+// PartRows is the work of one predicate part of a scan — its conjuncts over
+// one set of columns, printed as Pred: the rows its kernels read and the rows
+// they kept.
+type PartRows struct {
+	Pred string `json:"pred"`
+	In   int64  `json:"in"`
+	Out  int64  `json:"out"`
+}
+
+// AddPart adds w into the entry of ws for the same predicate, appending one
+// when there is none.
+func AddPart(ws []PartRows, w PartRows) []PartRows {
+	for i := range ws {
+		if ws[i].Pred == w.Pred {
+			ws[i].In += w.In
+			ws[i].Out += w.Out
+			return ws
+		}
+	}
+	return append(ws, w)
+}
+
 // OpProfile is the per-operator execution profile of one plan node,
 // aggregated across the operator's parallel streams.
 type OpProfile struct {
@@ -65,6 +87,8 @@ type OpProfile struct {
 
 	// Scan IO attribution; only set for scan operators.
 	ScanIO
+	// Parts is a scan's predicate parts in evaluation order, with their rows.
+	Parts []PartRows `json:"parts,omitempty"`
 
 	// Hash join builds; only set for hash joins. BuildTables counts the
 	// distinct tables the operator's streams probed (one per node for a

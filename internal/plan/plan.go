@@ -248,16 +248,16 @@ func Asc(e Expr) OrderKey { return OrderKey{Expr: e} }
 // Desc builds a descending order key.
 func Desc(e Expr) OrderKey { return OrderKey{Expr: e, Desc: true} }
 
-// OrderByNode sorts, optionally truncating to Limit rows (TopN when > 0).
+// OrderByNode sorts, optionally truncating to Limit rows (TopN when >= 0).
 type OrderByNode struct {
 	Child Node
 	Keys  []OrderKey
-	Limit int64 // 0 = no limit
+	Limit int64 // -1 = no limit
 }
 
 // OrderBy builds a sort.
 func OrderBy(child Node, keys ...OrderKey) *OrderByNode {
-	return &OrderByNode{Child: child, Keys: keys}
+	return &OrderByNode{Child: child, Keys: keys, Limit: -1}
 }
 
 // Top builds a sort with FIRST n semantics.

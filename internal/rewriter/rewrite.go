@@ -768,13 +768,13 @@ func (c *rewriteCtx) recOrderBy(n *plan.OrderByNode) (result, error) {
 		}
 		keys[i] = exec.SortKey{Expr: bound, Desc: k.Desc}
 	}
-	if !child.gathered && n.Limit > 0 {
+	if !child.gathered && n.Limit >= 0 {
 		// Partial top-N per stream before the union (the TopN(partial) /
 		// TopN(final) pair of Figure 5).
 		child.phys = &physTopN{child: child.phys, keys: keys, n: n.Limit, kind: "partial"}
 	}
 	g := c.gather(child)
-	if n.Limit > 0 {
+	if n.Limit >= 0 {
 		g.phys = &physTopN{child: g.phys, keys: keys, n: n.Limit, kind: "final"}
 		g.rows, g.maxRows = n.Limit, n.Limit
 	} else {

@@ -270,3 +270,31 @@ Project[1 exprs,0 prims] ~1 rows
 		t.Fatalf("explain mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestLimitZero: LIMIT 0 returns no row with and without ORDER BY, on a
+// replicated table (one final TopN) and on a partitioned one, whose ORDER BY
+// runs as a partial TopN per stream under the final one.
+func TestLimitZero(t *testing.T) {
+	e := newEngine(t)
+	for _, q := range []string{
+		"select region_name from regions limit 0",
+		"select region_name from regions order by region_name limit 0",
+		"select id from sales limit 0",
+		"select id from sales order by id limit 0",
+		"select region_id, count(*) as n from sales group by region_id order by n desc limit 0",
+	} {
+		if rows := runSQL(t, e, q); len(rows) != 0 {
+			t.Errorf("%s: %d rows, want 0", q, len(rows))
+		}
+	}
+	n, err := Compile("select id from sales order by id limit 0", e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err := e.Explain(n); err != nil || !strings.Contains(plan, "TopN(partial)[0]") {
+		t.Errorf("the partitioned ORDER BY ... LIMIT 0 plans no partial TopN (err %v):\n%s", err, plan)
+	}
+	if rows := runSQL(t, e, "select id from sales order by id limit 1"); len(rows) != 1 || rows[0][0].(int64) != 0 {
+		t.Errorf("limit 1 = %v, want [[0]]", rows)
+	}
+}
